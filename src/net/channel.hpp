@@ -9,10 +9,11 @@
 
 #include <cstddef>
 #include <functional>
-#include <memory>
+#include <optional>
 #include <stdexcept>
 #include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "net/gilbert.hpp"
 #include "obs/trace.hpp"
@@ -91,6 +92,11 @@ public:
             throw std::invalid_argument("Channel: negative propagation delay");
         }
     }
+
+    /// Scheduled deliveries hold `this`, so a channel stays where it was
+    /// built.
+    Channel(const Channel&) = delete;
+    Channel& operator=(const Channel&) = delete;
 
     /// Registers the delivery callback (invoked at simulated arrival time).
     void set_receiver(Receiver r) { receiver_ = std::move(r); }
@@ -181,27 +187,16 @@ public:
         }
         const sim::SimTime arrival =
             depart + tx_time + link_.propagation_delay + faults.extra_delay;
-        // EventQueue callbacks are std::function (copyable); box the payload
-        // so move-only message types work.
-        auto boxed = std::make_shared<Msg>(std::move(msg));
         if (faults.duplicate) {
             // Duplication happens in the network, not on the link: the copy
             // costs no serialization time.  Move-only payloads cannot be
             // duplicated; the directive is ignored for them.
             if constexpr (std::is_copy_constructible_v<Msg>) {
                 ++stats_.duplicated;
-                auto copy = std::make_shared<Msg>(*boxed);
-                queue_.schedule_at(arrival + faults.duplicate_delay,
-                                   [this, copy] {
-                                       ++stats_.delivered;
-                                       if (receiver_) receiver_(std::move(*copy));
-                                   });
+                schedule_delivery(arrival + faults.duplicate_delay, Msg(msg));
             }
         }
-        queue_.schedule_at(arrival, [this, boxed] {
-            ++stats_.delivered;
-            if (receiver_) receiver_(std::move(*boxed));
-        });
+        schedule_delivery(arrival, std::move(msg));
         return true;
     }
 
@@ -233,10 +228,41 @@ public:
     }
     /// Packets handed to send() so far (cheap; stats() copies a histogram).
     std::size_t packets_sent() const noexcept { return stats_.sent; }
+    /// Slots in the in-flight slab: the peak number of deliveries that
+    /// were pending at once.  Freed slots are reused, so it stops growing
+    /// once traffic reaches a steady state.
+    std::size_t in_flight_slots() const noexcept { return in_flight_.size(); }
     const LinkConfig& link() const noexcept { return link_; }
     GilbertLoss& loss_model() noexcept { return loss_; }
 
 private:
+    /// Parks `msg` in a free slab slot and schedules its delivery.  The
+    /// callback captures only (this, slot), which std::function stores
+    /// inline, so a delivery costs no allocation once the slab has grown
+    /// to the peak number of packets in flight.
+    void schedule_delivery(sim::SimTime when, Msg msg) {
+        std::size_t slot;
+        if (free_slots_.empty()) {
+            slot = in_flight_.size();
+            in_flight_.emplace_back(std::move(msg));
+        } else {
+            slot = free_slots_.back();
+            free_slots_.pop_back();
+            in_flight_[slot].emplace(std::move(msg));
+        }
+        queue_.schedule_at(when, [this, slot] { deliver(slot); });
+    }
+
+    /// Moves the payload out of `slot`, frees the slot, then hands the
+    /// payload to the receiver (which may send, and so reuse the slot).
+    void deliver(std::size_t slot) {
+        Msg msg = std::move(*in_flight_[slot]);
+        in_flight_[slot].reset();
+        free_slots_.push_back(slot);
+        ++stats_.delivered;
+        if (receiver_) receiver_(std::move(msg));
+    }
+
     void trace(obs::EventType type, sim::SimTime depart, std::size_t arg) {
         if (!trace_) return;
         obs::TraceEvent e;
@@ -255,6 +281,10 @@ private:
     sim::SimTime link_free_ = 0;
     ChannelStats stats_;
     std::size_t loss_run_ = 0;  ///< consecutive drops ending at the last send
+    /// Payloads scheduled for delivery, by slot; nullopt = free.  The
+    /// EventQueue holds only the slot index, so Msg may be move-only.
+    std::vector<std::optional<Msg>> in_flight_;
+    std::vector<std::size_t> free_slots_;  ///< LIFO free list into in_flight_
     obs::TraceSink* trace_ = nullptr;
     obs::Actor trace_actor_ = obs::Actor::kDataChannel;
 };

@@ -188,6 +188,9 @@ public:
         return inner_.serialization_time(size_bits);
     }
     ChannelStats stats() const { return inner_.stats(); }
+    std::size_t in_flight_slots() const noexcept {
+        return inner_.in_flight_slots();
+    }
     const LinkConfig& link() const noexcept { return inner_.link(); }
     GilbertLoss& loss_model() noexcept { return inner_.loss_model(); }
 

@@ -19,6 +19,20 @@ Receiver::Receiver(std::size_t window_ldus, std::vector<std::size_t> layer_sizes
     }
 }
 
+bool Receiver::FrameAssembly::insert(std::size_t fragment) {
+    if (fragment < 64) {
+        const std::uint64_t bit = std::uint64_t{1} << fragment;
+        if (low & bit) return false;
+        low |= bit;
+    } else {
+        const auto it = std::lower_bound(high.begin(), high.end(), fragment);
+        if (it != high.end() && *it == fragment) return false;
+        high.insert(it, fragment);
+    }
+    ++received;
+    return true;
+}
+
 void Receiver::trace_drop(obs::EventType type, const DataPacket& p,
                           sim::SimTime now) {
     if (!trace_) return;
@@ -54,6 +68,7 @@ void Receiver::on_packet(const DataPacket& p, sim::SimTime now) {
     }
     const std::size_t local = p.frame_index % window_ldus_;
     WindowState& w = windows_[p.window];
+    if (w.frames.empty()) w.frames.resize(window_ldus_);
     FrameAssembly& fa = w.frames[local];
     if (fa.num_fragments == 0) {
         // First packet of the frame pins its geometry.
@@ -67,13 +82,12 @@ void Receiver::on_packet(const DataPacket& p, sim::SimTime now) {
         ++mismatch_dropped_;
         return;
     }
-    if (fa.received.count(p.fragment)) {
+    if (!fa.insert(p.fragment)) {
         // Retransmission/duplication overlap: each LDU fragment counts once.
         ++duplicates_dropped_;
         trace_drop(obs::EventType::kDupDropped, p, now);
         return;
     }
-    fa.received.insert(p.fragment);
     if (fa.complete()) {
         fa.completed_at = now;
         if (trace_) {
@@ -127,8 +141,9 @@ std::uint64_t Receiver::incomplete_frames(std::size_t window) const {
                                        : (std::uint64_t{1} << span) - 1;
     const auto it = windows_.find(window);
     if (it == windows_.end()) return missing;
-    for (const auto& [local, fa] : it->second.frames) {
-        if (local < span && fa.complete()) missing &= ~(std::uint64_t{1} << local);
+    const std::vector<FrameAssembly>& frames = it->second.frames;
+    for (std::size_t local = 0; local < std::min(span, frames.size()); ++local) {
+        if (frames[local].complete()) missing &= ~(std::uint64_t{1} << local);
     }
     return missing;
 }
@@ -154,10 +169,11 @@ WindowOutcome Receiver::outcome_of(std::size_t window) const {
     const WindowState& w = it->second;
     out.trailer_seen = w.trailer_seen;
 
-    // Frame completeness in playback order.
+    // Frame completeness in playback order.  Unseen frames (and a window
+    // only the trailer reached, whose frame table is empty) never count.
     std::vector<bool> complete(window_ldus_, false);
-    for (const auto& [local, fa] : w.frames) {
-        if (fa.complete()) {
+    for (std::size_t local = 0; local < w.frames.size(); ++local) {
+        if (w.frames[local].complete()) {
             complete[local] = true;
             ++out.frames_received;
         }
@@ -192,8 +208,8 @@ WindowOutcome Receiver::outcome_of(std::size_t window) const {
     // the completion times along its dependency cone (fixed point, since
     // forward prerequisites exist).
     out.playable_at.assign(window_ldus_, std::nullopt);
-    for (const auto& [local, fa] : w.frames) {
-        if (out.playback[local]) out.playable_at[local] = fa.completed_at;
+    for (std::size_t local = 0; local < w.frames.size(); ++local) {
+        if (out.playback[local]) out.playable_at[local] = w.frames[local].completed_at;
     }
     changed = true;
     while (changed) {
@@ -218,7 +234,7 @@ WindowOutcome Receiver::outcome_of(std::size_t window) const {
         std::vector<bool> got(layer_sizes_[l], false);
         std::size_t max_pos_seen = 0;
         bool any = false;
-        for (const auto& [local, fa] : w.frames) {
+        for (const FrameAssembly& fa : w.frames) {
             if (fa.layer == l && fa.complete() && fa.tx_pos < got.size()) {
                 got[fa.tx_pos] = true;
                 max_pos_seen = std::max(max_pos_seen, fa.tx_pos);

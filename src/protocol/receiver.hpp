@@ -114,17 +114,29 @@ public:
     std::size_t mismatch_dropped() const noexcept { return mismatch_dropped_; }
 
 private:
+    /// One frame's reassembly state.  Fragments below 64 live in an
+    /// inline bitmask; higher ones (frames of more than 64 packets, or a
+    /// corrupt-but-plausible fragment count) spill into a sorted vector,
+    /// so memory grows only with fragments that actually arrived.
     struct FrameAssembly {
-        std::size_t num_fragments = 0;
-        std::set<std::size_t> received;
+        std::size_t num_fragments = 0;   ///< 0 = no fragment seen yet
+        std::size_t received = 0;        ///< distinct fragments arrived
+        std::uint64_t low = 0;           ///< bit i set = fragment i arrived, i < 64
+        std::vector<std::size_t> high;   ///< arrived fragments >= 64, ascending
         std::size_t layer = 0;
         std::size_t tx_pos = 0;
         sim::SimTime completed_at = 0;  ///< arrival of the last fragment
-        bool complete() const noexcept { return received.size() == num_fragments; }
+        bool complete() const noexcept {
+            return num_fragments != 0 && received == num_fragments;
+        }
+        /// Marks `fragment` arrived; false if it already had.
+        bool insert(std::size_t fragment);
     };
     struct WindowState {
-        std::map<std::size_t, FrameAssembly> frames;  // by local frame index
-        std::vector<std::size_t> layer_sent;          // from trailer
+        /// By local frame index: window_ldus entries once a data packet
+        /// arrived, empty while only the trailer has.
+        std::vector<FrameAssembly> frames;
+        std::vector<std::size_t> layer_sent;  // from trailer
         bool trailer_seen = false;
     };
 

@@ -789,7 +789,9 @@ struct Session::Impl {
             retx_latency_ms.add(
                 static_cast<std::int64_t>((start - rx.lost_at) / 1'000'000));
         }
-        std::vector<std::size_t> still_missing;
+        // Resend every listed fragment, compacting the ones lost again to
+        // the front of rx.fragments (in order) for the next attempt.
+        std::size_t still_missing = 0;
         for (const std::size_t f : rx.fragments) {
             DataPacket p = rx.prototype;
             p.seq = next_seq++;
@@ -797,11 +799,11 @@ struct Session::Impl {
             p.size_bits = rx.sizes[f];
             p.retransmission = true;
             ++rep.retransmissions;
-            if (!send_packet(p, rep)) still_missing.push_back(f);
+            if (!send_packet(p, rep)) rx.fragments[still_missing++] = f;
         }
-        if (!still_missing.empty() && rx.attempts + 1 < cfg.max_retransmits) {
+        rx.fragments.resize(still_missing);
+        if (still_missing > 0 && rx.attempts + 1 < cfg.max_retransmits) {
             PendingRetx again = std::move(rx);
-            again.fragments = std::move(still_missing);
             again.ready = data.next_free_time() +
                           2 * cfg.data_link.propagation_delay;
             ++again.attempts;
@@ -972,7 +974,8 @@ struct Session::Impl {
             proto.frame_index = frame.index;
             proto.num_fragments = sizes.size();
 
-            std::vector<std::size_t> lost;
+            std::vector<std::size_t>& lost = lost_scratch;
+            lost.clear();
             for (std::size_t f = 0; f < sizes.size(); ++f) {
                 DataPacket p = proto;
                 p.seq = next_seq++;
@@ -1002,7 +1005,7 @@ struct Session::Impl {
                 rx.lost_at = data.next_free_time();
                 rx.local_frame = entry.local_frame;
                 rx.prototype = proto;
-                rx.fragments = std::move(lost);
+                rx.fragments = lost;
                 rx.sizes = sizes;
                 pending_retx.push_back(std::move(rx));
             }
@@ -1389,6 +1392,7 @@ struct Session::Impl {
     std::vector<bool> sent_local_scratch;
     std::vector<bool> predropped_scratch;
     std::vector<std::size_t> frag_sizes_scratch;
+    std::vector<std::size_t> lost_scratch;  ///< fragments lost on first send
 
     std::vector<WindowReport> reports;
     espread::ContinuityMeter meter;

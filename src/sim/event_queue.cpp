@@ -8,7 +8,8 @@ namespace espread::sim {
 
 void EventQueue::schedule_at(SimTime when, Callback cb) {
     if (!cb) throw std::invalid_argument("EventQueue: null callback");
-    heap_.push(Entry{std::max(when, now_), next_seq_++, std::move(cb)});
+    heap_.push_back(Entry{std::max(when, now_), next_seq_++, std::move(cb)});
+    std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 
 void EventQueue::schedule_after(SimTime delay, Callback cb) {
@@ -17,17 +18,19 @@ void EventQueue::schedule_after(SimTime delay, Callback cb) {
 
 bool EventQueue::step() {
     if (heap_.empty()) return false;
-    // priority_queue::top() is const; move out via const_cast is UB-adjacent,
-    // so copy the callback handle (shared ownership via std::function copy).
-    Entry e = heap_.top();
-    heap_.pop();
+    // pop_heap rotates the earliest entry to the back, where it can be
+    // moved out: the callback is never copied.  It must leave the vector
+    // before it runs, because it may schedule (and so reallocate) more.
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    Entry e = std::move(heap_.back());
+    heap_.pop_back();
     now_ = e.when;
     e.cb();
     return true;
 }
 
 void EventQueue::run_until(SimTime deadline) {
-    while (!heap_.empty() && heap_.top().when <= deadline) step();
+    while (!heap_.empty() && heap_.front().when <= deadline) step();
     now_ = std::max(now_, deadline);
 }
 

@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 namespace espread::sim {
@@ -33,6 +32,13 @@ constexpr SimTime from_millis(double ms) noexcept { return from_seconds(ms / 1e3
 
 /// Priority queue of timestamped callbacks with deterministic FIFO
 /// tie-breaking for events scheduled at the same instant.
+///
+/// Entries live in a binary heap over a std::vector (std::push_heap /
+/// std::pop_heap under the (when, seq) order), so step() moves the
+/// earliest callback out instead of copying it.  A callback whose capture
+/// fits std::function's inline buffer (e.g. a pointer plus an index) is
+/// therefore scheduled and run without touching the heap allocator once
+/// the vector has grown to the simulation's peak pending count.
 class EventQueue {
 public:
     using Callback = std::function<void()>;
@@ -68,6 +74,7 @@ private:
         std::uint64_t seq;  // FIFO order among equal timestamps
         Callback cb;
     };
+    /// Heap comparator: the earliest (when, seq) sits at heap_.front().
     struct Later {
         bool operator()(const Entry& a, const Entry& b) const noexcept {
             if (a.when != b.when) return a.when > b.when;
@@ -75,7 +82,7 @@ private:
         }
     };
 
-    std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
+    std::vector<Entry> heap_;
     SimTime now_ = 0;
     std::uint64_t next_seq_ = 0;
 };

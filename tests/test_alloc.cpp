@@ -4,7 +4,7 @@
 // single-shard window step performs ZERO heap allocations once warm
 // (the SoA arenas and shard scratch absorb everything), and the
 // per-object Session window loop stays within a fixed allocation budget
-// per window (the scratch-buffer hoisting must not regress).
+// per window that does not grow with the packets per window.
 //
 // Not registered under the sanitizers: ASan/TSan interpose the
 // allocator and the replacement operators below would fight them.
@@ -12,10 +12,12 @@
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <cstdlib>
 #include <new>
 
 #include "engine/engine.hpp"
+#include "net/fragment.hpp"
 #include "protocol/session.hpp"
 
 namespace {
@@ -95,35 +97,70 @@ TEST(Alloc, EngineStepIsAllocationFreeWhenWarm) {
         << "engine hot path allocated " << allocs << " times in 16 steps";
 }
 
-// The per-object Session keeps a bounded allocation budget per window.
-// Measured at 310 allocations/window after the scratch-buffer hoisting
-// (fragment sizes, sent masks, frame staging reused across windows); the
-// remainder is dominated by the per-packet wire codec buffers, which
-// model real serialization.  The ratchet allows ~30% headroom so small
-// legitimate changes fit but reintroducing a per-fragment or per-packet
-// allocation in the session loop itself (roughly +50..300 per window)
-// fails.
-TEST(Alloc, SessionWindowLoopStaysWithinBudget) {
+/// Allocations per window of the Session loop and data packets per
+/// window, measured as the difference between a long and a short run so
+/// construction and the first window's growth cancel out.
+struct SessionRate {
+    std::uint64_t allocs_per_window = 0;
+    std::size_t packets_per_window = 0;
+};
+
+SessionRate session_rate(std::size_t packet_bits) {
     constexpr std::size_t kShort = 10;
     constexpr std::size_t kLong = 40;
-    const auto run_counted = [](std::size_t windows) {
+    struct Run {
+        std::uint64_t allocs;
+        std::size_t packets;
+    };
+    const auto run_counted = [packet_bits](std::size_t windows) {
         espread::proto::SessionConfig cfg;
         cfg.num_windows = windows;
         cfg.seed = 3;
+        cfg.packet_bits = packet_bits;
         AllocCounter counter;
         counter.start();
         const auto result = espread::proto::run_session(cfg);
         const std::uint64_t allocs = counter.stop();
-        EXPECT_GT(result.windows.size(), 0u);
-        return allocs;
+        EXPECT_EQ(result.windows.size(), windows);
+        return Run{allocs, result.data_channel.sent};
     };
-    const std::uint64_t short_run = run_counted(kShort);
-    const std::uint64_t long_run = run_counted(kLong);
-    ASSERT_GT(long_run, short_run);
-    const std::uint64_t per_window = (long_run - short_run) / (kLong - kShort);
-    EXPECT_LE(per_window, 400u)
-        << "session window loop now allocates " << per_window
+    const Run short_run = run_counted(kShort);
+    const Run long_run = run_counted(kLong);
+    EXPECT_GT(long_run.allocs, short_run.allocs);
+    EXPECT_GT(long_run.packets, short_run.packets);
+    return SessionRate{(long_run.allocs - short_run.allocs) / (kLong - kShort),
+                       (long_run.packets - short_run.packets) / (kLong - kShort)};
+}
+
+// The per-object Session keeps a bounded allocation budget per window.
+// The default config never runs the wire codec (no corruption), and the
+// packet path (event heap, in-flight slab, receiver frame masks) is
+// allocation-free once warm, so what is left is per-window state: the
+// receiver's frame table and window-map node, trailer and ACK vectors,
+// the window outcome and report, and a critical frame's retransmission
+// record.  Measured at 32 allocations/window; the ratchet allows ~30%
+// headroom, so small legitimate changes fit but a per-packet allocation
+// (~77 data packets per window) fails.
+TEST(Alloc, SessionWindowLoopStaysWithinBudget) {
+    const SessionRate rate = session_rate(espread::net::kDefaultPacketBits);
+    EXPECT_LE(rate.allocs_per_window, 42u)
+        << "session window loop now allocates " << rate.allocs_per_window
         << " times per window";
+}
+
+// No allocation per packet: halving the packet size nearly doubles the
+// packets per window (77 -> 136) and may raise allocations per window by
+// at most a small constant (measured +2: retransmission records hold
+// more fragments; nothing scales with the packet count).
+TEST(Alloc, SessionAllocationsDoNotScaleWithPackets) {
+    const SessionRate base = session_rate(espread::net::kDefaultPacketBits);
+    const SessionRate halved = session_rate(espread::net::kDefaultPacketBits / 2);
+    ASSERT_GE(halved.packets_per_window, base.packets_per_window * 3 / 2)
+        << "halving packet_bits should nearly double packets per window";
+    EXPECT_LE(halved.allocs_per_window, base.allocs_per_window + 6)
+        << base.packets_per_window << " -> " << halved.packets_per_window
+        << " packets/window raised allocations/window from "
+        << base.allocs_per_window << " to " << halved.allocs_per_window;
 }
 
 }  // namespace

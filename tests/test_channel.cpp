@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -306,6 +307,103 @@ TEST(FaultChannel, DuplicatesDeliverTwiceAndCount) {
     for (int i = 0; i < 10; ++i) {
         EXPECT_EQ(std::count(got.begin(), got.end(), i), 2);
     }
+    expect_reconciled(s, got.size());
+}
+
+/// Payload whose body is derived from its tag, so a delivery that hands
+/// over a moved-from or recycled slot's message is detectable.
+struct Tagged {
+    int tag = 0;
+    std::string body;
+};
+
+Tagged tagged(int i) { return Tagged{i, "payload-" + std::to_string(i)}; }
+
+// In-flight slab under churn: with 30% duplication and 30% reordering,
+// slots are freed and reused while other packets are still in flight.
+// Every delivery must carry its own payload, every send must arrive once
+// and every duplicate exactly once more.
+TEST(FaultChannel, EveryDeliveryCarriesItsOwnPayload) {
+    constexpr int kN = 600;
+    EventQueue q;
+    FaultChannel<Tagged> ch{q, LinkConfig{1e6, from_millis(3)}, kLossless,
+                            Rng{5}};
+    ImpairmentConfig cfg;
+    cfg.duplicate_rate = 0.3;
+    cfg.duplicate_delay = from_millis(2);
+    cfg.reorder_rate = 0.3;
+    cfg.reorder_max_displacement = 6;
+    ch.set_impairments(cfg, Rng{17});
+    std::vector<int> count(kN, 0);
+    std::size_t received = 0;
+    ch.set_receiver([&](Tagged m) {
+        ASSERT_GE(m.tag, 0);
+        ASSERT_LT(m.tag, kN);
+        EXPECT_EQ(m.body, "payload-" + std::to_string(m.tag));
+        ++count[static_cast<std::size_t>(m.tag)];
+        ++received;
+    });
+    for (int i = 0; i < kN; ++i) {
+        ch.send(tagged(i), 700);
+        // Drain part of the backlog every few sends so slots recycle
+        // while later packets are still in flight.
+        if (i % 7 == 6) q.run_until(q.now() + from_millis(5));
+    }
+    q.run();
+    // Reuse happened: far fewer slots than deliveries.
+    EXPECT_LT(ch.in_flight_slots(), static_cast<std::size_t>(kN) / 4);
+    const auto s = ch.stats();
+    EXPECT_GT(s.duplicated, 0u);
+    EXPECT_GT(s.reordered, 0u);
+    std::size_t extra = 0;
+    for (int i = 0; i < kN; ++i) {
+        EXPECT_GE(count[static_cast<std::size_t>(i)], 1) << "tag " << i;
+        EXPECT_LE(count[static_cast<std::size_t>(i)], 2) << "tag " << i;
+        extra += static_cast<std::size_t>(count[static_cast<std::size_t>(i)] - 1);
+    }
+    EXPECT_EQ(extra, s.duplicated);
+    expect_reconciled(s, received);
+}
+
+TEST(Channel, InFlightSlotsAreReusedAfterDrain) {
+    EventQueue q;
+    Channel<Tagged> ch{q, LinkConfig{1e6, from_millis(5)}, kLossless, Rng{1}};
+    std::vector<int> got;
+    ch.set_receiver([&](Tagged m) {
+        EXPECT_EQ(m.body, "payload-" + std::to_string(m.tag));
+        got.push_back(m.tag);
+    });
+    for (int i = 0; i < 10; ++i) ch.send(tagged(i), 1000);
+    EXPECT_EQ(ch.in_flight_slots(), 10u);
+    q.run();
+    for (int round = 1; round <= 3; ++round) {
+        for (int i = 0; i < 10; ++i) ch.send(tagged(10 * round + i), 1000);
+        q.run();
+        EXPECT_EQ(ch.in_flight_slots(), 10u) << "round " << round;
+    }
+    std::vector<int> expected(40);
+    for (int i = 0; i < 40; ++i) expected[static_cast<std::size_t>(i)] = i;
+    EXPECT_EQ(got, expected);
+}
+
+TEST(Channel, MoveOnlyPayloadIgnoresDuplicateDirective) {
+    EventQueue q;
+    Channel<std::unique_ptr<std::string>> ch{q, LinkConfig{1e6, 0}, kLossless,
+                                             Rng{1}};
+    std::vector<std::string> got;
+    ch.set_receiver([&](std::unique_ptr<std::string> s) {
+        ASSERT_NE(s, nullptr);
+        got.push_back(*s);
+    });
+    espread::net::SendFaults dup;
+    dup.duplicate = true;
+    dup.duplicate_delay = from_millis(1);
+    EXPECT_TRUE(ch.send(std::make_unique<std::string>("once"), 64, dup));
+    q.run();
+    EXPECT_EQ(got, (std::vector<std::string>{"once"}));
+    const auto s = ch.stats();
+    EXPECT_EQ(s.duplicated, 0u);
+    EXPECT_EQ(s.delivered, 1u);
     expect_reconciled(s, got.size());
 }
 

@@ -2,12 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <stdexcept>
+#include <utility>
 #include <vector>
+
+#include "sim/rng.hpp"
 
 namespace {
 
 using espread::sim::EventQueue;
+using espread::sim::Rng;
 using espread::sim::from_millis;
 using espread::sim::from_seconds;
 using espread::sim::SimTime;
@@ -104,6 +110,57 @@ TEST(EventQueue, NegativeDelayClampedToNow) {
     });
     q.run();
     EXPECT_EQ(fired_at, 40);
+}
+
+/// Callback that records its id when run and counts every copy made of
+/// it.  Its user-defined copy constructor keeps it out of std::function's
+/// inline buffer, so any copy the queue makes of a callback shows up.
+struct CopyCounting {
+    std::size_t id;
+    std::vector<std::size_t>* order;
+    std::size_t* copies;
+
+    CopyCounting(std::size_t i, std::vector<std::size_t>* o, std::size_t* c)
+        : id(i), order(o), copies(c) {}
+    CopyCounting(const CopyCounting& other)
+        : id(other.id), order(other.order), copies(other.copies) {
+        ++*copies;
+    }
+    CopyCounting(CopyCounting&&) noexcept = default;
+    CopyCounting& operator=(const CopyCounting&) = delete;
+    CopyCounting& operator=(CopyCounting&&) = delete;
+
+    void operator()() const { order->push_back(id); }
+};
+
+// The heap moves entries in and out: no callback is ever copied, and the
+// (time, FIFO) order equals a stable sort of the schedule by time.
+TEST(EventQueue, HeapNeverCopiesCallbacksAndKeepsFifoTieBreak) {
+    constexpr std::size_t kEvents = 1000;
+    Rng rng{42};
+    EventQueue q;
+    std::vector<std::size_t> order;
+    std::size_t copies = 0;
+    std::vector<std::pair<SimTime, std::size_t>> schedule;
+    for (std::size_t id = 0; id < kEvents; ++id) {
+        // 64 distinct instants for 1000 events: ~16 ties per instant.
+        const auto when = static_cast<SimTime>(rng.uniform_int(0, 63));
+        schedule.emplace_back(when, id);
+        q.schedule_at(when, CopyCounting{id, &order, &copies});
+    }
+    EXPECT_EQ(copies, 0u) << "schedule_at copied a callback";
+
+    for (std::size_t i = 0; i < kEvents / 4; ++i) ASSERT_TRUE(q.step());
+    EXPECT_EQ(copies, 0u) << "step copied a callback";
+    q.run();
+    EXPECT_EQ(copies, 0u) << "run copied a callback";
+
+    std::stable_sort(schedule.begin(), schedule.end(),
+                     [](const auto& a, const auto& b) { return a.first < b.first; });
+    std::vector<std::size_t> expected;
+    for (const auto& [when, id] : schedule) expected.push_back(id);
+    EXPECT_EQ(order, expected);
+    EXPECT_EQ(q.now(), schedule.back().first);
 }
 
 }  // namespace

@@ -2,7 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
+#include <cstdint>
+#include <map>
+#include <optional>
+#include <set>
 #include <stdexcept>
+#include <utility>
+#include <vector>
+
+#include "sim/rng.hpp"
 
 namespace {
 
@@ -258,6 +268,402 @@ TEST(Receiver, WindowLimitRejectsGarbageWindowNumbers) {
     r.on_packet(packet(9, 0, 0, 0));  // within limit: accepted
     const WindowOutcome out = r.finalize(9);
     EXPECT_EQ(out.frames_received, 1u);
+}
+
+// Fragments >= 64 spill past the inline mask: a 100-fragment frame still
+// completes, and a repeat of its last fragment is a duplicate.
+TEST(Receiver, LargeFrameSpillsPastInlineMask) {
+    Receiver r = flat_receiver();
+    for (std::size_t f = 100; f-- > 0;) {  // high fragments first
+        r.on_packet(packet(0, 0, 0, 0, f, 100));
+    }
+    EXPECT_EQ(r.incomplete_frames(0) & 1u, 0u);
+    r.on_packet(packet(0, 0, 0, 0, 99, 100));
+    r.on_packet(packet(0, 0, 0, 0, 3, 100));
+    EXPECT_EQ(r.duplicates_dropped(), 2u);
+    const WindowOutcome out = r.finalize(0);
+    EXPECT_TRUE(out.playback[0]);
+    EXPECT_EQ(out.frames_received, 1u);
+}
+
+// A corrupt-but-plausible header claiming 2^40 fragments pins a frame
+// that can never complete.  Its state grows only with the fragments that
+// actually arrive (a dense per-fragment table would need 2^40 bits).
+TEST(Receiver, HugeFragmentCountCostsOnlyWhatArrived) {
+    constexpr std::size_t kHuge = std::size_t{1} << 40;
+    Receiver r = flat_receiver();
+    r.on_packet(packet(0, 0, 0, 0, 0, kHuge));
+    r.on_packet(packet(0, 0, 0, 0, kHuge - 1, kHuge));
+    r.on_packet(packet(0, 0, 0, 0, kHuge - 1, kHuge));  // duplicate, spilled
+    r.on_packet(packet(0, 0, 0, 0, 0, 1));  // the real header now conflicts
+    EXPECT_EQ(r.duplicates_dropped(), 1u);
+    EXPECT_EQ(r.mismatch_dropped(), 1u);
+    r.on_packet(packet(0, 1, 0, 1));
+    EXPECT_EQ(r.incomplete_frames(0), 0b1101u);
+    const WindowOutcome out = r.finalize(0);
+    EXPECT_EQ(out.playback, (espread::LossMask{false, true, false, false}));
+    EXPECT_EQ(out.frames_received, 1u);
+}
+
+/// The receiver's contract written the obvious way: frames in a
+/// std::map by local index, arrived fragments in a std::set.  The
+/// property test below holds the flat-state Receiver to it.
+class ReferenceReceiver {
+public:
+    ReferenceReceiver(std::size_t n, std::vector<std::size_t> layer_sizes,
+                      std::vector<std::vector<std::size_t>> prereqs)
+        : n_(n), layer_sizes_(std::move(layer_sizes)), prereqs_(std::move(prereqs)) {}
+
+    void set_window_limit(std::size_t limit) { limit_ = limit; }
+
+    void on_packet(const DataPacket& p, espread::sim::SimTime now) {
+        if (p.parity) return;
+        if (finalized_.count(p.window)) {
+            ++stale;
+            return;
+        }
+        if (p.num_fragments == 0 || p.fragment >= p.num_fragments ||
+            p.layer >= layer_sizes_.size() || (limit_ != 0 && p.window >= limit_)) {
+            ++mismatch;
+            return;
+        }
+        Frame& fa = windows_[p.window].frames[p.frame_index % n_];
+        if (fa.num_fragments == 0) {
+            fa.num_fragments = p.num_fragments;
+            fa.layer = p.layer;
+            fa.tx_pos = p.tx_pos;
+        } else if (fa.num_fragments != p.num_fragments || fa.layer != p.layer ||
+                   fa.tx_pos != p.tx_pos) {
+            ++mismatch;
+            return;
+        }
+        if (!fa.received.insert(p.fragment).second) {
+            ++duplicates;
+            return;
+        }
+        if (fa.complete()) fa.completed_at = now;
+    }
+
+    void on_trailer(const WindowTrailer& t) {
+        if (limit_ != 0 && t.window >= limit_) {
+            ++mismatch;
+            return;
+        }
+        if (finalized_.count(t.window)) {
+            ++stale;
+            return;
+        }
+        Window& w = windows_[t.window];
+        if (w.trailer_seen) {
+            ++duplicates;
+            return;
+        }
+        w.layer_sent = t.layer_sent;
+        w.trailer_seen = true;
+    }
+
+    WindowOutcome finalize(std::size_t window) {
+        WindowOutcome out = report(window);
+        finalized_.insert(window);
+        windows_.erase(window);
+        return out;
+    }
+
+    std::uint64_t incomplete_frames(std::size_t window) const {
+        if (finalized_.count(window)) return 0;
+        const std::size_t span = std::min<std::size_t>(n_, 64);
+        std::uint64_t missing =
+            span == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << span) - 1;
+        const auto it = windows_.find(window);
+        if (it == windows_.end()) return missing;
+        for (const auto& [local, fa] : it->second.frames) {
+            if (local < span && fa.complete()) missing &= ~(std::uint64_t{1} << local);
+        }
+        return missing;
+    }
+
+    WindowOutcome report(std::size_t window) const {
+        WindowOutcome out;
+        const std::size_t layers = layer_sizes_.size();
+        out.playback.assign(n_, false);
+        out.layer_max_burst.assign(layers, 0);
+        out.layer_lost.assign(layers, 0);
+        out.playable_at.assign(n_, std::nullopt);
+        const auto it = windows_.find(window);
+        if (it == windows_.end()) {
+            out.layer_max_burst = layer_sizes_;
+            out.layer_lost = layer_sizes_;
+            return out;
+        }
+        const Window& w = it->second;
+        out.trailer_seen = w.trailer_seen;
+        std::vector<bool> complete(n_, false);
+        for (const auto& [local, fa] : w.frames) {
+            if (fa.complete()) {
+                complete[local] = true;
+                ++out.frames_received;
+            }
+        }
+        out.playback.assign(complete.begin(), complete.end());
+        for (bool changed = true; changed;) {
+            changed = false;
+            for (std::size_t f = 0; f < n_; ++f) {
+                for (const std::size_t q : prereqs_[f]) {
+                    if (out.playback[f] && !out.playback[q]) {
+                        out.playback[f] = false;
+                        changed = true;
+                    }
+                }
+            }
+        }
+        for (std::size_t f = 0; f < n_; ++f) {
+            if (complete[f] && !out.playback[f]) ++out.undecodable;
+        }
+        for (const auto& [local, fa] : w.frames) {
+            if (out.playback[local]) out.playable_at[local] = fa.completed_at;
+        }
+        for (bool changed = true; changed;) {
+            changed = false;
+            for (std::size_t f = 0; f < n_; ++f) {
+                if (!out.playable_at[f]) continue;
+                for (const std::size_t q : prereqs_[f]) {
+                    if (*out.playable_at[q] > *out.playable_at[f]) {
+                        out.playable_at[f] = out.playable_at[q];
+                        changed = true;
+                    }
+                }
+            }
+        }
+        for (std::size_t l = 0; l < layers; ++l) {
+            std::vector<bool> got(layer_sizes_[l], false);
+            std::size_t span = 0;
+            for (const auto& [local, fa] : w.frames) {
+                if (fa.layer == l && fa.complete() && fa.tx_pos < got.size()) {
+                    got[fa.tx_pos] = true;
+                    span = std::max(span, fa.tx_pos + 1);
+                }
+            }
+            if (w.trailer_seen && l < w.layer_sent.size()) {
+                span = std::min(w.layer_sent[l], layer_sizes_[l]);
+            }
+            std::size_t run = 0;
+            for (std::size_t pos = 0; pos < span; ++pos) {
+                run = got[pos] ? 0 : run + 1;
+                if (!got[pos]) ++out.layer_lost[l];
+                out.layer_max_burst[l] = std::max(out.layer_max_burst[l], run);
+            }
+        }
+        return out;
+    }
+
+    std::size_t duplicates = 0;
+    std::size_t stale = 0;
+    std::size_t mismatch = 0;
+
+private:
+    struct Frame {
+        std::size_t num_fragments = 0;
+        std::set<std::size_t> received;
+        std::size_t layer = 0;
+        std::size_t tx_pos = 0;
+        espread::sim::SimTime completed_at = 0;
+        bool complete() const { return received.size() == num_fragments; }
+    };
+    struct Window {
+        std::map<std::size_t, Frame> frames;
+        std::vector<std::size_t> layer_sent;
+        bool trailer_seen = false;
+    };
+    std::size_t n_;
+    std::vector<std::size_t> layer_sizes_;
+    std::vector<std::vector<std::size_t>> prereqs_;
+    std::map<std::size_t, Window> windows_;
+    std::set<std::size_t> finalized_;
+    std::size_t limit_ = 0;
+};
+
+void expect_same_outcome(const WindowOutcome& got, const WindowOutcome& want) {
+    EXPECT_EQ(got.playback, want.playback);
+    EXPECT_EQ(got.undecodable, want.undecodable);
+    EXPECT_EQ(got.frames_received, want.frames_received);
+    EXPECT_EQ(got.layer_max_burst, want.layer_max_burst);
+    EXPECT_EQ(got.layer_lost, want.layer_lost);
+    EXPECT_EQ(got.trailer_seen, want.trailer_seen);
+    EXPECT_EQ(got.playable_at, want.playable_at);
+}
+
+/// One step of a random receiver workload.
+struct Op {
+    enum class Kind { kPacket, kTrailer, kFinalize, kReport } kind;
+    DataPacket packet;
+    WindowTrailer trailer;
+    std::size_t window = 0;
+};
+
+/// Mutates one header field the way a corrupt-but-decodable record can.
+void corrupt(DataPacket& p, espread::sim::Rng& rng) {
+    switch (rng.uniform_int(0, 7)) {
+        case 0: ++p.num_fragments; break;
+        case 1: p.layer += 1 + rng.uniform_int(0, 2); break;
+        case 2: ++p.tx_pos; break;
+        case 3: p.fragment = p.num_fragments + rng.uniform_int(0, 3); break;
+        case 4: p.num_fragments = std::size_t{1} << 40; break;
+        case 5: p.num_fragments = 0; break;
+        case 6: p.parity = true; break;
+        default: p.window = 1'000'000 + rng.uniform_int(0, 9); break;
+    }
+}
+
+/// A seeded stream of windows: every frame's fragments, minus losses,
+/// plus duplicates, corrupt headers, trailers (some repeated with
+/// different counts), early finalizes that make later packets stale and
+/// mid-stream report/incomplete_frames probes, then locally reordered.
+struct Scenario {
+    std::size_t n = 0;
+    std::vector<std::size_t> layer_sizes;
+    std::vector<std::vector<std::size_t>> prereqs;
+    std::size_t windows = 0;
+    std::size_t window_limit = 0;
+    std::vector<Op> ops;
+};
+
+Scenario make_scenario(std::uint64_t seed) {
+    espread::sim::Rng rng{seed};
+    Scenario sc;
+    constexpr std::size_t kSizes[] = {1, 2, 3, 4, 7, 12, 24, 70};
+    sc.n = kSizes[rng.uniform_int(0, 7)];
+    const std::size_t layers = std::min<std::size_t>(sc.n, rng.uniform_int(1, 3));
+    sc.layer_sizes.assign(layers, 0);
+    std::vector<std::size_t> layer_of(sc.n), pos_of(sc.n);
+    for (std::size_t f = 0; f < sc.n; ++f) {
+        // Every layer gets at least one frame; the rest land anywhere.
+        const std::size_t l = f < layers ? f : rng.uniform_int(0, layers - 1);
+        layer_of[f] = l;
+        pos_of[f] = sc.layer_sizes[l]++;
+    }
+    sc.prereqs.resize(sc.n);
+    for (std::size_t f = 0; f < sc.n; ++f) {
+        if (sc.n > 1 && rng.bernoulli(0.4)) {
+            sc.prereqs[f].push_back(rng.uniform_int(0, sc.n - 1));
+        }
+    }
+    sc.windows = rng.uniform_int(1, 4);
+    sc.window_limit = rng.bernoulli(0.5) ? 0 : sc.windows + 1;
+    const double loss = rng.uniform(0.0, 0.3);
+
+    for (std::size_t w = 0; w < sc.windows; ++w) {
+        for (std::size_t f = 0; f < sc.n; ++f) {
+            if (rng.bernoulli(0.1)) continue;  // sender never sent it
+            DataPacket base;
+            base.window = w;
+            base.frame_index = w * sc.n + f;
+            base.layer = layer_of[f];
+            base.tx_pos = pos_of[f];
+            base.num_fragments = rng.bernoulli(0.1) ? rng.uniform_int(60, 100)
+                                                    : rng.uniform_int(1, 4);
+            for (std::size_t frag = 0; frag < base.num_fragments; ++frag) {
+                DataPacket p = base;
+                p.fragment = frag;
+                const std::size_t copies = rng.bernoulli(loss) ? 0
+                                           : rng.bernoulli(0.1) ? 2 : 1;
+                for (std::size_t c = 0; c < copies; ++c) {
+                    sc.ops.push_back({Op::Kind::kPacket, p, {}, w});
+                }
+                if (rng.bernoulli(0.03)) {
+                    corrupt(p, rng);
+                    sc.ops.push_back({Op::Kind::kPacket, p, {}, w});
+                }
+            }
+        }
+        const std::size_t trailers = rng.bernoulli(0.2) ? 0 : rng.bernoulli(0.1) ? 2 : 1;
+        for (std::size_t t = 0; t < trailers; ++t) {
+            WindowTrailer tr;
+            tr.window = rng.bernoulli(0.05) ? 1'000'000 : w;
+            tr.layer_sent.resize(rng.bernoulli(0.1) ? layers - 1 : layers);
+            for (std::size_t l = 0; l < tr.layer_sent.size(); ++l) {
+                tr.layer_sent[l] = rng.uniform_int(0, sc.layer_sizes[l] + 1);
+            }
+            sc.ops.push_back({Op::Kind::kTrailer, {}, tr, w});
+        }
+    }
+    for (std::size_t i = 0; i < sc.windows; ++i) {
+        if (rng.bernoulli(0.3)) {  // finalized early: later packets go stale
+            Op fin{Op::Kind::kFinalize, {}, {}, rng.uniform_int(0, sc.windows - 1)};
+            sc.ops.insert(sc.ops.begin() + static_cast<std::ptrdiff_t>(
+                                               rng.uniform_int(0, sc.ops.size())),
+                          fin);
+        }
+    }
+    for (std::size_t i = 0; i < 4; ++i) {
+        Op probe{Op::Kind::kReport, {}, {}, rng.uniform_int(0, sc.windows)};
+        sc.ops.insert(sc.ops.begin() + static_cast<std::ptrdiff_t>(
+                                           rng.uniform_int(0, sc.ops.size())),
+                      probe);
+    }
+    // Local reordering: swap neighbours up to a few places apart.
+    for (std::size_t i = 0; i + 1 < sc.ops.size(); ++i) {
+        if (rng.bernoulli(0.2)) {
+            const std::size_t j =
+                std::min(sc.ops.size() - 1, i + rng.uniform_int(1, 5));
+            std::swap(sc.ops[i], sc.ops[j]);
+        }
+    }
+    return sc;
+}
+
+TEST(ReceiverProperty, MatchesMapAndSetReferenceModel) {
+    constexpr std::uint64_t kStreams = 3000;
+    // Totals over all streams: each defense and the spill path must fire.
+    std::size_t dups = 0, stale = 0, mismatch = 0, frames = 0, spilled = 0;
+    for (std::uint64_t seed = 1; seed <= kStreams; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        const Scenario sc = make_scenario(seed);
+        Receiver r{sc.n, sc.layer_sizes, sc.prereqs};
+        ReferenceReceiver ref{sc.n, sc.layer_sizes, sc.prereqs};
+        r.set_window_limit(sc.window_limit);
+        ref.set_window_limit(sc.window_limit);
+        espread::sim::SimTime now = 0;
+        for (const Op& op : sc.ops) {
+            now += 1000;
+            switch (op.kind) {
+                case Op::Kind::kPacket:
+                    if (op.packet.fragment >= 64) ++spilled;
+                    r.on_packet(op.packet, now);
+                    ref.on_packet(op.packet, now);
+                    break;
+                case Op::Kind::kTrailer:
+                    r.on_trailer(op.trailer);
+                    ref.on_trailer(op.trailer);
+                    break;
+                case Op::Kind::kFinalize:
+                    expect_same_outcome(r.finalize(op.window), ref.finalize(op.window));
+                    break;
+                case Op::Kind::kReport:
+                    expect_same_outcome(r.report(op.window), ref.report(op.window));
+                    ASSERT_EQ(r.incomplete_frames(op.window),
+                              ref.incomplete_frames(op.window));
+                    break;
+            }
+        }
+        for (std::size_t w = 0; w <= sc.windows; ++w) {
+            ASSERT_EQ(r.incomplete_frames(w), ref.incomplete_frames(w));
+            const WindowOutcome out = r.finalize(w);
+            expect_same_outcome(out, ref.finalize(w));
+            frames += out.frames_received;
+        }
+        ASSERT_EQ(r.duplicates_dropped(), ref.duplicates);
+        ASSERT_EQ(r.stale_dropped(), ref.stale);
+        ASSERT_EQ(r.mismatch_dropped(), ref.mismatch);
+        if (HasFailure()) return;
+        dups += ref.duplicates;
+        stale += ref.stale;
+        mismatch += ref.mismatch;
+    }
+    EXPECT_GT(dups, 0u);
+    EXPECT_GT(stale, 0u);
+    EXPECT_GT(mismatch, 0u);
+    EXPECT_GT(frames, 0u);
+    EXPECT_GT(spilled, 0u);
 }
 
 }  // namespace
