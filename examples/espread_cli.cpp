@@ -6,7 +6,7 @@
 //
 //   espread_cli --scheme spread --pbad 0.7 --bw 1.2e6 --gops 2 --windows 100
 //   espread_cli --stream audio --ldus 8 --rate 30 --scheme inorder
-//   espread_cli --fec 4,2,4 --retransmit 0 --quiet
+//   espread_cli --fec 1,2 --retransmit 0 --quiet
 //
 // Run with --help for the full flag list.
 #include <cstdio>
@@ -52,7 +52,9 @@ namespace {
         "  --estimator ewma|smax                  burst-bound estimator (ewma)\n"
         "  --drop    reactive|predictive          sender shedding policy (reactive)\n"
         "  --startup W                            playout startup, in windows (1.0)\n"
-        "  --fec     K,R[,DEPTH]                  FEC group,parity[,interleave]\n"
+        "  --fec     NUM,DEN[,WINDOW]             RLC repairs: NUM per DEN packets over\n"
+        "                                         a WINDOW-packet window (64); with\n"
+        "                                         --scheme inorder|spread only\n"
         "  --quiet                                summary only\n"
         "  --help\n");
     std::exit(code);
@@ -84,6 +86,7 @@ int main(int argc, char** argv) {
     bool quiet = false;
     double rtt_ms = 23.0;
     std::string csv_path;
+    bool fec = false;
 
     for (int i = 1; i < argc; ++i) {
         const std::string flag = argv[i];
@@ -162,15 +165,30 @@ int main(int argc, char** argv) {
         } else if (flag == "--startup") {
             cfg.playout_startup_windows = parse_double("--startup", v);
         } else if (flag == "--fec") {
-            std::size_t k = 0, r = 0, d = 1;
-            if (std::sscanf(v, "%zu,%zu,%zu", &k, &r, &d) < 2) {
-                std::fprintf(stderr, "espread_cli: --fec expects K,R[,DEPTH]\n");
+            std::size_t num = 0, den = 0, window = cfg.rlc.window_packets;
+            if (std::sscanf(v, "%zu,%zu,%zu", &num, &den, &window) < 2) {
+                std::fprintf(stderr,
+                             "espread_cli: --fec expects NUM,DEN[,WINDOW]\n");
                 return 2;
             }
-            cfg.fec = {k, r, d};
+            cfg.rlc = {window, num, den};
+            fec = true;
         } else {
             std::fprintf(stderr, "espread_cli: unknown flag %s\n", flag.c_str());
             usage(2);
+        }
+    }
+    if (fec) {
+        // The RLC code rides on the in-order or the spread transmission
+        // order; the other layered schemes have no coded variant.
+        if (cfg.scheme == Scheme::kInOrder) {
+            cfg.scheme = Scheme::kRlc;
+        } else if (cfg.scheme == Scheme::kLayeredSpread) {
+            cfg.scheme = Scheme::kHybridSpreadRlc;
+        } else {
+            std::fprintf(stderr, "espread_cli: --fec needs --scheme inorder "
+                                 "or spread\n");
+            return 2;
         }
     }
     cfg.data_link.propagation_delay = espread::sim::from_millis(rtt_ms / 2);

@@ -5,7 +5,9 @@
 // feedback/retransmission (block B) and forward error correction (block C).
 // This example runs the 2x2x2 matrix {in-order, spread} x {no retransmit,
 // retransmit} x {no FEC, FEC} on an identical network and shows that each
-// mechanism contributes independently — and what each one costs.
+// mechanism contributes independently — and what each one costs.  FEC is
+// the session's sliding-window RLC at 50% repair overhead (the overhead of
+// a 4+2 block code): Scheme::kRlc in order, Scheme::kHybridSpreadRlc spread.
 //
 // Build & run:  ./build/examples/orthogonal_fec
 #include <cstdio>
@@ -19,17 +21,23 @@ using espread::proto::SessionConfig;
 int main() {
     std::printf("=== Composing error spreading with retransmission and FEC ===\n");
     std::printf("(Jurassic Park, 100 windows, Gilbert(0.92, 0.6), 2.0 Mb/s link\n"
-                " so the FEC parity has bandwidth to live in)\n\n");
-    std::printf("scheme   | retransmit | FEC(4+2) | CLF mean | CLF dev | ALF   | bits sent\n");
+                " so the FEC repairs have bandwidth to live in)\n\n");
+    std::printf("scheme   | retransmit | RLC(1/2) | CLF mean | CLF dev | ALF   | bits sent\n");
     std::printf("---------+------------+----------+----------+---------+-------+----------\n");
 
     for (const bool spread : {false, true}) {
         for (const bool retransmit : {false, true}) {
             for (const bool fec : {false, true}) {
                 SessionConfig cfg;
-                cfg.scheme = spread ? Scheme::kLayeredSpread : Scheme::kInOrder;
+                if (fec) {
+                    cfg.scheme =
+                        spread ? Scheme::kHybridSpreadRlc : Scheme::kRlc;
+                    cfg.rlc = {64, 1, 2};
+                } else {
+                    cfg.scheme =
+                        spread ? Scheme::kLayeredSpread : Scheme::kInOrder;
+                }
                 cfg.retransmit_critical = retransmit;
-                if (fec) cfg.fec = {4, 2};
                 cfg.data_link.bandwidth_bps = 2e6;
                 cfg.feedback_link.bandwidth_bps = 2e6;
                 cfg.num_windows = 100;

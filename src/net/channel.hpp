@@ -113,8 +113,8 @@ public:
     /// Enqueues one message of `size_bits` onto the link.  Returns true if
     /// the message survived the loss process (it will be delivered after
     /// serialization + propagation).  The return value is the simulation
-    /// harness's oracle for NACK-driven retransmission and FEC recovery;
-    /// protocol endpoints must not base per-packet decisions on it ahead of
+    /// harness's oracle for loss accounting and the in-window critical
+    /// retransmission; protocol endpoints must not base per-packet decisions on it ahead of
     /// the time a real NACK could have arrived.
     bool send(Msg msg, std::size_t size_bits) {
         return send(std::move(msg), size_bits, SendFaults{});

@@ -52,7 +52,7 @@ enum class EventType {
     kGovernorClamp,     ///< server: arg = raw observation, v0 = clamped observation, v1 = bound before the update
     kSloHealth,         ///< fleet: window = epoch, seq = objective index, arg = new telemetry::SloHealth, v0/v1 = fast/slow burn rate
     kRepairSent,        ///< server: seq = packet seq, arg = window base, v0 = span, v1 = rank at send
-    kFecRecovered,      ///< server: seq = recovered packet seq, arg = frame index, v0 = decode delay (ms), v1 = receiver rank
+    kFecRecovered,      ///< client: seq = recovered packet seq, arg = frame index, v0 = decode delay (ms), v1 = receiver rank
     kNackSent,          ///< client: seq = NACK seq, arg = missing-frame count, v0 = rank deficit, v1 = retry round
     kNackServed,        ///< server: seq = NACK seq, arg = retransmitted packets, v0 = repairs sent, v1 = retry round
     kRepairTimeout,     ///< server: feedback watchdog expired, arg = silent windows; repair plane reverts to the fixed credit schedule

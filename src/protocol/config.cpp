@@ -83,12 +83,6 @@ void SessionConfig::validate() const {
     if (num_windows == 0) {
         throw std::invalid_argument("SessionConfig: num_windows must be >= 1");
     }
-    if (fec.group == 0 && fec.parity != 0) {
-        throw std::invalid_argument("SessionConfig: FEC parity without group");
-    }
-    if (fec.group > 0 && fec.interleave == 0) {
-        throw std::invalid_argument("SessionConfig: FEC interleave must be >= 1");
-    }
     if (rlc_active()) {
         if (rlc.window_packets == 0 || rlc.window_packets > 255) {
             throw std::invalid_argument(
@@ -97,10 +91,6 @@ void SessionConfig::validate() const {
         if (rlc.overhead_num == 0 || rlc.overhead_den == 0) {
             throw std::invalid_argument(
                 "SessionConfig: RLC schemes need a positive overhead ratio");
-        }
-        if (fec.group > 0) {
-            throw std::invalid_argument(
-                "SessionConfig: RLC and group-parity FEC are mutually exclusive");
         }
     }
     if (data_link.bandwidth_bps <= 0.0 || feedback_link.bandwidth_bps <= 0.0) {
@@ -133,14 +123,6 @@ void SessionConfig::validate() const {
         }
     }
     if (recovery.enabled) {
-        if (fec.group > 0) {
-            // The group-parity arm has no receiver-visible codeword
-            // identity to request against; the sliding-window RLC schemes
-            // are the coded arms the recovery plane serves.
-            throw std::invalid_argument(
-                "SessionConfig: recovery plane is incompatible with "
-                "group-parity FEC (use an RLC scheme)");
-        }
         if (recovery.rtt_timeout_mult <= 0.0 || recovery.backoff_base < 1.0) {
             throw std::invalid_argument(
                 "SessionConfig: recovery timeouts need rtt_timeout_mult > 0 "

@@ -71,28 +71,15 @@ struct StreamSpec {
     double frame_rate = 24.0;
 };
 
-/// Optional systematic FEC applied to every data packet group (paper §4.3:
-/// error spreading composes with forward error correction at the cost of
-/// parity bandwidth).  A group of `group` data packets plus `parity`
-/// redundant packets survives if any `group` of them arrive.
-struct FecConfig {
-    std::size_t group = 0;   ///< 0 disables FEC
-    std::size_t parity = 0;
-    /// Number of groups filled round-robin (burst interleaving).  With
-    /// depth 1 a loss burst concentrates in one group and can defeat the
-    /// parity; with depth d consecutive packets belong to d different
-    /// groups, spreading the burst across codewords — the same idea as
-    /// frame-level error spreading, applied to the FEC dimension.
-    std::size_t interleave = 1;
-};
-
 /// Sliding-window random-linear streaming code (src/fec, DESIGN.md §12),
 /// active for Scheme::kRlc and Scheme::kHybridSpreadRlc.  The sender keeps
 /// an elastic window of the last `window_packets` data packets and emits
 /// `overhead_num` repair packets per `overhead_den` data packets (a
 /// rational credit accumulator, so the schedule is exact and deterministic
-/// — overhead ratio = num/den).  Mutually exclusive with the group-parity
-/// FecConfig above.
+/// — overhead ratio = num/den).  This is the session's one erasure code
+/// (paper §4.3: error spreading composes with forward error correction at
+/// the cost of repair bandwidth); the client decodes it from delivered
+/// packets only.
 struct RlcConfig {
     std::size_t window_packets = 64;  ///< elastic encoding window, in [1, 255]
     std::size_t overhead_num = 1;     ///< repairs per overhead_den data packets
@@ -100,16 +87,16 @@ struct RlcConfig {
 };
 
 /// Receiver-authoritative recovery plane (DESIGN.md §13).  When enabled,
-/// the sender-side survival oracle is out of the loop: the client detects
-/// gaps and rank deficits at playout-budget-aware deadlines, requests
-/// repair over the (impairable) feedback path with NackRequest records,
-/// and the sender's RepairScheduler answers with retransmissions and
-/// targeted RLC repairs on the side band.  The RLC credit schedule banks
-/// instead of spending proactively; a feedback watchdog (and the
-/// adaptation governor's Degraded/Fallback states, when governed) reverts
-/// to the fixed schedule, so a dead feedback path degrades to the pure
-/// FEC/spreading behavior instead of spinning.  Disabled (the default)
-/// keeps the session byte-identical to a pre-recovery build.
+/// the client detects gaps and rank deficits at playout-budget-aware
+/// deadlines, requests repair over the (impairable) feedback path with
+/// NackRequest records, and the sender's RepairScheduler answers with
+/// retransmissions and targeted RLC repairs on the side band.  The RLC
+/// credit schedule banks instead of spending proactively; a feedback
+/// watchdog (and the adaptation governor's Degraded/Fallback states, when
+/// governed) reverts to the fixed schedule, so a dead feedback path
+/// degrades to the pure FEC/spreading behavior instead of spinning.
+/// Disabled (the default), RLC repairs follow the fixed credit schedule
+/// and the session sends no NACK traffic.
 struct RecoveryConfig {
     bool enabled = false;
 
@@ -178,7 +165,6 @@ struct SessionConfig {
     /// Fraction of the window's bit budget kPredictive keeps back for
     /// retransmissions; in [0, 1).
     double predictive_reserve = 0.1;
-    FecConfig fec;
     RlcConfig rlc;
     RecoveryConfig recovery;
 

@@ -171,18 +171,12 @@ struct Session::Impl {
         data.set_receiver([this](DataMsg m) {
             if (const DataPacket* p = std::get_if<DataPacket>(&m)) {
                 receiver.on_packet(*p, queue.now());
-                if (recovery_on() && !p->retransmission && !p->parity) {
-                    client_on_source(*p);
-                }
+                if (!p->retransmission && !p->parity) client_on_source(*p);
             } else if (const WindowTrailer* t = std::get_if<WindowTrailer>(&m)) {
                 receiver.on_trailer(*t);
-            } else if (recovery_on()) {
+            } else {
                 client_on_repair(std::get<RepairPacket>(m));
             }
-            // Without the recovery plane, RepairPacket deliveries need no
-            // client action: like the group-parity arm, erasure recovery
-            // runs off the sender-side survival oracle and re-injects the
-            // recovered *data* packets.
         });
         feedback.set_receiver([this](FeedbackMsg m) {
             if (const Feedback* f = std::get_if<Feedback>(&m)) {
@@ -300,24 +294,13 @@ struct Session::Impl {
         return frames_scratch;
     }
 
-    struct FecGroup {
-        std::vector<std::pair<DataPacket, bool>> packets;  // sent + survived
-        std::size_t data = 0;                              // data packets held
-        std::size_t id = 0;
-    };
-
-    /// Sends one packet; updates loss-burst accounting and FEC state.
-    /// Data packets are assigned to the `interleave` open FEC groups
-    /// round-robin, so a loss burst spreads across codewords.
+    /// Sends one packet; updates loss-burst accounting and, for a fresh
+    /// source packet of a coded scheme, the RLC coding window.
     bool send_packet(DataPacket p, WindowReport& rep) {
         const std::size_t wire_bits = p.size_bits + kPacketHeaderBits;
-        const bool fec_eligible =
-            cfg.fec.group > 0 && !p.retransmission && !p.parity;
-        const bool rlc_eligible =
-            rlc_decoder.has_value() && !p.retransmission && !p.parity;
+        const bool rlc_eligible = rlc_decoder.has_value() && !p.retransmission;
         if (rlc_eligible) {
-            // The wire header reuses fec_group to carry the source index
-            // (RLC and group FEC are mutually exclusive by validation).
+            // The wire header's fec_group field carries the source index.
             p.fec_group = static_cast<std::size_t>(rlc_next & 0xFFFFFFFFu);
         }
         const bool ok = data.send(DataMsg{p}, wire_bits);
@@ -328,65 +311,40 @@ struct Session::Impl {
             rep.actual_packet_burst =
                 std::max(rep.actual_packet_burst, packet_burst);
         }
-        if (fec_eligible) {
-            FecGroup& g = fec_groups[fec_rr];
-            fec_rr = (fec_rr + 1) % fec_groups.size();
-            p.fec_group = g.id;
-            g.packets.emplace_back(p, ok);
-            if (++g.data == cfg.fec.group) flush_fec_group(g, rep);
-        }
-        if (rlc_eligible) rlc_on_source(p, ok, rep);
+        if (rlc_eligible) rlc_on_source(p, rep);
         return ok;
     }
 
     // ---- sliding-window RLC (DESIGN.md §12) --------------------------------
 
-    /// Books one freshly sent source packet into the coding window, feeds
-    /// the receiver-model decoder (sender-side survival oracle, like the
-    /// group-parity arm) and emits any repair packets the credit schedule
-    /// owes: overhead_num repairs accrue per overhead_den source packets.
-    void rlc_on_source(const DataPacket& p, bool survived, WindowReport& rep) {
-        const std::uint64_t index = rlc_next++;
-        const sim::SimTime arrival =
-            data.next_free_time() + cfg.data_link.propagation_delay;
-        rlc_sources.push_back(RlcSource{p, arrival, survived});
-        if (recovery_on()) {
-            // Receiver-authoritative mode (DESIGN.md §13): the decoder
-            // lives at the client and is fed from actual deliveries
-            // (client_on_source), so the survival oracle is out of the
-            // loop.  The credit schedule banks while reactive — a NACK
-            // releases the bank as a targeted burst — and reverts to fixed
-            // proactive emission while the plane is suspended or the
-            // feedback path is declared dead.
-            rlc_credit += cfg.rlc.overhead_num;
-            while (rlc_credit >= cfg.rlc.overhead_den) {
-                rlc_credit -= cfg.rlc.overhead_den;
-                if (repair->mode() != RecoveryMode::kReactive) {
-                    rlc_send_repair(rep);
-                } else if (rlc_nack_credit < cfg.recovery.credit_cap) {
-                    ++rlc_nack_credit;
-                } else {
-                    ++nack_credits_expired;
-                }
-            }
-            return;
-        }
-        if (survived) {
-            rlc_decoder->add_source(index, nullptr, 0,
-                                    sim::to_seconds(arrival));
-            rlc_drain_in_order();
-            rlc_prune_sources();
-        }
+    /// Books one freshly sent source packet into the coding window and
+    /// spends the credit schedule: overhead_num repairs accrue per
+    /// overhead_den source packets.  The decoder lives at the client and
+    /// is fed only by deliveries (client_on_source / client_on_repair).
+    /// While the recovery plane is reactive (DESIGN.md §13) the credits
+    /// bank instead — a NACK releases them as a targeted burst — and the
+    /// schedule reverts to fixed emission while the plane is suspended or
+    /// the feedback path is declared dead.
+    void rlc_on_source(const DataPacket& p, WindowReport& rep) {
+        ++rlc_next;
+        rlc_sources.push_back(RlcSource{
+            p, data.next_free_time() + cfg.data_link.propagation_delay});
         rlc_credit += cfg.rlc.overhead_num;
         while (rlc_credit >= cfg.rlc.overhead_den) {
             rlc_credit -= cfg.rlc.overhead_den;
-            rlc_send_repair(rep);
+            if (!repair.has_value() ||
+                repair->mode() != RecoveryMode::kReactive) {
+                rlc_send_repair(rep);
+            } else if (rlc_nack_credit < cfg.recovery.credit_cap) {
+                ++rlc_nack_credit;
+            } else {
+                ++nack_credits_expired;
+            }
         }
     }
 
-    /// Emits one repair packet over the current elastic window and applies
-    /// on-the-fly recovery: newly decoded source packets are re-injected to
-    /// the client at the repair's arrival time.
+    /// Emits one repair packet over the current elastic window on the side
+    /// band; the client decodes it on delivery (client_on_repair).
     void rlc_send_repair(WindowReport& rep) {
         if (rlc_next == 0) return;  // no sources yet
         const std::uint64_t base =
@@ -421,40 +379,6 @@ struct Session::Impl {
                     static_cast<std::int64_t>(rp.base),
                     static_cast<double>(rp.count),
                     static_cast<double>(rlc_decoder->rank()));
-        // Receiver-authoritative mode: the repair rides the channel like
-        // any packet and the *client* decodes it on delivery
-        // (client_on_repair); the oracle path below must stay cold.
-        if (recovery_on()) return;
-        if (!ok) return;
-        const sim::SimTime arrival = data.next_free_time() +
-                                     data.serialization_time(wire_bits) +
-                                     cfg.data_link.propagation_delay;
-        const std::size_t before = rlc_decoder->decoded().size();
-        rlc_decoder->add_repair(rp.base, rp.count, rp.cseed, nullptr, 0,
-                                sim::to_seconds(arrival));
-        const auto& dec = rlc_decoder->decoded();
-        for (std::size_t i = before; i < dec.size(); ++i) {
-            const std::uint64_t idx = dec[i].index;
-            if (idx < rlc_lo) continue;
-            const RlcSource& src =
-                rlc_sources[static_cast<std::size_t>(idx - rlc_lo)];
-            queue.schedule_at(arrival, [this, pkt = src.header] {
-                receiver.on_packet(pkt, queue.now());
-            });
-            ++rlc_recovered;
-            if (cfg.collect_metrics) {
-                rlc_decode_delay_ms.add(
-                    static_cast<std::int64_t>((arrival - src.expect_arrival) /
-                                              1'000'000));
-            }
-            trace_event(obs::EventType::kFecRecovered, obs::Actor::kServer,
-                        arrival, rep.window, src.header.seq,
-                        static_cast<std::int64_t>(src.header.frame_index),
-                        sim::to_seconds(arrival - src.expect_arrival) * 1e3,
-                        static_cast<double>(rlc_decoder->rank()));
-        }
-        rlc_drain_in_order();
-        rlc_prune_sources();
     }
 
     /// Consumes new in-order delivery log entries, charging each delivered
@@ -469,7 +393,7 @@ struct Session::Impl {
                 e.index - rlc_lo >= rlc_sources.size()) {
                 // The upper-bound check only fires for forged indices a
                 // corrupted-but-decodable header smuggled past the client's
-                // plausibility horizon (recovery mode).
+                // plausibility horizon.
                 continue;
             }
             if (cfg.collect_metrics) {
@@ -493,13 +417,34 @@ struct Session::Impl {
         }
     }
 
-    // ---- receiver-authoritative recovery plane (DESIGN.md §13) -------------
+    // ---- client-side RLC decoder --------------------------------------------
 
-    /// Client plausibility horizon for RLC coordinates carried in wire
-    /// headers: anything more than one coding window past the highest
-    /// index witnessed so far can only be a forged or corrupted header.
-    bool client_plausible(std::uint64_t index) const noexcept {
-        return index < client_hi + cfg.rlc.window_packets;
+    /// Admits RLC coordinates ending at `end` (one past the highest index
+    /// a wire header names).  The plausibility horizon is one coding
+    /// window past the highest index witnessed so far, widened by the
+    /// packets the data link could have carried since then: anything
+    /// further can only be a forged or corrupted header.  A genuine jump
+    /// (a data outage longer than the window) moves the decoder base up
+    /// so the gap is declared lost instead of stranding the decoder.
+    bool client_admit(std::uint64_t end) {
+        const std::uint64_t w = cfg.rlc.window_packets;
+        const double carried = sim::to_seconds(queue.now() - client_hi_at) *
+                               cfg.data_link.bandwidth_bps /
+                               static_cast<double>(kPacketHeaderBits);
+        if (static_cast<double>(end) >
+            static_cast<double>(client_hi + w) + carried) {
+            ++rlc_forged_rejected;
+            return false;
+        }
+        if (end > client_hi) {
+            client_hi = end;
+            client_hi_at = queue.now();
+        }
+        if (end > 2 * w) {
+            rlc_decoder->advance_base(end - 2 * w,
+                                      sim::to_seconds(queue.now()));
+        }
+        return true;
     }
 
     /// Feeds one *delivered* source packet to the client-side decoder (the
@@ -507,11 +452,7 @@ struct Session::Impl {
     void client_on_source(const DataPacket& p) {
         if (!rlc_decoder.has_value()) return;
         const std::uint64_t index = static_cast<std::uint64_t>(p.fec_group);
-        if (!client_plausible(index)) {
-            ++nack_forged_rejected;
-            return;
-        }
-        client_hi = std::max(client_hi, index + 1);
+        if (!client_admit(index + 1)) return;
         rlc_decoder->add_source(index, nullptr, 0,
                                 sim::to_seconds(queue.now()));
         rlc_drain_in_order();
@@ -522,12 +463,11 @@ struct Session::Impl {
     /// completes any newly decoded source packets at the current time.
     void client_on_repair(const RepairPacket& r) {
         if (!rlc_decoder.has_value()) return;
-        if (r.count == 0 || r.count > cfg.rlc.window_packets ||
-            !client_plausible(r.base + r.count - 1)) {
-            ++nack_forged_rejected;
+        if (r.count == 0 || r.count > cfg.rlc.window_packets) {
+            ++rlc_forged_rejected;
             return;
         }
-        client_hi = std::max(client_hi, r.base + r.count);
+        if (!client_admit(r.base + r.count)) return;
         const std::size_t before = rlc_decoder->decoded().size();
         rlc_decoder->add_repair(r.base, r.count, r.cseed, nullptr, 0,
                                 sim::to_seconds(queue.now()));
@@ -554,6 +494,8 @@ struct Session::Impl {
         rlc_drain_in_order();
         rlc_prune_sources();
     }
+
+    // ---- receiver-authoritative recovery plane (DESIGN.md §13) -------------
 
     /// When the recovery plane stops repairing window k: the playout
     /// deadline of its last frame (plus slack), after which a late repair
@@ -707,55 +649,6 @@ struct Session::Impl {
         }
     }
 
-    /// Emits parity packets for one FEC group and applies erasure recovery:
-    /// if at least as many packets survived as the group holds data
-    /// packets, the lost data packets are delivered to the client as
-    /// decoded copies.  Resets the group for reuse.
-    void flush_fec_group(FecGroup& g, WindowReport& rep) {
-        if (g.packets.empty()) return;
-        for (std::size_t r = 0; r < cfg.fec.parity; ++r) {
-            DataPacket parity;
-            parity.seq = next_seq++;
-            parity.window = rep.window;
-            parity.parity = true;
-            parity.fec_group = g.id;
-            parity.size_bits = cfg.packet_bits;
-            const std::size_t wire_bits = parity.size_bits + kPacketHeaderBits;
-            const bool ok = data.send(DataMsg{parity}, wire_bits);
-            g.packets.emplace_back(parity, ok);
-            if (ok) {
-                packet_burst = 0;
-            } else {
-                ++packet_burst;
-                rep.actual_packet_burst =
-                    std::max(rep.actual_packet_burst, packet_burst);
-            }
-        }
-        std::size_t survivors = 0;
-        std::size_t data_count = 0;
-        for (const auto& [p, ok] : g.packets) {
-            survivors += ok ? 1 : 0;
-            data_count += p.parity ? 0 : 1;
-        }
-        // An erasure code recovers a codeword from any data_count of its
-        // packets (a window's final group may hold fewer than `group`).
-        if (survivors >= data_count && survivors < g.packets.size()) {
-            const sim::SimTime when =
-                data.next_free_time() + cfg.data_link.propagation_delay;
-            for (const auto& [p, ok] : g.packets) {
-                if (!ok && !p.parity) {
-                    queue.schedule_at(when,
-                                      [this, pkt = p] {
-                                          receiver.on_packet(pkt, queue.now());
-                                      });
-                }
-            }
-        }
-        g.packets.clear();
-        g.data = 0;
-        g.id = fec_next_group_id++;
-    }
-
     struct PendingRetx {
         sim::SimTime ready;                  ///< earliest resend time (NACK received)
         sim::SimTime lost_at = 0;            ///< when the loss hit the wire
@@ -894,14 +787,9 @@ struct Session::Impl {
         std::vector<bool>& predropped = predropped_scratch;
         predropped.assign(n, false);
         if (cfg.drop_policy == DropPolicy::kPredictive) {
-            double budget = sim::to_seconds(cfg.window_duration()) *
-                            cfg.data_link.bandwidth_bps *
-                            (1.0 - cfg.predictive_reserve);
-            if (cfg.fec.group > 0) {
-                // Parity overhead eats a proportional share of the budget.
-                budget *= static_cast<double>(cfg.fec.group) /
-                          static_cast<double>(cfg.fec.group + cfg.fec.parity);
-            }
+            const double budget = sim::to_seconds(cfg.window_duration()) *
+                                  cfg.data_link.bandwidth_bps *
+                                  (1.0 - cfg.predictive_reserve);
             double acc = 0.0;
             for (const WireEntry& entry : plan.order) {
                 const media::Frame& frame = frames[entry.local_frame];
@@ -918,12 +806,6 @@ struct Session::Impl {
                 }
             }
         }
-        if (cfg.fec.group > 0) {
-            fec_groups.assign(cfg.fec.interleave, FecGroup{});
-            for (auto& g : fec_groups) g.id = fec_next_group_id++;
-            fec_rr = 0;
-        }
-
         for (const WireEntry& entry : plan.order) {
             service_ready_retx(deadline, rep);
 
@@ -1023,10 +905,6 @@ struct Session::Impl {
             service_retx(std::move(rx), deadline, rep);
         }
 
-        if (cfg.fec.group > 0) {
-            for (auto& g : fec_groups) flush_fec_group(g, rep);  // partial groups
-        }
-
         WindowTrailer trailer;
         trailer.seq = next_seq++;
         trailer.window = k;
@@ -1051,12 +929,8 @@ struct Session::Impl {
 
     // ---- client side -----------------------------------------------------
 
-    /// Recovery-plane window close, stage 1 (at the legacy finalize
-    /// instant): report the window's state, send the ACK, and open NACK
-    /// round 0.  The window itself stays open for repairs until
-    /// recovery_fin_time (stage 2, finalize_window).
-    void ack_window(std::size_t k) {
-        const WindowOutcome out = receiver.report(k);
+    /// Reports window k's loss pattern to the server on the feedback path.
+    void send_ack(std::size_t k, const WindowOutcome& out) {
         Feedback f;
         f.seq = ++ack_seq;
         f.window = k;
@@ -1066,6 +940,14 @@ struct Session::Impl {
         trace_event(obs::EventType::kAckSent, obs::Actor::kClient,
                     queue.now(), k, f.seq);
         feedback.send(FeedbackMsg{std::move(f)}, cfg.feedback_bits);
+    }
+
+    /// Recovery-plane window close, stage 1 (at the legacy finalize
+    /// instant): report the window's state, send the ACK, and open NACK
+    /// round 0.  The window itself stays open for repairs until
+    /// recovery_fin_time (stage 2, finalize_window).
+    void ack_window(std::size_t k) {
+        send_ack(k, receiver.report(k));
         nack_check(k, 0);
     }
 
@@ -1094,15 +976,7 @@ struct Session::Impl {
             sent_frames.erase(k);
             return;
         }
-        Feedback f;
-        f.seq = ++ack_seq;
-        f.window = k;
-        f.layer_max_burst = out.layer_max_burst;
-        f.layer_lost = out.layer_lost;
-        ++acks_sent;
-        trace_event(obs::EventType::kAckSent, obs::Actor::kClient, queue.now(),
-                    k, f.seq);
-        feedback.send(FeedbackMsg{std::move(f)}, cfg.feedback_bits);
+        send_ack(k, out);
     }
 
     // ---- server side (feedback path) --------------------------------------
@@ -1291,6 +1165,7 @@ struct Session::Impl {
             m.add_counter("rlc_packets_unrecovered",
                           rlc_decoder->symbols_lost());
             m.add_counter("rlc_rank", rlc_decoder->rank());
+            m.add_counter("rlc_forged_rejected", rlc_forged_rejected);
             m.histogram("rlc_decode_delay_ms").merge(rlc_decode_delay_ms);
             m.histogram("rlc_in_order_delay_ms").merge(rlc_in_order_delay_ms);
         }
@@ -1339,7 +1214,7 @@ struct Session::Impl {
         }
 
         // Recovery-plane accounting appears only when the plane is
-        // enabled, so oracle-driven registries stay byte-identical to
+        // enabled, so recovery-off registries stay byte-identical to
         // pre-recovery builds.
         if (repair.has_value()) {
             const RepairSchedulerReport& r = repair->report();
@@ -1353,7 +1228,6 @@ struct Session::Impl {
                           nack_retx_skipped_deadline);
             m.add_counter("nack_repairs_sent", nack_repairs_sent);
             m.add_counter("nack_credits_expired", nack_credits_expired);
-            m.add_counter("nack_forged_rejected", nack_forged_rejected);
             m.add_counter("recovery_nacks_admitted", r.nacks_admitted);
             m.add_counter("recovery_nacks_duplicate", r.nacks_duplicate);
             m.add_counter("recovery_nacks_invalid", r.nacks_invalid);
@@ -1398,15 +1272,10 @@ struct Session::Impl {
     espread::ContinuityMeter meter;
     std::vector<PendingRetx> pending_retx;
 
-    std::vector<FecGroup> fec_groups;
-    std::size_t fec_rr = 0;
-    std::size_t fec_next_group_id = 0;
-
     // Sliding-window RLC state (engaged iff cfg.rlc_active()).
     struct RlcSource {
         DataPacket header;            ///< for re-injection on recovery
         sim::SimTime expect_arrival;  ///< when a direct arrival would land
-        bool survived;
     };
     std::optional<fec::RlcDecoder> rlc_decoder;  ///< rank-only mode
     sim::Rng rlc_rng{0};                         ///< split 6, coded only
@@ -1420,6 +1289,9 @@ struct Session::Impl {
     std::size_t rlc_repairs_lost = 0;
     std::size_t rlc_recovered = 0;
     std::uint64_t rlc_repair_bits = 0;
+    std::uint64_t client_hi = 0;     ///< one past the highest witnessed index
+    sim::SimTime client_hi_at = 0;   ///< when client_hi last advanced
+    std::size_t rlc_forged_rejected = 0;  ///< coordinates the client refused
     sim::Histogram rlc_decode_delay_ms;    ///< loss -> decode, per recovery
     sim::Histogram rlc_in_order_delay_ms;  ///< extra in-order latency
 
@@ -1436,7 +1308,6 @@ struct Session::Impl {
     /// source); pruned when the window's playout budget expires.
     std::map<std::size_t, std::vector<SentFrame>> sent_frames;
     std::uint64_t nack_seq = 0;   ///< client NACK sequence space
-    std::uint64_t client_hi = 0;  ///< one past the highest witnessed index
     std::size_t rlc_nack_credit = 0;  ///< banked repairs a NACK may release
     std::size_t nacks_sent = 0;
     std::size_t nacks_received = 0;
@@ -1447,7 +1318,6 @@ struct Session::Impl {
     std::size_t nack_retx_skipped_deadline = 0;
     std::size_t nack_repairs_sent = 0;
     std::size_t nack_credits_expired = 0;
-    std::size_t nack_forged_rejected = 0;
 
     std::uint64_t next_seq = 0;
     std::uint64_t ack_seq = 0;

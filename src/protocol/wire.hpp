@@ -31,8 +31,8 @@ struct DataPacket {
     std::size_t num_fragments = 1;
     std::size_t size_bits = 0;
     bool retransmission = false;
-    bool parity = false;         ///< FEC parity packet (carries no frame data)
-    std::size_t fec_group = 0;   ///< FEC group id within the window (if FEC on)
+    bool parity = false;         ///< carries no frame data; no sender sets it
+    std::size_t fec_group = 0;   ///< RLC source index (coded schemes only)
 };
 
 /// One repair packet of the sliding-window random-linear code (DESIGN.md

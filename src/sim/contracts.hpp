@@ -119,7 +119,6 @@ inline constexpr std::string_view kSessionMetricNames[] = {
     "governor_windows_recovering",
     "loss_run_length",
     "nack_credits_expired",
-    "nack_forged_rejected",
     "nack_repairs_sent",
     "nack_requests_received",
     "nack_requests_sent",
@@ -144,6 +143,7 @@ inline constexpr std::string_view kSessionMetricNames[] = {
     "retransmissions",
     "retransmit_latency_ms",
     "rlc_decode_delay_ms",
+    "rlc_forged_rejected",
     "rlc_in_order_delay_ms",
     "rlc_packets_recovered",
     "rlc_packets_unrecovered",
