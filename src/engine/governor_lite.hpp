@@ -28,21 +28,12 @@
 namespace espread::engine {
 
 // Governor-lite states, also the index space of the telemetry plane's
-// governor_windows occupancy counters.
+// governor_windows occupancy counters; contracts::kGovernorStateNames
+// names them.
 inline constexpr std::uint8_t kGovNormal = 0;
 inline constexpr std::uint8_t kGovDegraded = 1;
 inline constexpr std::uint8_t kGovFallback = 2;
 inline constexpr std::uint8_t kGovRecovering = 3;
-
-inline const char* governor_lite_state_name(std::uint8_t state) noexcept {
-    switch (state) {
-        case kGovNormal: return "normal";
-        case kGovDegraded: return "degraded";
-        case kGovFallback: return "fallback";
-        case kGovRecovering: return "recovering";
-        default: return "?";
-    }
-}
 
 /// Per-session supervision state (16 bytes; one per pool slot).
 struct GovernorLiteState {

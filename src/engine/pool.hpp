@@ -119,8 +119,9 @@ public:
 
     /// The (lifetime, arrival-gap) pair the churn model draws for a
     /// session id, exposed so tests can predict generation boundaries.
-    /// Draws come from stream 3 of the session's root RNG; data and
-    /// feedback chains use streams 1 and 2.
+    /// Draws come from lane contracts::kEngineLaneChurn of the session's
+    /// root RNG; the data and feedback chains use kEngineLaneDataChain and
+    /// kEngineLaneFeedbackChain.
     static std::pair<std::uint32_t, std::uint32_t> churn_draw(
         const EngineConfig& cfg, std::uint64_t session_id);
 

@@ -1,36 +1,34 @@
 #include "obs/telemetry/slo.hpp"
 
+#include <iterator>
 #include <stdexcept>
 
 #include "obs/trace.hpp"
+#include "sim/contracts.hpp"
 
 namespace espread::obs::telemetry {
 
+static_assert(std::size(contracts::kTelemetrySignalNames) ==
+              static_cast<std::size_t>(SloSignal::kGovernorDwell) + 1);
+static_assert(std::size(contracts::kSloHealthNames) ==
+              static_cast<std::size_t>(SloHealth::kBreached) + 1);
+
 const char* slo_signal_name(SloSignal s) noexcept {
-    switch (s) {
-        case SloSignal::kClf: return "clf";
-        case SloSignal::kLossRun: return "loss_run";
-        case SloSignal::kBound: return "bound";
-        case SloSignal::kGovernorDwell: return "governor_dwell";
-    }
-    return "?";
+    return contracts::name_at(contracts::kTelemetrySignalNames,
+                              static_cast<std::size_t>(s), "?");
 }
 
 bool parse_slo_signal(const std::string& name, SloSignal& out) noexcept {
-    if (name == "clf") { out = SloSignal::kClf; return true; }
-    if (name == "loss_run") { out = SloSignal::kLossRun; return true; }
-    if (name == "bound") { out = SloSignal::kBound; return true; }
-    if (name == "governor_dwell") { out = SloSignal::kGovernorDwell; return true; }
-    return false;
+    const std::size_t i =
+        contracts::index_of(contracts::kTelemetrySignalNames, name);
+    if (i == std::size(contracts::kTelemetrySignalNames)) return false;
+    out = static_cast<SloSignal>(i);
+    return true;
 }
 
 const char* slo_health_name(SloHealth h) noexcept {
-    switch (h) {
-        case SloHealth::kOk: return "ok";
-        case SloHealth::kBurning: return "burning";
-        case SloHealth::kBreached: return "breached";
-    }
-    return "?";
+    return contracts::name_at(contracts::kSloHealthNames,
+                              static_cast<std::size_t>(h), "?");
 }
 
 void SloObjective::validate() const {

@@ -42,9 +42,9 @@ enum class SloSignal {
 
 const char* slo_signal_name(SloSignal s) noexcept;
 
-/// Parses a signal name as printed by slo_signal_name ("clf",
-/// "loss_run", "bound", "governor_dwell").  Returns false on unknown
-/// names, leaving `out` untouched.
+/// Parses a signal name as printed by slo_signal_name (an entry of
+/// contracts::kTelemetrySignalNames).  Returns false on unknown names,
+/// leaving `out` untouched.
 bool parse_slo_signal(const std::string& name, SloSignal& out) noexcept;
 
 /// One objective: "at quantile q, `signal` stays <= threshold", plus the

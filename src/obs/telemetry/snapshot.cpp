@@ -1,17 +1,20 @@
 #include "obs/telemetry/snapshot.hpp"
 
+#include <iterator>
 #include <stdexcept>
+#include <string_view>
+#include <type_traits>
 
 #include "exp/json.hpp"
+#include "sim/contracts.hpp"
 
 namespace espread::obs::telemetry {
 
 namespace {
 
-/// Engine governor-lite state names (mirrors proto::GovernorState; the
-/// telemetry layer cannot depend on protocol without inverting the
-/// library graph).
-const char* kStateNames[4] = {"normal", "degraded", "fallback", "recovering"};
+// governor_windows is indexed by governor state, named by the registry.
+static_assert(std::size(contracts::kGovernorStateNames) ==
+              std::extent_v<decltype(TelemetryCounters::governor_windows)>);
 
 void append_counters(exp::JsonWriter& json, const TelemetryCounters& c) {
     json.begin_object();
@@ -150,8 +153,8 @@ void prom_counter(std::string& out, const std::string& prefix,
 }
 
 void prom_histogram(std::string& out, const std::string& prefix,
-                    const char* name, const QuantileHistogram& h) {
-    const std::string metric = prefix + "_" + name;
+                    std::string_view name, const QuantileHistogram& h) {
+    const std::string metric = prefix + "_" + std::string(name);
     out += "# TYPE " + metric + " histogram\n";
     std::uint64_t cum = 0;
     for (std::size_t b = 0; b < QuantileHistogram::kBuckets; ++b) {
@@ -193,16 +196,19 @@ std::string prometheus_text(const FleetSnapshot& s, const std::string& prefix) {
     out += "# TYPE " + prefix + "_governor_windows_total counter\n";
     for (std::size_t st = 0; st < 4; ++st) {
         out += prefix + "_governor_windows_total{state=\"" +
-               kStateNames[st] + "\"} " +
+               std::string(contracts::kGovernorStateNames[st]) + "\"} " +
                std::to_string(s.totals.governor_windows[st]) + "\n";
     }
-    // Histogram names are the four telemetry signal names (contracts.hpp
-    // kTelemetrySignalNames), matching the snapshot-series keys and the
-    // SLO objective spec — previously drifted as window_clf/bound_used.
-    prom_histogram(out, prefix, "clf", s.clf);
-    prom_histogram(out, prefix, "loss_run", s.loss_run);
-    prom_histogram(out, prefix, "bound", s.bound);
-    prom_histogram(out, prefix, "governor_dwell", s.governor_dwell);
+    // Histograms are named by the telemetry signals, in registry order,
+    // matching the snapshot-series keys and the SLO objective spec.
+    const QuantileHistogram* signals[] = {&s.clf, &s.loss_run, &s.bound,
+                                          &s.governor_dwell};
+    static_assert(std::size(contracts::kTelemetrySignalNames) ==
+                  sizeof(signals) / sizeof(signals[0]));
+    for (std::size_t i = 0; i < std::size(signals); ++i) {
+        prom_histogram(out, prefix, contracts::kTelemetrySignalNames[i],
+                       *signals[i]);
+    }
     return out;
 }
 

@@ -1,53 +1,28 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <stdexcept>
 #include <utility>
 
 #include "exp/json.hpp"
+#include "sim/contracts.hpp"
 
 namespace espread::obs {
 
+static_assert(std::size(contracts::kTraceEventNames) ==
+              static_cast<std::size_t>(EventType::kRepairShed) + 1);
+static_assert(std::size(contracts::kTraceActorNames) ==
+              static_cast<std::size_t>(Actor::kGateway) + 1);
+
 const char* event_name(EventType t) noexcept {
-    switch (t) {
-        case EventType::kPacketSent: return "PacketSent";
-        case EventType::kPacketLost: return "PacketLost";
-        case EventType::kRetransmit: return "Retransmit";
-        case EventType::kFrameDeadlineDrop: return "FrameDeadlineDrop";
-        case EventType::kAckSent: return "AckSent";
-        case EventType::kAckApplied: return "AckApplied";
-        case EventType::kAckStale: return "AckStale";
-        case EventType::kEstimatorUpdate: return "EstimatorUpdate";
-        case EventType::kWindowFinalized: return "WindowFinalized";
-        case EventType::kPlayoutMiss: return "PlayoutMiss";
-        case EventType::kFrameComplete: return "FrameComplete";
-        case EventType::kCorruptRejected: return "CorruptRejected";
-        case EventType::kReordered: return "Reordered";
-        case EventType::kDupDropped: return "DupDropped";
-        case EventType::kStaleDropped: return "StaleDropped";
-        case EventType::kGovernorState: return "GovernorState";
-        case EventType::kGovernorAckReject: return "GovernorAckReject";
-        case EventType::kGovernorClamp: return "GovernorClamp";
-        case EventType::kSloHealth: return "SloHealth";
-        case EventType::kRepairSent: return "RepairSent";
-        case EventType::kFecRecovered: return "FecRecovered";
-        case EventType::kNackSent: return "NackSent";
-        case EventType::kNackServed: return "NackServed";
-        case EventType::kRepairTimeout: return "RepairTimeout";
-        case EventType::kRepairShed: return "RepairShed";
-    }
-    return "Unknown";
+    return contracts::name_at(contracts::kTraceEventNames,
+                              static_cast<std::size_t>(t), "Unknown");
 }
 
 const char* actor_name(Actor a) noexcept {
-    switch (a) {
-        case Actor::kServer: return "server";
-        case Actor::kDataChannel: return "data channel";
-        case Actor::kFeedbackChannel: return "feedback channel";
-        case Actor::kClient: return "client";
-        case Actor::kGateway: return "gateway";
-    }
-    return "unknown";
+    return contracts::name_at(contracts::kTraceActorNames,
+                              static_cast<std::size_t>(a), "unknown");
 }
 
 TraceRecorder::TraceRecorder(std::size_t capacity) : ring_(capacity) {

@@ -20,18 +20,17 @@
 #include <vector>
 
 #include "protocol/wire.hpp"
-#include "sim/contracts.hpp"
 
 namespace espread::proto {
 
-/// Wire type tags (first byte of every record); the tag values are owned
-/// by the contract registry (sim/contracts.hpp) and enforced by lint C2.
+/// Wire type tags: the first byte of every record.  peek_type's switch
+/// refuses to compile if two tags share a byte.
 enum class WireType : std::uint8_t {
-    kData = contracts::kWireTagData,
-    kTrailer = contracts::kWireTagTrailer,
-    kFeedback = contracts::kWireTagFeedback,
-    kRepair = contracts::kWireTagRepair,
-    kNack = contracts::kWireTagNack,
+    kData = 1,
+    kTrailer = 2,
+    kFeedback = 3,
+    kRepair = 4,
+    kNack = 5,
 };
 
 /// Serialized bytes of each record type.

@@ -185,8 +185,9 @@ struct SessionConfig {
     /// wire codec's checksum), delay jitter, scripted blackouts and forced
     /// bursts.  Default-constructed = inactive = byte-identical behavior to
     /// a session without the fault layer.  Impairment randomness draws from
-    /// dedicated RNG streams (seed splits 4 and 5), so turning faults on
-    /// does not shift the Gilbert loss or media processes.
+    /// dedicated RNG lanes (contracts::kSessionLaneDataImpairment and
+    /// kSessionLaneFeedbackImpairment), so turning faults on does not shift
+    /// the Gilbert loss or media processes.
     net::ImpairmentConfig data_impairment;
     net::ImpairmentConfig feedback_impairment;
 

@@ -1,18 +1,19 @@
 #include "protocol/governor.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <stdexcept>
+
+#include "sim/contracts.hpp"
 
 namespace espread::proto {
 
+static_assert(std::size(contracts::kGovernorStateNames) ==
+              static_cast<std::size_t>(GovernorState::kRecovering) + 1);
+
 const char* governor_state_name(GovernorState s) noexcept {
-    switch (s) {
-        case GovernorState::kNormal: return "normal";
-        case GovernorState::kDegraded: return "degraded";
-        case GovernorState::kFallback: return "fallback";
-        case GovernorState::kRecovering: return "recovering";
-    }
-    return "?";
+    return contracts::name_at(contracts::kGovernorStateNames,
+                              static_cast<std::size_t>(s), "?");
 }
 
 const char* ack_reject_name(AckRejectReason r) noexcept {

@@ -1278,7 +1278,7 @@ struct Session::Impl {
         sim::SimTime expect_arrival;  ///< when a direct arrival would land
     };
     std::optional<fec::RlcDecoder> rlc_decoder;  ///< rank-only mode
-    sim::Rng rlc_rng{0};                         ///< split 6, coded only
+    sim::Rng rlc_rng{0};  ///< lane kSessionLaneRlcCoefficients, coded only
     std::deque<RlcSource> rlc_sources;  ///< source indices [rlc_lo, rlc_next)
     std::uint64_t rlc_lo = 0;
     std::uint64_t rlc_next = 0;
@@ -1303,7 +1303,7 @@ struct Session::Impl {
         bool valid = false;               ///< false = frame was never sent
     };
     std::optional<RepairScheduler> repair;
-    sim::Rng nack_rng{0};  ///< split 7, recovery only (backoff jitter)
+    sim::Rng nack_rng{0};  ///< lane kSessionLaneNackJitter, recovery only
     /// Wire material per open window, by local frame (NACK retransmission
     /// source); pruned when the window's playout budget expires.
     std::map<std::size_t, std::vector<SentFrame>> sent_frames;

@@ -1,34 +1,37 @@
 // Cross-TU contract registry (DESIGN.md §14).
 //
-// Every invariant that keeps the experiments bit-reproducible but lives in
-// MORE than one translation unit is declared here exactly once, as a named
-// constant or a name table, and `espread_lint --contracts` (rules C1-C5)
-// proves the rest of the tree agrees with it:
+// Every name list and numbering that keeps the experiments bit-reproducible
+// but is used by MORE than one translation unit is declared here exactly
+// once.  The code reads these tables; it does not keep copies of them:
 //
 //   * RNG split lanes.  Each independent consumer of a root Rng owns one
 //     lane per root family; a duplicated lane silently correlates two
 //     processes that every figure assumes are independent.  Lane constants
 //     are named k<Family>Lane<Name>; the family names the root the lane is
-//     split from (C1: no magic `.split(<int>)` anywhere in src/ or bench/,
-//     no value collision within a family).
-//   * Wire-format type tags.  One byte on the wire, one constant here;
-//     protocol/codec.hpp's WireType enumerators must take their values
-//     from these (C2: declared exactly once, canonical decode coverage in
-//     src/protocol/codec.cpp, structure-aware fuzz-corpus coverage).
-//   * Metric / trace / SLO / telemetry name tables.  Producer call sites
-//     (`add_counter("...")`, series writers) and consumers (espread_report
-//     loaders, SLO signal parsing, Prometheus exposition) are checked
-//     against these tables (C3), and entries nothing produces are dead
-//     (C5).
+//     split from.  `espread_lint --contracts` rule C1 rejects a magic
+//     `.split(<int>)` in src/ or bench/, a lane used outside its family's
+//     paths, and a value collision within a family; C5 flags a lane that
+//     nothing splits.
+//   * Name tables.  obs::event_name / actor_name, the SLO signal and
+//     health names, proto::governor_state_name, the Prometheus state
+//     labels and espread_report's occupancy line index these tables by
+//     enumerator; each consumer static_asserts the table length against
+//     its enum.  The metric and JSON-key tables are checked against real
+//     output by tests/test_contracts.cpp (producer names equal the table,
+//     in both directions).
 //   * Bench claim-gate keys.  tools/perf_gate and the CI workflow gate on
 //     top-level BENCH_*.json keys; the keys they consume must stay a
 //     subset of what the benches emit (C4).
 //
-// To add a lane, tag, metric, or gate key: declare it here first, then use
-// it at the producing/consuming sites.  The lint target fails until both
-// sides agree — that is the point.
+// Wire-format type tags live in proto::WireType itself (protocol/codec.hpp):
+// peek_type's switch refuses to compile when two tags share a byte, and the
+// codec fuzz corpus test requires a record for every accepted tag.
+//
+// To add a lane, name, or gate key: declare it here first, then use it at
+// the producing/consuming sites.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string_view>
 
@@ -58,15 +61,6 @@ inline constexpr std::uint64_t kEngineLaneChurn = 3;
 // Family "Analysis": lanes split from the analysis/validation tools' local
 // roots (src/analysis, bench/bench_validation).
 inline constexpr std::uint64_t kAnalysisLaneGilbertChain = 1;
-
-// ---- wire-format type tags -------------------------------------------------
-//
-// First byte of every encoded record (src/protocol/codec.hpp WireType).
-inline constexpr std::uint8_t kWireTagData = 1;
-inline constexpr std::uint8_t kWireTagTrailer = 2;
-inline constexpr std::uint8_t kWireTagFeedback = 3;
-inline constexpr std::uint8_t kWireTagRepair = 4;
-inline constexpr std::uint8_t kWireTagNack = 5;
 
 // ---- session metric names --------------------------------------------------
 //
@@ -277,8 +271,9 @@ inline constexpr std::string_view kSloHealthNames[] = {
     "breached",
 };
 
-// Governor state labels, in proto::GovernorState enumerator order; shared
-// by the Prometheus exposition and the report tool's occupancy line.
+// Governor state labels, in proto::GovernorState enumerator order (also
+// the engine's kGov* indices): proto::governor_state_name, the Prometheus
+// exposition and the report tool's occupancy line.
 inline constexpr std::string_view kGovernorStateNames[] = {
     "normal",
     "degraded",
@@ -331,5 +326,24 @@ inline constexpr std::string_view kBenchGateKeys[] = {
     "windows_per_second",
     "gf256_mul_mbytes_per_second",
 };
+
+// ---- lookups ---------------------------------------------------------------
+
+/// Entry `i` of a name table, or `fallback` when `i` is out of range.  The
+/// entries are string literals, so the pointer is NUL-terminated.
+template <std::size_t N>
+constexpr const char* name_at(const std::string_view (&table)[N],
+                              std::size_t i, const char* fallback) noexcept {
+    return i < N ? table[i].data() : fallback;
+}
+
+/// Index of `name` in `table`, or N when it is absent.
+template <std::size_t N>
+constexpr std::size_t index_of(const std::string_view (&table)[N],
+                               std::string_view name) noexcept {
+    std::size_t i = 0;
+    while (i < N && table[i] != name) ++i;
+    return i;
+}
 
 }  // namespace espread::contracts

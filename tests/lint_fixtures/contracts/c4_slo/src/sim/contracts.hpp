@@ -1,4 +1,4 @@
-// Fixture registry: the telemetry signal names.
+// Fixture registry: the telemetry signal names CI --slo specs may use.
 #pragma once
 #include <string_view>
 
@@ -6,7 +6,7 @@ namespace espread::contracts {
 
 inline constexpr std::string_view kTelemetrySignalNames[] = {
     "clf",
-    "bound",
+    "loss_run",
 };
 
 }  // namespace espread::contracts

@@ -1,8 +1,7 @@
-// Consistent consumer: registered lane, registered metric.
+// Consistent consumer: a registered lane, split inside its family's scope.
 #include "sim/contracts.hpp"
 
-void user(Rng& rng, Metrics& m) {
+void user(Rng& rng) {
     auto a = rng.split(espread::contracts::kSessionLaneData);
-    m.add_counter("good_metric", 1);
     (void)a;
 }

@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <set>
 #include <vector>
 
 #include "sim/rng.hpp"
@@ -26,10 +27,12 @@ namespace {
 using espread::proto::DataPacket;
 using espread::proto::Feedback;
 using espread::proto::NackRequest;
+using espread::proto::RepairPacket;
 using espread::proto::WindowTrailer;
 using espread::proto::decode_data;
 using espread::proto::decode_feedback;
 using espread::proto::decode_nack;
+using espread::proto::decode_repair;
 using espread::proto::decode_trailer;
 using espread::proto::encode;
 using espread::proto::peek_type;
@@ -100,11 +103,25 @@ NackRequest random_nack(Rng& r) {
     return n;
 }
 
+RepairPacket random_repair(Rng& r) {
+    RepairPacket p;
+    p.seq = r.uniform_int(0, 0xFFFFFFFFull);
+    p.window = r.uniform_int(0, 0xFFFFFFFFull);
+    p.base = r.uniform_int(0, 0xFFFFFFFFull);
+    p.count = r.uniform_int(1, 0xFF);
+    p.cseed = r.next_u64();
+    p.size_bits = r.uniform_int(0, 0xFFFFFFFFull);
+    return p;
+}
+
+/// One valid record of every wire type (the tag coverage test below
+/// requires a generator for each tag peek_type accepts).
 std::vector<std::uint8_t> random_valid(Rng& r) {
-    switch (r.uniform_int(0, 3)) {
+    switch (r.uniform_int(0, 4)) {
         case 0: return encode(random_data(r));
         case 1: return encode(random_trailer(r));
         case 2: return encode(random_nack(r));
+        case 3: return encode(random_repair(r));
         default: return encode(random_feedback(r));
     }
 }
@@ -182,6 +199,10 @@ void check_one(const std::vector<std::uint8_t>& bytes, Tally& tally) {
         any = true;
         ASSERT_EQ(encode(*n), bytes) << "NackRequest canonicity violated";
     }
+    if (const auto rep = decode_repair(bytes)) {
+        any = true;
+        ASSERT_EQ(encode(*rep), bytes) << "RepairPacket canonicity violated";
+    }
     ++(any ? tally.accepted : tally.rejected);
 }
 
@@ -235,7 +256,24 @@ TEST(CodecFuzz, BitFlippedValidRecordsAlmostAlwaysCaughtByChecksum) {
         EXPECT_FALSE(decode_trailer(bytes).has_value());
         EXPECT_FALSE(decode_feedback(bytes).has_value());
         EXPECT_FALSE(decode_nack(bytes).has_value());
+        EXPECT_FALSE(decode_repair(bytes).has_value());
     }
+}
+
+// Every tag byte peek_type accepts has a generator in the corpus, so a new
+// wire type cannot ship without structure-aware fuzz coverage.
+TEST(CodecFuzz, CorpusCoversEveryAcceptedTag) {
+    std::set<std::uint8_t> accepted;
+    for (unsigned b = 0; b < 256; ++b) {
+        const std::vector<std::uint8_t> tag{static_cast<std::uint8_t>(b)};
+        if (peek_type(tag).has_value()) accepted.insert(tag.front());
+    }
+    std::set<std::uint8_t> generated;
+    Rng rng{5};
+    for (std::size_t i = 0; i < 1'000; ++i) {
+        generated.insert(random_valid(rng).front());
+    }
+    EXPECT_EQ(generated, accepted);
 }
 
 TEST(CodecFuzz, EmptyNackIsNonCanonical) {

@@ -224,4 +224,52 @@ TEST(ReportCli, ExitCodesCoverHealthyBreachedAndErrorPaths) {
     EXPECT_EQ(espread::report::run_report_cli({bad}, out), 1);
 }
 
+// Numbers from the command line or a series file are untrusted: infinite
+// or larger than the integer they land in, they must be refused (exit 1),
+// never cast (undefined behaviour, caught by the UBSan CI job).
+TEST(ReportCli, OutOfRangeNumbersAreRejectedNotCast) {
+    const std::string series = lossy_series_json();
+    const std::string path = write_fixture("report_range.json", series);
+    std::string out;
+    for (const char* spec :
+         {"a,clf,inf", "a,clf,1e30", "a,clf,2,0.99,1e300,4", "a,clf,nan"}) {
+        SCOPED_TRACE(spec);
+        EXPECT_EQ(espread::report::run_report_cli({path, "--slo", spec}, out),
+                  1);
+    }
+    EXPECT_EQ(
+        espread::report::run_report_cli({path, "--max-rows", "1e30"}, out), 1);
+
+    const std::size_t at = series.find("\"windows\":");
+    ASSERT_NE(at, std::string::npos);
+    const std::size_t value = at + 10;
+    const std::size_t end = series.find_first_of(",}", value);
+    for (const char* windows : {"1e999", "1e20", "-1"}) {
+        SCOPED_TRACE(windows);
+        std::string bad = series;
+        bad.replace(value, end - value, windows);
+        std::string err;
+        LoadedSeries loaded;
+        EXPECT_FALSE(espread::report::load_series(bad, loaded, &err));
+        EXPECT_EQ(espread::report::run_report_cli(
+                      {write_fixture("report_range_bad.json", bad)}, out),
+                  1);
+    }
+}
+
+TEST(ReportJson, NumbersOutsideTheU64RangeAreFlaggedNotCast) {
+    using espread::report::JsonValue;
+    JsonValue v;
+    std::string err;
+    EXPECT_FALSE(espread::report::parse_json("[1e999]", v, &err));
+    EXPECT_NE(err.find("out of range"), std::string::npos);
+    ASSERT_TRUE(espread::report::parse_json("[1e20, 18446744073709549568]", v,
+                                            &err))
+        << err;
+    EXPECT_FALSE(v.array[0].is_u64());
+    EXPECT_EQ(v.array[0].as_u64(), UINT64_MAX);  // saturates, no UB
+    EXPECT_TRUE(v.array[1].is_u64());
+    EXPECT_EQ(v.array[1].as_u64(), 18446744073709549568ull);
+}
+
 }  // namespace

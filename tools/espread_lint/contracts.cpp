@@ -1,6 +1,6 @@
-// Cross-TU contract extraction and checking (rules C1-C5) plus the shared
-// tree scanner (scan_tree) both rule groups run under.  See contracts.hpp
-// for the rule catalogue and DESIGN.md §14 for the workflow.
+// Cross-TU contract extraction and checking (rules C1, C4, C5) plus the
+// shared tree scanner (scan_tree) both rule groups run under.  See
+// contracts.hpp for the rule catalogue and DESIGN.md §14 for the workflow.
 #include "contracts.hpp"
 
 #include <algorithm>
@@ -10,7 +10,6 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
-#include <optional>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -21,9 +20,7 @@ namespace espread::lint {
 
 namespace {
 
-using internal::contains_call;
 using internal::contains_token;
-using internal::file_has_token;
 using internal::FileScan;
 using internal::ident_char;
 using internal::path_has_prefix;
@@ -36,12 +33,6 @@ bool all_digits(const std::string& s) {
            std::all_of(s.begin(), s.end(), [](char c) {
                return std::isdigit(static_cast<unsigned char>(c)) != 0;
            });
-}
-
-std::string lower(std::string s) {
-    for (char& c : s) c = static_cast<char>(
-        std::tolower(static_cast<unsigned char>(c)));
-    return s;
 }
 
 /// Last `::`-qualified component of an expression, or "" if it is not a
@@ -109,11 +100,10 @@ struct TableDecl {
     std::vector<StringLit> entries;
 };
 
-/// Constant and table declarations in registry style, mined from any file
-/// (outside the registry they are themselves findings).
+/// Lane constants and name tables in registry style, mined from any file
+/// (a lane declared outside the registry is itself a finding).
 struct RegistryFacts {
     std::vector<NamedValue> lanes;  // k<Family>Lane<Name>
-    std::vector<NamedValue> tags;   // kWireTag<Name>
     std::map<std::string, TableDecl> tables;  // configured table names only
 };
 
@@ -149,10 +139,6 @@ bool parse_lane_name(const std::string& name, std::string* family) {
     return true;  // family may be empty — the checker flags that
 }
 
-bool is_tag_name(const std::string& name) {
-    return name.rfind("kWireTag", 0) == 0 && name.size() > 8;
-}
-
 RegistryFacts extract_registry(const Stripped& s,
                                const std::set<std::string>& table_names) {
     RegistryFacts out;
@@ -180,9 +166,7 @@ RegistryFacts extract_registry(const Stripped& s,
         }
         if (is_array) continue;
         std::string family;
-        const bool lane = parse_lane_name(name, &family);
-        const bool tag = is_tag_name(name);
-        if (!lane && !tag) continue;
+        if (!parse_lane_name(name, &family)) continue;
         // Parse the integer initializer.
         const std::size_t eq = line.find('=');
         std::size_t v = eq + 1;
@@ -194,182 +178,7 @@ RegistryFacts extract_registry(const Stripped& s,
                std::isdigit(static_cast<unsigned char>(line[d])) != 0)
             ++d;
         if (d == v) continue;  // alias or expression initializer: no fact
-        NamedValue nv{i, name, std::stoull(line.substr(v, d - v))};
-        if (tag) {
-            out.tags.push_back(nv);
-        } else {
-            out.lanes.push_back(nv);
-        }
-    }
-    return out;
-}
-
-struct WireEnumEntry {
-    std::size_t line = 0;
-    std::string enumerator;
-    bool is_literal = false;
-    std::uint64_t value = 0;
-    std::string init_name;
-};
-
-std::vector<WireEnumEntry> wire_enum_entries(const Stripped& s,
-                                             const std::string& enum_name) {
-    std::vector<WireEnumEntry> out;
-    std::size_t begin = s.code.size();
-    for (std::size_t i = 0; i < s.code.size(); ++i) {
-        if (s.code[i].find("enum") != std::string::npos &&
-            contains_token(s.code[i], enum_name)) {
-            begin = i;
-            break;
-        }
-    }
-    for (std::size_t i = begin; i < s.code.size(); ++i) {
-        const std::string line = trim(s.code[i]);
-        if (i > begin && line.find('}') != std::string::npos) break;
-        const std::size_t eq = line.find('=');
-        if (eq == std::string::npos || line.empty() || line[0] != 'k') continue;
-        std::size_t e = 0;
-        while (e < line.size() && ident_char(line[e])) ++e;
-        WireEnumEntry entry;
-        entry.line = i;
-        entry.enumerator = line.substr(0, e);
-        std::string init = trim(line.substr(eq + 1));
-        if (!init.empty() && init.back() == ',') init.pop_back();
-        init = trim(init);
-        if (all_digits(init)) {
-            entry.is_literal = true;
-            entry.value = std::stoull(init);
-        } else {
-            entry.init_name = last_component(init);
-        }
-        out.push_back(entry);
-    }
-    return out;
-}
-
-/// String literals appearing as an argument of `<prefix-char><fn>(`:
-/// either the first argument (immediately after the open paren, spilling
-/// to the next line for wrapped calls), or — with `anywhere` — the first
-/// literal after the call token on the same line (for helpers whose name
-/// argument is not first, like prom_counter).
-std::vector<StringLit> call_literals(const Stripped& s, const std::string& fn,
-                                     const char* prefix_chars,
-                                     bool anywhere = false) {
-    // The stripper replaces each literal with a one-space placeholder at
-    // `col`, so "the first argument is a literal" means: the first literal
-    // on the line at/after the open paren with only whitespace before it.
-    auto first_lit_after = [&s](std::size_t ln,
-                                std::size_t col) -> const StringLit* {
-        const StringLit* best = nullptr;
-        for (const StringLit& lit : s.strings) {
-            if (lit.line == ln && lit.col >= col &&
-                (best == nullptr || lit.col < best->col)) {
-                best = &lit;
-            }
-        }
-        if (best == nullptr) return nullptr;
-        const std::string& line = s.code[ln];
-        for (std::size_t k = col; k < best->col && k < line.size(); ++k) {
-            if (std::isspace(static_cast<unsigned char>(line[k])) == 0) {
-                return nullptr;
-            }
-        }
-        return best;
-    };
-    std::vector<StringLit> out;
-    for (std::size_t i = 0; i < s.code.size(); ++i) {
-        const std::string& line = s.code[i];
-        std::size_t at = 0;
-        std::size_t from = 0;
-        while (contains_call(line, fn, &at, from)) {
-            from = at + fn.size();
-            if (prefix_chars != nullptr) {
-                if (at == 0 ||
-                    std::string(prefix_chars).find(line[at - 1]) ==
-                        std::string::npos) {
-                    continue;
-                }
-            }
-            if (anywhere) {
-                for (const StringLit& lit : s.strings) {
-                    if (lit.line == i && lit.col > at) {
-                        out.push_back(lit);
-                        break;
-                    }
-                }
-                continue;
-            }
-            std::size_t j = at + fn.size();
-            while (j < line.size() &&
-                   std::isspace(static_cast<unsigned char>(line[j])) != 0)
-                ++j;
-            if (j >= line.size() || line[j] != '(') continue;
-            if (const StringLit* lit = first_lit_after(i, j + 1)) {
-                out.push_back(*lit);
-                continue;
-            }
-            // Wrapped call: '(' ends the line, the argument opens the next.
-            bool tail_blank = true;
-            for (std::size_t k = j + 1; k < line.size(); ++k) {
-                if (std::isspace(static_cast<unsigned char>(line[k])) == 0) {
-                    tail_blank = false;
-                    break;
-                }
-            }
-            if (tail_blank && i + 1 < s.code.size()) {
-                if (const StringLit* lit = first_lit_after(i + 1, 0)) {
-                    out.push_back(*lit);
-                }
-            }
-        }
-    }
-    return out;
-}
-
-/// String literals on lines containing `context` (plain substring) and a
-/// `return` token — the shape of the name<->enum translation functions.
-std::vector<StringLit> context_literals(const Stripped& s,
-                                        const std::string& context) {
-    std::vector<StringLit> out;
-    for (std::size_t i = 0; i < s.code.size(); ++i) {
-        if (s.code[i].find(context) == std::string::npos) continue;
-        if (!contains_token(s.code[i], "return")) continue;
-        for (const StringLit& lit : s.strings) {
-            if (lit.line == i) out.push_back(lit);
-        }
-    }
-    return out;
-}
-
-/// Governor state-name array declarations (`<tok>[...] = { "..." ... };`).
-std::vector<TableDecl> state_table_decls(
-    const Stripped& s, const std::vector<std::string>& tokens) {
-    std::vector<TableDecl> out;
-    for (std::size_t i = 0; i < s.code.size(); ++i) {
-        const std::string& line = s.code[i];
-        for (const std::string& tok : tokens) {
-            std::size_t pos = line.find(tok);
-            if (pos == std::string::npos) continue;
-            std::size_t j = pos + tok.size();
-            if (j >= line.size() || line[j] != '[') continue;
-            const std::size_t close = line.find(']', j);
-            if (close == std::string::npos) continue;
-            j = close + 1;
-            while (j < line.size() &&
-                   std::isspace(static_cast<unsigned char>(line[j])) != 0)
-                ++j;
-            if (j >= line.size() || line[j] != '=') continue;
-            std::size_t end = i;
-            while (end < s.code.size() &&
-                   s.code[end].find(';') == std::string::npos)
-                ++end;
-            TableDecl t;
-            t.line = i;
-            for (const StringLit& lit : s.strings) {
-                if (lit.line >= i && lit.line <= end) t.entries.push_back(lit);
-            }
-            out.push_back(t);
-        }
+        out.lanes.push_back({i, name, std::stoull(line.substr(v, d - v))});
     }
     return out;
 }
@@ -515,8 +324,6 @@ public:
     void run() {
         if (!resolve_registry()) return;
         check_lanes();
-        check_wire_tags();
-        check_names();
         check_gates();
     }
 
@@ -536,18 +343,11 @@ private:
         out_.push_back({path, line_idx + 1, rule, message, Severity::kError});
     }
 
-    std::set<std::string> table_names() const {
-        return {ccfg_.session_metric_table,  ccfg_.engine_metric_table,
-                ccfg_.engine_summary_table,  ccfg_.telemetry_series_table,
-                ccfg_.signal_table,          ccfg_.slo_health_table,
-                ccfg_.governor_state_table,  ccfg_.trace_event_table,
-                ccfg_.trace_actor_table,     ccfg_.gate_key_table};
-    }
-
-    /// Locates (or side-loads) the registry and mines it.  Also flags
-    /// registry-style declarations anywhere else (C1/C2/C3).
+    /// Locates (or side-loads) the registry and mines it.  Also flags lane
+    /// constants declared anywhere else (C1).
     bool resolve_registry() {
-        const std::set<std::string> tables = table_names();
+        const std::set<std::string> tables = {ccfg_.signal_table,
+                                              ccfg_.gate_key_table};
         for (const FileScan& f : scans_) {
             if (!f.read_ok || f.fully_allowlisted ||
                 f.path == ccfg_.registry_path) {
@@ -557,18 +357,6 @@ private:
             for (const NamedValue& nv : facts.lanes) {
                 emit("C1", f.path, nv.line,
                      "RNG lane constant '" + nv.name +
-                         "' declared outside the contract registry (" +
-                         ccfg_.registry_path + ")");
-            }
-            for (const NamedValue& nv : facts.tags) {
-                emit("C2", f.path, nv.line,
-                     "wire tag constant '" + nv.name +
-                         "' declared outside the contract registry (" +
-                         ccfg_.registry_path + ")");
-            }
-            for (const auto& [name, decl] : facts.tables) {
-                emit("C3", f.path, decl.line,
-                     "registry name table '" + name +
                          "' declared outside the contract registry (" +
                          ccfg_.registry_path + ")");
             }
@@ -589,8 +377,8 @@ private:
             return true;
         }
         emit("C5", ccfg_.registry_path, 0,
-             "contract registry header not found: every lane, wire tag, and "
-             "contract name table must be declared there");
+             "contract registry header not found: every lane and contract "
+             "name table must be declared there");
         return false;
     }
 
@@ -721,252 +509,6 @@ private:
         }
     }
 
-    // ---- C2 ----------------------------------------------------------------
-
-    void check_wire_tags() {
-        std::map<std::string, NamedValue> tags;
-        std::map<std::uint64_t, std::string> values;
-        for (const NamedValue& nv : registry_.tags) {
-            const auto prev = values.find(nv.value);
-            if (prev != values.end()) {
-                emit("C2", ccfg_.registry_path, nv.line,
-                     "wire tag value " + std::to_string(nv.value) +
-                         " of '" + nv.name + "' collides with '" +
-                         prev->second + "': tags share one byte on the wire");
-                continue;
-            }
-            values[nv.value] = nv.name;
-            tags[nv.name] = nv;
-        }
-        const FileScan* header = find(ccfg_.codec_header);
-        std::map<std::string, std::size_t> refs;
-        if (header != nullptr) {
-            for (const WireEnumEntry& e :
-                 wire_enum_entries(header->s, ccfg_.wire_enum)) {
-                if (e.is_literal) {
-                    emit("C2", ccfg_.codec_header, e.line,
-                         "magic wire tag " + std::to_string(e.value) +
-                             " for enumerator '" + e.enumerator +
-                             "': take the value from a kWireTag<Name> "
-                             "constant in " + ccfg_.registry_path);
-                    continue;
-                }
-                if (e.init_name.empty() || tags.count(e.init_name) == 0) {
-                    emit("C2", ccfg_.codec_header, e.line,
-                         "enumerator '" + e.enumerator +
-                             "' does not take its value from a registered "
-                             "kWireTag<Name> constant");
-                    continue;
-                }
-                const std::string expected =
-                    "kWireTag" + e.enumerator.substr(1);
-                if (e.init_name != expected) {
-                    emit("C2", ccfg_.codec_header, e.line,
-                         "enumerator '" + e.enumerator + "' must take '" +
-                             expected + "', not '" + e.init_name +
-                             "' (one tag, one name)");
-                    continue;
-                }
-                ++refs[e.init_name];
-            }
-        }
-        const FileScan* impl = find(ccfg_.codec_impl);
-        for (const auto& [name, nv] : tags) {
-            if (header != nullptr) {
-                const std::size_t n = refs.count(name) ? refs[name] : 0;
-                if (n == 0) {
-                    emit("C5", ccfg_.registry_path, nv.line,
-                         "dead wire tag '" + name + "': no " +
-                             ccfg_.wire_enum + " enumerator takes it");
-                    continue;
-                }
-                if (n > 1) {
-                    emit("C2", ccfg_.codec_header, nv.line,
-                         "wire tag '" + name + "' taken by " +
-                             std::to_string(n) +
-                             " enumerators: declare each tag exactly once");
-                    continue;
-                }
-            }
-            const std::string decoder = "decode_" + lower(name.substr(8));
-            if (impl != nullptr && !file_has_token(impl->s, decoder)) {
-                emit("C2", ccfg_.registry_path, nv.line,
-                     "wire tag '" + name + "' has no canonical decoder '" +
-                         decoder + "' in " + ccfg_.codec_impl);
-            }
-            bool corpus_scanned = false;
-            bool covered = false;
-            for (const std::string& rel : ccfg_.fuzz_corpus) {
-                if (const FileScan* c = find(rel)) {
-                    corpus_scanned = true;
-                    if (file_has_token(c->s, decoder)) covered = true;
-                }
-            }
-            if (corpus_scanned && !covered) {
-                emit("C2", ccfg_.registry_path, nv.line,
-                     "wire tag '" + name +
-                         "' has no structure-aware fuzz corpus entry: no "
-                         "corpus harness exercises '" + decoder + "'");
-            }
-        }
-    }
-
-    // ---- C3 ----------------------------------------------------------------
-
-    void check_names() {
-        const std::set<std::string> session = table_set(ccfg_.session_metric_table);
-        const std::set<std::string> engine = table_set(ccfg_.engine_metric_table);
-        const std::set<std::string> summary = table_set(ccfg_.engine_summary_table);
-        const std::set<std::string> series = table_set(ccfg_.telemetry_series_table);
-        const std::set<std::string> signals = table_set(ccfg_.signal_table);
-        const std::set<std::string> health = table_set(ccfg_.slo_health_table);
-
-        // Producers: every registered metric name literal must be in a
-        // metric table.
-        std::set<std::string> produced;
-        const bool metrics_tabled = has_table(ccfg_.session_metric_table) ||
-                                    has_table(ccfg_.engine_metric_table);
-        for (const FileScan& f : scans_) {
-            if (!f.read_ok || f.fully_allowlisted ||
-                f.path == ccfg_.registry_path ||
-                !path_has_prefix(f.path, ccfg_.metric_producer_paths)) {
-                continue;
-            }
-            std::vector<StringLit> names = call_literals(f.s, "add_counter", ".>");
-            const std::vector<StringLit> hists =
-                call_literals(f.s, "histogram", ".>");
-            names.insert(names.end(), hists.begin(), hists.end());
-            for (const StringLit& lit : names) {
-                produced.insert(lit.text);
-                if (metrics_tabled && session.count(lit.text) == 0 &&
-                    engine.count(lit.text) == 0) {
-                    emit("C3", f.path, lit.line,
-                         "metric name \"" + lit.text +
-                             "\" is not in the registry metric tables (" +
-                             ccfg_.session_metric_table + " / " +
-                             ccfg_.engine_metric_table + " in " +
-                             ccfg_.registry_path + ")");
-                }
-            }
-        }
-        if (metrics_tabled && scanned_under(ccfg_.metric_producer_paths)) {
-            deadness(ccfg_.session_metric_table, produced,
-                     "no producer registers it");
-            deadness(ccfg_.engine_metric_table, produced,
-                     "no producer registers it");
-        }
-
-        // Writers: emitted JSON keys come from their key tables.
-        writer_keys(ccfg_.engine_summary_writer, ccfg_.engine_summary_table,
-                    summary);
-        writer_keys(ccfg_.telemetry_writer, ccfg_.telemetry_series_table,
-                    series);
-
-        // Report tool: consumed keys are a subset of the series keys.
-        if (has_table(ccfg_.telemetry_series_table)) {
-            for (const FileScan& f : scans_) {
-                if (!f.read_ok || f.fully_allowlisted ||
-                    !path_has_prefix(f.path, {ccfg_.report_tool_prefix})) {
-                    continue;
-                }
-                for (const StringLit& lit : call_literals(f.s, "at", ".")) {
-                    if (series.count(lit.text) == 0) {
-                        emit("C3", f.path, lit.line,
-                             "report tool consumes series key \"" + lit.text +
-                                 "\" that is not in " +
-                                 ccfg_.telemetry_series_table +
-                                 ": the telemetry writer never emits it");
-                    }
-                }
-            }
-        }
-
-        // SLO signal and health names: exact set equality with the tables.
-        equality_check(ccfg_.slo_impl, "SloSignal::k", ccfg_.signal_table,
-                       signals, "SLO signal");
-        equality_check(ccfg_.slo_impl, "SloHealth::k", ccfg_.slo_health_table,
-                       health, "SLO health state");
-
-        // Trace event / actor labels.
-        equality_check(ccfg_.trace_impl, "EventType::k",
-                       ccfg_.trace_event_table,
-                       table_set(ccfg_.trace_event_table), "trace event");
-        equality_check(ccfg_.trace_impl, "Actor::k", ccfg_.trace_actor_table,
-                       table_set(ccfg_.trace_actor_table), "trace actor");
-
-        // Prometheus exposition: counters strip _total into series keys,
-        // histograms are named exactly by the signals.
-        if (const FileScan* w = find(ccfg_.telemetry_writer)) {
-            if (has_table(ccfg_.telemetry_series_table)) {
-                for (const StringLit& lit :
-                     call_literals(w->s, "prom_counter", nullptr, true)) {
-                    std::string base = lit.text;
-                    const std::string suffix = "_total";
-                    if (base.size() > suffix.size() &&
-                        base.rfind(suffix) == base.size() - suffix.size()) {
-                        base = base.substr(0, base.size() - suffix.size());
-                    }
-                    if (series.count(base) == 0) {
-                        emit("C3", w->path, lit.line,
-                             "prometheus counter \"" + lit.text +
-                                 "\" does not correspond to a registered "
-                                 "series key");
-                    }
-                }
-            }
-            if (has_table(ccfg_.signal_table)) {
-                std::set<std::string> exposed;
-                for (const StringLit& lit :
-                     call_literals(w->s, "prom_histogram", nullptr, true)) {
-                    exposed.insert(lit.text);
-                    if (signals.count(lit.text) == 0) {
-                        emit("C3", w->path, lit.line,
-                             "prometheus histogram \"" + lit.text +
-                                 "\" is not a registered telemetry signal "
-                                 "name (" + ccfg_.signal_table + ")");
-                    }
-                }
-                for (const StringLit& entry :
-                     registry_.tables.at(ccfg_.signal_table).entries) {
-                    if (exposed.count(entry.text) == 0) {
-                        emit("C3", ccfg_.registry_path, entry.line,
-                             "telemetry signal \"" + entry.text +
-                                 "\" has no prometheus histogram exposition "
-                                 "in " + ccfg_.telemetry_writer);
-                    }
-                }
-            }
-        }
-
-        // Governor state-name arrays, wherever declared.
-        if (has_table(ccfg_.governor_state_table)) {
-            std::vector<std::string> states;
-            for (const StringLit& entry :
-                 registry_.tables.at(ccfg_.governor_state_table).entries) {
-                states.push_back(entry.text);
-            }
-            for (const FileScan& f : scans_) {
-                if (!f.read_ok || f.fully_allowlisted ||
-                    f.path == ccfg_.registry_path) {
-                    continue;
-                }
-                for (const TableDecl& decl :
-                     state_table_decls(f.s, ccfg_.state_table_tokens)) {
-                    std::vector<std::string> got;
-                    for (const StringLit& lit : decl.entries)
-                        got.push_back(lit.text);
-                    if (got != states) {
-                        emit("C3", f.path, decl.line,
-                             "governor state-name table drifted from " +
-                                 ccfg_.governor_state_table + " in " +
-                                 ccfg_.registry_path +
-                                 " (names and order must match)");
-                    }
-                }
-            }
-        }
-    }
-
     /// Table entries never seen in `seen` are dead (C5).
     void deadness(const std::string& table, const std::set<std::string>& seen,
                   const std::string& why) {
@@ -981,78 +523,32 @@ private:
         }
     }
 
-    /// Writer file: every emitted `.key("...")` must be in its table (C3),
-    /// and every table entry must be emitted (C5).
-    void writer_keys(const std::string& writer, const std::string& table,
-                     const std::set<std::string>& keys) {
-        const FileScan* w = find(writer);
-        if (w == nullptr || !has_table(table)) return;
-        std::set<std::string> emitted;
-        for (const StringLit& lit : call_literals(w->s, "key", ".")) {
-            emitted.insert(lit.text);
-            if (keys.count(lit.text) == 0) {
-                emit("C3", w->path, lit.line,
-                     "JSON key \"" + lit.text + "\" emitted by " + writer +
-                         " is not in " + table + " (" + ccfg_.registry_path +
-                         ")");
-            }
-        }
-        deadness(table, emitted, writer + " never emits it");
-    }
-
-    /// Name-translation file: the literal set on `context` lines must
-    /// equal the registry table exactly.
-    void equality_check(const std::string& impl, const std::string& context,
-                        const std::string& table,
-                        const std::set<std::string>& expected,
-                        const std::string& what) {
-        const FileScan* f = find(impl);
-        if (f == nullptr || !has_table(table)) return;
-        std::set<std::string> got;
-        for (const StringLit& lit : context_literals(f->s, context)) {
-            got.insert(lit.text);
-            if (expected.count(lit.text) == 0) {
-                emit("C3", f->path, lit.line,
-                     what + " name \"" + lit.text + "\" is not in " + table +
-                         " (" + ccfg_.registry_path + ")");
-            }
-        }
-        if (got.empty()) return;  // context never appears: nothing to hold
-        for (const StringLit& entry : registry_.tables.at(table).entries) {
-            if (got.count(entry.text) == 0) {
-                emit("C3", ccfg_.registry_path, entry.line,
-                     what + " name \"" + entry.text + "\" in " + table +
-                         " is not handled by " + impl);
-            }
-        }
-    }
-
     // ---- C4 ----------------------------------------------------------------
 
     void check_gates() {
-        const std::set<std::string> gate_keys = table_set(ccfg_.gate_key_table);
-        if (!has_table(ccfg_.gate_key_table)) return;
-
         const TextFile ci = read_text(root_, ccfg_.ci_workflow);
-        const TextFile base = read_text(root_, ccfg_.baselines);
         const CiFacts facts = ci.ok ? parse_ci(ci) : CiFacts{};
-        std::vector<std::pair<std::string, std::size_t>> base_keys;
-        if (base.ok) base_keys = parse_json_keys(base);
-        std::set<std::string> base_set;
-        for (const auto& [k, line] : base_keys) base_set.insert(k);
 
-        // CI --slo specs must name a registered signal (C3, but the spec
-        // lives on the gate surface so it is parsed here).
-        if (ci.ok && has_table(ccfg_.signal_table)) {
+        // CI --slo specs must name a registered signal, or the SLO gate
+        // step fails on a usage error instead of a verdict.
+        if (has_table(ccfg_.signal_table)) {
             const std::set<std::string> signals = table_set(ccfg_.signal_table);
             for (const auto& [signal, line] : facts.slo_signals) {
                 if (signals.count(signal) == 0) {
-                    emit("C3", ccfg_.ci_workflow, line,
+                    emit("C4", ccfg_.ci_workflow, line,
                          "CI --slo objective names signal '" + signal +
                              "', which is not in " + ccfg_.signal_table);
                 }
             }
         }
+
+        const std::set<std::string> gate_keys = table_set(ccfg_.gate_key_table);
+        if (!has_table(ccfg_.gate_key_table)) return;
+        const TextFile base = read_text(root_, ccfg_.baselines);
+        std::vector<std::pair<std::string, std::size_t>> base_keys;
+        if (base.ok) base_keys = parse_json_keys(base);
+        std::set<std::string> base_set;
+        for (const auto& [k, line] : base_keys) base_set.insert(k);
 
         std::set<std::string> consumed;
         std::set<std::string> gated_names;
@@ -1090,8 +586,7 @@ private:
                     continue;
                 }
                 bool emits = false;
-                for (const StringLit& lit :
-                     call_literals(bench->s, "key", ".")) {
+                for (const StringLit& lit : bench->s.strings) {
                     if (lit.text == key) emits = true;
                 }
                 if (!emits) {

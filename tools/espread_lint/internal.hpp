@@ -1,7 +1,7 @@
 // Shared scanner internals: the comment/string-aware line stripper, the
 // suppression parser and the diagnostic emitter, used by both the token
 // rules (lint.cpp, D1-D5) and the cross-TU contract rules (contracts.cpp,
-// C1-C5) so every file is read and stripped exactly once per scan.
+// C1, C4, C5) so every file is read and stripped exactly once per scan.
 #pragma once
 
 #include <cstddef>
@@ -21,10 +21,8 @@ std::string trim(const std::string& s);
 /// edge) on both sides.
 bool contains_token(const std::string& hay, const std::string& needle);
 
-/// Token followed (after optional whitespace) by '('.  On success `*at` is
-/// the token position; pass `from` to resume past a previous match.
-bool contains_call(const std::string& hay, const std::string& name,
-                   std::size_t* at = nullptr, std::size_t from = 0);
+/// Token followed (after optional whitespace) by '('.
+bool contains_call(const std::string& hay, const std::string& name);
 
 bool path_has_prefix(const std::string& path,
                      const std::vector<std::string>& prefixes);
@@ -34,12 +32,11 @@ bool rule_allowlisted(const LintConfig& cfg, const std::string& rule,
 
 // ---- comment/literal stripping --------------------------------------------
 
-/// One string literal: 0-based start line, column of its placeholder in the
-/// stripped code line, and the (unescaped-ish) contents.  Multi-line raw
-/// strings record their start position and full contents.
+/// One string literal: 0-based start line and the (unescaped-ish)
+/// contents.  Multi-line raw strings record their start line and full
+/// contents.
 struct StringLit {
     std::size_t line = 0;
-    std::size_t col = 0;
     std::string text;
 };
 
@@ -99,8 +96,5 @@ struct FileScan {
     Stripped s;
     Suppressions sup;
 };
-
-/// True if any stripped code line contains `needle` as a token.
-bool file_has_token(const Stripped& s, const std::string& needle);
 
 }  // namespace espread::lint::internal

@@ -36,9 +36,8 @@ bool contains_token(const std::string& hay, const std::string& needle) {
     return false;
 }
 
-bool contains_call(const std::string& hay, const std::string& name,
-                   std::size_t* at, std::size_t from) {
-    std::size_t pos = from;
+bool contains_call(const std::string& hay, const std::string& name) {
+    std::size_t pos = 0;
     while ((pos = hay.find(name, pos)) != std::string::npos) {
         const bool left_ok = pos == 0 || !ident_char(hay[pos - 1]);
         std::size_t end = pos + name.size();
@@ -46,10 +45,7 @@ bool contains_call(const std::string& hay, const std::string& name,
                std::isspace(static_cast<unsigned char>(hay[end])) != 0) {
             ++end;
         }
-        if (left_ok && end < hay.size() && hay[end] == '(') {
-            if (at != nullptr) *at = pos;
-            return true;
-        }
+        if (left_ok && end < hay.size() && hay[end] == '(') return true;
         pos += 1;
     }
     return false;
@@ -69,13 +65,6 @@ bool rule_allowlisted(const LintConfig& cfg, const std::string& rule,
                        [&](const AllowEntry& e) {
                            return (e.rule == "*" || e.rule == rule) &&
                                   glob_match(e.glob, path);
-                       });
-}
-
-bool file_has_token(const Stripped& s, const std::string& needle) {
-    return std::any_of(s.code.begin(), s.code.end(),
-                       [&](const std::string& line) {
-                           return contains_token(line, needle);
                        });
 }
 
@@ -122,7 +111,7 @@ Stripped strip(const std::string& content) {
                                             code_line[len - 2] == 'L' ||
                                             code_line[len - 2] == '8'));
                     }
-                    lit = StringLit{out.code.size(), code_line.size(), ""};
+                    lit = StringLit{out.code.size(), ""};
                     if (raw) {
                         std::string delim;
                         std::size_t j = i + 1;
@@ -599,17 +588,11 @@ const std::vector<RuleInfo>& rules() {
          "raw new/delete or <iostream> in a library target"},
         {"C1", Severity::kError,
          "magic or colliding RNG split lane (registry: k<Family>Lane<Name>)"},
-        {"C2", Severity::kError,
-         "wire tag without single registry declaration, canonical decode, "
-         "or fuzz-corpus coverage"},
-        {"C3", Severity::kError,
-         "metric/trace/SLO name literal not from the contract registry, or "
-         "producer/consumer name sets drifted"},
         {"C4", Severity::kError,
          "bench claim-gate key not emitted by the gated bench or missing "
-         "from the baselines"},
+         "from the baselines, or CI --slo spec naming an unknown signal"},
         {"C5", Severity::kError,
-         "dead contract registry entry no extractor ever sees"},
+         "dead registry lane, gate key or baseline floor"},
     };
     return kRules;
 }

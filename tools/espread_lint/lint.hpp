@@ -25,9 +25,11 @@
 //   D5  ownership / include hygiene in library targets (src/): no raw
 //       `new`/`delete` expressions, no `<iostream>`
 //
-// The cross-TU contract rules C1-C5 (RNG lanes, wire tags, metric/trace/SLO
-// names, bench claim-gate keys, dead registry entries) live in
-// contracts.hpp; both rule groups run under the same scan_tree pass.
+// The cross-TU contract rules C1 (RNG lanes), C4 (bench claim-gate keys
+// and CI SLO specs) and C5 (dead registry entries) live in contracts.hpp;
+// both rule groups run under the same scan_tree pass.  C2 and C3 are
+// retired: wire tags and name tables are checked by the compiler and by
+// tests on real output, and their ids are not reused.
 //
 // Suppression syntax (line comments only):
 //   some_code();  // espread-lint: allow(D1) reason the exception is sound
@@ -64,7 +66,7 @@ struct RuleInfo {
 /// All rules the scanner knows, D0 first.
 const std::vector<RuleInfo>& rules();
 
-/// True if `id` names a known rule ("D0".."D5", "C1".."C5").
+/// True if `id` names a known rule ("D0".."D5", "C1", "C4", "C5").
 bool known_rule(const std::string& id);
 
 /// One allowlist entry: files matching `glob` are exempt from rule `rule`

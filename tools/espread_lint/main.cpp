@@ -10,8 +10,8 @@
 // or I/O errors.  Diagnostics are GCC-style (`file:line: error: ... [Dnn]`)
 // so CI log lines are clickable.
 //
-// --contracts adds the cross-TU contract rules C1-C5 on top of the token
-// rules D0-D5; --contracts-only runs just the contract rules.  --sarif
+// --contracts adds the cross-TU contract rules C1, C4 and C5 on top of the
+// token rules D0-D5; --contracts-only runs just the contract rules.  --sarif
 // additionally writes a SARIF 2.1.0 report for code-scanning upload.
 // --compile-commands turns on the coverage guard: any TU the build compiles
 // under the scanned paths that the scan never visited is an error.

@@ -1,6 +1,7 @@
 #include "json_read.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 
 namespace espread::report {
@@ -173,6 +174,7 @@ private:
             out.type = JsonValue::Type::kNumber;
             out.number = std::strtod(token.c_str(), &end);
             if (end == nullptr || *end != '\0') return fail("bad number");
+            if (!std::isfinite(out.number)) return fail("number out of range");
             return true;
         }
         return fail("unexpected character");

@@ -1,11 +1,14 @@
 #include "report.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <stdexcept>
 
 #include "json_read.hpp"
+#include "sim/contracts.hpp"
 
 namespace espread::report {
 
@@ -23,6 +26,19 @@ using obs::telemetry::TelemetryCounters;
 bool set_error(std::string* error, const std::string& what) {
     if (error != nullptr) *error = what;
     return false;
+}
+
+/// True when every number in `v` fits a u64 counter: the series writer
+/// emits nothing else, and as_u64 would clamp anything outside.
+bool all_numbers_u64(const JsonValue& v) {
+    if (v.is_number()) return v.is_u64();
+    for (const JsonValue& e : v.array) {
+        if (!all_numbers_u64(e)) return false;
+    }
+    for (const auto& [key, member] : v.object) {
+        if (!all_numbers_u64(member)) return false;
+    }
+    return true;
 }
 
 bool load_counters(const JsonValue& v, TelemetryCounters& c,
@@ -99,12 +115,26 @@ const char* health_tag(SloHealth h) {
     return "[?]       ";  // unreachable; keeps -Wreturn-type quiet
 }
 
-/// Parses a non-negative number field; false on garbage or trailing text.
+/// Parses a finite non-negative number field; false on garbage, trailing
+/// text, inf or nan.
 bool parse_number(const std::string& field, double& out) {
     if (field.empty()) return false;
     char* end = nullptr;
     out = std::strtod(field.c_str(), &end);
-    return end != nullptr && *end == '\0' && out >= 0.0;
+    return end != nullptr && *end == '\0' && std::isfinite(out) && out >= 0.0;
+}
+
+/// Parses a count that must fit in T (a threshold or a window length):
+/// casting a double at or above 2^digits to T is undefined.
+template <typename T>
+bool parse_count(const std::string& field, T& out) {
+    double v = 0.0;
+    if (!parse_number(field, v) ||
+        v >= std::ldexp(1.0, std::numeric_limits<T>::digits)) {
+        return false;
+    }
+    out = static_cast<T>(v);
+    return true;
 }
 
 void append_slo_line(std::string& out, const SloObjective& o,
@@ -129,6 +159,9 @@ bool load_series(const std::string& json_text, LoadedSeries& out,
     JsonValue doc;
     if (!parse_json(json_text, doc, error)) return false;
     if (!doc.is_object()) return set_error(error, "series: expected object");
+    if (!all_numbers_u64(doc)) {
+        return set_error(error, "series: number outside the u64 counter range");
+    }
     if (doc.at("format").as_u64() != 1) {
         return set_error(error, "series: unsupported format version");
     }
@@ -199,24 +232,19 @@ bool parse_objective_spec(const std::string& spec, SloObjective& out,
     if (!obs::telemetry::parse_slo_signal(fields[1], o.signal)) {
         return set_error(error, "--slo: unknown signal '" + fields[1] + "'");
     }
-    double num = 0.0;
-    if (!parse_number(fields[2], num)) {
+    if (!parse_count(fields[2], o.threshold)) {
         return set_error(error, "--slo: bad threshold '" + fields[2] + "'");
     }
-    o.threshold = static_cast<std::uint64_t>(num);
     if (fields.size() >= 4) {
         if (!parse_number(fields[3], o.quantile)) {
             return set_error(error, "--slo: bad quantile '" + fields[3] + "'");
         }
     }
     if (fields.size() >= 6) {
-        double fast = 0.0;
-        double slow = 0.0;
-        if (!parse_number(fields[4], fast) || !parse_number(fields[5], slow)) {
+        if (!parse_count(fields[4], o.fast_window) ||
+            !parse_count(fields[5], o.slow_window)) {
             return set_error(error, "--slo: bad burn windows");
         }
-        o.fast_window = static_cast<std::size_t>(fast);
-        o.slow_window = static_cast<std::size_t>(slow);
     }
     if (fields.size() == 8) {
         if (!parse_number(fields[6], o.fast_burn) ||
@@ -290,15 +318,14 @@ bool render_report(const std::string& json_text, const ReportOptions& opt,
                                     t.governor_windows[2] +
                                     t.governor_windows[3];
     if (gov_total > 0) {
-        static const char* const kStates[4] = {"normal", "degraded",
-                                               "fallback", "recovering"};
         out.text += "  governor occupancy";
         for (std::size_t s = 0; s < 4; ++s) {
             const double pct = 100.0 *
                                static_cast<double>(t.governor_windows[s]) /
                                static_cast<double>(gov_total);
-            out.text += std::string(" ") + kStates[s] + " " +
-                        fmt_double(pct) + "%";
+            out.text += " ";
+            out.text += contracts::kGovernorStateNames[s];
+            out.text += " " + fmt_double(pct) + "%";
         }
         out.text += "\n";
     }
@@ -406,13 +433,11 @@ int run_report_cli(const std::vector<std::string>& args, std::string& out) {
             }
             opt.objectives.push_back(std::move(o));
         } else if (arg == "--max-rows") {
-            double rows = 0.0;
-            if (i + 1 >= args.size() || !parse_number(args[++i], rows) ||
-                rows < 1.0) {
+            if (i + 1 >= args.size() || !parse_count(args[++i], opt.max_rows) ||
+                opt.max_rows == 0) {
                 out += "espread_report: --max-rows needs a positive count\n";
                 return 1;
             }
-            opt.max_rows = static_cast<std::size_t>(rows);
         } else if (arg.rfind("--", 0) == 0) {
             out += "espread_report: unknown flag '" + arg + "'\n";
             out += kUsage;
