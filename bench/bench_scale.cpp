@@ -25,6 +25,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -164,7 +165,14 @@ int main(int argc, char** argv) {
     const Args args = parse_args(argc, argv);
     using clock = std::chrono::steady_clock;
 
-    ShardedEngine engine(engine_config(args));
+    const EngineConfig cfg = engine_config(args);
+    try {
+        cfg.validate();
+    } catch (const std::invalid_argument& e) {
+        std::fprintf(stderr, "bench_scale: %s\n", e.what());
+        return 1;
+    }
+    ShardedEngine engine(cfg);
     std::printf("== bench_scale: %zu sessions x %zu windows, %zu shard(s) ==\n",
                 args.sessions, args.windows, engine.shards());
 

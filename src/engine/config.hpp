@@ -9,6 +9,7 @@
 // byte-identical across shard counts (pinned by test_engine).
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
@@ -33,10 +34,11 @@ struct ChurnConfig {
 
 /// Fleet telemetry plane (src/obs/telemetry).  When enabled the engine
 /// gives every shard a TelemetrySlab and folds all slabs into an
-/// immutable FleetSnapshot every `epoch_steps` engine steps.  Disabled
-/// (the default) the hot path pays exactly one null-check per
-/// instrumentation site and the step loop stays allocation-free (pinned
-/// by test_alloc).
+/// immutable FleetSnapshot every `epoch_steps` engine steps.  A slab's
+/// counters are the same per-range fold the engine summary reads; its
+/// histograms are fed per window.  Disabled (the default) the hot path
+/// pays exactly one null-check per instrumentation site and the step
+/// loop stays allocation-free (pinned by test_alloc).
 struct TelemetryConfig {
     bool enabled = false;
     std::size_t epoch_steps = 64;  ///< engine steps per snapshot epoch
@@ -117,11 +119,6 @@ struct EngineConfig {
     FecLiteConfig fec{};
     GovernorLiteConfig governor{};
 
-    /// When set, summarize() also fills an obs::MetricsRegistry with
-    /// engine/* counters and histograms (integer-valued, so the rendered
-    /// registry is byte-identical across shard counts).
-    bool collect_metrics = false;
-
     std::uint64_t seed = 1;
 
     /// Throws std::invalid_argument on out-of-domain values.  Channel
@@ -145,9 +142,22 @@ struct EngineConfig {
             throw std::invalid_argument(
                 "EngineConfig: feedback_delay_windows must be >= 1");
         }
-        if (churn.enabled && churn.min_lifetime_windows == 0) {
-            throw std::invalid_argument(
-                "EngineConfig: churn.min_lifetime_windows must be >= 1");
+        if (churn.enabled) {
+            if (churn.min_lifetime_windows == 0) {
+                throw std::invalid_argument(
+                    "EngineConfig: churn.min_lifetime_windows must be >= 1");
+            }
+            // Draws are Bernoulli loops with p = 1/(1 + mean), which never
+            // end at p = 0, and are clamped to uint32 anyway.
+            constexpr double kMaxMean = 4294967295.0;
+            for (const double mean : {churn.mean_lifetime_windows,
+                                      churn.mean_arrival_gap_windows}) {
+                if (!std::isfinite(mean) || mean > kMaxMean) {
+                    throw std::invalid_argument(
+                        "EngineConfig: churn means must be finite and "
+                        "<= 2^32 - 1");
+                }
+            }
         }
         if (fec.enabled && (fec.overhead_num == 0 || fec.overhead_den == 0)) {
             throw std::invalid_argument(

@@ -3,7 +3,6 @@
 #include <string>
 
 #include "exp/json.hpp"
-#include "obs/metrics.hpp"
 
 namespace espread::engine {
 
@@ -118,8 +117,6 @@ void append_summary(exp::JsonWriter& json, const EngineSummary& s) {
     append_histogram(json, s.clf_histogram);
     json.key("bound_histogram");
     append_histogram(json, s.bound_histogram);
-    json.key("metrics");
-    obs::append_metrics(json, s.metrics);
     json.end_object();
 }
 

@@ -4,7 +4,7 @@
 // step() runs each range on its own worker (or inline when there is only
 // one shard, which keeps the single-shard hot path free of even the task
 // dispatch's allocations).  Because each slot's randomness is keyed by
-// (seed, session id) and all accumulators merge in slot order, a run's
+// (seed, session id) and all totals merge in shard order, a run's
 // summary is byte-identical for any shard count — sharding buys
 // wall-clock only, never different numbers.
 #pragma once
@@ -75,9 +75,9 @@ private:
     std::uint64_t steps_ = 0;
 };
 
-/// Appends the summary as one JSON object (scalars, histograms, and the
-/// metrics registry).  Contains no wall-clock fields, so the rendering is
-/// usable as a determinism fingerprint.
+/// Appends the summary as one JSON object (scalars and histograms).
+/// Contains no wall-clock fields, so the rendering is usable as a
+/// determinism fingerprint.
 void append_summary(exp::JsonWriter& json, const EngineSummary& s);
 
 /// The summary rendered as a standalone JSON string (test fingerprint).

@@ -99,37 +99,15 @@ SessionPool::SessionPool(const EngineConfig& cfg) : cfg_(cfg) {
     idle_left_.assign(capacity_, 0);
     gap_next_.assign(capacity_, 0);
     generation_.assign(capacity_, 0);
-    tot_windows_.assign(capacity_, 0);
-    tot_clf_.assign(capacity_, 0);
-    tot_clf_sq_.assign(capacity_, 0);
-    tot_losses_.assign(capacity_, 0);
-    tot_acks_ok_.assign(capacity_, 0);
-    tot_acks_lost_.assign(capacity_, 0);
-    tot_spawned_.assign(capacity_, 0);
-    tot_completed_.assign(capacity_, 0);
-    max_clf_.assign(capacity_, 0);
     if (cfg_.fec.enabled) {
-        const std::size_t packets = n_ * f_;
         fec_repairs_per_window_ =
-            packets * cfg_.fec.overhead_num / cfg_.fec.overhead_den;
-        tot_fec_repairs_.assign(capacity_, 0);
-        tot_fec_recovered_.assign(capacity_, 0);
-        tot_fec_unrecovered_.assign(capacity_, 0);
-        if (cfg_.fec.nack) {
-            nack_credit_.assign(capacity_, 0);
-            nack_wd_.assign(capacity_, 0);
-            tot_nack_sent_.assign(capacity_, 0);
-            tot_nack_lost_.assign(capacity_, 0);
-            tot_nack_repairs_.assign(capacity_, 0);
-            tot_nack_expired_.assign(capacity_, 0);
-            tot_nack_proactive_.assign(capacity_, 0);
-        }
+            n_ * f_ * cfg_.fec.overhead_num / cfg_.fec.overhead_den;
     }
-    if (cfg_.governor.enabled) {
-        gov_.assign(capacity_, GovernorLiteState{});
-        tot_state_windows_.assign(capacity_ * 4, 0);
-        tot_transitions_.assign(capacity_, 0);
+    if (cfg_.fec.nack) {
+        nack_credit_.assign(capacity_, 0);
+        nack_wd_.assign(capacity_, 0);
     }
+    if (cfg_.governor.enabled) gov_.assign(capacity_, GovernorLiteState{});
 
     // spawn() assigns into the chain slots, so generation 0 first fills
     // the vectors with placeholder chains (replaced immediately).
@@ -198,7 +176,6 @@ void SessionPool::spawn(std::size_t slot) {
         nack_credit_[slot] = 0;
         nack_wd_[slot] = 0;
     }
-    ++tot_spawned_[slot];
 }
 
 void SessionPool::init_scratch(ShardScratch& s) const {
@@ -206,7 +183,7 @@ void SessionPool::init_scratch(ShardScratch& s) const {
     s.pb_words.assign(words_, 0);
     s.clf_hist.assign(n_ + 1, 0);
     s.bound_hist.assign(n_ + 1, 0);
-    s.idle_windows = 0;
+    s.totals = EngineTotals{};
 }
 
 void SessionPool::run_window_range(std::size_t begin, std::size_t end,
@@ -219,16 +196,18 @@ void SessionPool::run_window_range(std::size_t begin, std::size_t end,
     std::uint64_t* tx = s.tx_words.data();
     std::uint64_t* pb = s.pb_words.data();
     obs::telemetry::TelemetrySlab* const tel = s.telemetry;
+    // The range counts into a local block, merged once at the end.
+    EngineTotals t;
+    obs::telemetry::TelemetryCounters& c = t.counters;
     for (std::size_t slot = begin; slot < end; ++slot) {
         if (idle_left_[slot] > 0) {
             // Churn gap: the slot carries no session this window.  The
             // arriving session's first window runs on the next step.
-            ++s.idle_windows;
-            if (tel != nullptr) tel->observe_idle();
+            ++c.idle_windows;
             if (--idle_left_[slot] == 0) {
                 ++generation_[slot];
                 spawn(slot);
-                if (tel != nullptr) tel->observe_spawn();
+                ++c.sessions_spawned;
             }
             continue;
         }
@@ -254,9 +233,8 @@ void SessionPool::run_window_range(std::size_t begin, std::size_t end,
                 fed, estimate_[slot], n_);
             bound = o.bound;
             gov_state = gov_[slot].state;
-            ++tot_state_windows_[slot * 4 + gov_state];
             if (o.transitioned) {
-                ++tot_transitions_[slot];
+                ++t.governor_transitions;
                 if (tel != nullptr) tel->observe_governor_exit(o.exit_dwell);
             }
         } else {
@@ -303,25 +281,25 @@ void SessionPool::run_window_range(std::size_t begin, std::size_t end,
                     std::min(cap - std::min(cap, bank),
                              fec_repairs_per_window_);
                 nack_credit_[slot] = static_cast<std::uint32_t>(bank + add);
-                tot_nack_expired_[slot] += fec_repairs_per_window_ - add;
+                t.nack_expired += fec_repairs_per_window_ - add;
                 nack_fb_lost = feedback_chain_[slot].drop_next();
                 if (any_loss) {
-                    ++tot_nack_sent_[slot];
+                    ++t.nack_sent;
                     if (nack_fb_lost) {
-                        ++tot_nack_lost_[slot];
+                        ++t.nack_lost;
                     } else {
                         fec_repairs_this_window = std::min<std::size_t>(
                             nack_credit_[slot], lost_pkts);
                         nack_credit_[slot] -= static_cast<std::uint32_t>(
                             fec_repairs_this_window);
-                        tot_nack_repairs_[slot] += fec_repairs_this_window;
+                        t.nack_repairs += fec_repairs_this_window;
                     }
                 }
             } else {
                 // Plain FEC-lite, or the NACK watchdog fired: fixed
                 // proactive schedule (graceful degradation).
                 fec_repairs_this_window = fec_repairs_per_window_;
-                if (nack_on) ++tot_nack_proactive_[slot];
+                if (nack_on) ++t.nack_proactive;
             }
             std::size_t rp = 0;
             while (rp < fec_repairs_this_window) {
@@ -366,37 +344,37 @@ void SessionPool::run_window_range(std::size_t begin, std::size_t end,
             nack_reactive ? nack_fb_lost : feedback_chain_[slot].drop_next();
         if (nack_on) nack_wd_[slot] = ack_lost ? nack_wd_[slot] + 1 : 0;
         if (ack_lost) {
-            ++tot_acks_lost_[slot];
+            ++c.acks_lost;
         } else {
             pending_[slot * D + (w % D)] = static_cast<std::uint32_t>(obs);
-            ++tot_acks_ok_[slot];
+            ++c.acks_delivered;
         }
-        if (tel != nullptr) tel->observe_ack(!ack_lost);
 
         // 5. Integer accumulators (grouping-independent merge).
-        ++tot_windows_[slot];
-        tot_clf_[slot] += clf;
-        tot_clf_sq_[slot] +=
+        ++c.windows;
+        c.unit_losses += losses;
+        c.loss_windows += losses != 0 ? 1u : 0u;
+        ++c.governor_windows[gov_state];
+        t.clf_sum += clf;
+        t.clf_sq +=
             static_cast<std::uint64_t>(clf) * static_cast<std::uint64_t>(clf);
-        tot_losses_[slot] += losses;
-        if (clf > max_clf_[slot]) max_clf_[slot] = static_cast<std::uint32_t>(clf);
+        if (clf > t.clf_max) t.clf_max = clf;
         ++s.clf_hist[clf];
         ++s.bound_hist[bound];
         if (fec_on) {
-            tot_fec_repairs_[slot] += fec_repairs_this_window;
+            t.fec_repairs += fec_repairs_this_window;
             if (any_loss) {
                 if (recovered) {
-                    ++tot_fec_recovered_[slot];
+                    ++t.fec_recovered;
                 } else {
-                    ++tot_fec_unrecovered_[slot];
+                    ++t.fec_unrecovered;
                 }
             }
         }
         windows_run_[slot] = w + 1;
         if (tel != nullptr) {
             tel->observe_window(static_cast<std::uint64_t>(clf),
-                                static_cast<std::uint64_t>(bound),
-                                static_cast<std::uint64_t>(losses), gov_state);
+                                static_cast<std::uint64_t>(bound));
             if (any_loss && !recovered) {
                 record_loss_runs(cfg_.spread ? pb : tx, words_, tel);
             }
@@ -405,17 +383,18 @@ void SessionPool::run_window_range(std::size_t begin, std::size_t end,
         // 6. Churn: departure, then either an idle gap or an immediate
         //    respawn with a fresh RNG stream (new session id).
         if (lifetime_left_[slot] > 0 && --lifetime_left_[slot] == 0) {
-            ++tot_completed_[slot];
-            if (tel != nullptr) tel->observe_complete();
+            ++c.sessions_completed;
             if (gap_next_[slot] > 0) {
                 idle_left_[slot] = gap_next_[slot];
             } else {
                 ++generation_[slot];
                 spawn(slot);
-                if (tel != nullptr) tel->observe_spawn();
+                ++c.sessions_spawned;
             }
         }
     }
+    s.totals.merge(t);
+    if (tel != nullptr) tel->counters.merge(c);
 }
 
 EngineSummary SessionPool::summarize(
@@ -424,62 +403,10 @@ EngineSummary SessionPool::summarize(
     out.sessions = capacity_;
     for (std::size_t slot = 0; slot < capacity_; ++slot) {
         if (idle_left_[slot] == 0) ++out.active_sessions;
-        out.windows += tot_windows_[slot];
-        out.unit_losses += tot_losses_[slot];
-        out.acks_delivered += tot_acks_ok_[slot];
-        out.acks_lost += tot_acks_lost_[slot];
-        out.sessions_spawned += tot_spawned_[slot];
-        out.sessions_completed += tot_completed_[slot];
-        out.clf_max = std::max<std::uint64_t>(out.clf_max, max_clf_[slot]);
     }
-    if (cfg_.fec.enabled) {
-        out.fec = true;
-        for (std::size_t slot = 0; slot < capacity_; ++slot) {
-            out.fec_repair_packets += tot_fec_repairs_[slot];
-            out.fec_windows_recovered += tot_fec_recovered_[slot];
-            out.fec_windows_unrecovered += tot_fec_unrecovered_[slot];
-        }
-    }
-    if (cfg_.fec.nack) {
-        out.nack = true;
-        for (std::size_t slot = 0; slot < capacity_; ++slot) {
-            out.nack_requests_sent += tot_nack_sent_[slot];
-            out.nack_requests_lost += tot_nack_lost_[slot];
-            out.nack_repair_packets += tot_nack_repairs_[slot];
-            out.nack_credits_expired += tot_nack_expired_[slot];
-            out.nack_windows_proactive += tot_nack_proactive_[slot];
-        }
-    }
-    if (cfg_.governor.enabled) {
-        for (std::size_t slot = 0; slot < capacity_; ++slot) {
-            for (std::size_t st = 0; st < 4; ++st) {
-                out.governor_windows[st] += tot_state_windows_[slot * 4 + st];
-            }
-            out.governor_transitions += tot_transitions_[slot];
-        }
-    } else {
-        // Unsupervised sessions run entirely in Normal; deriving the
-        // occupancy here keeps the hot path free of governor writes.
-        out.governor_windows[0] = out.windows;
-    }
-    out.slots = out.windows * static_cast<std::uint64_t>(n_);
-    std::uint64_t clf_sum = 0;
-    std::uint64_t clf_sq = 0;
-    for (std::size_t slot = 0; slot < capacity_; ++slot) {
-        clf_sum += tot_clf_[slot];
-        clf_sq += tot_clf_sq_[slot];
-    }
-    if (out.windows > 0) {
-        const double w = static_cast<double>(out.windows);
-        out.alf = static_cast<double>(out.unit_losses) /
-                  static_cast<double>(out.slots);
-        out.clf_mean = static_cast<double>(clf_sum) / w;
-        const double var =
-            static_cast<double>(clf_sq) / w - out.clf_mean * out.clf_mean;
-        out.clf_dev = var > 0.0 ? std::sqrt(var) : 0.0;
-    }
+    EngineTotals t;
     for (const ShardScratch& s : shards) {
-        out.idle_windows += s.idle_windows;
+        t.merge(s.totals);
         for (std::size_t v = 0; v < s.clf_hist.size(); ++v) {
             if (s.clf_hist[v] > 0) {
                 out.clf_histogram.add(static_cast<std::int64_t>(v),
@@ -493,49 +420,39 @@ EngineSummary SessionPool::summarize(
             }
         }
     }
-    if (cfg_.collect_metrics) {
-        out.metrics.add_counter("engine/windows", out.windows);
-        out.metrics.add_counter("engine/unit_losses", out.unit_losses);
-        out.metrics.add_counter("engine/acks_delivered", out.acks_delivered);
-        out.metrics.add_counter("engine/acks_lost", out.acks_lost);
-        out.metrics.add_counter("engine/sessions_spawned", out.sessions_spawned);
-        out.metrics.add_counter("engine/sessions_completed",
-                                out.sessions_completed);
-        out.metrics.add_counter("engine/idle_windows", out.idle_windows);
-        if (cfg_.fec.enabled) {
-            out.metrics.add_counter("engine/fec_repair_packets",
-                                    out.fec_repair_packets);
-            out.metrics.add_counter("engine/fec_windows_recovered",
-                                    out.fec_windows_recovered);
-            out.metrics.add_counter("engine/fec_windows_unrecovered",
-                                    out.fec_windows_unrecovered);
-        }
-        if (cfg_.fec.nack) {
-            out.metrics.add_counter("engine/nack_requests_sent",
-                                    out.nack_requests_sent);
-            out.metrics.add_counter("engine/nack_requests_lost",
-                                    out.nack_requests_lost);
-            out.metrics.add_counter("engine/nack_repair_packets",
-                                    out.nack_repair_packets);
-            out.metrics.add_counter("engine/nack_credits_expired",
-                                    out.nack_credits_expired);
-            out.metrics.add_counter("engine/nack_windows_proactive",
-                                    out.nack_windows_proactive);
-        }
-        if (cfg_.governor.enabled) {
-            out.metrics.add_counter("engine/governor_windows_normal",
-                                    out.governor_windows[0]);
-            out.metrics.add_counter("engine/governor_windows_degraded",
-                                    out.governor_windows[1]);
-            out.metrics.add_counter("engine/governor_windows_fallback",
-                                    out.governor_windows[2]);
-            out.metrics.add_counter("engine/governor_windows_recovering",
-                                    out.governor_windows[3]);
-            out.metrics.add_counter("engine/governor_transitions",
-                                    out.governor_transitions);
-        }
-        out.metrics.histogram("engine/window_clf").merge(out.clf_histogram);
-        out.metrics.histogram("engine/bound_used").merge(out.bound_histogram);
+    const obs::telemetry::TelemetryCounters& c = t.counters;
+    out.windows = c.windows;
+    out.unit_losses = c.unit_losses;
+    out.idle_windows = c.idle_windows;
+    out.acks_delivered = c.acks_delivered;
+    out.acks_lost = c.acks_lost;
+    // The generation-0 prefill spawned every slot in the constructor.
+    out.sessions_spawned = c.sessions_spawned + capacity_;
+    out.sessions_completed = c.sessions_completed;
+    for (std::size_t st = 0; st < 4; ++st) {
+        out.governor_windows[st] = c.governor_windows[st];
+    }
+    out.governor_transitions = t.governor_transitions;
+    out.clf_max = t.clf_max;
+    out.fec = cfg_.fec.enabled;
+    out.fec_repair_packets = t.fec_repairs;
+    out.fec_windows_recovered = t.fec_recovered;
+    out.fec_windows_unrecovered = t.fec_unrecovered;
+    out.nack = cfg_.fec.nack;
+    out.nack_requests_sent = t.nack_sent;
+    out.nack_requests_lost = t.nack_lost;
+    out.nack_repair_packets = t.nack_repairs;
+    out.nack_credits_expired = t.nack_expired;
+    out.nack_windows_proactive = t.nack_proactive;
+    out.slots = out.windows * static_cast<std::uint64_t>(n_);
+    if (out.windows > 0) {
+        const double w = static_cast<double>(out.windows);
+        out.alf = static_cast<double>(out.unit_losses) /
+                  static_cast<double>(out.slots);
+        out.clf_mean = static_cast<double>(t.clf_sum) / w;
+        const double var =
+            static_cast<double>(t.clf_sq) / w - out.clf_mean * out.clf_mean;
+        out.clf_dev = var > 0.0 ? std::sqrt(var) : 0.0;
     }
     return out;
 }

@@ -1,17 +1,21 @@
 // Structure-of-arrays session pool — the engine's hot data.
 //
 // Per-session state (Gilbert chains, Eq. 1 estimate, pending-feedback
-// ring, churn counters, metric accumulators) lives in parallel arrays
-// indexed by slot, not in per-session objects.  A window step walks a
-// contiguous slot range touching only these arenas plus a per-shard
-// scratch buffer, so the steady-state path performs zero heap
-// allocations (pinned by test_alloc) and shards never write to shared
-// cache lines.
+// ring, churn counters) lives in parallel arrays indexed by slot, not in
+// per-session objects.  A window step walks a contiguous slot range
+// touching only these arenas plus a per-shard scratch buffer, so the
+// steady-state path performs zero heap allocations (pinned by test_alloc)
+// and shards never write to shared cache lines.
+//
+// The engine counts each event once: a range step counts into a local
+// EngineTotals block and merges it into its shard's totals (and, when
+// telemetry is on, into its shard's slab counters) at the end of the
+// range.  summarize() and the telemetry snapshots both read that fold.
 //
 // Determinism contract: every random draw of slot s in its g-th occupancy
 // comes from the stream seeded by derive_seed(seed, g * capacity + s), and
-// all accumulators are integers merged in slot/shard order, so summaries
-// are byte-identical for any shard count (pinned by test_engine).
+// all totals are integer sums or maxima merged in shard order, so
+// summaries are byte-identical for any shard count (pinned by test_engine).
 #pragma once
 
 #include <cstddef>
@@ -23,31 +27,73 @@
 #include "engine/config.hpp"
 #include "engine/governor_lite.hpp"
 #include "net/gilbert.hpp"
-#include "obs/metrics.hpp"
 #include "obs/telemetry/slab.hpp"
 #include "sim/stats.hpp"
 
 namespace espread::engine {
 
-/// Per-shard working memory: the packed loss-mask scratch words plus the
-/// distribution accumulators that would be wasteful per slot.  All counts
-/// are integers, and histograms are flat arrays merged by addition, so
-/// folding shards in index order yields grouping-independent totals.
-struct ShardScratch {
+/// Integer totals of everything the engine counts.  `counters` is the
+/// telemetry plane's block, reused as is; the rest are sums only the
+/// summary reads.  Every field is a sum or a maximum, so merging blocks
+/// in any grouping yields the same totals.
+struct EngineTotals {
+    /// Windows, unit losses, loss windows, idle windows, ACKs, churn
+    /// arrivals/departures (arrivals exclude the generation-0 prefill)
+    /// and governor-lite occupancy (all in Normal when unsupervised).
+    obs::telemetry::TelemetryCounters counters;
+    std::uint64_t clf_sum = 0;               ///< sum of per-window CLF
+    std::uint64_t clf_sq = 0;                ///< sum of squared CLF
+    std::uint64_t clf_max = 0;               ///< worst window CLF
+    std::uint64_t governor_transitions = 0;  ///< governor-lite state changes
+    std::uint64_t fec_repairs = 0;           ///< FEC-lite repair packets sent
+    std::uint64_t fec_recovered = 0;         ///< lossy windows fully repaired
+    std::uint64_t fec_unrecovered = 0;       ///< lossy windows left coded-out
+    std::uint64_t nack_sent = 0;             ///< NACK-lite requests sent
+    std::uint64_t nack_lost = 0;             ///< NACKs the channel dropped
+    std::uint64_t nack_repairs = 0;          ///< banked repairs released
+    std::uint64_t nack_expired = 0;          ///< accrual lost to the cap
+    std::uint64_t nack_proactive = 0;        ///< watchdog-degraded windows
+
+    void merge(const EngineTotals& o) noexcept {
+        counters.merge(o.counters);
+        clf_sum += o.clf_sum;
+        clf_sq += o.clf_sq;
+        if (o.clf_max > clf_max) clf_max = o.clf_max;
+        governor_transitions += o.governor_transitions;
+        fec_repairs += o.fec_repairs;
+        fec_recovered += o.fec_recovered;
+        fec_unrecovered += o.fec_unrecovered;
+        nack_sent += o.nack_sent;
+        nack_lost += o.nack_lost;
+        nack_repairs += o.nack_repairs;
+        nack_expired += o.nack_expired;
+        nack_proactive += o.nack_proactive;
+    }
+};
+
+/// Per-shard working memory: the packed loss-mask scratch words, the
+/// distribution accumulators and the shard's totals.  Shards sit next to
+/// each other in a vector and each writes its own every step, so the
+/// struct is cache-line-aligned.  All counts are integers, and histograms
+/// are flat arrays merged by addition, so folding shards in index order
+/// yields grouping-independent totals.
+struct alignas(64) ShardScratch {
     std::vector<std::uint64_t> tx_words;   ///< transmission-order loss bits
     std::vector<std::uint64_t> pb_words;   ///< playback-order loss bits
     std::vector<std::uint64_t> clf_hist;   ///< bin v = windows with CLF == v
     std::vector<std::uint64_t> bound_hist; ///< bin b = windows sent with bound b
-    std::uint64_t idle_windows = 0;        ///< slot-windows spent unoccupied
+    EngineTotals totals;                   ///< everything this shard counted
     /// Telemetry plane sink for this shard; null when telemetry is off.
     /// Every use in the hot path is null-gated (one predictable branch),
     /// so the disabled step loop stays allocation-free and unperturbed.
     obs::telemetry::TelemetrySlab* telemetry = nullptr;
 };
+static_assert(alignof(ShardScratch) >= 64,
+              "shards must not share a cache line");
 
-/// Everything summarize() derives from the arenas.  Doubles are computed
-/// from integer totals in a fixed order, so they too are bit-identical
-/// across shard counts.
+/// Everything summarize() derives from the shard totals.  Doubles are
+/// computed from integer totals in a fixed order, so they too are
+/// bit-identical across shard counts.
 struct EngineSummary {
     std::size_t sessions = 0;          ///< pool capacity (slots)
     std::size_t active_sessions = 0;   ///< slots occupied at summary time
@@ -64,8 +110,8 @@ struct EngineSummary {
     std::uint64_t sessions_spawned = 0;
     std::uint64_t sessions_completed = 0;
     /// Windows run under each governor-lite state (all in [0] = Normal
-    /// when supervision is off).  Reconciles with the telemetry plane's
-    /// TelemetryCounters::governor_windows (pinned by test_telemetry).
+    /// when supervision is off); the same fold as the telemetry plane's
+    /// TelemetryCounters::governor_windows.
     std::uint64_t governor_windows[4] = {0, 0, 0, 0};
     std::uint64_t governor_transitions = 0;  ///< governor-lite state changes
     /// FEC-lite arm (all zero, and absent from summary_json, when off).
@@ -82,7 +128,6 @@ struct EngineSummary {
     std::uint64_t nack_windows_proactive = 0; ///< watchdog-degraded windows
     sim::Histogram clf_histogram;      ///< per-window CLF distribution
     sim::Histogram bound_histogram;    ///< Eq. 1 bound usage distribution
-    obs::MetricsRegistry metrics;      ///< filled when collect_metrics
 };
 
 /// SoA arenas plus the batched window step.  Thread-safety: disjoint slot
@@ -108,13 +153,13 @@ public:
     /// pending feedback -> Eq. 1 bound -> batched Gilbert runs marked into
     /// packed tx words -> permutation scatter into playback words ->
     /// word-at-a-time CLF/ALF accounting -> ACK across the feedback
-    /// channel -> churn bookkeeping.  Touches only slot state in the range
-    /// and `s`; never allocates.
+    /// channel -> churn bookkeeping.  The range's counts merge once, at
+    /// the end, into s.totals and (when attached) s.telemetry->counters.
+    /// Touches only slot state in the range and `s`; never allocates.
     void run_window_range(std::size_t begin, std::size_t end,
                           ShardScratch& s) noexcept;
 
-    /// Folds slot totals (in slot order) and shard scratches (in shard
-    /// order) into an EngineSummary.
+    /// Folds the shard scratches (in shard order) into an EngineSummary.
     EngineSummary summarize(const std::vector<ShardScratch>& shards) const;
 
     /// The (lifetime, arrival-gap) pair the churn model draws for a
@@ -152,39 +197,17 @@ private:
     std::vector<std::uint32_t> gap_next_;       ///< idle gap after departure
     std::vector<std::uint32_t> generation_;     ///< occupancy count of slot
 
-    // Per-slot integer totals, never reset across generations.
-    std::vector<std::uint64_t> tot_windows_;
-    std::vector<std::uint64_t> tot_clf_;
-    std::vector<std::uint64_t> tot_clf_sq_;
-    std::vector<std::uint64_t> tot_losses_;
-    std::vector<std::uint64_t> tot_acks_ok_;
-    std::vector<std::uint64_t> tot_acks_lost_;
-    std::vector<std::uint64_t> tot_spawned_;
-    std::vector<std::uint64_t> tot_completed_;
-    std::vector<std::uint32_t> max_clf_;
-
-    // FEC-lite arm (sized only when cfg_.fec.enabled, so an uncoded pool
-    // pays nothing).
+    // FEC-lite repair accrual per window (0 when cfg_.fec is off).
     std::size_t fec_repairs_per_window_ = 0;
-    std::vector<std::uint64_t> tot_fec_repairs_;
-    std::vector<std::uint64_t> tot_fec_recovered_;
-    std::vector<std::uint64_t> tot_fec_unrecovered_;
 
     // NACK-lite arenas (sized iff cfg.fec.nack; all per-slot, so the
     // shard-count determinism contract is untouched).
     std::vector<std::uint32_t> nack_credit_;  ///< banked repair packets
     std::vector<std::uint32_t> nack_wd_;      ///< consecutive lost feedbacks
-    std::vector<std::uint64_t> tot_nack_sent_;
-    std::vector<std::uint64_t> tot_nack_lost_;
-    std::vector<std::uint64_t> tot_nack_repairs_;
-    std::vector<std::uint64_t> tot_nack_expired_;
-    std::vector<std::uint64_t> tot_nack_proactive_;
 
     // Governor-lite supervision (sized only when cfg_.governor.enabled,
     // so an unsupervised pool pays nothing).
     std::vector<GovernorLiteState> gov_;
-    std::vector<std::uint64_t> tot_state_windows_;  ///< capacity * 4
-    std::vector<std::uint64_t> tot_transitions_;
 };
 
 }  // namespace espread::engine

@@ -8,6 +8,11 @@
 // null-check branch per instrumentation site (the same contract as
 // obs::TraceSink, enforced by espread-lint D4 for the observe_* calls).
 //
+// The counters are not observed one event at a time: the engine counts a
+// slot range into its own totals block and merges that block's counters
+// into the slab once per range (engine::SessionPool::run_window_range).
+// The observe_* sites feed only the histograms.
+//
 // Everything in the slab is a uint64 counter or a fixed-size
 // QuantileHistogram: folding slabs in shard index order is pure integer
 // addition, so an epoch snapshot is byte-identical for any shard count.
@@ -72,24 +77,18 @@ struct TelemetryCounters {
     bool operator==(const TelemetryCounters&) const noexcept = default;
 };
 
-/// One shard's telemetry arena.  All observe_* methods are branch-free
-/// integer updates; call sites must null-gate the slab pointer so the
+/// One shard's telemetry arena.  All observe_* methods are allocation-free
+/// histogram records; call sites must null-gate the slab pointer so the
 /// disabled path stays one predictable branch per site.
 struct alignas(64) TelemetrySlab {
-    TelemetryCounters counters;
+    TelemetryCounters counters;       ///< merged in once per slot range
     QuantileHistogram window_clf;     ///< per-window playback CLF
     QuantileHistogram loss_run;       ///< consecutive-loss run lengths
     QuantileHistogram bound_used;     ///< Eq. 1 bound the window was sent with
     QuantileHistogram governor_dwell; ///< windows per completed state visit
 
-    /// One executed session-window: CLF, the bound it was sent with, its
-    /// unit losses and the governor state it ran under.
-    void observe_window(std::uint64_t clf, std::uint64_t bound,
-                        std::uint64_t losses, std::uint8_t gov_state) noexcept {
-        ++counters.windows;
-        counters.unit_losses += losses;
-        counters.loss_windows += losses != 0 ? 1u : 0u;
-        ++counters.governor_windows[gov_state];
+    /// One executed session-window: its CLF and the bound it was sent with.
+    void observe_window(std::uint64_t clf, std::uint64_t bound) noexcept {
         window_clf.record(clf);
         bound_used.record(bound);
     }
@@ -98,26 +97,6 @@ struct alignas(64) TelemetrySlab {
     void observe_loss_run(std::uint64_t length) noexcept {
         loss_run.record(length);
     }
-
-    /// One feedback packet crossing the ACK channel.
-    void observe_ack(bool delivered) noexcept {
-        if (delivered) {
-            ++counters.acks_delivered;
-        } else {
-            ++counters.acks_lost;
-        }
-    }
-
-    /// One slot-window spent unoccupied (churn gap).
-    void observe_idle() noexcept { ++counters.idle_windows; }
-
-    /// One churn arrival (a slot spawned a fresh session while stepping;
-    /// the pool's generation-0 prefill is construction, not churn, and is
-    /// deliberately not counted here).
-    void observe_spawn() noexcept { ++counters.sessions_spawned; }
-
-    /// One churn departure.
-    void observe_complete() noexcept { ++counters.sessions_completed; }
 
     /// A governor state visit ended after `dwell` windows.
     void observe_governor_exit(std::uint64_t dwell) noexcept {

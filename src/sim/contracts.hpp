@@ -150,34 +150,6 @@ inline constexpr std::string_view kSessionMetricNames[] = {
     "window_packet_burst",
 };
 
-// Engine-lite counterparts registered by engine::SessionPool
-// (src/engine/pool.cpp); the `engine/` prefix keeps them mergeable next to
-// per-object session registries without aliasing.
-inline constexpr std::string_view kEngineMetricNames[] = {
-    "engine/acks_delivered",
-    "engine/acks_lost",
-    "engine/bound_used",
-    "engine/fec_repair_packets",
-    "engine/fec_windows_recovered",
-    "engine/fec_windows_unrecovered",
-    "engine/governor_transitions",
-    "engine/governor_windows_degraded",
-    "engine/governor_windows_fallback",
-    "engine/governor_windows_normal",
-    "engine/governor_windows_recovering",
-    "engine/idle_windows",
-    "engine/nack_credits_expired",
-    "engine/nack_repair_packets",
-    "engine/nack_requests_lost",
-    "engine/nack_requests_sent",
-    "engine/nack_windows_proactive",
-    "engine/sessions_completed",
-    "engine/sessions_spawned",
-    "engine/unit_losses",
-    "engine/window_clf",
-    "engine/windows",
-};
-
 // Top-level keys of engine::summary_json (src/engine/engine.cpp), consumed
 // by bench_scale artifacts and the engine tests.
 inline constexpr std::string_view kEngineSummaryKeys[] = {
@@ -201,7 +173,6 @@ inline constexpr std::string_view kEngineSummaryKeys[] = {
     "governor_transitions",
     "governor_windows",
     "idle_windows",
-    "metrics",
     "nack_credits_expired",
     "nack_repair_packets",
     "nack_requests_lost",

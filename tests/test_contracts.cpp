@@ -65,7 +65,7 @@ Names json_keys(const std::string& text, const Names& skip) {
 }
 
 /// Engine run with every optional arm on: FEC-lite, NACK-lite,
-/// governor-lite, churn, telemetry and the metrics registry.
+/// governor-lite, churn and telemetry.
 struct FullEngine {
     static EngineConfig config() {
         EngineConfig cfg;
@@ -77,7 +77,6 @@ struct FullEngine {
         cfg.governor.enabled = true;
         cfg.telemetry.enabled = true;
         cfg.telemetry.epoch_steps = 8;
-        cfg.collect_metrics = true;
         cfg.seed = 15;
         return cfg;
     }
@@ -101,18 +100,11 @@ TEST(Contracts, SessionMetricNamesEqualTheRegistry) {
     EXPECT_EQ(metric_names(r.metrics), table(contracts::kSessionMetricNames));
 }
 
-TEST(Contracts, EngineMetricNamesEqualTheRegistry) {
-    FullEngine full;
-    EXPECT_EQ(metric_names(full.engine.summary().metrics),
-              table(contracts::kEngineMetricNames));
-}
-
 TEST(Contracts, EngineSummaryKeysEqualTheRegistry) {
-    // "metrics" holds the registry checked above; "bins" is keyed by
-    // histogram value.
+    // "bins" is keyed by histogram value.
     FullEngine full;
     EXPECT_EQ(json_keys(espread::engine::summary_json(full.engine.summary()),
-                        {"metrics", "bins"}),
+                        {"bins"}),
               table(contracts::kEngineSummaryKeys));
 }
 

@@ -10,8 +10,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -42,7 +44,6 @@ EngineConfig churny_config() {
     cfg.churn.min_lifetime_windows = 4;
     cfg.churn.mean_lifetime_windows = 12.0;
     cfg.churn.mean_arrival_gap_windows = 3.0;
-    cfg.collect_metrics = true;
     cfg.seed = 2026;
     return cfg;
 }
@@ -56,9 +57,9 @@ std::string run_to_json(EngineConfig cfg, std::size_t shards,
 }
 
 // The core contract: sharding buys wall-clock only, never different
-// numbers.  With churn, feedback loss, and metrics all enabled, the
-// rendered summary (scalars, both histograms, the metrics registry)
-// must be byte-identical across shard counts 1, 2, and 8.
+// numbers.  With churn and feedback loss enabled, the rendered summary
+// (scalars and both histograms) must be byte-identical across shard
+// counts 1, 2, and 8.
 TEST(Engine, ShardCountInvariance) {
     const EngineConfig cfg = churny_config();
     const std::string one = run_to_json(cfg, 1, 64);
@@ -435,6 +436,26 @@ TEST(Engine, ValidatesConfig) {
     cfg.fec.nack = true;
     cfg.fec.nack_credit_cap = 0;
     EXPECT_THROW(ShardedEngine{cfg}, std::invalid_argument);
+    // Churn means that would make the geometric draws spin forever
+    // (p = 1/(1 + mean) = 0) or overflow the uint32 clamp.  validate()
+    // is called directly so a regression fails here instead of hanging
+    // in the pool constructor.
+    const double inf = std::numeric_limits<double>::infinity();
+    for (const double bad : {inf, -inf, std::nan(""), 4294967296.0}) {
+        SCOPED_TRACE(bad);
+        cfg = EngineConfig{};
+        cfg.churn.enabled = true;
+        cfg.churn.mean_lifetime_windows = bad;
+        EXPECT_THROW(cfg.validate(), std::invalid_argument);
+        cfg = EngineConfig{};
+        cfg.churn.enabled = true;
+        cfg.churn.mean_arrival_gap_windows = bad;
+        EXPECT_THROW(cfg.validate(), std::invalid_argument);
+    }
+    cfg = EngineConfig{};
+    cfg.churn.enabled = true;
+    cfg.churn.mean_lifetime_windows = 4294967295.0;  // the largest accepted
+    EXPECT_NO_THROW(cfg.validate());
 }
 
 }  // namespace

@@ -31,6 +31,7 @@ namespace {
 using espread::engine::EngineConfig;
 using espread::engine::EngineSummary;
 using espread::engine::ShardedEngine;
+using espread::engine::summary_json;
 using espread::obs::TraceEvent;
 using espread::obs::TraceRecorder;
 using espread::obs::telemetry::FleetSnapshot;
@@ -191,31 +192,19 @@ TEST(QuantileHistogram, RestoreBucketRebuildsSerializedCounts) {
     EXPECT_EQ(rebuilt, h);
 }
 
-TEST(TelemetrySlab, ObserveSitesAccumulateCountersAndHistograms) {
+// The observe_* sites feed only the histograms; the counters arrive by
+// the engine's per-range fold (pinned by TotalsReconcileWithEngineSummary).
+TEST(TelemetrySlab, ObserveSitesRecordHistograms) {
     TelemetrySlab slab;
-    slab.observe_window(/*clf=*/3, /*bound=*/5, /*losses=*/4,
-                        espread::engine::kGovDegraded);
-    slab.observe_window(/*clf=*/0, /*bound=*/5, /*losses=*/0,
-                        espread::engine::kGovNormal);
+    slab.observe_window(/*clf=*/3, /*bound=*/5);
+    slab.observe_window(/*clf=*/0, /*bound=*/5);
     slab.observe_loss_run(4);
-    slab.observe_ack(true);
-    slab.observe_ack(false);
-    slab.observe_idle();
-    slab.observe_spawn();
-    slab.observe_complete();
     slab.observe_governor_exit(12);
 
-    EXPECT_EQ(slab.counters.windows, 2u);
-    EXPECT_EQ(slab.counters.unit_losses, 4u);
-    EXPECT_EQ(slab.counters.loss_windows, 1u);  // only the lossy window
-    EXPECT_EQ(slab.counters.idle_windows, 1u);
-    EXPECT_EQ(slab.counters.acks_delivered, 1u);
-    EXPECT_EQ(slab.counters.acks_lost, 1u);
-    EXPECT_EQ(slab.counters.sessions_spawned, 1u);
-    EXPECT_EQ(slab.counters.sessions_completed, 1u);
-    EXPECT_EQ(slab.counters.governor_windows[espread::engine::kGovNormal], 1u);
-    EXPECT_EQ(slab.counters.governor_windows[espread::engine::kGovDegraded], 1u);
+    EXPECT_EQ(slab.counters, TelemetryCounters{});
     EXPECT_EQ(slab.window_clf.total(), 2u);
+    EXPECT_EQ(slab.window_clf.quantile(1.0), 3u);
+    EXPECT_EQ(slab.bound_used.total(), 2u);
     EXPECT_EQ(slab.bound_used.quantile(1.0), 5u);
     EXPECT_EQ(slab.loss_run.quantile(1.0), 4u);
     EXPECT_EQ(slab.governor_dwell.quantile(1.0), 12u);
@@ -230,15 +219,19 @@ TEST(SnapshotRegistry, RejectsZeroEpochStepsAndComputesDeltas) {
     EXPECT_FALSE(reg.due(5));
 
     TelemetrySlab slab;
-    slab.observe_window(2, 6, 1, espread::engine::kGovNormal);
+    slab.counters.windows = 1;
+    slab.counters.unit_losses = 1;
+    slab.observe_window(2, 6);
     const FleetSnapshot first = reg.capture(4, &slab, 1);
     // First snapshot: the epoch delta IS the cumulative state.
     EXPECT_EQ(first.delta, first.totals);
     EXPECT_EQ(first.totals.windows, 1u);
     EXPECT_EQ(first.clf_delta, first.clf);
 
-    slab.observe_window(7, 6, 0, espread::engine::kGovNormal);
-    slab.observe_window(7, 6, 2, espread::engine::kGovNormal);
+    slab.counters.windows += 2;
+    slab.counters.unit_losses += 2;
+    slab.observe_window(7, 6);
+    slab.observe_window(7, 6);
     const FleetSnapshot second = reg.capture(8, &slab, 1);
     EXPECT_EQ(second.totals.windows, 3u);
     EXPECT_EQ(second.delta.windows, 2u);
@@ -302,12 +295,25 @@ TEST(EngineTelemetry, DisabledByDefaultAndRegistryNullWhenOff) {
 }
 
 // Telemetry is an observer: totals must reconcile exactly with the
-// engine's own deterministic summary, and the loss-run histogram's mass
-// must account for every lost unit (runs here are <= 24 units, inside
-// the exact bucket range).
+// engine's own deterministic summary, the summary must not change when
+// telemetry is switched on, and the loss-run histogram's mass must
+// account for every lost unit (runs here are <= 24 units, inside the
+// exact bucket range).
 TEST(EngineTelemetry, TotalsReconcileWithEngineSummary) {
     EngineConfig cfg = telemetry_config();
     cfg.window_ldus = 12;  // 24 units/window: every loss run exactly bucketed
+    for (const std::size_t shards : {1u, 4u}) {
+        SCOPED_TRACE(shards);
+        EngineConfig on = cfg;
+        on.shards = shards;
+        EngineConfig off = on;
+        off.telemetry.enabled = false;
+        ShardedEngine with(on);
+        ShardedEngine without(off);
+        with.run(64);
+        without.run(64);
+        EXPECT_EQ(summary_json(with.summary()), summary_json(without.summary()));
+    }
     cfg.shards = 4;
     ShardedEngine engine(cfg);
     engine.run(64);
@@ -322,6 +328,13 @@ TEST(EngineTelemetry, TotalsReconcileWithEngineSummary) {
     EXPECT_EQ(last.totals.acks_lost, s.acks_lost);
     EXPECT_EQ(last.totals.idle_windows, s.idle_windows);
     EXPECT_EQ(last.totals.sessions_completed, s.sessions_completed);
+    // No FEC arm here, so a window lost units iff its CLF is non-zero.
+    EXPECT_EQ(last.totals.loss_windows, s.windows - s.clf_histogram.count(0));
+    // The config exercises every counter.
+    EXPECT_GT(last.totals.idle_windows, 0u);
+    EXPECT_GT(last.totals.acks_lost, 0u);
+    EXPECT_GT(last.totals.sessions_completed, 0u);
+    EXPECT_GT(last.totals.loss_windows, 0u);
     // The pool counts its generation-0 prefill as spawned; the telemetry
     // plane counts only churn arrivals observed while stepping.
     EXPECT_EQ(last.totals.sessions_spawned + cfg.sessions, s.sessions_spawned);
