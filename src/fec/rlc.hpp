@@ -26,8 +26,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <vector>
 
 #include "sim/rng.hpp"
@@ -142,7 +140,7 @@ public:
     /// what a receiver-driven repair request (proto::NackRequest) reports:
     /// `unresolved()` fresh repairs over the current window would (with
     /// probability ~1) restore full rank.
-    std::size_t unresolved() const noexcept;
+    std::size_t unresolved() const noexcept { return unknown_; }
 
     /// Source symbols recovered via repairs, in decode order.
     const std::vector<DecodedEvent>& decoded() const noexcept {
@@ -161,32 +159,56 @@ public:
 private:
     enum class SymState : std::uint8_t { kUnknown, kKnown, kLost };
 
-    struct Sym {
-        SymState state = SymState::kUnknown;
-        double at = 0.0;
-        std::vector<std::uint8_t> payload;
-    };
+    /// Ring slots for the tracked span [lo_, next_).  The span never
+    /// exceeds kMaxWindow: a source extends it to at most W past the base
+    /// it implies, a repair to at most its count past its own base (or
+    /// past base_ when it starts below it), and advance_base logs indices
+    /// it jumps over without tracking them.  Also the coefficient stride
+    /// of a row slot: a row's slot starts at a tracked column, so its
+    /// columns fit in the same span.
+    static constexpr std::size_t kSpan = 256;
+    static_assert(kSpan > kMaxWindow && (kSpan & (kSpan - 1)) == 0);
+    static constexpr std::uint64_t kMask = kSpan - 1;
 
-    /// A reduced row: coefficients over source indices [pivot, pivot+len),
-    /// with coeffs[0] == 1 (normalised) and coeffs.back() != 0.
+    /// A row handle: coefficients over source indices [pivot, pivot+len)
+    /// at coeffs(row)[0, len), payload (payload mode) at row_payload(row).
+    /// `slot` names the row's buffers in the row pool; `off` counts the
+    /// leading columns trimmed since the slot was filled.  Stored rows
+    /// are normalised (coeffs[0] == 1), trimmed (coeffs[len-1] != 0),
+    /// start their slot (off == 0) and, because substitute() and
+    /// advance_base() keep them so, reference only unknown columns.
     struct Row {
         std::uint64_t pivot = 0;
-        std::vector<std::uint8_t> coeffs;
-        std::vector<std::uint8_t> payload;
+        std::uint32_t slot = 0;
+        std::uint16_t off = 0;
+        std::uint16_t len = 0;
     };
 
-    Sym* sym_at(std::uint64_t index) noexcept;
-    const Sym* sym_at(std::uint64_t index) const noexcept;
-    void extend_to(std::uint64_t end);
-    /// Eliminates resolved columns and reduces against stored pivots.
-    /// Returns false if the row vanished (no new information).
+    std::uint8_t* coeffs(const Row& r) noexcept {
+        return row_coeffs_.data() + r.slot * kSpan + r.off;
+    }
+    std::uint8_t* row_payload(const Row& r) noexcept {
+        return row_payload_.data() + r.slot * symbol_bytes_;
+    }
+    std::uint8_t* sym_payload(std::uint64_t index) noexcept {
+        return sym_payload_.data() + (index & kMask) * symbol_bytes_;
+    }
+    /// A pool slot for a new row; reuses released slots, so the pool only
+    /// grows to the most rows ever alive at once.
+    std::uint32_t acquire_slot();
+    /// The stored row pivoted at `pivot`, or rows_.end().
+    std::vector<Row>::iterator find_row(std::uint64_t pivot) noexcept;
+    void extend_to(std::uint64_t end) noexcept;
+    /// Eliminates known columns and reduces against stored pivots.
+    /// Returns false if the row vanished (no new information) or touches
+    /// a lost column.
     bool reduce_row(Row& r);
     /// Stores a reduced, non-empty row (normalising the pivot coefficient)
     /// and queues it for solving if it became a singleton.
-    void store_row(Row&& r);
-    /// Marks `index` known and logs it (decoded_ when recovered via rows).
-    void mark_known(std::uint64_t index, std::vector<std::uint8_t>&& payload,
-                    double at, bool via_repair);
+    void store_row(Row r);
+    /// Marks `index` known (its payload already in place) and logs it
+    /// (decoded_ when recovered via rows).
+    void mark_known(std::uint64_t index, double at, bool via_repair);
     /// Eliminates the now-known column `index` from every stored row,
     /// queueing remainders and new singletons.
     void substitute(std::uint64_t index);
@@ -194,28 +216,33 @@ private:
     /// of symbols decoded (recovered via repair equations).
     std::size_t drain(double at);
     void advance_in_order();
-    void shrink_front();
+    void shrink_front() noexcept;
 
     std::size_t window_;
     std::size_t symbol_bytes_;
     std::uint64_t base_ = 0;       ///< lowest index still recoverable
-    std::uint64_t lo_ = 0;         ///< index of syms_.front()
+    std::uint64_t lo_ = 0;         ///< lowest index still tracked
     std::uint64_t next_ = 0;       ///< one past the highest index tracked
     std::uint64_t in_order_next_ = 0;
     std::size_t rank_ = 0;
+    std::size_t unknown_ = 0;      ///< kUnknown symbols in [lo_, next_)
     std::size_t sources_received_ = 0;
     std::size_t repairs_received_ = 0;
     std::size_t repairs_redundant_ = 0;
     std::size_t stale_ = 0;
     std::size_t lost_ = 0;
     double last_in_order_at_ = 0.0;
-    std::deque<Sym> syms_;
-    std::map<std::uint64_t, Row> rows_;  ///< keyed by pivot (ordered: D2)
+    std::vector<SymState> state_;            ///< ring over [lo_, next_)
+    std::vector<double> at_;                 ///< resolve time, same ring
+    std::vector<std::uint8_t> sym_payload_;  ///< same ring, payload mode
+    std::vector<Row> rows_;  ///< stored rows, ascending pivot (order: D2)
+    std::vector<std::uint8_t> row_coeffs_;   ///< kSpan bytes per slot
+    std::vector<std::uint8_t> row_payload_;  ///< symbol_bytes_ per slot
+    std::vector<std::uint32_t> free_slots_;
     std::vector<DecodedEvent> decoded_;
     std::vector<InOrderEvent> in_order_;
     std::vector<std::uint64_t> solve_queue_;
     std::vector<Row> pending_rows_;
-    std::vector<std::uint8_t> coeff_scratch_;
 };
 
 }  // namespace espread::fec

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <deque>
 #include <map>
 #include <optional>
 #include <stdexcept>
@@ -212,6 +211,7 @@ struct Session::Impl {
             // split and stays byte-identical to pre-FEC builds.
             rlc_rng = rng.split(contracts::kSessionLaneRlcCoefficients);
             rlc_decoder.emplace(cfg.rlc.window_packets, /*symbol_bytes=*/0);
+            rlc_sources.resize(std::bit_ceil(4 * cfg.rlc.window_packets));
         }
 
         if (cfg.recovery.enabled) {
@@ -317,6 +317,12 @@ struct Session::Impl {
 
     // ---- sliding-window RLC (DESIGN.md §12) --------------------------------
 
+    /// A sent source packet, kept until the client decoder is past it.
+    struct RlcSource {
+        DataPacket header;            ///< for re-injection on recovery
+        sim::SimTime expect_arrival;  ///< when a direct arrival would land
+    };
+
     /// Books one freshly sent source packet into the coding window and
     /// spends the credit schedule: overhead_num repairs accrue per
     /// overhead_den source packets.  The decoder lives at the client and
@@ -326,9 +332,9 @@ struct Session::Impl {
     /// schedule reverts to fixed emission while the plane is suspended or
     /// the feedback path is declared dead.
     void rlc_on_source(const DataPacket& p, WindowReport& rep) {
-        ++rlc_next;
-        rlc_sources.push_back(RlcSource{
-            p, data.next_free_time() + cfg.data_link.propagation_delay});
+        if (rlc_next - rlc_lo == rlc_sources.size()) rlc_widen_sources();
+        rlc_source(rlc_next++) = RlcSource{
+            p, data.next_free_time() + cfg.data_link.propagation_delay};
         rlc_credit += cfg.rlc.overhead_num;
         while (rlc_credit >= cfg.rlc.overhead_den) {
             rlc_credit -= cfg.rlc.overhead_den;
@@ -389,16 +395,14 @@ struct Session::Impl {
             const fec::RlcDecoder::InOrderEvent& e =
                 log[rlc_in_order_consumed];
             rlc_frontier = e.index + 1;
-            if (e.lost || e.index < rlc_lo ||
-                e.index - rlc_lo >= rlc_sources.size()) {
+            if (e.lost || e.index < rlc_lo || e.index >= rlc_next) {
                 // The upper-bound check only fires for forged indices a
                 // corrupted-but-decodable header smuggled past the client's
                 // plausibility horizon.
                 continue;
             }
             if (cfg.collect_metrics) {
-                const RlcSource& src =
-                    rlc_sources[static_cast<std::size_t>(e.index - rlc_lo)];
+                const RlcSource& src = rlc_source(e.index);
                 const double delay_s =
                     std::max(0.0, e.at - sim::to_seconds(src.expect_arrival));
                 rlc_in_order_delay_ms.add(
@@ -408,13 +412,29 @@ struct Session::Impl {
     }
 
     /// Drops source-window state no longer reachable by the decoder or the
-    /// in-order frontier, keeping the deque bounded by the coding window.
+    /// in-order frontier.
     void rlc_prune_sources() {
         const std::uint64_t keep = std::min(rlc_decoder->base(), rlc_frontier);
-        while (rlc_lo < keep && !rlc_sources.empty()) {
-            rlc_sources.pop_front();
-            ++rlc_lo;
+        rlc_lo = std::max(rlc_lo, std::min(keep, rlc_next));
+    }
+
+    RlcSource& rlc_source(std::uint64_t index) noexcept {
+        return rlc_sources[static_cast<std::size_t>(index) &
+                           (rlc_sources.size() - 1)];
+    }
+
+    /// Doubles the source ring.  The decoder base trails the highest
+    /// delivered index by at most two windows, so only a run of some 2·W
+    /// undelivered sources (a data outage) outgrows the initial 4·W: the
+    /// client, which prunes the ring, then sees nothing while the server
+    /// keeps sending.
+    void rlc_widen_sources() {
+        std::vector<RlcSource> wider(2 * rlc_sources.size());
+        for (std::uint64_t i = rlc_lo; i < rlc_next; ++i) {
+            wider[static_cast<std::size_t>(i) & (wider.size() - 1)] =
+                rlc_source(i);
         }
+        rlc_sources.swap(wider);
     }
 
     // ---- client-side RLC decoder --------------------------------------------
@@ -476,9 +496,8 @@ struct Session::Impl {
             const std::uint64_t idx = dec[i].index;
             // A forged coordinate can decode an index the sender never
             // issued; the transmit log bounds what is real.
-            if (idx < rlc_lo || idx - rlc_lo >= rlc_sources.size()) continue;
-            const RlcSource& src =
-                rlc_sources[static_cast<std::size_t>(idx - rlc_lo)];
+            if (idx < rlc_lo || idx >= rlc_next) continue;
+            const RlcSource& src = rlc_source(idx);
             receiver.on_packet(src.header, queue.now());
             ++rlc_recovered;
             if (cfg.collect_metrics) {
@@ -1273,13 +1292,10 @@ struct Session::Impl {
     std::vector<PendingRetx> pending_retx;
 
     // Sliding-window RLC state (engaged iff cfg.rlc_active()).
-    struct RlcSource {
-        DataPacket header;            ///< for re-injection on recovery
-        sim::SimTime expect_arrival;  ///< when a direct arrival would land
-    };
     std::optional<fec::RlcDecoder> rlc_decoder;  ///< rank-only mode
     sim::Rng rlc_rng{0};  ///< lane kSessionLaneRlcCoefficients, coded only
-    std::deque<RlcSource> rlc_sources;  ///< source indices [rlc_lo, rlc_next)
+    /// Ring over source indices [rlc_lo, rlc_next); power-of-two size.
+    std::vector<RlcSource> rlc_sources;
     std::uint64_t rlc_lo = 0;
     std::uint64_t rlc_next = 0;
     std::uint64_t rlc_frontier = 0;  ///< in-order log consumed up to here

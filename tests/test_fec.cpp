@@ -7,13 +7,16 @@
 //   - decode => re-encode reproduces every repair payload,
 //   - rank-only mode takes the exact decode decisions of payload mode,
 //   - window expiry resolves undecoded symbols as losses and the in-order
-//     delivery log stays monotone with correct timestamps.
+//     delivery log stays monotone with correct timestamps,
+//   - recorded digests pin every observable decode decision in both modes.
 #include "fec/gf256.hpp"
 #include "fec/rlc.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <map>
 #include <vector>
 
@@ -490,6 +493,271 @@ TEST(RlcDecoder, DecodeImpliesReEncodeForEveryAcceptedRepair) {
         ++verified;
     }
     EXPECT_GT(verified, 10u) << "too few fully-resolved repairs to be meaningful";
+}
+
+// ---------------------------------------------------------------------------
+// Golden behaviour pin
+//
+// The mode-agreement tests above compare payload and rank-only decoding
+// with each other, so a change that moved both modes the same way would
+// pass them.  The scripts below replay seeded stream and adversarial call
+// sequences through one decoder per (window, mode) and fold everything the
+// decoder exposes — the decoded and in-order logs (timestamps by bit
+// pattern), rank, unresolved count, base and every counter, plus the
+// recovered payloads in payload mode — into a digest after every step.
+// The constants were recorded on the std::map/std::deque decoder that
+// preceded the flat one; any change to a decode decision, its order or
+// its timestamp moves them.
+
+/// One scripted decoder call.
+struct Op {
+    enum class Kind { kSource, kRepair, kAdvanceTo, kAdvanceBy };
+    Kind kind = Kind::kSource;
+    std::uint64_t index = 0;  ///< source index, repair base or advance target
+    std::size_t count = 0;    ///< repair span
+    std::uint64_t cseed = 0;
+    double at = 0.0;
+    std::vector<std::uint8_t> bytes;  ///< payload-mode body
+};
+
+/// Encoder-driven stream: sources lost to a two-state Gilbert chain,
+/// 2/10-overhead repairs of which some are lost and some arrive late
+/// (the decoder base may have moved into their span by then), and the
+/// Session's base advance to two windows behind the highest index seen.
+std::vector<Op> stream_script(std::uint64_t seed, std::size_t window) {
+    Rng rng{seed};
+    RlcEncoder enc(window, kSym, seed ^ 0x51DEull);
+    std::vector<Op> ops;
+    std::vector<Op> late;
+    bool bad = false;
+    std::size_t credit = 0;
+    std::uint64_t seen_end = 0;
+    double t = 0.0;
+    const auto admit = [&](std::uint64_t end) {
+        seen_end = std::max(seen_end, end);
+        if (seen_end > 2 * window) {
+            ops.push_back({Op::Kind::kAdvanceTo, seen_end - 2 * window, 0, 0,
+                           t, {}});
+        }
+    };
+    const std::size_t n_sources = 4 * window + 200;
+    for (std::size_t i = 0; i < n_sources; ++i) {
+        t += 1e-3;
+        const std::vector<std::uint8_t> body = random_symbol(rng);
+        const std::uint64_t idx = enc.add_source(body.data(), kSym);
+        bad = bad ? !rng.bernoulli(0.35) : rng.bernoulli(0.03);
+        if (!bad) {
+            admit(idx + 1);
+            ops.push_back({Op::Kind::kSource, idx, 0, 0, t, body});
+        }
+        for (credit += 2; credit >= 10; credit -= 10) {
+            RepairSymbol rep = enc.make_repair();
+            Op op{Op::Kind::kRepair, rep.base, rep.count, rep.cseed, t,
+                  std::move(rep.payload)};
+            const std::uint64_t fate = rng.uniform_int(0, 9);
+            if (fate == 0) continue;  // lost
+            if (fate == 1) {
+                late.push_back(std::move(op));
+                continue;
+            }
+            admit(op.index + op.count);
+            ops.push_back(std::move(op));
+        }
+        if (!late.empty() && rng.bernoulli(0.1)) {
+            for (Op& op : late) {
+                op.at = t;
+                admit(op.index + op.count);
+                ops.push_back(std::move(op));
+            }
+            late.clear();
+        }
+    }
+    return ops;
+}
+
+/// The FecDecoderFuzz call mix: sources at the frontier, duplicates and
+/// stale indices, forward jumps past the plausibility cap, plausible and
+/// wild repair spans (count 0 and > kMaxWindow included), and base jumps.
+std::vector<Op> fuzz_script(std::uint64_t seed, std::size_t window,
+                            std::size_t n_ops) {
+    Rng rng{seed};
+    std::vector<Op> ops;
+    std::uint64_t frontier = 0;
+    double t = 0.0;
+    for (std::size_t i = 0; i < n_ops; ++i) {
+        t += 0.125;
+        Op op;
+        op.at = t;
+        op.bytes = random_symbol(rng);
+        const std::uint64_t pick = rng.uniform_int(0, 9);
+        if (pick < 5) {
+            op.kind = Op::Kind::kSource;
+            op.index = frontier;
+            if (pick == 0 && frontier > 0) {
+                op.index = rng.uniform_int(0, frontier - 1);
+            } else if (pick == 1) {
+                op.index = frontier + rng.uniform_int(0, 8ull * window);
+            } else {
+                ++frontier;
+            }
+            frontier = std::max(frontier, op.index + 1);
+        } else if (pick < 9) {
+            op.kind = Op::Kind::kRepair;
+            const std::uint64_t span_max = 2ull * window + 4;
+            op.index = (frontier > span_max ? frontier - span_max : 0) +
+                       rng.uniform_int(0, span_max);
+            op.count = static_cast<std::size_t>(rng.uniform_int(0, 300));
+            if (pick == 8) {
+                op.index = rng.next_u64();
+                op.count = static_cast<std::size_t>(rng.uniform_int(0, 0xFFFF));
+            }
+            op.cseed = rng.next_u64();
+        } else {
+            op.kind = Op::Kind::kAdvanceBy;
+            op.index = rng.uniform_int(0, 2ull * window);
+        }
+        ops.push_back(std::move(op));
+    }
+    return ops;
+}
+
+/// Order-sensitive FNV-1a digest over 64-bit words.
+struct Digest {
+    std::uint64_t h = 0xCBF29CE484222325ull;
+    void add(std::uint64_t v) {
+        for (int b = 0; b < 8; ++b) {
+            h = (h ^ ((v >> (8 * b)) & 0xFFu)) * 0x100000001B3ull;
+        }
+    }
+    void add(double v) {
+        std::uint64_t bits = 0;
+        std::memcpy(&bits, &v, sizeof bits);
+        add(bits);
+    }
+};
+
+/// Folds the decoder's observable state into `d`: the logs are
+/// append-only, so each step folds their new entries plus their sizes.
+struct Observer {
+    Digest d;
+    std::size_t decoded_seen = 0;
+    std::size_t log_seen = 0;
+
+    void step(const RlcDecoder& dec) {
+        for (; decoded_seen < dec.decoded().size(); ++decoded_seen) {
+            const RlcDecoder::DecodedEvent& e = dec.decoded()[decoded_seen];
+            d.add(e.index);
+            d.add(e.at);
+            if (const std::uint8_t* p = dec.payload(e.index)) {
+                for (std::size_t b = 0; b < kSym; ++b) d.add(std::uint64_t{p[b]});
+            }
+        }
+        for (; log_seen < dec.in_order_log().size(); ++log_seen) {
+            const RlcDecoder::InOrderEvent& e = dec.in_order_log()[log_seen];
+            d.add(e.index);
+            d.add(e.at);
+            d.add(std::uint64_t{e.lost});
+        }
+        for (const std::uint64_t v :
+             {std::uint64_t{dec.rank()}, std::uint64_t{dec.unresolved()},
+              dec.base(), std::uint64_t{dec.sources_received()},
+              std::uint64_t{dec.repairs_received()},
+              std::uint64_t{dec.repairs_redundant()},
+              std::uint64_t{dec.stale_packets()},
+              std::uint64_t{dec.symbols_lost()},
+              std::uint64_t{dec.decoded().size()},
+              std::uint64_t{dec.in_order_log().size()}}) {
+            d.add(v);
+        }
+    }
+};
+
+void replay(const std::vector<Op>& ops, RlcDecoder& dec, std::size_t sym,
+            Observer& obs) {
+    double t = 0.0;
+    for (const Op& op : ops) {
+        t = op.at;
+        const std::uint8_t* body = sym > 0 ? op.bytes.data() : nullptr;
+        const std::size_t len = sym > 0 ? op.bytes.size() : 0;
+        switch (op.kind) {
+            case Op::Kind::kSource:
+                dec.add_source(op.index, body, len, t);
+                break;
+            case Op::Kind::kRepair:
+                dec.add_repair(op.index, op.count, op.cseed, body, len, t);
+                break;
+            case Op::Kind::kAdvanceTo:
+                dec.advance_base(op.index, t);
+                break;
+            case Op::Kind::kAdvanceBy:
+                dec.advance_base(dec.base() + op.index, t);
+                break;
+        }
+        obs.step(dec);
+    }
+    dec.close(t + 1.0);
+    obs.step(dec);
+}
+
+std::uint64_t golden_digest(std::size_t sym) {
+    Observer obs;
+    for (const std::size_t window : {1u, 16u, 64u, 255u}) {
+        for (const std::uint64_t seed : {1ull, 2ull}) {
+            RlcDecoder dec(window, sym);
+            replay(stream_script(seed * 1000 + window, window), dec, sym, obs);
+        }
+        for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
+            RlcDecoder dec(window, sym);
+            replay(fuzz_script(seed * 7919 + window, window, 500), dec, sym,
+                   obs);
+        }
+    }
+    return obs.d.h;
+}
+
+TEST(RlcDecoderGolden, PayloadModeMatchesThePinnedDigest) {
+    EXPECT_EQ(golden_digest(kSym), 6232780592549006911ull);
+}
+
+TEST(RlcDecoderGolden, RankOnlyModeMatchesThePinnedDigest) {
+    EXPECT_EQ(golden_digest(0), 13317943772013921214ull);
+}
+
+// The tracked-span edges: a source at the largest forward jump the
+// decoder accepts (kMaxForwardWindows = 4 windows past the frontier), then
+// a full 255-wide repair at the largest accepted forward base, then close.
+// Counter values were recorded on the std::deque decoder.
+TEST(RlcDecoderGolden, LargestAcceptedForwardJumpsStayInsideTheRing) {
+    struct Want {
+        std::size_t window;
+        std::size_t rank, redundant, stale, lost, log, unresolved;
+    };
+    for (const Want& w : {Want{1, 2, 0, 0, 263, 264, 255},
+                          Want{255, 2, 0, 0, 2295, 2296, 255}}) {
+        for (const std::size_t sym : {kSym, std::size_t{0}}) {
+            RlcDecoder dec(w.window, sym);
+            const std::vector<std::uint8_t> body(kSym, 0x5A);
+            const std::uint64_t src = 4 * w.window;
+            ASSERT_NO_THROW(dec.add_source(src, sym ? body.data() : nullptr,
+                                           sym ? kSym : 0, 1.0));
+            const std::uint64_t base = (src + 1) + 4 * w.window;
+            ASSERT_NO_THROW(dec.add_repair(base, espread::fec::kMaxWindow,
+                                           0xFEEDull,
+                                           sym ? body.data() : nullptr,
+                                           sym ? kSym : 0, 2.0));
+            const std::size_t unresolved = dec.unresolved();
+            ASSERT_NO_THROW(dec.close(3.0));
+            EXPECT_EQ(dec.sources_received(), 1u);
+            EXPECT_EQ(dec.repairs_received(), 1u);
+            EXPECT_EQ(dec.rank(), w.rank) << "W=" << w.window;
+            EXPECT_EQ(dec.repairs_redundant(), w.redundant) << "W=" << w.window;
+            EXPECT_EQ(dec.stale_packets(), w.stale) << "W=" << w.window;
+            EXPECT_EQ(dec.symbols_lost(), w.lost) << "W=" << w.window;
+            EXPECT_EQ(dec.in_order_log().size(), w.log) << "W=" << w.window;
+            EXPECT_EQ(unresolved, w.unresolved) << "W=" << w.window;
+            EXPECT_EQ(dec.base(), base + espread::fec::kMaxWindow);
+        }
+    }
 }
 
 }  // namespace
