@@ -43,7 +43,6 @@ std::vector<Cell> cells() {
 
     Cell reorder{"reorder", "30% reordered, displacement <= 4", {}, {}};
     reorder.data.reorder_rate = 0.3;
-    reorder.data.reorder_max_displacement = 4;
     out.push_back(reorder);
 
     Cell duplicate{"duplicate", "20% duplicated (copy +1 ms)", {}, {}};

@@ -25,7 +25,7 @@
 //       bandwidth — reactive bursts beat the fixed trickle, for free;
 //   N2  under full feedback blackout the nack arm degrades gracefully:
 //       mean playout CLF within noise of fixed, NACK traffic bounded by
-//       the retry cap (windows * (max_retries + 1) per trial — no retry
+//       the retry cap (windows * (kMaxRetries + 1) per trial — no retry
 //       storm), and the watchdog flips most windows to proactive;
 //   N3  the fixed arm is untouched by the recovery build: a rerun is
 //       bit-exact and no nack_*/recovery_* metric key leaks into it.
@@ -249,10 +249,10 @@ int main(int argc, char** argv) {
     }
 
     // N2: full feedback blackout — graceful degradation, no retry storm.
-    // The per-trial NACK bound is windows * (max_retries + 1); the default
-    // RecoveryConfig carries max_retries = 3.
+    // The per-trial NACK bound is windows * (kMaxRetries + 1), with
+    // RecoveryConfig::kMaxRetries = 3.
     const std::uint64_t nack_cap_per_trial =
-        kWindows * (SessionConfig{}.recovery.max_retries + 1);
+        kWindows * (espread::proto::RecoveryConfig::kMaxRetries + 1);
     bool n2 = true;
     for (const double rtt : rtts) {
         for (const auto& [num, den] : overheads) {

@@ -64,17 +64,17 @@ struct FecLiteConfig {
     /// NACK-lite: the pool's idealization of the receiver-authoritative
     /// recovery plane (DESIGN.md §13).  Instead of sending the window's
     /// repair accrual unconditionally, the slot *banks* it (capped at
-    /// nack_credit_cap; overflow expires) and releases min(bank, lost
+    /// kNackCreditCap; overflow expires) and releases min(bank, lost
     /// packets) repairs only when a lossy window's NACK — piggybacked on
     /// the window's feedback packet, so the feedback chain still advances
     /// exactly once per window — survives the feedback channel.  After
-    /// nack_watchdog_windows consecutive lost feedback packets the slot
+    /// kNackWatchdogWindows consecutive lost feedback packets the slot
     /// reverts to the fixed proactive schedule until feedback returns
     /// (graceful degradation to the plain FEC-lite arm).  Off (the
     /// default), the arm is byte-identical to plain FEC-lite.
     bool nack = false;
-    std::size_t nack_credit_cap = 8;
-    std::size_t nack_watchdog_windows = 2;
+    static constexpr std::size_t kNackCreditCap = 8;
+    static constexpr std::size_t kNackWatchdogWindows = 2;
 };
 
 /// Per-slot "governor-lite" supervision of the Eq. 1 feedback loop — the
@@ -82,18 +82,23 @@ struct FecLiteConfig {
 /// fits a branch-light hot path: a missed-feedback watchdog driving
 /// Normal -> Degraded -> Fallback -> Recovering -> Normal.  Degraded
 /// decays the estimate toward the no-feedback prior (n/2); Fallback pins
-/// it there; Recovering slew-limits the published bound by `max_step`
-/// per window until `recovery_windows` consecutive feedback windows
+/// it there; Recovering slew-limits the published bound by `kMaxStep`
+/// per window until `kRecoveryWindows` consecutive feedback windows
 /// restore Normal.  No hysteresis, outlier guard or backoff (those live
 /// in the protocol governor).  Disabled (the default) the engine's
 /// numbers are byte-identical to an unsupervised run.
 struct GovernorLiteConfig {
     bool enabled = false;
-    std::uint32_t miss_budget = 3;      ///< misses before Normal -> Degraded
-    double outage_decay = 0.5;          ///< estimate fraction kept per Degraded miss
-    std::uint32_t fallback_budget = 3;  ///< Degraded misses before Fallback
-    std::size_t max_step = 4;           ///< Recovering bound slew per window
-    std::uint32_t recovery_windows = 4; ///< feedback windows to re-enter Normal
+    /// Misses before Normal -> Degraded.
+    static constexpr std::uint32_t kMissBudget = 3;
+    /// Estimate fraction kept per Degraded miss.
+    static constexpr double kOutageDecay = 0.5;
+    /// Degraded misses before Fallback.
+    static constexpr std::uint32_t kFallbackBudget = 3;
+    /// Recovering bound slew per window.
+    static constexpr std::size_t kMaxStep = 4;
+    /// Feedback windows to re-enter Normal.
+    static constexpr std::uint32_t kRecoveryWindows = 4;
 };
 
 /// Full parameterization of a ShardedEngine run.  Defaults reproduce the
@@ -163,35 +168,13 @@ struct EngineConfig {
             throw std::invalid_argument(
                 "EngineConfig: fec overhead ratio terms must be >= 1");
         }
-        if (fec.nack) {
-            if (!fec.enabled) {
-                throw std::invalid_argument(
-                    "EngineConfig: fec.nack requires fec.enabled");
-            }
-            if (fec.nack_credit_cap == 0 || fec.nack_watchdog_windows == 0) {
-                throw std::invalid_argument(
-                    "EngineConfig: fec.nack needs nack_credit_cap >= 1 and "
-                    "nack_watchdog_windows >= 1");
-            }
+        if (fec.nack && !fec.enabled) {
+            throw std::invalid_argument(
+                "EngineConfig: fec.nack requires fec.enabled");
         }
         if (telemetry.enabled && telemetry.epoch_steps == 0) {
             throw std::invalid_argument(
                 "EngineConfig: telemetry.epoch_steps must be >= 1");
-        }
-        if (governor.enabled) {
-            if (governor.miss_budget == 0 || governor.fallback_budget == 0 ||
-                governor.recovery_windows == 0) {
-                throw std::invalid_argument(
-                    "EngineConfig: governor budgets must be >= 1");
-            }
-            if (!(governor.outage_decay >= 0.0 && governor.outage_decay <= 1.0)) {
-                throw std::invalid_argument(
-                    "EngineConfig: governor.outage_decay must be in [0, 1]");
-            }
-            if (governor.max_step == 0) {
-                throw std::invalid_argument(
-                    "EngineConfig: governor.max_step must be >= 1");
-            }
         }
         const auto prob = [](double p) { return p >= 0.0 && p <= 1.0; };
         for (const net::GilbertParams& g : {data_loss, feedback_loss}) {

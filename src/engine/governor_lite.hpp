@@ -6,13 +6,15 @@
 // machine watches the Fig. 6 feedback pipeline: a window whose pending
 // cell is empty when it comes due is a "miss".
 //
-//   Normal     -- miss_budget consecutive misses --> Degraded
+//   Normal     -- kMissBudget consecutive misses --> Degraded
 //   Degraded   -- each miss decays the estimate toward the prior n/2;
-//                 fallback_budget misses --> Fallback; feedback --> Recovering
+//                 kFallbackBudget misses --> Fallback; feedback --> Recovering
 //   Fallback   -- estimate pinned at the prior; feedback --> Recovering
 //   Recovering -- published bound slews toward the raw Eq. 1 bound by at
-//                 most max_step per window; a miss --> Degraded;
-//                 recovery_windows fed windows --> Normal
+//                 most kMaxStep per window; a miss --> Degraded;
+//                 kRecoveryWindows fed windows --> Normal
+//
+// The thresholds are GovernorLiteConfig's constants.
 //
 // All arithmetic is plain doubles/integers evaluated in one fixed order
 // (the decay expression matches BurstEstimator::decay_toward_prior), so
@@ -60,10 +62,10 @@ struct GovernorLiteOutcome {
 /// returns the bound to publish.  After it returns, g.state is the state
 /// this window ran under and g.dwell already counts it.
 inline GovernorLiteOutcome governor_lite_step(GovernorLiteState& g,
-                                              const GovernorLiteConfig& cfg,
                                               bool armed, bool fed,
                                               double& estimate,
                                               std::size_t n) noexcept {
+    using Cfg = GovernorLiteConfig;
     GovernorLiteOutcome out;
     const double prior = static_cast<double>(n) / 2.0;
     const auto enter = [&g, &out](std::uint8_t next) noexcept {
@@ -80,7 +82,7 @@ inline GovernorLiteOutcome governor_lite_step(GovernorLiteState& g,
             case kGovNormal:
                 if (fed) {
                     g.misses = 0;
-                } else if (++g.misses >= cfg.miss_budget) {
+                } else if (++g.misses >= Cfg::kMissBudget) {
                     enter(kGovDegraded);
                 }
                 break;
@@ -88,8 +90,8 @@ inline GovernorLiteOutcome governor_lite_step(GovernorLiteState& g,
                 if (fed) {
                     enter(kGovRecovering);
                 } else {
-                    estimate = prior + (estimate - prior) * cfg.outage_decay;
-                    if (++g.misses >= cfg.fallback_budget) {
+                    estimate = prior + (estimate - prior) * Cfg::kOutageDecay;
+                    if (++g.misses >= Cfg::kFallbackBudget) {
                         enter(kGovFallback);
                         estimate = prior;
                     }
@@ -105,7 +107,7 @@ inline GovernorLiteOutcome governor_lite_step(GovernorLiteState& g,
             case kGovRecovering:
                 if (!fed) {
                     enter(kGovDegraded);
-                } else if (++g.streak >= cfg.recovery_windows) {
+                } else if (++g.streak >= Cfg::kRecoveryWindows) {
                     enter(kGovNormal);
                 }
                 break;
@@ -117,10 +119,10 @@ inline GovernorLiteOutcome governor_lite_step(GovernorLiteState& g,
     std::size_t bound = raw;
     if (g.state == kGovRecovering) {
         const std::size_t prev = g.published;
-        if (raw > prev + cfg.max_step) {
-            bound = prev + cfg.max_step;
-        } else if (prev > raw && prev - raw > cfg.max_step) {
-            bound = prev - cfg.max_step;
+        if (raw > prev + Cfg::kMaxStep) {
+            bound = prev + Cfg::kMaxStep;
+        } else if (prev > raw && prev - raw > Cfg::kMaxStep) {
+            bound = prev - Cfg::kMaxStep;
         }
     }
     g.published = static_cast<std::uint32_t>(bound);

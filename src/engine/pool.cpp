@@ -229,8 +229,8 @@ void SessionPool::run_window_range(std::size_t begin, std::size_t end,
             // could have arrived (w >= D); the published bound may be
             // decayed, pinned to the prior or slew-limited by state.
             const GovernorLiteOutcome o = governor_lite_step(
-                gov_[slot], cfg_.governor, static_cast<std::size_t>(w) >= D,
-                fed, estimate_[slot], n_);
+                gov_[slot], static_cast<std::size_t>(w) >= D, fed,
+                estimate_[slot], n_);
             bound = o.bound;
             gov_state = gov_[slot].state;
             if (o.transitioned) {
@@ -273,9 +273,10 @@ void SessionPool::run_window_range(std::size_t begin, std::size_t end,
         bool nack_fb_lost = false;     // this window's feedback draw
         bool nack_reactive = false;    // draw happened here, skip stage 4's
         if (fec_on) {
-            if (nack_on && nack_wd_[slot] < cfg_.fec.nack_watchdog_windows) {
+            if (nack_on &&
+                nack_wd_[slot] < FecLiteConfig::kNackWatchdogWindows) {
                 nack_reactive = true;
-                const std::size_t cap = cfg_.fec.nack_credit_cap;
+                const std::size_t cap = FecLiteConfig::kNackCreditCap;
                 const std::size_t bank = nack_credit_[slot];
                 const std::size_t add =
                     std::min(cap - std::min(cap, bank),

@@ -52,7 +52,7 @@ ReferenceTrace run_reference_session(const EngineConfig& cfg,
         std::size_t bound;
         if (cfg.governor.enabled) {
             const GovernorLiteOutcome o =
-                governor_lite_step(gov, cfg.governor, w >= D, fed, estimate, n);
+                governor_lite_step(gov, w >= D, fed, estimate, n);
             bound = o.bound;
             if (o.transitioned) ++trace.governor_transitions;
         } else {

@@ -59,7 +59,7 @@ struct ChannelStats {
 /// send(msg, bits) path behaves exactly as if this struct did not exist.
 /// Precedence: force_drop > loss model > corrupt_rejected > delivery.
 struct SendFaults {
-    bool force_drop = false;        ///< scripted loss (blackout / adversarial burst)
+    bool force_drop = false;        ///< scripted loss (blackout)
     bool corrupt_rejected = false;  ///< corruption detected by the codec: reject
     bool reordered = false;         ///< extra_delay displaces past later sends
     bool duplicate = false;         ///< deliver a second copy of the message
@@ -226,14 +226,10 @@ public:
         if (loss_run_ > 0) s.loss_runs.add(static_cast<std::int64_t>(loss_run_));
         return s;
     }
-    /// Packets handed to send() so far (cheap; stats() copies a histogram).
-    std::size_t packets_sent() const noexcept { return stats_.sent; }
     /// Slots in the in-flight slab: the peak number of deliveries that
     /// were pending at once.  Freed slots are reused, so it stops growing
     /// once traffic reaches a steady state.
     std::size_t in_flight_slots() const noexcept { return in_flight_.size(); }
-    const LinkConfig& link() const noexcept { return link_; }
-    GilbertLoss& loss_model() noexcept { return loss_; }
 
 private:
     /// Parks `msg` in a free slab slot and schedules its delivery.  The

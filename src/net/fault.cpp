@@ -13,9 +13,6 @@ bool ImpairmentConfig::active() const noexcept {
     for (const Blackout& b : blackouts) {
         if (b.to > b.from) return true;
     }
-    for (const ForcedBurst& b : bursts) {
-        if (b.length > 0) return true;
-    }
     return false;
 }
 
@@ -30,17 +27,9 @@ void ImpairmentConfig::validate() const {
     check_rate(duplicate_rate, "duplicate_rate");
     check_rate(corrupt_rate, "corrupt_rate");
     check_rate(jitter_rate, "jitter_rate");
-    if (reorder_rate > 0.0 && reorder_max_displacement == 0) {
-        throw std::invalid_argument(
-            "ImpairmentConfig: reorder_max_displacement must be >= 1");
-    }
     if (corrupt_rate > 0.0 && corrupt_max_bit_flips == 0) {
         throw std::invalid_argument(
             "ImpairmentConfig: corrupt_max_bit_flips must be >= 1");
-    }
-    if (duplicate_delay < 0) {
-        throw std::invalid_argument(
-            "ImpairmentConfig: duplicate_delay must be non-negative");
     }
     if (jitter_max < 0) {
         throw std::invalid_argument(

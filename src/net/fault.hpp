@@ -9,7 +9,7 @@
 // Monte-Carlo runner guarantees across thread counts.
 //
 // Zero-cost-off contract: with an inactive ImpairmentConfig (all rates
-// zero, no fault plan) FaultChannel::send is a direct delegate — no RNG
+// zero, no blackout) FaultChannel::send is a direct delegate — no RNG
 // draws, no timing changes, no extra trace events — so every unimpaired
 // simulation is byte-identical to one run on a bare Channel.
 #pragma once
@@ -34,29 +34,20 @@ struct Blackout {
     sim::SimTime to = 0;  ///< half-open interval end
 };
 
-/// Adversarial worst-case burst: force-drop `length` consecutive packets
-/// starting at 0-based send index `start`.  Complements the Gilbert
-/// model's random bursts with exact placement, e.g. the core/burst
-/// worst-case positions for a given permutation.
-struct ForcedBurst {
-    std::size_t start = 0;
-    std::size_t length = 0;
-};
-
 /// What to inject and how hard.  Default-constructed = inactive.
 struct ImpairmentConfig {
     /// Probability a packet is displaced past later sends.  The displaced
     /// packet's arrival is delayed by d serialization slots of its own
-    /// size, d uniform in [1, reorder_max_displacement]; with back-to-back
+    /// size, d uniform in [1, kReorderMaxDisplacement]; with back-to-back
     /// equal-size packets the positional displacement is bounded by
-    /// reorder_max_displacement in both directions.
+    /// kReorderMaxDisplacement in both directions.
     double reorder_rate = 0.0;
-    std::size_t reorder_max_displacement = 4;
+    static constexpr std::size_t kReorderMaxDisplacement = 4;
 
     /// Probability a delivered packet is duplicated; the copy arrives
-    /// duplicate_delay after the original (never before it).
+    /// kDuplicateDelay after the original (never before it).
     double duplicate_rate = 0.0;
-    sim::SimTime duplicate_delay = sim::from_millis(1.0);
+    static constexpr sim::SimTime kDuplicateDelay = sim::from_millis(1.0);
 
     /// Probability a packet's header is corrupted: up to
     /// corrupt_max_bit_flips random bit flips applied to the record's wire
@@ -71,14 +62,13 @@ struct ImpairmentConfig {
     sim::SimTime jitter_max = sim::from_millis(5.0);
 
     std::vector<Blackout> blackouts;
-    std::vector<ForcedBurst> bursts;
 
     /// True if any impairment can fire.  Inactive configs make FaultChannel
     /// a pass-through (the zero-cost-off contract).
     bool active() const noexcept;
 
     /// Throws std::invalid_argument on out-of-range rates or malformed
-    /// plan entries.
+    /// blackouts.
     void validate() const;
 };
 
@@ -130,8 +120,7 @@ public:
     /// mutating the payload in place (corruption with a corrupter hook).
     SendFaults draw_faults(Msg& msg, std::size_t size_bits) {
         SendFaults f;
-        f.force_drop = scripted_drop(inner_.next_free_time(),
-                                     inner_.packets_sent());
+        f.force_drop = blacked_out(inner_.next_free_time());
         // Draw order is fixed (corrupt, duplicate, reorder, jitter) and
         // each draw is gated on its own rate, so a mix's realization is a
         // deterministic function of (config, seed).
@@ -152,13 +141,12 @@ public:
                 if (cfg_.duplicate_rate > 0.0 &&
                     rng_.bernoulli(cfg_.duplicate_rate)) {
                     f.duplicate = true;
-                    f.duplicate_delay = cfg_.duplicate_delay;
+                    f.duplicate_delay = ImpairmentConfig::kDuplicateDelay;
                 }
                 if (cfg_.reorder_rate > 0.0 &&
                     rng_.bernoulli(cfg_.reorder_rate)) {
                     const std::uint64_t d = rng_.uniform_int(
-                        1, static_cast<std::uint64_t>(
-                               cfg_.reorder_max_displacement));
+                        1, ImpairmentConfig::kReorderMaxDisplacement);
                     f.reordered = true;
                     f.extra_delay += static_cast<sim::SimTime>(d) *
                                      inner_.serialization_time(size_bits);
@@ -191,19 +179,13 @@ public:
     std::size_t in_flight_slots() const noexcept {
         return inner_.in_flight_slots();
     }
-    const LinkConfig& link() const noexcept { return inner_.link(); }
-    GilbertLoss& loss_model() noexcept { return inner_.loss_model(); }
 
     bool impaired() const noexcept { return active_; }
-    const ImpairmentConfig& impairments() const noexcept { return cfg_; }
 
 private:
-    bool scripted_drop(sim::SimTime depart, std::size_t index) const noexcept {
+    bool blacked_out(sim::SimTime depart) const noexcept {
         for (const Blackout& b : cfg_.blackouts) {
             if (depart >= b.from && depart < b.to) return true;
-        }
-        for (const ForcedBurst& b : cfg_.bursts) {
-            if (index >= b.start && index - b.start < b.length) return true;
         }
         return false;
     }

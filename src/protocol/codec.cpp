@@ -130,7 +130,6 @@ private:
 };
 
 constexpr std::uint8_t kFlagRetransmission = 1u << 0;
-constexpr std::uint8_t kFlagParity = 1u << 1;
 
 }  // namespace
 
@@ -148,7 +147,6 @@ std::vector<std::uint8_t> encode(const DataPacket& p) {
     put_u32(out, static_cast<std::uint32_t>(p.size_bits));
     std::uint8_t flags = 0;
     if (p.retransmission) flags |= kFlagRetransmission;
-    if (p.parity) flags |= kFlagParity;
     put_u8(out, flags);
     put_u32(out, static_cast<std::uint32_t>(p.fec_group));
     seal(out);
@@ -274,7 +272,7 @@ std::optional<DataPacket> decode_data(const std::vector<std::uint8_t>& bytes) {
     // Unknown flag bits are rejected (not silently dropped): every accepted
     // byte string re-encodes to exactly itself, which the fuzz harness
     // asserts (canonical codec).
-    if ((flags & ~(kFlagRetransmission | kFlagParity)) != 0) return std::nullopt;
+    if ((flags & ~kFlagRetransmission) != 0) return std::nullopt;
     p.seq = seq;
     p.frame_index = frame_index;
     p.window = window;
@@ -284,7 +282,6 @@ std::optional<DataPacket> decode_data(const std::vector<std::uint8_t>& bytes) {
     p.num_fragments = num_fragments;
     p.size_bits = size_bits;
     p.retransmission = (flags & kFlagRetransmission) != 0;
-    p.parity = (flags & kFlagParity) != 0;
     p.fec_group = fec_group;
     return p;
 }

@@ -4,6 +4,7 @@
 
 #include "media/trace.hpp"
 #include "media/trace_io.hpp"
+#include "protocol/wire.hpp"
 
 namespace espread::proto {
 
@@ -100,10 +101,6 @@ void SessionConfig::validate() const {
         throw std::invalid_argument(
             "SessionConfig: playout_startup_windows must be positive");
     }
-    if (predictive_reserve < 0.0 || predictive_reserve >= 1.0) {
-        throw std::invalid_argument(
-            "SessionConfig: predictive_reserve must be in [0, 1)");
-    }
     if (estimator == EstimatorKind::kSlidingMax && sliding_history == 0) {
         throw std::invalid_argument("SessionConfig: sliding_history must be >= 1");
     }
@@ -122,28 +119,12 @@ void SessionConfig::validate() const {
                 "SessionConfig: governor supervises the EWMA estimator only");
         }
     }
-    if (recovery.enabled) {
-        if (recovery.rtt_timeout_mult <= 0.0 || recovery.backoff_base < 1.0) {
-            throw std::invalid_argument(
-                "SessionConfig: recovery timeouts need rtt_timeout_mult > 0 "
-                "and backoff_base >= 1");
-        }
-        if (recovery.jitter_frac < 0.0 || recovery.jitter_frac >= 1.0) {
-            throw std::invalid_argument(
-                "SessionConfig: recovery.jitter_frac must be in [0, 1)");
-        }
-        if (recovery.queue_limit == 0) {
-            throw std::invalid_argument(
-                "SessionConfig: recovery.queue_limit must be >= 1");
-        }
-        if (recovery.max_repairs_per_nack == 0) {
-            throw std::invalid_argument(
-                "SessionConfig: recovery.max_repairs_per_nack must be >= 1");
-        }
-        if (recovery.watchdog_windows == 0) {
-            throw std::invalid_argument(
-                "SessionConfig: recovery.watchdog_windows must be >= 1");
-        }
+    if (recovery.enabled && window_ldus() > NackRequest::kMaxFrames) {
+        // Frames past the NACK bitmap could never be named, so they would
+        // silently go without repair.
+        throw std::invalid_argument(
+            "SessionConfig: the recovery plane serves at most 64 LDUs per "
+            "window");
     }
     data_impairment.validate();
     feedback_impairment.validate();

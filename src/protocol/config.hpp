@@ -102,37 +102,37 @@ struct RecoveryConfig {
 
     /// NACK rounds per window after the initial request piggybacked on the
     /// ACK; the hard cap that bounds feedback traffic under blackout.
-    std::size_t max_retries = 3;
+    static constexpr std::size_t kMaxRetries = 3;
 
     /// First-round retransmission timeout, as a multiple of the configured
     /// round-trip time (data + feedback propagation).
-    double rtt_timeout_mult = 1.5;
+    static constexpr double kRttTimeoutMult = 1.5;
 
     /// Timeout multiplier per retry round (exponential backoff).
-    double backoff_base = 2.0;
+    static constexpr double kBackoffBase = 2.0;
 
     /// Uniform jitter applied to every timeout, as a +/- fraction of it,
     /// drawn from a dedicated RNG lane (kSessionLaneNackJitter) so enabling
     /// recovery never shifts the loss, media, or impairment processes.
-    double jitter_frac = 0.25;
+    static constexpr double kJitterFrac = 0.25;
 
     /// Bound on the sender's queued repair jobs while servicing is
     /// suspended; overload evicts the job with the earliest deadline (it
     /// is the least salvageable).
-    std::size_t queue_limit = 16;
+    static constexpr std::size_t kQueueLimit = 16;
 
     /// Most RLC repair packets one NACK may trigger while Normal;
     /// Recovering slew-limits servicing to one queued job per window.
-    std::size_t max_repairs_per_nack = 8;
+    static constexpr std::size_t kMaxRepairsPerNack = 8;
 
     /// Consecutive windows without any feedback arrival before the
     /// watchdog declares the path dead and reverts the repair plane to the
     /// fixed proactive credit schedule.
-    std::size_t watchdog_windows = 2;
+    static constexpr std::size_t kWatchdogWindows = 2;
 
     /// Cap on banked repair credits (in repair packets); credits accruing
     /// beyond it expire, bounding the reactive burst a NACK can release.
-    std::size_t credit_cap = 8;
+    static constexpr std::size_t kCreditCap = 8;
 };
 
 /// Everything that defines one simulated streaming session.
@@ -146,7 +146,7 @@ struct SessionConfig {
     /// loss" bounded only by the playout deadline; 6 rounds of a 23 ms RTT
     /// is far below the 1 s window, so the deadline remains the binding
     /// limit as in the paper.
-    std::size_t max_retransmits = 6;
+    static constexpr std::size_t kMaxRetransmits = 6;
     bool adaptive = true;             ///< feed client estimates into b-hat
     std::size_t pinned_bound = 0;     ///< >0 freezes the non-critical bound (ablation)
     double alpha = 0.5;               ///< Eq. 1 averaging weight
@@ -163,8 +163,8 @@ struct SessionConfig {
     GovernorConfig governor;
     DropPolicy drop_policy = DropPolicy::kReactive;
     /// Fraction of the window's bit budget kPredictive keeps back for
-    /// retransmissions; in [0, 1).
-    double predictive_reserve = 0.1;
+    /// retransmissions.
+    static constexpr double kPredictiveReserve = 0.1;
     RlcConfig rlc;
     RecoveryConfig recovery;
 
@@ -182,9 +182,9 @@ struct SessionConfig {
 
     /// Fault-injection plans for each direction (net/fault.hpp): packet
     /// reordering, duplication, header corruption (surfaced through the
-    /// wire codec's checksum), delay jitter, scripted blackouts and forced
-    /// bursts.  Default-constructed = inactive = byte-identical behavior to
-    /// a session without the fault layer.  Impairment randomness draws from
+    /// wire codec's checksum), delay jitter and scripted blackouts.
+    /// Default-constructed = inactive = byte-identical behavior to a
+    /// session without the fault layer.  Impairment randomness draws from
     /// dedicated RNG lanes (contracts::kSessionLaneDataImpairment and
     /// kSessionLaneFeedbackImpairment), so turning faults on does not shift
     /// the Gilbert loss or media processes.
@@ -223,7 +223,8 @@ struct SessionConfig {
     /// metrics; must be positive.
     double playout_startup_windows = 1.0;
 
-    /// LDUs per buffer window for the configured stream kind.
+    /// LDUs per buffer window for the configured stream kind.  For
+    /// kTraceFile both this and window_duration() read the trace file.
     std::size_t window_ldus() const;
 
     /// Playback duration of one buffer window, in simulated time.
@@ -233,7 +234,8 @@ struct SessionConfig {
     double frame_rate() const;
 
     /// Validates invariants; throws std::invalid_argument with a message on
-    /// the first violation.
+    /// the first violation.  With the recovery plane enabled, a window may
+    /// hold at most NackRequest::kMaxFrames LDUs (the NACK bitmap width).
     void validate() const;
 };
 

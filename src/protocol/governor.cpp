@@ -33,17 +33,9 @@ void GovernorConfig::validate() const {
     if (max_step == 0) {
         throw std::invalid_argument("GovernorConfig: max_step must be >= 1");
     }
-    if (recovery_windows == 0) {
+    if (recovery_windows == 0 || recovery_windows > kMaxRearmWindows) {
         throw std::invalid_argument(
-            "GovernorConfig: recovery_windows must be >= 1");
-    }
-    if (outage_decay < 0.0 || outage_decay > 1.0) {
-        throw std::invalid_argument(
-            "GovernorConfig: outage_decay must be in [0, 1]");
-    }
-    if (max_rearm_windows < recovery_windows) {
-        throw std::invalid_argument(
-            "GovernorConfig: max_rearm_windows must be >= recovery_windows");
+            "GovernorConfig: recovery_windows must be in [1, 32]");
     }
 }
 
@@ -125,7 +117,7 @@ std::size_t AdaptationGovernor::on_window_start(std::size_t k,
                 estimator_.reset_to_prior();
             } else if (misses_ >= 1) {
                 enter_state(GovernorState::kDegraded, k, now);
-                estimator_.decay_toward_prior(cfg_.outage_decay);
+                estimator_.decay_toward_prior(GovernorConfig::kOutageDecay);
             }
             break;
         case GovernorState::kDegraded:
@@ -135,11 +127,10 @@ std::size_t AdaptationGovernor::on_window_start(std::size_t k,
                 enter_state(GovernorState::kFallback, k, now);
                 estimator_.reset_to_prior();
             } else {
-                // Each further miss halves (by default) the estimate's
-                // distance to the no-feedback prior: a soft landing toward
-                // the same bound Fallback pins, so the hard reset is never
-                // a cliff.
-                estimator_.decay_toward_prior(cfg_.outage_decay);
+                // Each further miss halves the estimate's distance to the
+                // no-feedback prior: a soft landing toward the same bound
+                // Fallback pins, so the hard reset is never a cliff.
+                estimator_.decay_toward_prior(GovernorConfig::kOutageDecay);
             }
             break;
         case GovernorState::kFallback:
@@ -153,14 +144,14 @@ std::size_t AdaptationGovernor::on_window_start(std::size_t k,
                 // Outage recurring mid-recovery: double the clean-feedback
                 // streak required next time (exponential-backoff re-arming)
                 // so a flapping ACK path cannot oscillate the bound.
-                rearm_windows_ =
-                    std::min(rearm_windows_ * 2, cfg_.max_rearm_windows);
+                rearm_windows_ = std::min(rearm_windows_ * 2,
+                                          GovernorConfig::kMaxRearmWindows);
                 if (misses_ > cfg_.miss_budget) {
                     enter_state(GovernorState::kFallback, k, now);
                     estimator_.reset_to_prior();
                 } else {
                     enter_state(GovernorState::kDegraded, k, now);
-                    estimator_.decay_toward_prior(cfg_.outage_decay);
+                    estimator_.decay_toward_prior(GovernorConfig::kOutageDecay);
                 }
             } else if (recovery_left_ <= 1) {
                 enter_state(GovernorState::kNormal, k, now);

@@ -95,18 +95,17 @@ struct GovernorConfig {
     std::size_t hysteresis_windows = 2;
 
     /// Clean-feedback windows required to leave Recovering for Normal
-    /// after a Fallback.  Doubles (up to max_rearm_windows) every time an
-    /// outage recurs mid-recovery; resets on reaching Normal.
+    /// after a Fallback, in [1, kMaxRearmWindows].  Doubles (up to
+    /// kMaxRearmWindows) every time an outage recurs mid-recovery; resets
+    /// on reaching Normal.
     std::size_t recovery_windows = 4;
 
     /// Fraction of the estimate's distance to the prior retained per
     /// missed window while Degraded (exponential decay toward b = n/2).
-    /// 1.0 freezes the estimate (today's ungoverned outage behavior);
-    /// 0.0 snaps to the prior on the first miss.
-    double outage_decay = 0.5;
+    static constexpr double kOutageDecay = 0.5;
 
     /// Upper limit of the exponential-backoff re-arming streak.
-    std::size_t max_rearm_windows = 32;
+    static constexpr std::size_t kMaxRearmWindows = 32;
 
     /// Throws std::invalid_argument on out-of-range thresholds.
     void validate() const;

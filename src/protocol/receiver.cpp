@@ -48,7 +48,6 @@ void Receiver::trace_drop(obs::EventType type, const DataPacket& p,
 
 void Receiver::on_packet(const DataPacket& p, sim::SimTime now) {
     ++packets_seen_;
-    if (p.parity) return;
     if (finalized_.count(p.window)) {
         // The window already played out; a late/reordered/duplicated copy
         // must not resurrect per-window state (it would leak until session
@@ -136,7 +135,8 @@ WindowOutcome Receiver::report(std::size_t window) const {
 
 std::uint64_t Receiver::incomplete_frames(std::size_t window) const {
     if (finalized_.count(window)) return 0;
-    const std::size_t span = std::min<std::size_t>(window_ldus_, 64);
+    const std::size_t span =
+        std::min<std::size_t>(window_ldus_, NackRequest::kMaxFrames);
     std::uint64_t missing = span == 64 ? ~std::uint64_t{0}
                                        : (std::uint64_t{1} << span) - 1;
     const auto it = windows_.find(window);

@@ -64,8 +64,8 @@ public:
     Receiver(std::size_t window_ldus, std::vector<std::size_t> layer_sizes,
              std::vector<std::vector<std::size_t>> prereqs);
 
-    /// Handles one arriving data packet (parity packets are ignored here;
-    /// FEC recovery re-injects recovered data packets).  `now` is the
+    /// Handles one arriving data packet (FEC recovery re-injects
+    /// recovered data packets here too).  `now` is the
     /// arrival instant; a frame's completion time is the arrival of its
     /// final missing fragment.
     void on_packet(const DataPacket& p, sim::SimTime now = 0);
@@ -96,9 +96,10 @@ public:
     /// its playout budget runs out.
     WindowOutcome report(std::size_t window) const;
 
-    /// Bitmap over the window's first min(64, n) local frames: bit f set
-    /// iff frame f has not arrived complete yet.  Already-finalized
-    /// windows report zero (nothing can be repaired any more).  This is
+    /// Bitmap over the window's first min(NackRequest::kMaxFrames, n)
+    /// local frames: bit f set iff frame f has not arrived complete yet.
+    /// Already-finalized windows report zero (nothing can be repaired any
+    /// more).  This is
     /// the `missing` field of a NackRequest; frames the sender shed before
     /// transmission are the sender's to filter out.
     std::uint64_t incomplete_frames(std::size_t window) const;

@@ -18,10 +18,10 @@ const char* recovery_mode_name(RecoveryMode m) noexcept {
     return "?";
 }
 
-RepairScheduler::RepairScheduler(const RecoveryConfig& cfg,
+RepairScheduler::RepairScheduler(const RecoveryConfig& /*cfg*/,
                                  std::size_t num_windows)
-    : cfg_(cfg), num_windows_(num_windows) {
-    queue_.reserve(cfg_.queue_limit);
+    : num_windows_(num_windows) {
+    queue_.reserve(RecoveryConfig::kQueueLimit);
     serviced_retry_.assign(num_windows_, 0);
 }
 
@@ -59,7 +59,7 @@ RecoveryMode RepairScheduler::on_window_start(
                 service_budget_ = 1;
                 break;
         }
-    } else if (windows_since_feedback_ >= cfg_.watchdog_windows) {
+    } else if (windows_since_feedback_ >= RecoveryConfig::kWatchdogWindows) {
         if (mode_ != RecoveryMode::kProactive) ++report_.watchdog_timeouts;
         mode_ = RecoveryMode::kProactive;
         service_budget_ = 0;
@@ -120,7 +120,7 @@ std::optional<RepairJob> RepairScheduler::admit(const NackRequest& n,
 }
 
 std::optional<RepairJob> RepairScheduler::enqueue(RepairJob job) {
-    if (queue_.size() < cfg_.queue_limit) {
+    if (queue_.size() < RecoveryConfig::kQueueLimit) {
         queue_.push_back(job);
         return std::nullopt;
     }

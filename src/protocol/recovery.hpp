@@ -13,7 +13,7 @@
 // Servicing policy, closing the loop between the governor (PR 4) and the
 // FEC arm (PR 8):
 //   * Normal / ungoverned with live feedback: serve a NACK immediately,
-//     spending up to max_repairs_per_nack repair credits plus the
+//     spending up to kMaxRepairsPerNack repair credits plus the
 //     requested retransmissions.
 //   * Degraded / Fallback: repair spending is suspended — jobs queue
 //     (bounded, shedding the earliest deadline first) and the RLC credit
@@ -21,7 +21,7 @@
 //     signal that degraded the estimator (missing/hostile feedback) makes
 //     NACKs untrustworthy or absent.
 //   * Recovering: slew-limited — one queued job is released per window.
-//   * Watchdog (ungoverned sessions): watchdog_windows consecutive
+//   * Watchdog (ungoverned sessions): kWatchdogWindows consecutive
 //     windows without feedback flips the plane to proactive mode (fixed
 //     credit schedule) until feedback returns, so a dead feedback path
 //     degrades to the pure FEC/spreading behavior instead of banking
@@ -82,8 +82,10 @@ struct RepairSchedulerReport {
 /// next_job for work it is allowed to perform now.
 class RepairScheduler {
 public:
-    /// `num_windows` bounds plausible NACK windows; `governed` selects
-    /// governor gating over the watchdog for suspension decisions.
+    /// `num_windows` bounds plausible NACK windows.  The queue bound and
+    /// watchdog length are RecoveryConfig's constants; whether the
+    /// governor or the watchdog decides suspension is chosen per window by
+    /// on_window_start.
     RepairScheduler(const RecoveryConfig& cfg, std::size_t num_windows);
 
     /// Clocks the watchdog and publishes the mode for window `k`.  With a
@@ -128,13 +130,12 @@ public:
     const RepairSchedulerReport& report() const noexcept { return report_; }
 
 private:
-    RecoveryConfig cfg_;
     std::size_t num_windows_;
     RecoveryMode mode_ = RecoveryMode::kReactive;
     std::size_t service_budget_ = 0;  ///< jobs this window may still spend on
     std::size_t windows_since_feedback_ = 0;
     bool feedback_seen_this_window_ = false;
-    std::vector<RepairJob> queue_;  ///< unordered; scanned (bounded by queue_limit)
+    std::vector<RepairJob> queue_;  ///< unordered; scanned (bounded by kQueueLimit)
     /// Highest retry round serviced per window, +1 (0 = none yet).
     std::vector<std::uint8_t> serviced_retry_;
     RepairSchedulerReport report_;

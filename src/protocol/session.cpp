@@ -111,6 +111,7 @@ struct Session::Impl {
         : cfg(std::move(c)),
           rng(cfg.seed),
           planner((cfg.validate(), cfg)),
+          period(cfg.window_duration()),
           receiver(planner.window_ldus(), planner.layer_sizes(),
                    planner.prerequisites()),
           estimator(std::max<std::size_t>(planner.noncritical_size(), 1), cfg.alpha),
@@ -122,15 +123,14 @@ struct Session::Impl {
                    rng.split(contracts::kSessionLaneFeedbackChannel)),
           playout(cfg.frame_rate(),
                   static_cast<sim::SimTime>(cfg.playout_startup_windows *
-                                            static_cast<double>(
-                                                cfg.window_duration()))) {
+                                            static_cast<double>(period))) {
         if (cfg.stream.kind == StreamKind::kMpeg) {
             sim::Rng trace_rng = rng.split(contracts::kSessionLaneMediaTrace);
             mpeg.emplace(media::movie_stats(cfg.stream.movie), trace_rng.next_u64());
         } else if (cfg.stream.kind == StreamKind::kTraceFile) {
             load_trace_file();
         } else {
-            const std::size_t total = cfg.num_windows * cfg.window_ldus();
+            const std::size_t total = cfg.num_windows * planner.window_ldus();
             if (cfg.stream.kind == StreamKind::kMjpeg) {
                 sim::Rng trace_rng =
                     rng.split(contracts::kSessionLaneMediaTrace);
@@ -170,7 +170,7 @@ struct Session::Impl {
         data.set_receiver([this](DataMsg m) {
             if (const DataPacket* p = std::get_if<DataPacket>(&m)) {
                 receiver.on_packet(*p, queue.now());
-                if (!p->retransmission && !p->parity) client_on_source(*p);
+                if (!p->retransmission) client_on_source(*p);
             } else if (const WindowTrailer* t = std::get_if<WindowTrailer>(&m)) {
                 receiver.on_trailer(*t);
             } else {
@@ -266,7 +266,7 @@ struct Session::Impl {
         if (usable == 0) {
             throw std::invalid_argument("Session: trace has no complete GOP");
         }
-        const std::size_t total = cfg.num_windows * cfg.window_ldus();
+        const std::size_t total = cfg.num_windows * planner.window_ldus();
         pregen.reserve(total);
         for (std::size_t i = 0; i < total; ++i) {
             media::Frame f = file_frames[i % usable];
@@ -341,7 +341,7 @@ struct Session::Impl {
             if (!repair.has_value() ||
                 repair->mode() != RecoveryMode::kReactive) {
                 rlc_send_repair(rep);
-            } else if (rlc_nack_credit < cfg.recovery.credit_cap) {
+            } else if (rlc_nack_credit < RecoveryConfig::kCreditCap) {
                 ++rlc_nack_credit;
             } else {
                 ++nack_credits_expired;
@@ -523,7 +523,7 @@ struct Session::Impl {
     sim::SimTime recovery_fin_time(std::size_t k) const {
         const std::size_t n = planner.window_ldus();
         const sim::SimTime ack_at =
-            static_cast<sim::SimTime>(k + 1) * cfg.window_duration() +
+            static_cast<sim::SimTime>(k + 1) * period +
             cfg.data_link.propagation_delay + kFinalizeSlack;
         return std::max(ack_at + 1,
                         playout.deadline((k + 1) * n - 1) + kFinalizeSlack);
@@ -561,16 +561,14 @@ struct Session::Impl {
                     static_cast<double>(deficit),
                     static_cast<double>(round));
         feedback.send(FeedbackMsg{nr}, cfg.feedback_bits);
-        if (round >= cfg.recovery.max_retries) return;
+        if (round >= RecoveryConfig::kMaxRetries) return;
         double timeout_s =
-            cfg.recovery.rtt_timeout_mult * sim::to_seconds(rtt);
+            RecoveryConfig::kRttTimeoutMult * sim::to_seconds(rtt);
         for (std::size_t r = 0; r < round; ++r) {
-            timeout_s *= cfg.recovery.backoff_base;
+            timeout_s *= RecoveryConfig::kBackoffBase;
         }
-        if (cfg.recovery.jitter_frac > 0.0) {
-            const double u = nack_rng.uniform();
-            timeout_s *= 1.0 + cfg.recovery.jitter_frac * (2.0 * u - 1.0);
-        }
+        const double u = nack_rng.uniform();
+        timeout_s *= 1.0 + RecoveryConfig::kJitterFrac * (2.0 * u - 1.0);
         queue.schedule_at(queue.now() + sim::from_seconds(timeout_s),
                           [this, k, round] { nack_check(k, round + 1); });
     }
@@ -603,12 +601,11 @@ struct Session::Impl {
         WindowReport& rep = reports[job.window];
         std::size_t retx_pkts = 0;
         const auto it = sent_frames.find(job.window);
-        const bool retx_allowed =
-            cfg.retransmit_critical && cfg.max_retransmits > 0;
-        if (retx_allowed && job.missing != 0 && it != sent_frames.end()) {
+        if (cfg.retransmit_critical && job.missing != 0 &&
+            it != sent_frames.end()) {
+            // validate() caps n at the bitmap width under recovery.
             const std::size_t n = planner.window_ldus();
-            const std::size_t span = std::min<std::size_t>(n, 64);
-            for (std::size_t f = 0; f < span; ++f) {
+            for (std::size_t f = 0; f < n; ++f) {
                 if ((job.missing & (std::uint64_t{1} << f)) == 0) continue;
                 const SentFrame& sf = it->second[f];
                 if (!sf.valid) continue;  // shed before sending: no material
@@ -643,7 +640,7 @@ struct Session::Impl {
         if (rlc_decoder.has_value()) {
             const std::size_t spend =
                 std::min({job.rank_deficit, rlc_nack_credit,
-                          cfg.recovery.max_repairs_per_nack});
+                          RecoveryConfig::kMaxRepairsPerNack});
             for (std::size_t i = 0; i < spend; ++i) {
                 rlc_send_repair(rep);
                 --rlc_nack_credit;
@@ -714,7 +711,8 @@ struct Session::Impl {
             if (!send_packet(p, rep)) rx.fragments[still_missing++] = f;
         }
         rx.fragments.resize(still_missing);
-        if (still_missing > 0 && rx.attempts + 1 < cfg.max_retransmits) {
+        if (still_missing > 0 &&
+            rx.attempts + 1 < SessionConfig::kMaxRetransmits) {
             PendingRetx again = std::move(rx);
             again.ready = data.next_free_time() +
                           2 * cfg.data_link.propagation_delay;
@@ -760,7 +758,7 @@ struct Session::Impl {
                 : adaptive_bound;
         const WindowPlan& plan = planner.plan(bound);
         const sim::SimTime deadline =
-            static_cast<sim::SimTime>(k + 1) * cfg.window_duration();
+            static_cast<sim::SimTime>(k + 1) * period;
 
         WindowReport& rep = reports[k];
         rep.window = k;
@@ -777,7 +775,7 @@ struct Session::Impl {
                 trace_event(
                     obs::EventType::kRepairTimeout, obs::Actor::kServer,
                     queue.now(), k, 0,
-                    static_cast<std::int64_t>(cfg.recovery.watchdog_windows));
+                    static_cast<std::int64_t>(RecoveryConfig::kWatchdogWindows));
             }
             if (repair->mode() == RecoveryMode::kProactive &&
                 rlc_decoder.has_value()) {
@@ -806,9 +804,9 @@ struct Session::Impl {
         std::vector<bool>& predropped = predropped_scratch;
         predropped.assign(n, false);
         if (cfg.drop_policy == DropPolicy::kPredictive) {
-            const double budget = sim::to_seconds(cfg.window_duration()) *
+            const double budget = sim::to_seconds(period) *
                                   cfg.data_link.bandwidth_bps *
-                                  (1.0 - cfg.predictive_reserve);
+                                  (1.0 - SessionConfig::kPredictiveReserve);
             double acc = 0.0;
             for (const WireEntry& entry : plan.order) {
                 const media::Frame& frame = frames[entry.local_frame];
@@ -898,8 +896,7 @@ struct Session::Impl {
                 rec[entry.local_frame] = SentFrame{proto, sizes, true};
                 continue;
             }
-            if (!lost.empty() && entry.critical && cfg.retransmit_critical &&
-                cfg.max_retransmits > 0) {
+            if (!lost.empty() && entry.critical && cfg.retransmit_critical) {
                 PendingRetx rx;
                 rx.ready = data.next_free_time() +
                            2 * cfg.data_link.propagation_delay;
@@ -1060,7 +1057,7 @@ struct Session::Impl {
     SessionResult run() {
         reports.assign(cfg.num_windows, WindowReport{});
         for (std::size_t k = 0; k < cfg.num_windows; ++k) {
-            queue.schedule_at(static_cast<sim::SimTime>(k) * cfg.window_duration(),
+            queue.schedule_at(static_cast<sim::SimTime>(k) * period,
                               [this, k] { send_window(k); });
         }
         queue.run();
@@ -1267,6 +1264,9 @@ struct Session::Impl {
     sim::EventQueue queue;
     sim::Rng rng;
     Planner planner;
+    /// One buffer window's playback duration.  Computed once because
+    /// cfg.window_duration() re-reads a kTraceFile stream's file.
+    sim::SimTime period;
     Receiver receiver;
     espread::BurstEstimator estimator;
     espread::SlidingMaxEstimator sliding;

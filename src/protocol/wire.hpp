@@ -31,7 +31,6 @@ struct DataPacket {
     std::size_t num_fragments = 1;
     std::size_t size_bits = 0;
     bool retransmission = false;
-    bool parity = false;         ///< carries no frame data; no sender sets it
     std::size_t fec_group = 0;   ///< RLC source index (coded schemes only)
 };
 
@@ -69,12 +68,16 @@ struct Feedback {
 
 /// Client -> server repair request (receiver-authoritative recovery plane):
 /// the client names what it is still missing for one buffer window — a
-/// bitmap over the window's first 64 local frames plus the RLC decoder's
+/// bitmap over its local frames (at most kMaxFrames) plus the RLC decoder's
 /// rank deficit — and the sender answers with retransmissions or extra
 /// repair packets over the side band.  `retry` sequences the client's
 /// timeout/backoff rounds so a reordered or duplicated NACK cannot trigger
 /// double servicing.
 struct NackRequest {
+    /// Width of the `missing` bitmap: the most frames per window a NACK
+    /// can name (SessionConfig::validate enforces it).
+    static constexpr std::size_t kMaxFrames = 64;
+
     std::uint64_t seq = 0;        ///< NACK sequence number (its own space)
     std::size_t window = 0;       ///< buffer window the request covers
     std::uint64_t missing = 0;    ///< bit f set = local frame f incomplete

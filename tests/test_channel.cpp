@@ -200,7 +200,6 @@ TEST(FaultChannel, FullMixReconciles) {
     cfg.duplicate_rate = 0.15;
     cfg.corrupt_rate = 0.2;
     cfg.jitter_rate = 0.3;
-    cfg.bursts.push_back({50, 7});
     cfg.blackouts.push_back({from_millis(200), from_millis(230)});
     // Corrupter: half detected (reject), half survives mutated.
     ch.set_impairments(cfg, Rng{99}, [](const int& v, Rng& r) {
@@ -215,7 +214,8 @@ TEST(FaultChannel, FullMixReconciles) {
     EXPECT_GT(s.duplicated, 0u);
     EXPECT_GT(s.corrupt_rejected, 0u);
     EXPECT_GT(s.reordered, 0u);
-    EXPECT_GE(s.forced_dropped, 7u);  // the scripted burst at minimum
+    // 0.7 ms packets back to back: the 30 ms blackout covers 43 departures.
+    EXPECT_EQ(s.forced_dropped, 43u);
     expect_reconciled(s, received);
 }
 
@@ -264,7 +264,6 @@ TEST(FaultChannel, ReorderDisplacementIsBounded) {
                          Rng{1}};
     ImpairmentConfig cfg;
     cfg.reorder_rate = 0.5;
-    cfg.reorder_max_displacement = 3;
     ch.set_impairments(cfg, Rng{5});
     std::vector<int> order;
     ch.set_receiver([&](int v) { order.push_back(v); });
@@ -273,10 +272,12 @@ TEST(FaultChannel, ReorderDisplacementIsBounded) {
     q.run();
     ASSERT_EQ(order.size(), static_cast<std::size_t>(kN));
     // With back-to-back equal-size lossless sends, a displaced packet moves
-    // at most reorder_max_displacement positions in either direction.
+    // at most kReorderMaxDisplacement positions in either direction.
+    constexpr int kMaxShift =
+        static_cast<int>(ImpairmentConfig::kReorderMaxDisplacement);
     bool any_displaced = false;
     for (int pos = 0; pos < kN; ++pos) {
-        EXPECT_LE(std::abs(order[pos] - pos), 3) << "at position " << pos;
+        EXPECT_LE(std::abs(order[pos] - pos), kMaxShift) << "at position " << pos;
         if (order[pos] != pos) any_displaced = true;
     }
     EXPECT_TRUE(any_displaced);
@@ -293,7 +294,6 @@ TEST(FaultChannel, DuplicatesDeliverTwiceAndCount) {
                          Rng{1}};
     ImpairmentConfig cfg;
     cfg.duplicate_rate = 1.0;
-    cfg.duplicate_delay = from_millis(2);
     ch.set_impairments(cfg, Rng{3});
     std::vector<int> got;
     ch.set_receiver([&](int v) { got.push_back(v); });
@@ -330,9 +330,7 @@ TEST(FaultChannel, EveryDeliveryCarriesItsOwnPayload) {
                             Rng{5}};
     ImpairmentConfig cfg;
     cfg.duplicate_rate = 0.3;
-    cfg.duplicate_delay = from_millis(2);
     cfg.reorder_rate = 0.3;
-    cfg.reorder_max_displacement = 6;
     ch.set_impairments(cfg, Rng{17});
     std::vector<int> count(kN, 0);
     std::size_t received = 0;
@@ -430,22 +428,6 @@ TEST(FaultChannel, BlackoutKillsExactlyTheInterval) {
     expect_reconciled(s, got.size());
 }
 
-TEST(FaultChannel, ForcedBurstDropsBydIndex) {
-    EventQueue q;
-    FaultChannel<int> ch{q, LinkConfig{1e6, 0}, GilbertParams{1.0, 0.0},
-                         Rng{1}};
-    ImpairmentConfig cfg;
-    cfg.bursts.push_back({3, 4});  // sends 3,4,5,6
-    ch.set_impairments(cfg, Rng{3});
-    std::vector<int> got;
-    ch.set_receiver([&](int v) { got.push_back(v); });
-    for (int i = 0; i < 10; ++i) ch.send(i, 1000);
-    q.run();
-    EXPECT_EQ(got, (std::vector<int>{0, 1, 2, 7, 8, 9}));
-    EXPECT_EQ(ch.stats().forced_dropped, 4u);
-    expect_reconciled(ch.stats(), got.size());
-}
-
 TEST(FaultChannel, CorruptWithoutCorrupterRejectsOutright) {
     EventQueue q;
     FaultChannel<int> ch{q, LinkConfig{1e6, 0}, GilbertParams{1.0, 0.0},
@@ -513,10 +495,6 @@ TEST(FaultChannel, ValidateRejectsBadConfigs) {
     ImpairmentConfig bad_rate;
     bad_rate.duplicate_rate = 1.5;
     EXPECT_THROW(ch.set_impairments(bad_rate, Rng{1}), std::invalid_argument);
-    ImpairmentConfig bad_disp;
-    bad_disp.reorder_rate = 0.1;
-    bad_disp.reorder_max_displacement = 0;
-    EXPECT_THROW(ch.set_impairments(bad_disp, Rng{1}), std::invalid_argument);
     ImpairmentConfig bad_blackout;
     bad_blackout.blackouts.push_back({from_millis(10), from_millis(5)});
     EXPECT_THROW(ch.set_impairments(bad_blackout, Rng{1}),

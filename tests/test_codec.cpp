@@ -16,6 +16,7 @@ using espread::proto::encode;
 using espread::proto::Feedback;
 using espread::proto::peek_type;
 using espread::proto::WindowTrailer;
+using espread::proto::wire_checksum;
 using espread::proto::WireType;
 
 DataPacket sample_packet() {
@@ -29,7 +30,6 @@ DataPacket sample_packet() {
     p.num_fragments = 7;
     p.size_bits = 16384;
     p.retransmission = true;
-    p.parity = false;
     p.fec_group = 99;
     return p;
 }
@@ -49,7 +49,6 @@ TEST(Codec, DataPacketRoundTrip) {
     EXPECT_EQ(q->num_fragments, p.num_fragments);
     EXPECT_EQ(q->size_bits, p.size_bits);
     EXPECT_EQ(q->retransmission, p.retransmission);
-    EXPECT_EQ(q->parity, p.parity);
     EXPECT_EQ(q->fec_group, p.fec_group);
 }
 
@@ -157,6 +156,25 @@ TEST(Codec, RejectsInconsistentFragmentFields) {
     p.fragment = 7;       // == num_fragments: out of range
     p.num_fragments = 7;
     EXPECT_EQ(decode_data(encode(p)), std::nullopt);
+}
+
+TEST(Codec, RejectsUnknownDataFlagBits) {
+    // Bit 0 (retransmission) is the only data flag; any other bit is
+    // rejected so decode stays canonical.  The flags byte sits before the
+    // 4-byte fec_group and the 2-byte CRC.
+    const auto with_flags = [](std::uint8_t flags) {
+        auto bytes = encode(sample_packet());
+        const std::size_t at = bytes.size() - 7;
+        bytes[at] = flags;
+        bytes.resize(bytes.size() - 2);
+        const std::uint16_t crc = wire_checksum(bytes.data(), bytes.size());
+        bytes.push_back(static_cast<std::uint8_t>(crc >> 8));
+        bytes.push_back(static_cast<std::uint8_t>(crc));
+        return bytes;
+    };
+    ASSERT_TRUE(decode_data(with_flags(0x01)).has_value());
+    EXPECT_EQ(decode_data(with_flags(0x02)), std::nullopt);
+    EXPECT_EQ(decode_data(with_flags(0x03)), std::nullopt);
 }
 
 TEST(Codec, TrailerWithTruncatedLayerArrayRejected) {

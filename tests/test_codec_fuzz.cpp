@@ -61,7 +61,6 @@ DataPacket random_data(Rng& r) {
     p.fragment = r.uniform_int(0, static_cast<std::uint64_t>(p.num_fragments) - 1);
     p.size_bits = r.uniform_int(0, 0xFFFFFFFFull);
     p.retransmission = r.bernoulli(0.5);
-    p.parity = r.bernoulli(0.5);
     p.fec_group = r.uniform_int(0, 0xFFFFFFFFull);
     return p;
 }

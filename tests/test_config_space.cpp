@@ -24,6 +24,7 @@
 
 #include "protocol/report.hpp"
 #include "protocol/session.hpp"
+#include "protocol/wire.hpp"
 #include "sim/rng.hpp"
 
 namespace {
@@ -31,6 +32,7 @@ namespace {
 using espread::net::ChannelStats;
 using espread::proto::DropPolicy;
 using espread::proto::EstimatorKind;
+using espread::proto::NackRequest;
 using espread::proto::run_session;
 using espread::proto::Scheme;
 using espread::proto::SessionConfig;
@@ -83,7 +85,6 @@ SessionConfig random_config(Rng& rng) {
     }
 
     cfg.retransmit_critical = rng.bernoulli(0.5);
-    cfg.max_retransmits = static_cast<std::size_t>(rng.uniform_int(0, 6));
     cfg.adaptive = rng.bernoulli(0.8);
     cfg.alpha = rng.uniform(0.0, 1.0);
     cfg.estimator = rng.bernoulli(0.8) ? EstimatorKind::kEwma
@@ -98,15 +99,9 @@ SessionConfig random_config(Rng& rng) {
 
     cfg.drop_policy = rng.bernoulli(0.3) ? DropPolicy::kPredictive
                                          : DropPolicy::kReactive;
-    cfg.predictive_reserve = rng.uniform(0.0, 0.5);
     cfg.playout_startup_windows = rng.uniform(0.5, 1.5);
 
     cfg.recovery.enabled = rng.bernoulli(0.5);
-    cfg.recovery.max_retries = static_cast<std::size_t>(rng.uniform_int(0, 4));
-    cfg.recovery.jitter_frac = rng.uniform(0.0, 0.5);
-    cfg.recovery.credit_cap = static_cast<std::size_t>(rng.uniform_int(0, 8));
-    cfg.recovery.watchdog_windows =
-        static_cast<std::size_t>(rng.uniform_int(1, 3));
 
     const double bw = rng.uniform(0.6e6, 3e6);
     cfg.data_link.bandwidth_bps = bw;
@@ -218,8 +213,6 @@ std::vector<Mutation> mutations() {
          [](SessionConfig& c) { c.data_link.bandwidth_bps = 0.0; }},
         {"startup=0", always,
          [](SessionConfig& c) { c.playout_startup_windows = 0.0; }},
-        {"reserve=1", always,
-         [](SessionConfig& c) { c.predictive_reserve = 1.0; }},
         {"corrupt_rate>1", always,
          [](SessionConfig& c) { c.data_impairment.corrupt_rate = 1.5; }},
         {"gops=0",
@@ -238,12 +231,13 @@ std::vector<Mutation> mutations() {
         {"rlc.den=0",
          [](const SessionConfig& c) { return is_coded(c.scheme); },
          [](SessionConfig& c) { c.rlc.overhead_den = 0; }},
-        {"recovery.queue_limit=0",
-         [](const SessionConfig& c) { return c.recovery.enabled; },
-         [](SessionConfig& c) { c.recovery.queue_limit = 0; }},
-        {"recovery.jitter=1",
-         [](const SessionConfig& c) { return c.recovery.enabled; },
-         [](SessionConfig& c) { c.recovery.jitter_frac = 1.0; }},
+        {"recovery+ldus>64",
+         [](const SessionConfig& c) {
+             return c.recovery.enabled && c.stream.kind != StreamKind::kMpeg;
+         },
+         [](SessionConfig& c) {
+             c.stream.ldus_per_window = NackRequest::kMaxFrames + 1;
+         }},
         {"governor+pinned",
          [](const SessionConfig& c) { return c.governor.enabled; },
          [](SessionConfig& c) { c.pinned_bound = 2; }},

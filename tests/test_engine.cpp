@@ -234,9 +234,6 @@ TEST(Engine, GovernedPoolOfOneMatchesReference) {
     cfg.packets_per_ldu = 2;
     cfg.feedback_loss = {0.6, 0.9};  // mostly-lost feedback: misses abound
     cfg.governor.enabled = true;
-    cfg.governor.miss_budget = 2;
-    cfg.governor.fallback_budget = 3;
-    cfg.governor.recovery_windows = 3;
     cfg.seed = 31;
     constexpr std::size_t kWindows = 300;
 
@@ -430,11 +427,6 @@ TEST(Engine, ValidatesConfig) {
     EXPECT_THROW(ShardedEngine{cfg}, std::invalid_argument);
     cfg = EngineConfig{};
     cfg.fec.nack = true;  // requires the fec arm
-    EXPECT_THROW(ShardedEngine{cfg}, std::invalid_argument);
-    cfg = EngineConfig{};
-    cfg.fec.enabled = true;
-    cfg.fec.nack = true;
-    cfg.fec.nack_credit_cap = 0;
     EXPECT_THROW(ShardedEngine{cfg}, std::invalid_argument);
     // Churn means that would make the geometric draws spin forever
     // (p = 1/(1 + mean) = 0) or overflow the uint32 clamp.  validate()

@@ -63,14 +63,9 @@ TEST(GovernorConfig, ValidateRejectsBadThresholds) {
     g = test_config();
     g.recovery_windows = 0;
     EXPECT_THROW(g.validate(), std::invalid_argument);
-    g = test_config();
-    g.outage_decay = -0.1;
-    EXPECT_THROW(g.validate(), std::invalid_argument);
-    g = test_config();
-    g.outage_decay = 1.5;
-    EXPECT_THROW(g.validate(), std::invalid_argument);
-    g = test_config();
-    g.max_rearm_windows = g.recovery_windows - 1;
+    g.recovery_windows = GovernorConfig::kMaxRearmWindows;
+    EXPECT_NO_THROW(g.validate());
+    g.recovery_windows = GovernorConfig::kMaxRearmWindows + 1;
     EXPECT_THROW(g.validate(), std::invalid_argument);
 }
 
@@ -219,40 +214,50 @@ TEST(Governor, OutageMidRecoveryDoublesRearmStreak) {
     GovernorConfig cfg = test_config();
     cfg.miss_budget = 1;
     cfg.recovery_windows = 2;
-    cfg.max_rearm_windows = 8;
     AdaptationGovernor gov(cfg, est);
 
-    auto ack = [&](std::size_t window, std::uint64_t seq) {
-        ASSERT_EQ(gov.admit_ack(window, seq), std::nullopt);
+    std::size_t w = 1;
+    std::uint64_t seq = 0;
+    auto ack = [&] {
+        ASSERT_EQ(gov.admit_ack(w - 1, ++seq), std::nullopt);
         gov.on_observation(3);
+    };
+    // Two missed windows (Degraded, then Fallback), then feedback returns:
+    // the next window enters Recovering.  From Recovering, the first miss
+    // is a flap and doubles the clean streak the next recovery needs.
+    auto outage = [&] {
+        gov.on_window_start(++w);
+        ASSERT_EQ(gov.state(), GovernorState::kDegraded);
+        gov.on_window_start(++w);
+        ASSERT_EQ(gov.state(), GovernorState::kFallback);
+        ack();
+        gov.on_window_start(++w);
+        ASSERT_EQ(gov.state(), GovernorState::kRecovering);
+    };
+    // Clean windows until Normal; returns how many Recovering windows ran.
+    auto recover = [&] {
+        const std::size_t entered = w;
+        while (gov.state() == GovernorState::kRecovering) {
+            ack();
+            gov.on_window_start(++w);
+        }
+        EXPECT_EQ(gov.state(), GovernorState::kNormal);
+        return w - entered;
     };
 
     gov.on_window_start(0);
     gov.on_window_start(1);
-    gov.on_window_start(2);  // miss 1
-    gov.on_window_start(3);  // miss 2 > budget: Fallback
-    ASSERT_EQ(gov.state(), GovernorState::kFallback);
-    ack(2, 1);
-    gov.on_window_start(4);  // Recovering, needs 2 clean windows
-    ASSERT_EQ(gov.state(), GovernorState::kRecovering);
-    gov.on_window_start(5);  // flap: a miss mid-recovery doubles the streak
-    ASSERT_EQ(gov.state(), GovernorState::kDegraded);
-    gov.on_window_start(6);  // second consecutive miss: Fallback again
-    ASSERT_EQ(gov.state(), GovernorState::kFallback);
-    ack(5, 2);
-    gov.on_window_start(7);  // Recovering with a doubled 4-window streak
-    ASSERT_EQ(gov.state(), GovernorState::kRecovering);
-    for (std::size_t w = 8; w <= 10; ++w) {
-        ack(w - 2, w);
-        gov.on_window_start(w);
-        ASSERT_EQ(gov.state(), GovernorState::kRecovering)
-            << "rearm must now take 4 windows, not 2 (window " << w << ")";
-    }
-    ack(9, 20);
-    gov.on_window_start(11);
-    EXPECT_EQ(gov.state(), GovernorState::kNormal);
-    EXPECT_EQ(gov.report().fallbacks, 2u);
-    EXPECT_EQ(gov.report().recoveries, 2u);
+    outage();  // Recovering, needs 2 clean windows
+    outage();  // flap: 2 -> 4
+    EXPECT_EQ(recover(), 4u) << "one flap must double the streak";
+
+    // Reaching Normal re-arms at recovery_windows; five flaps double it
+    // 2 -> 4 -> 8 -> 16 -> 32 and then hold it at kMaxRearmWindows.
+    outage();
+    for (int flap = 0; flap < 5; ++flap) outage();
+    EXPECT_EQ(recover(), GovernorConfig::kMaxRearmWindows);
+    EXPECT_EQ(gov.report().fallbacks, 8u);
+    EXPECT_EQ(gov.report().recoveries, 8u);
 }
 
 TEST(Governor, HysteresisHoldsPublishedBoundUntilStreak) {

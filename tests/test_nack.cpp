@@ -82,31 +82,17 @@ std::size_t count_events(const TraceRecorder& rec, EventType type) {
 TEST(RecoveryConfigTest, ValidateRejectsBadValues) {
     SessionConfig base = hybrid_config(1);
     base.recovery.enabled = true;
+    base.stream.ldus_per_window = NackRequest::kMaxFrames;
     EXPECT_NO_THROW(base.validate());
 
+    // Frames past the NACK bitmap could never be named in a request.
     SessionConfig cfg = base;
-    cfg.recovery.rtt_timeout_mult = 0.0;
+    cfg.stream.ldus_per_window = NackRequest::kMaxFrames + 1;
     EXPECT_THROW(cfg.validate(), std::invalid_argument);
 
-    cfg = base;
-    cfg.recovery.backoff_base = 0.5;
-    EXPECT_THROW(cfg.validate(), std::invalid_argument);
-
-    cfg = base;
-    cfg.recovery.jitter_frac = 1.0;
-    EXPECT_THROW(cfg.validate(), std::invalid_argument);
-
-    cfg = base;
-    cfg.recovery.queue_limit = 0;
-    EXPECT_THROW(cfg.validate(), std::invalid_argument);
-
-    cfg = base;
-    cfg.recovery.max_repairs_per_nack = 0;
-    EXPECT_THROW(cfg.validate(), std::invalid_argument);
-
-    cfg = base;
-    cfg.recovery.watchdog_windows = 0;
-    EXPECT_THROW(cfg.validate(), std::invalid_argument);
+    // Without the recovery plane the window size is unconstrained.
+    cfg.recovery.enabled = false;
+    EXPECT_NO_THROW(cfg.validate());
 }
 
 // ---------------------------------------------------------------------------
@@ -115,8 +101,6 @@ TEST(RecoveryConfigTest, ValidateRejectsBadValues) {
 RecoveryConfig sched_config() {
     RecoveryConfig r;
     r.enabled = true;
-    r.watchdog_windows = 2;
-    r.queue_limit = 3;
     return r;
 }
 
@@ -157,7 +141,7 @@ TEST(RepairSchedulerTest, WatchdogFlipsToProactiveAndBack) {
     // Windows 0 and 1 are grace: the first ACK cannot have arrived yet.
     EXPECT_EQ(s.on_window_start(0, std::nullopt), RecoveryMode::kReactive);
     EXPECT_EQ(s.on_window_start(1, std::nullopt), RecoveryMode::kReactive);
-    // Silence through the grace plus watchdog_windows = 2 more windows.
+    // Silence through the grace plus kWatchdogWindows = 2 more windows.
     EXPECT_EQ(s.on_window_start(2, std::nullopt), RecoveryMode::kReactive);
     EXPECT_EQ(s.on_window_start(3, std::nullopt), RecoveryMode::kProactive);
     EXPECT_FALSE(s.may_service_now());
@@ -201,7 +185,8 @@ TEST(RepairSchedulerTest, AdmitRejectsForgedExpiredAndDuplicate) {
 }
 
 TEST(RepairSchedulerTest, QueueShedsEarliestDeadlineUnderOverload) {
-    RepairScheduler s(sched_config(), 8);  // queue_limit = 3
+    RepairScheduler s(sched_config(), 8);
+    static_assert(RecoveryConfig::kQueueLimit == 16);
 
     const auto push = [&s](std::uint64_t seq, espread::sim::SimTime deadline) {
         RepairJob j;
@@ -210,32 +195,39 @@ TEST(RepairSchedulerTest, QueueShedsEarliestDeadlineUnderOverload) {
         j.deadline = deadline;
         return s.enqueue(j);
     };
+    // Fill the queue: seq 1 at 50, seq 2 at 70, seqs 3..16 at 90..220.
     EXPECT_FALSE(push(1, 50).has_value());
-    EXPECT_FALSE(push(2, 90).has_value());
-    EXPECT_FALSE(push(3, 70).has_value());
-    EXPECT_EQ(s.queued(), 3u);
+    EXPECT_FALSE(push(2, 70).has_value());
+    for (std::uint64_t seq = 3; seq <= 16; ++seq) {
+        EXPECT_FALSE(
+            push(seq, static_cast<espread::sim::SimTime>(90 + 10 * (seq - 3)))
+                .has_value());
+    }
+    EXPECT_EQ(s.queued(), 16u);
 
     // Overflow evicts the earliest deadline — the least salvageable job.
-    const auto shed = push(4, 80);
+    const auto shed = push(17, 80);
     ASSERT_TRUE(shed.has_value());
     EXPECT_EQ(shed->seq, 1u);
-    EXPECT_EQ(s.queued(), 3u);
+    EXPECT_EQ(s.queued(), 16u);
     EXPECT_EQ(s.report().jobs_shed, 1u);
 
     // An incoming job that is itself the earliest bounces straight back.
-    const auto bounced = push(5, 10);
+    const auto bounced = push(18, 10);
     ASSERT_TRUE(bounced.has_value());
-    EXPECT_EQ(bounced->seq, 5u);
+    EXPECT_EQ(bounced->seq, 18u);
 
     // Draining releases jobs deadline-first and drops expired ones.
     s.on_window_start(0, GovernorState::kNormal);
     const auto first = s.next_job(75);  // 70 has expired by now
     ASSERT_TRUE(first.has_value());
-    EXPECT_EQ(first->seq, 4u);
+    EXPECT_EQ(first->seq, 17u);
     EXPECT_EQ(s.report().jobs_expired, 1u);
-    const auto second = s.next_job(75);
-    ASSERT_TRUE(second.has_value());
-    EXPECT_EQ(second->seq, 2u);
+    for (std::uint64_t seq = 3; seq <= 16; ++seq) {
+        const auto next = s.next_job(75);
+        ASSERT_TRUE(next.has_value());
+        EXPECT_EQ(next->seq, seq);
+    }
     EXPECT_FALSE(s.next_job(75).has_value());
 }
 
@@ -292,10 +284,10 @@ TEST(RecoverySessionTest, BlackoutDegradesToProactiveWithBoundedNacks) {
     cfg.trace = &rec;
 
     const SessionResult r = run_session(cfg);
-    // Retry cap: at most (max_retries + 1) NACK rounds per window, dead
+    // Retry cap: at most (kMaxRetries + 1) NACK rounds per window, dead
     // feedback or not — no retry storm.
     EXPECT_LE(r.metrics.counter("nack_requests_sent"),
-              cfg.num_windows * (cfg.recovery.max_retries + 1));
+              cfg.num_windows * (RecoveryConfig::kMaxRetries + 1));
     // The watchdog flipped the plane to the fixed proactive schedule.
     EXPECT_GE(r.metrics.counter("recovery_watchdog_timeouts"), 1u);
     EXPECT_GT(r.metrics.counter("recovery_windows_proactive"), 0u);

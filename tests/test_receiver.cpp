@@ -150,16 +150,6 @@ TEST(Receiver, ForwardPrerequisiteHandledByFixedPoint) {
     EXPECT_EQ(out.undecodable, 2u);
 }
 
-TEST(Receiver, ParityPacketsIgnored) {
-    Receiver r = flat_receiver();
-    DataPacket parity = packet(0, 0, 0, 0);
-    parity.parity = true;
-    r.on_packet(parity);
-    r.on_trailer(trailer(0, {1}));
-    const WindowOutcome out = r.finalize(0);
-    EXPECT_FALSE(out.playback[0]);
-}
-
 TEST(Receiver, WindowsIndependentAndReleasedAfterFinalize) {
     Receiver r = flat_receiver();
     r.on_packet(packet(0, 0, 0, 0));
@@ -317,7 +307,6 @@ public:
     void set_window_limit(std::size_t limit) { limit_ = limit; }
 
     void on_packet(const DataPacket& p, espread::sim::SimTime now) {
-        if (p.parity) return;
         if (finalized_.count(p.window)) {
             ++stale;
             return;
@@ -502,14 +491,13 @@ struct Op {
 
 /// Mutates one header field the way a corrupt-but-decodable record can.
 void corrupt(DataPacket& p, espread::sim::Rng& rng) {
-    switch (rng.uniform_int(0, 7)) {
+    switch (rng.uniform_int(0, 6)) {
         case 0: ++p.num_fragments; break;
         case 1: p.layer += 1 + rng.uniform_int(0, 2); break;
         case 2: ++p.tx_pos; break;
         case 3: p.fragment = p.num_fragments + rng.uniform_int(0, 3); break;
         case 4: p.num_fragments = std::size_t{1} << 40; break;
         case 5: p.num_fragments = 0; break;
-        case 6: p.parity = true; break;
         default: p.window = 1'000'000 + rng.uniform_int(0, 9); break;
     }
 }

@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <stdexcept>
 
 #include "media/trace.hpp"
 #include "media/trace_io.hpp"
+#include "protocol/report.hpp"
 
 namespace {
 
@@ -190,6 +192,33 @@ TEST(Session, TraceFileDrivenSession) {
     EXPECT_EQ(r.total.unit_losses, 0u);
 }
 
+TEST(Session, TraceFileIsReadOnlyAtConstruction) {
+    // Every per-window site uses the window duration computed at
+    // construction, so deleting the file before run() changes nothing.
+    const std::string path =
+        ::testing::TempDir() + "/espread_session_trace_deleted.txt";
+    espread::media::TraceGenerator gen{
+        espread::media::movie_stats("Terminator"), 17};
+    espread::media::write_trace_file(path, gen.generate(6));
+
+    SessionConfig cfg = base_config();  // lossy, so repairs are scheduled
+    cfg.stream.kind = StreamKind::kTraceFile;
+    cfg.stream.trace_path = path;
+    cfg.stream.frame_rate = 24.0;
+    cfg.num_windows = 8;
+    cfg.drop_policy = espread::proto::DropPolicy::kPredictive;
+    cfg.recovery.enabled = true;
+    const SessionResult with_file = run_session(cfg);
+
+    espread::proto::Session session{cfg};
+    ASSERT_EQ(std::remove(path.c_str()), 0);
+    const SessionResult without_file = session.run();
+    EXPECT_EQ(espread::proto::summarize(with_file),
+              espread::proto::summarize(without_file));
+    EXPECT_EQ(with_file.playout_window_clf, without_file.playout_window_clf);
+    EXPECT_EQ(with_file.data_channel.sent, without_file.data_channel.sent);
+}
+
 TEST(Session, TraceFileConfigValidation) {
     SessionConfig cfg = base_config();
     cfg.stream.kind = StreamKind::kTraceFile;
@@ -245,11 +274,8 @@ TEST(Session, SlidingMaxEstimatorRuns) {
 
 TEST(Session, PredictiveConfigValidation) {
     SessionConfig cfg = base_config();
-    cfg.predictive_reserve = 1.0;
-    EXPECT_THROW(run_session(cfg), std::invalid_argument);
-    cfg = base_config();
-    cfg.predictive_reserve = -0.1;
-    EXPECT_THROW(run_session(cfg), std::invalid_argument);
+    cfg.drop_policy = espread::proto::DropPolicy::kPredictive;
+    EXPECT_NO_THROW(cfg.validate());
     cfg = base_config();
     cfg.estimator = espread::proto::EstimatorKind::kSlidingMax;
     cfg.sliding_history = 0;

@@ -1,7 +1,7 @@
 // Property tests for full sessions under fault injection: 64-seed sweeps
 // per impairment mix.  Whatever the network does — reordering, duplication,
-// corruption through the wire codec, jitter, ACK blackouts, adversarial
-// forced bursts — a session must terminate, keep its conservation laws
+// corruption through the wire codec, jitter, ACK and data blackouts — a
+// session must terminate, keep its conservation laws
 // (now the impaired reconciliation delivered + dropped + corrupt_rejected
 // == sent + duplicated), never double-count an LDU, respect the pigeonhole
 // lower bound on CLF, and stay a pure function of (config, seed) — which
@@ -74,7 +74,6 @@ SessionConfig mixed_config(Mix mix, std::uint64_t seed) {
     switch (mix) {
         case Mix::kReorder:
             cfg.data_impairment.reorder_rate = 0.3;
-            cfg.data_impairment.reorder_max_displacement = 4;
             break;
         case Mix::kDuplicate:
             cfg.data_impairment.duplicate_rate = 0.3;
@@ -93,7 +92,9 @@ SessionConfig mixed_config(Mix mix, std::uint64_t seed) {
             cfg.data_impairment.duplicate_rate = 0.15;
             cfg.data_impairment.corrupt_rate = 0.15;
             cfg.data_impairment.jitter_rate = 0.3;
-            cfg.data_impairment.bursts.push_back({40, 12});
+            // A scripted data outage inside window 2 (1067–1600 ms).
+            cfg.data_impairment.blackouts.push_back(
+                {espread::sim::from_millis(1200), espread::sim::from_millis(1400)});
             cfg.feedback_impairment.corrupt_rate = 0.2;
             cfg.blackout_feedback_windows(3, 5);  // kill the ACK path
             break;
@@ -200,6 +201,7 @@ TEST(SessionFaults, ImpairmentCountersSurfaceInMetrics) {
     EXPECT_EQ(m.counter("data_packets_reordered"), r.data_channel.reordered);
     EXPECT_EQ(m.counter("data_packets_forced_dropped"),
               r.data_channel.forced_dropped);
+    EXPECT_GT(r.data_channel.forced_dropped, 0u);  // the data blackout
     EXPECT_GT(m.counter("data_packets_duplicated") +
                   m.counter("data_packets_corrupt_rejected") +
                   m.counter("data_packets_reordered"),
@@ -390,7 +392,8 @@ void check_nack_invariants(const SessionConfig& cfg, const SessionResult& r) {
     const auto& m = r.metrics;
     // Retry cap: dead or hostile feedback can never produce a NACK storm.
     EXPECT_LE(m.counter("nack_requests_sent"),
-              cfg.num_windows * (cfg.recovery.max_retries + 1));
+              cfg.num_windows *
+                  (espread::proto::RecoveryConfig::kMaxRetries + 1));
     // The funnel only narrows: serviced <= admitted <= received <= sent
     // (corruption and blackout eat requests, duplication is deduped).
     EXPECT_LE(m.counter("nack_requests_serviced"),
