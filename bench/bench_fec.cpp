@@ -279,7 +279,7 @@ int main(int argc, char** argv) {
                 c3 = false;
                 std::fprintf(stderr,
                              "bench_fec: C3 FAIL uncoded arm %s carries %s\n",
-                             cells[i].arm, name.c_str());
+                             cells[i].arm, std::string(name).c_str());
             }
         }
     }

@@ -315,7 +315,7 @@ int main(int argc, char** argv) {
                 n3 = false;
                 std::fprintf(stderr,
                              "bench_nack: N3 FAIL fixed arm carries %s\n",
-                             name.c_str());
+                             std::string(name).c_str());
             }
         }
         // RLC repairs legitimately ride the side band in every arm; only

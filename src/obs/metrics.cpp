@@ -1,42 +1,47 @@
 #include "obs/metrics.hpp"
 
+#include <string>
+
 #include "exp/json.hpp"
 
 namespace espread::obs {
 
-void MetricsRegistry::add_counter(std::string_view name, std::uint64_t delta) {
-    const auto it = counters_.find(name);
-    if (it == counters_.end()) {
-        counters_.emplace(std::string{name}, delta);
-    } else {
-        it->second += delta;
-    }
-}
-
 std::uint64_t MetricsRegistry::counter(std::string_view name) const noexcept {
-    const auto it = counters_.find(name);
-    return it == counters_.end() ? 0 : it->second;
-}
-
-sim::Histogram& MetricsRegistry::histogram(std::string_view name) {
-    const auto it = histograms_.find(name);
-    if (it != histograms_.end()) return it->second;
-    return histograms_.emplace(std::string{name}, sim::Histogram{}).first->second;
+    const std::size_t i = contracts::index_of(contracts::kSessionMetricNames, name);
+    return i < kMetricSlots ? counts_[i] : 0;
 }
 
 const sim::Histogram* MetricsRegistry::find_histogram(
     std::string_view name) const noexcept {
-    const auto it = histograms_.find(name);
-    return it == histograms_.end() ? nullptr : &it->second;
+    const std::size_t i = contracts::index_of(contracts::kSessionMetricNames, name);
+    return i < kMetricSlots && binned_[i] ? &hists_[i] : nullptr;
 }
 
 void MetricsRegistry::merge(const MetricsRegistry& other) {
-    for (const auto& [name, value] : other.counters_) {
-        add_counter(name, value);
+    // An absent slot holds 0 and an empty histogram, so adding it is a no-op.
+    for (std::size_t i = 0; i < kMetricSlots; ++i) {
+        counts_[i] += other.counts_[i];
+        hists_[i].merge(other.hists_[i]);
     }
-    for (const auto& [name, hist] : other.histograms_) {
-        histogram(name).merge(hist);
+    counted_ |= other.counted_;
+    binned_ |= other.binned_;
+}
+
+std::vector<std::pair<std::string_view, std::uint64_t>> MetricsRegistry::counters() const {
+    std::vector<std::pair<std::string_view, std::uint64_t>> out;
+    for (std::size_t i = 0; i < kMetricSlots; ++i) {
+        if (counted_[i]) out.emplace_back(contracts::kSessionMetricNames[i], counts_[i]);
     }
+    return out;
+}
+
+std::vector<std::pair<std::string_view, const sim::Histogram*>>
+MetricsRegistry::histograms() const {
+    std::vector<std::pair<std::string_view, const sim::Histogram*>> out;
+    for (std::size_t i = 0; i < kMetricSlots; ++i) {
+        if (binned_[i]) out.emplace_back(contracts::kSessionMetricNames[i], &hists_[i]);
+    }
+    return out;
 }
 
 void append_metrics(exp::JsonWriter& json, const MetricsRegistry& metrics) {
@@ -49,10 +54,10 @@ void append_metrics(exp::JsonWriter& json, const MetricsRegistry& metrics) {
     json.key("histograms").begin_object();
     for (const auto& [name, hist] : metrics.histograms()) {
         json.key(name).begin_object();
-        json.key("total").value(static_cast<std::uint64_t>(hist.total()));
-        json.key("mean").value(hist.mean());
+        json.key("total").value(static_cast<std::uint64_t>(hist->total()));
+        json.key("mean").value(hist->mean());
         json.key("bins").begin_object();
-        for (const auto& [value, count] : hist.bins()) {
+        for (const auto& [value, count] : hist->bins()) {
             json.key(std::to_string(value))
                 .value(static_cast<std::uint64_t>(count));
         }

@@ -344,7 +344,7 @@ struct Session::Impl {
             } else if (rlc_nack_credit < RecoveryConfig::kCreditCap) {
                 ++rlc_nack_credit;
             } else {
-                ++nack_credits_expired;
+                metrics.add("nack_credits_expired");
             }
         }
     }
@@ -370,15 +370,15 @@ struct Session::Impl {
         // rlc_repair_bits_sent, not a deadline penalty on the stream.
         const std::size_t wire_bits = rp.size_bits + kPacketHeaderBits;
         const bool ok = data.send_sideband(DataMsg{rp}, wire_bits);
-        ++rlc_repairs_sent;
-        rlc_repair_bits += wire_bits;
+        metrics.add("rlc_repairs_sent");
+        metrics.add("rlc_repair_bits_sent", wire_bits);
         if (ok) {
             packet_burst = 0;
         } else {
             ++packet_burst;
             rep.actual_packet_burst =
                 std::max(rep.actual_packet_burst, packet_burst);
-            ++rlc_repairs_lost;
+            metrics.add("rlc_repairs_lost");
         }
         trace_event(obs::EventType::kRepairSent, obs::Actor::kServer,
                     data.next_free_time(), rep.window, rp.seq,
@@ -405,7 +405,7 @@ struct Session::Impl {
                 const RlcSource& src = rlc_source(e.index);
                 const double delay_s =
                     std::max(0.0, e.at - sim::to_seconds(src.expect_arrival));
-                rlc_in_order_delay_ms.add(
+                metrics.hist("rlc_in_order_delay_ms").add(
                     static_cast<std::int64_t>(delay_s * 1e3));
             }
         }
@@ -453,7 +453,7 @@ struct Session::Impl {
                                static_cast<double>(kPacketHeaderBits);
         if (static_cast<double>(end) >
             static_cast<double>(client_hi + w) + carried) {
-            ++rlc_forged_rejected;
+            metrics.add("rlc_forged_rejected");
             return false;
         }
         if (end > client_hi) {
@@ -484,7 +484,7 @@ struct Session::Impl {
     void client_on_repair(const RepairPacket& r) {
         if (!rlc_decoder.has_value()) return;
         if (r.count == 0 || r.count > cfg.rlc.window_packets) {
-            ++rlc_forged_rejected;
+            metrics.add("rlc_forged_rejected");
             return;
         }
         if (!client_admit(r.base + r.count)) return;
@@ -499,9 +499,9 @@ struct Session::Impl {
             if (idx < rlc_lo || idx >= rlc_next) continue;
             const RlcSource& src = rlc_source(idx);
             receiver.on_packet(src.header, queue.now());
-            ++rlc_recovered;
+            metrics.add("rlc_packets_recovered");
             if (cfg.collect_metrics) {
-                rlc_decode_delay_ms.add(static_cast<std::int64_t>(
+                metrics.hist("rlc_decode_delay_ms").add(static_cast<std::int64_t>(
                     (queue.now() - src.expect_arrival) / 1'000'000));
             }
             trace_event(obs::EventType::kFecRecovered, obs::Actor::kClient,
@@ -545,7 +545,7 @@ struct Session::Impl {
         const sim::SimTime rtt = cfg.feedback_link.propagation_delay +
                                  cfg.data_link.propagation_delay;
         if (queue.now() + rtt >= fin) {
-            ++nacks_suppressed_budget;
+            metrics.add("nack_suppressed_budget");
             return;  // even an instant answer would arrive past the budget
         }
         NackRequest nr;
@@ -554,7 +554,7 @@ struct Session::Impl {
         nr.missing = missing;
         nr.rank_deficit = deficit;
         nr.retry = round;
-        ++nacks_sent;
+        metrics.add("nack_requests_sent");
         trace_event(obs::EventType::kNackSent, obs::Actor::kClient,
                     queue.now(), k, nr.seq,
                     static_cast<std::int64_t>(std::popcount(missing)),
@@ -577,7 +577,7 @@ struct Session::Impl {
     /// immediate service, queueing, or shedding per the window's mode.
     void on_nack(const NackRequest& nr) {
         if (!repair.has_value()) return;  // only an undetected flip forges one
-        ++nacks_received;
+        metrics.add("nack_requests_received");
         repair->on_feedback_alive();
         const sim::SimTime deadline =
             nr.window < cfg.num_windows ? recovery_fin_time(nr.window) : 0;
@@ -617,7 +617,7 @@ struct Session::Impl {
                     queue.now() + data.serialization_time(total_bits) +
                     cfg.data_link.propagation_delay;
                 if (arrive >= playout.deadline(job.window * n + f)) {
-                    ++nack_retx_skipped_deadline;
+                    metrics.add("nack_retx_skipped_deadline");
                     continue;
                 }
                 for (std::size_t frag = 0; frag < sf.sizes.size(); ++frag) {
@@ -631,8 +631,8 @@ struct Session::Impl {
                     data.send_sideband(DataMsg{p}, wire_bits);
                     ++rep.retransmissions;
                     ++retx_pkts;
-                    ++nack_retx_packets;
-                    nack_retx_bits += wire_bits;
+                    metrics.add("nack_retx_packets");
+                    metrics.add("nack_retx_bits", wire_bits);
                 }
             }
         }
@@ -646,9 +646,9 @@ struct Session::Impl {
                 --rlc_nack_credit;
                 ++repairs;
             }
-            nack_repairs_sent += repairs;
+            metrics.add("nack_repairs_sent", repairs);
         }
-        ++nacks_serviced;
+        metrics.add("nack_requests_serviced");
         trace_event(obs::EventType::kNackServed, obs::Actor::kServer,
                     queue.now(), job.window, job.seq,
                     static_cast<std::int64_t>(retx_pkts),
@@ -695,7 +695,7 @@ struct Session::Impl {
         if (cfg.collect_metrics) {
             // NACK round trip + queueing behind the window's own traffic,
             // from the moment the loss hit the wire to the resend start.
-            retx_latency_ms.add(
+            metrics.hist("retransmit_latency_ms").add(
                 static_cast<std::int64_t>((start - rx.lost_at) / 1'000'000));
         }
         // Resend every listed fragment, compacting the ones lost again to
@@ -952,7 +952,7 @@ struct Session::Impl {
         f.window = k;
         f.layer_max_burst = out.layer_max_burst;
         f.layer_lost = out.layer_lost;
-        ++acks_sent;
+        metrics.add("acks_sent");
         trace_event(obs::EventType::kAckSent, obs::Actor::kClient,
                     queue.now(), k, f.seq);
         feedback.send(FeedbackMsg{std::move(f)}, cfg.feedback_bits);
@@ -1004,7 +1004,7 @@ struct Session::Impl {
         // UDP ACKs can arrive out of order; the server acts only on the
         // highest sequence number seen (paper §4.2).
         if (f.seq <= last_ack_seq) {
-            ++acks_stale;
+            metrics.add("acks_stale");
             trace_event(obs::EventType::kAckStale, obs::Actor::kServer,
                         queue.now(), f.window, f.seq);
             return;
@@ -1018,7 +1018,7 @@ struct Session::Impl {
             return;
         }
         last_ack_seq = f.seq;
-        ++acks_applied;
+        metrics.add("acks_applied");
         feedback_window_ = f.window;
         trace_event(obs::EventType::kAckApplied, obs::Actor::kServer,
                     queue.now(), f.window, f.seq);
@@ -1074,8 +1074,8 @@ struct Session::Impl {
         result.total = meter.total();
         result.data_channel = data.stats();
         result.feedback_channel = feedback.stats();
-        result.acks_sent = acks_sent;
-        result.acks_applied = acks_applied;
+        result.acks_sent = metrics["acks_sent"];
+        result.acks_applied = metrics["acks_applied"];
         if (governor.has_value()) result.governor = governor->report();
 
         // Playout-judged continuity over the whole stream.
@@ -1110,28 +1110,31 @@ struct Session::Impl {
         return result;
     }
 
-    /// Populates SessionResult::metrics from the finished run.
-    void fill_metrics(SessionResult& result,
-                      const espread::LossMask& playout_mask) const {
-        obs::MetricsRegistry& m = result.metrics;
-        m.add_counter("data_packets_sent", result.data_channel.sent);
-        m.add_counter("data_packets_dropped", result.data_channel.dropped);
-        m.add_counter("data_packets_delivered", result.data_channel.delivered);
-        m.add_counter("data_bits_sent", result.data_channel.bits_sent);
-        m.add_counter("feedback_packets_sent", result.feedback_channel.sent);
-        m.add_counter("feedback_packets_dropped",
-                      result.feedback_channel.dropped);
-        m.add_counter("acks_sent", acks_sent);
-        m.add_counter("acks_applied", acks_applied);
-        m.add_counter("acks_stale", acks_stale);
+    /// Completes the registry from the finished run and hands it to
+    /// SessionResult::metrics.  The sites above count in flight; the values
+    /// kept elsewhere (channel stats, window reports, the receiver, the
+    /// governor and the repair scheduler) are added here.  Each gated group
+    /// appears only when its feature ran, so a registry without the feature
+    /// stays byte-identical to builds that predate it (zero-cost-off).
+    void fill_metrics(SessionResult& result, const espread::LossMask& playout_mask) {
+        obs::MetricsRegistry& m = metrics;
+        const net::ChannelStats& d = result.data_channel;
+        const net::ChannelStats& f = result.feedback_channel;
+        m.add("data_packets_sent", d.sent);
+        m.add("data_packets_dropped", d.dropped);
+        m.add("data_packets_delivered", d.delivered);
+        m.add("data_bits_sent", d.bits_sent);
+        m.add("feedback_packets_sent", f.sent);
+        m.add("feedback_packets_dropped", f.dropped);
+        m.open({"acks_applied", "acks_sent", "acks_stale"});
         std::size_t playout_misses = 0;
         for (const bool ok : playout_mask) playout_misses += ok ? 0 : 1;
-        m.add_counter("playout_misses", playout_misses);
+        m.add("playout_misses", playout_misses);
 
         std::uint64_t retx = 0, dropped = 0, undecodable = 0;
-        sim::Histogram& bounds = m.histogram("bound_used");
-        sim::Histogram& clf = m.histogram("window_clf");
-        sim::Histogram& burst = m.histogram("window_packet_burst");
+        sim::Histogram& bounds = m.hist("bound_used");
+        sim::Histogram& clf = m.hist("window_clf");
+        sim::Histogram& burst = m.hist("window_packet_burst");
         for (const WindowReport& w : result.windows) {
             retx += w.retransmissions;
             dropped += w.sender_dropped;
@@ -1140,124 +1143,78 @@ struct Session::Impl {
             clf.add(static_cast<std::int64_t>(w.clf));
             burst.add(static_cast<std::int64_t>(w.actual_packet_burst));
         }
-        m.add_counter("retransmissions", retx);
-        m.add_counter("frames_deadline_dropped", dropped);
-        m.add_counter("frames_undecodable", undecodable);
-        m.histogram("loss_run_length").merge(result.data_channel.loss_runs);
-        m.histogram("retransmit_latency_ms").merge(retx_latency_ms);
+        m.add("retransmissions", retx);
+        m.add("frames_deadline_dropped", dropped);
+        m.add("frames_undecodable", undecodable);
+        m.hist("loss_run_length").merge(d.loss_runs);
+        m.hist("retransmit_latency_ms");  // present even when empty
 
-        // Impairment accounting appears only when a fault plan is active,
-        // so unimpaired metric registries stay byte-identical to pre-fault
-        // builds (the zero-cost-off contract).
         if (cfg.data_impairment.active() || cfg.feedback_impairment.active()) {
-            m.add_counter("data_packets_duplicated",
-                          result.data_channel.duplicated);
-            m.add_counter("data_packets_corrupt_rejected",
-                          result.data_channel.corrupt_rejected);
-            m.add_counter("data_packets_reordered",
-                          result.data_channel.reordered);
-            m.add_counter("data_packets_forced_dropped",
-                          result.data_channel.forced_dropped);
-            m.add_counter("feedback_corrupt_rejected",
-                          result.feedback_channel.corrupt_rejected);
-            m.add_counter("feedback_forced_dropped",
-                          result.feedback_channel.forced_dropped);
-            m.add_counter("recv_duplicates_dropped",
-                          receiver.duplicates_dropped());
-            m.add_counter("recv_stale_dropped", receiver.stale_dropped());
-            m.add_counter("recv_mismatch_dropped",
-                          receiver.mismatch_dropped());
+            m.add("data_packets_duplicated", d.duplicated);
+            m.add("data_packets_corrupt_rejected", d.corrupt_rejected);
+            m.add("data_packets_reordered", d.reordered);
+            m.add("data_packets_forced_dropped", d.forced_dropped);
+            m.add("feedback_corrupt_rejected", f.corrupt_rejected);
+            m.add("feedback_forced_dropped", f.forced_dropped);
+            m.add("recv_duplicates_dropped", receiver.duplicates_dropped());
+            m.add("recv_stale_dropped", receiver.stale_dropped());
+            m.add("recv_mismatch_dropped", receiver.mismatch_dropped());
         }
-
-        // RLC accounting appears only for the coding schemes, keeping
-        // uncoded registries byte-identical to pre-FEC builds.
         if (rlc_decoder.has_value()) {
-            m.add_counter("rlc_repairs_sent", rlc_repairs_sent);
-            m.add_counter("rlc_repairs_lost", rlc_repairs_lost);
-            m.add_counter("rlc_repairs_redundant",
-                          rlc_decoder->repairs_redundant());
-            m.add_counter("rlc_repair_bits_sent", rlc_repair_bits);
-            m.add_counter("rlc_packets_recovered", rlc_recovered);
-            m.add_counter("rlc_packets_unrecovered",
-                          rlc_decoder->symbols_lost());
-            m.add_counter("rlc_rank", rlc_decoder->rank());
-            m.add_counter("rlc_forged_rejected", rlc_forged_rejected);
-            m.histogram("rlc_decode_delay_ms").merge(rlc_decode_delay_ms);
-            m.histogram("rlc_in_order_delay_ms").merge(rlc_in_order_delay_ms);
+            m.open({"rlc_forged_rejected", "rlc_packets_recovered",
+                    "rlc_repair_bits_sent", "rlc_repairs_lost", "rlc_repairs_sent"});
+            m.add("rlc_repairs_redundant", rlc_decoder->repairs_redundant());
+            m.add("rlc_packets_unrecovered", rlc_decoder->symbols_lost());
+            m.add("rlc_rank", rlc_decoder->rank());
+            m.hist("rlc_decode_delay_ms");
+            m.hist("rlc_in_order_delay_ms");
         }
-
-        // Governor accounting appears only when the governor is enabled,
-        // for the same reason: ungoverned registries must stay
-        // byte-identical to pre-governor builds.
         if (governor.has_value()) {
             const GovernorReport& g = governor->report();
-            m.add_counter("governor_windows_normal", g.windows_in_state[0]);
-            m.add_counter("governor_windows_degraded", g.windows_in_state[1]);
-            m.add_counter("governor_windows_fallback", g.windows_in_state[2]);
-            m.add_counter("governor_windows_recovering",
-                          g.windows_in_state[3]);
-            m.add_counter("governor_acks_rejected", g.acks_rejected());
-            m.add_counter("governor_acks_rejected_duplicate",
-                          g.acks_rejected_duplicate);
-            m.add_counter("governor_acks_rejected_stale",
-                          g.acks_rejected_stale);
-            m.add_counter("governor_acks_rejected_future",
-                          g.acks_rejected_future);
-            m.add_counter("governor_observations_clamped",
-                          g.observations_clamped);
-            m.add_counter("governor_fallbacks", g.fallbacks);
-            m.add_counter("governor_recoveries", g.recoveries);
-            m.add_counter("governor_transitions", g.transitions);
-            m.add_counter("governor_entries_normal", g.state_entries[0]);
-            m.add_counter("governor_entries_degraded", g.state_entries[1]);
-            m.add_counter("governor_entries_fallback", g.state_entries[2]);
-            m.add_counter("governor_entries_recovering", g.state_entries[3]);
-            m.add_counter("governor_longest_dwell_normal", g.longest_dwell[0]);
-            m.add_counter("governor_longest_dwell_degraded",
-                          g.longest_dwell[1]);
-            m.add_counter("governor_longest_dwell_fallback",
-                          g.longest_dwell[2]);
-            m.add_counter("governor_longest_dwell_recovering",
-                          g.longest_dwell[3]);
+            m.add("governor_windows_normal", g.windows_in_state[0]);
+            m.add("governor_windows_degraded", g.windows_in_state[1]);
+            m.add("governor_windows_fallback", g.windows_in_state[2]);
+            m.add("governor_windows_recovering", g.windows_in_state[3]);
+            m.add("governor_acks_rejected", g.acks_rejected());
+            m.add("governor_acks_rejected_duplicate", g.acks_rejected_duplicate);
+            m.add("governor_acks_rejected_stale", g.acks_rejected_stale);
+            m.add("governor_acks_rejected_future", g.acks_rejected_future);
+            m.add("governor_observations_clamped", g.observations_clamped);
+            m.add("governor_fallbacks", g.fallbacks);
+            m.add("governor_recoveries", g.recoveries);
+            m.add("governor_transitions", g.transitions);
+            m.add("governor_entries_normal", g.state_entries[0]);
+            m.add("governor_entries_degraded", g.state_entries[1]);
+            m.add("governor_entries_fallback", g.state_entries[2]);
+            m.add("governor_entries_recovering", g.state_entries[3]);
             // Per-window governed bound and supervision state; bound_used
             // in the per-window reports carries the same bound per window.
-            sim::Histogram& governed = m.histogram("governor_bound");
-            sim::Histogram& states = m.histogram("governor_state");
+            sim::Histogram& governed = m.hist("governor_bound");
+            sim::Histogram& states = m.hist("governor_state");
             for (const WindowReport& w : result.windows) {
                 governed.add(static_cast<std::int64_t>(w.bound_used));
                 states.add(static_cast<std::int64_t>(w.governor_state));
             }
         }
-
-        // Recovery-plane accounting appears only when the plane is
-        // enabled, so recovery-off registries stay byte-identical to
-        // pre-recovery builds.
         if (repair.has_value()) {
             const RepairSchedulerReport& r = repair->report();
-            m.add_counter("nack_requests_sent", nacks_sent);
-            m.add_counter("nack_requests_received", nacks_received);
-            m.add_counter("nack_requests_serviced", nacks_serviced);
-            m.add_counter("nack_suppressed_budget", nacks_suppressed_budget);
-            m.add_counter("nack_retx_packets", nack_retx_packets);
-            m.add_counter("nack_retx_bits", nack_retx_bits);
-            m.add_counter("nack_retx_skipped_deadline",
-                          nack_retx_skipped_deadline);
-            m.add_counter("nack_repairs_sent", nack_repairs_sent);
-            m.add_counter("nack_credits_expired", nack_credits_expired);
-            m.add_counter("recovery_nacks_admitted", r.nacks_admitted);
-            m.add_counter("recovery_nacks_duplicate", r.nacks_duplicate);
-            m.add_counter("recovery_nacks_invalid", r.nacks_invalid);
-            m.add_counter("recovery_jobs_shed", r.jobs_shed);
-            m.add_counter("recovery_jobs_expired", r.jobs_expired);
-            m.add_counter("recovery_watchdog_timeouts", r.watchdog_timeouts);
-            m.add_counter("recovery_windows_reactive", r.windows_reactive);
-            m.add_counter("recovery_windows_suspended", r.windows_suspended);
-            m.add_counter("recovery_windows_proactive", r.windows_proactive);
-            m.add_counter("data_sideband_sent",
-                          result.data_channel.sideband_sent);
-            m.add_counter("data_sideband_bits",
-                          result.data_channel.sideband_bits);
+            m.open({"nack_credits_expired", "nack_repairs_sent",
+                    "nack_requests_received", "nack_requests_sent",
+                    "nack_requests_serviced", "nack_retx_bits", "nack_retx_packets",
+                    "nack_retx_skipped_deadline", "nack_suppressed_budget"});
+            m.add("recovery_nacks_admitted", r.nacks_admitted);
+            m.add("recovery_nacks_duplicate", r.nacks_duplicate);
+            m.add("recovery_nacks_invalid", r.nacks_invalid);
+            m.add("recovery_jobs_shed", r.jobs_shed);
+            m.add("recovery_jobs_expired", r.jobs_expired);
+            m.add("recovery_watchdog_timeouts", r.watchdog_timeouts);
+            m.add("recovery_windows_reactive", r.windows_reactive);
+            m.add("recovery_windows_suspended", r.windows_suspended);
+            m.add("recovery_windows_proactive", r.windows_proactive);
+            m.add("data_sideband_sent", d.sideband_sent);
+            m.add("data_sideband_bits", d.sideband_bits);
         }
+        result.metrics = std::move(m);
     }
 
     SessionConfig cfg;
@@ -1301,15 +1258,8 @@ struct Session::Impl {
     std::uint64_t rlc_frontier = 0;  ///< in-order log consumed up to here
     std::size_t rlc_in_order_consumed = 0;
     std::size_t rlc_credit = 0;
-    std::size_t rlc_repairs_sent = 0;
-    std::size_t rlc_repairs_lost = 0;
-    std::size_t rlc_recovered = 0;
-    std::uint64_t rlc_repair_bits = 0;
     std::uint64_t client_hi = 0;     ///< one past the highest witnessed index
     sim::SimTime client_hi_at = 0;   ///< when client_hi last advanced
-    std::size_t rlc_forged_rejected = 0;  ///< coordinates the client refused
-    sim::Histogram rlc_decode_delay_ms;    ///< loss -> decode, per recovery
-    sim::Histogram rlc_in_order_delay_ms;  ///< extra in-order latency
 
     // Receiver-authoritative recovery plane (engaged iff
     // cfg.recovery.enabled; DESIGN.md §13).
@@ -1325,25 +1275,15 @@ struct Session::Impl {
     std::map<std::size_t, std::vector<SentFrame>> sent_frames;
     std::uint64_t nack_seq = 0;   ///< client NACK sequence space
     std::size_t rlc_nack_credit = 0;  ///< banked repairs a NACK may release
-    std::size_t nacks_sent = 0;
-    std::size_t nacks_received = 0;
-    std::size_t nacks_serviced = 0;
-    std::size_t nacks_suppressed_budget = 0;
-    std::size_t nack_retx_packets = 0;
-    std::uint64_t nack_retx_bits = 0;
-    std::size_t nack_retx_skipped_deadline = 0;
-    std::size_t nack_repairs_sent = 0;
-    std::size_t nack_credits_expired = 0;
 
     std::uint64_t next_seq = 0;
     std::uint64_t ack_seq = 0;
     std::uint64_t last_ack_seq = 0;
-    std::size_t acks_sent = 0;
-    std::size_t acks_applied = 0;
-    std::size_t acks_stale = 0;
     std::size_t packet_burst = 0;
     std::size_t feedback_window_ = 0;  ///< window of the last applied ACK
-    sim::Histogram retx_latency_ms;    ///< loss -> resend start, milliseconds
+    /// Counted in flight (histograms only under cfg.collect_metrics);
+    /// fill_metrics completes it into SessionResult::metrics.
+    obs::MetricsRegistry metrics;
 };
 
 Session::Session(SessionConfig cfg) : impl_(std::make_unique<Impl>(std::move(cfg))) {}

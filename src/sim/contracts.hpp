@@ -16,9 +16,12 @@
 //     health names, proto::governor_state_name, the Prometheus state
 //     labels and espread_report's occupancy line index these tables by
 //     enumerator; each consumer static_asserts the table length against
-//     its enum.  The metric and JSON-key tables are checked against real
-//     output by tests/test_contracts.cpp (producer names equal the table,
-//     in both directions).
+//     its enum.  Session metric names are checked at build time: writers
+//     name a slot through obs::Metric, whose consteval lookup rejects a
+//     name missing from kSessionMetricNames.  The JSON-key tables are
+//     checked against real output by tests/test_contracts.cpp (producer
+//     names equal the table, in both directions), which also requires the
+//     kitchen-sink session to emit every metric name.
 //   * Bench claim-gate keys.  tools/perf_gate and the CI workflow gate on
 //     top-level BENCH_*.json keys; the keys they consume must stay a
 //     subset of what the benches emit (C4).
@@ -64,10 +67,12 @@ inline constexpr std::uint64_t kAnalysisLaneGilbertChain = 1;
 
 // ---- session metric names --------------------------------------------------
 //
-// Counter and histogram names registered by proto::Session
-// (src/protocol/session.cpp) into obs::MetricsRegistry.  Gated metric
-// groups (impairment, rlc, governor, recovery) only appear when their
-// feature ran, but the names still live here.
+// Counter and histogram names of proto::Session's obs::MetricsRegistry:
+// entry i is the registry's slot i, so a name outside this table does not
+// compile (obs::Metric) and the order, asserted sorted in obs/metrics.hpp,
+// is the JSON key order.  Gated metric groups (impairment, rlc, governor,
+// recovery) only appear when their feature ran, but the names still live
+// here.
 inline constexpr std::string_view kSessionMetricNames[] = {
     "acks_applied",
     "acks_sent",
@@ -99,10 +104,6 @@ inline constexpr std::string_view kSessionMetricNames[] = {
     "governor_entries_normal",
     "governor_entries_recovering",
     "governor_fallbacks",
-    "governor_longest_dwell_degraded",
-    "governor_longest_dwell_fallback",
-    "governor_longest_dwell_normal",
-    "governor_longest_dwell_recovering",
     "governor_observations_clamped",
     "governor_recoveries",
     "governor_state",

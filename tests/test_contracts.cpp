@@ -1,11 +1,12 @@
 // The contract registry (sim/contracts.hpp) checked against real output.
 //
 // Name-translation functions index the registry tables directly, so they
-// cannot drift.  The metric and JSON-key tables are different: their
-// producers write string literals.  Each test below runs the producer with
-// every gated group switched on and requires the set of names it emits to
-// equal the table exactly — an unregistered name and a table entry nothing
-// emits both fail.
+// cannot drift, and Session metric names only compile when the table holds
+// them (obs::Metric).  The JSON-key tables are different: their producers
+// write string literals.  Each test below runs the producer with every
+// gated group switched on and requires the set of names it emits to equal
+// the table exactly — an unregistered name and a table entry nothing emits
+// both fail; for Session metrics only the second can still happen.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -40,8 +41,8 @@ Names table(const std::string_view (&t)[N]) {
 
 Names metric_names(const espread::obs::MetricsRegistry& m) {
     Names out;
-    for (const auto& [name, value] : m.counters()) out.insert(name);
-    for (const auto& [name, hist] : m.histograms()) out.insert(name);
+    for (const auto& [name, value] : m.counters()) out.emplace(name);
+    for (const auto& [name, hist] : m.histograms()) out.emplace(name);
     return out;
 }
 

@@ -10,13 +10,16 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "exp/json.hpp"
+#include "exp/runner.hpp"
 #include "obs/metrics.hpp"
 #include "protocol/session.hpp"
+#include "sim/rng.hpp"
 #include "json_check.hpp"
 
 namespace sim = espread::sim;
@@ -174,37 +177,60 @@ TEST(ChromeTrace, WritesLoadableFile) {
 TEST(MetricsRegistry, CountersAccumulate) {
     MetricsRegistry m;
     EXPECT_TRUE(m.empty());
-    EXPECT_EQ(m.counter("missing"), 0u);
-    m.add_counter("x");
-    m.add_counter("x", 4);
-    EXPECT_EQ(m.counter("x"), 5u);
+    EXPECT_EQ(m.counter("acks_sent"), 0u);
+    m.add("acks_sent");
+    m.add("acks_sent", 4);
+    EXPECT_EQ(m.counter("acks_sent"), 5u);
+    EXPECT_EQ(m["acks_sent"], 5u);
     EXPECT_FALSE(m.empty());
+    // Runtime lookups of names outside the table read as absent.
+    EXPECT_EQ(m.counter("missing"), 0u);
+    EXPECT_EQ(m.find_histogram("missing"), nullptr);
+}
+
+TEST(MetricsRegistry, PresenceIsPerSlotAndIncludesZeros) {
+    MetricsRegistry m;
+    m.add("acks_stale", 0);
+    m.open({"nack_requests_sent", "nack_retx_bits"});
+    const auto counters = m.counters();
+    ASSERT_EQ(counters.size(), 3u);
+    EXPECT_EQ(counters[0].first, "acks_stale");
+    EXPECT_EQ(counters[1].first, "nack_requests_sent");
+    EXPECT_EQ(counters[2].first, "nack_retx_bits");
+    for (const auto& [name, value] : counters) EXPECT_EQ(value, 0u) << name;
+    EXPECT_TRUE(m.histograms().empty());
 }
 
 TEST(MetricsRegistry, HistogramsCreatedOnFirstUse) {
     MetricsRegistry m;
-    EXPECT_EQ(m.find_histogram("h"), nullptr);
-    m.histogram("h").add(3);
-    m.histogram("h").add(3);
-    ASSERT_NE(m.find_histogram("h"), nullptr);
-    EXPECT_EQ(m.find_histogram("h")->total(), 2u);
+    EXPECT_EQ(m.find_histogram("window_clf"), nullptr);
+    m.hist("window_clf").add(3);
+    m.hist("window_clf").add(3);
+    ASSERT_NE(m.find_histogram("window_clf"), nullptr);
+    EXPECT_EQ(m.find_histogram("window_clf")->total(), 2u);
+    m.hist("rlc_decode_delay_ms");  // present while still empty
+    ASSERT_NE(m.find_histogram("rlc_decode_delay_ms"), nullptr);
+    EXPECT_EQ(m.find_histogram("rlc_decode_delay_ms")->total(), 0u);
+    EXPECT_TRUE(m.counters().empty());
 }
 
 TEST(MetricsRegistry, MergeAddsCountersAndHistograms) {
     MetricsRegistry a, b;
-    a.add_counter("shared", 1);
-    a.add_counter("only_a", 2);
-    a.histogram("h").add(1);
-    b.add_counter("shared", 10);
-    b.add_counter("only_b", 20);
-    b.histogram("h").add(2);
-    b.histogram("g").add(3);
+    a.add("acks_sent", 1);
+    a.add("acks_applied", 2);
+    a.hist("window_clf").add(1);
+    b.add("acks_sent", 10);
+    b.add("acks_stale", 20);
+    b.open({"nack_requests_sent"});
+    b.hist("window_clf").add(2);
+    b.hist("bound_used").add(3);
     a.merge(b);
-    EXPECT_EQ(a.counter("shared"), 11u);
-    EXPECT_EQ(a.counter("only_a"), 2u);
-    EXPECT_EQ(a.counter("only_b"), 20u);
-    EXPECT_EQ(a.find_histogram("h")->total(), 2u);
-    EXPECT_EQ(a.find_histogram("g")->total(), 1u);
+    EXPECT_EQ(a.counter("acks_sent"), 11u);
+    EXPECT_EQ(a.counter("acks_applied"), 2u);
+    EXPECT_EQ(a.counter("acks_stale"), 20u);
+    EXPECT_EQ(a.counters().size(), 4u);  // the zero nack_requests_sent too
+    EXPECT_EQ(a.find_histogram("window_clf")->total(), 2u);
+    EXPECT_EQ(a.find_histogram("bound_used")->total(), 1u);
 }
 
 std::string metrics_json(const MetricsRegistry& m) {
@@ -215,19 +241,159 @@ std::string metrics_json(const MetricsRegistry& m) {
 
 TEST(MetricsRegistry, SerializationIndependentOfInsertionOrder) {
     MetricsRegistry a;
-    a.add_counter("zeta", 1);
-    a.add_counter("alpha", 2);
-    a.histogram("late").add(1);
-    a.histogram("early").add(2);
+    a.add("retransmissions", 1);
+    a.add("acks_applied", 2);
+    a.hist("window_packet_burst").add(1);
+    a.hist("bound_used").add(2);
 
     MetricsRegistry b;
-    b.histogram("early").add(2);
-    b.histogram("late").add(1);
-    b.add_counter("alpha", 2);
-    b.add_counter("zeta", 1);
+    b.hist("bound_used").add(2);
+    b.hist("window_packet_burst").add(1);
+    b.add("acks_applied", 2);
+    b.add("retransmissions", 1);
 
     EXPECT_EQ(metrics_json(a), metrics_json(b));
     EXPECT_TRUE(is_valid_json(metrics_json(a)));
+}
+
+// ---- golden registry output ---------------------------------------------
+//
+// One FNV-1a digest of the append_metrics JSON per session config, pinned
+// so that a change to how the registry stores, merges or serializes its
+// slots cannot move a key, a value or the key order unnoticed.
+
+namespace proto = espread::proto;
+
+std::uint64_t fnv1a(std::string_view s) {
+    std::uint64_t h = 0xCBF29CE484222325ull;
+    for (const char c : s) {
+        h = (h ^ static_cast<unsigned char>(c)) * 0x100000001B3ull;
+    }
+    return h;
+}
+
+std::uint64_t metrics_digest(const MetricsRegistry& m) {
+    return fnv1a(metrics_json(m));
+}
+
+bool has_counter_prefix(const MetricsRegistry& m, std::string_view prefix) {
+    for (const auto& [name, value] : m.counters()) {
+        if (std::string_view(name).rfind(prefix, 0) == 0) return true;
+    }
+    return false;
+}
+
+proto::SessionConfig paper_config() {
+    proto::SessionConfig cfg;  // MPEG "Jurassic Park", W = 2, Fig. 8 channels
+    cfg.collect_metrics = true;
+    cfg.seed = 3;
+    return cfg;
+}
+
+proto::SessionConfig impaired_config() {
+    proto::SessionConfig cfg = paper_config();
+    cfg.data_impairment.reorder_rate = 0.03;
+    cfg.data_impairment.duplicate_rate = 0.03;
+    cfg.data_impairment.corrupt_rate = 0.03;
+    cfg.data_impairment.jitter_rate = 0.05;
+    cfg.feedback_impairment.corrupt_rate = 0.05;
+    return cfg;
+}
+
+proto::SessionConfig rlc_config() {
+    proto::SessionConfig cfg = paper_config();
+    cfg.scheme = proto::Scheme::kHybridSpreadRlc;
+    return cfg;
+}
+
+proto::SessionConfig recovery_config() {
+    proto::SessionConfig cfg = paper_config();
+    cfg.recovery.enabled = true;
+    return cfg;
+}
+
+proto::SessionConfig governed_config() {
+    proto::SessionConfig cfg = paper_config();
+    cfg.governor.enabled = true;
+    cfg.blackout_feedback_windows(20, 30);
+    return cfg;
+}
+
+/// perfbench's session_repair workload, session 0 at seed 7.
+proto::SessionConfig repair_config() {
+    proto::SessionConfig cfg;
+    cfg.stream.kind = proto::StreamKind::kMjpeg;
+    cfg.stream.ldus_per_window = 16;
+    cfg.scheme = proto::Scheme::kHybridSpreadRlc;
+    cfg.rlc.overhead_num = 2;
+    cfg.rlc.overhead_den = 10;
+    cfg.recovery.enabled = true;
+    cfg.governor.enabled = true;
+    cfg.data_impairment.reorder_rate = 0.02;
+    cfg.data_impairment.duplicate_rate = 0.02;
+    cfg.data_impairment.corrupt_rate = 0.02;
+    cfg.data_impairment.jitter_rate = 0.05;
+    cfg.feedback_impairment.corrupt_rate = 0.02;
+    cfg.blackout_feedback_windows(40, 44);
+    cfg.collect_metrics = true;
+    cfg.seed = sim::derive_seed(7, 0);
+    return cfg;
+}
+
+TEST(MetricsGolden, SessionRegistriesMatchTheirDigests) {
+    const struct {
+        const char* name;
+        proto::SessionConfig cfg;
+        std::uint64_t digest;
+    } cases[] = {
+        {"paper", paper_config(), 0xf32992b59c0a58fdull},
+        {"impaired", impaired_config(), 0x9e00ec42844b29d5ull},
+        {"rlc", rlc_config(), 0x9bce74c9c41f8f68ull},
+        {"recovery", recovery_config(), 0xeca40c0de6e3b6abull},
+        {"governed", governed_config(), 0x26d15ef4ea64a55eull},
+        {"session_repair", repair_config(), 0x61464a8dc654d899ull},
+    };
+    for (const auto& c : cases) {
+        const proto::SessionResult r = proto::run_session(c.cfg);
+        EXPECT_EQ(metrics_digest(r.metrics), c.digest)
+            << c.name << " digest 0x" << std::hex << metrics_digest(r.metrics);
+    }
+}
+
+TEST(MetricsGolden, MonteCarloMergeMatchesItsDigest) {
+    espread::exp::RunnerOptions opts;
+    opts.trials = 4;
+    opts.threads = 2;
+    espread::exp::MonteCarloRunner runner(opts);
+    const espread::exp::TrialSummary s = runner.run(repair_config());
+    EXPECT_EQ(metrics_digest(s.metrics), 0x3fbf1805ecd1c061ull)
+        << "merge digest 0x" << std::hex << metrics_digest(s.metrics);
+}
+
+TEST(MetricsGolden, GatedGroupsAppearOnlyWhenTheirFeatureRan) {
+    const proto::SessionResult plain = proto::run_session(paper_config());
+    EXPECT_FALSE(has_counter_prefix(plain.metrics, "data_packets_duplicated"));
+    EXPECT_FALSE(has_counter_prefix(plain.metrics, "nack_"));
+    EXPECT_FALSE(has_counter_prefix(plain.metrics, "recovery_"));
+    EXPECT_FALSE(has_counter_prefix(plain.metrics, "rlc_"));
+    EXPECT_FALSE(has_counter_prefix(plain.metrics, "governor_"));
+    EXPECT_TRUE(has_counter_prefix(plain.metrics, "acks_stale"));
+
+    const proto::SessionResult impaired = proto::run_session(impaired_config());
+    EXPECT_TRUE(has_counter_prefix(impaired.metrics, "data_packets_duplicated"));
+    EXPECT_FALSE(has_counter_prefix(impaired.metrics, "nack_"));
+
+    const proto::SessionResult rlc = proto::run_session(rlc_config());
+    EXPECT_TRUE(has_counter_prefix(rlc.metrics, "rlc_forged_rejected"));
+    EXPECT_NE(rlc.metrics.find_histogram("rlc_decode_delay_ms"), nullptr);
+    EXPECT_FALSE(has_counter_prefix(rlc.metrics, "nack_"));
+    EXPECT_FALSE(has_counter_prefix(rlc.metrics, "recovery_"));
+
+    // Recovery on: the whole plane shows, zeros included.
+    const proto::SessionResult rec = proto::run_session(recovery_config());
+    EXPECT_TRUE(has_counter_prefix(rec.metrics, "nack_credits_expired"));
+    EXPECT_TRUE(has_counter_prefix(rec.metrics, "recovery_jobs_shed"));
+    EXPECT_FALSE(has_counter_prefix(rec.metrics, "rlc_"));
 }
 
 TEST(SessionMetrics, ConsistentWithSessionResult) {

@@ -212,8 +212,12 @@ TEST(SessionFaults, ImpairmentCountersSurfaceInMetrics) {
     SessionConfig clean = base_config(9);
     clean.collect_metrics = true;
     const SessionResult rc = run_session(clean);
-    EXPECT_EQ(rc.metrics.counters().count("data_packets_duplicated"), 0u);
-    EXPECT_EQ(rc.metrics.counters().count("recv_duplicates_dropped"), 0u);
+    for (const auto& [name, value] : rc.metrics.counters()) {
+        (void)value;
+        EXPECT_NE(name, "data_packets_duplicated");
+        EXPECT_NE(name, "recv_duplicates_dropped");
+    }
+    EXPECT_FALSE(rc.metrics.counters().empty());
 }
 
 /// Registries compare equal key-by-key, bin-by-bin — the "byte-identical"
@@ -221,13 +225,13 @@ TEST(SessionFaults, ImpairmentCountersSurfaceInMetrics) {
 void expect_registries_identical(const espread::obs::MetricsRegistry& a,
                                  const espread::obs::MetricsRegistry& b) {
     EXPECT_EQ(a.counters(), b.counters());
-    ASSERT_EQ(a.histograms().size(), b.histograms().size());
-    auto ita = a.histograms().begin();
-    auto itb = b.histograms().begin();
-    for (; ita != a.histograms().end(); ++ita, ++itb) {
-        EXPECT_EQ(ita->first, itb->first);
-        EXPECT_EQ(ita->second.bins(), itb->second.bins());
-        EXPECT_EQ(ita->second.total(), itb->second.total());
+    const auto ha = a.histograms();
+    const auto hb = b.histograms();
+    ASSERT_EQ(ha.size(), hb.size());
+    for (std::size_t i = 0; i < ha.size(); ++i) {
+        EXPECT_EQ(ha[i].first, hb[i].first);
+        EXPECT_EQ(ha[i].second->bins(), hb[i].second->bins());
+        EXPECT_EQ(ha[i].second->total(), hb[i].second->total());
     }
 }
 
