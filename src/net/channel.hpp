@@ -78,7 +78,10 @@ struct SendFaults {
 template <typename Msg>
 class Channel {
 public:
-    using Receiver = std::function<void(Msg)>;
+    /// Delivery callback.  It receives the payload as an rvalue, so a
+    /// receiver taking `Msg&&` costs no move; one taking `Msg` by value
+    /// still binds.
+    using Receiver = std::function<void(Msg&&)>;
 
     /// Throws std::invalid_argument for non-positive bandwidth or negative
     /// propagation delay.
@@ -123,8 +126,10 @@ public:
     /// Sends one message under fault directives (see SendFaults).  The
     /// default directive reproduces the plain send() exactly — same loss
     /// draws, same arrival times, same trace events — so an inactive fault
-    /// layer is observationally free.
-    bool send(Msg msg, std::size_t size_bits, const SendFaults& faults) {
+    /// layer is observationally free.  Below the by-value entry points
+    /// the payload is only ever moved: once into its in-flight slot and
+    /// once out of it at delivery.
+    bool send(Msg&& msg, std::size_t size_bits, const SendFaults& faults) {
         return send_impl(std::move(msg), size_bits, faults,
                          /*occupy_link=*/true);
     }
@@ -139,14 +144,14 @@ public:
         return send_sideband(std::move(msg), size_bits, SendFaults{});
     }
 
-    bool send_sideband(Msg msg, std::size_t size_bits,
+    bool send_sideband(Msg&& msg, std::size_t size_bits,
                        const SendFaults& faults) {
         return send_impl(std::move(msg), size_bits, faults,
                          /*occupy_link=*/false);
     }
 
   private:
-    bool send_impl(Msg msg, std::size_t size_bits, const SendFaults& faults,
+    bool send_impl(Msg&& msg, std::size_t size_bits, const SendFaults& faults,
                    bool occupy_link) {
         const sim::SimTime tx_time = sim::from_seconds(
             static_cast<double>(size_bits) / link_.bandwidth_bps);
@@ -236,7 +241,7 @@ private:
     /// callback captures only (this, slot), which std::function stores
     /// inline, so a delivery costs no allocation once the slab has grown
     /// to the peak number of packets in flight.
-    void schedule_delivery(sim::SimTime when, Msg msg) {
+    void schedule_delivery(sim::SimTime when, Msg&& msg) {
         std::size_t slot;
         if (free_slots_.empty()) {
             slot = in_flight_.size();

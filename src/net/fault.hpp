@@ -102,16 +102,14 @@ public:
     }
 
     bool send(Msg msg, std::size_t size_bits) {
-        if (!active_) return inner_.send(std::move(msg), size_bits);
-        const SendFaults f = draw_faults(msg, size_bits);
+        const SendFaults f = active_ ? draw_faults(msg, size_bits) : SendFaults{};
         return inner_.send(std::move(msg), size_bits, f);
     }
 
     /// Side-band variant of send(): same impairment draws, but the inner
     /// channel is told not to occupy the link (see Channel::send_sideband).
     bool send_sideband(Msg msg, std::size_t size_bits) {
-        if (!active_) return inner_.send_sideband(std::move(msg), size_bits);
-        const SendFaults f = draw_faults(msg, size_bits);
+        const SendFaults f = active_ ? draw_faults(msg, size_bits) : SendFaults{};
         return inner_.send_sideband(std::move(msg), size_bits, f);
     }
 

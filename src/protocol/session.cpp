@@ -167,7 +167,7 @@ struct Session::Impl {
         }
 
         receiver.set_window_limit(cfg.num_windows);
-        data.set_receiver([this](DataMsg m) {
+        data.set_receiver([this](DataMsg&& m) {
             if (const DataPacket* p = std::get_if<DataPacket>(&m)) {
                 receiver.on_packet(*p, queue.now());
                 if (!p->retransmission) client_on_source(*p);
@@ -177,7 +177,7 @@ struct Session::Impl {
                 client_on_repair(std::get<RepairPacket>(m));
             }
         });
-        feedback.set_receiver([this](FeedbackMsg m) {
+        feedback.set_receiver([this](FeedbackMsg&& m) {
             if (const Feedback* f = std::get_if<Feedback>(&m)) {
                 on_feedback(*f);
             } else {

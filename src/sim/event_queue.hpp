@@ -33,12 +33,15 @@ constexpr SimTime from_millis(double ms) noexcept { return from_seconds(ms / 1e3
 /// Priority queue of timestamped callbacks with deterministic FIFO
 /// tie-breaking for events scheduled at the same instant.
 ///
-/// Entries live in a binary heap over a std::vector (std::push_heap /
-/// std::pop_heap under the (when, seq) order), so step() moves the
-/// earliest callback out instead of copying it.  A callback whose capture
-/// fits std::function's inline buffer (e.g. a pointer plus an index) is
-/// therefore scheduled and run without touching the heap allocator once
-/// the vector has grown to the simulation's peak pending count.
+/// The binary heap (std::push_heap / std::pop_heap under the (when, seq)
+/// order) holds trivially copyable 24-byte keys; each key names a slot
+/// in a callback slab with a LIFO free list.  A sift step therefore
+/// copies three words instead of moving a std::function, and step()
+/// moves the earliest callback out of its slot instead of copying it.
+/// A callback whose capture fits std::function's inline buffer (e.g. a
+/// pointer plus an index) is scheduled and run without touching the heap
+/// allocator once the slab has grown to the simulation's peak pending
+/// count.
 class EventQueue {
 public:
     using Callback = std::function<void()>;
@@ -48,7 +51,8 @@ public:
 
     /// Schedules `cb` to run at absolute time `when` (>= now()).
     /// Scheduling in the past is clamped to now() — the event still runs,
-    /// immediately, preserving causality.
+    /// immediately, preserving causality.  Throws std::invalid_argument
+    /// for a null callback; on any throw the queue is unchanged.
     void schedule_at(SimTime when, Callback cb);
 
     /// Schedules `cb` to run `delay` after the current time.
@@ -58,11 +62,12 @@ public:
     bool step();
 
     /// Runs events until the queue is empty or the next event is after
-    /// `deadline`; leaves now() at min(deadline, last event time).
+    /// `deadline`; leaves now() at max(now(), deadline).
     void run_until(SimTime deadline);
 
     /// Runs all pending events (including ones scheduled by other events).
-    /// `max_events` guards against runaway self-scheduling loops.
+    /// `max_events` guards against runaway self-scheduling loops: throws
+    /// std::runtime_error once that many events have run and more remain.
     void run(std::uint64_t max_events = 100'000'000);
 
     bool empty() const noexcept { return heap_.empty(); }
@@ -72,7 +77,7 @@ private:
     struct Entry {
         SimTime when;
         std::uint64_t seq;  // FIFO order among equal timestamps
-        Callback cb;
+        std::size_t slot;   // index into slab_
     };
     /// Heap comparator: the earliest (when, seq) sits at heap_.front().
     struct Later {
@@ -82,7 +87,14 @@ private:
         }
     };
 
+    /// Appends one empty slot to the slab and the free list.
+    void grow();
+
     std::vector<Entry> heap_;
+    /// Pending callbacks by slot; a free slot holds an empty Callback.
+    /// heap_.size() + free_slots_.size() == slab_.size().
+    std::vector<Callback> slab_;
+    std::vector<std::size_t> free_slots_;  ///< LIFO free list into slab_
     SimTime now_ = 0;
     std::uint64_t next_seq_ = 0;
 };

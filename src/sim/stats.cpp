@@ -63,18 +63,18 @@ RunningStats TimeSeries::y_stats() const {
     return s;
 }
 
-void Histogram::add(std::int64_t value) noexcept {
+void Histogram::add(std::int64_t value) {
     ++bins_[value];
     ++total_;
 }
 
-void Histogram::add(std::int64_t value, std::size_t count) noexcept {
+void Histogram::add(std::int64_t value, std::size_t count) {
     if (count == 0) return;
     bins_[value] += count;
     total_ += count;
 }
 
-void Histogram::merge(const Histogram& other) noexcept {
+void Histogram::merge(const Histogram& other) {
     for (const auto& [value, count] : other.bins_) add(value, count);
 }
 

@@ -69,13 +69,13 @@ private:
 /// Counts of integer-valued observations (e.g. burst-length histogram).
 class Histogram {
 public:
-    void add(std::int64_t value) noexcept;
+    void add(std::int64_t value);
 
     /// Adds `count` observations of `value` at once (bulk merge).
-    void add(std::int64_t value, std::size_t count) noexcept;
+    void add(std::int64_t value, std::size_t count);
 
     /// Merges another histogram's bins into this one.
-    void merge(const Histogram& other) noexcept;
+    void merge(const Histogram& other);
 
     std::size_t total() const noexcept { return total_; }
     std::size_t count(std::int64_t value) const noexcept;

@@ -1,10 +1,11 @@
 // Allocation accounting for the hot paths.
 //
-// A counting global operator new pins two properties: the engine's
+// A counting global operator new pins three properties: the engine's
 // single-shard window step performs ZERO heap allocations once warm
 // (the SoA arenas and shard scratch absorb everything), and the
 // per-object Session window loop stays within a fixed allocation budget
-// per window that does not grow with the packets per window.
+// per window that does not grow with the packets per window; an event
+// queue refilled to its peak pending count allocates nothing.
 //
 // Not registered under the sanitizers: ASan/TSan interpose the
 // allocator and the replacement operators below would fight them.
@@ -19,6 +20,7 @@
 #include "engine/engine.hpp"
 #include "net/fragment.hpp"
 #include "protocol/session.hpp"
+#include "sim/event_queue.hpp"
 
 namespace {
 
@@ -95,6 +97,35 @@ TEST(Alloc, EngineStepIsAllocationFreeWhenWarm) {
     const std::uint64_t allocs = counter.stop();
     EXPECT_EQ(allocs, 0u)
         << "engine hot path allocated " << allocs << " times in 16 steps";
+}
+
+// The event queue reuses its key heap, callback slab and free list: once
+// grown to a peak pending count, draining and refilling it to that peak
+// with callbacks that fit std::function's inline buffer (a pointer plus
+// an index) allocates nothing.
+TEST(Alloc, EventQueueRefillToPeakIsAllocationFree) {
+    constexpr std::size_t kPeak = 256;
+    espread::sim::EventQueue q;
+    std::size_t sum = 0;
+    const auto fill = [&q, &sum] {
+        for (std::size_t i = 0; i < kPeak; ++i) {
+            q.schedule_after(static_cast<espread::sim::SimTime>(i * 37 % 101),
+                             [&sum, i] { sum += i; });
+        }
+    };
+    fill();
+    q.run();  // grows the queue to the peak
+
+    AllocCounter counter;
+    counter.start();
+    for (int round = 0; round < 8; ++round) {
+        fill();
+        q.run();
+    }
+    const std::uint64_t allocs = counter.stop();
+    EXPECT_EQ(allocs, 0u) << "refilling the queue to its peak allocated "
+                          << allocs << " times";
+    EXPECT_EQ(sum, 9 * (kPeak * (kPeak - 1) / 2));
 }
 
 /// Allocations, data packets and repair packets per window of the Session

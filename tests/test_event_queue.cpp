@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
+#include <functional>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -100,6 +102,19 @@ TEST(EventQueue, RunawayLoopHitsBudget) {
     std::function<void()> tick = [&] { q.schedule_after(1, tick); };
     q.schedule_at(0, tick);
     EXPECT_THROW(q.run(1000), std::runtime_error);
+    EXPECT_EQ(q.now(), 999) << "the budget ran exactly 1000 events";
+    EXPECT_EQ(q.pending(), 1u);
+}
+
+// The budget is spent only when events remain after it: N events that
+// drain the queue fit a budget of N.
+TEST(EventQueue, BudgetEqualToEventCountDrainsWithoutThrowing) {
+    EventQueue q;
+    int ran = 0;
+    for (SimTime t : {1, 2, 3}) q.schedule_at(t, [&ran] { ++ran; });
+    EXPECT_NO_THROW(q.run(3));
+    EXPECT_EQ(ran, 3);
+    EXPECT_EQ(q.pending(), 0u);
 }
 
 TEST(EventQueue, NegativeDelayClampedToNow) {
@@ -161,6 +176,78 @@ TEST(EventQueue, HeapNeverCopiesCallbacksAndKeepsFifoTieBreak) {
     for (const auto& [when, id] : schedule) expected.push_back(id);
     EXPECT_EQ(order, expected);
     EXPECT_EQ(q.now(), schedule.back().first);
+}
+
+/// Randomized workload for the callback slab: callbacks schedule more
+/// events while earlier slots are freed and reused.  Every schedule is
+/// recorded as (clamped when, schedule order) for the reference model.
+/// Each callback reads its capture only after it has scheduled, so one
+/// run in place while the slab grows, or while its slot is reused, reads
+/// freed memory (which the sanitizer build reports).
+struct Interleaving {
+    static constexpr std::size_t kEvents = 5000;
+
+    EventQueue q;
+    Rng rng{2024};
+    std::vector<std::pair<SimTime, std::size_t>> scheduled;
+    std::vector<std::size_t> order;
+
+    void schedule(SimTime when) {
+        const std::size_t id = scheduled.size();
+        scheduled.emplace_back(std::max(when, q.now()), id);
+        if (id % 2 == 0) {
+            q.schedule_at(when, [this, id] {
+                spawn();
+                order.push_back(id);
+            });
+        } else {
+            // Too large for std::function's inline buffer: this callback
+            // lives on the heap and its slot holds only a pointer.
+            std::array<std::size_t, 6> pad{};
+            pad.fill(id);
+            q.schedule_at(when, [this, pad] {
+                spawn();
+                order.push_back(pad[5]);
+            });
+        }
+    }
+
+    /// Offsets -8..24: the negative ones land "in the past" and are
+    /// clamped to now(); zero lands at now() itself.
+    SimTime offset() { return static_cast<SimTime>(rng.uniform_int(0, 32)) - 8; }
+
+    void spawn() {
+        if (scheduled.size() < kEvents && rng.bernoulli(0.5)) {
+            schedule(q.now() + offset());
+        }
+    }
+};
+
+// A key that a callback (or the test loop) schedules is never earlier than
+// the one running, so the run order is the whole schedule sorted by
+// (clamped when, schedule order), however slots were reused.
+TEST(EventQueue, SlotReuseKeepsReferenceOrderUnderInterleaving) {
+    Interleaving s;
+    std::size_t peak = 0;
+    while (s.scheduled.size() < Interleaving::kEvents) {
+        for (auto n = s.rng.uniform_int(1, 3); n > 0; --n) {
+            s.schedule(s.q.now() + s.offset());
+        }
+        peak = std::max(peak, s.q.pending());
+        for (auto n = s.rng.uniform_int(0, 8); n > 0 && s.q.step(); --n) {
+        }
+    }
+    s.q.run();
+
+    std::vector<std::pair<SimTime, std::size_t>> expected = s.scheduled;
+    std::sort(expected.begin(), expected.end());
+    std::vector<std::size_t> expected_order;
+    for (const auto& [when, id] : expected) expected_order.push_back(id);
+    EXPECT_EQ(s.order, expected_order);
+    EXPECT_EQ(s.q.now(), expected.back().first);
+    EXPECT_TRUE(s.q.empty());
+    // Far fewer events are pending at once than run: slots were reused.
+    EXPECT_LT(peak, Interleaving::kEvents / 10) << "peak pending " << peak;
 }
 
 }  // namespace
