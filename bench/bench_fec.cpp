@@ -115,8 +115,7 @@ void append_cell(JsonWriter& json, const Cell& c) {
     json.key("overhead_num").value(static_cast<std::uint64_t>(c.num));
     json.key("overhead_den").value(static_cast<std::uint64_t>(c.den));
     json.key("clf_mean").value(c.s.window_clf.mean());
-    json.key("clf_p99").value(
-        static_cast<std::int64_t>(c.s.clf_histogram.quantile(0.99)));
+    json.key("clf_p99").value(c.s.clf_histogram.quantile(0.99));
     if (c.window > 0) {
         json.key("repairs_sent").value(c.s.metrics.counter("rlc_repairs_sent"));
         json.key("packets_recovered")
@@ -125,19 +124,17 @@ void append_cell(JsonWriter& json, const Cell& c) {
             .value(c.s.metrics.counter("rlc_packets_unrecovered"));
         json.key("bandwidth_overhead")
             .value(counter_ratio(c.s, "rlc_repair_bits_sent", "data_bits_sent"));
-        const espread::sim::Histogram* dec =
+        const espread::obs::Histogram* dec =
             c.s.metrics.find_histogram("rlc_decode_delay_ms");
-        const espread::sim::Histogram* ord =
+        const espread::obs::Histogram* ord =
             c.s.metrics.find_histogram("rlc_in_order_delay_ms");
         if (dec != nullptr) {
             json.key("decode_delay_ms_mean").value(dec->mean());
-            json.key("decode_delay_ms_p99")
-                .value(static_cast<std::int64_t>(dec->quantile(0.99)));
+            json.key("decode_delay_ms_p99").value(dec->quantile(0.99));
         }
         if (ord != nullptr) {
             json.key("in_order_delay_ms_mean").value(ord->mean());
-            json.key("in_order_delay_ms_p99")
-                .value(static_cast<std::int64_t>(ord->quantile(0.99)));
+            json.key("in_order_delay_ms_p99").value(ord->quantile(0.99));
         }
     }
     json.key("summary");
@@ -204,7 +201,7 @@ int main(int argc, char** argv) {
         c.s = runner.run(cell_config(c));
         wall += c.s.wall_seconds;
         total_windows += c.s.total_windows;
-        const sim::Histogram* ord =
+        const espread::obs::Histogram* ord =
             c.s.metrics.find_histogram("rlc_in_order_delay_ms");
         std::printf("%-8s | %6zu | %7.0f%% | %8.3f | %7lld | %9llu | %11.2f\n",
                     c.arm, c.window,

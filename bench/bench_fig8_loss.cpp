@@ -9,11 +9,16 @@
 // runs every panel over N independent Gilbert realizations (default 32,
 // --trials=N) through the parallel Monte-Carlo runner (--threads=T) and
 // reports the mean and spread across trials, plus a machine-readable
-// BENCH_fig8.json for cross-PR perf tracking.
+// BENCH_fig8.json for perf tracking across changes.  The bench exits non-zero
+// unless, at both P_bad values, the scrambled arm has lower mean and lower
+// deviation of per-window CLF than the unscrambled one, with the two ALF
+// means within the larger per-trial ALF deviation of each other.
 //
 // Paper reference numbers (their single realization):
 //   P_bad = 0.6: un-scrambled mean 1.71 dev 0.92; scrambled mean 1.46 dev 0.56
 //   P_bad = 0.7: un-scrambled mean 1.63 dev 0.85; scrambled mean 1.56 dev 0.79
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <string>
 
@@ -64,6 +69,36 @@ void print_panel(const Panel& p, double paper_plain_mean,
                 "scrambled %.3f +/- %.3f (bandwidth-neutral: ~equal)\n\n",
                 p.plain.alf.mean(), p.plain.alf.deviation(),
                 p.spread.alf.mean(), p.spread.alf.deviation());
+}
+
+/// The paper's claim for one panel: scrambling lowers both the mean and
+/// the deviation of per-window CLF, and leaves aggregate loss unchanged to
+/// within the per-trial ALF spread.  Prints the broken clause to stderr.
+bool claim_holds(const Panel& p) {
+    const double alf_gap = std::fabs(p.plain.alf.mean() - p.spread.alf.mean());
+    const double alf_spread =
+        std::max(p.plain.alf.deviation(), p.spread.alf.deviation());
+    bool ok = true;
+    if (!(p.spread.window_clf.mean() < p.plain.window_clf.mean())) {
+        std::fprintf(stderr, "claim failed at P_bad = %.1f: scrambled mean CLF "
+                     "%.3f is not below unscrambled %.3f\n", p.p_bad,
+                     p.spread.window_clf.mean(), p.plain.window_clf.mean());
+        ok = false;
+    }
+    if (!(p.spread.window_clf.deviation() < p.plain.window_clf.deviation())) {
+        std::fprintf(stderr, "claim failed at P_bad = %.1f: scrambled CLF "
+                     "deviation %.3f is not below unscrambled %.3f\n", p.p_bad,
+                     p.spread.window_clf.deviation(),
+                     p.plain.window_clf.deviation());
+        ok = false;
+    }
+    if (!(alf_gap <= alf_spread)) {
+        std::fprintf(stderr, "claim failed at P_bad = %.1f: ALF differs by "
+                     "%.4f, more than the per-trial ALF deviation %.4f\n",
+                     p.p_bad, alf_gap, alf_spread);
+        ok = false;
+    }
+    return ok;
 }
 
 void append_panel(JsonWriter& json, const Panel& p) {
@@ -136,5 +171,9 @@ int main(int argc, char** argv) {
             fig8_config(0.6, Scheme::kLayeredSpread, kSeed), opts.trace_path);
         std::printf("wrote %s\n", opts.trace_path.c_str());
     }
-    return 0;
+    // Claim gate: non-zero exit unless the shape check above holds at
+    // both P_bad values (both are checked, so every broken clause prints).
+    const bool low_ok = claim_holds(panels[0]);
+    const bool high_ok = claim_holds(panels[1]);
+    return low_ok && high_ok ? 0 : 1;
 }

@@ -69,8 +69,8 @@ int main() {
                 static_cast<unsigned long long>(
                     result.metrics.counter("retransmissions")));
     if (const auto* h = result.metrics.find_histogram("loss_run_length")) {
-        std::printf("  loss runs                 : %zu (mean length %.2f)\n",
-                    h->total(), h->mean());
+        std::printf("  loss runs                 : %llu (mean length %.2f)\n",
+                    static_cast<unsigned long long>(h->total()), h->mean());
     }
 
     espread::obs::write_chrome_trace_file("trace_session.json",

@@ -3,6 +3,7 @@
 #include <string>
 
 #include "exp/json.hpp"
+#include "obs/histogram.hpp"
 
 namespace espread::engine {
 
@@ -62,21 +63,6 @@ void ShardedEngine::run(std::size_t windows) {
     for (std::size_t w = 0; w < windows; ++w) step();
 }
 
-namespace {
-
-void append_histogram(exp::JsonWriter& json, const sim::Histogram& h) {
-    json.begin_object();
-    json.key("total").value(static_cast<std::uint64_t>(h.total()));
-    json.key("bins").begin_object();
-    for (const auto& [value, count] : h.bins()) {
-        json.key(std::to_string(value)).value(static_cast<std::uint64_t>(count));
-    }
-    json.end_object();
-    json.end_object();
-}
-
-}  // namespace
-
 void append_summary(exp::JsonWriter& json, const EngineSummary& s) {
     json.begin_object();
     json.key("sessions").value(static_cast<std::uint64_t>(s.sessions));
@@ -89,10 +75,10 @@ void append_summary(exp::JsonWriter& json, const EngineSummary& s) {
     json.key("clf_mean").value(s.clf_mean);
     json.key("clf_dev").value(s.clf_dev);
     json.key("clf_max").value(s.clf_max);
-    json.key("clf_p50").value(static_cast<std::int64_t>(s.clf_histogram.quantile(0.50)));
-    json.key("clf_p90").value(static_cast<std::int64_t>(s.clf_histogram.quantile(0.90)));
-    json.key("clf_p99").value(static_cast<std::int64_t>(s.clf_histogram.quantile(0.99)));
-    json.key("clf_p999").value(static_cast<std::int64_t>(s.clf_histogram.quantile(0.999)));
+    json.key("clf_p50").value(s.clf_histogram.quantile(0.50));
+    json.key("clf_p90").value(s.clf_histogram.quantile(0.90));
+    json.key("clf_p99").value(s.clf_histogram.quantile(0.99));
+    json.key("clf_p999").value(s.clf_histogram.quantile(0.999));
     json.key("acks_delivered").value(s.acks_delivered);
     json.key("acks_lost").value(s.acks_lost);
     json.key("sessions_spawned").value(s.sessions_spawned);
@@ -114,9 +100,9 @@ void append_summary(exp::JsonWriter& json, const EngineSummary& s) {
         json.key("nack_windows_proactive").value(s.nack_windows_proactive);
     }
     json.key("clf_histogram");
-    append_histogram(json, s.clf_histogram);
+    obs::append_histogram(json, s.clf_histogram);
     json.key("bound_histogram");
-    append_histogram(json, s.bound_histogram);
+    obs::append_histogram(json, s.bound_histogram);
     json.end_object();
 }
 

@@ -181,8 +181,8 @@ void SessionPool::spawn(std::size_t slot) {
 void SessionPool::init_scratch(ShardScratch& s) const {
     s.tx_words.assign(words_, 0);
     s.pb_words.assign(words_, 0);
-    s.clf_hist.assign(n_ + 1, 0);
-    s.bound_hist.assign(n_ + 1, 0);
+    s.clf_hist = obs::Histogram{};
+    s.bound_hist = obs::Histogram{};
     s.totals = EngineTotals{};
 }
 
@@ -356,12 +356,11 @@ void SessionPool::run_window_range(std::size_t begin, std::size_t end,
         c.unit_losses += losses;
         c.loss_windows += losses != 0 ? 1u : 0u;
         ++c.governor_windows[gov_state];
-        t.clf_sum += clf;
         t.clf_sq +=
             static_cast<std::uint64_t>(clf) * static_cast<std::uint64_t>(clf);
         if (clf > t.clf_max) t.clf_max = clf;
-        ++s.clf_hist[clf];
-        ++s.bound_hist[bound];
+        s.clf_hist.record(clf);
+        s.bound_hist.record(bound);
         if (fec_on) {
             t.fec_repairs += fec_repairs_this_window;
             if (any_loss) {
@@ -408,18 +407,8 @@ EngineSummary SessionPool::summarize(
     EngineTotals t;
     for (const ShardScratch& s : shards) {
         t.merge(s.totals);
-        for (std::size_t v = 0; v < s.clf_hist.size(); ++v) {
-            if (s.clf_hist[v] > 0) {
-                out.clf_histogram.add(static_cast<std::int64_t>(v),
-                                      static_cast<std::size_t>(s.clf_hist[v]));
-            }
-        }
-        for (std::size_t b = 0; b < s.bound_hist.size(); ++b) {
-            if (s.bound_hist[b] > 0) {
-                out.bound_histogram.add(static_cast<std::int64_t>(b),
-                                        static_cast<std::size_t>(s.bound_hist[b]));
-            }
-        }
+        out.clf_histogram.merge(s.clf_hist);
+        out.bound_histogram.merge(s.bound_hist);
     }
     const obs::telemetry::TelemetryCounters& c = t.counters;
     out.windows = c.windows;
@@ -450,7 +439,7 @@ EngineSummary SessionPool::summarize(
         const double w = static_cast<double>(out.windows);
         out.alf = static_cast<double>(out.unit_losses) /
                   static_cast<double>(out.slots);
-        out.clf_mean = static_cast<double>(t.clf_sum) / w;
+        out.clf_mean = out.clf_histogram.mean();
         const double var =
             static_cast<double>(t.clf_sq) / w - out.clf_mean * out.clf_mean;
         out.clf_dev = var > 0.0 ? std::sqrt(var) : 0.0;

@@ -41,7 +41,6 @@ struct EngineTotals {
     /// arrivals/departures (arrivals exclude the generation-0 prefill)
     /// and governor-lite occupancy (all in Normal when unsupervised).
     obs::telemetry::TelemetryCounters counters;
-    std::uint64_t clf_sum = 0;               ///< sum of per-window CLF
     std::uint64_t clf_sq = 0;                ///< sum of squared CLF
     std::uint64_t clf_max = 0;               ///< worst window CLF
     std::uint64_t governor_transitions = 0;  ///< governor-lite state changes
@@ -56,7 +55,6 @@ struct EngineTotals {
 
     void merge(const EngineTotals& o) noexcept {
         counters.merge(o.counters);
-        clf_sum += o.clf_sum;
         clf_sq += o.clf_sq;
         if (o.clf_max > clf_max) clf_max = o.clf_max;
         governor_transitions += o.governor_transitions;
@@ -80,8 +78,8 @@ struct EngineTotals {
 struct alignas(64) ShardScratch {
     std::vector<std::uint64_t> tx_words;   ///< transmission-order loss bits
     std::vector<std::uint64_t> pb_words;   ///< playback-order loss bits
-    std::vector<std::uint64_t> clf_hist;   ///< bin v = windows with CLF == v
-    std::vector<std::uint64_t> bound_hist; ///< bin b = windows sent with bound b
+    obs::Histogram clf_hist;               ///< per-window CLF
+    obs::Histogram bound_hist;             ///< bound each window was sent with
     EngineTotals totals;                   ///< everything this shard counted
     /// Telemetry plane sink for this shard; null when telemetry is off.
     /// Every use in the hot path is null-gated (one predictable branch),
@@ -126,8 +124,8 @@ struct EngineSummary {
     std::uint64_t nack_repair_packets = 0;    ///< banked repairs released
     std::uint64_t nack_credits_expired = 0;   ///< accrual lost to the cap
     std::uint64_t nack_windows_proactive = 0; ///< watchdog-degraded windows
-    sim::Histogram clf_histogram;      ///< per-window CLF distribution
-    sim::Histogram bound_histogram;    ///< Eq. 1 bound usage distribution
+    obs::Histogram clf_histogram;      ///< per-window CLF distribution
+    obs::Histogram bound_histogram;    ///< Eq. 1 bound usage distribution
 };
 
 /// SoA arenas plus the batched window step.  Thread-safety: disjoint slot

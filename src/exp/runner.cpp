@@ -1,8 +1,8 @@
 #include "exp/runner.hpp"
 
 #include <atomic>
+#include <charconv>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <latch>
 #include <vector>
@@ -22,7 +22,7 @@ TrialOutcome reduce_session(proto::SessionResult r, std::uint64_t seed) {
     t.metrics = std::move(r.metrics);
     for (const proto::WindowReport& w : r.windows) {
         t.window_clf.add(static_cast<double>(w.clf));
-        t.clf_histogram.add(static_cast<std::int64_t>(w.clf));
+        t.clf_histogram.record(w.clf);
         t.retransmissions += w.retransmissions;
     }
     t.unit_losses = r.total.unit_losses;
@@ -34,10 +34,14 @@ TrialOutcome reduce_session(proto::SessionResult r, std::uint64_t seed) {
 bool parse_size_flag(const char* arg, const char* name, std::size_t* out) {
     const std::size_t len = std::strlen(name);
     if (std::strncmp(arg, name, len) != 0 || arg[len] != '=') return false;
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(arg + len + 1, &end, 10);
-    if (end == arg + len + 1 || *end != '\0') return false;
-    *out = static_cast<std::size_t>(v);
+    // from_chars takes no blank or sign for an unsigned type and reports
+    // overflow, where strtoull would wrap "-3" to 2^64 - 3.
+    const char* first = arg + len + 1;
+    const char* last = first + std::strlen(first);
+    std::size_t v = 0;
+    const auto [end, err] = std::from_chars(first, last, v);
+    if (err != std::errc{} || end != last) return false;
+    *out = v;
     return true;
 }
 
@@ -165,12 +169,8 @@ void append_summary(JsonWriter& json, const TrialSummary& summary) {
     append_stats(json, summary.alf);
     json.key("retransmissions");
     append_stats(json, summary.retransmissions);
-    json.key("clf_histogram").begin_object();
-    for (const auto& [clf, count] : summary.clf_histogram.bins()) {
-        json.key(std::to_string(clf))
-            .value(static_cast<std::uint64_t>(count));
-    }
-    json.end_object();
+    json.key("clf_histogram");
+    obs::append_histogram(json, summary.clf_histogram);
     if (!summary.metrics.empty()) {
         json.key("metrics");
         obs::append_metrics(json, summary.metrics);

@@ -57,7 +57,7 @@ struct TrialOutcome {
     std::size_t slots = 0;
     std::size_t retransmissions = 0;
     std::size_t windows = 0;
-    sim::Histogram clf_histogram;     ///< per-window CLF counts
+    obs::Histogram clf_histogram;     ///< per-window CLF counts
     obs::MetricsRegistry metrics;     ///< per-session registry (if collected)
 };
 
@@ -71,7 +71,7 @@ struct TrialSummary {
     sim::RunningStats window_clf; ///< pooled per-window CLF over all trials
     sim::RunningStats alf;        ///< distribution of per-trial ALF
     sim::RunningStats retransmissions;  ///< per-trial retransmission totals
-    sim::Histogram clf_histogram; ///< pooled per-window CLF counts
+    obs::Histogram clf_histogram; ///< pooled per-window CLF counts
     /// Per-trial registries merged in trial order (empty unless the
     /// template config sets collect_metrics).  Deterministic across thread
     /// counts, like every other field.
@@ -111,7 +111,8 @@ private:
 
 /// Appends `summary` as a JSON object under the writer's current position:
 /// {"trials":..,"threads":..,"wall_seconds":..,"windows_per_second":..,
-///  "clf_mean":{stats},...,"clf_histogram":{"0":n0,...},"metrics":{...}}.
+///  "clf_mean":{stats},...,"clf_histogram":{append_histogram},
+///  "metrics":{...}}.
 /// The "metrics" object is omitted when the merged registry is empty.
 void append_summary(JsonWriter& json, const TrialSummary& summary);
 

@@ -16,9 +16,9 @@
 #include <vector>
 
 #include "net/gilbert.hpp"
+#include "obs/histogram.hpp"
 #include "obs/trace.hpp"
 #include "sim/event_queue.hpp"
-#include "sim/stats.hpp"
 
 namespace espread::net {
 
@@ -49,9 +49,9 @@ struct ChannelStats {
     std::size_t sideband_bits = 0;     ///< their bits (subset of `bits_sent`)
     /// Lengths of maximal runs of consecutive dropped packets (send order).
     /// The max alone hides the burst distribution the Gilbert model is
-    /// calibrated to; the histogram exposes it.  Sum over (length x count)
-    /// equals `dropped`.
-    sim::Histogram loss_runs;
+    /// calibrated to; the histogram exposes it.  Its exact sum() equals
+    /// `dropped`.
+    obs::Histogram loss_runs;
 };
 
 /// Per-send fault directives, computed by a FaultChannel wrapper
@@ -174,7 +174,7 @@ public:
             return false;
         }
         if (loss_run_ > 0) {
-            stats_.loss_runs.add(static_cast<std::int64_t>(loss_run_));
+            stats_.loss_runs.record(loss_run_);
             loss_run_ = 0;
         }
         if (faults.corrupt_rejected) {
@@ -225,10 +225,10 @@ public:
 
     /// Snapshot of the delivery counters.  A loss run still open at call
     /// time (the most recent packet was dropped) is counted as complete, so
-    /// loss_runs always sums to `dropped`.
+    /// loss_runs.sum() always equals `dropped`.
     ChannelStats stats() const {
         ChannelStats s = stats_;
-        if (loss_run_ > 0) s.loss_runs.add(static_cast<std::int64_t>(loss_run_));
+        if (loss_run_ > 0) s.loss_runs.record(loss_run_);
         return s;
     }
     /// Slots in the in-flight slab: the peak number of deliveries that

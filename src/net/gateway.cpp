@@ -80,7 +80,7 @@ bool Gateway::offer_packet() {
     const std::size_t slot = offered_++;
     if (admitted) {
         if (loss_run_ > 0) {
-            loss_runs_.add(static_cast<std::int64_t>(loss_run_));
+            loss_runs_.record(loss_run_);
             loss_run_ = 0;
         }
     } else {
@@ -101,9 +101,9 @@ bool Gateway::offer_packet() {
     return !admitted;
 }
 
-sim::Histogram Gateway::loss_runs() const {
-    sim::Histogram h = loss_runs_;
-    if (loss_run_ > 0) h.add(static_cast<std::int64_t>(loss_run_));
+obs::Histogram Gateway::loss_runs() const {
+    obs::Histogram h = loss_runs_;
+    if (loss_run_ > 0) h.record(loss_run_);
     return h;
 }
 

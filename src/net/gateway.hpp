@@ -13,9 +13,9 @@
 
 #include <cstddef>
 
+#include "obs/histogram.hpp"
 #include "obs/trace.hpp"
 #include "sim/rng.hpp"
-#include "sim/stats.hpp"
 
 namespace espread::net {
 
@@ -66,10 +66,10 @@ public:
     std::size_t dropped() const noexcept { return dropped_; }
 
     /// Lengths of maximal runs of consecutive dropped probe packets; a run
-    /// still open at call time counts as complete, so the histogram always
-    /// sums to `dropped()`.  The burst-length distribution — not just the
-    /// max — is what separates drop-tail from RED.
-    sim::Histogram loss_runs() const;
+    /// still open at call time counts as complete, so the histogram's
+    /// sum() always equals `dropped()`.  The burst-length distribution —
+    /// not just the max — is what separates drop-tail from RED.
+    obs::Histogram loss_runs() const;
 
     /// Current instantaneous queue length (packets).
     double queue_length() const noexcept { return queue_; }
@@ -95,7 +95,7 @@ private:
     std::size_t offered_ = 0;
     std::size_t dropped_ = 0;
     std::size_t loss_run_ = 0;
-    sim::Histogram loss_runs_;
+    obs::Histogram loss_runs_;
     obs::TraceSink* trace_ = nullptr;
 };
 

@@ -1,7 +1,5 @@
 #include "obs/metrics.hpp"
 
-#include <string>
-
 #include "exp/json.hpp"
 
 namespace espread::obs {
@@ -11,18 +9,17 @@ std::uint64_t MetricsRegistry::counter(std::string_view name) const noexcept {
     return i < kMetricSlots ? counts_[i] : 0;
 }
 
-const sim::Histogram* MetricsRegistry::find_histogram(
+const Histogram* MetricsRegistry::find_histogram(
     std::string_view name) const noexcept {
-    const std::size_t i = contracts::index_of(contracts::kSessionMetricNames, name);
-    return i < kMetricSlots && binned_[i] ? &hists_[i] : nullptr;
+    const std::size_t i =
+        contracts::index_of(contracts::kSessionHistogramNames, name);
+    return i < kHistogramSlots && binned_[i] ? &hists_[i] : nullptr;
 }
 
 void MetricsRegistry::merge(const MetricsRegistry& other) {
     // An absent slot holds 0 and an empty histogram, so adding it is a no-op.
-    for (std::size_t i = 0; i < kMetricSlots; ++i) {
-        counts_[i] += other.counts_[i];
-        hists_[i].merge(other.hists_[i]);
-    }
+    for (std::size_t i = 0; i < kMetricSlots; ++i) counts_[i] += other.counts_[i];
+    for (std::size_t i = 0; i < kHistogramSlots; ++i) hists_[i].merge(other.hists_[i]);
     counted_ |= other.counted_;
     binned_ |= other.binned_;
 }
@@ -35,11 +32,11 @@ std::vector<std::pair<std::string_view, std::uint64_t>> MetricsRegistry::counter
     return out;
 }
 
-std::vector<std::pair<std::string_view, const sim::Histogram*>>
+std::vector<std::pair<std::string_view, const Histogram*>>
 MetricsRegistry::histograms() const {
-    std::vector<std::pair<std::string_view, const sim::Histogram*>> out;
-    for (std::size_t i = 0; i < kMetricSlots; ++i) {
-        if (binned_[i]) out.emplace_back(contracts::kSessionMetricNames[i], &hists_[i]);
+    std::vector<std::pair<std::string_view, const Histogram*>> out;
+    for (std::size_t i = 0; i < kHistogramSlots; ++i) {
+        if (binned_[i]) out.emplace_back(contracts::kSessionHistogramNames[i], &hists_[i]);
     }
     return out;
 }
@@ -53,16 +50,8 @@ void append_metrics(exp::JsonWriter& json, const MetricsRegistry& metrics) {
     json.end_object();
     json.key("histograms").begin_object();
     for (const auto& [name, hist] : metrics.histograms()) {
-        json.key(name).begin_object();
-        json.key("total").value(static_cast<std::uint64_t>(hist->total()));
-        json.key("mean").value(hist->mean());
-        json.key("bins").begin_object();
-        for (const auto& [value, count] : hist->bins()) {
-            json.key(std::to_string(value))
-                .value(static_cast<std::uint64_t>(count));
-        }
-        json.end_object();
-        json.end_object();
+        json.key(name);
+        append_histogram(json, *hist);
     }
     json.end_object();
     json.end_object();

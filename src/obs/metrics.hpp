@@ -1,11 +1,13 @@
 // Session metrics registry (observability layer).
 //
-// One slot per name in contracts::kSessionMetricNames, holding a counter
-// and a histogram; a name is present (listed and serialized) once written.
-// Writers name slots with Metric, resolved at compile time, so a misspelt
-// name does not build.  The table is sorted, so slot order is key order:
-// merging per-trial registries in trial order (exp::MonteCarloRunner)
-// gives the same bytes for any thread count.
+// One counter slot per name in contracts::kSessionMetricNames and one
+// obs::Histogram slot per name in contracts::kSessionHistogramNames; a
+// name is present (listed and serialized) once written.  Writers name
+// slots with Metric / HistogramMetric, resolved at compile time against
+// their own table, so a misspelt name — or a counter name used as a
+// histogram, and the reverse — does not build.  Both tables are sorted,
+// so slot order is key order: merging per-trial registries in trial order
+// (exp::MonteCarloRunner) gives the same bytes for any thread count.
 #pragma once
 
 #include <algorithm>
@@ -20,8 +22,8 @@
 #include <utility>
 #include <vector>
 
+#include "obs/histogram.hpp"
 #include "sim/contracts.hpp"
-#include "sim/stats.hpp"
 
 namespace espread::exp {
 class JsonWriter;
@@ -31,19 +33,37 @@ namespace espread::obs {
 
 inline constexpr std::size_t kMetricSlots =
     std::size(contracts::kSessionMetricNames);
+inline constexpr std::size_t kHistogramSlots =
+    std::size(contracts::kSessionHistogramNames);
 
 static_assert(std::ranges::adjacent_find(contracts::kSessionMetricNames,
                                          std::ranges::greater_equal{}) ==
                   std::end(contracts::kSessionMetricNames),
               "kSessionMetricNames must be sorted and unique: slot order is "
               "the JSON key order");
+static_assert(std::ranges::adjacent_find(contracts::kSessionHistogramNames,
+                                         std::ranges::greater_equal{}) ==
+                  std::end(contracts::kSessionHistogramNames),
+              "kSessionHistogramNames must be sorted and unique: slot order "
+              "is the JSON key order");
 
-/// A registered metric's slot, looked up at compile time.
+/// A registered counter's slot, looked up at compile time.
 struct Metric {
     consteval Metric(const char* name)
         : slot(contracts::index_of(contracts::kSessionMetricNames, name)) {
         if (slot == kMetricSlots) {
-            throw "metric name missing from contracts::kSessionMetricNames";
+            throw "counter name missing from contracts::kSessionMetricNames";
+        }
+    }
+    std::size_t slot;
+};
+
+/// A registered histogram's slot, looked up at compile time.
+struct HistogramMetric {
+    consteval HistogramMetric(const char* name)
+        : slot(contracts::index_of(contracts::kSessionHistogramNames, name)) {
+        if (slot == kHistogramSlots) {
+            throw "histogram name missing from contracts::kSessionHistogramNames";
         }
     }
     std::size_t slot;
@@ -65,7 +85,7 @@ public:
     }
 
     /// The histogram, made present (possibly empty).
-    sim::Histogram& hist(Metric m) noexcept {
+    Histogram& hist(HistogramMetric m) noexcept {
         binned_.set(m.slot);
         return hists_[m.slot];
     }
@@ -77,7 +97,7 @@ public:
     std::uint64_t counter(std::string_view name) const noexcept;
 
     /// Histogram by runtime name; nullptr if it is absent or unregistered.
-    const sim::Histogram* find_histogram(std::string_view name) const noexcept;
+    const Histogram* find_histogram(std::string_view name) const noexcept;
 
     /// Adds every present counter and histogram of `other` into this one.
     void merge(const MetricsRegistry& other);
@@ -86,18 +106,17 @@ public:
 
     /// Present counters and histograms, in key order.
     std::vector<std::pair<std::string_view, std::uint64_t>> counters() const;
-    std::vector<std::pair<std::string_view, const sim::Histogram*>> histograms() const;
+    std::vector<std::pair<std::string_view, const Histogram*>> histograms() const;
 
 private:
     std::array<std::uint64_t, kMetricSlots> counts_{};
-    std::array<sim::Histogram, kMetricSlots> hists_;
+    std::array<Histogram, kHistogramSlots> hists_;
     std::bitset<kMetricSlots> counted_;
-    std::bitset<kMetricSlots> binned_;
+    std::bitset<kHistogramSlots> binned_;
 };
 
 /// Appends the registry at the writer's current position:
-/// {"counters":{name:value,...},
-///  "histograms":{name:{"total":n,"mean":m,"bins":{value:count,...}},...}}.
+/// {"counters":{name:value,...},"histograms":{name:{append_histogram},...}}.
 void append_metrics(exp::JsonWriter& json, const MetricsRegistry& metrics);
 
 }  // namespace espread::obs

@@ -14,14 +14,14 @@
 // The observe_* sites feed only the histograms.
 //
 // Everything in the slab is a uint64 counter or a fixed-size
-// QuantileHistogram: folding slabs in shard index order is pure integer
+// obs::Histogram: folding slabs in shard index order is pure integer
 // addition, so an epoch snapshot is byte-identical for any shard count.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 
-#include "obs/telemetry/quantile.hpp"
+#include "obs/histogram.hpp"
 
 namespace espread::obs::telemetry {
 
@@ -81,11 +81,11 @@ struct TelemetryCounters {
 /// histogram records; call sites must null-gate the slab pointer so the
 /// disabled path stays one predictable branch per site.
 struct alignas(64) TelemetrySlab {
-    TelemetryCounters counters;       ///< merged in once per slot range
-    QuantileHistogram window_clf;     ///< per-window playback CLF
-    QuantileHistogram loss_run;       ///< consecutive-loss run lengths
-    QuantileHistogram bound_used;     ///< Eq. 1 bound the window was sent with
-    QuantileHistogram governor_dwell; ///< windows per completed state visit
+    TelemetryCounters counters;  ///< merged in once per slot range
+    Histogram window_clf;        ///< per-window playback CLF
+    Histogram loss_run;          ///< consecutive-loss run lengths
+    Histogram bound_used;        ///< Eq. 1 bound the window was sent with
+    Histogram governor_dwell;    ///< windows per completed state visit
 
     /// One executed session-window: its CLF and the bound it was sent with.
     void observe_window(std::uint64_t clf, std::uint64_t bound) noexcept {

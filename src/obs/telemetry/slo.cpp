@@ -53,7 +53,7 @@ void SloObjective::validate() const {
 
 namespace {
 
-const QuantileHistogram& signal_delta(const FleetSnapshot& s, SloSignal sig) {
+const Histogram& signal_delta(const FleetSnapshot& s, SloSignal sig) {
     switch (sig) {
         case SloSignal::kClf: return s.clf_delta;
         case SloSignal::kLossRun: return s.loss_run_delta;
@@ -114,7 +114,7 @@ void SloEvaluator::on_snapshot(const FleetSnapshot& s) {
 
     for (std::size_t i = 0; i < objectives_.size(); ++i) {
         const SloObjective& o = objectives_[i];
-        const QuantileHistogram& h = signal_delta(s, o.signal);
+        const Histogram& h = signal_delta(s, o.signal);
         EpochSample sample;
         sample.total = h.total();
         sample.bad = h.total() - h.count_le(o.threshold);

@@ -32,30 +32,6 @@ void append_counters(exp::JsonWriter& json, const TelemetryCounters& c) {
     json.end_object();
 }
 
-void append_quantile_histogram(exp::JsonWriter& json,
-                               const QuantileHistogram& h) {
-    json.begin_object();
-    json.key("total").value(h.total());
-    json.key("p50").value(h.quantile(0.50));
-    json.key("p90").value(h.quantile(0.90));
-    json.key("p99").value(h.quantile(0.99));
-    json.key("p999").value(h.quantile(0.999));
-    json.key("max").value(h.max_bucket_value());
-    // Sparse bucket encoding: [index, count] pairs for non-empty buckets,
-    // in index order.  tools/espread_report restores the histogram from
-    // exactly these pairs.
-    json.key("buckets").begin_array();
-    for (std::size_t b = 0; b < QuantileHistogram::kBuckets; ++b) {
-        if (h.counts()[b] == 0) continue;
-        json.begin_array();
-        json.value(static_cast<std::uint64_t>(b));
-        json.value(h.counts()[b]);
-        json.end_array();
-    }
-    json.end_array();
-    json.end_object();
-}
-
 }  // namespace
 
 SnapshotRegistry::SnapshotRegistry(std::size_t epoch_steps)
@@ -87,11 +63,11 @@ const FleetSnapshot& SnapshotRegistry::capture(std::uint64_t step,
     } else {
         const FleetSnapshot& prev = snapshots_.back();
         s.delta = TelemetryCounters::delta(s.totals, prev.totals);
-        s.clf_delta = QuantileHistogram::delta(s.clf, prev.clf);
-        s.loss_run_delta = QuantileHistogram::delta(s.loss_run, prev.loss_run);
-        s.bound_delta = QuantileHistogram::delta(s.bound, prev.bound);
+        s.clf_delta = Histogram::delta(s.clf, prev.clf);
+        s.loss_run_delta = Histogram::delta(s.loss_run, prev.loss_run);
+        s.bound_delta = Histogram::delta(s.bound, prev.bound);
         s.governor_dwell_delta =
-            QuantileHistogram::delta(s.governor_dwell, prev.governor_dwell);
+            Histogram::delta(s.governor_dwell, prev.governor_dwell);
     }
     snapshots_.push_back(std::move(s));
     return snapshots_.back();
@@ -106,21 +82,21 @@ void append_snapshot(exp::JsonWriter& json, const FleetSnapshot& s) {
     json.key("delta");
     append_counters(json, s.delta);
     json.key("clf");
-    append_quantile_histogram(json, s.clf);
+    append_histogram(json, s.clf);
     json.key("loss_run");
-    append_quantile_histogram(json, s.loss_run);
+    append_histogram(json, s.loss_run);
     json.key("bound");
-    append_quantile_histogram(json, s.bound);
+    append_histogram(json, s.bound);
     json.key("governor_dwell");
-    append_quantile_histogram(json, s.governor_dwell);
+    append_histogram(json, s.governor_dwell);
     json.key("clf_delta");
-    append_quantile_histogram(json, s.clf_delta);
+    append_histogram(json, s.clf_delta);
     json.key("loss_run_delta");
-    append_quantile_histogram(json, s.loss_run_delta);
+    append_histogram(json, s.loss_run_delta);
     json.key("bound_delta");
-    append_quantile_histogram(json, s.bound_delta);
+    append_histogram(json, s.bound_delta);
     json.key("governor_dwell_delta");
-    append_quantile_histogram(json, s.governor_dwell_delta);
+    append_histogram(json, s.governor_dwell_delta);
     json.end_object();
 }
 
@@ -153,18 +129,19 @@ void prom_counter(std::string& out, const std::string& prefix,
 }
 
 void prom_histogram(std::string& out, const std::string& prefix,
-                    std::string_view name, const QuantileHistogram& h) {
+                    std::string_view name, const Histogram& h) {
     const std::string metric = prefix + "_" + std::string(name);
     out += "# TYPE " + metric + " histogram\n";
     std::uint64_t cum = 0;
-    for (std::size_t b = 0; b < QuantileHistogram::kBuckets; ++b) {
+    for (std::size_t b = 0; b < Histogram::kBuckets; ++b) {
         if (h.counts()[b] == 0) continue;
         cum += h.counts()[b];
         out += metric + "_bucket{le=\"" +
-               std::to_string(QuantileHistogram::bucket_upper(b)) + "\"} " +
+               std::to_string(Histogram::bucket_upper(b)) + "\"} " +
                std::to_string(cum) + "\n";
     }
     out += metric + "_bucket{le=\"+Inf\"} " + std::to_string(h.total()) + "\n";
+    out += metric + "_sum " + std::to_string(h.sum()) + "\n";
     out += metric + "_count " + std::to_string(h.total()) + "\n";
     for (const auto& [q, label] :
          {std::pair<double, const char*>{0.50, "0.5"},
@@ -201,7 +178,7 @@ std::string prometheus_text(const FleetSnapshot& s, const std::string& prefix) {
     }
     // Histograms are named by the telemetry signals, in registry order,
     // matching the snapshot-series keys and the SLO objective spec.
-    const QuantileHistogram* signals[] = {&s.clf, &s.loss_run, &s.bound,
+    const Histogram* signals[] = {&s.clf, &s.loss_run, &s.bound,
                                           &s.governor_dwell};
     static_assert(std::size(contracts::kTelemetrySignalNames) ==
                   sizeof(signals) / sizeof(signals[0]));

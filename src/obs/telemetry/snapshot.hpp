@@ -38,17 +38,17 @@ struct FleetSnapshot {
     TelemetryCounters delta;   ///< this epoch only (totals - previous)
 
     // Cumulative distributions since engine start.
-    QuantileHistogram clf;
-    QuantileHistogram loss_run;
-    QuantileHistogram bound;
-    QuantileHistogram governor_dwell;
+    Histogram clf;
+    Histogram loss_run;
+    Histogram bound;
+    Histogram governor_dwell;
 
     // This epoch's distributions (cumulative minus previous snapshot) —
     // the SLO evaluator's burn-rate inputs.
-    QuantileHistogram clf_delta;
-    QuantileHistogram loss_run_delta;
-    QuantileHistogram bound_delta;
-    QuantileHistogram governor_dwell_delta;
+    Histogram clf_delta;
+    Histogram loss_run_delta;
+    Histogram bound_delta;
+    Histogram governor_dwell_delta;
 
     bool operator==(const FleetSnapshot&) const noexcept = default;
 };
@@ -98,8 +98,8 @@ void write_snapshot_series(const std::string& path,
 
 /// Prometheus text exposition (version 0.0.4) of one snapshot's
 /// cumulative state: counters as `<prefix>_*_total`, histograms as
-/// `_bucket{le="..."}` series with `_sum`-free cumulative counts plus
-/// quantile gauges.
+/// cumulative `_bucket{le="..."}` series with the exact `_sum` and
+/// `_count`, plus quantile gauges.
 std::string prometheus_text(const FleetSnapshot& s,
                             const std::string& prefix = "espread");
 

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "obs/histogram.hpp"
 #include "sim/stats.hpp"
 
 namespace espread::proto {
@@ -62,12 +63,12 @@ void write_event_csv_file(const std::string& path,
 std::string summarize(const SessionResult& result) {
     const sim::RunningStats s = result.clf_stats();
     const sim::RunningStats p = result.playout_clf_stats();
-    // Quantiles come from an exact integer histogram of the per-window
-    // CLFs (sim::Histogram::quantile), not from re-sorting the series.
-    sim::Histogram clf_hist;
-    for (const WindowReport& w : result.windows) {
-        clf_hist.add(static_cast<std::int64_t>(w.clf));
-    }
+    // Quantiles come from a histogram of the per-window CLFs, not from
+    // re-sorting the series.  CLFs below obs::Histogram::kLinearMax (32)
+    // land in exact buckets, so p50/p99 are exact for windows of up to
+    // 31 LDUs.
+    obs::Histogram clf_hist;
+    for (const WindowReport& w : result.windows) clf_hist.record(w.clf);
     std::ostringstream out;
     out << result.windows.size() << " windows: CLF mean "
         << sim::format_fixed(s.mean(), 2) << " dev "

@@ -405,8 +405,8 @@ struct Session::Impl {
                 const RlcSource& src = rlc_source(e.index);
                 const double delay_s =
                     std::max(0.0, e.at - sim::to_seconds(src.expect_arrival));
-                metrics.hist("rlc_in_order_delay_ms").add(
-                    static_cast<std::int64_t>(delay_s * 1e3));
+                metrics.hist("rlc_in_order_delay_ms").record(
+                    static_cast<std::uint64_t>(delay_s * 1e3));
             }
         }
     }
@@ -501,7 +501,7 @@ struct Session::Impl {
             receiver.on_packet(src.header, queue.now());
             metrics.add("rlc_packets_recovered");
             if (cfg.collect_metrics) {
-                metrics.hist("rlc_decode_delay_ms").add(static_cast<std::int64_t>(
+                metrics.hist("rlc_decode_delay_ms").record(static_cast<std::uint64_t>(
                     (queue.now() - src.expect_arrival) / 1'000'000));
             }
             trace_event(obs::EventType::kFecRecovered, obs::Actor::kClient,
@@ -695,8 +695,8 @@ struct Session::Impl {
         if (cfg.collect_metrics) {
             // NACK round trip + queueing behind the window's own traffic,
             // from the moment the loss hit the wire to the resend start.
-            metrics.hist("retransmit_latency_ms").add(
-                static_cast<std::int64_t>((start - rx.lost_at) / 1'000'000));
+            metrics.hist("retransmit_latency_ms").record(
+                static_cast<std::uint64_t>((start - rx.lost_at) / 1'000'000));
         }
         // Resend every listed fragment, compacting the ones lost again to
         // the front of rx.fragments (in order) for the next attempt.
@@ -1132,16 +1132,16 @@ struct Session::Impl {
         m.add("playout_misses", playout_misses);
 
         std::uint64_t retx = 0, dropped = 0, undecodable = 0;
-        sim::Histogram& bounds = m.hist("bound_used");
-        sim::Histogram& clf = m.hist("window_clf");
-        sim::Histogram& burst = m.hist("window_packet_burst");
+        obs::Histogram& bounds = m.hist("bound_used");
+        obs::Histogram& clf = m.hist("window_clf");
+        obs::Histogram& burst = m.hist("window_packet_burst");
         for (const WindowReport& w : result.windows) {
             retx += w.retransmissions;
             dropped += w.sender_dropped;
             undecodable += w.undecodable;
-            bounds.add(static_cast<std::int64_t>(w.bound_used));
-            clf.add(static_cast<std::int64_t>(w.clf));
-            burst.add(static_cast<std::int64_t>(w.actual_packet_burst));
+            bounds.record(w.bound_used);
+            clf.record(w.clf);
+            burst.record(w.actual_packet_burst);
         }
         m.add("retransmissions", retx);
         m.add("frames_deadline_dropped", dropped);
@@ -1189,11 +1189,11 @@ struct Session::Impl {
             m.add("governor_entries_recovering", g.state_entries[3]);
             // Per-window governed bound and supervision state; bound_used
             // in the per-window reports carries the same bound per window.
-            sim::Histogram& governed = m.hist("governor_bound");
-            sim::Histogram& states = m.hist("governor_state");
+            obs::Histogram& governed = m.hist("governor_bound");
+            obs::Histogram& states = m.hist("governor_state");
             for (const WindowReport& w : result.windows) {
-                governed.add(static_cast<std::int64_t>(w.bound_used));
-                states.add(static_cast<std::int64_t>(w.governor_state));
+                governed.record(w.bound_used);
+                states.record(static_cast<std::uint64_t>(w.governor_state));
             }
         }
         if (repair.has_value()) {

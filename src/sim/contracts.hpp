@@ -17,8 +17,9 @@
 //     labels and espread_report's occupancy line index these tables by
 //     enumerator; each consumer static_asserts the table length against
 //     its enum.  Session metric names are checked at build time: writers
-//     name a slot through obs::Metric, whose consteval lookup rejects a
-//     name missing from kSessionMetricNames.  The JSON-key tables are
+//     name a slot through obs::Metric or obs::HistogramMetric, whose
+//     consteval lookups reject a name missing from kSessionMetricNames or
+//     kSessionHistogramNames respectively.  The JSON-key tables are
 //     checked against real output by tests/test_contracts.cpp (producer
 //     names equal the table, in both directions), which also requires the
 //     kitchen-sink session to emit every metric name.
@@ -67,17 +68,16 @@ inline constexpr std::uint64_t kAnalysisLaneGilbertChain = 1;
 
 // ---- session metric names --------------------------------------------------
 //
-// Counter and histogram names of proto::Session's obs::MetricsRegistry:
-// entry i is the registry's slot i, so a name outside this table does not
-// compile (obs::Metric) and the order, asserted sorted in obs/metrics.hpp,
-// is the JSON key order.  Gated metric groups (impairment, rlc, governor,
+// Counter names of proto::Session's obs::MetricsRegistry: entry i is the
+// registry's counter slot i, so a name outside this table does not compile
+// (obs::Metric) and the order, asserted sorted in obs/metrics.hpp, is the
+// JSON key order.  Gated metric groups (impairment, rlc, governor,
 // recovery) only appear when their feature ran, but the names still live
 // here.
 inline constexpr std::string_view kSessionMetricNames[] = {
     "acks_applied",
     "acks_sent",
     "acks_stale",
-    "bound_used",
     "data_bits_sent",
     "data_packets_corrupt_rejected",
     "data_packets_delivered",
@@ -98,7 +98,6 @@ inline constexpr std::string_view kSessionMetricNames[] = {
     "governor_acks_rejected_duplicate",
     "governor_acks_rejected_future",
     "governor_acks_rejected_stale",
-    "governor_bound",
     "governor_entries_degraded",
     "governor_entries_fallback",
     "governor_entries_normal",
@@ -106,13 +105,11 @@ inline constexpr std::string_view kSessionMetricNames[] = {
     "governor_fallbacks",
     "governor_observations_clamped",
     "governor_recoveries",
-    "governor_state",
     "governor_transitions",
     "governor_windows_degraded",
     "governor_windows_fallback",
     "governor_windows_normal",
     "governor_windows_recovering",
-    "loss_run_length",
     "nack_credits_expired",
     "nack_repairs_sent",
     "nack_requests_received",
@@ -136,10 +133,7 @@ inline constexpr std::string_view kSessionMetricNames[] = {
     "recv_mismatch_dropped",
     "recv_stale_dropped",
     "retransmissions",
-    "retransmit_latency_ms",
-    "rlc_decode_delay_ms",
     "rlc_forged_rejected",
-    "rlc_in_order_delay_ms",
     "rlc_packets_recovered",
     "rlc_packets_unrecovered",
     "rlc_rank",
@@ -147,6 +141,20 @@ inline constexpr std::string_view kSessionMetricNames[] = {
     "rlc_repairs_lost",
     "rlc_repairs_redundant",
     "rlc_repairs_sent",
+};
+
+// Histogram names of the same registry, kept apart from the counters so
+// that only these slots carry an obs::Histogram: entry i is histogram slot
+// i (obs::HistogramMetric), sorted the same way.  A counter name passed
+// to hist(), or a histogram name passed to add(), does not compile.
+inline constexpr std::string_view kSessionHistogramNames[] = {
+    "bound_used",
+    "governor_bound",
+    "governor_state",
+    "loss_run_length",
+    "retransmit_latency_ms",
+    "rlc_decode_delay_ms",
+    "rlc_in_order_delay_ms",
     "window_clf",
     "window_packet_burst",
 };
@@ -158,8 +166,8 @@ inline constexpr std::string_view kEngineSummaryKeys[] = {
     "acks_lost",
     "active_sessions",
     "alf",
-    "bins",
     "bound_histogram",
+    "buckets",
     "clf_dev",
     "clf_histogram",
     "clf_max",
@@ -174,15 +182,21 @@ inline constexpr std::string_view kEngineSummaryKeys[] = {
     "governor_transitions",
     "governor_windows",
     "idle_windows",
+    "max",
     "nack_credits_expired",
     "nack_repair_packets",
     "nack_requests_lost",
     "nack_requests_sent",
     "nack_windows_proactive",
+    "p50",
+    "p90",
+    "p99",
+    "p999",
     "sessions",
     "sessions_completed",
     "sessions_spawned",
     "slots",
+    "sum",
     "total",
     "unit_losses",
     "windows",
@@ -220,6 +234,7 @@ inline constexpr std::string_view kTelemetrySeriesKeys[] = {
     "sessions_spawned",
     "snapshots",
     "step",
+    "sum",
     "total",
     "totals",
     "unit_losses",

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <limits>
 
 namespace espread::sim {
 
@@ -61,62 +60,6 @@ RunningStats TimeSeries::y_stats() const {
     RunningStats s;
     for (double y : ys_) s.add(y);
     return s;
-}
-
-void Histogram::add(std::int64_t value) {
-    ++bins_[value];
-    ++total_;
-}
-
-void Histogram::add(std::int64_t value, std::size_t count) {
-    if (count == 0) return;
-    bins_[value] += count;
-    total_ += count;
-}
-
-void Histogram::merge(const Histogram& other) {
-    for (const auto& [value, count] : other.bins_) add(value, count);
-}
-
-std::size_t Histogram::count(std::int64_t value) const noexcept {
-    const auto it = bins_.find(value);
-    return it == bins_.end() ? 0 : it->second;
-}
-
-double Histogram::fraction(std::int64_t value) const noexcept {
-    if (total_ == 0) return 0.0;
-    return static_cast<double>(count(value)) / static_cast<double>(total_);
-}
-
-std::int64_t Histogram::min() const noexcept {
-    return bins_.empty() ? 0 : bins_.begin()->first;
-}
-
-std::int64_t Histogram::max() const noexcept {
-    return bins_.empty() ? 0 : bins_.rbegin()->first;
-}
-
-std::int64_t Histogram::quantile(double q) const noexcept {
-    if (total_ == 0) return 0;
-    if (q < 0.0) q = 0.0;
-    if (q > 1.0) q = 1.0;
-    std::size_t rank =
-        static_cast<std::size_t>(std::ceil(q * static_cast<double>(total_)));
-    if (rank == 0) rank = 1;
-    if (rank > total_) rank = total_;
-    std::size_t cum = 0;
-    for (const auto& [value, count] : bins_) {
-        cum += count;
-        if (cum >= rank) return value;
-    }
-    return bins_.rbegin()->first;
-}
-
-double Histogram::mean() const noexcept {
-    if (total_ == 0) return 0.0;
-    double sum = 0.0;
-    for (const auto& [v, c] : bins_) sum += static_cast<double>(v) * static_cast<double>(c);
-    return sum / static_cast<double>(total_);
 }
 
 std::string format_fixed(double x, int digits) {

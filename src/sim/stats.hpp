@@ -3,8 +3,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -64,36 +62,6 @@ public:
 private:
     std::vector<double> xs_;
     std::vector<double> ys_;
-};
-
-/// Counts of integer-valued observations (e.g. burst-length histogram).
-class Histogram {
-public:
-    void add(std::int64_t value);
-
-    /// Adds `count` observations of `value` at once (bulk merge).
-    void add(std::int64_t value, std::size_t count);
-
-    /// Merges another histogram's bins into this one.
-    void merge(const Histogram& other);
-
-    std::size_t total() const noexcept { return total_; }
-    std::size_t count(std::int64_t value) const noexcept;
-    /// Fraction of observations equal to `value`; 0 if no observations.
-    double fraction(std::int64_t value) const noexcept;
-    std::int64_t min() const noexcept;
-    std::int64_t max() const noexcept;
-    double mean() const noexcept;
-    /// Nearest-rank quantile: the smallest binned value whose cumulative
-    /// count reaches ceil(q * total).  Exact — bins hold exact values,
-    /// not ranges.  q outside [0, 1] is clamped; 0 if no observations.
-    /// Monotone in q; quantile(0) == min(), quantile(1) == max().
-    std::int64_t quantile(double q) const noexcept;
-    const std::map<std::int64_t, std::size_t>& bins() const noexcept { return bins_; }
-
-private:
-    std::map<std::int64_t, std::size_t> bins_;
-    std::size_t total_ = 0;
 };
 
 /// Formats `x` with `digits` digits after the decimal point (bench output).

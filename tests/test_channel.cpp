@@ -85,9 +85,8 @@ TEST(Channel, AllPacketsDroppedWhenAlwaysBad) {
     // The 9 drops form one (still open) loss run of length 9.
     const auto runs = ch.stats().loss_runs;
     EXPECT_EQ(runs.total(), 1u);
-    ASSERT_EQ(runs.bins().size(), 1u);
-    EXPECT_EQ(runs.bins().begin()->first, 9);
-    EXPECT_EQ(runs.bins().begin()->second, 1u);
+    EXPECT_EQ(runs.sum(), 9u);
+    EXPECT_EQ(runs.counts()[9], 1u);
 }
 
 TEST(Channel, LosslessChannelHasNoLossRuns) {
@@ -108,14 +107,10 @@ TEST(Channel, LossRunLengthsSumToDroppedPackets) {
     const auto s = ch.stats();
     ASSERT_GT(s.dropped, 0u);
     ASSERT_LT(s.dropped, s.sent);
-    // Every dropped packet belongs to exactly one run, so the lengths
-    // weighted by their counts must add up to the drop total.
-    std::size_t in_runs = 0;
-    for (const auto& [len, count] : s.loss_runs.bins()) {
-        ASSERT_GE(len, 1);
-        in_runs += static_cast<std::size_t>(len) * count;
-    }
-    EXPECT_EQ(in_runs, s.dropped);
+    // Every dropped packet belongs to exactly one run, so the exact sum
+    // of the run lengths must equal the drop total.
+    EXPECT_EQ(s.loss_runs.counts()[0], 0u);  // a run has length >= 1
+    EXPECT_EQ(s.loss_runs.sum(), s.dropped);
     EXPECT_LE(s.loss_runs.total(), s.dropped);
 }
 
@@ -154,7 +149,7 @@ TEST(Channel, RejectsBadLinkConfig) {
 // ---- FaultChannel ---------------------------------------------------------
 
 /// delivered + dropped + corrupt_rejected == sent + duplicated, and the
-/// loss-run histogram still sums to dropped: the reconciliation contract
+/// loss-run histogram's sum still equals dropped: the reconciliation contract
 /// every impaired run must satisfy once the queue has drained.
 void expect_reconciled(const espread::net::ChannelStats& s,
                        std::size_t received) {
@@ -162,11 +157,7 @@ void expect_reconciled(const espread::net::ChannelStats& s,
     EXPECT_EQ(s.delivered + s.dropped + s.corrupt_rejected,
               s.sent + s.duplicated);
     EXPECT_LE(s.forced_dropped, s.dropped);
-    std::size_t in_runs = 0;
-    for (const auto& [len, count] : s.loss_runs.bins()) {
-        in_runs += static_cast<std::size_t>(len) * count;
-    }
-    EXPECT_EQ(in_runs, s.dropped);
+    EXPECT_EQ(s.loss_runs.sum(), s.dropped);
 }
 
 TEST(FaultChannel, InactiveConfigMatchesBareChannelExactly) {
@@ -423,8 +414,32 @@ TEST(FaultChannel, BlackoutKillsExactlyTheInterval) {
     EXPECT_EQ(s.forced_dropped, 5u);
     EXPECT_EQ(s.dropped, 5u);
     // The five scripted drops form one loss run.
-    ASSERT_EQ(s.loss_runs.bins().size(), 1u);
-    EXPECT_EQ(s.loss_runs.bins().begin()->first, 5);
+    EXPECT_EQ(s.loss_runs.total(), 1u);
+    EXPECT_EQ(s.loss_runs.counts()[5], 1u);
+    expect_reconciled(s, got.size());
+}
+
+TEST(FaultChannel, LongBlackoutRunStaysExactPastTheLinearBuckets) {
+    // A 40-packet outage is one loss run longer than the histogram's exact
+    // range: its bucket is 25% wide, but the sum still counts every drop.
+    EventQueue q;
+    FaultChannel<int> ch{q, LinkConfig{1e6, 0}, GilbertParams{1.0, 0.0},
+                         Rng{1}};
+    ImpairmentConfig cfg;
+    cfg.blackouts.push_back({from_millis(10), from_millis(50)});
+    ch.set_impairments(cfg, Rng{3});
+    std::vector<int> got;
+    ch.set_receiver([&](int v) { got.push_back(v); });
+    for (int i = 0; i < 60; ++i) ch.send(i, 1000);
+    q.run();
+    const auto s = ch.stats();
+    ASSERT_EQ(s.dropped, 40u);
+    static_assert(40 >= espread::obs::Histogram::kLinearMax);
+    EXPECT_EQ(s.loss_runs.total(), 1u);
+    EXPECT_EQ(s.loss_runs.sum(), s.dropped);
+    EXPECT_EQ(s.loss_runs.quantile(1.0),
+              espread::obs::Histogram::bucket_upper(
+                  espread::obs::Histogram::bucket_for(40)));
     expect_reconciled(s, got.size());
 }
 

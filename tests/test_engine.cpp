@@ -117,15 +117,14 @@ TEST(Engine, PoolOfOneMatchesReference) {
         SCOPED_TRACE(w);
         // Every reference window's CLF and bound must appear in the
         // engine histograms with matching multiplicity.
-        const auto clf = static_cast<std::int64_t>(ref.window_clf[w]);
+        // A 24-LDU window keeps both inside the histogram's exact buckets.
         const auto count_in = [&](const std::vector<std::size_t>& xs,
                                   std::size_t v) {
-            return static_cast<std::size_t>(std::count(xs.begin(), xs.end(), v));
+            return static_cast<std::uint64_t>(std::count(xs.begin(), xs.end(), v));
         };
-        EXPECT_EQ(s.clf_histogram.count(clf),
+        EXPECT_EQ(s.clf_histogram.counts()[ref.window_clf[w]],
                   count_in(ref.window_clf, ref.window_clf[w]));
-        const auto bound = static_cast<std::int64_t>(ref.window_bound[w]);
-        EXPECT_EQ(s.bound_histogram.count(bound),
+        EXPECT_EQ(s.bound_histogram.counts()[ref.window_bound[w]],
                   count_in(ref.window_bound, ref.window_bound[w]));
     }
     const double clf_sum = std::accumulate(
@@ -260,9 +259,8 @@ TEST(Engine, GovernedPoolOfOneMatchesReference) {
     // Per-window bounds agree with the supervised reference loop.
     for (std::size_t w = 0; w < kWindows; ++w) {
         SCOPED_TRACE(w);
-        const auto bound = static_cast<std::int64_t>(ref.window_bound[w]);
-        EXPECT_EQ(s.bound_histogram.count(bound),
-                  static_cast<std::size_t>(
+        EXPECT_EQ(s.bound_histogram.counts()[ref.window_bound[w]],
+                  static_cast<std::uint64_t>(
                       std::count(ref.window_bound.begin(),
                                  ref.window_bound.end(), ref.window_bound[w])));
     }

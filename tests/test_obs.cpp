@@ -204,8 +204,8 @@ TEST(MetricsRegistry, PresenceIsPerSlotAndIncludesZeros) {
 TEST(MetricsRegistry, HistogramsCreatedOnFirstUse) {
     MetricsRegistry m;
     EXPECT_EQ(m.find_histogram("window_clf"), nullptr);
-    m.hist("window_clf").add(3);
-    m.hist("window_clf").add(3);
+    m.hist("window_clf").record(3);
+    m.hist("window_clf").record(3);
     ASSERT_NE(m.find_histogram("window_clf"), nullptr);
     EXPECT_EQ(m.find_histogram("window_clf")->total(), 2u);
     m.hist("rlc_decode_delay_ms");  // present while still empty
@@ -218,12 +218,12 @@ TEST(MetricsRegistry, MergeAddsCountersAndHistograms) {
     MetricsRegistry a, b;
     a.add("acks_sent", 1);
     a.add("acks_applied", 2);
-    a.hist("window_clf").add(1);
+    a.hist("window_clf").record(1);
     b.add("acks_sent", 10);
     b.add("acks_stale", 20);
     b.open({"nack_requests_sent"});
-    b.hist("window_clf").add(2);
-    b.hist("bound_used").add(3);
+    b.hist("window_clf").record(2);
+    b.hist("bound_used").record(3);
     a.merge(b);
     EXPECT_EQ(a.counter("acks_sent"), 11u);
     EXPECT_EQ(a.counter("acks_applied"), 2u);
@@ -243,12 +243,12 @@ TEST(MetricsRegistry, SerializationIndependentOfInsertionOrder) {
     MetricsRegistry a;
     a.add("retransmissions", 1);
     a.add("acks_applied", 2);
-    a.hist("window_packet_burst").add(1);
-    a.hist("bound_used").add(2);
+    a.hist("window_packet_burst").record(1);
+    a.hist("bound_used").record(2);
 
     MetricsRegistry b;
-    b.hist("bound_used").add(2);
-    b.hist("window_packet_burst").add(1);
+    b.hist("bound_used").record(2);
+    b.hist("window_packet_burst").record(1);
     b.add("acks_applied", 2);
     b.add("retransmissions", 1);
 
@@ -258,9 +258,13 @@ TEST(MetricsRegistry, SerializationIndependentOfInsertionOrder) {
 
 // ---- golden registry output ---------------------------------------------
 //
-// One FNV-1a digest of the append_metrics JSON per session config, pinned
-// so that a change to how the registry stores, merges or serializes its
-// slots cannot move a key, a value or the key order unnoticed.
+// Two FNV-1a digests per session config, pinned so that a change to how
+// the registry stores, merges or serializes its slots cannot move a key, a
+// value or the key order unnoticed.  The counter digest hashes the
+// counters object alone; the histogram digest hashes each histogram's
+// obs::append_histogram encoding.  Keeping them apart lets a change to the
+// histogram encoding re-record one digest while the other proves the
+// counters did not move.
 
 namespace proto = espread::proto;
 
@@ -272,8 +276,23 @@ std::uint64_t fnv1a(std::string_view s) {
     return h;
 }
 
-std::uint64_t metrics_digest(const MetricsRegistry& m) {
-    return fnv1a(metrics_json(m));
+std::uint64_t counters_digest(const MetricsRegistry& m) {
+    espread::exp::JsonWriter j;
+    j.begin_object();
+    for (const auto& [name, value] : m.counters()) j.key(name).value(value);
+    j.end_object();
+    return fnv1a(j.str());
+}
+
+std::uint64_t histograms_digest(const MetricsRegistry& m) {
+    espread::exp::JsonWriter j;
+    j.begin_object();
+    for (const auto& [name, hist] : m.histograms()) {
+        j.key(name);
+        espread::obs::append_histogram(j, *hist);
+    }
+    j.end_object();
+    return fnv1a(j.str());
 }
 
 bool has_counter_prefix(const MetricsRegistry& m, std::string_view prefix) {
@@ -344,19 +363,24 @@ TEST(MetricsGolden, SessionRegistriesMatchTheirDigests) {
     const struct {
         const char* name;
         proto::SessionConfig cfg;
-        std::uint64_t digest;
+        std::uint64_t counters;
+        std::uint64_t histograms;
     } cases[] = {
-        {"paper", paper_config(), 0xf32992b59c0a58fdull},
-        {"impaired", impaired_config(), 0x9e00ec42844b29d5ull},
-        {"rlc", rlc_config(), 0x9bce74c9c41f8f68ull},
-        {"recovery", recovery_config(), 0xeca40c0de6e3b6abull},
-        {"governed", governed_config(), 0x26d15ef4ea64a55eull},
-        {"session_repair", repair_config(), 0x61464a8dc654d899ull},
+        {"paper", paper_config(), 0x6667b79c09ca8cafull, 0x69b0b30f75d62deeull},
+        {"impaired", impaired_config(), 0x311aa332576036b2ull, 0xb610a5f1a22d3037ull},
+        {"rlc", rlc_config(), 0x41482c1422c6e7a5ull, 0x9ce453786c52a123ull},
+        {"recovery", recovery_config(), 0x3575f8807ce3d6e3ull, 0xee08e5b0d3e0b8ebull},
+        {"governed", governed_config(), 0xc1c54b38b64305aeull, 0x19d9143131c3b766ull},
+        {"session_repair", repair_config(), 0xafd6e8da8c9c5fb9ull, 0x9b22cea6cba1b264ull},
     };
     for (const auto& c : cases) {
         const proto::SessionResult r = proto::run_session(c.cfg);
-        EXPECT_EQ(metrics_digest(r.metrics), c.digest)
-            << c.name << " digest 0x" << std::hex << metrics_digest(r.metrics);
+        EXPECT_EQ(counters_digest(r.metrics), c.counters)
+            << c.name << " counter digest 0x" << std::hex
+            << counters_digest(r.metrics);
+        EXPECT_EQ(histograms_digest(r.metrics), c.histograms)
+            << c.name << " histogram digest 0x" << std::hex
+            << histograms_digest(r.metrics);
     }
 }
 
@@ -366,8 +390,17 @@ TEST(MetricsGolden, MonteCarloMergeMatchesItsDigest) {
     opts.threads = 2;
     espread::exp::MonteCarloRunner runner(opts);
     const espread::exp::TrialSummary s = runner.run(repair_config());
-    EXPECT_EQ(metrics_digest(s.metrics), 0x3fbf1805ecd1c061ull)
-        << "merge digest 0x" << std::hex << metrics_digest(s.metrics);
+    EXPECT_EQ(counters_digest(s.metrics), 0x2cb79f4f1dc0207bull)
+        << "merge counter digest 0x" << std::hex << counters_digest(s.metrics);
+    EXPECT_EQ(histograms_digest(s.metrics), 0x9314bed25635ed0cull)
+        << "merge histogram digest 0x" << std::hex
+        << histograms_digest(s.metrics);
+}
+
+// Only the 9 histogram slots carry an obs::Histogram; the 66 counters are
+// one word each.  Every SessionResult and TrialOutcome holds a registry.
+TEST(MetricsRegistry, StaysUnder24KiB) {
+    EXPECT_LE(sizeof(MetricsRegistry), 24u * 1024u);
 }
 
 TEST(MetricsGolden, GatedGroupsAppearOnlyWhenTheirFeatureRan) {
@@ -417,11 +450,7 @@ TEST(SessionMetrics, ConsistentWithSessionResult) {
     // Every lost packet belongs to exactly one loss run.
     const auto* runs = r.metrics.find_histogram("loss_run_length");
     ASSERT_NE(runs, nullptr);
-    std::uint64_t lost_in_runs = 0;
-    for (const auto& [len, count] : runs->bins()) {
-        lost_in_runs += static_cast<std::uint64_t>(len) * count;
-    }
-    EXPECT_EQ(lost_in_runs, r.data_channel.dropped);
+    EXPECT_EQ(runs->sum(), r.data_channel.dropped);
 
     const auto* clf = r.metrics.find_histogram("window_clf");
     ASSERT_NE(clf, nullptr);

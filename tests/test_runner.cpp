@@ -132,7 +132,7 @@ TEST(MonteCarloRunner, SummaryIsBitIdenticalAcrossThreadCounts) {
     expect_stats_identical(a.window_clf, b.window_clf);
     expect_stats_identical(a.alf, b.alf);
     expect_stats_identical(a.retransmissions, b.retransmissions);
-    EXPECT_EQ(a.clf_histogram.bins(), b.clf_histogram.bins());
+    EXPECT_EQ(a.clf_histogram, b.clf_histogram);
 
     // The JSON rendering (minus the timing fields) is the byte-level
     // contract benches persist; spot-check one stats object end to end.
@@ -172,19 +172,22 @@ TEST(MonteCarloRunner, MergedMetricsAreBitIdenticalAcrossThreadCounts) {
 // registries were merged in.  Slots are indexed by the sorted contract
 // table, so iteration order is key order by construction.
 TEST(MonteCarloRunner, MetricsSerializationIndependentOfInsertionAndMergeOrder) {
+    using espread::obs::HistogramMetric;
     using espread::obs::Metric;
     using espread::obs::MetricsRegistry;
-    const Metric names[] = {"window_clf", "acks_applied", "loss_run_length",
-                            "rlc_rank", "governor_bound"};
-    const std::size_t n = std::size(names);
+    const Metric counters[] = {"rlc_rank", "acks_applied", "retransmissions"};
+    const HistogramMetric hists[] = {"window_clf", "loss_run_length",
+                                     "governor_bound"};
+    const std::size_t n = std::size(counters);
+    static_assert(std::size(hists) == std::size(counters));
     MetricsRegistry fwd, rev;
     for (std::size_t i = 0; i < n; ++i) {
-        fwd.add(names[i], i + 1);
-        fwd.hist(names[i]).add(static_cast<std::int64_t>(i));
+        fwd.add(counters[i], i + 1);
+        fwd.hist(hists[i]).record(i);
     }
     for (std::size_t i = n; i-- > 0;) {
-        rev.add(names[i], i + 1);
-        rev.hist(names[i]).add(static_cast<std::int64_t>(i));
+        rev.add(counters[i], i + 1);
+        rev.hist(hists[i]).record(i);
     }
 
     MetricsRegistry ab, ba;
@@ -206,7 +209,9 @@ TEST(MonteCarloRunner, MetricsSerializationIndependentOfInsertionAndMergeOrder) 
         prev = key;
     }
     EXPECT_EQ(ab.counters().size(), n);
-    EXPECT_EQ(ab.counter("window_clf"), 2u);  // delta 1 from each source registry
+    EXPECT_EQ(ab.histograms().size(), n);
+    EXPECT_EQ(ab.counter("rlc_rank"), 2u);  // delta 1 from each source registry
+    EXPECT_EQ(ab.find_histogram("window_clf")->total(), 2u);
 }
 
 TEST(MonteCarloRunner, MetricsOmittedWhenNotCollected) {
@@ -266,6 +271,17 @@ TEST(ParseRunnerArgs, IgnoresMalformedFlags) {
         3, const_cast<char**>(argv_c), runner_opts(32, 2));
     EXPECT_EQ(opts.trials, 32u);
     EXPECT_EQ(opts.threads, 2u);
+    // strtoull would wrap a negative count to 2^64 - n, and saturate one
+    // past ULLONG_MAX: both are malformed, so the defaults stay.
+    for (const char* bad : {"--trials=-3", "--threads=-1",
+                            "--trials=99999999999999999999", "--trials= 3",
+                            "--trials=+3"}) {
+        const char* one[] = {"bench", bad};
+        const auto o = espread::exp::parse_runner_args(
+            2, const_cast<char**>(one), runner_opts(32, 2));
+        EXPECT_EQ(o.trials, 32u) << bad;
+        EXPECT_EQ(o.threads, 2u) << bad;
+    }
 }
 
 TEST(ParseRunnerArgs, ParsesOutAndTracePaths) {

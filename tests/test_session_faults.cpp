@@ -220,8 +220,8 @@ TEST(SessionFaults, ImpairmentCountersSurfaceInMetrics) {
     EXPECT_FALSE(rc.metrics.counters().empty());
 }
 
-/// Registries compare equal key-by-key, bin-by-bin — the "byte-identical"
-/// criterion without going through a file.
+/// Registries compare equal key-by-key, bucket-by-bucket — the
+/// "byte-identical" criterion without going through a file.
 void expect_registries_identical(const espread::obs::MetricsRegistry& a,
                                  const espread::obs::MetricsRegistry& b) {
     EXPECT_EQ(a.counters(), b.counters());
@@ -230,8 +230,7 @@ void expect_registries_identical(const espread::obs::MetricsRegistry& a,
     ASSERT_EQ(ha.size(), hb.size());
     for (std::size_t i = 0; i < ha.size(); ++i) {
         EXPECT_EQ(ha[i].first, hb[i].first);
-        EXPECT_EQ(ha[i].second->bins(), hb[i].second->bins());
-        EXPECT_EQ(ha[i].second->total(), hb[i].second->total());
+        EXPECT_EQ(*ha[i].second, *hb[i].second);
     }
 }
 
@@ -249,7 +248,7 @@ TEST(SessionFaults, MonteCarloMetricsByteIdenticalAcrossThreadCounts) {
     EXPECT_EQ(s1.window_clf.mean(), s4.window_clf.mean());
     EXPECT_EQ(s1.window_clf.deviation(), s4.window_clf.deviation());
     EXPECT_EQ(s1.alf.mean(), s4.alf.mean());
-    EXPECT_EQ(s1.clf_histogram.bins(), s4.clf_histogram.bins());
+    EXPECT_EQ(s1.clf_histogram, s4.clf_histogram);
     expect_registries_identical(s1.metrics, s4.metrics);
 }
 
@@ -318,7 +317,7 @@ TEST(GovernedSessionFaults, MetricsByteIdenticalAcrossThreadCounts) {
 
     EXPECT_EQ(s1.window_clf.count(), s4.window_clf.count());
     EXPECT_EQ(s1.window_clf.mean(), s4.window_clf.mean());
-    EXPECT_EQ(s1.clf_histogram.bins(), s4.clf_histogram.bins());
+    EXPECT_EQ(s1.clf_histogram, s4.clf_histogram);
     expect_registries_identical(s1.metrics, s4.metrics);
     // The governed registry actually carries the governor keys (the merge
     // is exercised on them, not on an empty set).
@@ -370,7 +369,7 @@ TEST(RlcSessionFaults, MetricsByteIdenticalAcrossThreadCounts) {
 
     EXPECT_EQ(s1.window_clf.count(), s4.window_clf.count());
     EXPECT_EQ(s1.window_clf.mean(), s4.window_clf.mean());
-    EXPECT_EQ(s1.clf_histogram.bins(), s4.clf_histogram.bins());
+    EXPECT_EQ(s1.clf_histogram, s4.clf_histogram);
     expect_registries_identical(s1.metrics, s4.metrics);
     // The coded registry actually carries the RLC keys (the merge is
     // exercised on them, not on an empty set).
@@ -449,7 +448,7 @@ TEST(NackSessionFaults, MetricsByteIdenticalAcrossThreadCounts) {
 
     EXPECT_EQ(s1.window_clf.count(), s4.window_clf.count());
     EXPECT_EQ(s1.window_clf.mean(), s4.window_clf.mean());
-    EXPECT_EQ(s1.clf_histogram.bins(), s4.clf_histogram.bins());
+    EXPECT_EQ(s1.clf_histogram, s4.clf_histogram);
     expect_registries_identical(s1.metrics, s4.metrics);
     // The merged registry actually carries recovery-plane keys, so the
     // identity is exercised on them.

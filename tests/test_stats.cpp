@@ -2,12 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/histogram.hpp"
+
 #include <cmath>
 #include <cstdint>
 
 namespace {
 
-using espread::sim::Histogram;
+using espread::obs::Histogram;
 using espread::sim::RunningStats;
 using espread::sim::TimeSeries;
 
@@ -137,49 +139,72 @@ TEST(TimeSeries, PreservesOrderAndStats) {
     EXPECT_DOUBLE_EQ(ts.y_stats().mean(), 4.0);
 }
 
+// obs::Histogram is the one histogram type: exact buckets below
+// kLinearMax, 25%-wide ones above, and an exact sum throughout.
+
+std::uint64_t count_of(const Histogram& h, std::uint64_t v) {
+    return h.counts()[Histogram::bucket_for(v)];
+}
+
 TEST(Histogram, CountsAndFractions) {
     Histogram h;
-    for (const int v : {1, 1, 2, 3, 3, 3}) h.add(v);
+    for (const std::uint64_t v : {1, 1, 2, 3, 3, 3}) h.record(v);
     EXPECT_EQ(h.total(), 6u);
-    EXPECT_EQ(h.count(1), 2u);
-    EXPECT_EQ(h.count(3), 3u);
-    EXPECT_EQ(h.count(9), 0u);
-    EXPECT_DOUBLE_EQ(h.fraction(3), 0.5);
-    EXPECT_EQ(h.min(), 1);
-    EXPECT_EQ(h.max(), 3);
-    EXPECT_NEAR(h.mean(), 13.0 / 6.0, 1e-12);
+    EXPECT_EQ(count_of(h, 1), 2u);
+    EXPECT_EQ(count_of(h, 3), 3u);
+    EXPECT_EQ(count_of(h, 9), 0u);
+    EXPECT_DOUBLE_EQ(static_cast<double>(count_of(h, 3)) /
+                         static_cast<double>(h.total()),
+                     0.5);
+    EXPECT_EQ(h.quantile(0.0), 1u);
+    EXPECT_EQ(h.max_bucket_value(), 3u);
+    EXPECT_EQ(h.sum(), 13u);
+    EXPECT_DOUBLE_EQ(h.mean(), 13.0 / 6.0);
+    // Above the exact range a bucket spans several values, but the sum
+    // (and so the mean) still counts each value exactly.
+    h.record(1000, 3);
+    EXPECT_EQ(h.total(), 9u);
+    EXPECT_EQ(h.sum(), 3013u);
+    EXPECT_DOUBLE_EQ(h.mean(), 3013.0 / 9.0);
+    EXPECT_EQ(count_of(h, 1000), 3u);
+    EXPECT_EQ(count_of(h, 1023), 3u);  // same bucket: [896, 1023]
 }
 
 TEST(Histogram, EmptyIsSafe) {
     Histogram h;
+    EXPECT_TRUE(h.empty());
     EXPECT_EQ(h.total(), 0u);
-    EXPECT_DOUBLE_EQ(h.fraction(0), 0.0);
+    EXPECT_EQ(h.sum(), 0u);
     EXPECT_DOUBLE_EQ(h.mean(), 0.0);
-    EXPECT_EQ(h.quantile(0.5), 0);
+    EXPECT_EQ(h.quantile(0.5), 0u);
+    EXPECT_EQ(h.max_bucket_value(), 0u);
+    EXPECT_EQ(h, Histogram{});
 }
 
 TEST(Histogram, QuantileIsNearestRankAndMonotone) {
     Histogram h;
-    for (const int v : {1, 1, 2, 3, 5, 8, 8, 8, 13, 21}) h.add(v);
+    for (const std::uint64_t v : {1, 1, 2, 3, 5, 8, 8, 8, 13, 21}) h.record(v);
     // Nearest-rank: the ceil(q*10)-th smallest value (1-based).
-    EXPECT_EQ(h.quantile(0.0), 1);   // == min()
-    EXPECT_EQ(h.quantile(0.10), 1);
-    EXPECT_EQ(h.quantile(0.25), 2);  // rank 3
-    EXPECT_EQ(h.quantile(0.50), 5);  // rank 5
-    EXPECT_EQ(h.quantile(0.90), 13);
-    EXPECT_EQ(h.quantile(0.99), 21);
-    EXPECT_EQ(h.quantile(1.0), 21);  // == max()
-    std::int64_t prev = h.quantile(0.0);
+    EXPECT_EQ(h.quantile(0.0), 1u);   // the minimum
+    EXPECT_EQ(h.quantile(0.10), 1u);
+    EXPECT_EQ(h.quantile(0.25), 2u);  // rank 3
+    EXPECT_EQ(h.quantile(0.50), 5u);  // rank 5
+    EXPECT_EQ(h.quantile(0.90), 13u);
+    EXPECT_EQ(h.quantile(0.99), 21u);
+    EXPECT_EQ(h.quantile(1.0), 21u);  // the maximum
+    std::uint64_t prev = h.quantile(0.0);
     for (double q = 0.0; q <= 1.0; q += 0.05) {
         EXPECT_GE(h.quantile(q), prev) << q;
         prev = h.quantile(q);
     }
-    // Negative bins participate like any other value.
-    Histogram neg;
-    for (const int v : {-5, -2, 0, 4}) neg.add(v);
-    EXPECT_EQ(neg.quantile(0.0), -5);
-    EXPECT_EQ(neg.quantile(0.5), -2);
-    EXPECT_EQ(neg.quantile(1.0), 4);
+    // Past the exact range the quantile reads its bucket's upper bound.
+    Histogram wide;
+    for (const std::uint64_t v : {4, 40, 40, 100}) wide.record(v);
+    EXPECT_EQ(wide.quantile(0.0), 4u);
+    EXPECT_EQ(wide.quantile(0.5), Histogram::bucket_upper(Histogram::bucket_for(40)));
+    EXPECT_EQ(wide.quantile(0.5), 47u);  // bucket [40, 47]
+    EXPECT_EQ(wide.quantile(1.0), 111u);  // bucket [96, 111]
+    EXPECT_EQ(wide.sum(), 184u);
 }
 
 TEST(FormatFixed, RendersDigits) {

@@ -1,13 +1,13 @@
 // Fleet telemetry plane contract tests.
 //
-// Three layers are pinned here: the QuantileHistogram's bucket algebra
+// Three layers are pinned here: the Histogram's bucket algebra
 // (tiling, monotonicity, merge == concat — the properties that make
 // shard-order folding deterministic), the slab/snapshot plumbing (epoch
 // deltas, byte-identical series across shard counts and same-seed runs,
 // reconciliation of telemetry totals against EngineSummary and the
 // scalar reference), and the SLO evaluator's two-window burn-rate state
 // machine including its kSloHealth trace emission.
-#include "obs/telemetry/quantile.hpp"
+#include "obs/histogram.hpp"
 
 #include <gtest/gtest.h>
 
@@ -32,10 +32,10 @@ using espread::engine::EngineConfig;
 using espread::engine::EngineSummary;
 using espread::engine::ShardedEngine;
 using espread::engine::summary_json;
+using espread::obs::Histogram;
 using espread::obs::TraceEvent;
 using espread::obs::TraceRecorder;
 using espread::obs::telemetry::FleetSnapshot;
-using espread::obs::telemetry::QuantileHistogram;
 using espread::obs::telemetry::SloEvaluator;
 using espread::obs::telemetry::SloHealth;
 using espread::obs::telemetry::SloObjective;
@@ -53,15 +53,15 @@ std::uint64_t xorshift(std::uint64_t& s) {
 }
 
 TEST(QuantileHistogram, BucketsTileTheNonNegativeIntegers) {
-    for (std::size_t b = 0; b + 1 < QuantileHistogram::kBuckets; ++b) {
+    for (std::size_t b = 0; b + 1 < Histogram::kBuckets; ++b) {
         SCOPED_TRACE(b);
-        const std::uint64_t lo = QuantileHistogram::bucket_lower(b);
-        const std::uint64_t hi = QuantileHistogram::bucket_upper(b);
+        const std::uint64_t lo = Histogram::bucket_lower(b);
+        const std::uint64_t hi = Histogram::bucket_upper(b);
         ASSERT_LE(lo, hi);
-        EXPECT_EQ(QuantileHistogram::bucket_for(lo), b);
-        EXPECT_EQ(QuantileHistogram::bucket_for(hi), b);
+        EXPECT_EQ(Histogram::bucket_for(lo), b);
+        EXPECT_EQ(Histogram::bucket_for(hi), b);
         // Contiguous: the next bucket starts exactly one past this one.
-        EXPECT_EQ(QuantileHistogram::bucket_lower(b + 1), hi + 1);
+        EXPECT_EQ(Histogram::bucket_lower(b + 1), hi + 1);
     }
 }
 
@@ -76,8 +76,8 @@ TEST(QuantileHistogram, BucketForIsMonotone) {
     }
     std::sort(values.begin(), values.end());
     for (std::size_t i = 1; i < values.size(); ++i) {
-        EXPECT_LE(QuantileHistogram::bucket_for(values[i - 1]),
-                  QuantileHistogram::bucket_for(values[i]))
+        EXPECT_LE(Histogram::bucket_for(values[i - 1]),
+                  Histogram::bucket_for(values[i]))
             << values[i - 1] << " vs " << values[i];
     }
 }
@@ -85,7 +85,7 @@ TEST(QuantileHistogram, BucketForIsMonotone) {
 TEST(QuantileHistogram, QuantilesExactInLinearRange) {
     // Values < kLinearMax land in exact buckets, so nearest-rank quantiles
     // match the multiset exactly.
-    QuantileHistogram h;
+    Histogram h;
     const std::vector<std::uint64_t> sorted = {1, 1, 2, 3, 5, 8, 8, 8, 13, 21};
     for (const std::uint64_t v : sorted) h.record(v);
     ASSERT_EQ(h.total(), sorted.size());
@@ -99,11 +99,11 @@ TEST(QuantileHistogram, QuantilesExactInLinearRange) {
     }
     EXPECT_EQ(h.quantile(0.0), sorted.front());
     EXPECT_EQ(h.max_bucket_value(), 21u);
-    EXPECT_EQ(QuantileHistogram{}.quantile(0.5), 0u);
+    EXPECT_EQ(Histogram{}.quantile(0.5), 0u);
 }
 
 TEST(QuantileHistogram, QuantileIsMonotoneInQAndBoundsTheValue) {
-    QuantileHistogram h;
+    Histogram h;
     std::uint64_t s = 0x9e3779b97f4a7c15ull;
     std::vector<std::uint64_t> values;
     for (int i = 0; i < 5000; ++i) {
@@ -128,9 +128,9 @@ TEST(QuantileHistogram, QuantileIsMonotoneInQAndBoundsTheValue) {
 }
 
 TEST(QuantileHistogram, MergeEqualsConcat) {
-    QuantileHistogram a;
-    QuantileHistogram b;
-    QuantileHistogram concat;
+    Histogram a;
+    Histogram b;
+    Histogram concat;
     std::uint64_t s = 42;
     for (int i = 0; i < 1000; ++i) {
         const std::uint64_t v = xorshift(s) % 100000;
@@ -141,31 +141,31 @@ TEST(QuantileHistogram, MergeEqualsConcat) {
         }
         concat.record(v);
     }
-    QuantileHistogram merged = a;
+    Histogram merged = a;
     merged.merge(b);
     EXPECT_EQ(merged, concat);
     // And merge order cannot matter (element-wise addition commutes).
-    QuantileHistogram merged_rev = b;
+    Histogram merged_rev = b;
     merged_rev.merge(a);
     EXPECT_EQ(merged_rev, concat);
 }
 
 TEST(QuantileHistogram, DeltaUndoesAccumulation) {
-    QuantileHistogram prev;
+    Histogram prev;
     std::uint64_t s = 7;
     for (int i = 0; i < 300; ++i) prev.record(xorshift(s) % 500);
-    QuantileHistogram now = prev;
-    QuantileHistogram epoch_only;
+    Histogram now = prev;
+    Histogram epoch_only;
     for (int i = 0; i < 200; ++i) {
         const std::uint64_t v = xorshift(s) % 500;
         now.record(v);
         epoch_only.record(v);
     }
-    EXPECT_EQ(QuantileHistogram::delta(now, prev), epoch_only);
+    EXPECT_EQ(Histogram::delta(now, prev), epoch_only);
 }
 
 TEST(QuantileHistogram, CountLeExactBelowLinearMaxConservativeAbove) {
-    QuantileHistogram h;
+    Histogram h;
     for (std::uint64_t v = 0; v < 100; ++v) h.record(v);
     // Exact in the linear range.
     EXPECT_EQ(h.count_le(0), 1u);
@@ -179,16 +179,20 @@ TEST(QuantileHistogram, CountLeExactBelowLinearMaxConservativeAbove) {
 }
 
 TEST(QuantileHistogram, RestoreBucketRebuildsSerializedCounts) {
-    QuantileHistogram h;
+    Histogram h;
     std::uint64_t s = 99;
     for (int i = 0; i < 400; ++i) h.record(xorshift(s) % 10000);
-    QuantileHistogram rebuilt;
-    for (std::size_t b = 0; b < QuantileHistogram::kBuckets; ++b) {
+    Histogram rebuilt;
+    for (std::size_t b = 0; b < Histogram::kBuckets; ++b) {
         rebuilt.restore_bucket(b, h.counts()[b]);
     }
+    // The buckets alone cannot recover the exact sum; it is serialized
+    // beside them.
+    EXPECT_NE(rebuilt, h);
+    rebuilt.restore_sum(h.sum());
     EXPECT_EQ(rebuilt, h);
     // Out-of-range indices are ignored, not UB.
-    rebuilt.restore_bucket(QuantileHistogram::kBuckets + 5, 17);
+    rebuilt.restore_bucket(Histogram::kBuckets + 5, 17);
     EXPECT_EQ(rebuilt, h);
 }
 
@@ -329,7 +333,7 @@ TEST(EngineTelemetry, TotalsReconcileWithEngineSummary) {
     EXPECT_EQ(last.totals.idle_windows, s.idle_windows);
     EXPECT_EQ(last.totals.sessions_completed, s.sessions_completed);
     // No FEC arm here, so a window lost units iff its CLF is non-zero.
-    EXPECT_EQ(last.totals.loss_windows, s.windows - s.clf_histogram.count(0));
+    EXPECT_EQ(last.totals.loss_windows, s.windows - s.clf_histogram.counts()[0]);
     // The config exercises every counter.
     EXPECT_GT(last.totals.idle_windows, 0u);
     EXPECT_GT(last.totals.acks_lost, 0u);
@@ -349,11 +353,11 @@ TEST(EngineTelemetry, TotalsReconcileWithEngineSummary) {
     EXPECT_GT(last.totals.governor_windows[espread::engine::kGovNormal], 0u);
     // Every lost unit sits in exactly one maximal loss run.
     std::uint64_t run_mass = 0;
-    for (std::size_t b = 0; b < QuantileHistogram::kLinearMax; ++b) {
+    for (std::size_t b = 0; b < Histogram::kLinearMax; ++b) {
         run_mass += static_cast<std::uint64_t>(b) * last.loss_run.counts()[b];
     }
     EXPECT_EQ(last.loss_run.total(),
-              last.loss_run.count_le(QuantileHistogram::kLinearMax - 1));
+              last.loss_run.count_le(Histogram::kLinearMax - 1));
     EXPECT_EQ(run_mass, s.unit_losses);
     EXPECT_EQ(last.clf.total(), s.windows);
 }
@@ -489,6 +493,29 @@ TEST(EngineTelemetry, PrometheusExpositionMatchesSnapshot) {
     EXPECT_NE(text.find("espread_governor_windows_total{state=\"normal\"}"),
               std::string::npos);
     EXPECT_NE(text.find("_bucket{le=\"+Inf\"}"), std::string::npos);
+    // Every histogram family carries _sum, the exact sum of the recorded
+    // values: for clf, the CLF of every window the engine ran.
+    const EngineSummary s = engine.summary();
+    ASSERT_EQ(last.clf.total(), s.windows);
+    std::uint64_t clf_sum = 0;
+    for (std::size_t v = 0; v < Histogram::kLinearMax; ++v) {
+        clf_sum += v * s.clf_histogram.counts()[v];
+    }
+    ASSERT_LE(s.clf_max, Histogram::kLinearMax - 1);  // all buckets exact
+    EXPECT_EQ(last.clf.sum(), clf_sum);
+    EXPECT_NE(text.find("espread_clf_sum " + std::to_string(clf_sum) + "\n"),
+              std::string::npos);
+    for (const char* signal : {"clf", "loss_run", "bound", "governor_dwell"}) {
+        EXPECT_NE(text.find(std::string("espread_") + signal + "_sum "),
+                  std::string::npos)
+            << signal;
+    }
+    // Past the exact buckets the sum still counts each value exactly.
+    FleetSnapshot hand;
+    for (const std::uint64_t v : {3, 40, 1000}) hand.loss_run.record(v);
+    EXPECT_NE(espread::obs::telemetry::prometheus_text(hand).find(
+                  "espread_loss_run_sum 1043\n"),
+              std::string::npos);
 }
 
 }  // namespace

@@ -14,8 +14,8 @@ namespace espread::report {
 
 namespace {
 
+using obs::Histogram;
 using obs::telemetry::FleetSnapshot;
-using obs::telemetry::QuantileHistogram;
 using obs::telemetry::SloEvaluator;
 using obs::telemetry::SloHealth;
 using obs::telemetry::SloObjective;
@@ -62,7 +62,7 @@ bool load_counters(const JsonValue& v, TelemetryCounters& c,
     return true;
 }
 
-bool load_histogram(const JsonValue& v, QuantileHistogram& h,
+bool load_histogram(const JsonValue& v, Histogram& h,
                     std::string* error) {
     if (!v.is_object()) return set_error(error, "histogram: expected object");
     const JsonValue& buckets = v.at("buckets");
@@ -79,6 +79,7 @@ bool load_histogram(const JsonValue& v, QuantileHistogram& h,
     if (h.total() != v.at("total").as_u64()) {
         return set_error(error, "histogram: bucket counts disagree with total");
     }
+    h.restore_sum(v.at("sum").as_u64());
     return true;
 }
 
