@@ -9,6 +9,9 @@
 //                          stated b*b <= n regime);
 //   * b >= n            -> CLF n;
 //   * b close to n      -> family gap vs the true optimum (quantified).
+//
+// Exits 1 if a regime check fails or an exhaustive cell breaks
+// LB <= OPT <= CPO; the table and the curve are printed either way.
 #include <cstdio>
 
 #include "core/burst.hpp"
@@ -27,6 +30,7 @@ int main() {
 
     std::size_t family_gap_cells = 0;
     std::size_t total_cells = 0;
+    std::size_t unsandwiched_cells = 0;  // cells breaking LB <= OPT <= CPO
     for (std::size_t n = 2; n <= 10; ++n) {
         std::printf("%4zu |", n);
         for (std::size_t b = 1; b <= 10; ++b) {
@@ -42,11 +46,15 @@ int main() {
             std::printf(" %-9s", cell);
             ++total_cells;
             if (cpo != opt) ++family_gap_cells;
+            if (lb > opt || opt > cpo) ++unsandwiched_cells;
         }
         std::printf("\n");
     }
     std::printf("\ncells where the cyclic family misses the true optimum: %zu / %zu\n",
                 family_gap_cells, total_cells);
+    std::printf("cells breaking LB <= OPT <= CPO: %zu / %zu : %s\n",
+                unsandwiched_cells, total_cells,
+                unsandwiched_cells == 0 ? "PASS" : "FAIL");
 
     std::printf("\nregime checks on larger windows (CPO guarantee only):\n");
     bool easy_ok = true;
@@ -78,5 +86,7 @@ int main() {
         }
         std::printf("\n");
     }
-    return 0;
+    const bool ok = easy_ok && total_ok && unsandwiched_cells == 0;
+    if (!ok) std::printf("\nTheorem 1 validation FAILED\n");
+    return ok ? 0 : 1;
 }

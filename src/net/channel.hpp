@@ -7,9 +7,9 @@
 // channels (data and feedback) over one EventQueue.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <functional>
-#include <optional>
 #include <stdexcept>
 #include <type_traits>
 #include <utility>
@@ -94,10 +94,11 @@ public:
         if (link_.propagation_delay < 0) {
             throw std::invalid_argument("Channel: negative propagation delay");
         }
+        feed_ = queue_.add_feed([this] { deliver_head(); });
     }
 
-    /// Scheduled deliveries hold `this`, so a channel stays where it was
-    /// built.
+    /// The queue's feed holds `this`, so a channel stays where it was
+    /// built and outlives any delivery its queue still runs.
     Channel(const Channel&) = delete;
     Channel& operator=(const Channel&) = delete;
 
@@ -127,8 +128,8 @@ public:
     /// default directive reproduces the plain send() exactly — same loss
     /// draws, same arrival times, same trace events — so an inactive fault
     /// layer is observationally free.  Below the by-value entry points
-    /// the payload is only ever moved: once into its in-flight slot and
-    /// once out of it at delivery.
+    /// the payload is only ever moved: into the pending list, along it
+    /// when an arrival is displaced or the list compacts, and out.
     bool send(Msg&& msg, std::size_t size_bits, const SendFaults& faults) {
         return send_impl(std::move(msg), size_bits, faults,
                          /*occupy_link=*/true);
@@ -231,35 +232,45 @@ public:
         if (loss_run_ > 0) s.loss_runs.record(loss_run_);
         return s;
     }
-    /// Slots in the in-flight slab: the peak number of deliveries that
-    /// were pending at once.  Freed slots are reused, so it stops growing
+    /// The peak number of deliveries pending at once; it stops growing
     /// once traffic reaches a steady state.
-    std::size_t in_flight_slots() const noexcept { return in_flight_.size(); }
+    std::size_t in_flight_slots() const noexcept { return peak_pending_; }
 
 private:
-    /// Parks `msg` in a free slab slot and schedules its delivery.  The
-    /// callback captures only (this, slot), which std::function stores
-    /// inline, so a delivery costs no allocation once the slab has grown
-    /// to the peak number of packets in flight.
+    /// One scheduled delivery under the key schedule_at would give it.
+    struct Pending { sim::SimTime when; std::uint64_t seq; Msg msg; };
+
+    /// Files `msg` under the queue's next stamp.  An in-order arrival
+    /// appends; one displaced by a fault (or a side-band packet that a
+    /// shorter in-band one overtakes) goes in behind, scanning back.
     void schedule_delivery(sim::SimTime when, Msg&& msg) {
-        std::size_t slot;
-        if (free_slots_.empty()) {
-            slot = in_flight_.size();
-            in_flight_.emplace_back(std::move(msg));
-        } else {
-            slot = free_slots_.back();
-            free_slots_.pop_back();
-            in_flight_[slot].emplace(std::move(msg));
-        }
-        queue_.schedule_at(when, [this, slot] { deliver(slot); });
+        when = std::max(when, queue_.now());
+        std::size_t at = pending_.size();
+        while (at > head_ && pending_[at - 1].when > when) --at;
+        pending_.insert(pending_.begin() + static_cast<std::ptrdiff_t>(at),
+                        Pending{when, queue_.stamp(), std::move(msg)});
+        peak_pending_ = std::max(peak_pending_, pending_.size() - head_);
+        arm();
     }
 
-    /// Moves the payload out of `slot`, frees the slot, then hands the
-    /// payload to the receiver (which may send, and so reuse the slot).
-    void deliver(std::size_t slot) {
-        Msg msg = std::move(*in_flight_[slot]);
-        in_flight_[slot].reset();
-        free_slots_.push_back(slot);
+    /// Shows the queue the earliest pending delivery, if any.
+    void arm() noexcept {
+        if (head_ == pending_.size()) return queue_.disarm(feed_);
+        queue_.arm(feed_, pending_[head_].when, pending_[head_].seq,
+                   pending_.size() - head_);
+    }
+
+    /// Pops the earliest delivery and re-arms the feed, then hands the
+    /// payload to the receiver (which may send on this channel again).
+    void deliver_head() {
+        Msg msg = std::move(pending_[head_].msg);
+        if (++head_ * 2 >= pending_.size()) {
+            // Drop the delivered prefix: at most twice the peak in flight.
+            pending_.erase(pending_.begin(),
+                           pending_.begin() + static_cast<std::ptrdiff_t>(head_));
+            head_ = 0;
+        }
+        arm();
         ++stats_.delivered;
         if (receiver_) receiver_(std::move(msg));
     }
@@ -282,10 +293,11 @@ private:
     sim::SimTime link_free_ = 0;
     ChannelStats stats_;
     std::size_t loss_run_ = 0;  ///< consecutive drops ending at the last send
-    /// Payloads scheduled for delivery, by slot; nullopt = free.  The
-    /// EventQueue holds only the slot index, so Msg may be move-only.
-    std::vector<std::optional<Msg>> in_flight_;
-    std::vector<std::size_t> free_slots_;  ///< LIFO free list into in_flight_
+    /// Deliveries sorted by (when, seq); [0, head_) are already delivered.
+    std::vector<Pending> pending_;
+    std::size_t head_ = 0;
+    std::size_t peak_pending_ = 0;
+    std::size_t feed_ = 0;  ///< this channel's feed in queue_
     obs::TraceSink* trace_ = nullptr;
     obs::Actor trace_actor_ = obs::Actor::kDataChannel;
 };

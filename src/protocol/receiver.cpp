@@ -33,6 +33,26 @@ bool Receiver::FrameAssembly::insert(std::size_t fragment) {
     return true;
 }
 
+const Receiver::WindowState* Receiver::find(std::size_t window) const noexcept {
+    const auto it = std::find_if(windows_.begin(), windows_.end(),
+                                 [window](const WindowState& w) { return w.window == window; });
+    return it == windows_.end() || finalized(window) ? nullptr : &*it;
+}
+
+Receiver::WindowState& Receiver::open(std::size_t window) {
+    WindowState* slot = nullptr;
+    for (WindowState& w : windows_) {
+        if (w.window == window) return w;
+        if (slot == nullptr && finalized(w.window)) slot = &w;
+    }
+    if (slot == nullptr) slot = &windows_.emplace_back();
+    slot->window = window;
+    slot->frames.clear();
+    slot->layer_sent.clear();
+    slot->trailer_seen = false;
+    return *slot;
+}
+
 void Receiver::trace_drop(obs::EventType type, const DataPacket& p,
                           sim::SimTime now) {
     if (!trace_) return;
@@ -48,7 +68,7 @@ void Receiver::trace_drop(obs::EventType type, const DataPacket& p,
 
 void Receiver::on_packet(const DataPacket& p, sim::SimTime now) {
     ++packets_seen_;
-    if (finalized_.count(p.window)) {
+    if (finalized(p.window)) {
         // The window already played out; a late/reordered/duplicated copy
         // must not resurrect per-window state (it would leak until session
         // end and corrupt a re-finalize).
@@ -66,7 +86,7 @@ void Receiver::on_packet(const DataPacket& p, sim::SimTime now) {
         return;
     }
     const std::size_t local = p.frame_index % window_ldus_;
-    WindowState& w = windows_[p.window];
+    WindowState& w = open(p.window);
     if (w.frames.empty()) w.frames.resize(window_ldus_);
     FrameAssembly& fa = w.frames[local];
     if (fa.num_fragments == 0) {
@@ -107,11 +127,11 @@ void Receiver::on_trailer(const WindowTrailer& t) {
         ++mismatch_dropped_;
         return;
     }
-    if (finalized_.count(t.window)) {
+    if (finalized(t.window)) {
         ++stale_dropped_;
         return;
     }
-    WindowState& w = windows_[t.window];
+    WindowState& w = open(t.window);
     if (w.trailer_seen) {
         // First trailer wins; a duplicated (possibly corrupted) repeat must
         // not rewrite the sent counts.
@@ -124,8 +144,8 @@ void Receiver::on_trailer(const WindowTrailer& t) {
 
 WindowOutcome Receiver::finalize(std::size_t window) {
     WindowOutcome out = outcome_of(window);
-    finalized_.insert(window);
-    windows_.erase(window);
+    if (window >= finalized_.size()) finalized_.resize(window + 1);
+    finalized_[window] = true;  // and so frees the window's slot
     return out;
 }
 
@@ -134,14 +154,14 @@ WindowOutcome Receiver::report(std::size_t window) const {
 }
 
 std::uint64_t Receiver::incomplete_frames(std::size_t window) const {
-    if (finalized_.count(window)) return 0;
+    if (finalized(window)) return 0;
     const std::size_t span =
         std::min<std::size_t>(window_ldus_, NackRequest::kMaxFrames);
     std::uint64_t missing = span == 64 ? ~std::uint64_t{0}
                                        : (std::uint64_t{1} << span) - 1;
-    const auto it = windows_.find(window);
-    if (it == windows_.end()) return missing;
-    const std::vector<FrameAssembly>& frames = it->second.frames;
+    const WindowState* w = find(window);
+    if (w == nullptr) return missing;
+    const std::vector<FrameAssembly>& frames = w->frames;
     for (std::size_t local = 0; local < std::min(span, frames.size()); ++local) {
         if (frames[local].complete()) missing &= ~(std::uint64_t{1} << local);
     }
@@ -155,8 +175,8 @@ WindowOutcome Receiver::outcome_of(std::size_t window) const {
     out.layer_lost.assign(layer_sizes_.size(), 0);
     out.playable_at.assign(window_ldus_, std::nullopt);
 
-    const auto it = windows_.find(window);
-    if (it == windows_.end()) {
+    const WindowState* found = find(window);
+    if (found == nullptr) {
         // Nothing arrived: every layer is one solid loss burst (up to its
         // size — without a trailer we cannot know how much was sent, so
         // report the full layer as the conservative estimate).
@@ -166,15 +186,14 @@ WindowOutcome Receiver::outcome_of(std::size_t window) const {
         }
         return out;
     }
-    const WindowState& w = it->second;
+    const WindowState& w = *found;
     out.trailer_seen = w.trailer_seen;
 
     // Frame completeness in playback order.  Unseen frames (and a window
     // only the trailer reached, whose frame table is empty) never count.
-    std::vector<bool> complete(window_ldus_, false);
     for (std::size_t local = 0; local < w.frames.size(); ++local) {
         if (w.frames[local].complete()) {
-            complete[local] = true;
+            out.playback[local] = true;
             ++out.frames_received;
         }
     }
@@ -184,7 +203,6 @@ WindowOutcome Receiver::outcome_of(std::size_t window) const {
     // resolve with a fixed-point pass over playback order (prerequisites
     // can sit after a frame in playback order, e.g. a B frame's forward
     // anchor, so one pass in index order is not enough).
-    out.playback.assign(complete.begin(), complete.end());
     bool changed = true;
     while (changed) {
         changed = false;
@@ -199,15 +217,14 @@ WindowOutcome Receiver::outcome_of(std::size_t window) const {
             }
         }
     }
-    for (std::size_t f = 0; f < window_ldus_; ++f) {
-        if (complete[f] && !out.playback[f]) ++out.undecodable;
-    }
+    // Every frame still playing is complete; the rest of those are not.
+    out.undecodable = out.frames_received -
+        static_cast<std::size_t>(std::count(out.playback.begin(), out.playback.end(), true));
 
     // Playable instants: a frame can be decoded once it AND all its
     // prerequisites have fully arrived, so its playable time is the max of
     // the completion times along its dependency cone (fixed point, since
     // forward prerequisites exist).
-    out.playable_at.assign(window_ldus_, std::nullopt);
     for (std::size_t local = 0; local < w.frames.size(); ++local) {
         if (out.playback[local]) out.playable_at[local] = w.frames[local].completed_at;
     }
@@ -230,22 +247,18 @@ WindowOutcome Receiver::outcome_of(std::size_t window) const {
     // trailer's sent count when available, otherwise up to the highest
     // position received (losses beyond it are indistinguishable from
     // sender-side drops).
+    std::vector<bool> got;
     for (std::size_t l = 0; l < layer_sizes_.size(); ++l) {
-        std::vector<bool> got(layer_sizes_[l], false);
-        std::size_t max_pos_seen = 0;
-        bool any = false;
+        got.assign(layer_sizes_[l], false);
+        std::size_t span = 0;  // one past the highest position received
         for (const FrameAssembly& fa : w.frames) {
             if (fa.layer == l && fa.complete() && fa.tx_pos < got.size()) {
                 got[fa.tx_pos] = true;
-                max_pos_seen = std::max(max_pos_seen, fa.tx_pos);
-                any = true;
+                span = std::max(span, fa.tx_pos + 1);
             }
         }
-        std::size_t span = 0;
         if (w.trailer_seen && l < w.layer_sent.size()) {
             span = std::min(w.layer_sent[l], layer_sizes_[l]);
-        } else if (any) {
-            span = max_pos_seen + 1;
         }
         std::size_t run = 0;
         for (std::size_t pos = 0; pos < span; ++pos) {

@@ -19,9 +19,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <optional>
-#include <set>
 #include <vector>
 
 #include "core/metrics.hpp"
@@ -86,7 +84,7 @@ public:
 
     /// Closes window `w`: computes the outcome and releases its state.
     /// Windows may be finalized in any order; unseen windows yield an
-    /// all-lost outcome.
+    /// all-lost outcome.  Closed windows cost a bit each, from window 0.
     WindowOutcome finalize(std::size_t window);
 
     /// Computes the outcome of window `w` from its current state without
@@ -134,6 +132,7 @@ private:
         bool insert(std::size_t fragment);
     };
     struct WindowState {
+        std::size_t window = 0;  ///< the slot is free once this is finalized
         /// By local frame index: window_ldus entries once a data packet
         /// arrived, empty while only the trailer has.
         std::vector<FrameAssembly> frames;
@@ -143,12 +142,20 @@ private:
 
     void trace_drop(obs::EventType type, const DataPacket& p, sim::SimTime now);
     WindowOutcome outcome_of(std::size_t window) const;
+    bool finalized(std::size_t window) const noexcept {
+        return window < finalized_.size() && finalized_[window];
+    }
+    /// Open `window`'s state or nullptr; open() takes a free slot for it.
+    const WindowState* find(std::size_t window) const noexcept;
+    WindowState& open(std::size_t window);
 
     std::size_t window_ldus_;
     std::vector<std::size_t> layer_sizes_;
     std::vector<std::vector<std::size_t>> prereqs_;
-    std::map<std::size_t, WindowState> windows_;
-    std::set<std::size_t> finalized_;  ///< windows already closed
+    /// Searched linearly: 2-3 are open in steady state, forged ones are
+    /// bounded by window_limit_, and a free slot keeps its capacity.
+    std::vector<WindowState> windows_;
+    std::vector<bool> finalized_;  ///< bit w set = window w closed
     std::size_t window_limit_ = 0;     ///< 0 = unlimited
     std::size_t packets_seen_ = 0;
     std::size_t duplicates_dropped_ = 0;

@@ -33,15 +33,14 @@ constexpr SimTime from_millis(double ms) noexcept { return from_seconds(ms / 1e3
 /// Priority queue of timestamped callbacks with deterministic FIFO
 /// tie-breaking for events scheduled at the same instant.
 ///
-/// The binary heap (std::push_heap / std::pop_heap under the (when, seq)
-/// order) holds trivially copyable 24-byte keys; each key names a slot
-/// in a callback slab with a LIFO free list.  A sift step therefore
-/// copies three words instead of moving a std::function, and step()
-/// moves the earliest callback out of its slot instead of copying it.
-/// A callback whose capture fits std::function's inline buffer (e.g. a
-/// pointer plus an index) is scheduled and run without touching the heap
-/// allocator once the slab has grown to the simulation's peak pending
-/// count.
+/// A binary heap under the (when, seq) order holds one-off callbacks,
+/// moved and never copied.  A *feed* keeps its own events sorted by
+/// (when, seq), with seq from stamp(), and shows the queue only its
+/// head; step() runs the earlier of the heap front and the armed feed
+/// heads, so a feed event runs exactly where schedule_at would have put
+/// it.  Each net::Channel is one feed: it delivers in send order unless
+/// a fault displaces a packet, so a send appends where the heap would
+/// sift, and the heap keeps only a few timers per window.
 class EventQueue {
 public:
     using Callback = std::function<void()>;
@@ -70,14 +69,30 @@ public:
     /// std::runtime_error once that many events have run and more remain.
     void run(std::uint64_t max_events = 100'000'000);
 
-    bool empty() const noexcept { return heap_.empty(); }
-    std::size_t pending() const noexcept { return heap_.size(); }
+    /// Both count feed events.
+    bool empty() const noexcept { return pending() == 0; }
+    std::size_t pending() const noexcept;
+
+    /// Registers a disarmed feed and returns its id.  `run_head` runs the
+    /// armed head at its time and must re-arm the feed or disarm it; it
+    /// must not add feeds.
+    std::size_t add_feed(Callback run_head);
+    /// Takes the next FIFO sequence number, as schedule_at would.
+    std::uint64_t stamp() noexcept { return next_seq_++; }
+    /// Shows `feed`'s head (when >= now()) and how many events it holds.
+    void arm(std::size_t feed, SimTime when, std::uint64_t seq,
+             std::size_t depth) noexcept {
+        feeds_[feed].head.when = when;
+        feeds_[feed].head.seq = seq;
+        feeds_[feed].depth = depth;
+    }
+    void disarm(std::size_t feed) noexcept { feeds_[feed].depth = 0; }
 
 private:
     struct Entry {
         SimTime when;
         std::uint64_t seq;  // FIFO order among equal timestamps
-        std::size_t slot;   // index into slab_
+        Callback cb;
     };
     /// Heap comparator: the earliest (when, seq) sits at heap_.front().
     struct Later {
@@ -86,15 +101,17 @@ private:
             return a.seq > b.seq;
         }
     };
+    struct Feed {
+        Entry head;             // cb is the feed's run_head
+        std::size_t depth = 0;  // 0 = disarmed
+    };
 
-    /// Appends one empty slot to the slab and the free list.
-    void grow();
+    /// The earliest pending event, or nullptr; `feed` is its feed's id,
+    /// or feeds_.size() for the heap front.
+    const Entry* next(std::size_t& feed) const noexcept;
 
     std::vector<Entry> heap_;
-    /// Pending callbacks by slot; a free slot holds an empty Callback.
-    /// heap_.size() + free_slots_.size() == slab_.size().
-    std::vector<Callback> slab_;
-    std::vector<std::size_t> free_slots_;  ///< LIFO free list into slab_
+    std::vector<Feed> feeds_;
     SimTime now_ = 0;
     std::uint64_t next_seq_ = 0;
 };

@@ -99,7 +99,7 @@ TEST(Alloc, EngineStepIsAllocationFreeWhenWarm) {
         << "engine hot path allocated " << allocs << " times in 16 steps";
 }
 
-// The event queue reuses its key heap, callback slab and free list: once
+// The event queue reuses its heap's capacity and moves callbacks: once
 // grown to a peak pending count, draining and refilling it to that peak
 // with callbacks that fit std::function's inline buffer (a pointer plus
 // an index) allocates nothing.
@@ -183,13 +183,13 @@ espread::proto::SessionConfig coded(std::size_t overhead_num) {
 
 // The per-object Session keeps a bounded allocation budget per window.
 // The default config never runs the wire codec (no corruption), and the
-// packet path (event heap, in-flight slab, receiver frame masks) is
-// allocation-free once warm, so what is left is per-window state: the
-// receiver's frame table and window-map node, trailer and ACK vectors,
-// the window outcome and report, and a critical frame's retransmission
-// record.  Measured at 32 allocations/window; the ratchet allows ~30%
-// headroom, so small legitimate changes fit but a per-packet allocation
-// (~77 data packets per window) fails.
+// packet path (channel feeds, receiver window slots and frame masks) is
+// allocation-free once warm, so what is left is per-window state:
+// trailer and ACK vectors, the window outcome and report, and a
+// critical frame's retransmission record.  Measured at 22
+// allocations/window; the bound leaves room for small legitimate
+// changes, but a per-packet allocation (~77 data packets per window)
+// fails.
 TEST(Alloc, SessionWindowLoopStaysWithinBudget) {
     const SessionRate rate = session_rate(with_packet_bits(espread::net::kDefaultPacketBits));
     EXPECT_LE(rate.allocs_per_window, 42u)

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <memory>
 #include <optional>
@@ -310,10 +311,11 @@ struct Tagged {
 
 Tagged tagged(int i) { return Tagged{i, "payload-" + std::to_string(i)}; }
 
-// In-flight slab under churn: with 30% duplication and 30% reordering,
-// slots are freed and reused while other packets are still in flight.
-// Every delivery must carry its own payload, every send must arrive once
-// and every duplicate exactly once more.
+// The pending list under churn: with 30% duplication and 30% reordering,
+// displaced arrivals are filed behind later ones and the list compacts
+// while other packets are still in flight.  Every delivery must carry its
+// own payload, every send must arrive once and every duplicate exactly
+// once more.
 TEST(FaultChannel, EveryDeliveryCarriesItsOwnPayload) {
     constexpr int kN = 600;
     EventQueue q;
@@ -373,6 +375,62 @@ TEST(Channel, InFlightSlotsAreReusedAfterDrain) {
     std::vector<int> expected(40);
     for (int i = 0; i < 40; ++i) expected[static_cast<std::size_t>(i)] = i;
     EXPECT_EQ(got, expected);
+}
+
+/// FNV-1a over one 64-bit word.
+void fnv_mix(std::uint64_t& h, std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+        h ^= (v >> (8 * i)) & 0xffu;
+        h *= 0x100000001b3ULL;
+    }
+}
+
+// Pins the run order of a seeded impaired channel beside heap events:
+// reorder, duplicate and jitter faults, lossy Gilbert drops, and side-band
+// sends that shorter in-band packets overtake, with timer events on the
+// queue's heap at whole milliseconds.  Sizes are multiples of 500 bits,
+// so many arrivals tie with each other and with the timers, and only the
+// FIFO stamp orders them.  The hash over every (now, tag) pair in run
+// order was recorded when each delivery was its own heap event, so it
+// holds the channel to that order exactly.
+TEST(FaultChannel, DeliveryOrderMatchesPinnedHash) {
+    EventQueue q;
+    FaultChannel<Tagged> ch{q, LinkConfig{1e6, from_millis(3)},
+                            GilbertParams{0.95, 0.5}, Rng{11}};
+    ImpairmentConfig cfg;
+    cfg.reorder_rate = 0.2;
+    cfg.duplicate_rate = 0.1;
+    cfg.jitter_rate = 0.2;
+    cfg.jitter_max = from_millis(4);
+    ch.set_impairments(cfg, Rng{23});
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    std::size_t runs = 0;
+    const auto record = [&](int tag) {
+        fnv_mix(h, static_cast<std::uint64_t>(q.now()));
+        fnv_mix(h, static_cast<std::uint64_t>(static_cast<std::int64_t>(tag)));
+        ++runs;
+    };
+    ch.set_receiver([&](Tagged m) { record(m.tag); });
+    Rng traffic{5};
+    for (int i = 0; i < 3000; ++i) {
+        const auto bits = static_cast<std::size_t>(500 * traffic.uniform_int(1, 4));
+        if (traffic.bernoulli(0.25)) {
+            ch.send_sideband(tagged(i), bits);
+        } else {
+            ch.send(tagged(i), bits);
+        }
+        if (i % 4 == 3) {
+            q.schedule_at(q.now() + from_millis(1), [&record, i] { record(-1 - i); });
+            q.run_until(q.now() + from_millis(1));
+        }
+    }
+    q.run();
+    const auto s = ch.stats();
+    EXPECT_GT(s.reordered, 0u);
+    EXPECT_GT(s.duplicated, 0u);
+    EXPECT_GT(s.dropped, 0u);
+    EXPECT_EQ(runs, s.delivered + 750);
+    EXPECT_EQ(h, 0xcc9a04bf85441bfaULL) << std::hex << h;
 }
 
 TEST(Channel, MoveOnlyPayloadIgnoresDuplicateDirective) {

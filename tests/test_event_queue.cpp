@@ -5,8 +5,12 @@
 #include <algorithm>
 #include <array>
 #include <cstddef>
+#include <cstdint>
+#include <deque>
 #include <functional>
+#include <iterator>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -178,16 +182,138 @@ TEST(EventQueue, HeapNeverCopiesCallbacksAndKeepsFifoTieBreak) {
     EXPECT_EQ(q.now(), schedule.back().first);
 }
 
-/// Randomized workload for the callback slab: callbacks schedule more
-/// events while earlier slots are freed and reused.  Every schedule is
-/// recorded as (clamped when, schedule order) for the reference model.
-/// Each callback reads its capture only after it has scheduled, so one
-/// run in place while the slab grows, or while its slot is reused, reads
-/// freed memory (which the sanitizer build reports).
+/// A feed as net::Channel keeps one: its events sorted by (when, seq)
+/// with seq from stamp(), the earliest armed on the queue.
+class SortedFeed {
+public:
+    explicit SortedFeed(EventQueue& q) : q_(q), id_(q.add_feed([this] { run_head(); })) {}
+    SortedFeed(const SortedFeed&) = delete;
+    SortedFeed& operator=(const SortedFeed&) = delete;
+
+    /// Files `fn` at max(when, now()), after every event with an equal
+    /// or earlier time.
+    void push(SimTime when, std::function<void()> fn) {
+        Event e{std::max(when, q_.now()), q_.stamp(), std::move(fn)};
+        auto at = events_.end();
+        while (at != events_.begin() && std::prev(at)->when > e.when) --at;
+        events_.insert(at, std::move(e));
+        arm();
+    }
+    std::size_t size() const noexcept { return events_.size(); }
+
+private:
+    struct Event {
+        SimTime when;
+        std::uint64_t seq;
+        std::function<void()> fn;
+    };
+
+    void arm() {
+        if (events_.empty()) {
+            q_.disarm(id_);
+        } else {
+            q_.arm(id_, events_.front().when, events_.front().seq, events_.size());
+        }
+    }
+    /// Pops and re-arms before running: the event may push onto this feed.
+    void run_head() {
+        Event e = std::move(events_.front());
+        events_.pop_front();
+        arm();
+        e.fn();
+    }
+
+    EventQueue& q_;
+    std::size_t id_;
+    std::deque<Event> events_;
+};
+
+// Feed and heap events at equal times run in the order they were
+// scheduled: stamp() and schedule_at draw from one FIFO sequence.
+TEST(EventQueue, FeedAndHeapShareTiesInStampOrder) {
+    EventQueue q;
+    SortedFeed feed{q};
+    std::vector<int> order;
+    for (int i = 0; i < 12; ++i) {
+        const SimTime when = 10 * (i % 3);
+        const auto log = [&order, i] { order.push_back(i); };
+        if (i % 2 == 0) {
+            feed.push(when, log);
+        } else {
+            q.schedule_at(when, log);
+        }
+    }
+    q.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 3, 6, 9, 1, 4, 7, 10, 2, 5, 8, 11}));
+    EXPECT_EQ(feed.size(), 0u);
+}
+
+TEST(EventQueue, RunUntilStopsAtFeedHead) {
+    EventQueue q;
+    SortedFeed feed{q};
+    std::vector<SimTime> fired;
+    const auto log = [&fired, &q] { fired.push_back(q.now()); };
+    feed.push(30, log);
+    q.schedule_at(10, log);
+    q.run_until(20);
+    EXPECT_EQ(fired, (std::vector<SimTime>{10}));
+    EXPECT_EQ(q.now(), 20);
+    EXPECT_EQ(q.pending(), 1u);
+    q.run_until(30);
+    EXPECT_EQ(fired, (std::vector<SimTime>{10, 30}));
+    EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueue, EmptySeesArmedFeeds) {
+    EventQueue q;
+    SortedFeed feed{q};
+    EXPECT_TRUE(q.empty());
+    int ran = 0;
+    feed.push(5, [&ran] { ++ran; });
+    feed.push(5, [&ran] { ++ran; });
+    EXPECT_FALSE(q.empty());
+    EXPECT_EQ(q.pending(), 2u);
+    ASSERT_TRUE(q.step());
+    EXPECT_EQ(q.pending(), 1u);
+    q.run();
+    EXPECT_EQ(ran, 2);
+    EXPECT_TRUE(q.empty());
+    EXPECT_FALSE(q.step());
+}
+
+// A feed event that schedules heap events and files more events on its
+// own feed: the new events keep the (when, seq) order with the rest.
+TEST(EventQueue, FeedCallbackSchedulesHeapAndRearmsItsFeed) {
+    EventQueue q;
+    SortedFeed feed{q};
+    std::vector<std::string> order;
+    const auto log = [&order](std::string s) { return [&order, s] { order.push_back(s); }; };
+    feed.push(10, [&] {
+        order.push_back("feed@10");
+        q.schedule_at(10, log("heap@10"));
+        feed.push(10, log("feed@10b"));
+        feed.push(15, log("feed@15"));
+        q.schedule_at(12, log("heap@12"));
+    });
+    feed.push(20, log("feed@20"));
+    q.schedule_at(15, log("heap@15"));  // stamped before feed@15
+    q.run();
+    EXPECT_EQ(order, (std::vector<std::string>{"feed@10", "heap@10", "feed@10b", "heap@12",
+                                               "heap@15", "feed@15", "feed@20"}));
+    EXPECT_EQ(q.now(), 20);
+}
+
+/// Randomized workload for the heap and two feeds: callbacks schedule
+/// more events while earlier ones run.  Every schedule is recorded as
+/// (clamped when, schedule order) for the reference model.  Each callback
+/// reads its capture only after it has scheduled, so one run in place
+/// while the heap or its feed reallocates reads freed memory (which the
+/// sanitizer build reports).
 struct Interleaving {
     static constexpr std::size_t kEvents = 5000;
 
     EventQueue q;
+    SortedFeed feeds[2] = {SortedFeed{q}, SortedFeed{q}};
     Rng rng{2024};
     std::vector<std::pair<SimTime, std::size_t>> scheduled;
     std::vector<std::size_t> order;
@@ -195,7 +321,13 @@ struct Interleaving {
     void schedule(SimTime when) {
         const std::size_t id = scheduled.size();
         scheduled.emplace_back(std::max(when, q.now()), id);
-        if (id % 2 == 0) {
+        if (id % 5 >= 3) {
+            // Two in five events go through a feed, alternating.
+            feeds[id % 5 - 3].push(when, [this, id] {
+                spawn();
+                order.push_back(id);
+            });
+        } else if (id % 2 == 0) {
             q.schedule_at(when, [this, id] {
                 spawn();
                 order.push_back(id);
@@ -225,7 +357,7 @@ struct Interleaving {
 
 // A key that a callback (or the test loop) schedules is never earlier than
 // the one running, so the run order is the whole schedule sorted by
-// (clamped when, schedule order), however slots were reused.
+// (clamped when, schedule order), whichever source held each event.
 TEST(EventQueue, SlotReuseKeepsReferenceOrderUnderInterleaving) {
     Interleaving s;
     std::size_t peak = 0;
@@ -246,7 +378,7 @@ TEST(EventQueue, SlotReuseKeepsReferenceOrderUnderInterleaving) {
     EXPECT_EQ(s.order, expected_order);
     EXPECT_EQ(s.q.now(), expected.back().first);
     EXPECT_TRUE(s.q.empty());
-    // Far fewer events are pending at once than run: slots were reused.
+    // Far fewer events are pending at once than run.
     EXPECT_LT(peak, Interleaving::kEvents / 10) << "peak pending " << peak;
 }
 
