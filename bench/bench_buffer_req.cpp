@@ -3,6 +3,7 @@
 // against the published maximum GOP sizes.
 #include <cstdio>
 
+#include "exp/flags.hpp"
 #include "media/trace.hpp"
 #include "protocol/buffer_req.hpp"
 
@@ -10,7 +11,8 @@ using espread::media::movie_catalog;
 using espread::media::TraceGenerator;
 using espread::proto::buffer_requirement;
 
-int main() {
+int main(int argc, char** argv) {
+    espread::exp::parse_flags_or_exit(argc, argv, {});
     std::printf("== §4.1: buffer requirements per movie (N = W * maxGOP) ==\n\n");
     std::printf("%-22s | GOP | fps | maxGOP (bits) | W=2 buffer | startup | synth maxGOP (100 GOPs)\n",
                 "movie");

@@ -163,11 +163,9 @@ std::string summary_render(const TrialSummary& s) {
 
 int main(int argc, char** argv) {
     namespace sim = espread::sim;
-    using espread::exp::RunnerOptions;
-    RunnerOptions defaults;
+    espread::exp::RunnerOptions defaults;
     defaults.trials = 24;
-    const RunnerOptions opts =
-        espread::exp::parse_runner_args(argc, argv, defaults);
+    const auto opts = espread::exp::parse_runner_args(argc, argv, defaults);
     MonteCarloRunner runner(opts);
     const std::string out =
         opts.out_path.empty() ? "BENCH_fec.json" : opts.out_path;

@@ -11,13 +11,15 @@
 // 2", the perceptual threshold.
 #include <cstdio>
 
+#include "exp/flags.hpp"
 #include "protocol/session.hpp"
 
 using espread::proto::run_session;
 using espread::proto::Scheme;
 using espread::proto::SessionConfig;
 
-int main() {
+int main(int argc, char** argv) {
+    espread::exp::parse_flags_or_exit(argc, argv, {});
     std::printf("== Figure 11: CLF vs available bandwidth (P_bad = 0.6, W = 2) ==\n\n");
     std::printf("BW (Mb/s) | unscrambled mean/dev | scrambled mean/dev | scr. windows CLF<=2\n");
     std::printf("----------+----------------------+--------------------+--------------------\n");

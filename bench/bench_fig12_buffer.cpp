@@ -9,6 +9,7 @@
 // thinly) — the "error spreading scales well" consistency claim.
 #include <cstdio>
 
+#include "exp/flags.hpp"
 #include "protocol/buffer_req.hpp"
 #include "protocol/session.hpp"
 
@@ -17,7 +18,8 @@ using espread::proto::run_session;
 using espread::proto::Scheme;
 using espread::proto::SessionConfig;
 
-int main() {
+int main(int argc, char** argv) {
+    espread::exp::parse_flags_or_exit(argc, argv, {});
     std::printf("== Figure 12: CLF vs buffer size W (P_bad = 0.6, BW 1.2 Mb/s) ==\n\n");
     std::printf(" W | startup | unscrambled mean/dev | scrambled mean/dev | scr. bound (last)\n");
     std::printf("---+---------+----------------------+--------------------+------------------\n");

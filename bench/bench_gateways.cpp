@@ -11,6 +11,7 @@
 #include "core/burst.hpp"
 #include "core/cpo.hpp"
 #include "core/metrics.hpp"
+#include "exp/flags.hpp"
 #include "net/gateway.hpp"
 #include "sim/stats.hpp"
 
@@ -85,7 +86,8 @@ Row run(QueueDiscipline d) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+    espread::exp::parse_flags_or_exit(argc, argv, {});
     std::printf("== §1 motivation: gateway discipline -> loss burstiness -> CLF ==\n");
     std::printf("(congested bottleneck, on/off cross traffic, 4000 windows of 24 LDUs)\n\n");
     std::printf("discipline | loss  | P(loss|loss) | mean burst | CLF in-order m/d | CLF spread m/d\n");

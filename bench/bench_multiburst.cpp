@@ -16,13 +16,15 @@
 #include "core/burst.hpp"
 #include "core/cpo.hpp"
 #include "core/interleaver.hpp"
+#include "exp/flags.hpp"
 
 using espread::Permutation;
 using espread::analysis::gilbert_clf;
 using espread::analysis::min_adjacent_distance;
 using espread::analysis::worst_case_clf_two_bursts;
 
-int main() {
+int main(int argc, char** argv) {
+    espread::exp::parse_flags_or_exit(argc, argv, {});
     constexpr std::size_t kN = 16;  // one B layer of a 2-GOP window
     constexpr std::size_t kB = 4;   // typical adapted bound
     const espread::net::GilbertParams net{0.92, 0.6};

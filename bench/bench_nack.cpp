@@ -166,11 +166,7 @@ void append_cell(JsonWriter& json, const Cell& c) {
 }  // namespace
 
 int main(int argc, char** argv) {
-    using espread::exp::RunnerOptions;
-    RunnerOptions defaults;
-    defaults.trials = 32;
-    const RunnerOptions opts =
-        espread::exp::parse_runner_args(argc, argv, defaults);
+    const auto opts = espread::exp::parse_runner_args(argc, argv);
     const std::string out =
         opts.out_path.empty() ? "BENCH_nack.json" : opts.out_path;
 

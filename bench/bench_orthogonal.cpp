@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "exp/flags.hpp"
 #include "protocol/session.hpp"
 
 using espread::proto::run_session;
@@ -59,7 +60,8 @@ Arm run_arm(const Mode& mode, bool spread) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+    espread::exp::parse_flags_or_exit(argc, argv, {});
     std::printf("== §4.3: error spreading as an orthogonal dimension ==\n");
     std::printf("(Jurassic Park, 100 windows, Gilbert(0.92, 0.6), 2.0 Mb/s link)\n\n");
     std::printf("redundancy     | scheme   | CLF mean/dev  | ALF   | Mbit sent\n");

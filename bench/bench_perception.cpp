@@ -5,6 +5,7 @@
 // experiences — across the burstiness sweep.
 #include <cstdio>
 
+#include "exp/flags.hpp"
 #include "media/ldu.hpp"
 #include "protocol/session.hpp"
 
@@ -28,7 +29,8 @@ double within_threshold(const espread::proto::SessionResult& r, std::size_t k) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+    espread::exp::parse_flags_or_exit(argc, argv, {});
     std::printf("== perception scoreboard: %% of windows within the annoyance threshold ==\n\n");
 
     std::printf("MPEG video (threshold CLF <= %zu), 100 windows each:\n", kVideoClfThreshold);

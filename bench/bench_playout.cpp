@@ -3,13 +3,15 @@
 // this quantifies how close the protocol actually comes to needing it).
 #include <cstdio>
 
+#include "exp/flags.hpp"
 #include "protocol/session.hpp"
 
 using espread::proto::run_session;
 using espread::proto::Scheme;
 using espread::proto::SessionConfig;
 
-int main() {
+int main(int argc, char** argv) {
+    espread::exp::parse_flags_or_exit(argc, argv, {});
     std::printf("== playout accounting: late frames vs lost frames ==\n");
     std::printf("(100 windows, Fig. 8 network; startup = 1 buffer window)\n\n");
     std::printf("scheme   | P_bad | window CLF m/d | playout CLF m/d | required startup (s)\n");

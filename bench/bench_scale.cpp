@@ -24,12 +24,12 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "engine/engine.hpp"
+#include "exp/flags.hpp"
 #include "exp/json.hpp"
 #include "exp/runner.hpp"
 #include "protocol/session.hpp"
@@ -42,96 +42,46 @@ using espread::exp::JsonWriter;
 namespace {
 
 struct Args {
-    std::size_t sessions = 100000;
-    std::size_t windows = 150;        // timed engine steps
-    std::size_t warmup = 8;           // untimed steps before measurement
-    std::size_t shards = 0;           // 0 = hardware threads
-    double churn_mean = 64.0;         // mean session lifetime (windows)
-    std::size_t churn_min = 16;       // lifetime floor
-    double churn_gap = 0.0;           // mean idle gap after departure
+    EngineConfig engine;                // Fig. 8 channel + window defaults
+    std::size_t windows = 150;          // timed engine steps
+    std::size_t warmup = 8;             // untimed steps before measurement
     std::size_t compare_sessions = 64;  // 0 disables the Session-loop arm
     double require_speedup = 0.0;       // 0 = report only
     std::string out = "BENCH_scale.json";
-    bool telemetry = false;             // per-shard slabs + epoch snapshots
-    std::size_t telemetry_epoch = 16;   // engine steps per snapshot epoch
-    bool governor = false;              // governor-lite outage supervision
-    bool fec = false;                   // FEC-lite window repair arm
-    std::size_t fec_num = 1;            // repair overhead ratio numerator
-    std::size_t fec_den = 10;           // repair overhead ratio denominator
     std::string telemetry_out = "TELEMETRY_scale.json";
 };
 
-bool parse_size(const char* arg, const char* name, std::size_t* out) {
-    const std::size_t len = std::strlen(name);
-    if (std::strncmp(arg, name, len) != 0) return false;
-    *out = static_cast<std::size_t>(std::strtoull(arg + len, nullptr, 10));
-    return true;
-}
-
-bool parse_double(const char* arg, const char* name, double* out) {
-    const std::size_t len = std::strlen(name);
-    if (std::strncmp(arg, name, len) != 0) return false;
-    *out = std::strtod(arg + len, nullptr);
-    return true;
-}
-
 Args parse_args(int argc, char** argv) {
+    using namespace espread::exp;
     Args a;
-    for (int i = 1; i < argc; ++i) {
-        const char* arg = argv[i];
-        if (parse_size(arg, "--sessions=", &a.sessions)) continue;
-        if (parse_size(arg, "--windows=", &a.windows)) continue;
-        if (parse_size(arg, "--warmup=", &a.warmup)) continue;
-        if (parse_size(arg, "--shards=", &a.shards)) continue;
-        if (parse_double(arg, "--churn-mean=", &a.churn_mean)) continue;
-        if (parse_size(arg, "--churn-min=", &a.churn_min)) continue;
-        if (parse_double(arg, "--churn-gap=", &a.churn_gap)) continue;
-        if (parse_size(arg, "--compare-sessions=", &a.compare_sessions)) continue;
-        if (parse_double(arg, "--require-speedup=", &a.require_speedup)) continue;
-        if (std::strcmp(arg, "--telemetry") == 0) {
-            a.telemetry = true;
-            continue;
-        }
-        if (parse_size(arg, "--telemetry-epoch=", &a.telemetry_epoch)) continue;
-        if (std::strcmp(arg, "--governor") == 0) {
-            a.governor = true;
-            continue;
-        }
-        if (std::strcmp(arg, "--fec") == 0) {
-            a.fec = true;
-            continue;
-        }
-        if (parse_size(arg, "--fec-num=", &a.fec_num)) continue;
-        if (parse_size(arg, "--fec-den=", &a.fec_den)) continue;
-        if (std::strncmp(arg, "--telemetry-out=", 16) == 0) {
-            a.telemetry_out = arg + 16;
-            continue;
-        }
-        if (std::strncmp(arg, "--out=", 6) == 0) {
-            a.out = arg + 6;
-            continue;
-        }
-        std::fprintf(stderr, "bench_scale: unknown argument %s\n", arg);
-    }
+    // Churn floor, idle gap and the FEC-lite overhead ratio keep
+    // EngineConfig's defaults: 16 windows, 0 windows and 1/10.
+    EngineConfig& e = a.engine;
+    e.sessions = 100000;
+    e.shards = 0;  // hardware threads
+    e.telemetry.epoch_steps = 16;
+    e.seed = 42;
+    const Flag flags[] = {
+        {"--sessions", Count{&e.sessions, 1, kMaxSessions}},
+        {"--windows", Count{&a.windows, 0, kMaxWindows}},
+        {"--warmup", Count{&a.warmup, 0, kMaxWindows}},
+        {"--shards", Count{&e.shards, 0, kMaxThreads}},
+        // Mean session lifetime in windows (0 turns churn off), up to
+        // EngineConfig::validate's bound.
+        {"--churn-mean",
+         Number{&e.churn.mean_lifetime_windows, 0.0, 4294967295.0}},
+        {"--compare-sessions", Count{&a.compare_sessions, 0, kMaxTrials}},
+        {"--require-speedup", Number{&a.require_speedup, 0.0, 1e6}},
+        {"--telemetry", Switch{&e.telemetry.enabled}},
+        {"--telemetry-epoch", Count{&e.telemetry.epoch_steps, 1, kMaxWindows}},
+        {"--governor", Switch{&e.governor.enabled}},
+        {"--fec", Switch{&e.fec.enabled}},
+        {"--telemetry-out", Text{&a.telemetry_out}},
+        {"--out", Text{&a.out}},
+    };
+    parse_flags_or_exit(argc, argv, flags);
+    e.churn.enabled = e.churn.mean_lifetime_windows > 0.0;
     return a;
-}
-
-EngineConfig engine_config(const Args& a) {
-    EngineConfig cfg;  // Fig. 8 channel + window defaults
-    cfg.sessions = a.sessions;
-    cfg.shards = a.shards;
-    cfg.churn.enabled = a.churn_mean > 0.0;
-    cfg.churn.min_lifetime_windows = a.churn_min;
-    cfg.churn.mean_lifetime_windows = a.churn_mean;
-    cfg.churn.mean_arrival_gap_windows = a.churn_gap;
-    cfg.telemetry.enabled = a.telemetry;
-    cfg.telemetry.epoch_steps = a.telemetry_epoch;
-    cfg.governor.enabled = a.governor;
-    cfg.fec.enabled = a.fec;
-    cfg.fec.overhead_num = a.fec_num;
-    cfg.fec.overhead_den = a.fec_den;
-    cfg.seed = 42;
-    return cfg;
 }
 
 double percentile(std::vector<double> sorted_src, double p) {
@@ -165,7 +115,7 @@ int main(int argc, char** argv) {
     const Args args = parse_args(argc, argv);
     using clock = std::chrono::steady_clock;
 
-    const EngineConfig cfg = engine_config(args);
+    const EngineConfig& cfg = args.engine;
     try {
         cfg.validate();
     } catch (const std::invalid_argument& e) {
@@ -174,7 +124,7 @@ int main(int argc, char** argv) {
     }
     ShardedEngine engine(cfg);
     std::printf("== bench_scale: %zu sessions x %zu windows, %zu shard(s) ==\n",
-                args.sessions, args.windows, engine.shards());
+                cfg.sessions, args.windows, engine.shards());
 
     engine.run(args.warmup);
     const EngineSummary before = engine.summary();
@@ -234,7 +184,7 @@ int main(int argc, char** argv) {
     JsonWriter json;
     json.begin_object();
     json.key("bench").value("scale");
-    json.key("sessions").value(static_cast<std::uint64_t>(args.sessions));
+    json.key("sessions").value(static_cast<std::uint64_t>(cfg.sessions));
     json.key("shards").value(static_cast<std::uint64_t>(engine.shards()));
     json.key("warmup_steps").value(static_cast<std::uint64_t>(args.warmup));
     json.key("timed_steps").value(static_cast<std::uint64_t>(args.windows));

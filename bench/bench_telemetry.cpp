@@ -11,10 +11,10 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "engine/engine.hpp"
+#include "exp/flags.hpp"
 #include "exp/json.hpp"
 
 using espread::engine::EngineConfig;
@@ -23,66 +23,40 @@ using espread::exp::JsonWriter;
 
 namespace {
 
+/// Snapshot cadence of the on-arm, in engine steps.
+constexpr std::size_t kEpochSteps = 16;
+
 struct Args {
-    std::size_t sessions = 20000;
+    EngineConfig engine;             // the telemetry-off arm
     std::size_t windows = 120;       // timed engine steps per run
     std::size_t warmup = 8;          // untimed steps before measurement
-    std::size_t shards = 0;          // 0 = hardware threads
     std::size_t repeats = 3;         // best-of-N per arm
-    std::size_t epoch_steps = 16;    // snapshot cadence in the on-arm
-    bool governor = false;           // include governor-lite in both arms
     double max_overhead = 0.0;       // percent; 0 = report only
     std::string out = "BENCH_telemetry.json";
 };
 
-bool parse_size(const char* arg, const char* name, std::size_t* out) {
-    const std::size_t len = std::strlen(name);
-    if (std::strncmp(arg, name, len) != 0) return false;
-    *out = static_cast<std::size_t>(std::strtoull(arg + len, nullptr, 10));
-    return true;
-}
-
-bool parse_double(const char* arg, const char* name, double* out) {
-    const std::size_t len = std::strlen(name);
-    if (std::strncmp(arg, name, len) != 0) return false;
-    *out = std::strtod(arg + len, nullptr);
-    return true;
-}
-
 Args parse_args(int argc, char** argv) {
+    using namespace espread::exp;
     Args a;
-    for (int i = 1; i < argc; ++i) {
-        const char* arg = argv[i];
-        if (parse_size(arg, "--sessions=", &a.sessions)) continue;
-        if (parse_size(arg, "--windows=", &a.windows)) continue;
-        if (parse_size(arg, "--warmup=", &a.warmup)) continue;
-        if (parse_size(arg, "--shards=", &a.shards)) continue;
-        if (parse_size(arg, "--repeats=", &a.repeats)) continue;
-        if (parse_size(arg, "--epoch-steps=", &a.epoch_steps)) continue;
-        if (parse_double(arg, "--max-overhead=", &a.max_overhead)) continue;
-        if (std::strcmp(arg, "--governor") == 0) {
-            a.governor = true;
-            continue;
-        }
-        if (std::strncmp(arg, "--out=", 6) == 0) {
-            a.out = arg + 6;
-            continue;
-        }
-        std::fprintf(stderr, "bench_telemetry: unknown argument %s\n", arg);
-    }
+    EngineConfig& e = a.engine;  // Fig. 8 channel + window defaults
+    e.sessions = 20000;
+    e.shards = 0;  // hardware threads
+    e.churn.enabled = true;
+    e.telemetry.epoch_steps = kEpochSteps;
+    e.seed = 42;
+    const Flag flags[] = {
+        {"--sessions", Count{&e.sessions, 1, kMaxSessions}},
+        {"--windows", Count{&a.windows, 0, kMaxWindows}},
+        {"--warmup", Count{&a.warmup, 0, kMaxWindows}},
+        {"--shards", Count{&e.shards, 0, kMaxThreads}},
+        {"--repeats", Count{&a.repeats, 1, 100}},
+        {"--max-overhead", Number{&a.max_overhead, 0.0, 100.0}},
+        // Governor-lite in both arms.
+        {"--governor", Switch{&e.governor.enabled}},
+        {"--out", Text{&a.out}},
+    };
+    parse_flags_or_exit(argc, argv, flags);
     return a;
-}
-
-EngineConfig engine_config(const Args& a, bool telemetry) {
-    EngineConfig cfg;  // Fig. 8 channel + window defaults
-    cfg.sessions = a.sessions;
-    cfg.shards = a.shards;
-    cfg.churn.enabled = true;
-    cfg.governor.enabled = a.governor;
-    cfg.telemetry.enabled = telemetry;
-    cfg.telemetry.epoch_steps = a.epoch_steps;
-    cfg.seed = 42;
-    return cfg;
 }
 
 /// One timed run: windows simulated per wall second after warmup.
@@ -102,7 +76,7 @@ double run_arm(const EngineConfig& cfg, std::size_t warmup,
 
 double best_of(const EngineConfig& cfg, const Args& a) {
     double best = 0.0;
-    for (std::size_t r = 0; r < std::max<std::size_t>(a.repeats, 1); ++r) {
+    for (std::size_t r = 0; r < a.repeats; ++r) {
         best = std::max(best, run_arm(cfg, a.warmup, a.windows));
     }
     return best;
@@ -113,26 +87,28 @@ double best_of(const EngineConfig& cfg, const Args& a) {
 int main(int argc, char** argv) {
     const Args args = parse_args(argc, argv);
     std::printf("== bench_telemetry: %zu sessions x %zu windows, best of %zu ==\n",
-                args.sessions, args.windows, args.repeats);
+                args.engine.sessions, args.windows, args.repeats);
 
-    const double wps_off = best_of(engine_config(args, false), args);
-    const double wps_on = best_of(engine_config(args, true), args);
+    EngineConfig on = args.engine;
+    on.telemetry.enabled = true;
+    const double wps_off = best_of(args.engine, args);
+    const double wps_on = best_of(on, args);
     const double overhead_pct =
         wps_off > 0.0 ? 100.0 * (wps_off - wps_on) / wps_off : 0.0;
 
     std::printf("telemetry off: %.0f windows/sec\n", wps_off);
     std::printf("telemetry on:  %.0f windows/sec (epoch every %zu steps)\n",
-                wps_on, args.epoch_steps);
+                wps_on, kEpochSteps);
     std::printf("overhead: %.2f%%\n", overhead_pct);
 
     JsonWriter json;
     json.begin_object();
     json.key("bench").value("telemetry");
-    json.key("sessions").value(static_cast<std::uint64_t>(args.sessions));
+    json.key("sessions").value(static_cast<std::uint64_t>(args.engine.sessions));
     json.key("timed_steps").value(static_cast<std::uint64_t>(args.windows));
     json.key("repeats").value(static_cast<std::uint64_t>(args.repeats));
-    json.key("epoch_steps").value(static_cast<std::uint64_t>(args.epoch_steps));
-    json.key("governor").value(args.governor);
+    json.key("epoch_steps").value(static_cast<std::uint64_t>(kEpochSteps));
+    json.key("governor").value(args.engine.governor.enabled);
     json.key("windows_per_second_off").value(wps_off);
     json.key("windows_per_second_on").value(wps_on);
     json.key("overhead_percent").value(overhead_pct);

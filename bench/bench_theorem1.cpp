@@ -17,8 +17,10 @@
 #include "core/burst.hpp"
 #include "core/cpo.hpp"
 #include "core/optimal.hpp"
+#include "exp/flags.hpp"
 
-int main() {
+int main(int argc, char** argv) {
+    espread::exp::parse_flags_or_exit(argc, argv, {});
     std::printf("== Theorem 1 validation ==\n\n");
     std::printf("exhaustive range (true optimum by branch-and-bound):\n\n");
     std::printf(" n\\b |");

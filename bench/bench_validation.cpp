@@ -11,13 +11,15 @@
 #include "analysis/markov.hpp"
 #include "analysis/multiburst.hpp"
 #include "core/permutation.hpp"
+#include "exp/flags.hpp"
 #include "sim/contracts.hpp"
 
 using espread::analysis::clf_distribution_in_order;
 using espread::analysis::expected_clf_in_order;
 using espread::analysis::expected_losses_in_order;
 
-int main() {
+int main(int argc, char** argv) {
+    espread::exp::parse_flags_or_exit(argc, argv, {});
     constexpr std::size_t kN = 24;
     constexpr std::size_t kTrials = 200000;
 

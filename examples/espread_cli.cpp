@@ -9,11 +9,14 @@
 //   espread_cli --fec 1,2 --retransmit 0 --quiet
 //
 // Run with --help for the full flag list.
+#include <array>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <initializer_list>
 #include <string>
+#include <string_view>
 
+#include "exp/flags.hpp"
 #include "protocol/report.hpp"
 #include "protocol/session.hpp"
 
@@ -26,158 +29,146 @@ using espread::proto::StreamKind;
 
 namespace {
 
-[[noreturn]] void usage(int code) {
-    std::printf(
-        "usage: espread_cli [flags]\n"
-        "  --scheme  inorder|layered|ibo|spread   transmission scheme (spread)\n"
-        "  --stream  mpeg|mjpeg|audio|trace       stream kind (mpeg)\n"
-        "  --movie   NAME                         MPEG trace (Jurassic Park)\n"
-        "  --trace   PATH                         frame-trace file (implies --stream trace)\n"
-        "  --csv     PATH                         also write per-window CSV\n"
-        "  --gops    N                            GOPs per window, mpeg (2)\n"
-        "  --ldus    N                            LDUs per window, mjpeg/audio (24)\n"
-        "  --rate    FPS                          frame rate, mjpeg/audio (24)\n"
-        "  --bw      BPS                          data bandwidth (1.2e6)\n"
-        "  --rtt     MS                           round-trip time (23)\n"
-        "  --pgood   P                            Gilbert stay-good (0.92)\n"
-        "  --pbad    P                            Gilbert stay-bad (0.6)\n"
-        "  --lgood   P                            drop prob in GOOD (0)\n"
-        "  --lbad    P                            drop prob in BAD (1)\n"
-        "  --packet  BITS                         packet size (16384)\n"
-        "  --windows N                            buffer windows (100)\n"
-        "  --seed    N                            RNG seed (1)\n"
-        "  --alpha   A                            Eq.-1 weight (0.5)\n"
-        "  --pin     B                            freeze non-critical bound (adaptive)\n"
-        "  --retransmit 0|1                       critical retransmission (1)\n"
-        "  --estimator ewma|smax                  burst-bound estimator (ewma)\n"
-        "  --drop    reactive|predictive          sender shedding policy (reactive)\n"
-        "  --startup W                            playout startup, in windows (1.0)\n"
-        "  --fec     NUM,DEN[,WINDOW]             RLC repairs: NUM per DEN packets over\n"
-        "                                         a WINDOW-packet window (64); with\n"
-        "                                         --scheme inorder|spread only\n"
-        "  --quiet                                summary only\n"
-        "  --help\n");
-    std::exit(code);
+const char kUsage[] =
+    "usage: espread_cli [flags]\n"
+    "  --scheme  inorder|layered|ibo|spread   transmission scheme (spread)\n"
+    "  --stream  mpeg|mjpeg|audio|trace       stream kind (mpeg)\n"
+    "  --movie   NAME                         MPEG trace (Jurassic Park)\n"
+    "  --trace   PATH                         frame-trace file (implies --stream trace)\n"
+    "  --csv     PATH                         also write per-window CSV\n"
+    "  --gops    N                            GOPs per window, mpeg (2)\n"
+    "  --ldus    N                            LDUs per window, mjpeg/audio (24)\n"
+    "  --rate    FPS                          frame rate, mjpeg/audio (24)\n"
+    "  --bw      BPS                          data bandwidth (1.2e6)\n"
+    "  --rtt     MS                           round-trip time (23)\n"
+    "  --pgood   P                            Gilbert stay-good (0.92)\n"
+    "  --pbad    P                            Gilbert stay-bad (0.6)\n"
+    "  --lgood   P                            drop prob in GOOD (0)\n"
+    "  --lbad    P                            drop prob in BAD (1)\n"
+    "  --packet  BITS                         packet size (16384)\n"
+    "  --windows N                            buffer windows (100)\n"
+    "  --seed    N                            RNG seed (1)\n"
+    "  --alpha   A                            Eq.-1 weight (0.5)\n"
+    "  --pin     B                            freeze non-critical bound (adaptive)\n"
+    "  --retransmit 0|1                       critical retransmission (1)\n"
+    "  --estimator ewma|smax                  burst-bound estimator (ewma)\n"
+    "  --drop    reactive|predictive          sender shedding policy (reactive)\n"
+    "  --startup W                            playout startup, in windows (1.0)\n"
+    "  --fec     NUM,DEN[,WINDOW]             RLC repairs: NUM per DEN packets over\n"
+    "                                         a WINDOW-packet window (64); with\n"
+    "                                         --scheme inorder|spread only\n"
+    "  --quiet                                summary only\n"
+    "  --help\n";
+
+[[noreturn]] void bad_value(const char* flag, const std::string& value) {
+    std::fprintf(stderr, "espread_cli: %s: unknown value '%s'\n", flag,
+                 value.c_str());
+    std::exit(2);
 }
 
-double parse_double(const char* flag, const char* value) {
-    char* end = nullptr;
-    const double v = std::strtod(value, &end);
-    if (end == value || *end != '\0') {
-        std::fprintf(stderr, "espread_cli: bad value for %s: %s\n", flag, value);
-        std::exit(2);
+/// Position of `value` among `names`; exits 2 naming the flag otherwise.
+std::size_t pick(const char* flag, const std::string& value,
+                 std::initializer_list<const char*> names) {
+    std::size_t i = 0;
+    for (const char* name : names) {
+        if (value == name) return i;
+        ++i;
     }
-    return v;
+    bad_value(flag, value);
 }
 
-std::size_t parse_size(const char* flag, const char* value) {
-    const double v = parse_double(flag, value);
-    if (v < 0) {
-        std::fprintf(stderr, "espread_cli: %s must be non-negative\n", flag);
-        std::exit(2);
+/// NUM,DEN[,WINDOW] of --fec into `rlc`; WINDOW keeps its default when
+/// left out.
+bool parse_fec(std::string_view spec, espread::proto::RlcConfig& rlc) {
+    std::size_t* terms[] = {&rlc.overhead_num, &rlc.overhead_den,
+                            &rlc.window_packets};
+    for (std::size_t n = 0; n < 3; ++n) {
+        const std::size_t comma = spec.find(',');
+        const auto term = espread::exp::parse_count(spec.substr(0, comma));
+        if (!term) return false;
+        *terms[n] = *term;
+        if (comma == std::string_view::npos) return n >= 1;
+        spec.remove_prefix(comma + 1);
     }
-    return static_cast<std::size_t>(v);
+    return false;  // more than three terms
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
+    using namespace espread::exp;
     SessionConfig cfg;
+    bool help = false;
     bool quiet = false;
-    double rtt_ms = 23.0;
+    std::string scheme = "spread";
+    std::string stream;
+    std::string estimator = "ewma";
+    std::string drop = "reactive";
+    std::string fec_spec;
     std::string csv_path;
-    bool fec = false;
-
-    for (int i = 1; i < argc; ++i) {
-        const std::string flag = argv[i];
-        if (flag == "--help" || flag == "-h") usage(0);
-        if (flag == "--quiet") {
-            quiet = true;
-            continue;
-        }
-        if (i + 1 >= argc) {
-            std::fprintf(stderr, "espread_cli: %s needs a value\n", flag.c_str());
-            return 2;
-        }
-        const char* v = argv[++i];
-        if (flag == "--scheme") {
-            const std::string s = v;
-            if (s == "inorder") cfg.scheme = Scheme::kInOrder;
-            else if (s == "layered") cfg.scheme = Scheme::kLayeredNoScramble;
-            else if (s == "ibo") cfg.scheme = Scheme::kLayeredIbo;
-            else if (s == "spread") cfg.scheme = Scheme::kLayeredSpread;
-            else usage(2);
-        } else if (flag == "--stream") {
-            const std::string s = v;
-            if (s == "mpeg") cfg.stream.kind = StreamKind::kMpeg;
-            else if (s == "mjpeg") cfg.stream.kind = StreamKind::kMjpeg;
-            else if (s == "audio") cfg.stream.kind = StreamKind::kAudio;
-            else if (s == "trace") cfg.stream.kind = StreamKind::kTraceFile;
-            else usage(2);
-        } else if (flag == "--trace") {
-            cfg.stream.kind = StreamKind::kTraceFile;
-            cfg.stream.trace_path = v;
-        } else if (flag == "--csv") {
-            csv_path = v;
-        } else if (flag == "--movie") {
-            cfg.stream.movie = v;
-        } else if (flag == "--gops") {
-            cfg.gops_per_window = parse_size("--gops", v);
-        } else if (flag == "--ldus") {
-            cfg.stream.ldus_per_window = parse_size("--ldus", v);
-        } else if (flag == "--rate") {
-            cfg.stream.frame_rate = parse_double("--rate", v);
-        } else if (flag == "--bw") {
-            cfg.data_link.bandwidth_bps = parse_double("--bw", v);
-            cfg.feedback_link.bandwidth_bps = cfg.data_link.bandwidth_bps;
-        } else if (flag == "--rtt") {
-            rtt_ms = parse_double("--rtt", v);
-        } else if (flag == "--pgood") {
-            cfg.data_loss.p_good = cfg.feedback_loss.p_good = parse_double("--pgood", v);
-        } else if (flag == "--pbad") {
-            cfg.data_loss.p_bad = cfg.feedback_loss.p_bad = parse_double("--pbad", v);
-        } else if (flag == "--lgood") {
-            cfg.data_loss.loss_good = cfg.feedback_loss.loss_good = parse_double("--lgood", v);
-        } else if (flag == "--lbad") {
-            cfg.data_loss.loss_bad = cfg.feedback_loss.loss_bad = parse_double("--lbad", v);
-        } else if (flag == "--packet") {
-            cfg.packet_bits = parse_size("--packet", v);
-        } else if (flag == "--windows") {
-            cfg.num_windows = parse_size("--windows", v);
-        } else if (flag == "--seed") {
-            cfg.seed = parse_size("--seed", v);
-        } else if (flag == "--alpha") {
-            cfg.alpha = parse_double("--alpha", v);
-        } else if (flag == "--pin") {
-            cfg.pinned_bound = parse_size("--pin", v);
-        } else if (flag == "--retransmit") {
-            cfg.retransmit_critical = parse_size("--retransmit", v) != 0;
-        } else if (flag == "--estimator") {
-            const std::string s = v;
-            if (s == "ewma") cfg.estimator = espread::proto::EstimatorKind::kEwma;
-            else if (s == "smax") cfg.estimator = espread::proto::EstimatorKind::kSlidingMax;
-            else usage(2);
-        } else if (flag == "--drop") {
-            const std::string s = v;
-            if (s == "reactive") cfg.drop_policy = espread::proto::DropPolicy::kReactive;
-            else if (s == "predictive") cfg.drop_policy = espread::proto::DropPolicy::kPredictive;
-            else usage(2);
-        } else if (flag == "--startup") {
-            cfg.playout_startup_windows = parse_double("--startup", v);
-        } else if (flag == "--fec") {
-            std::size_t num = 0, den = 0, window = cfg.rlc.window_packets;
-            if (std::sscanf(v, "%zu,%zu,%zu", &num, &den, &window) < 2) {
-                std::fprintf(stderr,
-                             "espread_cli: --fec expects NUM,DEN[,WINDOW]\n");
-                return 2;
-            }
-            cfg.rlc = {window, num, den};
-            fec = true;
-        } else {
-            std::fprintf(stderr, "espread_cli: unknown flag %s\n", flag.c_str());
-            usage(2);
-        }
+    double bw = cfg.data_link.bandwidth_bps;
+    double rtt_ms = 23.0;
+    espread::net::GilbertParams& loss = cfg.data_loss;  // both paths
+    std::size_t seed = cfg.seed;
+    std::size_t retransmit = 1;
+    // Window sizes stop far past the paper's (2 GOPs, 24 LDUs).
+    const Flag flags[] = {
+        {"--help", Switch{&help}},
+        {"--quiet", Switch{&quiet}},
+        {"--scheme", Text{&scheme}},
+        {"--stream", Text{&stream}},
+        {"--movie", Text{&cfg.stream.movie}},
+        {"--trace", Text{&cfg.stream.trace_path}},
+        {"--csv", Text{&csv_path}},
+        {"--gops", Count{&cfg.gops_per_window, 1, 256}},
+        {"--ldus", Count{&cfg.stream.ldus_per_window, 1, 4096}},
+        {"--rate", Number{&cfg.stream.frame_rate, 0.0, 1e6}},
+        {"--bw", Number{&bw, 0.0, 1e12}},
+        {"--rtt", Number{&rtt_ms, 0.0, 1e6}},
+        {"--pgood", Number{&loss.p_good, 0.0, 1.0}},
+        {"--pbad", Number{&loss.p_bad, 0.0, 1.0}},
+        {"--lgood", Number{&loss.loss_good, 0.0, 1.0}},
+        {"--lbad", Number{&loss.loss_bad, 0.0, 1.0}},
+        {"--packet", Count{&cfg.packet_bits, 1, std::size_t{1} << 30}},
+        {"--windows", Count{&cfg.num_windows, 1, kMaxWindows}},
+        {"--seed", Count{&seed}},
+        {"--alpha", Number{&cfg.alpha, 0.0, 1.0}},
+        {"--pin", Count{&cfg.pinned_bound, 0, 4096}},
+        {"--retransmit", Count{&retransmit, 0, 1}},
+        {"--estimator", Text{&estimator}},
+        {"--drop", Text{&drop}},
+        {"--startup", Number{&cfg.playout_startup_windows, 0.0, 1e6}},
+        {"--fec", Text{&fec_spec}},
+    };
+    parse_flags_or_exit(argc, argv, flags);
+    if (help) {
+        std::fputs(kUsage, stdout);
+        return 0;
     }
+
+    cfg.scheme = std::array{Scheme::kInOrder, Scheme::kLayeredNoScramble,
+                            Scheme::kLayeredIbo, Scheme::kLayeredSpread}
+        [pick("--scheme", scheme, {"inorder", "layered", "ibo", "spread"})];
+    if (!cfg.stream.trace_path.empty()) {
+        cfg.stream.kind = StreamKind::kTraceFile;
+    } else if (!stream.empty()) {
+        cfg.stream.kind =
+            std::array{StreamKind::kMpeg, StreamKind::kMjpeg,
+                       StreamKind::kAudio, StreamKind::kTraceFile}
+                [pick("--stream", stream, {"mpeg", "mjpeg", "audio", "trace"})];
+    }
+    cfg.estimator = std::array{espread::proto::EstimatorKind::kEwma,
+                               espread::proto::EstimatorKind::kSlidingMax}
+        [pick("--estimator", estimator, {"ewma", "smax"})];
+    cfg.drop_policy = std::array{espread::proto::DropPolicy::kReactive,
+                                 espread::proto::DropPolicy::kPredictive}
+        [pick("--drop", drop, {"reactive", "predictive"})];
+    cfg.data_link.bandwidth_bps = cfg.feedback_link.bandwidth_bps = bw;
+    cfg.feedback_loss = loss;
+    cfg.seed = seed;
+    cfg.retransmit_critical = retransmit != 0;
+    const bool fec = !fec_spec.empty();
+    if (fec && !parse_fec(fec_spec, cfg.rlc)) bad_value("--fec", fec_spec);
     if (fec) {
         // The RLC code rides on the in-order or the spread transmission
         // order; the other layered schemes have no coded variant.

@@ -1,9 +1,7 @@
 #include "exp/runner.hpp"
 
 #include <atomic>
-#include <charconv>
 #include <chrono>
-#include <cstring>
 #include <latch>
 #include <vector>
 
@@ -31,43 +29,19 @@ TrialOutcome reduce_session(proto::SessionResult r, std::uint64_t seed) {
     return t;
 }
 
-bool parse_size_flag(const char* arg, const char* name, std::size_t* out) {
-    const std::size_t len = std::strlen(name);
-    if (std::strncmp(arg, name, len) != 0 || arg[len] != '=') return false;
-    // from_chars takes no blank or sign for an unsigned type and reports
-    // overflow, where strtoull would wrap "-3" to 2^64 - 3.
-    const char* first = arg + len + 1;
-    const char* last = first + std::strlen(first);
-    std::size_t v = 0;
-    const auto [end, err] = std::from_chars(first, last, v);
-    if (err != std::errc{} || end != last) return false;
-    *out = v;
-    return true;
-}
-
-bool parse_string_flag(const char* arg, const char* name, std::string* out) {
-    const std::size_t len = std::strlen(name);
-    if (std::strncmp(arg, name, len) != 0 || arg[len] != '=') return false;
-    if (arg[len + 1] == '\0') return false;
-    *out = arg + len + 1;
-    return true;
-}
-
 }  // namespace
 
-RunnerOptions parse_runner_args(int argc, char** argv, RunnerOptions defaults) {
-    RunnerOptions opts = defaults;
-    for (int i = 1; i < argc; ++i) {
-        std::size_t v = 0;
-        if (parse_size_flag(argv[i], "--trials", &v) && v > 0) {
-            opts.trials = v;
-        } else if (parse_size_flag(argv[i], "--threads", &v)) {
-            opts.threads = v;
-        } else if (parse_string_flag(argv[i], "--out", &opts.out_path)) {
-        } else if (parse_string_flag(argv[i], "--trace", &opts.trace_path)) {
-        }
-    }
-    return opts;
+std::array<Flag, 4> runner_flags(RunnerOptions& opts) {
+    return {{{"--trials", Count{&opts.trials, 1, kMaxTrials}},
+             {"--threads", Count{&opts.threads, 0, kMaxThreads}},
+             {"--out", Text{&opts.out_path}},
+             {"--trace", Text{&opts.trace_path}}}};
+}
+
+RunnerOptions parse_runner_args(int argc, const char* const* argv,
+                                RunnerOptions defaults) {
+    parse_flags_or_exit(argc, argv, runner_flags(defaults));
+    return defaults;
 }
 
 struct MonteCarloRunner::Impl {

@@ -17,11 +17,13 @@
 //     TrialSummary byte-identical for 1 thread and N threads.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
 
+#include "exp/flags.hpp"
 #include "exp/json.hpp"
 #include "obs/metrics.hpp"
 #include "protocol/session.hpp"
@@ -42,10 +44,15 @@ struct RunnerOptions {
     std::string trace_path;
 };
 
-/// Parses `--trials=N` / `--threads=N` / `--out=FILE` / `--trace=FILE`
-/// from a bench's argv, leaving other arguments alone.  Unparsable values
-/// keep the defaults passed in.
-RunnerOptions parse_runner_args(int argc, char** argv,
+/// The Monte-Carlo benches' flag table, writing into `opts`:
+/// `--trials` (1..kMaxTrials), `--threads` (0..kMaxThreads), `--out`,
+/// `--trace`.
+std::array<Flag, 4> runner_flags(RunnerOptions& opts);
+
+/// Parses a Monte-Carlo bench's argv against runner_flags, starting from
+/// `defaults`.  Any other argument, or a bad value, prints the error and
+/// exits 2.
+RunnerOptions parse_runner_args(int argc, const char* const* argv,
                                 RunnerOptions defaults = {});
 
 /// Per-trial reduction of one SessionResult (computed on the worker).

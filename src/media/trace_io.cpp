@@ -35,11 +35,13 @@ std::vector<Frame> read_trace(std::istream& in) {
         const std::size_t hash = line.find('#');
         if (hash != std::string::npos) line.erase(hash);
         std::istringstream ls{line};
+        if ((ls >> std::ws).eof()) continue;  // blank/comment-only line
+        // Anything else must be a frame: a frame number that does not
+        // parse (or overflows) is an error, not a blank line.
         long long file_index = 0;
         std::string type_token;
         long long size_bits = 0;
-        if (!(ls >> file_index)) continue;  // blank/comment-only line
-        if (!(ls >> type_token >> size_bits)) {
+        if (!(ls >> file_index >> type_token >> size_bits)) {
             throw std::invalid_argument("trace line " + std::to_string(line_no) +
                                         ": expected '<frame#> <type> <bits>'");
         }

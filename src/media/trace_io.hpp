@@ -19,8 +19,10 @@ namespace espread::media {
 /// Parses a trace stream.  Frame numbers in the file are informational
 /// (re-indexed 0..n-1 on load); the type letter must be I, P, B or J.
 /// GOP coordinates are reconstructed from the I-frame positions (a new GOP
-/// starts at every I; leading non-I frames belong to GOP 0).
-/// Throws std::invalid_argument with a line number on malformed input.
+/// starts at every I; leading non-I frames belong to GOP 0).  Blank and
+/// comment-only lines are skipped; every other line must be a frame.
+/// Throws std::invalid_argument with a line number on malformed input,
+/// including a frame number or size that does not fit a 64-bit integer.
 std::vector<Frame> read_trace(std::istream& in);
 
 /// Convenience: loads from a file path; throws std::runtime_error when the

@@ -1,0 +1,141 @@
+// Every bench, example-CLI and tool binary refuses a malformed command
+// line: it exits with its usage code (2; espread_report 1, because its 2
+// means an SLO breach), names the offending flag on stderr, and never dies
+// by a signal.  Each case is refused before any work starts, so a binary
+// runs for milliseconds.  The count caps are checked in-process by
+// test_runner; no binary is started at or past a cap.
+#include <fcntl.h>
+#include <spawn.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <gtest/gtest.h>
+
+#include <fstream>
+#include <iterator>
+#include <ostream>
+#include <string>
+#include <utility>
+#include <vector>
+
+extern char** environ;
+
+namespace {
+
+struct Binary {
+    const char* path;                ///< relative to the build tree
+    std::vector<const char*> flags;  ///< count or number flags it takes
+    int usage_code = 2;
+};
+
+// Test listings show the path, not the struct's bytes (pointers
+// included, which would change the test names from build to build).
+void PrintTo(const Binary& b, std::ostream* os) { *os << b.path; }
+
+const Binary kBinaries[] = {
+    {"bench/bench_ablation", {"--trials", "--threads"}},
+    {"bench/bench_fec", {"--trials"}},
+    {"bench/bench_fig8_loss", {"--trials"}},
+    {"bench/bench_impairment", {"--trials"}},
+    {"bench/bench_nack", {"--trials"}},
+    {"bench/bench_outage", {"--trials"}},
+    {"bench/bench_table2", {"--trials"}},
+    {"bench/bench_scale", {"--windows", "--sessions", "--churn-mean"}},
+    {"bench/bench_telemetry", {"--windows", "--max-overhead"}},
+    {"bench/bench_table1", {}},
+    {"bench/bench_theorem1", {}},
+    {"bench/bench_fig11_bandwidth", {}},
+    {"bench/bench_fig12_buffer", {}},
+    {"bench/bench_orthogonal", {}},
+    {"bench/bench_buffer_req", {}},
+    {"bench/bench_playout", {}},
+    {"bench/bench_perception", {}},
+    {"bench/bench_gateways", {}},
+    {"bench/bench_validation", {}},
+    {"bench/bench_multiburst", {}},
+    {"examples/espread_cli", {"--windows", "--bw"}},
+    {"tools/espread_lint/espread_lint", {"--jobs"}},
+    {"tools/espread_report/espread_report", {"--max-rows"}, 1},
+    {"tools/perf_gate/perf_gate", {"--tolerance"}},
+};
+
+struct Outcome {
+    int status = 0;  ///< waitpid status
+    std::string err;
+};
+
+Outcome run(const std::string& path, const std::vector<std::string>& args) {
+    const std::string err_path = ::testing::TempDir() + "/espread_cli_" +
+                                 std::to_string(::getpid()) + ".err";
+    posix_spawn_file_actions_t actions;
+    posix_spawn_file_actions_init(&actions);
+    posix_spawn_file_actions_addopen(&actions, 1, "/dev/null", O_WRONLY, 0);
+    posix_spawn_file_actions_addopen(&actions, 2, err_path.c_str(),
+                                     O_WRONLY | O_CREAT | O_TRUNC, 0644);
+    std::vector<std::string> storage = {path};
+    storage.insert(storage.end(), args.begin(), args.end());
+    std::vector<char*> argv;
+    for (std::string& s : storage) argv.push_back(s.data());
+    argv.push_back(nullptr);
+    pid_t pid = 0;
+    const int rc = posix_spawn(&pid, path.c_str(), &actions, nullptr,
+                               argv.data(), environ);
+    posix_spawn_file_actions_destroy(&actions);
+    Outcome out;
+    if (rc != 0) {
+        ADD_FAILURE() << "cannot start " << path;
+        return out;
+    }
+    ::waitpid(pid, &out.status, 0);
+    std::ifstream in(err_path);
+    out.err.assign(std::istreambuf_iterator<char>(in),
+                   std::istreambuf_iterator<char>());
+    ::unlink(err_path.c_str());
+    return out;
+}
+
+/// Argument lists that must each be refused, paired with the flag the
+/// message must name.
+std::vector<std::pair<std::vector<std::string>, std::string>> cases(
+    const Binary& b) {
+    std::vector<std::pair<std::vector<std::string>, std::string>> out = {
+        {{"--bogus"}, "--bogus"}};
+    if (b.flags.empty()) out.push_back({{"--trials=8"}, "--trials"});
+    for (const std::string flag : b.flags) {
+        for (const char* bad : {"=abc", "=-3", "=5x", "= 3", "=+3"}) {
+            out.push_back({{flag + bad}, flag});
+        }
+        for (const char* bad : {"1e30", "nan"}) {
+            out.push_back({{flag, bad}, flag});
+        }
+        out.push_back({{flag}, flag});  // no value
+    }
+    return out;
+}
+
+class CliReject : public ::testing::TestWithParam<Binary> {};
+
+TEST_P(CliReject, RefusesMalformedInput) {
+    const Binary& b = GetParam();
+    const std::string path = std::string(ESPREAD_BUILD_DIR) + "/" + b.path;
+    for (const auto& [args, flag] : cases(b)) {
+        std::string shown;
+        for (const std::string& a : args) shown += " '" + a + "'";
+        SCOPED_TRACE(b.path + shown);
+        const Outcome o = run(path, args);
+        ASSERT_TRUE(WIFEXITED(o.status)) << "killed by signal "
+                                         << WTERMSIG(o.status);
+        EXPECT_EQ(WEXITSTATUS(o.status), b.usage_code) << o.err;
+        EXPECT_NE(o.err.find(flag), std::string::npos) << o.err;
+    }
+}
+
+std::string binary_name(const ::testing::TestParamInfo<Binary>& info) {
+    const std::string path = info.param.path;
+    return path.substr(path.rfind('/') + 1);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllBinaries, CliReject, ::testing::ValuesIn(kBinaries),
+                         binary_name);
+
+}  // namespace

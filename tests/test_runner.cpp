@@ -11,6 +11,7 @@
 #include <set>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/cpo.hpp"
@@ -265,31 +266,61 @@ TEST(ParseRunnerArgs, ParsesTrialsAndThreads) {
     EXPECT_TRUE(opts.trace_path.empty());
 }
 
-TEST(ParseRunnerArgs, IgnoresMalformedFlags) {
-    const char* argv_c[] = {"bench", "--trials=abc", "--threads"};
-    const auto opts = espread::exp::parse_runner_args(
-        3, const_cast<char**>(argv_c), runner_opts(32, 2));
-    EXPECT_EQ(opts.trials, 32u);
-    EXPECT_EQ(opts.threads, 2u);
-    // strtoull would wrap a negative count to 2^64 - n, and saturate one
-    // past ULLONG_MAX: both are malformed, so the defaults stay.
-    for (const char* bad : {"--trials=-3", "--threads=-1",
-                            "--trials=99999999999999999999", "--trials= 3",
-                            "--trials=+3"}) {
-        const char* one[] = {"bench", bad};
-        const auto o = espread::exp::parse_runner_args(
-            2, const_cast<char**>(one), runner_opts(32, 2));
-        EXPECT_EQ(o.trials, 32u) << bad;
-        EXPECT_EQ(o.threads, 2u) << bad;
+// A bad value is refused with a message naming the flag (the bench
+// prints it and exits 2), never replaced by the default.  strtoull would
+// wrap a negative count to 2^64 - n and saturate one past ULLONG_MAX.
+TEST(ParseRunnerArgs, RejectsMalformedFlags) {
+    const std::pair<std::vector<std::string>, const char*> cases[] = {
+        {{"--trials=abc"}, "--trials"},
+        {{"--trials=-3"}, "--trials"},
+        {{"--threads=-1"}, "--threads"},
+        {{"--trials=99999999999999999999"}, "--trials"},
+        {{"--trials= 3"}, "--trials"},
+        {{"--trials=+3"}, "--trials"},
+        {{"--trials=5x"}, "--trials"},
+        {{"--trials", "1e30"}, "--trials"},
+        {{"--trials=0"}, "--trials"},
+        {{"--threads"}, "--threads"},
+        {{"--out="}, "--out"},
+        {{"--trace"}, "--trace"},
+        {{"--bogus=1"}, "--bogus"},
+        {{"stray"}, "'stray'"},
+    };
+    for (const auto& [args, flag] : cases) {
+        RunnerOptions o = runner_opts(32, 2);
+        const std::string error =
+            espread::exp::parse_flags(args, espread::exp::runner_flags(o));
+        EXPECT_EQ(error.find(flag), 0u) << args.front() << ": " << error;
+    }
+}
+
+// The caps are checked here, in-process: no binary is started at a cap.
+TEST(ParseRunnerArgs, CountsStopAtTheirCaps) {
+    using espread::exp::kMaxThreads;
+    using espread::exp::kMaxTrials;
+    RunnerOptions o = runner_opts(32, 2);
+    const std::vector<std::string> at_cap = {
+        "--trials=" + std::to_string(kMaxTrials),
+        "--threads=" + std::to_string(kMaxThreads)};
+    EXPECT_EQ(espread::exp::parse_flags(at_cap, espread::exp::runner_flags(o)),
+              "");
+    EXPECT_EQ(o.trials, kMaxTrials);
+    EXPECT_EQ(o.threads, kMaxThreads);
+    for (const std::string& over :
+         {"--trials=" + std::to_string(kMaxTrials + 1),
+          "--threads=" + std::to_string(kMaxThreads + 1)}) {
+        EXPECT_NE(espread::exp::parse_flags(std::vector<std::string>{over},
+                                            espread::exp::runner_flags(o)),
+                  "")
+            << over;
     }
 }
 
 TEST(ParseRunnerArgs, ParsesOutAndTracePaths) {
-    const char* argv_c[] = {"bench", "--out=results.json", "--trace=t.json",
-                            "--out="};
+    const char* argv_c[] = {"bench", "--out=results.json", "--trace", "t.json"};
     const auto opts =
         espread::exp::parse_runner_args(4, const_cast<char**>(argv_c));
-    EXPECT_EQ(opts.out_path, "results.json");  // empty value is ignored
+    EXPECT_EQ(opts.out_path, "results.json");
     EXPECT_EQ(opts.trace_path, "t.json");
 }
 

@@ -16,7 +16,6 @@
 // --compile-commands turns on the coverage guard: any TU the build compiles
 // under the scanned paths that the scan never visited is an error.
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -24,59 +23,38 @@
 #include <vector>
 
 #include "contracts.hpp"
+#include "exp/flags.hpp"
 #include "lint.hpp"
-
-namespace {
-
-bool parse_value_flag(const char* arg, const char* name, std::string* out) {
-    const std::size_t len = std::strlen(name);
-    if (std::strncmp(arg, name, len) != 0 || arg[len] != '=') return false;
-    *out = arg + len + 1;
-    return !out->empty();
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
     using namespace espread::lint;
 
     std::string root = ".";
     std::string allowlist_path;
-    std::string jobs_str;
+    std::size_t jobs = 1;
     std::string registry;
     std::string sarif_path;
     std::string compile_commands;
-    bool use_default_allowlist = true;
+    bool no_default_allowlist = false;
     bool list_rules = false;
     bool contracts = false;
     bool contracts_only = false;
     std::vector<std::string> paths;
 
-    for (int i = 1; i < argc; ++i) {
-        const char* arg = argv[i];
-        if (parse_value_flag(arg, "--root", &root)) {
-        } else if (parse_value_flag(arg, "--allowlist", &allowlist_path)) {
-        } else if (parse_value_flag(arg, "--jobs", &jobs_str)) {
-        } else if (parse_value_flag(arg, "--registry", &registry)) {
-        } else if (parse_value_flag(arg, "--sarif", &sarif_path)) {
-        } else if (parse_value_flag(arg, "--compile-commands",
-                                    &compile_commands)) {
-        } else if (std::strcmp(arg, "--contracts") == 0) {
-            contracts = true;
-        } else if (std::strcmp(arg, "--contracts-only") == 0) {
-            contracts = true;
-            contracts_only = true;
-        } else if (std::strcmp(arg, "--no-default-allowlist") == 0) {
-            use_default_allowlist = false;
-        } else if (std::strcmp(arg, "--list-rules") == 0) {
-            list_rules = true;
-        } else if (std::strncmp(arg, "--", 2) == 0) {
-            std::fprintf(stderr, "espread_lint: unknown flag '%s'\n", arg);
-            return 2;
-        } else {
-            paths.emplace_back(arg);
-        }
-    }
+    using namespace espread::exp;
+    const Flag flags[] = {
+        {"--root", Text{&root}},
+        {"--allowlist", Text{&allowlist_path}},
+        {"--no-default-allowlist", Switch{&no_default_allowlist}},
+        {"--jobs", Count{&jobs, 0, kMaxThreads}},  // 0 = hardware threads
+        {"--contracts", Switch{&contracts}},
+        {"--contracts-only", Switch{&contracts_only}},
+        {"--registry", Text{&registry}},
+        {"--sarif", Text{&sarif_path}},
+        {"--compile-commands", Text{&compile_commands}},
+        {"--list-rules", Switch{&list_rules}},
+    };
+    parse_flags_or_exit(argc, argv, flags, &paths);
 
     if (list_rules) {
         for (const RuleInfo& r : rules()) {
@@ -98,7 +76,7 @@ int main(int argc, char** argv) {
     }
 
     LintConfig cfg = default_config();
-    if (allowlist_path.empty() && use_default_allowlist) {
+    if (allowlist_path.empty() && !no_default_allowlist) {
         const auto def = std::filesystem::path(root) / "tools" /
                          "espread_lint" / "allowlist.txt";
         if (std::filesystem::exists(def)) {
@@ -115,19 +93,10 @@ int main(int argc, char** argv) {
 
     ScanOptions opt;
     opt.token_rules = !contracts_only;
-    opt.contract_rules = contracts;
+    opt.contract_rules = contracts || contracts_only;
     opt.contracts = default_contract_config();
     if (!registry.empty()) opt.contracts.registry_path = registry;
-    if (!jobs_str.empty()) {
-        char* end = nullptr;
-        const unsigned long n = std::strtoul(jobs_str.c_str(), &end, 10);
-        if (end == nullptr || *end != '\0') {
-            std::fprintf(stderr, "espread_lint: bad --jobs value '%s'\n",
-                         jobs_str.c_str());
-            return 2;
-        }
-        opt.jobs = static_cast<std::size_t>(n);
-    }
+    opt.jobs = jobs;
     std::vector<std::string> visited;
     if (!compile_commands.empty()) opt.visited = &visited;
 

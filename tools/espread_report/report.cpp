@@ -1,12 +1,10 @@
 #include "report.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <limits>
 #include <stdexcept>
 
+#include "exp/flags.hpp"
 #include "json_read.hpp"
 #include "sim/contracts.hpp"
 
@@ -116,26 +114,20 @@ const char* health_tag(SloHealth h) {
     return "[?]       ";  // unreachable; keeps -Wreturn-type quiet
 }
 
-/// Parses a finite non-negative number field; false on garbage, trailing
-/// text, inf or nan.
+/// A finite non-negative number field; false on garbage, trailing text,
+/// a sign, inf or nan.
 bool parse_number(const std::string& field, double& out) {
-    if (field.empty()) return false;
-    char* end = nullptr;
-    out = std::strtod(field.c_str(), &end);
-    return end != nullptr && *end == '\0' && std::isfinite(out) && out >= 0.0;
+    const auto v = exp::parse_number(field);
+    if (!v || *v < 0.0) return false;
+    out = *v;
+    return true;
 }
 
-/// Parses a count that must fit in T (a threshold or a window length):
-/// casting a double at or above 2^digits to T is undefined.
-template <typename T>
-bool parse_count(const std::string& field, T& out) {
-    double v = 0.0;
-    if (!parse_number(field, v) ||
-        v >= std::ldexp(1.0, std::numeric_limits<T>::digits)) {
-        return false;
-    }
-    out = static_cast<T>(v);
-    return true;
+/// A whole-number field (a threshold or a window length).
+bool parse_count(const std::string& field, std::size_t& out) {
+    const auto v = exp::parse_count(field);
+    if (v) out = *v;
+    return v.has_value();
 }
 
 void append_slo_line(std::string& out, const SloObjective& o,
@@ -415,46 +407,28 @@ int run_report_cli(const std::vector<std::string>& args, std::string& out) {
         "... [--prometheus] [--max-rows N]\n";
 
     ReportOptions opt;
-    std::string path;
-    std::string error;
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        const std::string& arg = args[i];
-        if (arg == "--prometheus") {
-            opt.prometheus = true;
-        } else if (arg == "--slo") {
-            if (i + 1 >= args.size()) {
-                out += "espread_report: --slo needs a spec\n";
-                out += kUsage;
-                return 1;
-            }
-            obs::telemetry::SloObjective o;
-            if (!parse_objective_spec(args[++i], o, &error)) {
-                out += "espread_report: " + error + "\n";
-                return 1;
-            }
-            opt.objectives.push_back(std::move(o));
-        } else if (arg == "--max-rows") {
-            if (i + 1 >= args.size() || !parse_count(args[++i], opt.max_rows) ||
-                opt.max_rows == 0) {
-                out += "espread_report: --max-rows needs a positive count\n";
-                return 1;
-            }
-        } else if (arg.rfind("--", 0) == 0) {
-            out += "espread_report: unknown flag '" + arg + "'\n";
-            out += kUsage;
-            return 1;
-        } else if (path.empty()) {
-            path = arg;
-        } else {
-            out += "espread_report: more than one series file\n";
-            out += kUsage;
-            return 1;
-        }
-    }
-    if (path.empty()) {
+    std::vector<std::string> specs;
+    std::vector<std::string> paths;
+    const exp::Flag flags[] = {
+        {"--slo", exp::TextList{&specs}},
+        {"--prometheus", exp::Switch{&opt.prometheus}},
+        {"--max-rows", exp::Count{&opt.max_rows, 1}},
+    };
+    std::string error = exp::parse_flags(args, flags, &paths);
+    if (!error.empty() || paths.size() != 1) {
+        if (!error.empty()) out += "espread_report: " + error + "\n";
         out += kUsage;
         return 1;
     }
+    for (const std::string& spec : specs) {
+        obs::telemetry::SloObjective o;
+        if (!parse_objective_spec(spec, o, &error)) {
+            out += "espread_report: " + error + "\n";
+            return 1;
+        }
+        opt.objectives.push_back(std::move(o));
+    }
+    const std::string& path = paths.front();
 
     std::FILE* f = std::fopen(path.c_str(), "rb");
     if (f == nullptr) {

@@ -2,8 +2,9 @@
 //
 // Compares the windows_per_second of freshly produced BENCH_*.json files
 // against the checked-in floor baselines in
-// bench/baselines/BENCH_baseline.json and exits nonzero when any bench
-// regresses more than the tolerance below its floor:
+// bench/baselines/BENCH_baseline.json and exits 1 when any bench
+// regresses more than the tolerance below its floor or a file cannot be
+// read, 2 on a usage error:
 //
 //   perf_gate --baseline=bench/baselines/BENCH_baseline.json
 //             [--tolerance=0.10] [--key=windows_per_second]
@@ -21,13 +22,14 @@
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include "exp/flags.hpp"
 
 namespace {
 
@@ -101,30 +103,30 @@ int main(int argc, char** argv) {
     std::string baseline_path;
     std::string metric_key = "windows_per_second";
     double tolerance = 0.10;
-    std::vector<std::pair<std::string, std::string>> checks;  // name -> file
+    std::vector<std::string> mappings;  // name=file
 
-    for (int i = 1; i < argc; ++i) {
-        const char* arg = argv[i];
-        if (std::strncmp(arg, "--baseline=", 11) == 0) {
-            baseline_path = arg + 11;
-        } else if (std::strncmp(arg, "--tolerance=", 12) == 0) {
-            tolerance = std::strtod(arg + 12, nullptr);
-        } else if (std::strncmp(arg, "--key=", 6) == 0) {
-            metric_key = arg + 6;
-        } else {
-            const char* eq = std::strchr(arg, '=');
-            if (eq == nullptr) {
-                std::fprintf(stderr, "perf_gate: expected name=file, got %s\n", arg);
-                return EXIT_FAILURE;
-            }
-            checks.emplace_back(std::string(arg, eq), std::string(eq + 1));
+    using namespace espread::exp;
+    const Flag flags[] = {
+        {"--baseline", Text{&baseline_path}},
+        {"--tolerance", Number{&tolerance, 0.0, 1.0}},
+        {"--key", Text{&metric_key}},
+    };
+    parse_flags_or_exit(argc, argv, flags, &mappings);
+    std::vector<std::pair<std::string, std::string>> checks;  // name -> file
+    for (const std::string& m : mappings) {
+        const std::size_t eq = m.find('=');
+        if (eq == std::string::npos) {
+            std::fprintf(stderr, "perf_gate: expected name=file, got %s\n",
+                         m.c_str());
+            return 2;
         }
+        checks.emplace_back(m.substr(0, eq), m.substr(eq + 1));
     }
     if (baseline_path.empty() || checks.empty()) {
         std::fprintf(stderr,
                      "usage: perf_gate --baseline=FILE [--tolerance=0.10] "
                      "[--key=windows_per_second] name=current.json...\n");
-        return EXIT_FAILURE;
+        return 2;
     }
 
     const auto baseline_text = read_file(baseline_path);
