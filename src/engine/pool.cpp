@@ -90,8 +90,11 @@ SessionPool::SessionPool(const EngineConfig& cfg) : cfg_(cfg) {
     }
 
     const std::size_t D = cfg_.feedback_delay_windows;
-    data_chain_.reserve(capacity_);
-    feedback_chain_.reserve(capacity_);
+    // One model lookup per channel: spawn() reseeds these chains in place.
+    data_chain_.assign(capacity_,
+                       net::GilbertLoss(cfg_.data_loss, sim::Rng(0)));
+    feedback_chain_.assign(capacity_,
+                           net::GilbertLoss(cfg_.feedback_loss, sim::Rng(0)));
     estimate_.assign(capacity_, 0.0);
     pending_.assign(capacity_ * D, kNoObs);
     windows_run_.assign(capacity_, 0);
@@ -109,14 +112,7 @@ SessionPool::SessionPool(const EngineConfig& cfg) : cfg_(cfg) {
     }
     if (cfg_.governor.enabled) gov_.assign(capacity_, GovernorLiteState{});
 
-    // spawn() assigns into the chain slots, so generation 0 first fills
-    // the vectors with placeholder chains (replaced immediately).
-    for (std::size_t slot = 0; slot < capacity_; ++slot) {
-        sim::Rng placeholder(0);
-        data_chain_.emplace_back(cfg_.data_loss, placeholder);
-        feedback_chain_.emplace_back(cfg_.feedback_loss, placeholder);
-        spawn(slot);
-    }
+    for (std::size_t slot = 0; slot < capacity_; ++slot) spawn(slot);
 }
 
 std::pair<std::uint32_t, std::uint32_t> SessionPool::churn_draw(
@@ -145,12 +141,9 @@ void SessionPool::spawn(std::size_t slot) {
             static_cast<std::uint64_t>(capacity_) +
         static_cast<std::uint64_t>(slot);
     sim::Rng root(sim::derive_seed(cfg_.seed, id));
-    data_chain_[slot] =
-        net::GilbertLoss(cfg_.data_loss,
-                         root.split(contracts::kEngineLaneDataChain));
-    feedback_chain_[slot] =
-        net::GilbertLoss(cfg_.feedback_loss,
-                         root.split(contracts::kEngineLaneFeedbackChain));
+    data_chain_[slot].reseed(root.split(contracts::kEngineLaneDataChain));
+    feedback_chain_[slot].reseed(
+        root.split(contracts::kEngineLaneFeedbackChain));
     estimate_[slot] = static_cast<double>(n_) / 2.0;
     windows_run_[slot] = 0;
     const std::size_t D = cfg_.feedback_delay_windows;

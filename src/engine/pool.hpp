@@ -170,8 +170,8 @@ public:
 
 private:
     /// (Re)initializes slot state for session id
-    /// generation_[slot] * capacity + slot.  Pre-validated params: no
-    /// throw path in practice.
+    /// generation_[slot] * capacity + slot.  The slot's chains keep their
+    /// shared model and are only reseeded: no lookup, no throw path.
     void spawn(std::size_t slot);
 
     EngineConfig cfg_;

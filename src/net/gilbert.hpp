@@ -8,6 +8,8 @@
 // steps once per packet.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 
 #include "sim/rng.hpp"
@@ -29,24 +31,120 @@ struct GilbertParams {
     double loss_bad = 1.0;  ///< P(drop | BAD)
 };
 
-/// Per-packet loss process.
+enum class GilbertState : std::uint8_t { kGood, kBad };
+
+/// Everything about a Gilbert chain that depends only on its parameters:
+/// the validated probabilities and, per state, log(stay), the emission
+/// kind and a sojourn threshold table.  Immutable once built.  Chains
+/// share one model per distinct parameter set (intern()), so a chain
+/// carries a pointer to its ~1 KB model, not the model itself.
+///
+/// Sojourns are sampled by inversion: a 53-bit draw m (the bits
+/// Rng::uniform() uses) gives dwell = 1 + floor(log1p(-m 2^-53) / log(stay)),
+/// so P(dwell = k) = stay^(k-1) (1 - stay), the step-by-step chain's
+/// distribution.  The dwell is non-decreasing in m, so the table holds,
+/// for k = 1..64, T_k = the smallest m whose dwell exceeds k, found once
+/// per model from 1 - stay^k plus a short walk over the evaluated
+/// formula.  A draw below T_64 reads its dwell off the table
+/// (1 + #{k : T_k <= m}, a six-step branchless search) with no
+/// logarithm; the rare draw above it evaluates the formula.  Both give the
+/// formula's value for every draw, so streams are exactly those of
+/// evaluating it each time.  That rests on the library log1p being
+/// monotone; test_gilbert checks every draw within 4096 of each threshold
+/// for ten stay probabilities, plus 3M random draws.
+class GilbertModel {
+public:
+    static constexpr std::size_t kTableSize = 64;
+    /// Draws are 53-bit; a threshold of kDrawSpan is never reached.
+    static constexpr std::uint64_t kDrawSpan = std::uint64_t{1} << 53;
+
+    /// Per-state sampling data.
+    struct StateModel {
+        double log_stay = 0.0;          ///< log(stay); used off the table
+        std::uint64_t fixed_dwell = 0;  ///< 1 (stay 0), max (stay 1), 0 = drawn
+        double loss = 0.0;              ///< P(drop) in this state
+        bool classic = true;            ///< loss is 0 or 1: no per-packet draw
+        bool lost = false;              ///< the classic outcome
+    };
+
+    /// Throws std::invalid_argument unless all four probabilities are in
+    /// [0, 1].
+    explicit GilbertModel(GilbertParams params);
+
+    /// The shared model for `params`, built on first use and kept for the
+    /// process lifetime (one per distinct bit pattern of the four
+    /// probabilities).  Thread-safe; call it when a chain is built, never
+    /// per packet.  Throws like the constructor.
+    static const GilbertModel& intern(const GilbertParams& params);
+
+    const GilbertParams& params() const noexcept { return params_; }
+    const StateModel& state(GilbertState s) const noexcept {
+        return states_[static_cast<std::size_t>(s)];
+    }
+    /// T_1..T_64 of state `s`.
+    const std::array<std::uint64_t, kTableSize>& threshold(
+        GilbertState s) const noexcept {
+        return threshold_[static_cast<std::size_t>(s)];
+    }
+
+    /// The dwell (>= 1 packets) a 53-bit draw `m` gives in state `s`, for a
+    /// state whose sojourn is drawn (fixed_dwell == 0).
+    std::uint64_t dwell(GilbertState s, std::uint64_t m) const noexcept {
+        const std::uint64_t* t = threshold(s).data();
+        if (m >= t[kTableSize - 1]) return formula_dwell(state(s).log_stay, m);
+        std::size_t n = 0;
+        for (std::size_t step = kTableSize / 2; step > 0; step /= 2) {
+            n += t[n + step - 1] <= m ? step : 0;
+        }
+        return 1 + n;
+    }
+
+    /// Samples a sojourn of state `s`: one draw from `rng` unless the
+    /// state's stay probability is 0 or 1.
+    std::uint64_t sample_dwell(GilbertState s, sim::Rng& rng) const noexcept {
+        const std::uint64_t fixed = state(s).fixed_dwell;
+        if (fixed != 0) return fixed;
+        return dwell(s, rng.next_u64() >> 11);
+    }
+
+private:
+    /// 1 + floor(log1p(-m 2^-53) / log_stay), capped to the uint64 range.
+    static std::uint64_t formula_dwell(double log_stay,
+                                       std::uint64_t m) noexcept;
+
+    // Both states' scalars share one cache line, read on every packet;
+    // the tables are read once per sojourn.
+    alignas(64) std::array<StateModel, 2> states_{};
+    std::array<std::array<std::uint64_t, kTableSize>, 2> threshold_{};
+    GilbertParams params_;
+};
+
+/// Per-packet loss process: a shared GilbertModel plus this chain's RNG,
+/// state and the packets left in the current sojourn.
 ///
 /// Implementation note: rather than one Bernoulli draw per packet to decide
 /// "stay or leave", the chain samples the whole geometric sojourn (dwell
-/// time) of each state by inversion when the state is entered, then merely
-/// decrements a counter per packet.  The dwell distribution is identical to
-/// the step-by-step chain — P(dwell = k) = stay^(k-1) * (1 - stay) — so all
-/// statistics are unchanged, but the per-packet hot path costs one RNG draw
-/// per *burst/gap* instead of per packet (for the classic emission
-/// probabilities, zero per-packet draws).  Streams for a given seed differ
-/// from the pre-batching implementation; determinism per (params, seed) is
-/// preserved.
+/// time) of each state when the state is entered, then merely decrements a
+/// counter per packet.  The dwell distribution is identical to the
+/// step-by-step chain, so all statistics are unchanged, but the per-packet
+/// hot path costs one RNG draw and one table search per *burst/gap*
+/// instead of per packet (for the classic emission probabilities, zero
+/// per-packet draws).  Determinism per (params, seed) is preserved.
 class GilbertLoss {
 public:
-    enum class State { kGood, kBad };
+    using State = GilbertState;
 
     /// Throws std::invalid_argument unless both probabilities are in [0, 1].
     GilbertLoss(GilbertParams params, sim::Rng rng);
+
+    /// Restarts the chain (GOOD, no sojourn drawn) on a new generator,
+    /// keeping its model: what constructing a new chain with the same
+    /// params would give, without the model lookup.
+    void reseed(sim::Rng rng) noexcept {
+        rng_ = rng;
+        remaining_ = 0;
+        state_ = State::kGood;
+    }
 
     /// Steps the chain by one packet; returns true if that packet is lost
     /// (i.e. the chain was in BAD while the packet crossed the link).
@@ -66,10 +164,19 @@ public:
     /// one-packet runs so the per-packet Bernoulli draws are preserved.
     /// Equivalence contract: consuming runs yields exactly the drop_next()
     /// stream of the same seeded chain (pinned by test_gilbert).
-    Run next_run(std::uint64_t max_packets) noexcept;
+    Run next_run(std::uint64_t max_packets) noexcept {
+        if (remaining_ == 0) remaining_ = model_->sample_dwell(state_, rng_);
+        const GilbertModel::StateModel& s = model_->state(state_);
+        if (!s.classic) return Run{1, drop_next()};
+        const std::uint64_t len =
+            remaining_ < max_packets ? remaining_ : max_packets;
+        remaining_ -= len;
+        if (remaining_ == 0) leave_state();
+        return {len, s.lost};
+    }
 
     State state() const noexcept { return state_; }
-    const GilbertParams& params() const noexcept { return params_; }
+    const GilbertParams& params() const noexcept { return model_->params(); }
 
     /// Long-run fraction of packets lost:
     /// pi_bad * loss_bad + pi_good * loss_good, where
@@ -81,13 +188,14 @@ public:
     static double mean_burst_length(const GilbertParams& p) noexcept;
 
 private:
-    /// Samples the current state's remaining dwell time (>= 1 packets).
-    std::uint64_t sample_dwell() noexcept;
+    void leave_state() noexcept {
+        state_ = state_ == State::kGood ? State::kBad : State::kGood;
+    }
 
-    GilbertParams params_;
+    const GilbertModel* model_;
     sim::Rng rng_;
-    State state_ = State::kGood;
     std::uint64_t remaining_ = 0;  ///< packets left in the current sojourn
+    State state_ = State::kGood;
 };
 
 }  // namespace espread::net

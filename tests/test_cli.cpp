@@ -138,4 +138,47 @@ std::string binary_name(const ::testing::TestParamInfo<Binary>& info) {
 INSTANTIATE_TEST_SUITE_P(AllBinaries, CliReject, ::testing::ValuesIn(kBinaries),
                          binary_name);
 
+// perf_gate reads its baseline and bench files as strict JSON: a damaged
+// file is refused with the usage code and named, never mined for the
+// numbers in front of the damage.
+TEST(PerfGate, RefusesMalformedJson) {
+    const std::string gate =
+        std::string(ESPREAD_BUILD_DIR) + "/tools/perf_gate/perf_gate";
+    const std::string dir = ::testing::TempDir();
+    const auto write = [&](const std::string& name, const std::string& text) {
+        const std::string path =
+            dir + "/perf_gate_" + std::to_string(::getpid()) + "_" + name;
+        std::ofstream(path) << text;
+        return path;
+    };
+    const std::string good_baseline = write("good_baseline.json",
+                                            "{\"bench_scale\": 5e5}");
+    const std::string good_bench = write("good_bench.json",
+                                         "{\"windows_per_second\": 1e6}");
+    const std::string truncated = write(
+        "truncated.json", "{\"bench_scale\": 5e5, \"broken\": [1, {\"x\": 2}");
+    const std::string garbage = write(
+        "garbage.json", "{\"windows_per_second\": 1e6 garbage");
+    const std::pair<std::string, std::string> cases[] = {
+        {truncated, good_bench},
+        {good_baseline, garbage},
+    };
+    for (const auto& [baseline, bench] : cases) {
+        const std::string named = baseline == truncated ? baseline : bench;
+        SCOPED_TRACE(named);
+        const Outcome o =
+            run(gate, {"--baseline=" + baseline, "bench_scale=" + bench});
+        ASSERT_TRUE(WIFEXITED(o.status));
+        EXPECT_EQ(WEXITSTATUS(o.status), 2) << o.err;
+        EXPECT_NE(o.err.find(named), std::string::npos) << o.err;
+    }
+    const Outcome ok =
+        run(gate, {"--baseline=" + good_baseline, "bench_scale=" + good_bench});
+    ASSERT_TRUE(WIFEXITED(ok.status));
+    EXPECT_EQ(WEXITSTATUS(ok.status), 0) << ok.err;
+    for (const std::string& path : {good_baseline, good_bench, truncated, garbage}) {
+        ::unlink(path.c_str());
+    }
+}
+
 }  // namespace

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -12,8 +14,14 @@
 namespace {
 
 using espread::net::GilbertLoss;
+using espread::net::GilbertModel;
 using espread::net::GilbertParams;
+using espread::net::GilbertState;
 using espread::sim::Rng;
+
+// Chains are stored per engine slot; the shared model keeps each one to a
+// pointer, the generator and the sojourn counter.
+static_assert(sizeof(GilbertLoss) <= 56);
 
 TEST(Gilbert, StartsGoodSoFirstPacketSurvives) {
     GilbertLoss g{GilbertParams{1.0, 1.0}, Rng{1}};
@@ -186,6 +194,160 @@ TEST(GilbertNextRun, ExpandsToDropNextStream) {
         EXPECT_EQ(expected, got) << "p_bad=" << params.p_bad
                                  << " loss_bad=" << params.loss_bad;
     }
+}
+
+// ---- Threshold-table sojourns (GilbertModel) ----
+
+constexpr std::uint64_t kSpan = GilbertModel::kDrawSpan;
+
+/// The inversion formula evaluated directly, as every sojourn was sampled
+/// before the table: 1 + floor(log1p(-u) / log(stay)), u = m 2^-53.
+std::uint64_t formula_dwell(double stay, std::uint64_t m) {
+    const double u = static_cast<double>(m) * 0x1.0p-53;
+    const double extra = std::floor(std::log1p(-u) / std::log(stay));
+    if (!(extra < 9.0e18)) return std::numeric_limits<std::uint64_t>::max();
+    return 1 + static_cast<std::uint64_t>(extra);
+}
+
+/// The pre-table chain, spelled out: formula sojourns, a Bernoulli draw
+/// per packet for a non-degenerate emission.
+class FormulaChain {
+public:
+    FormulaChain(GilbertParams p, Rng rng) : p_(p), rng_(rng) {}
+
+    bool drop_next() {
+        if (remaining_ == 0) {
+            const double stay = bad_ ? p_.p_bad : p_.p_good;
+            if (stay <= 0.0) {
+                remaining_ = 1;
+            } else if (stay >= 1.0) {
+                remaining_ = std::numeric_limits<std::uint64_t>::max();
+            } else {
+                remaining_ = formula_dwell(stay, rng_.next_u64() >> 11);
+            }
+        }
+        const double h = bad_ ? p_.loss_bad : p_.loss_good;
+        const bool lost = h <= 0.0 ? false : h >= 1.0 ? true : rng_.bernoulli(h);
+        if (--remaining_ == 0) bad_ = !bad_;
+        return lost;
+    }
+
+private:
+    GilbertParams p_;
+    Rng rng_;
+    std::uint64_t remaining_ = 0;
+    bool bad_ = false;
+};
+
+constexpr double kStays[] = {0.01, 0.1, 0.3, 0.5, 0.6,
+                             0.7,  0.85, 0.92, 0.99, 0.999};
+
+TEST(GilbertModel, ThresholdsAreExactBoundariesOfTheFormula) {
+    for (const double stay : kStays) {
+        const GilbertModel model{GilbertParams{stay, stay}};
+        const auto& t = model.threshold(GilbertState::kGood);
+        for (std::size_t k = 1; k <= GilbertModel::kTableSize; ++k) {
+            const std::uint64_t tk = t[k - 1];
+            if (k > 1) {
+                ASSERT_LE(t[k - 2], tk) << "stay " << stay;
+            }
+            if (tk < kSpan) {
+                EXPECT_GT(formula_dwell(stay, tk), k) << "stay " << stay;
+            }
+            if (tk > 0) {
+                EXPECT_LE(formula_dwell(stay, tk - 1), k) << "stay " << stay;
+            }
+        }
+    }
+}
+
+TEST(GilbertModel, TableMatchesFormulaAroundEveryThreshold) {
+    constexpr std::uint64_t kReach = 4096;
+    for (const double stay : kStays) {
+        const GilbertModel model{GilbertParams{stay, stay}};
+        const auto& t = model.threshold(GilbertState::kGood);
+        std::uint64_t checked = 0;
+        std::uint64_t mismatches = 0;
+        for (const std::uint64_t tk : t) {
+            const std::uint64_t lo = tk > kReach ? tk - kReach : 0;
+            const std::uint64_t hi = tk + kReach < kSpan ? tk + kReach : kSpan - 1;
+            for (std::uint64_t m = lo; m <= hi; ++m) {
+                ++checked;
+                if (model.dwell(GilbertState::kGood, m) != formula_dwell(stay, m)) {
+                    ++mismatches;
+                }
+            }
+        }
+        EXPECT_EQ(mismatches, 0u) << "stay " << stay << ", " << checked
+                                  << " draws checked";
+    }
+}
+
+TEST(GilbertModel, TableMatchesFormulaOnRandomDraws) {
+    constexpr std::size_t kDrawsPerStay = 300000;  // 3M in all
+    Rng rng{2024};
+    for (const double stay : kStays) {
+        const GilbertModel model{GilbertParams{0.5, stay}};
+        std::uint64_t mismatches = 0;
+        for (std::size_t i = 0; i < kDrawsPerStay; ++i) {
+            const std::uint64_t m = rng.next_u64() >> 11;
+            if (model.dwell(GilbertState::kBad, m) != formula_dwell(stay, m)) {
+                ++mismatches;
+            }
+        }
+        EXPECT_EQ(mismatches, 0u) << "stay " << stay;
+    }
+}
+
+TEST(GilbertModel, DegenerateStaysDrawNothing) {
+    const GilbertModel model{GilbertParams{0.0, 1.0}};
+    Rng rng{5};
+    const Rng before = rng;
+    EXPECT_EQ(model.sample_dwell(GilbertState::kGood, rng), 1u);
+    EXPECT_EQ(model.sample_dwell(GilbertState::kBad, rng),
+              std::numeric_limits<std::uint64_t>::max());
+    Rng untouched = before;
+    EXPECT_EQ(rng.next_u64(), untouched.next_u64());
+}
+
+TEST(GilbertModel, InternSharesOneModelPerParameterSet) {
+    const GilbertModel& a = GilbertModel::intern({0.92, 0.6});
+    const GilbertModel& b = GilbertModel::intern({0.92, 0.6, 0.0, 1.0});
+    const GilbertModel& c = GilbertModel::intern({0.92, 0.7});
+    EXPECT_EQ(&a, &b);
+    EXPECT_NE(&a, &c);
+    EXPECT_EQ(c.params().p_bad, 0.7);
+    EXPECT_THROW(GilbertModel::intern({0.5, std::nan("")}), std::invalid_argument);
+}
+
+// The table-backed chain reproduces the formula chain packet for packet:
+// classic, Gilbert-Elliott (per-packet Bernoulli draws between sojourn
+// draws), long sojourns past the table, and degenerate stays.
+TEST(GilbertModel, ChainStreamEqualsFormulaChain) {
+    const GilbertParams cases[] = {
+        {0.92, 0.6, 0.0, 1.0}, {0.92, 0.7, 0.0, 1.0}, {0.9, 0.5, 0.01, 0.9},
+        {0.999, 0.3, 0.2, 0.7}, {0.0, 0.85, 0.0, 1.0}, {1.0, 0.5, 0.3, 1.0},
+        {0.99, 1.0, 0.0, 0.5},
+    };
+    for (const GilbertParams& params : cases) {
+        GilbertLoss chain{params, Rng{77}};
+        FormulaChain reference{params, Rng{77}};
+        for (int i = 0; i < 100000; ++i) {
+            ASSERT_EQ(chain.drop_next(), reference.drop_next())
+                << "packet " << i << " p_good=" << params.p_good
+                << " p_bad=" << params.p_bad;
+        }
+    }
+}
+
+TEST(GilbertLoss, ReseedMatchesFreshChain) {
+    const GilbertParams params{0.92, 0.6};
+    GilbertLoss used{params, Rng{1}};
+    for (int i = 0; i < 37; ++i) used.drop_next();
+    used.reseed(Rng{9});
+    GilbertLoss fresh{params, Rng{9}};
+    EXPECT_EQ(used.state(), GilbertLoss::State::kGood);
+    for (int i = 0; i < 5000; ++i) ASSERT_EQ(used.drop_next(), fresh.drop_next());
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Minimal JSON reader for the fleet-report tool.
+// Minimal JSON reader for the fleet-report tool and perf_gate.
 //
 // The repo's exp::JsonWriter only emits; this is its read-side
 // counterpart, sized for the snapshot-series documents

@@ -4,7 +4,7 @@
 // against the checked-in floor baselines in
 // bench/baselines/BENCH_baseline.json and exits 1 when any bench
 // regresses more than the tolerance below its floor or a file cannot be
-// read, 2 on a usage error:
+// read, 2 on a usage error or a file that is not valid JSON:
 //
 //   perf_gate --baseline=bench/baselines/BENCH_baseline.json
 //             [--tolerance=0.10] [--key=windows_per_second]
@@ -16,20 +16,20 @@
 // dropped fast path — not single-digit jitter.  Improvements never fail
 // the gate; raise the floors when a speedup lands to lock it in.
 //
-// JSON handling is deliberately minimal: both the baseline and the bench
-// artifacts are scanned for top-level (depth-1) "name": number pairs,
-// which is exactly how every espread bench emits its headline metric.
-#include <cctype>
+// The baseline and every bench file go through the report tool's strict
+// JSON reader (espread::json_read): a truncated or otherwise malformed
+// file exits 2, naming the file, rather than yielding whatever numbers
+// precede the damage.
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "exp/flags.hpp"
+#include "json_read.hpp"
 
 namespace {
 
@@ -41,60 +41,23 @@ std::optional<std::string> read_file(const std::string& path) {
     return out.str();
 }
 
-/// Top-level "key": value pairs of one JSON object, numbers only.
-/// Nested objects/arrays are skipped wholesale; string values and other
-/// non-numeric scalars are ignored.
-std::map<std::string, double> top_level_numbers(const std::string& text) {
-    std::map<std::string, double> out;
-    std::size_t i = 0;
-    const std::size_t n = text.size();
-    int depth = 0;
-    std::string key;
-    while (i < n) {
-        const char c = text[i];
-        if (c == '"') {
-            std::string s;
-            ++i;
-            while (i < n && text[i] != '"') {
-                if (text[i] == '\\' && i + 1 < n) ++i;
-                s.push_back(text[i]);
-                ++i;
-            }
-            ++i;  // closing quote
-            // A string at depth 1 followed by ':' is a key.
-            std::size_t j = i;
-            while (j < n && std::isspace(static_cast<unsigned char>(text[j]))) ++j;
-            if (depth == 1 && j < n && text[j] == ':') {
-                key = s;
-                i = j + 1;
-            }
-            continue;
-        }
-        if (c == '{' || c == '[') {
-            ++depth;
-            ++i;
-            continue;
-        }
-        if (c == '}' || c == ']') {
-            --depth;
-            ++i;
-            continue;
-        }
-        if (depth == 1 && !key.empty() &&
-            (c == '-' || std::isdigit(static_cast<unsigned char>(c)))) {
-            char* end = nullptr;
-            const double v = std::strtod(text.c_str() + i, &end);
-            if (end != text.c_str() + i) {
-                out[key] = v;
-                key.clear();
-                i = static_cast<std::size_t>(end - text.c_str());
-                continue;
-            }
-        }
-        if (c == ',') key.clear();
-        ++i;
-    }
-    return out;
+/// Parses `text` (read from `path`) into `out`; on malformed JSON prints
+/// the reader's error with the file name and returns false.
+bool parse_or_report(const std::string& text, const std::string& path,
+                     espread::report::JsonValue& out) {
+    std::string error;
+    if (espread::report::parse_json(text, out, &error)) return true;
+    std::fprintf(stderr, "perf_gate: %s is not valid JSON: %s\n", path.c_str(),
+                 error.c_str());
+    return false;
+}
+
+/// The top-level number `key` of a parsed document, if present.
+std::optional<double> top_level_number(const espread::report::JsonValue& doc,
+                                       const std::string& key) {
+    const espread::report::JsonValue& v = doc.at(key);
+    if (!v.is_number()) return std::nullopt;
+    return v.number;
 }
 
 }  // namespace
@@ -135,12 +98,13 @@ int main(int argc, char** argv) {
                      baseline_path.c_str());
         return EXIT_FAILURE;
     }
-    const auto floors = top_level_numbers(*baseline_text);
+    espread::report::JsonValue floors;
+    if (!parse_or_report(*baseline_text, baseline_path, floors)) return 2;
 
     bool failed = false;
     for (const auto& [name, file] : checks) {
-        const auto it = floors.find(name);
-        if (it == floors.end()) {
+        const auto floor = top_level_number(floors, name);
+        if (!floor) {
             std::fprintf(stderr, "perf_gate: no baseline entry for %s in %s\n",
                          name.c_str(), baseline_path.c_str());
             failed = true;
@@ -153,20 +117,19 @@ int main(int argc, char** argv) {
             failed = true;
             continue;
         }
-        const auto values = top_level_numbers(*text);
-        const auto vit = values.find(metric_key);
-        if (vit == values.end()) {
+        espread::report::JsonValue values;
+        if (!parse_or_report(*text, file, values)) return 2;
+        const auto current = top_level_number(values, metric_key);
+        if (!current) {
             std::fprintf(stderr, "perf_gate: %s has no top-level \"%s\"\n",
                          file.c_str(), metric_key.c_str());
             failed = true;
             continue;
         }
-        const double floor = it->second;
-        const double current = vit->second;
-        const double limit = floor * (1.0 - tolerance);
-        const bool ok = current >= limit;
+        const double limit = *floor * (1.0 - tolerance);
+        const bool ok = *current >= limit;
         std::printf("%-18s %s: %12.0f vs floor %12.0f (limit %12.0f) %s\n",
-                    name.c_str(), metric_key.c_str(), current, floor, limit,
+                    name.c_str(), metric_key.c_str(), *current, *floor, limit,
                     ok ? "ok" : "REGRESSION");
         if (!ok) failed = true;
     }
