@@ -1,7 +1,6 @@
 #include "core/estimator.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 namespace espread {
@@ -81,15 +80,6 @@ std::size_t SlidingMaxEstimator::bound() const noexcept {
     std::size_t best = 0;
     for (const std::size_t v : recent_) best = std::max(best, v);
     return std::clamp<std::size_t>(best, 1, window_);
-}
-
-std::size_t BurstEstimator::bound_for(double estimate,
-                                      std::size_t window) noexcept {
-    // Tolerate floating-point dust from repeated averaging (an estimate of
-    // 6 + 1e-11 must still round to 6, not 7).
-    const double ceiled = std::ceil(estimate - 1e-9);
-    const std::size_t b = ceiled <= 1.0 ? 1 : static_cast<std::size_t>(ceiled);
-    return std::clamp<std::size_t>(b, 1, window);
 }
 
 std::size_t BurstEstimator::bound() const noexcept {

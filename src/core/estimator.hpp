@@ -13,6 +13,8 @@
 // b = window / 2.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <functional>
 #include <vector>
@@ -86,7 +88,14 @@ public:
     /// estimate <= 0 (including large negatives) maps to 1, and any
     /// estimate > window maps to window, so callers may feed raw
     /// arithmetic results without range checks.
-    static std::size_t bound_for(double estimate, std::size_t window) noexcept;
+    static std::size_t bound_for(double estimate, std::size_t window) noexcept {
+        // Tolerate floating-point dust from repeated averaging (an estimate
+        // of 6 + 1e-11 must still round to 6, not 7).
+        const double ceiled = std::ceil(estimate - 1e-9);
+        const std::size_t b =
+            ceiled <= 1.0 ? 1 : static_cast<std::size_t>(ceiled);
+        return std::clamp<std::size_t>(b, 1, window);
+    }
 
     std::size_t window() const noexcept { return window_; }
     double alpha() const noexcept { return alpha_; }

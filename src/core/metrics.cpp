@@ -79,106 +79,18 @@ std::size_t aggregate_loss_count(const LossMask& delivered) {
 
 std::vector<std::size_t> loss_runs(const BitMask& delivered) {
     std::vector<std::size_t> runs;
-    std::size_t current = 0;  // run carried in from the previous word
-    const std::size_t nwords = delivered.words().size();
-    for (std::size_t wi = 0; wi < nwords; ++wi) {
-        std::uint64_t w = lost_word(delivered, wi);
-        if (w == 0) {
-            if (current > 0) runs.push_back(current);
-            current = 0;
-            continue;
-        }
-        if (w == ~std::uint64_t{0}) {
-            current += 64;
-            continue;
-        }
-        std::size_t consumed = 0;
-        while (w != 0) {
-            const unsigned z = static_cast<unsigned>(std::countr_zero(w));
-            if (z > 0) {
-                if (current > 0) runs.push_back(current);
-                current = 0;
-                w >>= z;
-                consumed += z;
-            }
-            const unsigned o = static_cast<unsigned>(std::countr_one(w));
-            current += o;
-            consumed += o;
-            // o < 64 here: the word is neither 0 nor all-ones, so every
-            // run of ones inside it is bounded by a zero or the word top.
-            w >>= o;
-        }
-        if (consumed < 64 && current > 0) {
-            // The word's top bit is a delivered slot: the last run closed.
-            runs.push_back(current);
-            current = 0;
-        }
-    }
-    if (current > 0) runs.push_back(current);
+    walk_set_runs(
+        delivered.words().size(),
+        [&delivered](std::size_t wi) { return lost_word(delivered, wi); },
+        [&runs](std::size_t run) { runs.push_back(run); });
     return runs;
 }
 
 std::size_t consecutive_loss(const BitMask& delivered) {
-    std::size_t best = 0;
-    std::size_t current = 0;  // run carried in from the previous word
-    const std::size_t nwords = delivered.words().size();
-    for (std::size_t wi = 0; wi < nwords; ++wi) {
-        const std::uint64_t w = lost_word(delivered, wi);
-        if (w == 0) {
-            best = std::max(best, current);
-            current = 0;
-            continue;
-        }
-        if (w == ~std::uint64_t{0}) {
-            current += 64;
-            continue;
-        }
-        // Close the carried run against the word's leading losses.
-        const unsigned lead = static_cast<unsigned>(std::countr_one(w));
-        best = std::max(best, current + lead);
-        // Interior runs are fully contained in this word.
-        std::uint64_t x = w >> lead;  // bit 0 is now a delivered slot
-        while (x != 0) {
-            x >>= std::countr_zero(x);
-            const unsigned o = static_cast<unsigned>(std::countr_one(x));
-            best = std::max<std::size_t>(best, o);
-            x >>= o;  // o < 64: at least one zero was shifted out above
-        }
-        // A run touching the word top continues into the next word.
-        current = static_cast<std::size_t>(std::countl_one(w));
-    }
-    return std::max(best, current);
-}
-
-std::size_t max_set_run(const std::uint64_t* words, std::size_t nwords) noexcept {
-    std::size_t best = 0;
-    std::size_t carry = 0;  // run continuing in from the previous word
-    for (std::size_t wi = 0; wi < nwords; ++wi) {
-        const std::uint64_t w = words[wi];
-        if (w == 0) {
-            best = std::max(best, carry);
-            carry = 0;
-            continue;
-        }
-        if (w == ~std::uint64_t{0}) {
-            carry += 64;
-            continue;
-        }
-        // Close the carried run against the word's leading set bits, scan
-        // the interior runs (fully contained: the word is neither empty nor
-        // full), then carry the run touching the word top into the next.
-        const unsigned lead = static_cast<unsigned>(std::countr_one(w));
-        best = std::max(best, carry + lead);
-        std::uint64_t x = w >> lead;  // bit 0 is now clear
-        while (x != 0) {
-            x >>= std::countr_zero(x);
-            const unsigned o = static_cast<unsigned>(std::countr_one(x));
-            best = std::max<std::size_t>(best, o);
-            x >>= o;  // o < 64: at least one zero was shifted out above
-        }
-        carry = static_cast<std::size_t>(std::countl_one(w));
-    }
-    return std::max(best, carry);
+    return walk_set_runs(
+        delivered.words().size(),
+        [&delivered](std::size_t wi) { return lost_word(delivered, wi); },
+        [](std::size_t) {});
 }
 
 std::size_t count_set_bits(const std::uint64_t* words, std::size_t nwords) noexcept {

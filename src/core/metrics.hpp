@@ -10,6 +10,7 @@
 //     video and 3 for audio; CLF is the quantity error spreading minimizes.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -102,10 +103,63 @@ ContinuityReport measure_continuity(const BitMask& delivered);
 // inverse of BitMask) with every bit past the mask's logical size clear.
 // These run on caller arenas with no BitMask object and no allocation.
 
+/// Calls on_run(length) once for every maximal run of set bits across
+/// `nwords` words, word wi being word_at(wi), treated as one contiguous
+/// bit sequence (bit 0 of word 0 first; a run crossing word boundaries is
+/// reported whole), in order of position, and returns the longest length,
+/// 0 when no bit is set.  One pass gives the engine both a window's CLF
+/// and its loss-run telemetry; the BitMask scans below use it too.
+template <typename WordAt, typename OnRun>
+std::size_t walk_set_runs(std::size_t nwords, WordAt&& word_at,
+                          OnRun&& on_run) {
+    constexpr std::uint64_t kAll = ~std::uint64_t{0};
+    std::size_t best = 0;
+    std::size_t carry = 0;  // run continuing in from the previous word
+    const auto close = [&](std::size_t run) {
+        if (run > best) best = run;
+        on_run(run);
+    };
+    for (std::size_t wi = 0; wi < nwords; ++wi) {
+        const std::uint64_t w = word_at(wi);
+        if (w == kAll) {
+            carry += 64;
+            continue;
+        }
+        // The word has a clear bit, so the carried run ends in its leading
+        // set bits, the runs touching neither end are interior, and the
+        // run touching the word top carries into the next word.
+        const unsigned lead = static_cast<unsigned>(std::countr_one(w));
+        const unsigned top = static_cast<unsigned>(std::countl_one(w));
+        if (carry + lead > 0) close(carry + lead);
+        std::uint64_t x = w & (kAll << lead) & (kAll >> top);
+        while (x != 0) {
+            x >>= std::countr_zero(x);
+            const unsigned o = static_cast<unsigned>(std::countr_one(x));
+            close(o);
+            x >>= o;  // o < 64: the interior run's upper neighbour is clear
+        }
+        carry = top;
+    }
+    if (carry > 0) close(carry);
+    return best;
+}
+
+/// walk_set_runs over the caller's packed words.
+template <typename OnRun>
+std::size_t walk_set_runs(const std::uint64_t* words, std::size_t nwords,
+                          OnRun&& on_run) {
+    return walk_set_runs(
+        nwords, [words](std::size_t wi) noexcept { return words[wi]; },
+        on_run);
+}
+
 /// Longest run of set bits across `nwords` words treated as one contiguous
 /// bit sequence (bit 0 of words[0] first).  Equals consecutive_loss() of
 /// the corresponding delivery mask.
-std::size_t max_set_run(const std::uint64_t* words, std::size_t nwords) noexcept;
+inline std::size_t max_set_run(const std::uint64_t* words,
+                               std::size_t nwords) noexcept {
+    return walk_set_runs(words, nwords, [](std::size_t) noexcept {});
+}
 
 /// Number of set bits across `nwords` words — aggregate_loss_count() of the
 /// corresponding delivery mask.

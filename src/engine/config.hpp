@@ -35,10 +35,11 @@ struct ChurnConfig {
 /// Fleet telemetry plane (src/obs/telemetry).  When enabled the engine
 /// gives every shard a TelemetrySlab and folds all slabs into an
 /// immutable FleetSnapshot every `epoch_steps` engine steps.  A slab's
-/// counters are the same per-range fold the engine summary reads; its
-/// histograms are fed per window.  Disabled (the default) the hot path
-/// pays exactly one null-check per instrumentation site and the step
-/// loop stays allocation-free (pinned by test_alloc).
+/// counters and CLF/bound histograms are the same per-range fold the
+/// engine summary reads; its loss-run histogram is fed per run.  Disabled
+/// (the default) the hot path pays exactly one null-check per
+/// instrumentation site and the step loop stays allocation-free (pinned
+/// by test_alloc).
 struct TelemetryConfig {
     bool enabled = false;
     std::size_t epoch_steps = 64;  ///< engine steps per snapshot epoch
@@ -114,7 +115,10 @@ struct EngineConfig {
     bool spread = true;               ///< false = in-order comparison arm
 
     double alpha = 0.5;                       ///< Eq. 1 EWMA weight
-    std::size_t feedback_delay_windows = 2;   ///< Fig. 6 ACK-to-effect lag
+    /// Fig. 6 ACK-to-effect lag: a window's ACK shapes the window this
+    /// many windows later.  A constant, so the pending-feedback ring index
+    /// is a compile-time modulus.
+    static constexpr std::size_t kFeedbackDelayWindows = 2;
 
     net::GilbertParams data_loss{};      ///< server -> client packet channel
     net::GilbertParams feedback_loss{};  ///< client -> server ACK channel
@@ -142,10 +146,6 @@ struct EngineConfig {
         }
         if (!(alpha >= 0.0 && alpha <= 1.0)) {
             throw std::invalid_argument("EngineConfig: alpha must be in [0, 1]");
-        }
-        if (feedback_delay_windows == 0) {
-            throw std::invalid_argument(
-                "EngineConfig: feedback_delay_windows must be >= 1");
         }
         if (churn.enabled) {
             if (churn.min_lifetime_windows == 0) {

@@ -55,7 +55,8 @@ struct GovernorLiteOutcome {
 };
 
 /// Runs one window of supervision.  `armed` is false until the feedback
-/// pipeline could have delivered (window index >= feedback_delay_windows);
+/// pipeline could have delivered (window index >=
+/// EngineConfig::kFeedbackDelayWindows);
 /// `fed` says whether this window's pending cell held an observation.
 /// Call AFTER the Eq. 1 EWMA has been applied for a fed window; the
 /// function may further move `estimate` (decay / pin to prior) and

@@ -1,7 +1,6 @@
 #include "engine/pool.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <limits>
 
@@ -39,38 +38,14 @@ std::uint32_t clamp_u32(std::uint64_t v) noexcept {
     return static_cast<std::uint32_t>(v < kMax ? v : kMax);
 }
 
-/// Feeds every maximal run of set bits (consecutive lost LDUs in the
-/// scanned order) to the telemetry slab, word at a time, with runs
-/// crossing word boundaries intact.  Bits past the window are zero by
-/// construction, so runs terminate correctly at the tail.
-void record_loss_runs(const std::uint64_t* w, std::size_t words,
-                      obs::telemetry::TelemetrySlab* slab) noexcept {
-    std::uint64_t run = 0;
-    for (std::size_t i = 0; i < words; ++i) {
-        std::uint64_t word = w[i];
-        unsigned remaining = 64;
-        while (remaining > 0) {
-            if ((word & 1U) != 0) {
-                unsigned ones = static_cast<unsigned>(std::countr_one(word));
-                if (ones > remaining) ones = remaining;
-                run += ones;
-                word = ones >= 64 ? 0 : word >> ones;
-                remaining -= ones;
-            } else {
-                unsigned zeros =
-                    word == 0 ? remaining
-                              : static_cast<unsigned>(std::countr_zero(word));
-                if (zeros > remaining) zeros = remaining;
-                if (slab != nullptr && run > 0) {
-                    slab->observe_loss_run(run);
-                }
-                run = 0;
-                word = zeros >= 64 ? 0 : word >> zeros;
-                remaining -= zeros;
-            }
-        }
+/// Clears a window's packed words; the common one-word window (n <= 64)
+/// stores its word directly instead of calling memset.
+void clear_words(std::uint64_t* w, std::size_t words) noexcept {
+    if (words == 1) {
+        w[0] = 0;
+    } else {
+        std::fill_n(w, words, std::uint64_t{0});
     }
-    if (slab != nullptr && run > 0) slab->observe_loss_run(run);
 }
 
 }  // namespace
@@ -81,6 +56,8 @@ SessionPool::SessionPool(const EngineConfig& cfg) : cfg_(cfg) {
     n_ = cfg_.window_ldus;
     f_ = cfg_.packets_per_ldu;
     words_ = (n_ + 63) / 64;
+    ldu_of_.resize(n_ * f_);
+    for (std::size_t p = 0; p < ldu_of_.size(); ++p) ldu_of_[p] = p / f_;
 
     if (cfg_.spread) {
         perms_.resize(n_ + 1);
@@ -89,7 +66,7 @@ SessionPool::SessionPool(const EngineConfig& cfg) : cfg_(cfg) {
         }
     }
 
-    const std::size_t D = cfg_.feedback_delay_windows;
+    constexpr std::size_t D = EngineConfig::kFeedbackDelayWindows;
     // One model lookup per channel: spawn() reseeds these chains in place.
     data_chain_.assign(capacity_,
                        net::GilbertLoss(cfg_.data_loss, sim::Rng(0)));
@@ -146,7 +123,7 @@ void SessionPool::spawn(std::size_t slot) {
         root.split(contracts::kEngineLaneFeedbackChain));
     estimate_[slot] = static_cast<double>(n_) / 2.0;
     windows_run_[slot] = 0;
-    const std::size_t D = cfg_.feedback_delay_windows;
+    constexpr std::size_t D = EngineConfig::kFeedbackDelayWindows;
     for (std::size_t d = 0; d < D; ++d) pending_[slot * D + d] = kNoObs;
     if (cfg_.churn.enabled) {
         const auto [life, gap] = churn_draw(cfg_, id);
@@ -172,8 +149,8 @@ void SessionPool::spawn(std::size_t slot) {
 }
 
 void SessionPool::init_scratch(ShardScratch& s) const {
-    s.tx_words.assign(words_, 0);
-    s.pb_words.assign(words_, 0);
+    constexpr std::size_t kPad = ShardScratch::kLossWordsPad;
+    s.loss_words.assign(kPad + 2 * words_ + kPad, 0);
     s.clf_hist = obs::Histogram{};
     s.bound_hist = obs::Histogram{};
     s.totals = EngineTotals{};
@@ -181,17 +158,22 @@ void SessionPool::init_scratch(ShardScratch& s) const {
 
 void SessionPool::run_window_range(std::size_t begin, std::size_t end,
                                    ShardScratch& s) noexcept {
-    const std::size_t D = cfg_.feedback_delay_windows;
+    constexpr std::size_t D = EngineConfig::kFeedbackDelayWindows;
     const std::size_t packets = n_ * f_;
     const bool governed = cfg_.governor.enabled;
     const bool fec_on = cfg_.fec.enabled;
     const bool nack_on = cfg_.fec.nack;
-    std::uint64_t* tx = s.tx_words.data();
-    std::uint64_t* pb = s.pb_words.data();
+    std::uint64_t* const tx =
+        s.loss_words.data() + ShardScratch::kLossWordsPad;
+    std::uint64_t* const pb = tx + words_;
+    const std::size_t* const ldu_of = ldu_of_.data();
     obs::telemetry::TelemetrySlab* const tel = s.telemetry;
-    // The range counts into a local block, merged once at the end.
+    // The range counts into a local block and local CLF and bound
+    // histograms, merged once at the end.
     EngineTotals t;
     obs::telemetry::TelemetryCounters& c = t.counters;
+    obs::Histogram clf_hist;
+    obs::Histogram bound_hist;
     for (std::size_t slot = begin; slot < end; ++slot) {
         if (idle_left_[slot] > 0) {
             // Churn gap: the slot carries no session this window.  The
@@ -205,7 +187,7 @@ void SessionPool::run_window_range(std::size_t begin, std::size_t end,
             continue;
         }
 
-        // 1. Feedback that has aged feedback_delay_windows becomes the
+        // 1. Feedback that has aged kFeedbackDelayWindows becomes the
         //    Eq. 1 observation shaping this window (Fig. 6 pipeline).
         const std::uint32_t w = windows_run_[slot];
         std::uint32_t& cell = pending_[slot * D + (w % D)];
@@ -236,22 +218,36 @@ void SessionPool::run_window_range(std::size_t begin, std::size_t end,
 
         // 2. Channel: batched Gilbert runs -> lost-LDU bit ranges in
         //    transmission order (an LDU is lost if any of its packets is).
-        std::fill_n(tx, words_, std::uint64_t{0});
+        //    The ranges arrive in order, so merging touching ones as they
+        //    come yields the maximal runs of lost LDUs and with them the
+        //    transmission-order observation `obs` the ACK reports.
+        clear_words(tx, words_);
         net::GilbertLoss& chain = data_chain_[slot];
         std::size_t pkt = 0;
         std::size_t lost_pkts = 0;
         bool any_loss = false;
+        std::size_t obs = 0;     // longest closed run of lost LDUs
+        std::size_t run_lo = 0;  // open run: LDUs [run_lo, run_hi]
+        std::size_t run_hi = 0;
         while (pkt < packets) {
             const net::GilbertLoss::Run run =
                 chain.next_run(static_cast<std::uint64_t>(packets - pkt));
             const std::size_t len = static_cast<std::size_t>(run.length);
             if (run.lost) {
+                const std::size_t lo = ldu_of[pkt];
+                const std::size_t hi = ldu_of[pkt + len - 1];
+                set_bits(tx, lo, hi);
+                if (!any_loss || lo > run_hi + 1) {
+                    if (any_loss) obs = std::max(obs, run_hi + 1 - run_lo);
+                    run_lo = lo;
+                }
+                run_hi = hi;
                 any_loss = true;
                 lost_pkts += len;
-                set_bits(tx, pkt / f_, (pkt + len - 1) / f_);
             }
             pkt += len;
         }
+        if (any_loss) obs = std::max(obs, run_hi + 1 - run_lo);
 
         // 2b. FEC-lite: the window's repair packets ride the same chain,
         //     and are always sent (constant bandwidth, shard-independent
@@ -308,24 +304,26 @@ void SessionPool::run_window_range(std::size_t begin, std::size_t end,
         // 3. Unspread + continuity accounting, word at a time.  A window
         //    whose surviving repairs cover its lost source packets is
         //    repaired whole before playback (all-or-nothing MDS limit);
-        //    the transmission-order observation `obs` is taken first, so
-        //    feedback still reports the raw channel.
-        std::size_t obs = 0;
+        //    `obs` from stage 2 still reports the raw channel to
+        //    feedback.  One walk over a played window's words yields its
+        //    CLF, sums its runs into the unit losses and feeds each run
+        //    to telemetry.
         std::size_t clf = 0;
         std::size_t losses = 0;
         bool recovered = false;
+        const auto played_run = [&losses, tel](std::size_t run) noexcept {
+            losses += run;
+            if (tel != nullptr) tel->observe_loss_run(run);
+        };
         if (any_loss) {
-            losses = count_set_bits(tx, words_);
-            obs = max_set_run(tx, words_);
             if (fec_on && fec_survived >= lost_pkts) {
                 recovered = true;
-                losses = 0;
             } else if (cfg_.spread) {
-                std::fill_n(pb, words_, std::uint64_t{0});
+                clear_words(pb, words_);
                 perms_[bound].scatter_set_bits(tx, pb, words_);
-                clf = max_set_run(pb, words_);
+                clf = walk_set_runs(pb, words_, played_run);
             } else {
-                clf = obs;
+                clf = walk_set_runs(tx, words_, played_run);
             }
         }
 
@@ -352,8 +350,8 @@ void SessionPool::run_window_range(std::size_t begin, std::size_t end,
         t.clf_sq +=
             static_cast<std::uint64_t>(clf) * static_cast<std::uint64_t>(clf);
         if (clf > t.clf_max) t.clf_max = clf;
-        s.clf_hist.record(clf);
-        s.bound_hist.record(bound);
+        clf_hist.record(clf);
+        bound_hist.record(bound);
         if (fec_on) {
             t.fec_repairs += fec_repairs_this_window;
             if (any_loss) {
@@ -365,13 +363,6 @@ void SessionPool::run_window_range(std::size_t begin, std::size_t end,
             }
         }
         windows_run_[slot] = w + 1;
-        if (tel != nullptr) {
-            tel->observe_window(static_cast<std::uint64_t>(clf),
-                                static_cast<std::uint64_t>(bound));
-            if (any_loss && !recovered) {
-                record_loss_runs(cfg_.spread ? pb : tx, words_, tel);
-            }
-        }
 
         // 6. Churn: departure, then either an idle gap or an immediate
         //    respawn with a fresh RNG stream (new session id).
@@ -387,7 +378,12 @@ void SessionPool::run_window_range(std::size_t begin, std::size_t end,
         }
     }
     s.totals.merge(t);
-    if (tel != nullptr) tel->counters.merge(c);
+    s.clf_hist.merge(clf_hist);
+    s.bound_hist.merge(bound_hist);
+    if (tel != nullptr) {
+        tel->counters.merge(c);
+        tel->observe_windows(clf_hist, bound_hist);
+    }
 }
 
 EngineSummary SessionPool::summarize(

@@ -8,9 +8,10 @@
 // and shards never write to shared cache lines.
 //
 // The engine counts each event once: a range step counts into a local
-// EngineTotals block and merges it into its shard's totals (and, when
-// telemetry is on, into its shard's slab counters) at the end of the
-// range.  summarize() and the telemetry snapshots both read that fold.
+// EngineTotals block and local CLF and bound histograms, and merges them
+// into its shard's totals (and, when telemetry is on, into its shard's
+// slab) at the end of the range.  summarize() and the telemetry
+// snapshots both read that fold.
 //
 // Determinism contract: every random draw of slot s in its g-th occupancy
 // comes from the stream seeded by derive_seed(seed, g * capacity + s), and
@@ -76,8 +77,13 @@ struct EngineTotals {
 /// are flat arrays merged by addition, so folding shards in index order
 /// yields grouping-independent totals.
 struct alignas(64) ShardScratch {
-    std::vector<std::uint64_t> tx_words;   ///< transmission-order loss bits
-    std::vector<std::uint64_t> pb_words;   ///< playback-order loss bits
+    /// Words of padding on either side of the loss words: one cache line.
+    static constexpr std::size_t kLossWordsPad = 8;
+    /// Transmission-order then playback-order loss bits, with a cache
+    /// line of padding before and after: the words are rewritten every
+    /// window, and the padding keeps every other heap block (another
+    /// shard's words among them) off their cache lines.
+    std::vector<std::uint64_t> loss_words;
     obs::Histogram clf_hist;               ///< per-window CLF
     obs::Histogram bound_hist;             ///< bound each window was sent with
     EngineTotals totals;                   ///< everything this shard counted
@@ -151,8 +157,9 @@ public:
     /// pending feedback -> Eq. 1 bound -> batched Gilbert runs marked into
     /// packed tx words -> permutation scatter into playback words ->
     /// word-at-a-time CLF/ALF accounting -> ACK across the feedback
-    /// channel -> churn bookkeeping.  The range's counts merge once, at
-    /// the end, into s.totals and (when attached) s.telemetry->counters.
+    /// channel -> churn bookkeeping.  The range's counts and CLF/bound
+    /// histograms merge once, at the end, into `s` and (when attached)
+    /// s.telemetry; loss runs go to s.telemetry as the CLF walk finds them.
     /// Touches only slot state in the range and `s`; never allocates.
     void run_window_range(std::size_t begin, std::size_t end,
                           ShardScratch& s) noexcept;
@@ -179,6 +186,9 @@ private:
     std::size_t n_ = 0;      ///< LDUs per window
     std::size_t f_ = 0;      ///< packets per LDU
     std::size_t words_ = 0;  ///< 64-bit words covering n_ bits
+    /// ldu_of_[p] = p / f_ for the window's n_ * f_ packets: the hot path
+    /// maps a packet run to its LDU range without a division.
+    std::vector<std::size_t> ldu_of_;
 
     /// perms_[b] = calculate_permutation(n, b) for b in 1..n (index 0
     /// unused); built once so the hot path never recomputes an order.

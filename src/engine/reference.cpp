@@ -19,7 +19,7 @@ ReferenceTrace run_reference_session(const EngineConfig& cfg,
     cfg.validate();
     const std::size_t n = cfg.window_ldus;
     const std::size_t f = cfg.packets_per_ldu;
-    const std::size_t D = cfg.feedback_delay_windows;
+    constexpr std::size_t D = EngineConfig::kFeedbackDelayWindows;
     const std::size_t repairs =
         cfg.fec.enabled ? n * f * cfg.fec.overhead_num / cfg.fec.overhead_den
                         : 0;

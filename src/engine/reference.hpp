@@ -3,9 +3,9 @@
 // One session, simulated the straightforward way: a real BurstEstimator,
 // a fresh calculate_permutation per window, LossMask vectors, and one
 // GilbertLoss::drop_next() per packet.  test_engine pins the batched SoA
-// hot path (bit-range marking, scatter_set_bits, max_set_run) against
-// this implementation window by window, so any divergence in the
-// engine's word-level tricks fails loudly.
+// hot path (bit-range marking, run merging, scatter_set_bits,
+// walk_set_runs) against this implementation window by window, so any
+// divergence in the engine's word-level tricks fails loudly.
 #pragma once
 
 #include <cstddef>

@@ -44,7 +44,8 @@ std::uint64_t threshold_for(double log_stay, std::size_t k) {
 
 GilbertModel::StateModel build_state(
     double stay, double loss,
-    std::array<std::uint64_t, GilbertModel::kTableSize>& threshold) {
+    std::array<std::uint64_t, GilbertModel::kTableSize>& threshold,
+    std::array<std::uint8_t, GilbertModel::kBuckets>& start) {
     GilbertModel::StateModel s;
     s.loss = loss;
     s.classic = loss <= 0.0 || loss >= 1.0;
@@ -57,6 +58,18 @@ GilbertModel::StateModel build_state(
         s.log_stay = std::log(stay);
         for (std::size_t k = 1; k <= GilbertModel::kTableSize; ++k) {
             threshold[k - 1] = threshold_for(s.log_stay, k);
+        }
+        // The thresholds ascend, so one merge pass counts those at or
+        // below each bucket's lower edge.
+        std::size_t below = 0;
+        for (std::size_t j = 0; j < GilbertModel::kBuckets; ++j) {
+            const std::uint64_t edge = std::uint64_t{j}
+                                       << GilbertModel::kBucketShift;
+            while (below < GilbertModel::kTableSize &&
+                   threshold[below] <= edge) {
+                ++below;
+            }
+            start[j] = static_cast<std::uint8_t>(below);
         }
     }
     return s;
@@ -73,8 +86,10 @@ GilbertModel::GilbertModel(GilbertParams params) : params_(params) {
     constexpr auto kGood = static_cast<std::size_t>(GilbertState::kGood);
     constexpr auto kBad = static_cast<std::size_t>(GilbertState::kBad);
     states_[kGood] =
-        build_state(params_.p_good, params_.loss_good, threshold_[kGood]);
-    states_[kBad] = build_state(params_.p_bad, params_.loss_bad, threshold_[kBad]);
+        build_state(params_.p_good, params_.loss_good, threshold_[kGood],
+                    start_[kGood]);
+    states_[kBad] = build_state(params_.p_bad, params_.loss_bad,
+                                threshold_[kBad], start_[kBad]);
 }
 
 const GilbertModel& GilbertModel::intern(const GilbertParams& params) {
@@ -101,19 +116,6 @@ std::uint64_t GilbertModel::formula_dwell(double log_stay,
 
 GilbertLoss::GilbertLoss(GilbertParams params, sim::Rng rng)
     : model_(&GilbertModel::intern(params)), rng_(std::move(rng)) {}
-
-bool GilbertLoss::drop_next() noexcept {
-    // The packet experiences the current state, then the chain transitions
-    // (here: the sojourn counter expires).  The degenerate emission
-    // probabilities (the classic Gilbert defaults) avoid a per-packet RNG
-    // draw so classic-model streams are unchanged by the Gilbert–Elliott
-    // extension.
-    if (remaining_ == 0) remaining_ = model_->sample_dwell(state_, rng_);
-    const GilbertModel::StateModel& s = model_->state(state_);
-    const bool lost = s.classic ? s.lost : rng_.bernoulli(s.loss);
-    if (--remaining_ == 0) leave_state();
-    return lost;
-}
 
 double GilbertLoss::stationary_loss(const GilbertParams& p) noexcept {
     const double to_bad = 1.0 - p.p_good;

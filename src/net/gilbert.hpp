@@ -37,7 +37,7 @@ enum class GilbertState : std::uint8_t { kGood, kBad };
 /// the validated probabilities and, per state, log(stay), the emission
 /// kind and a sojourn threshold table.  Immutable once built.  Chains
 /// share one model per distinct parameter set (intern()), so a chain
-/// carries a pointer to its ~1 KB model, not the model itself.
+/// carries a pointer to its ~3 KB model, not the model itself.
 ///
 /// Sojourns are sampled by inversion: a 53-bit draw m (the bits
 /// Rng::uniform() uses) gives dwell = 1 + floor(log1p(-m 2^-53) / log(stay)),
@@ -45,18 +45,27 @@ enum class GilbertState : std::uint8_t { kGood, kBad };
 /// distribution.  The dwell is non-decreasing in m, so the table holds,
 /// for k = 1..64, T_k = the smallest m whose dwell exceeds k, found once
 /// per model from 1 - stay^k plus a short walk over the evaluated
-/// formula.  A draw below T_64 reads its dwell off the table
-/// (1 + #{k : T_k <= m}, a six-step branchless search) with no
-/// logarithm; the rare draw above it evaluates the formula.  Both give the
+/// formula.  A draw below T_64 reads its dwell off the table as
+/// 1 + #{k : T_k <= m} with no logarithm; the rare draw above it
+/// evaluates the formula.  The count starts from a bucket table:
+/// start[j] = #{k : T_k <= j 2^43} for the 1024 buckets of the draw's top
+/// ten bits, a lower bound on the count for every draw in bucket j, so
+/// the count is start[m >> 43] plus a forward walk that, for the
+/// paper's stays, takes about one comparison.  Both paths give the
 /// formula's value for every draw, so streams are exactly those of
 /// evaluating it each time.  That rests on the library log1p being
 /// monotone; test_gilbert checks every draw within 4096 of each threshold
-/// for ten stay probabilities, plus 3M random draws.
+/// and within 64 of each bucket edge for ten stay probabilities, plus 3M
+/// random draws.
 class GilbertModel {
 public:
     static constexpr std::size_t kTableSize = 64;
     /// Draws are 53-bit; a threshold of kDrawSpan is never reached.
     static constexpr std::uint64_t kDrawSpan = std::uint64_t{1} << 53;
+    /// A draw's bucket is its top kBucketBits bits.
+    static constexpr unsigned kBucketBits = 10;
+    static constexpr std::size_t kBuckets = std::size_t{1} << kBucketBits;
+    static constexpr unsigned kBucketShift = 53 - kBucketBits;
 
     /// Per-state sampling data.
     struct StateModel {
@@ -87,15 +96,19 @@ public:
         return threshold_[static_cast<std::size_t>(s)];
     }
 
+    /// start[j] of state `s`: how many thresholds are <= j 2^43.
+    const std::array<std::uint8_t, kBuckets>& bucket_start(
+        GilbertState s) const noexcept {
+        return start_[static_cast<std::size_t>(s)];
+    }
+
     /// The dwell (>= 1 packets) a 53-bit draw `m` gives in state `s`, for a
     /// state whose sojourn is drawn (fixed_dwell == 0).
     std::uint64_t dwell(GilbertState s, std::uint64_t m) const noexcept {
         const std::uint64_t* t = threshold(s).data();
-        if (m >= t[kTableSize - 1]) return formula_dwell(state(s).log_stay, m);
-        std::size_t n = 0;
-        for (std::size_t step = kTableSize / 2; step > 0; step /= 2) {
-            n += t[n + step - 1] <= m ? step : 0;
-        }
+        std::size_t n = bucket_start(s)[m >> kBucketShift];
+        while (n < kTableSize && t[n] <= m) ++n;
+        if (n == kTableSize) return formula_dwell(state(s).log_stay, m);
         return 1 + n;
     }
 
@@ -116,6 +129,7 @@ private:
     // the tables are read once per sojourn.
     alignas(64) std::array<StateModel, 2> states_{};
     std::array<std::array<std::uint64_t, kTableSize>, 2> threshold_{};
+    std::array<std::array<std::uint8_t, kBuckets>, 2> start_{};
     GilbertParams params_;
 };
 
@@ -148,7 +162,18 @@ public:
 
     /// Steps the chain by one packet; returns true if that packet is lost
     /// (i.e. the chain was in BAD while the packet crossed the link).
-    bool drop_next() noexcept;
+    bool drop_next() noexcept {
+        // The packet experiences the current state, then the chain
+        // transitions (here: the sojourn counter expires).  The degenerate
+        // emission probabilities (the classic Gilbert defaults) avoid a
+        // per-packet RNG draw so classic-model streams are unchanged by
+        // the Gilbert–Elliott extension.
+        if (remaining_ == 0) remaining_ = model_->sample_dwell(state_, rng_);
+        const GilbertModel::StateModel& s = model_->state(state_);
+        const bool lost = s.classic ? s.lost : rng_.bernoulli(s.loss);
+        if (--remaining_ == 0) leave_state();
+        return lost;
+    }
 
     /// A maximal span of consecutive packets with one shared outcome.
     struct Run {

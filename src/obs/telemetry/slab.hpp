@@ -11,7 +11,9 @@
 // The counters are not observed one event at a time: the engine counts a
 // slot range into its own totals block and merges that block's counters
 // into the slab once per range (engine::SessionPool::run_window_range).
-// The observe_* sites feed only the histograms.
+// The per-window CLF and bound histograms arrive the same way, once per
+// range (observe_windows); loss runs and governor dwells are observed as
+// they end.
 //
 // Everything in the slab is a uint64 counter or a fixed-size
 // obs::Histogram: folding slabs in shard index order is pure integer
@@ -87,10 +89,12 @@ struct alignas(64) TelemetrySlab {
     Histogram bound_used;        ///< Eq. 1 bound the window was sent with
     Histogram governor_dwell;    ///< windows per completed state visit
 
-    /// One executed session-window: its CLF and the bound it was sent with.
-    void observe_window(std::uint64_t clf, std::uint64_t bound) noexcept {
-        window_clf.record(clf);
-        bound_used.record(bound);
+    /// A slot range's executed session-windows: their CLF and the bound
+    /// each was sent with, recorded by the range and merged in once.
+    void observe_windows(const Histogram& clf,
+                         const Histogram& bound) noexcept {
+        window_clf.merge(clf);
+        bound_used.merge(bound);
     }
 
     /// One maximal run of consecutive lost LDU slots in playback order.

@@ -18,8 +18,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <string>
-#include <vector>
 
 #include "obs/telemetry/slab.hpp"
 
@@ -72,7 +72,7 @@ public:
     const FleetSnapshot& capture(std::uint64_t step, const TelemetrySlab* slabs,
                                  std::size_t nslabs);
 
-    const std::vector<FleetSnapshot>& snapshots() const noexcept {
+    const std::deque<FleetSnapshot>& snapshots() const noexcept {
         return snapshots_;
     }
     bool empty() const noexcept { return snapshots_.empty(); }
@@ -80,7 +80,10 @@ public:
 
 private:
     std::size_t epoch_steps_;
-    std::vector<FleetSnapshot> snapshots_;
+    /// A deque, not a vector: the series grows for the whole run (~17 KB
+    /// per snapshot), and a deque grows without copying it or holding
+    /// two copies while it does.
+    std::deque<FleetSnapshot> snapshots_;
 };
 
 /// Appends one snapshot as a JSON object (integers only except the

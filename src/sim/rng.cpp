@@ -1,5 +1,6 @@
 #include "sim/rng.hpp"
 
+#include <bit>
 #include <cmath>
 
 namespace espread::sim {
@@ -14,27 +15,11 @@ std::uint64_t splitmix64(std::uint64_t& x) noexcept {
     return z ^ (z >> 31);
 }
 
-constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-    return (x << k) | (x >> (64 - k));
-}
-
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) noexcept {
     std::uint64_t s = seed;
     for (auto& w : state_) w = splitmix64(s);
-}
-
-std::uint64_t Rng::next_u64() noexcept {
-    const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-    const std::uint64_t t = state_[1] << 17;
-    state_[2] ^= state_[0];
-    state_[3] ^= state_[1];
-    state_[1] ^= state_[2];
-    state_[0] ^= state_[3];
-    state_[2] ^= t;
-    state_[3] = rotl(state_[3], 45);
-    return result;
 }
 
 double Rng::uniform() noexcept {
@@ -82,8 +67,13 @@ double Rng::lognormal(double mu, double sigma) noexcept {
 
 std::uint64_t Rng::geometric(double p) noexcept {
     if (p >= 1.0) return 0;
+    // Draws on a local copy, written back once: the state stays in
+    // registers across the loop instead of round-tripping through memory
+    // on every trial.
+    Rng r = *this;
     std::uint64_t n = 0;
-    while (!bernoulli(p)) ++n;
+    while (!r.bernoulli(p)) ++n;
+    *this = r;
     return n;
 }
 
@@ -99,7 +89,7 @@ std::uint64_t derive_seed(std::uint64_t base, std::uint64_t index) noexcept {
 Rng Rng::split(std::uint64_t stream_id) noexcept {
     // Mix the current state with the stream id through SplitMix64 to derive
     // a decorrelated child seed.
-    std::uint64_t s = state_[0] ^ rotl(state_[2], 29) ^ (stream_id * 0xD1342543DE82EF95ULL);
+    std::uint64_t s = state_[0] ^ std::rotl(state_[2], 29) ^ (stream_id * 0xD1342543DE82EF95ULL);
     return Rng{splitmix64(s)};
 }
 

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <limits>
 
@@ -35,8 +36,19 @@ public:
     /// Next raw 64-bit value.
     result_type operator()() noexcept { return next_u64(); }
 
-    /// Next raw 64-bit value.
-    std::uint64_t next_u64() noexcept;
+    /// Next raw 64-bit value.  Inline: the engine's Gilbert chains call
+    /// it once per sojourn.
+    std::uint64_t next_u64() noexcept {
+        const std::uint64_t result = std::rotl(state_[1] * 5, 7) * 9;
+        const std::uint64_t t = state_[1] << 17;
+        state_[2] ^= state_[0];
+        state_[3] ^= state_[1];
+        state_[1] ^= state_[2];
+        state_[0] ^= state_[3];
+        state_[2] ^= t;
+        state_[3] = std::rotl(state_[3], 45);
+        return result;
+    }
 
     /// Uniform double in [0, 1) with 53 bits of precision.
     double uniform() noexcept;

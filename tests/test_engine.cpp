@@ -15,12 +15,14 @@
 #include <cstdint>
 #include <limits>
 #include <numeric>
+#include <ostream>
 #include <string>
 #include <vector>
 
 #include "engine/config.hpp"
 #include "engine/pool.hpp"
 #include "engine/reference.hpp"
+#include "obs/histogram.hpp"
 
 namespace {
 
@@ -38,7 +40,6 @@ EngineConfig churny_config() {
     cfg.window_ldus = 24;
     cfg.packets_per_ldu = 2;
     cfg.alpha = 0.5;
-    cfg.feedback_delay_windows = 2;
     cfg.feedback_loss = {0.95, 0.5};
     cfg.churn.enabled = true;
     cfg.churn.min_lifetime_windows = 4;
@@ -88,8 +89,9 @@ TEST(Engine, ChurnDeterminism) {
 // A single session with churn disabled must reproduce the scalar
 // reference implementation exactly: same per-window CLF distribution,
 // same bounds, same loss and ACK counts.  This pins every word-level
-// trick in the hot path (batched Gilbert runs, bit-range marking,
-// scatter_set_bits, max_set_run) against the naive loop.
+// trick in the hot path (batched Gilbert runs, the packet-to-LDU table,
+// transmission-order run merging, scatter_set_bits, walk_set_runs)
+// against the naive loop.  EngineGeometry repeats it over window shapes.
 TEST(Engine, PoolOfOneMatchesReference) {
     EngineConfig cfg;
     cfg.sessions = 1;
@@ -400,6 +402,130 @@ TEST(Engine, NackOffLeaksNothingIntoCodedSummaries) {
     EXPECT_EQ(json.find("nack_"), std::string::npos);
 }
 
+// ---- Window geometry ----
+//
+// The tests above all run n = 24, f = 2: one loss word and a power-of-two
+// packet count per LDU.  These repeat the reference and shard-invariance
+// contracts over odd f, exactly one word, a word plus one bit and three
+// words, and over a near-absorbing bad state (p_bad = 0.995) at n = 130
+// whose bursts fill whole words and run across word boundaries.
+
+struct Geometry {
+    std::size_t n;
+    std::size_t f;
+    double p_bad;
+};
+
+void PrintTo(const Geometry& g, std::ostream* os) {
+    *os << "n" << g.n << "_f" << g.f << "_pbad" << g.p_bad;
+}
+
+class EngineGeometry : public ::testing::TestWithParam<Geometry> {
+protected:
+    /// A governed, spreading pool-of-one on this geometry.
+    static EngineConfig single(std::uint64_t seed) {
+        const Geometry g = GetParam();
+        EngineConfig cfg;
+        cfg.sessions = 1;
+        cfg.shards = 1;
+        cfg.window_ldus = g.n;
+        cfg.packets_per_ldu = g.f;
+        cfg.data_loss = {0.92, g.p_bad};
+        cfg.feedback_loss = {0.9, 0.5};
+        cfg.governor.enabled = true;
+        cfg.seed = seed;
+        return cfg;
+    }
+};
+
+std::uint64_t bucket_count(const std::vector<std::size_t>& xs, std::size_t v) {
+    using espread::obs::Histogram;
+    return static_cast<std::uint64_t>(
+        std::count_if(xs.begin(), xs.end(), [v](std::size_t x) {
+            return Histogram::bucket_for(x) == Histogram::bucket_for(v);
+        }));
+}
+
+/// Pool totals and histograms against a reference trace of equal length.
+void expect_matches_reference(const EngineSummary& s,
+                              const ReferenceTrace& ref) {
+    const std::size_t windows = ref.window_clf.size();
+    ASSERT_EQ(s.windows, windows);
+    EXPECT_EQ(s.unit_losses, ref.unit_losses);
+    EXPECT_EQ(s.acks_delivered, ref.acks_delivered);
+    EXPECT_EQ(s.acks_lost, ref.acks_lost);
+    EXPECT_EQ(s.governor_transitions, ref.governor_transitions);
+    EXPECT_EQ(s.clf_max,
+              *std::max_element(ref.window_clf.begin(), ref.window_clf.end()));
+    EXPECT_EQ(s.clf_histogram.sum(),
+              std::accumulate(ref.window_clf.begin(), ref.window_clf.end(),
+                              std::uint64_t{0}));
+    EXPECT_EQ(s.bound_histogram.sum(),
+              std::accumulate(ref.window_bound.begin(), ref.window_bound.end(),
+                              std::uint64_t{0}));
+    for (std::size_t w = 0; w < windows; ++w) {
+        SCOPED_TRACE(w);
+        using espread::obs::Histogram;
+        const std::size_t clf = ref.window_clf[w];
+        const std::size_t bound = ref.window_bound[w];
+        EXPECT_EQ(s.clf_histogram.counts()[Histogram::bucket_for(clf)],
+                  bucket_count(ref.window_clf, clf));
+        EXPECT_EQ(s.bound_histogram.counts()[Histogram::bucket_for(bound)],
+                  bucket_count(ref.window_bound, bound));
+    }
+}
+
+TEST_P(EngineGeometry, PoolOfOneMatchesReference) {
+    const EngineConfig cfg = single(77);
+    constexpr std::size_t kWindows = 200;
+    ShardedEngine engine(cfg);
+    engine.run(kWindows);
+    const EngineSummary s = engine.summary();
+    expect_matches_reference(s, run_reference_session(cfg, 0, kWindows));
+    EXPECT_GT(s.unit_losses, 0u);
+}
+
+TEST_P(EngineGeometry, CodedPoolOfOneMatchesReference) {
+    EngineConfig cfg = single(123);
+    cfg.fec.enabled = true;
+    cfg.fec.overhead_num = 1;
+    cfg.fec.overhead_den = 4;
+    constexpr std::size_t kWindows = 200;
+    ShardedEngine engine(cfg);
+    engine.run(kWindows);
+    const EngineSummary s = engine.summary();
+    const ReferenceTrace ref = run_reference_session(cfg, 0, kWindows);
+    expect_matches_reference(s, ref);
+    EXPECT_EQ(s.fec_repair_packets, ref.fec_repair_packets);
+    EXPECT_EQ(s.fec_windows_recovered, ref.fec_windows_recovered);
+}
+
+// Every arm on at once — spread, governor, FEC and NACK, with churn —
+// and still byte-identical for any shard count.
+TEST_P(EngineGeometry, ShardCountInvariance) {
+    EngineConfig cfg = churny_config();
+    const Geometry g = GetParam();
+    cfg.window_ldus = g.n;
+    cfg.packets_per_ldu = g.f;
+    cfg.data_loss = {0.92, g.p_bad};
+    cfg.governor.enabled = true;
+    cfg.fec.enabled = true;
+    cfg.fec.overhead_num = 1;
+    cfg.fec.overhead_den = 5;
+    cfg.fec.nack = true;
+    const std::string one = run_to_json(cfg, 1, 48);
+    EXPECT_EQ(one, run_to_json(cfg, 2, 48));
+    EXPECT_EQ(one, run_to_json(cfg, 3, 48));
+}
+
+INSTANTIATE_TEST_SUITE_P(Shapes, EngineGeometry,
+                         ::testing::Values(Geometry{24, 2, 0.6},
+                                           Geometry{7, 3, 0.6},
+                                           Geometry{64, 1, 0.6},
+                                           Geometry{65, 3, 0.6},
+                                           Geometry{130, 2, 0.6},
+                                           Geometry{130, 2, 0.995}));
+
 // Config validation rejects out-of-range parameters before any arena is
 // built.
 TEST(Engine, ValidatesConfig) {
@@ -408,9 +534,6 @@ TEST(Engine, ValidatesConfig) {
     EXPECT_THROW(ShardedEngine{cfg}, std::invalid_argument);
     cfg = EngineConfig{};
     cfg.alpha = 1.5;
-    EXPECT_THROW(ShardedEngine{cfg}, std::invalid_argument);
-    cfg = EngineConfig{};
-    cfg.feedback_delay_windows = 0;
     EXPECT_THROW(ShardedEngine{cfg}, std::invalid_argument);
     cfg = EngineConfig{};
     cfg.churn.enabled = true;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -280,6 +281,52 @@ TEST(GilbertModel, TableMatchesFormulaAroundEveryThreshold) {
         }
         EXPECT_EQ(mismatches, 0u) << "stay " << stay << ", " << checked
                                   << " draws checked";
+    }
+}
+
+// The bucket table only picks where the walk over the thresholds starts:
+// start[j] counts the thresholds at or below bucket j's lower edge, so it
+// is monotone and never above the count of any draw in the bucket.  The
+// draws that cross a bucket edge, and those in the crowded top bucket,
+// must still give the formula's dwell.
+TEST(GilbertModel, BucketStartsAreExactAndDwellMatchesAcrossEdges) {
+    constexpr std::uint64_t kReach = 64;
+    constexpr unsigned kShift = GilbertModel::kBucketShift;
+    constexpr std::size_t kTop = GilbertModel::kBuckets - 1;
+    for (const double stay : kStays) {
+        SCOPED_TRACE(stay);
+        const GilbertModel model{GilbertParams{stay, stay}};
+        const auto& t = model.threshold(GilbertState::kGood);
+        const auto& start = model.bucket_start(GilbertState::kGood);
+        const auto count_le = [&t](std::uint64_t m) {
+            return static_cast<std::size_t>(
+                std::upper_bound(t.begin(), t.end(), m) - t.begin());
+        };
+        std::uint64_t mismatches = 0;
+        const auto check = [&](std::uint64_t m) {
+            if (model.dwell(GilbertState::kGood, m) != formula_dwell(stay, m)) {
+                ++mismatches;
+            }
+        };
+        for (std::size_t j = 0; j < GilbertModel::kBuckets; ++j) {
+            const std::uint64_t edge = std::uint64_t{j} << kShift;
+            ASSERT_EQ(start[j], count_le(edge)) << "bucket " << j;
+            if (j > 0) {
+                ASSERT_LE(start[j - 1], start[j]) << "bucket " << j;
+            }
+            const std::uint64_t lo = edge > kReach ? edge - kReach : 0;
+            for (std::uint64_t m = lo; m <= edge + kReach; ++m) check(m);
+        }
+        std::size_t in_top = 0;
+        for (const std::uint64_t tk : t) {
+            if (tk >= kSpan || (tk >> kShift) != kTop) continue;
+            ++in_top;
+            const std::uint64_t hi = tk + kReach < kSpan ? tk + kReach : kSpan - 1;
+            for (std::uint64_t m = tk - kReach; m <= hi; ++m) check(m);
+        }
+        // The last draw of the span lands in the top bucket too.
+        check(kSpan - 1);
+        EXPECT_EQ(mismatches, 0u) << in_top << " thresholds in the top bucket";
     }
 }
 

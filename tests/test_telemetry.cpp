@@ -196,12 +196,22 @@ TEST(QuantileHistogram, RestoreBucketRebuildsSerializedCounts) {
     EXPECT_EQ(rebuilt, h);
 }
 
+/// Hands one window's CLF and bound to the slab the way a range does.
+void observe_window(TelemetrySlab& slab, std::uint64_t clf,
+                    std::uint64_t bound) {
+    Histogram clf_hist;
+    Histogram bound_hist;
+    clf_hist.record(clf);
+    bound_hist.record(bound);
+    slab.observe_windows(clf_hist, bound_hist);
+}
+
 // The observe_* sites feed only the histograms; the counters arrive by
 // the engine's per-range fold (pinned by TotalsReconcileWithEngineSummary).
 TEST(TelemetrySlab, ObserveSitesRecordHistograms) {
     TelemetrySlab slab;
-    slab.observe_window(/*clf=*/3, /*bound=*/5);
-    slab.observe_window(/*clf=*/0, /*bound=*/5);
+    observe_window(slab, /*clf=*/3, /*bound=*/5);
+    observe_window(slab, /*clf=*/0, /*bound=*/5);
     slab.observe_loss_run(4);
     slab.observe_governor_exit(12);
 
@@ -225,7 +235,7 @@ TEST(SnapshotRegistry, RejectsZeroEpochStepsAndComputesDeltas) {
     TelemetrySlab slab;
     slab.counters.windows = 1;
     slab.counters.unit_losses = 1;
-    slab.observe_window(2, 6);
+    observe_window(slab, 2, 6);
     const FleetSnapshot first = reg.capture(4, &slab, 1);
     // First snapshot: the epoch delta IS the cumulative state.
     EXPECT_EQ(first.delta, first.totals);
@@ -234,8 +244,8 @@ TEST(SnapshotRegistry, RejectsZeroEpochStepsAndComputesDeltas) {
 
     slab.counters.windows += 2;
     slab.counters.unit_losses += 2;
-    slab.observe_window(7, 6);
-    slab.observe_window(7, 6);
+    observe_window(slab, 7, 6);
+    observe_window(slab, 7, 6);
     const FleetSnapshot second = reg.capture(8, &slab, 1);
     EXPECT_EQ(second.totals.windows, 3u);
     EXPECT_EQ(second.delta.windows, 2u);
@@ -252,7 +262,6 @@ EngineConfig telemetry_config() {
     cfg.window_ldus = 24;
     cfg.packets_per_ldu = 2;
     cfg.alpha = 0.5;
-    cfg.feedback_delay_windows = 2;
     cfg.feedback_loss = {0.95, 0.5};
     cfg.churn.enabled = true;
     cfg.churn.min_lifetime_windows = 4;
@@ -360,6 +369,38 @@ TEST(EngineTelemetry, TotalsReconcileWithEngineSummary) {
               last.loss_run.count_le(Histogram::kLinearMax - 1));
     EXPECT_EQ(run_mass, s.unit_losses);
     EXPECT_EQ(last.clf.total(), s.windows);
+}
+
+// The same run-mass reconciliation on long bursts: n = 130 spans three
+// loss words and a near-absorbing bad state (p_bad = 0.995) loses whole
+// words at a time, so loss runs fill all-ones words and cross word
+// boundaries, past the histogram's exact buckets (the exact sum still
+// accounts for every unit).  In-order playback keeps the channel's runs
+// whole; spreading splits them.
+TEST(EngineTelemetry, LongBurstRunMassReconcilesWithUnitLosses) {
+    for (const bool spread : {false, true}) {
+        SCOPED_TRACE(spread);
+        EngineConfig cfg = telemetry_config();
+        cfg.window_ldus = 130;
+        cfg.data_loss = {0.92, 0.995};
+        cfg.spread = spread;
+        cfg.shards = 3;
+        ShardedEngine engine(cfg);
+        engine.run(64);
+        const EngineSummary s = engine.summary();
+        const FleetSnapshot& last = engine.telemetry()->latest();
+        EXPECT_EQ(last.loss_run.sum(), s.unit_losses);
+        EXPECT_EQ(last.totals.unit_losses, s.unit_losses);
+        EXPECT_EQ(last.clf.total(), s.windows);
+        if (!spread) {
+            // Whole windows lost: runs of all 130 units, across all
+            // three words.
+            EXPECT_GE(last.loss_run.max_bucket_value(), 130u);
+        }
+        EngineConfig one = cfg;
+        one.shards = 1;
+        EXPECT_EQ(series_for(cfg, 3, 64), series_for(one, 1, 64));
+    }
 }
 
 SloObjective strict_objective() {

@@ -451,7 +451,7 @@ void check_d3(const Stripped& s, const LintConfig& cfg, Emitter& e) {
 
 void check_d4(const Stripped& s, const LintConfig& cfg, Emitter& e) {
     // "->observe" covers the telemetry plane's observe_* family
-    // (TelemetrySlab::observe_window etc.): the prefix may continue with
+    // (TelemetrySlab::observe_windows etc.): the prefix may continue with
     // identifier characters before the call parens.
     static const char* kSinkCalls[] = {"->record", "->observe"};
     for (std::size_t i = 0; i < s.code.size(); ++i) {
