@@ -51,7 +51,6 @@ const char kUsage[] =
     "  --alpha   A                            Eq.-1 weight (0.5)\n"
     "  --pin     B                            freeze non-critical bound (adaptive)\n"
     "  --retransmit 0|1                       critical retransmission (1)\n"
-    "  --estimator ewma|smax                  burst-bound estimator (ewma)\n"
     "  --drop    reactive|predictive          sender shedding policy (reactive)\n"
     "  --startup W                            playout startup, in windows (1.0)\n"
     "  --fec     NUM,DEN[,WINDOW]             RLC repairs: NUM per DEN packets over\n"
@@ -102,7 +101,6 @@ int main(int argc, char** argv) {
     bool quiet = false;
     std::string scheme = "spread";
     std::string stream;
-    std::string estimator = "ewma";
     std::string drop = "reactive";
     std::string fec_spec;
     std::string csv_path;
@@ -135,7 +133,6 @@ int main(int argc, char** argv) {
         {"--alpha", Number{&cfg.alpha, 0.0, 1.0}},
         {"--pin", Count{&cfg.pinned_bound, 0, 4096}},
         {"--retransmit", Count{&retransmit, 0, 1}},
-        {"--estimator", Text{&estimator}},
         {"--drop", Text{&drop}},
         {"--startup", Number{&cfg.playout_startup_windows, 0.0, 1e6}},
         {"--fec", Text{&fec_spec}},
@@ -157,9 +154,6 @@ int main(int argc, char** argv) {
                        StreamKind::kAudio, StreamKind::kTraceFile}
                 [pick("--stream", stream, {"mpeg", "mjpeg", "audio", "trace"})];
     }
-    cfg.estimator = std::array{espread::proto::EstimatorKind::kEwma,
-                               espread::proto::EstimatorKind::kSlidingMax}
-        [pick("--estimator", estimator, {"ewma", "smax"})];
     cfg.drop_policy = std::array{espread::proto::DropPolicy::kReactive,
                                  espread::proto::DropPolicy::kPredictive}
         [pick("--drop", drop, {"reactive", "predictive"})];

@@ -11,8 +11,8 @@
 //   * adjacency exposure, a cheap spectrum summarizing how hard it is for
 //     k bursts to create a playback run,
 //   * Monte-Carlo CLF under the actual Gilbert process,
-// and is used by bench_multiburst to compare orderings (k-CPO, IBO, block,
-// random) in the regime the paper's theory does not cover.
+// for comparing orderings (k-CPO, IBO, block, random) in the regime the
+// paper's theory does not cover; test_multiburst pins each on small cases.
 #pragma once
 
 #include <cstddef>

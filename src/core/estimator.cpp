@@ -52,36 +52,6 @@ void BurstEstimator::decay_toward_prior(double keep) noexcept {
     estimate_ = prior + k * (estimate_ - prior);
 }
 
-SlidingMaxEstimator::SlidingMaxEstimator(std::size_t window, std::size_t history)
-    : window_(window), history_(history) {
-    if (window == 0) {
-        throw std::invalid_argument("SlidingMaxEstimator: window must be positive");
-    }
-    if (history == 0) {
-        throw std::invalid_argument("SlidingMaxEstimator: history must be positive");
-    }
-}
-
-void SlidingMaxEstimator::update(std::size_t observed_max_burst) {
-    const std::size_t obs = std::min(observed_max_burst, window_);
-    if (recent_.size() < history_) {
-        recent_.push_back(obs);
-    } else {
-        recent_[next_slot_] = obs;
-    }
-    next_slot_ = (next_slot_ + 1) % history_;
-    ++observations_;
-}
-
-std::size_t SlidingMaxEstimator::bound() const noexcept {
-    if (recent_.empty()) {
-        return std::clamp<std::size_t>(window_ / 2, 1, window_);
-    }
-    std::size_t best = 0;
-    for (const std::size_t v : recent_) best = std::max(best, v);
-    return std::clamp<std::size_t>(best, 1, window_);
-}
-
 std::size_t BurstEstimator::bound() const noexcept {
     return bound_for(estimate_, window_);
 }

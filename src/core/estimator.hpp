@@ -17,7 +17,6 @@
 #include <cmath>
 #include <cstddef>
 #include <functional>
-#include <vector>
 
 #include "core/metrics.hpp"
 
@@ -107,36 +106,6 @@ private:
     double estimate_;
     std::size_t observations_ = 0;
     UpdateObserver observer_;
-};
-
-/// Alternative to Eq. 1's exponential average: remember the last
-/// `history` observations and bound by their maximum.  More conservative
-/// than the EWMA — one big burst keeps the bound high for `history`
-/// windows instead of decaying geometrically — at the cost of scrambling
-/// more aggressively than needed on calm networks.  Compared against the
-/// paper's estimator in bench_ablation.
-class SlidingMaxEstimator {
-public:
-    /// Throws std::invalid_argument for window == 0 or history == 0.
-    SlidingMaxEstimator(std::size_t window, std::size_t history = 4);
-
-    /// Incorporates one per-window observation (clamped to the window).
-    void update(std::size_t observed_max_burst);
-
-    /// Max of the retained observations; window/2 before any observation;
-    /// clamped to [1, window].
-    std::size_t bound() const noexcept;
-
-    std::size_t window() const noexcept { return window_; }
-    std::size_t history() const noexcept { return history_; }
-    std::size_t observations() const noexcept { return observations_; }
-
-private:
-    std::size_t window_;
-    std::size_t history_;
-    std::vector<std::size_t> recent_;  // ring buffer of size <= history
-    std::size_t next_slot_ = 0;
-    std::size_t observations_ = 0;
 };
 
 }  // namespace espread

@@ -2,7 +2,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <latch>
+#include <limits>
 #include <vector>
 
 #include "exp/thread_pool.hpp"
@@ -113,6 +115,18 @@ TrialSummary MonteCarloRunner::run(
         wall.count() > 0.0 ? static_cast<double>(s.total_windows) / wall.count()
                            : 0.0;
     return s;
+}
+
+double clf_gap_standard_errors(const TrialSummary& higher,
+                               const TrialSummary& lower) {
+    const double se = std::sqrt(
+        higher.clf_mean.sample_variance() /
+            static_cast<double>(higher.clf_mean.count()) +
+        lower.clf_mean.sample_variance() /
+            static_cast<double>(lower.clf_mean.count()));
+    const double gap = higher.clf_mean.mean() - lower.clf_mean.mean();
+    if (se > 0.0) return gap / se;
+    return gap > 0.0 ? std::numeric_limits<double>::infinity() : 0.0;
 }
 
 void append_stats(JsonWriter& json, const sim::RunningStats& stats) {

@@ -1,6 +1,6 @@
 // Deterministic parallel Monte-Carlo experiment engine.
 //
-// The figure/table benches (Fig. 8, Table 2, ablations, ...) historically
+// The figure/table benches (Fig. 8, Table 2, Figs. 11-12, ...) historically
 // reported single-seed estimates; streaming-code evaluation conventionally
 // averages loss-resilience metrics over many independent channel
 // realizations.  MonteCarloRunner fans a SessionConfig template out over N
@@ -115,6 +115,13 @@ private:
     RunnerOptions options_;
     std::unique_ptr<Impl> impl_;
 };
+
+/// How far `higher`'s mean CLF lies above `lower`'s, in standard errors
+/// of that difference: (mean_h - mean_l) / sqrt(s_h^2/T_h + s_l^2/T_l)
+/// over the per-trial means (clf_mean), with s^2 the sample variance.
+/// +inf when the per-trial means do not vary and the gap is positive.
+double clf_gap_standard_errors(const TrialSummary& higher,
+                               const TrialSummary& lower);
 
 /// Appends `summary` as a JSON object under the writer's current position:
 /// {"trials":..,"threads":..,"wall_seconds":..,"windows_per_second":..,

@@ -13,7 +13,7 @@ namespace espread::obs {
 static_assert(std::size(contracts::kTraceEventNames) ==
               static_cast<std::size_t>(EventType::kRepairShed) + 1);
 static_assert(std::size(contracts::kTraceActorNames) ==
-              static_cast<std::size_t>(Actor::kGateway) + 1);
+              static_cast<std::size_t>(Actor::kClient) + 1);
 
 const char* event_name(EventType t) noexcept {
     return contracts::name_at(contracts::kTraceEventNames,
@@ -74,8 +74,7 @@ std::string chrome_trace_json(std::vector<TraceEvent> events) {
     j.key("traceEvents").begin_array();
 
     constexpr Actor kActors[] = {Actor::kServer, Actor::kDataChannel,
-                                 Actor::kFeedbackChannel, Actor::kClient,
-                                 Actor::kGateway};
+                                 Actor::kFeedbackChannel, Actor::kClient};
     j.begin_object();
     j.key("name").value("process_name");
     j.key("ph").value("M");

@@ -65,7 +65,6 @@ enum class Actor {
     kDataChannel,
     kFeedbackChannel,
     kClient,
-    kGateway,  ///< standalone bottleneck-queue simulations (net::Gateway)
 };
 
 const char* event_name(EventType t) noexcept;

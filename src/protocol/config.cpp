@@ -101,9 +101,6 @@ void SessionConfig::validate() const {
         throw std::invalid_argument(
             "SessionConfig: playout_startup_windows must be positive");
     }
-    if (estimator == EstimatorKind::kSlidingMax && sliding_history == 0) {
-        throw std::invalid_argument("SessionConfig: sliding_history must be >= 1");
-    }
     if (governor.enabled) {
         governor.validate();
         if (!adaptive) {
@@ -113,10 +110,6 @@ void SessionConfig::validate() const {
         if (pinned_bound != 0) {
             throw std::invalid_argument(
                 "SessionConfig: governor is incompatible with pinned_bound");
-        }
-        if (estimator != EstimatorKind::kEwma) {
-            throw std::invalid_argument(
-                "SessionConfig: governor supervises the EWMA estimator only");
         }
     }
     if (recovery.enabled && window_ldus() > NackRequest::kMaxFrames) {

@@ -44,12 +44,6 @@ enum class DropPolicy {
     kPredictive,
 };
 
-/// Which burst-bound estimator drives the adaptive permutation.
-enum class EstimatorKind {
-    kEwma,        ///< Eq. 1 exponential average (the paper's choice)
-    kSlidingMax,  ///< max of the last few observations (conservative)
-};
-
 /// What kind of stream the session carries.
 enum class StreamKind {
     kMpeg,      ///< GOP-structured video from the synthetic movie traces
@@ -148,18 +142,16 @@ struct SessionConfig {
     /// limit as in the paper.
     static constexpr std::size_t kMaxRetransmits = 6;
     bool adaptive = true;             ///< feed client estimates into b-hat
-    std::size_t pinned_bound = 0;     ///< >0 freezes the non-critical bound (ablation)
+    std::size_t pinned_bound = 0;     ///< >0 freezes the non-critical bound
     double alpha = 0.5;               ///< Eq. 1 averaging weight
-    EstimatorKind estimator = EstimatorKind::kEwma;
-    std::size_t sliding_history = 4;  ///< observations kept by kSlidingMax
     /// Adaptation governor supervising the EWMA estimator (see
     /// protocol/governor.hpp): watchdog over missed feedback deadlines,
     /// window-sequenced ACK admission, outlier guard + hysteresis on
     /// estimator updates, fallback to the no-feedback prior b = n/2 under
     /// sustained outage and a staged recovery afterwards.  Disabled by
     /// default; a disabled governor keeps the session byte-identical to an
-    /// ungoverned one.  Requires adaptive == true, pinned_bound == 0 and
-    /// estimator == EstimatorKind::kEwma when enabled.
+    /// ungoverned one.  Requires adaptive == true and pinned_bound == 0 when
+    /// enabled.
     GovernorConfig governor;
     DropPolicy drop_policy = DropPolicy::kReactive;
     /// Fraction of the window's bit budget kPredictive keeps back for

@@ -16,15 +16,6 @@ const char* governor_state_name(GovernorState s) noexcept {
                               static_cast<std::size_t>(s), "?");
 }
 
-const char* ack_reject_name(AckRejectReason r) noexcept {
-    switch (r) {
-        case AckRejectReason::kDuplicate: return "duplicate";
-        case AckRejectReason::kStale: return "stale";
-        case AckRejectReason::kFuture: return "future";
-    }
-    return "?";
-}
-
 void GovernorConfig::validate() const {
     if (hysteresis_windows == 0) {
         throw std::invalid_argument(

@@ -73,8 +73,6 @@ enum class AckRejectReason : std::uint8_t {
     kFuture = 2,     ///< window not yet started (corrupt/implausible header)
 };
 
-const char* ack_reject_name(AckRejectReason r) noexcept;
-
 /// Thresholds of the governor.  Defaults are conservative enough to ride
 /// through one lost ACK without leaving Normal; `enabled = false` (the
 /// default) keeps the session byte-identical to an ungoverned one.

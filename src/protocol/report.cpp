@@ -48,18 +48,6 @@ void write_event_csv(std::ostream& out, std::vector<obs::TraceEvent> events) {
     }
 }
 
-void write_event_csv_file(const std::string& path,
-                          std::vector<obs::TraceEvent> events) {
-    std::ofstream out{path};
-    if (!out) {
-        throw std::runtime_error("write_event_csv_file: cannot open " + path);
-    }
-    write_event_csv(out, std::move(events));
-    if (!out) {
-        throw std::runtime_error("write_event_csv_file: write failed: " + path);
-    }
-}
-
 std::string summarize(const SessionResult& result) {
     const sim::RunningStats s = result.clf_stats();
     const sim::RunningStats p = result.playout_clf_stats();

@@ -27,10 +27,6 @@ void write_csv_file(const std::string& path, const SessionResult& result);
 /// One row per TraceEvent; actor/event are the symbolic names.
 void write_event_csv(std::ostream& out, std::vector<obs::TraceEvent> events);
 
-/// Convenience file variant; throws std::runtime_error on I/O failure.
-void write_event_csv_file(const std::string& path,
-                          std::vector<obs::TraceEvent> events);
-
 /// One-paragraph human summary (mean/dev CLF, ALF, channel stats, required
 /// start-up delay).
 std::string summarize(const SessionResult& result);

@@ -115,8 +115,6 @@ struct Session::Impl {
           receiver(planner.window_ldus(), planner.layer_sizes(),
                    planner.prerequisites()),
           estimator(std::max<std::size_t>(planner.noncritical_size(), 1), cfg.alpha),
-          sliding(std::max<std::size_t>(planner.noncritical_size(), 1),
-                  std::max<std::size_t>(cfg.sliding_history, 1)),
           data(queue, cfg.data_link, cfg.data_loss,
                rng.split(contracts::kSessionLaneDataChannel)),
           feedback(queue, cfg.feedback_link, cfg.feedback_loss,
@@ -189,19 +187,14 @@ struct Session::Impl {
             data.set_trace(cfg.trace, obs::Actor::kDataChannel);
             feedback.set_trace(cfg.trace, obs::Actor::kFeedbackChannel);
             receiver.set_trace(cfg.trace);
-            if (cfg.estimator == EstimatorKind::kEwma) {
-                // Translate Eq. 1 steps into EstimatorUpdate events; the
-                // sliding-max alternative is traced directly in on_feedback.
-                estimator.set_observer([this](std::size_t observed, double old_e,
-                                              double new_e) {
-                    trace_estimator_update(
-                        observed,
-                        espread::BurstEstimator::bound_for(old_e,
-                                                           estimator.window()),
-                        espread::BurstEstimator::bound_for(new_e,
-                                                           estimator.window()));
-                });
-            }
+            // Translate Eq. 1 steps into EstimatorUpdate events.
+            estimator.set_observer([this](std::size_t observed, double old_e,
+                                          double new_e) {
+                trace_estimator_update(
+                    observed,
+                    espread::BurstEstimator::bound_for(old_e, estimator.window()),
+                    espread::BurstEstimator::bound_for(new_e, estimator.window()));
+            });
         }
 
         if (cfg.rlc_active()) {
@@ -741,9 +734,6 @@ struct Session::Impl {
     void send_window(std::size_t k) {
         const std::size_t n = planner.window_ldus();
         const std::vector<media::Frame>& frames = take_frames(k);
-        const std::size_t adaptive_bound = cfg.estimator == EstimatorKind::kEwma
-                                               ? estimator.bound()
-                                               : sliding.bound();
         if (governor.has_value() && k + 1 == cfg.num_windows) {
             // The final window's ACK arrives after the window-start clock
             // stops; without this it would be misread as a future forgery.
@@ -755,7 +745,7 @@ struct Session::Impl {
             : cfg.pinned_bound != 0
                 ? std::min(cfg.pinned_bound,
                            std::max<std::size_t>(planner.noncritical_size(), 1))
-                : adaptive_bound;
+                : estimator.bound();
         const WindowPlan& plan = planner.plan(bound);
         const sim::SimTime deadline =
             static_cast<sim::SimTime>(k + 1) * period;
@@ -1038,17 +1028,11 @@ struct Session::Impl {
             observed = std::min(
                 observed, std::max<std::size_t>(planner.noncritical_size(), 1));
         }
-        const std::size_t old_sliding_bound = sliding.bound();
         if (governor.has_value()) {
             // Outlier-guarded Eq. 1 step (still fires the trace observer).
             governor->on_observation(observed, queue.now());
         } else {
             estimator.update(observed);  // fires the EWMA trace observer
-        }
-        sliding.update(observed);
-        if (cfg.estimator == EstimatorKind::kSlidingMax) {
-            trace_estimator_update(std::min(observed, sliding.window()),
-                                   old_sliding_bound, sliding.bound());
         }
     }
 
@@ -1226,7 +1210,6 @@ struct Session::Impl {
     sim::SimTime period;
     Receiver receiver;
     espread::BurstEstimator estimator;
-    espread::SlidingMaxEstimator sliding;
     std::optional<AdaptationGovernor> governor;  ///< engaged iff cfg.governor.enabled
     net::FaultChannel<DataMsg> data;
     net::FaultChannel<FeedbackMsg> feedback;

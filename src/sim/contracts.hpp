@@ -303,7 +303,6 @@ inline constexpr std::string_view kTraceActorNames[] = {
     "data channel",
     "feedback channel",
     "client",
-    "gateway",
 };
 
 // Top-level BENCH_*.json keys that CI claim gates consume: tools/perf_gate

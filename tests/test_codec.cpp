@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
+#include <vector>
+
 #include "protocol/receiver.hpp"
 #include "sim/rng.hpp"
 
@@ -18,6 +22,22 @@ using espread::proto::peek_type;
 using espread::proto::WindowTrailer;
 using espread::proto::wire_checksum;
 using espread::proto::WireType;
+
+/// CRC-16/CCITT-FALSE one bit at a time: the oracle for the table-driven
+/// wire_checksum.
+std::uint16_t wire_checksum_bitwise(const std::uint8_t* data,
+                                    std::size_t size) {
+    std::uint16_t crc = 0xFFFF;
+    for (std::size_t i = 0; i < size; ++i) {
+        crc ^= static_cast<std::uint16_t>(data[i] << 8);
+        for (int bit = 0; bit < 8; ++bit) {
+            crc = (crc & 0x8000u)
+                      ? static_cast<std::uint16_t>((crc << 1) ^ 0x1021u)
+                      : static_cast<std::uint16_t>(crc << 1);
+        }
+    }
+    return crc;
+}
 
 DataPacket sample_packet() {
     DataPacket p;
@@ -279,6 +299,25 @@ TEST(Codec, EncodedPathDrivesReceiverIdentically) {
     EXPECT_EQ(a.layer_max_burst, b.layer_max_burst);
     EXPECT_EQ(a.layer_lost, b.layer_lost);
     EXPECT_EQ(a.frames_received, b.frames_received);
+}
+
+// Every length 0..1100 covers each slicing-by-4 tail (0-3 leftover bytes)
+// many times over, from empty input past a full packet header.
+TEST(Codec, ChecksumMatchesBitwiseReference) {
+    espread::sim::Rng rng{16};
+    std::vector<std::uint8_t> bytes(1100);
+    for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.next_u64());
+    for (std::size_t n = 0; n <= bytes.size(); ++n) {
+        ASSERT_EQ(wire_checksum(bytes.data(), n),
+                  wire_checksum_bitwise(bytes.data(), n))
+            << "length " << n;
+    }
+}
+
+// The catalogued check value of CRC-16/CCITT-FALSE.
+TEST(Codec, ChecksumStandardCheckValue) {
+    const std::uint8_t digits[] = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};
+    EXPECT_EQ(wire_checksum(digits, sizeof digits), 0x29B1);
 }
 
 TEST(Codec, EmptyLayerVectorsRoundTrip) {

@@ -31,7 +31,6 @@ namespace {
 
 using espread::net::ChannelStats;
 using espread::proto::DropPolicy;
-using espread::proto::EstimatorKind;
 using espread::proto::NackRequest;
 using espread::proto::run_session;
 using espread::proto::Scheme;
@@ -87,15 +86,11 @@ SessionConfig random_config(Rng& rng) {
     cfg.retransmit_critical = rng.bernoulli(0.5);
     cfg.adaptive = rng.bernoulli(0.8);
     cfg.alpha = rng.uniform(0.0, 1.0);
-    cfg.estimator = rng.bernoulli(0.8) ? EstimatorKind::kEwma
-                                       : EstimatorKind::kSlidingMax;
-    cfg.sliding_history = static_cast<std::size_t>(rng.uniform_int(1, 6));
     if (rng.bernoulli(0.15)) {
         cfg.pinned_bound = static_cast<std::size_t>(rng.uniform_int(1, 8));
     }
-    cfg.governor.enabled = cfg.adaptive && cfg.pinned_bound == 0 &&
-                           cfg.estimator == EstimatorKind::kEwma &&
-                           rng.bernoulli(0.5);
+    cfg.governor.enabled =
+        cfg.adaptive && cfg.pinned_bound == 0 && rng.bernoulli(0.5);
 
     cfg.drop_policy = rng.bernoulli(0.3) ? DropPolicy::kPredictive
                                          : DropPolicy::kReactive;
@@ -241,9 +236,6 @@ std::vector<Mutation> mutations() {
         {"governor+pinned",
          [](const SessionConfig& c) { return c.governor.enabled; },
          [](SessionConfig& c) { c.pinned_bound = 2; }},
-        {"governor+smax",
-         [](const SessionConfig& c) { return c.governor.enabled; },
-         [](SessionConfig& c) { c.estimator = EstimatorKind::kSlidingMax; }},
     };
 }
 

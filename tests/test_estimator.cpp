@@ -182,60 +182,4 @@ TEST(Estimator, InvalidArgumentsThrow) {
     EXPECT_THROW(BurstEstimator(5, 1.1), std::invalid_argument);
 }
 
-// ---- SlidingMaxEstimator --------------------------------------------------
-
-using espread::SlidingMaxEstimator;
-
-TEST(SlidingMax, InitialBoundIsHalfWindow) {
-    const SlidingMaxEstimator e{20};
-    EXPECT_EQ(e.bound(), 10u);
-    EXPECT_EQ(e.observations(), 0u);
-}
-
-TEST(SlidingMax, TracksMaximumOfHistory) {
-    SlidingMaxEstimator e{20, 3};
-    e.update(2);
-    EXPECT_EQ(e.bound(), 2u);
-    e.update(7);
-    e.update(1);
-    EXPECT_EQ(e.bound(), 7u);
-}
-
-TEST(SlidingMax, OldObservationsAgeOut) {
-    SlidingMaxEstimator e{20, 3};
-    e.update(9);
-    e.update(1);
-    e.update(1);
-    EXPECT_EQ(e.bound(), 9u);
-    e.update(1);  // evicts the 9
-    EXPECT_EQ(e.bound(), 1u);
-}
-
-TEST(SlidingMax, ClampsToWindowAndFloorOne) {
-    SlidingMaxEstimator e{8, 2};
-    e.update(100);
-    EXPECT_EQ(e.bound(), 8u);
-    e.update(0);
-    e.update(0);
-    EXPECT_EQ(e.bound(), 1u);
-}
-
-TEST(SlidingMax, MoreConservativeThanEwmaAfterASpike) {
-    BurstEstimator ewma{32};
-    SlidingMaxEstimator smax{32, 4};
-    for (const std::size_t obs : {16u, 1u, 1u, 1u}) {
-        ewma.update(obs);
-        smax.update(obs);
-    }
-    // Three calm windows later the EWMA has decayed; the sliding max still
-    // remembers the storm.
-    EXPECT_LT(ewma.bound(), smax.bound());
-    EXPECT_EQ(smax.bound(), 16u);
-}
-
-TEST(SlidingMax, InvalidArgumentsThrow) {
-    EXPECT_THROW(SlidingMaxEstimator(0, 4), std::invalid_argument);
-    EXPECT_THROW(SlidingMaxEstimator(5, 0), std::invalid_argument);
-}
-
 }  // namespace

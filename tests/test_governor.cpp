@@ -81,10 +81,6 @@ TEST(GovernorConfig, SessionValidationEnforcesPrerequisites) {
     SessionConfig nonadaptive = cfg;
     nonadaptive.adaptive = false;
     EXPECT_THROW(nonadaptive.validate(), std::invalid_argument);
-
-    SessionConfig sliding = cfg;
-    sliding.estimator = espread::proto::EstimatorKind::kSlidingMax;
-    EXPECT_THROW(sliding.validate(), std::invalid_argument);
 }
 
 TEST(Governor, AckAdmissionRejectsDuplicateStaleFuture) {

@@ -259,27 +259,10 @@ TEST(Session, PredictiveDropIsNoOpWithAmpleBandwidth) {
     EXPECT_EQ(r.total.unit_losses, 0u);
 }
 
-TEST(Session, SlidingMaxEstimatorRuns) {
-    SessionConfig cfg = base_config();
-    cfg.estimator = espread::proto::EstimatorKind::kSlidingMax;
-    cfg.sliding_history = 3;
-    const SessionResult r = run_session(cfg);
-    EXPECT_EQ(r.windows.size(), 20u);
-    // Bound still starts at the n/2 prior and adapts.
-    EXPECT_EQ(r.windows[0].bound_used, 8u);
-    bool moved = false;
-    for (const auto& w : r.windows) moved = moved || w.bound_used != 8;
-    EXPECT_TRUE(moved);
-}
-
 TEST(Session, PredictiveConfigValidation) {
     SessionConfig cfg = base_config();
     cfg.drop_policy = espread::proto::DropPolicy::kPredictive;
     EXPECT_NO_THROW(cfg.validate());
-    cfg = base_config();
-    cfg.estimator = espread::proto::EstimatorKind::kSlidingMax;
-    cfg.sliding_history = 0;
-    EXPECT_THROW(run_session(cfg), std::invalid_argument);
 }
 
 TEST(Session, GilbertElliottNetworkRuns) {
