@@ -34,7 +34,7 @@ const char kUsage[] =
     "  --scheme  inorder|layered|ibo|spread   transmission scheme (spread)\n"
     "  --stream  mpeg|mjpeg|audio|trace       stream kind (mpeg)\n"
     "  --movie   NAME                         MPEG trace (Jurassic Park)\n"
-    "  --trace   PATH                         frame-trace file (implies --stream trace)\n"
+    "  --frames  PATH                         frame-trace file (implies --stream trace)\n"
     "  --csv     PATH                         also write per-window CSV\n"
     "  --gops    N                            GOPs per window, mpeg (2)\n"
     "  --ldus    N                            LDUs per window, mjpeg/audio (24)\n"
@@ -116,7 +116,7 @@ int main(int argc, char** argv) {
         {"--scheme", Text{&scheme}},
         {"--stream", Text{&stream}},
         {"--movie", Text{&cfg.stream.movie}},
-        {"--trace", Text{&cfg.stream.trace_path}},
+        {"--frames", Text{&cfg.stream.trace_path}},
         {"--csv", Text{&csv_path}},
         {"--gops", Count{&cfg.gops_per_window, 1, 256}},
         {"--ldus", Count{&cfg.stream.ldus_per_window, 1, 4096}},

@@ -28,20 +28,6 @@ std::size_t worst_case_clf(const Permutation& perm, std::size_t max_burst) {
     return worst;
 }
 
-std::size_t worst_case_clf_straddling(const Permutation& perm, std::size_t max_burst) {
-    const std::size_t n = perm.size();
-    if (n == 0 || max_burst == 0) return 0;
-    const std::size_t len = std::min(max_burst, n);
-    std::size_t worst = worst_case_clf(perm, max_burst);
-    // Burst covers the last `tail` slots of window k and the first
-    // len - tail slots of window k+1; each window is measured on its own.
-    for (std::size_t tail = 1; tail < len; ++tail) {
-        worst = std::max(worst, burst_clf(perm, n - tail, tail));
-        worst = std::max(worst, burst_clf(perm, 0, len - tail));
-    }
-    return worst;
-}
-
 std::size_t lower_bound_clf(std::size_t n, std::size_t b) {
     if (b == 0 || n == 0) return 0;
     if (b >= n) return n;

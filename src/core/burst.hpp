@@ -28,15 +28,6 @@ std::size_t burst_clf(const Permutation& perm, std::size_t start, std::size_t le
 /// exactly min(max_burst, n) need to be examined.  O(n * b) time.
 std::size_t worst_case_clf(const Permutation& perm, std::size_t max_burst);
 
-/// As worst_case_clf, but also allows the burst to straddle the boundary
-/// between two consecutive windows that both use `perm` (a suffix of one
-/// window plus a prefix of the next).  Runs never join across the window
-/// boundary (windows are played out and measured independently), but a
-/// straddling burst hits fewer slots of each window.  Consequently this is
-/// never larger than worst_case_clf; it is provided for the protocol-level
-/// analysis where bursts are not aligned to windows.
-std::size_t worst_case_clf_straddling(const Permutation& perm, std::size_t max_burst);
-
 /// Packing lower bound on the CLF any transmission order can guarantee
 /// against one burst of length b in a window of n (paper Theorem 1 regime
 /// structure): any b-element subset of n playback slots has a run of at

@@ -5,10 +5,6 @@
 
 namespace espread {
 
-std::size_t max_transmission_burst(const LossMask& received_in_tx_order) {
-    return consecutive_loss(received_in_tx_order);
-}
-
 BurstEstimator::BurstEstimator(std::size_t window, double alpha)
     : window_(window),
       alpha_(alpha),
@@ -44,12 +40,6 @@ std::size_t BurstEstimator::guarded_update(std::size_t observed_max_burst,
 
 void BurstEstimator::reset_to_prior() noexcept {
     estimate_ = static_cast<double>(window_) / 2.0;
-}
-
-void BurstEstimator::decay_toward_prior(double keep) noexcept {
-    const double k = std::clamp(keep, 0.0, 1.0);
-    const double prior = static_cast<double>(window_) / 2.0;
-    estimate_ = prior + k * (estimate_ - prior);
 }
 
 std::size_t BurstEstimator::bound() const noexcept {

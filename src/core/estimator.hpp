@@ -22,10 +22,6 @@
 
 namespace espread {
 
-/// Largest run of consecutive losses in a transmission-order delivery mask —
-/// the per-window observation the client feeds back to the server.
-std::size_t max_transmission_burst(const LossMask& received_in_tx_order);
-
 /// Exponential-average estimator of the bursty-loss bound b.
 class BurstEstimator {
 public:
@@ -64,12 +60,26 @@ public:
     /// The observation count is preserved; no observer callback fires.
     void reset_to_prior() noexcept;
 
-    /// Moves the estimate toward the prior, retaining `keep` of its current
-    /// distance: estimate = prior + keep * (estimate - prior).  `keep` is
-    /// clamped to [0, 1]; keep == 1 is a no-op, keep == 0 equals
-    /// reset_to_prior().  Applied once per missed feedback window this
-    /// yields an exponential approach to the prior.  No observer callback.
-    void decay_toward_prior(double keep) noexcept;
+    /// Fraction of the estimate's distance to the no-feedback prior kept
+    /// per missed feedback window while a governor is Degraded.
+    static constexpr double kOutageDecay = 0.5;
+
+    /// One outage-decay step: the estimate moved toward `prior`, keeping
+    /// kOutageDecay of its distance.  The one decay expression of both
+    /// governors (proto::AdaptationGovernor through decay_toward_prior(),
+    /// the engine's governor_lite_step directly), so their decayed
+    /// estimates are the same doubles.
+    static constexpr double outage_decay_step(double estimate,
+                                              double prior) noexcept {
+        return prior + kOutageDecay * (estimate - prior);
+    }
+
+    /// Applies outage_decay_step() toward the prior window / 2: once per
+    /// missed feedback window this is an exponential approach to the
+    /// prior.  No observer callback.
+    void decay_toward_prior() noexcept {
+        estimate_ = outage_decay_step(estimate_, static_cast<double>(window_) / 2.0);
+    }
 
     /// Registers an observer of Eq. 1 steps (empty function detaches).
     void set_observer(UpdateObserver observer) { observer_ = std::move(observer); }

@@ -6,20 +6,6 @@
 
 namespace espread {
 
-Permutation block_interleaver(std::size_t rows, std::size_t cols) {
-    if (rows == 0 || cols == 0) {
-        throw std::invalid_argument("block_interleaver: rows and cols must be positive");
-    }
-    std::vector<std::size_t> image;
-    image.reserve(rows * cols);
-    for (std::size_t c = 0; c < cols; ++c) {
-        for (std::size_t r = 0; r < rows; ++r) {
-            image.push_back(r * cols + c);
-        }
-    }
-    return Permutation{std::move(image)};
-}
-
 Permutation ibo_order(std::size_t n) {
     if (n == 0) return Permutation{std::vector<std::size_t>{}};
     std::size_t bits = 0;
@@ -33,46 +19,6 @@ Permutation ibo_order(std::size_t n) {
             if (i & (std::size_t{1} << bit)) rev |= std::size_t{1} << (bits - 1 - bit);
         }
         if (rev < n) image.push_back(rev);
-    }
-    return Permutation{std::move(image)};
-}
-
-Permutation random_order(std::size_t n, sim::Rng& rng) {
-    std::vector<std::size_t> image(n);
-    std::iota(image.begin(), image.end(), std::size_t{0});
-    for (std::size_t i = n; i > 1; --i) {
-        const std::size_t j = rng.uniform_int(0, i - 1);
-        std::swap(image[i - 1], image[j]);
-    }
-    return Permutation{std::move(image)};
-}
-
-Permutation folded_dyadic_order(std::size_t n) {
-    if (n == 0) return Permutation{std::vector<std::size_t>{}};
-    // Level-order midpoint enumeration of [0, n): each emitted value bisects
-    // one of the largest remaining gaps.
-    std::vector<std::size_t> pillars;
-    pillars.reserve(n);
-    std::vector<std::pair<std::size_t, std::size_t>> queue{{0, n}};  // [lo, hi)
-    for (std::size_t head = 0; head < queue.size(); ++head) {
-        const auto [lo, hi] = queue[head];
-        if (lo >= hi) continue;
-        const std::size_t mid = lo + (hi - lo) / 2;
-        pillars.push_back(mid);
-        queue.emplace_back(lo, mid);
-        queue.emplace_back(mid + 1, hi);
-    }
-    // Fold: best pillars go to the ends of the wire, alternating, so both
-    // prefixes and suffixes of the transmission are pillar sets.
-    std::vector<std::size_t> image(n);
-    std::size_t front = 0;
-    std::size_t back = n - 1;
-    for (std::size_t i = 0; i < n; ++i) {
-        if (i % 2 == 0) {
-            image[front++] = pillars[i];
-        } else {
-            image[back--] = pillars[i];
-        }
     }
     return Permutation{std::move(image)};
 }

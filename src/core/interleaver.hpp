@@ -1,25 +1,17 @@
-// Classical transmission orderings used as baselines (paper §4.4, Table 2).
+// Transmission orderings (paper §4.4, Table 2).
 //
-//  * block interleaver — the textbook rows/columns interleaver used by
-//    codecs and FEC stacks;
 //  * IBO (Inverse Binary Order) — the B-frame priority order shipped in the
 //    Berkeley Continuous Media Toolkit, which the paper replaces with k-CPO;
-//  * random order — a Monte-Carlo baseline;
 //  * stride / residue-class orders — the building blocks of the paper's
-//    cyclic permutation scheme (also exposed by core/cpo.hpp).
+//    cyclic permutation scheme (calculate_permutation in core/cpo.hpp
+//    searches them).
 #pragma once
 
 #include <cstddef>
 
 #include "core/permutation.hpp"
-#include "sim/rng.hpp"
 
 namespace espread {
-
-/// Block interleaver over n = rows*cols items: playback order fills a
-/// rows x cols matrix row-major; transmission reads it column-major.
-/// Throws std::invalid_argument when rows or cols is zero.
-Permutation block_interleaver(std::size_t rows, std::size_t cols);
 
 /// Inverse Binary Order of n items (Berkeley CMT's B-frame order, credited
 /// in the CMT source to Daishi Harada).  For n a power of two this is the
@@ -27,9 +19,6 @@ Permutation block_interleaver(std::size_t rows, std::size_t cols);
 /// next power of two is filtered to indices < n.  Reproduces the paper's
 /// Table 2 row "01 05 03 07 02 06 04 08" for n = 8.
 Permutation ibo_order(std::size_t n);
-
-/// Uniformly random permutation (Fisher–Yates driven by `rng`).
-Permutation random_order(std::size_t n, sim::Rng& rng);
 
 /// Cyclic arithmetic-progression order: slot i carries playback index
 /// (offset + i*stride) mod n.  Requires gcd(stride, n) == 1 so the map is a
@@ -42,18 +31,6 @@ Permutation cyclic_stride_order(std::size_t n, std::size_t stride, std::size_t o
 /// stride in [1, n]; stride 1 is the identity.  The paper's Table 2 k-CPO
 /// row "01 04 07 02 05 08 03 06" is residue_class_order(8, 3).
 Permutation residue_class_order(std::size_t n, std::size_t stride);
-
-/// Folded dyadic order: pillar frames first, refined alternately from both
-/// ends of the wire.  The dyadic (BFS-midpoint) sequence m, m/2, 3m/2, ...
-/// enumerates playback positions so that every prefix is a set of
-/// near-equally-spaced pillars; folding assigns those pillars alternately
-/// to the front and the back of the transmission, so the survivors of any
-/// single burst — always a wire prefix plus a wire suffix — form a pillar
-/// set.  Provided as a priority-style comparison order (it is how one
-/// would order frames for progressive refinement); note that for pure
-/// worst-case single-burst CLF the residue family with a reversed class
-/// order already dominates it, so calculate_permutation does not need it.
-Permutation folded_dyadic_order(std::size_t n);
 
 /// As residue_class_order, but visiting the residue classes in the given
 /// order (`class_order` must be a permutation of 0..stride-1; throws

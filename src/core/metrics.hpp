@@ -15,59 +15,11 @@
 #include <cstdint>
 #include <vector>
 
-#include "sim/stats.hpp"
-
 namespace espread {
 
 /// Per-slot delivery outcome in playback order: true = the ideal LDU played
 /// in its slot, false = unit loss.
 using LossMask = std::vector<bool>;
-
-/// Bit-packed delivery mask (64 slots per word) with word-at-a-time metric
-/// fast paths.  Same polarity as LossMask: a set bit means the slot's ideal
-/// LDU was delivered; a clear bit is a unit loss.  Bits beyond size() are
-/// kept set so loss scans never see phantom losses in the tail word.
-class BitMask {
-public:
-    BitMask() = default;
-
-    /// `n` slots, all initialized to `delivered`.
-    explicit BitMask(std::size_t n, bool delivered = true);
-
-    /// Packs a vector<bool> mask.
-    static BitMask from_mask(const LossMask& mask);
-
-    /// Unpacks into the vector<bool> representation.
-    LossMask to_mask() const;
-
-    std::size_t size() const noexcept { return size_; }
-    bool empty() const noexcept { return size_ == 0; }
-
-    /// Delivery outcome of slot `i` (unchecked).
-    bool test(std::size_t i) const noexcept {
-        return (words_[i >> 6] >> (i & 63)) & 1u;
-    }
-
-    /// Sets slot `i` to `delivered` (unchecked).
-    void set(std::size_t i, bool delivered) noexcept {
-        const std::uint64_t bit = std::uint64_t{1} << (i & 63);
-        if (delivered) {
-            words_[i >> 6] |= bit;
-        } else {
-            words_[i >> 6] &= ~bit;
-        }
-    }
-
-    /// Backing words, least-significant bit = lowest slot.  Tail bits past
-    /// size() are set (delivered).
-    const std::vector<std::uint64_t>& words() const noexcept { return words_; }
-
-    bool operator==(const BitMask& rhs) const noexcept = default;
-
-private:
-    std::vector<std::uint64_t> words_;
-    std::size_t size_ = 0;
-};
 
 /// Summary of one window (or one whole stream) of playback slots.
 struct ContinuityReport {
@@ -90,27 +42,20 @@ std::size_t aggregate_loss_count(const LossMask& delivered);
 /// Full continuity report for one mask.
 ContinuityReport measure_continuity(const LossMask& delivered);
 
-// Bit-packed fast paths: identical results to the LossMask versions above
-// (property-tested against them), but scan 64 slots per word using
-// popcount / countr_zero instead of one branch per slot.
-std::vector<std::size_t> loss_runs(const BitMask& delivered);
-std::size_t consecutive_loss(const BitMask& delivered);
-std::size_t aggregate_loss_count(const BitMask& delivered);
-ContinuityReport measure_continuity(const BitMask& delivered);
-
 // Raw-word batch entry points for the multi-session engine (src/engine):
 // the caller owns packed LOSS-polarity words (set bit = unit loss, the
-// inverse of BitMask) with every bit past the mask's logical size clear.
-// These run on caller arenas with no BitMask object and no allocation.
+// inverse of a LossMask entry) with every bit past the mask's logical size
+// clear.  These run on caller arenas with no allocation.
 
 /// Calls on_run(length) once for every maximal run of set bits across
-/// `nwords` words, word wi being word_at(wi), treated as one contiguous
-/// bit sequence (bit 0 of word 0 first; a run crossing word boundaries is
-/// reported whole), in order of position, and returns the longest length,
-/// 0 when no bit is set.  One pass gives the engine both a window's CLF
-/// and its loss-run telemetry; the BitMask scans below use it too.
-template <typename WordAt, typename OnRun>
-std::size_t walk_set_runs(std::size_t nwords, WordAt&& word_at,
+/// `nwords` words treated as one contiguous bit sequence (bit 0 of
+/// words[0] first; a run crossing word boundaries is reported whole), in
+/// order of position, and returns the longest length, 0 when no bit is
+/// set.  One pass gives the engine both a window's CLF and its loss-run
+/// telemetry: on loss-polarity words the result is consecutive_loss() and
+/// the runs are loss_runs() of the corresponding delivery mask.
+template <typename OnRun>
+std::size_t walk_set_runs(const std::uint64_t* words, std::size_t nwords,
                           OnRun&& on_run) {
     constexpr std::uint64_t kAll = ~std::uint64_t{0};
     std::size_t best = 0;
@@ -120,7 +65,7 @@ std::size_t walk_set_runs(std::size_t nwords, WordAt&& word_at,
         on_run(run);
     };
     for (std::size_t wi = 0; wi < nwords; ++wi) {
-        const std::uint64_t w = word_at(wi);
+        const std::uint64_t w = words[wi];
         if (w == kAll) {
             carry += 64;
             continue;
@@ -144,53 +89,24 @@ std::size_t walk_set_runs(std::size_t nwords, WordAt&& word_at,
     return best;
 }
 
-/// walk_set_runs over the caller's packed words.
-template <typename OnRun>
-std::size_t walk_set_runs(const std::uint64_t* words, std::size_t nwords,
-                          OnRun&& on_run) {
-    return walk_set_runs(
-        nwords, [words](std::size_t wi) noexcept { return words[wi]; },
-        on_run);
-}
-
-/// Longest run of set bits across `nwords` words treated as one contiguous
-/// bit sequence (bit 0 of words[0] first).  Equals consecutive_loss() of
-/// the corresponding delivery mask.
-inline std::size_t max_set_run(const std::uint64_t* words,
-                               std::size_t nwords) noexcept {
-    return walk_set_runs(words, nwords, [](std::size_t) noexcept {});
-}
-
-/// Number of set bits across `nwords` words — aggregate_loss_count() of the
-/// corresponding delivery mask.
-std::size_t count_set_bits(const std::uint64_t* words, std::size_t nwords) noexcept;
-
-/// Accumulates continuity over a sequence of buffer windows, tracking the
-/// per-window CLF series the paper plots in Figure 8 plus its mean /
-/// deviation rows.  Window boundaries do NOT merge loss runs: each window is
-/// measured independently, matching the paper's per-buffer-window CLF.
+/// Accumulates continuity over a sequence of buffer windows: the slot and
+/// unit-loss totals and the worst per-window CLF.  Window boundaries do NOT
+/// merge loss runs: each window is measured independently, matching the
+/// paper's per-buffer-window CLF.
 class ContinuityMeter {
 public:
     /// Records one buffer window worth of playback outcomes.
     void add_window(const LossMask& delivered);
-    void add_window(const BitMask& delivered);
 
-    std::size_t windows() const noexcept { return clf_series_.size(); }
+    std::size_t windows() const noexcept { return windows_; }
 
-    /// Per-window CLF values in arrival order.
-    const sim::TimeSeries& clf_series() const noexcept { return clf_series_; }
-
-    /// Mean / deviation of per-window CLF (the paper's "Mean 1.46, Dev 0.56").
-    sim::RunningStats clf_stats() const { return clf_series_.y_stats(); }
-
-    /// Continuity aggregated over all slots of all windows.  The ALF ratio
-    /// is computed here, once, rather than re-divided on every add_window.
+    /// Continuity aggregated over all slots of all windows; `clf` is the
+    /// largest per-window CLF.  The ALF ratio is computed here, once,
+    /// rather than re-divided on every add_window.
     ContinuityReport total() const noexcept;
 
 private:
-    void accumulate(const ContinuityReport& w);
-
-    sim::TimeSeries clf_series_;
+    std::size_t windows_ = 0;
     ContinuityReport total_;  // alf field unused; derived lazily in total()
 };
 

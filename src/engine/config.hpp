@@ -92,8 +92,6 @@ struct GovernorLiteConfig {
     bool enabled = false;
     /// Misses before Normal -> Degraded.
     static constexpr std::uint32_t kMissBudget = 3;
-    /// Estimate fraction kept per Degraded miss.
-    static constexpr double kOutageDecay = 0.5;
     /// Degraded misses before Fallback.
     static constexpr std::uint32_t kFallbackBudget = 3;
     /// Recovering bound slew per window.

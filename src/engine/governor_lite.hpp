@@ -17,8 +17,9 @@
 // The thresholds are GovernorLiteConfig's constants.
 //
 // All arithmetic is plain doubles/integers evaluated in one fixed order
-// (the decay expression matches BurstEstimator::decay_toward_prior), so
-// governed runs keep the engine's byte-identical-across-shards contract.
+// (the decay is BurstEstimator::outage_decay_step, the protocol governor's
+// own step), so governed runs keep the engine's byte-identical-across-shards
+// contract.
 #pragma once
 
 #include <cstddef>
@@ -91,7 +92,7 @@ inline GovernorLiteOutcome governor_lite_step(GovernorLiteState& g,
                 if (fed) {
                     enter(kGovRecovering);
                 } else {
-                    estimate = prior + (estimate - prior) * Cfg::kOutageDecay;
+                    estimate = BurstEstimator::outage_decay_step(estimate, prior);
                     if (++g.misses >= Cfg::kFallbackBudget) {
                         enter(kGovFallback);
                         estimate = prior;

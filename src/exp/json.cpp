@@ -111,12 +111,6 @@ void JsonWriter::append_string(std::string_view v) {
     out_ += '"';
 }
 
-JsonWriter& JsonWriter::null() {
-    comma_if_needed();
-    out_ += "null";
-    return *this;
-}
-
 void write_text_file(const std::string& path, const std::string& content) {
     std::ofstream f(path, std::ios::binary | std::ios::trunc);
     if (!f) throw std::runtime_error("write_text_file: cannot open " + path);

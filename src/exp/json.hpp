@@ -37,7 +37,6 @@ public:
     JsonWriter& value(bool v);
     JsonWriter& value(std::string_view v);
     JsonWriter& value(const char* v) { return value(std::string_view{v}); }
-    JsonWriter& null();
 
     const std::string& str() const noexcept { return out_; }
 

@@ -7,9 +7,9 @@ namespace {
 
 struct LogTables {
     std::array<std::uint8_t, 256> log{};
-    // Doubled antilog table: exp[i] for i in [0, 510) so gf_mul can index
-    // log[a] + log[b] (max 508) without a mod-255 reduction.
-    std::array<std::uint8_t, 510> exp{};
+    // exp[i] = 2^i; exp[255] == exp[0] == 1, so gf_inv can index
+    // 255 - log[a] without a mod-255 reduction.
+    std::array<std::uint8_t, 256> exp{};
 };
 
 constexpr LogTables make_log_tables() {
@@ -17,11 +17,11 @@ constexpr LogTables make_log_tables() {
     std::uint32_t x = 1;
     for (std::uint32_t i = 0; i < 255; ++i) {
         t.exp[i] = static_cast<std::uint8_t>(x);
-        t.exp[i + 255] = static_cast<std::uint8_t>(x);
         t.log[x] = static_cast<std::uint8_t>(i);
         x <<= 1;
         if ((x & 0x100u) != 0) x ^= 0x11Du;
     }
+    t.exp[255] = 1;
     return t;
 }
 
@@ -50,20 +50,9 @@ constexpr SliceTables kSlice = make_slice_tables();
 
 }  // namespace
 
-std::uint8_t gf_mul(std::uint8_t a, std::uint8_t b) noexcept {
-    if (a == 0 || b == 0) return 0;
-    return kLog.exp[static_cast<std::size_t>(kLog.log[a]) + kLog.log[b]];
-}
-
 std::uint8_t gf_inv(std::uint8_t a) noexcept {
     // a = exp[log a]  =>  a^-1 = exp[255 - log a]; exp[255] == exp[0] == 1.
     return kLog.exp[255u - kLog.log[a]];
-}
-
-std::uint8_t gf_div(std::uint8_t a, std::uint8_t b) noexcept {
-    if (a == 0) return 0;
-    return kLog.exp[static_cast<std::size_t>(kLog.log[a]) + 255u -
-                    kLog.log[b]];
 }
 
 void gf_mul_row_add(std::uint8_t* dst, const std::uint8_t* src, std::size_t n,

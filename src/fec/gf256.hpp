@@ -2,12 +2,13 @@
 //
 // The field is GF(2^8) with the primitive polynomial x^8+x^4+x^3+x^2+1
 // (0x11D, the classic Rizzo/RSE choice); 2 is a primitive element, so
-// multiplication runs off 256-entry log/antilog tables.  The bulk kernel
-// `gf_mul_row_add` — dst ^= c * src over a byte row — instead uses two
-// 256x16 nibble product slices (product(c, x) = lo[c][x & 0xF] ^
-// hi[c][x >> 4]), trading the two log lookups + add + antilog per byte for
-// two direct loads and one XOR.  All tables are built at compile time, so
-// there is no runtime initialisation order to reason about.
+// inversion runs off 256-entry log/antilog tables.  Products go through
+// the bulk kernels — `gf_mul_row_add`, dst ^= c * src over a byte row —
+// which use two 256x16 nibble product slices (product(c, x) =
+// lo[c][x & 0xF] ^ hi[c][x >> 4]): two direct loads and one XOR per byte
+// instead of two log lookups, an add and an antilog.  All tables are built
+// at compile time, so there is no runtime initialisation order to reason
+// about.
 #pragma once
 
 #include <cstddef>
@@ -21,7 +22,8 @@ constexpr std::uint8_t gf_add(std::uint8_t a, std::uint8_t b) noexcept {
 }
 
 /// Bitwise ("Russian peasant") reference multiply: shift-and-conditionally-
-/// reduce, no tables.  The oracle the table-driven path is tested against.
+/// reduce, no tables.  It builds the nibble product slices, and it is the
+/// oracle the row kernels are tested against.
 constexpr std::uint8_t gf_mul_ref(std::uint8_t a, std::uint8_t b) noexcept {
     std::uint32_t acc = 0;
     std::uint32_t top = a;
@@ -33,14 +35,8 @@ constexpr std::uint8_t gf_mul_ref(std::uint8_t a, std::uint8_t b) noexcept {
     return static_cast<std::uint8_t>(acc);
 }
 
-/// Table-driven product.
-std::uint8_t gf_mul(std::uint8_t a, std::uint8_t b) noexcept;
-
 /// Multiplicative inverse; requires a != 0.
 std::uint8_t gf_inv(std::uint8_t a) noexcept;
-
-/// Field division a / b; requires b != 0.
-std::uint8_t gf_div(std::uint8_t a, std::uint8_t b) noexcept;
 
 /// dst[i] ^= c * src[i] for i in [0, n) — the decoder/encoder workhorse,
 /// via the nibble-sliced product tables.  c == 0 is a no-op, c == 1 a XOR.

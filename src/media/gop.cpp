@@ -69,11 +69,4 @@ FrameType GopPattern::type_at(std::size_t pos) const {
     return types_[pos];
 }
 
-std::string GopPattern::to_string() const {
-    std::string out;
-    out.reserve(types_.size());
-    for (const FrameType t : types_) out += frame_type_char(t);
-    return out;
-}
-
 }  // namespace espread::media

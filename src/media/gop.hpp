@@ -41,8 +41,6 @@ public:
         return anchor_positions_;
     }
 
-    std::string to_string() const;
-
     bool operator==(const GopPattern& rhs) const noexcept = default;
 
 private:

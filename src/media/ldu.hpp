@@ -36,11 +36,6 @@ struct AudioLdu {
     static constexpr std::size_t kBitsPerSample = 8;
     static constexpr std::size_t kSamplesPerLdu = 266;  // ~1/30 s of audio
     static constexpr std::size_t kBitsPerLdu = kSamplesPerLdu * kBitsPerSample;
-    /// LDUs per second (matches the 30 fps video cadence).
-    static constexpr double ldu_rate() noexcept {
-        return static_cast<double>(kSampleRateHz) /
-               static_cast<double>(kSamplesPerLdu);
-    }
 };
 
 /// Perceptual tolerance thresholds from the user study the paper cites:

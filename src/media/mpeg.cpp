@@ -2,23 +2,6 @@
 
 namespace espread::media {
 
-std::vector<Frame> window_frames(const GopPattern& pattern, std::size_t num_gops) {
-    std::vector<Frame> frames;
-    frames.reserve(pattern.size() * num_gops);
-    std::size_t index = 0;
-    for (std::size_t g = 0; g < num_gops; ++g) {
-        for (std::size_t p = 0; p < pattern.size(); ++p) {
-            Frame f;
-            f.index = index++;
-            f.type = pattern.type_at(p);
-            f.gop = g;
-            f.pos_in_gop = p;
-            frames.push_back(f);
-        }
-    }
-    return frames;
-}
-
 espread::poset::Poset build_dependency_poset(const GopPattern& pattern,
                                              std::size_t num_gops,
                                              GopBoundary boundary) {
@@ -58,18 +41,6 @@ espread::poset::Poset build_dependency_poset(const GopPattern& pattern,
         }
     }
     return poset;
-}
-
-std::vector<std::size_t> anchor_frames(const GopPattern& pattern,
-                                       std::size_t num_gops) {
-    std::vector<std::size_t> out;
-    out.reserve(pattern.anchor_count() * num_gops);
-    for (std::size_t g = 0; g < num_gops; ++g) {
-        for (const std::size_t a : pattern.anchor_positions()) {
-            out.push_back(g * pattern.size() + a);
-        }
-    }
-    return out;
 }
 
 }  // namespace espread::media

@@ -12,10 +12,8 @@
 #pragma once
 
 #include <cstddef>
-#include <vector>
 
 #include "media/gop.hpp"
-#include "media/ldu.hpp"
 #include "poset/poset.hpp"
 
 namespace espread::media {
@@ -23,21 +21,14 @@ namespace espread::media {
 /// Whether GOP-boundary B frames may reference the neighbouring GOP.
 enum class GopBoundary { kOpen, kClosed };
 
-/// Frame metadata (types, GOP coordinates) for a window of `num_gops`
-/// consecutive GOPs of `pattern`; sizes are left 0 (see trace.hpp).
-/// Playback indices run 0 .. num_gops*pattern.size()-1.
-std::vector<Frame> window_frames(const GopPattern& pattern, std::size_t num_gops);
-
-/// Dependency poset over the frames of `window_frames(pattern, num_gops)`.
-/// Element ids equal playback indices.  With GopBoundary::kOpen, trailing B
+/// Dependency poset over the frames of a window of `num_gops` consecutive
+/// GOPs of `pattern`.  Element ids are playback indices, 0 ..
+/// num_gops*pattern.size()-1.  With GopBoundary::kOpen, trailing B
 /// frames of GOP g < num_gops-1 additionally depend on the I frame of GOP
 /// g+1; the window's final GOP has no successor, so its trailing B frames
 /// are backward-only in either mode.
 espread::poset::Poset build_dependency_poset(const GopPattern& pattern,
                                              std::size_t num_gops,
                                              GopBoundary boundary = GopBoundary::kOpen);
-
-/// Convenience: the anchor frames (I and P) of the window, ascending.
-std::vector<std::size_t> anchor_frames(const GopPattern& pattern, std::size_t num_gops);
 
 }  // namespace espread::media

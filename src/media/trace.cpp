@@ -89,13 +89,6 @@ void TraceGenerator::generate_into(std::size_t num_gops,
     }
 }
 
-double TraceGenerator::mean_bitrate_bps() const noexcept {
-    const double mean_gop =
-        mean_i_bits_ + mean_p_bits_ * static_cast<double>(pattern_.p_count()) +
-        mean_b_bits_ * static_cast<double>(pattern_.b_count());
-    return mean_gop * stats_.fps / static_cast<double>(pattern_.size());
-}
-
 std::vector<Frame> mjpeg_trace(std::size_t num_frames, double mean_frame_bits,
                                std::uint64_t seed) {
     if (mean_frame_bits <= 0.0) {

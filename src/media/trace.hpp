@@ -57,9 +57,6 @@ public:
     /// semantics.
     void generate_into(std::size_t num_gops, std::vector<Frame>& out);
 
-    /// Mean encoded bit-rate implied by the calibration (bits per second).
-    double mean_bitrate_bps() const noexcept;
-
 private:
     MovieStats stats_;
     GopPattern pattern_;

@@ -89,13 +89,6 @@ public:
         sum_ += v;
     }
 
-    /// Records `count` observations of `v` at once.
-    void record(std::uint64_t v, std::uint64_t count) noexcept {
-        counts_[bucket_for(v)] += count;
-        total_ += count;
-        sum_ += v * count;
-    }
-
     /// Element-wise addition: merge(a, b) == recording a's and b's
     /// observations into one histogram (merge == concat, pinned by
     /// test_telemetry).

@@ -148,14 +148,4 @@ void SloEvaluator::on_snapshot(const FleetSnapshot& s) {
     }
 }
 
-SloHealth SloEvaluator::overall_health() const noexcept {
-    SloHealth worst = SloHealth::kOk;
-    for (const SloStatus& st : status_) {
-        if (static_cast<int>(st.health) > static_cast<int>(worst)) {
-            worst = st.health;
-        }
-    }
-    return worst;
-}
-
 }  // namespace espread::obs::telemetry

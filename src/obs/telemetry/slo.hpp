@@ -108,9 +108,6 @@ public:
     /// Latest status of objective `i` (all-kOk before any snapshot).
     const SloStatus& status(std::size_t i) const { return status_.at(i); }
 
-    /// Worst health across all objectives.
-    SloHealth overall_health() const noexcept;
-
     const std::vector<SloTransition>& transitions() const noexcept {
         return transitions_;
     }

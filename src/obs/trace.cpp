@@ -52,12 +52,6 @@ std::vector<TraceEvent> TraceRecorder::events() const {
     return out;
 }
 
-void TraceRecorder::clear() noexcept {
-    head_ = 0;
-    count_ = 0;
-    evicted_ = 0;
-}
-
 std::string chrome_trace_json(std::vector<TraceEvent> events) {
     // Stable sort by simulated time: emission order can interleave tracks
     // (the server schedules a whole window's departures ahead of the clock

@@ -109,8 +109,6 @@ public:
     /// Events overwritten after the ring filled.
     std::size_t evicted() const noexcept { return evicted_; }
 
-    void clear() noexcept;
-
 private:
     std::vector<TraceEvent> ring_;
     std::size_t head_ = 0;  ///< next write slot

@@ -68,14 +68,6 @@ bool Poset::comparable(Element x, Element y) const {
     return leq(x, y) || leq(y, x);
 }
 
-bool Poset::covers(Element y, Element x) const {
-    if (!depends_on(y, x)) return false;
-    for (Element z = 0; z < n_; ++z) {
-        if (z != x && z != y && depends_on(y, z) && depends_on(z, x)) return false;
-    }
-    return true;
-}
-
 bool Poset::is_anchor(Element x) const {
     check_element(x);
     ensure_closure();
@@ -89,23 +81,6 @@ std::vector<Element> Poset::anchors() const {
     std::vector<Element> out;
     for (Element x = 0; x < n_; ++x) {
         if (is_anchor(x)) out.push_back(x);
-    }
-    return out;
-}
-
-std::vector<Element> Poset::non_anchors() const {
-    std::vector<Element> out;
-    for (Element x = 0; x < n_; ++x) {
-        if (!is_anchor(x)) out.push_back(x);
-    }
-    return out;
-}
-
-std::vector<Element> Poset::minimal_elements() const {
-    ensure_closure();
-    std::vector<Element> out;
-    for (Element x = 0; x < n_; ++x) {
-        if (prereqs_[x].empty()) out.push_back(x);
     }
     return out;
 }
@@ -124,83 +99,15 @@ bool Poset::is_antichain(const std::vector<Element>& set) const {
     return true;
 }
 
-bool Poset::is_chain(const std::vector<Element>& chain) const {
-    for (std::size_t i = 0; i < chain.size(); ++i) {
-        for (std::size_t j = i + 1; j < chain.size(); ++j) {
-            if (!comparable(chain[i], chain[j])) return false;
-        }
-    }
-    return true;
-}
-
-std::size_t Poset::height(Element x) const {
-    check_element(x);
-    ensure_closure();
-    // height = 1 + max height among direct prerequisites; memoized per call
-    // chain via the closure (prerequisite heights computed first is
-    // guaranteed because the closure build already proved acyclicity).
-    std::vector<std::size_t> h(n_, 0);
-    std::vector<Element> order = linear_extension();
-    for (const Element e : order) {
-        for (const Element p : prereqs_[e]) h[e] = std::max(h[e], h[p] + 1);
-    }
-    return h[x];
-}
-
-std::vector<std::vector<Element>> Poset::antichain_decomposition() const {
-    ensure_closure();
-    std::vector<std::size_t> h(n_, 0);
-    std::size_t max_h = 0;
-    for (const Element e : linear_extension()) {
-        for (const Element p : prereqs_[e]) h[e] = std::max(h[e], h[p] + 1);
-        max_h = std::max(max_h, h[e]);
-    }
-    std::vector<std::vector<Element>> layers(n_ == 0 ? 0 : max_h + 1);
-    for (Element x = 0; x < n_; ++x) layers[h[x]].push_back(x);
-    return layers;
-}
-
 std::size_t Poset::longest_chain_length() const {
-    if (n_ == 0) return 0;
-    return antichain_decomposition().size();
-}
-
-std::vector<Element> Poset::longest_chain() const {
-    if (n_ == 0) return {};
-    ensure_closure();
+    // h[e]: elements on the longest chain of prerequisites below e.
     std::vector<std::size_t> h(n_, 0);
-    std::vector<Element> best_pred(n_, n_);
-    Element top = 0;
-    for (const Element e : linear_extension()) {
-        for (const Element p : prereqs_[e]) {
-            if (h[p] + 1 > h[e]) {
-                h[e] = h[p] + 1;
-                best_pred[e] = p;
-            }
-        }
-        if (h[e] > h[top]) top = e;
-    }
-    std::vector<Element> chain;
-    for (Element e = top;; e = best_pred[e]) {
-        chain.push_back(e);
-        if (best_pred[e] == n_) break;
-    }
-    std::reverse(chain.begin(), chain.end());
-    return chain;
-}
-
-bool Poset::is_ranked() const {
-    ensure_closure();
-    std::vector<std::size_t> h(n_, 0);
+    std::size_t longest = 0;
     for (const Element e : linear_extension()) {
         for (const Element p : prereqs_[e]) h[e] = std::max(h[e], h[p] + 1);
+        longest = std::max(longest, h[e] + 1);
     }
-    for (Element y = 0; y < n_; ++y) {
-        for (Element x = 0; x < n_; ++x) {
-            if (y != x && covers(y, x) && h[y] != h[x] + 1) return false;
-        }
-    }
-    return true;
+    return longest;
 }
 
 std::vector<Element> Poset::linear_extension() const {
@@ -241,6 +148,41 @@ bool Poset::is_linear_extension(const std::vector<Element>& order) const {
         }
     }
     return true;
+}
+
+std::vector<std::vector<Element>> layer_members(const Poset& poset) {
+    const std::size_t n = poset.size();
+    if (n == 0) return {};
+    // Height of each element, restricted to chains of anchors (a non-anchor
+    // never appears below another element, so anchor heights are unaffected
+    // by non-anchors).
+    std::vector<bool> anchor(n, false);
+    for (const Element a : poset.anchors()) anchor[a] = true;
+
+    std::vector<std::size_t> h(n, 0);
+    std::size_t max_anchor_h = 0;
+    bool any_anchor = false;
+    for (const Element e : poset.linear_extension()) {
+        for (const Element p : poset.direct_prerequisites(e)) {
+            h[e] = std::max(h[e], h[p] + 1);
+        }
+        if (anchor[e]) {
+            max_anchor_h = std::max(max_anchor_h, h[e]);
+            any_anchor = true;
+        }
+    }
+
+    std::vector<std::vector<Element>> layers(any_anchor ? max_anchor_h + 2 : 1);
+    for (Element x = 0; x < n; ++x) {
+        if (anchor[x]) {
+            layers[h[x]].push_back(x);
+        } else {
+            layers.back().push_back(x);
+        }
+    }
+    // Drop empty anchor layers (possible when anchors skip a height level).
+    std::erase_if(layers, [](const std::vector<Element>& l) { return l.empty(); });
+    return layers;
 }
 
 }  // namespace espread::poset

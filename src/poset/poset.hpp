@@ -4,9 +4,10 @@
 // follows the paper: x ⊑ y iff frame x depends (directly or transitively)
 // on frame y — an MPEG B-frame is *below* the anchors it references.  A
 // frame that some other frame depends on is an *anchor* frame.  Antichains
-// are exactly the sets that may be freely permuted before transmission; the
+// are exactly the sets that may be freely permuted before transmission; a
 // minimal antichain decomposition (Mirsky: its size equals the longest
-// chain) yields the layers of the Layered Permutation Transmission Order.
+// chain) yields the layers of the Layered Permutation Transmission Order
+// (layer_members below; proto::Planner scrambles within each layer).
 #pragma once
 
 #include <cstddef>
@@ -42,18 +43,9 @@ public:
     /// Comparable: x ⊑ y or y ⊑ x.
     bool comparable(Element x, Element y) const;
 
-    /// y covers x: x ⊏ y with no element strictly between.
-    bool covers(Element y, Element x) const;
-
     /// Anchor: some other element depends on it (paper §3.2).
     bool is_anchor(Element x) const;
     std::vector<Element> anchors() const;
-
-    /// Elements nothing depends on (maximal in "importance": the B frames).
-    std::vector<Element> non_anchors() const;
-
-    /// Minimal elements: depend on nothing (the I frames).
-    std::vector<Element> minimal_elements() const;
 
     /// Direct prerequisites declared for x (deduplicated, sorted).
     const std::vector<Element>& direct_prerequisites(Element x) const;
@@ -61,32 +53,8 @@ public:
     /// Every pair in `set` is incomparable.
     bool is_antichain(const std::vector<Element>& set) const;
 
-    /// Every consecutive pair in `chain` is comparable (so, by transitivity,
-    /// all pairs are) — i.e. the sequence lies on one chain of the poset.
-    bool is_chain(const std::vector<Element>& chain) const;
-
     /// Length (number of elements) of the longest chain.
     std::size_t longest_chain_length() const;
-
-    /// A witness longest chain, listed from most-required (I frame end) to
-    /// most-dependent.
-    std::vector<Element> longest_chain() const;
-
-    /// Height of x: length of the longest chain of elements strictly above
-    /// x in dependency direction (its prerequisites).  Elements with no
-    /// prerequisites have height 0.
-    std::size_t height(Element x) const;
-
-    /// Minimal antichain decomposition by height: layer h holds all
-    /// elements of height h.  Prerequisites of any element always sit in an
-    /// earlier layer; the number of layers equals longest_chain_length().
-    std::vector<std::vector<Element>> antichain_decomposition() const;
-
-    /// Ranked in the strict order-theoretic sense: for every covering pair
-    /// y covers x (y depends on x), height(y) == height(x) + 1.  MPEG open
-    /// GOPs are NOT strictly ranked (a B frame covers anchors of differing
-    /// height); the layering above does not require rankedness.
-    bool is_ranked() const;
 
     /// Deterministic linear extension listing prerequisites before
     /// dependents (Kahn's algorithm, lowest index first among ready
@@ -106,5 +74,16 @@ private:
     mutable std::vector<std::vector<bool>> closure_;  // closure_[x][y]: x depends on y
     mutable bool closure_valid_ = false;
 };
+
+/// The transmission layers of a window (paper §3.2, Fig. 3): anchors
+/// grouped by height — the length of the longest chain of prerequisites
+/// below them, so for MPEG with W GOPs buffered the I frames, then the
+/// first P frame of each GOP, then the second, ... — followed by one
+/// layer of all non-anchor (B) frames.  Every returned set is a non-empty
+/// antichain; the prerequisites of any frame lie in a strictly earlier
+/// set, so any within-layer order of the concatenation is a linear
+/// extension; the number of sets equals longest_chain_length() (a minimal
+/// antichain decomposition).  A dependency-free window is one layer.
+std::vector<std::vector<Element>> layer_members(const Poset& poset);
 
 }  // namespace espread::poset

@@ -52,13 +52,6 @@ void SessionConfig::blackout_feedback_windows(std::size_t first,
          static_cast<sim::SimTime>(last + 2) * T});
 }
 
-void SessionConfig::blackout_data_windows(std::size_t first, std::size_t last) {
-    const sim::SimTime T = window_duration();
-    data_impairment.blackouts.push_back(
-        {static_cast<sim::SimTime>(first) * T,
-         static_cast<sim::SimTime>(last + 1) * T});
-}
-
 void SessionConfig::validate() const {
     if (stream.kind == StreamKind::kMpeg || stream.kind == StreamKind::kTraceFile) {
         if (stream.kind == StreamKind::kMpeg) {

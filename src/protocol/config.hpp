@@ -189,11 +189,6 @@ struct SessionConfig {
     /// "kill the ACK path for windows 3–5" fault plan.
     void blackout_feedback_windows(std::size_t first, std::size_t last);
 
-    /// Appends a blackout to `data_impairment` covering the data
-    /// transmissions of windows [first, last] (inclusive): window w's
-    /// packets depart within [w, w+1) window durations.
-    void blackout_data_windows(std::size_t first, std::size_t last);
-
     std::size_t num_windows = 100;  ///< paper plots 100 buffer windows
     std::uint64_t seed = 1;
 

@@ -11,11 +11,6 @@ namespace espread::proto {
 static_assert(std::size(contracts::kGovernorStateNames) ==
               static_cast<std::size_t>(GovernorState::kRecovering) + 1);
 
-const char* governor_state_name(GovernorState s) noexcept {
-    return contracts::name_at(contracts::kGovernorStateNames,
-                              static_cast<std::size_t>(s), "?");
-}
-
 void GovernorConfig::validate() const {
     if (hysteresis_windows == 0) {
         throw std::invalid_argument(
@@ -108,7 +103,7 @@ std::size_t AdaptationGovernor::on_window_start(std::size_t k,
                 estimator_.reset_to_prior();
             } else if (misses_ >= 1) {
                 enter_state(GovernorState::kDegraded, k, now);
-                estimator_.decay_toward_prior(GovernorConfig::kOutageDecay);
+                estimator_.decay_toward_prior();
             }
             break;
         case GovernorState::kDegraded:
@@ -121,7 +116,7 @@ std::size_t AdaptationGovernor::on_window_start(std::size_t k,
                 // Each further miss halves the estimate's distance to the
                 // no-feedback prior: a soft landing toward the same bound
                 // Fallback pins, so the hard reset is never a cliff.
-                estimator_.decay_toward_prior(GovernorConfig::kOutageDecay);
+                estimator_.decay_toward_prior();
             }
             break;
         case GovernorState::kFallback:
@@ -142,7 +137,7 @@ std::size_t AdaptationGovernor::on_window_start(std::size_t k,
                     estimator_.reset_to_prior();
                 } else {
                     enter_state(GovernorState::kDegraded, k, now);
-                    estimator_.decay_toward_prior(GovernorConfig::kOutageDecay);
+                    estimator_.decay_toward_prior();
                 }
             } else if (recovery_left_ <= 1) {
                 enter_state(GovernorState::kNormal, k, now);

@@ -64,8 +64,6 @@ enum class GovernorState : std::uint8_t {
     kRecovering = 3,  ///< feedback returned; slew-limited ramp back
 };
 
-const char* governor_state_name(GovernorState s) noexcept;
-
 /// Why an ACK was refused by the window-sequence admission check.
 enum class AckRejectReason : std::uint8_t {
     kDuplicate = 0,  ///< same window as the last accepted ACK
@@ -97,10 +95,6 @@ struct GovernorConfig {
     /// kMaxRearmWindows) every time an outage recurs mid-recovery; resets
     /// on reaching Normal.
     std::size_t recovery_windows = 4;
-
-    /// Fraction of the estimate's distance to the prior retained per
-    /// missed window while Degraded (exponential decay toward b = n/2).
-    static constexpr double kOutageDecay = 0.5;
 
     /// Upper limit of the exponential-backoff re-arming streak.
     static constexpr std::size_t kMaxRearmWindows = 32;

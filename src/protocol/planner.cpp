@@ -6,7 +6,6 @@
 #include "core/interleaver.hpp"
 #include "media/trace.hpp"
 #include "media/trace_io.hpp"
-#include "poset/layered.hpp"
 
 namespace espread::proto {
 

@@ -1,9 +1,17 @@
-// Per-window transmission planning (paper §3.2–§3.3, Fig. 3).
+// Per-window transmission planning: the Layered Permutation Transmission
+// Order (paper §3.2–§3.3, Fig. 3).
 //
 // The window's dependency structure (fixed for a session) determines the
-// layers; the scheme and the current burst-bound estimate determine the
-// wire order within each layer.  Plans are cached per bound, since the
-// estimate changes slowly.
+// layers (poset::layer_members: anchors by height, then the non-anchor
+// frames); the scheme and the current burst-bound estimate determine the
+// wire order within each layer.  Under the spreading schemes each layer is
+// scrambled with calculatePermutation: critical (anchor) layers against the
+// fixed "average case" bound ceil(|layer| / 2), the non-critical layer
+// against the adaptive bound learned from client feedback.  The layers go
+// out critical first, so the concatenated order is a linear extension of
+// the dependency poset — a frame is never sent before the frames it
+// depends on — and truncating the tail drops the most expendable frames
+// first.  Plans are cached per bound, since the estimate changes slowly.
 #pragma once
 
 #include <cstddef>
@@ -54,9 +62,6 @@ public:
     const std::vector<std::vector<std::size_t>>& prerequisites() const noexcept {
         return prereqs_;
     }
-
-    /// Whether `local_frame` is an anchor.
-    bool is_critical(std::size_t local_frame) const { return anchor_[local_frame]; }
 
     /// Wire order for one window under the given non-critical burst bound.
     /// Bounds are clamped to layer sizes.  Cached per bound.

@@ -37,9 +37,6 @@ public:
     /// `when`.  Later duplicates are ignored; only the earliest counts.
     void frame_ready(std::size_t frame, sim::SimTime when);
 
-    /// Number of frames with a recorded ready time.
-    std::size_t frames_seen() const noexcept { return ready_.size(); }
-
     /// True when the frame was ready strictly before its deadline.
     bool on_time(std::size_t frame) const;
 

@@ -67,7 +67,6 @@ void Receiver::trace_drop(obs::EventType type, const DataPacket& p,
 }
 
 void Receiver::on_packet(const DataPacket& p, sim::SimTime now) {
-    ++packets_seen_;
     if (finalized(p.window)) {
         // The window already played out; a late/reordered/duplicated copy
         // must not resurrect per-window state (it would leak until session

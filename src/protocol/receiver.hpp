@@ -102,8 +102,6 @@ public:
     /// transmission are the sender's to filter out.
     std::uint64_t incomplete_frames(std::size_t window) const;
 
-    std::size_t packets_seen() const noexcept { return packets_seen_; }
-
     /// Duplicate fragments (and repeated trailers) discarded.
     std::size_t duplicates_dropped() const noexcept { return duplicates_dropped_; }
     /// Packets/trailers for already-finalized windows discarded.
@@ -157,7 +155,6 @@ private:
     std::vector<WindowState> windows_;
     std::vector<bool> finalized_;  ///< bit w set = window w closed
     std::size_t window_limit_ = 0;     ///< 0 = unlimited
-    std::size_t packets_seen_ = 0;
     std::size_t duplicates_dropped_ = 0;
     std::size_t stale_dropped_ = 0;
     std::size_t mismatch_dropped_ = 0;

@@ -9,15 +9,6 @@ namespace {
 constexpr std::size_t kUnlimited = std::numeric_limits<std::size_t>::max();
 }  // namespace
 
-const char* recovery_mode_name(RecoveryMode m) noexcept {
-    switch (m) {
-        case RecoveryMode::kReactive: return "reactive";
-        case RecoveryMode::kSuspended: return "suspended";
-        case RecoveryMode::kProactive: return "proactive";
-    }
-    return "?";
-}
-
 RepairScheduler::RepairScheduler(const RecoveryConfig& /*cfg*/,
                                  std::size_t num_windows)
     : num_windows_(num_windows) {

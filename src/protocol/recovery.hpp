@@ -51,8 +51,6 @@ enum class RecoveryMode : std::uint8_t {
     kProactive = 2,  ///< feedback dead: fixed credit schedule (degraded)
 };
 
-const char* recovery_mode_name(RecoveryMode m) noexcept;
-
 /// One admitted repair request awaiting service.
 struct RepairJob {
     std::uint64_t seq = 0;         ///< NACK sequence (tracing only)

@@ -1,6 +1,5 @@
 #include "protocol/report.hpp"
 
-#include <algorithm>
 #include <fstream>
 #include <ostream>
 #include <sstream>
@@ -31,21 +30,6 @@ void write_csv_file(const std::string& path, const SessionResult& result) {
     if (!out) throw std::runtime_error("write_csv_file: cannot open " + path);
     write_csv(out, result);
     if (!out) throw std::runtime_error("write_csv_file: write failed: " + path);
-}
-
-void write_event_csv(std::ostream& out, std::vector<obs::TraceEvent> events) {
-    std::stable_sort(events.begin(), events.end(),
-                     [](const obs::TraceEvent& a, const obs::TraceEvent& b) {
-                         return a.time < b.time;
-                     });
-    out << "time_s,actor,event,window,seq,arg,v0,v1\n";
-    for (const obs::TraceEvent& e : events) {
-        out << sim::format_fixed(static_cast<double>(e.time) / 1e9, 9) << ','
-            << obs::actor_name(e.actor) << ',' << obs::event_name(e.type)
-            << ',' << e.window << ',' << e.seq << ',' << e.arg << ','
-            << sim::format_fixed(e.v0, 6) << ',' << sim::format_fixed(e.v1, 6)
-            << '\n';
-    }
 }
 
 std::string summarize(const SessionResult& result) {

@@ -1,13 +1,10 @@
-// Session result export: CSV (per-window rows), a CSV event timeline from
-// a trace recording, and a compact text summary, for plotting the paper's
-// figures with external tooling.
+// Session result export: CSV (per-window rows) and a compact text summary,
+// for plotting the paper's figures with external tooling.
 #pragma once
 
 #include <iosfwd>
 #include <string>
-#include <vector>
 
-#include "obs/trace.hpp"
 #include "protocol/session.hpp"
 
 namespace espread::proto {
@@ -21,11 +18,6 @@ void write_csv(std::ostream& out, const SessionResult& result);
 
 /// Convenience file variant; throws std::runtime_error on I/O failure.
 void write_csv_file(const std::string& path, const SessionResult& result);
-
-/// Writes a trace recording as a flat CSV timeline sorted by time:
-/// time_s,actor,event,window,seq,arg,v0,v1
-/// One row per TraceEvent; actor/event are the symbolic names.
-void write_event_csv(std::ostream& out, std::vector<obs::TraceEvent> events);
 
 /// One-paragraph human summary (mean/dev CLF, ALF, channel stats, required
 /// start-up delay).

@@ -13,8 +13,8 @@
 //     paths, and a value collision within a family; C5 flags a lane that
 //     nothing splits.
 //   * Name tables.  obs::event_name / actor_name, the SLO signal and
-//     health names, proto::governor_state_name, the Prometheus state
-//     labels and espread_report's occupancy line index these tables by
+//     health names, the Prometheus state labels and espread_report's
+//     occupancy line index these tables by
 //     enumerator; each consumer static_asserts the table length against
 //     its enum.  Session metric names are checked at build time: writers
 //     name a slot through obs::Metric or obs::HistogramMetric, whose
@@ -259,8 +259,8 @@ inline constexpr std::string_view kSloHealthNames[] = {
 };
 
 // Governor state labels, in proto::GovernorState enumerator order (also
-// the engine's kGov* indices): proto::governor_state_name, the Prometheus
-// exposition and the report tool's occupancy line.
+// the engine's kGov* indices): the Prometheus exposition and the report
+// tool's occupancy line.
 inline constexpr std::string_view kGovernorStateNames[] = {
     "normal",
     "degraded",

@@ -12,10 +12,6 @@ void EventQueue::schedule_at(SimTime when, Callback cb) {
     std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 
-void EventQueue::schedule_after(SimTime delay, Callback cb) {
-    schedule_at(now_ + std::max<SimTime>(delay, 0), std::move(cb));
-}
-
 std::size_t EventQueue::pending() const noexcept {
     std::size_t n = heap_.size();
     for (const Feed& f : feeds_) n += f.depth;

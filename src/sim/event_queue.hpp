@@ -54,9 +54,6 @@ public:
     /// for a null callback; on any throw the queue is unchanged.
     void schedule_at(SimTime when, Callback cb);
 
-    /// Schedules `cb` to run `delay` after the current time.
-    void schedule_after(SimTime delay, Callback cb);
-
     /// Runs the earliest pending event; returns false if the queue is empty.
     bool step();
 

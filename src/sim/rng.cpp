@@ -27,10 +27,6 @@ double Rng::uniform() noexcept {
     return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
 }
 
-double Rng::uniform(double lo, double hi) noexcept {
-    return lo + (hi - lo) * uniform();
-}
-
 std::uint64_t Rng::uniform_int(std::uint64_t lo, std::uint64_t hi) noexcept {
     const std::uint64_t range = hi - lo;  // inclusive width - 1
     if (range == max()) return next_u64();
@@ -46,11 +42,6 @@ bool Rng::bernoulli(double p) noexcept {
     if (p <= 0.0) return false;
     if (p >= 1.0) return true;
     return uniform() < p;
-}
-
-double Rng::exponential(double mean) noexcept {
-    // uniform() can return exactly 0; use 1 - u in (0, 1].
-    return -mean * std::log1p(-uniform());
 }
 
 double Rng::normal(double mean, double stddev) noexcept {

@@ -53,18 +53,12 @@ public:
     /// Uniform double in [0, 1) with 53 bits of precision.
     double uniform() noexcept;
 
-    /// Uniform double in [lo, hi).  Requires lo <= hi.
-    double uniform(double lo, double hi) noexcept;
-
     /// Uniform integer in the inclusive range [lo, hi].  Requires lo <= hi.
     /// Uses rejection sampling, so the result is exactly uniform.
     std::uint64_t uniform_int(std::uint64_t lo, std::uint64_t hi) noexcept;
 
     /// Bernoulli trial: true with probability p (clamped to [0, 1]).
     bool bernoulli(double p) noexcept;
-
-    /// Exponentially distributed value with the given mean (> 0).
-    double exponential(double mean) noexcept;
 
     /// Normally distributed value (Box–Muller; consumes two uniforms).
     double normal(double mean, double stddev) noexcept;

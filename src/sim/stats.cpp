@@ -51,17 +51,6 @@ double RunningStats::sample_variance() const noexcept {
     return std::max(m2_, 0.0) / static_cast<double>(count_ - 1);
 }
 
-void TimeSeries::add(double x, double y) {
-    xs_.push_back(x);
-    ys_.push_back(y);
-}
-
-RunningStats TimeSeries::y_stats() const {
-    RunningStats s;
-    for (double y : ys_) s.add(y);
-    return s;
-}
-
 std::string format_fixed(double x, int digits) {
     char buf[64];
     std::snprintf(buf, sizeof(buf), "%.*f", digits, x);

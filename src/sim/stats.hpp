@@ -4,7 +4,6 @@
 
 #include <cstddef>
 #include <string>
-#include <vector>
 
 namespace espread::sim {
 
@@ -44,24 +43,6 @@ private:
     double m2_ = 0.0;
     double min_ = 0.0;
     double max_ = 0.0;
-};
-
-/// Ordered series of (x, y) observations, e.g. CLF per buffer-window number.
-/// Keeps insertion order; provides summary statistics over the y values.
-class TimeSeries {
-public:
-    void add(double x, double y);
-
-    std::size_t size() const noexcept { return xs_.size(); }
-    bool empty() const noexcept { return xs_.empty(); }
-    const std::vector<double>& xs() const noexcept { return xs_; }
-    const std::vector<double>& ys() const noexcept { return ys_; }
-
-    RunningStats y_stats() const;
-
-private:
-    std::vector<double> xs_;
-    std::vector<double> ys_;
 };
 
 /// Formats `x` with `digits` digits after the decimal point (bench output).

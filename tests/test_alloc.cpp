@@ -109,8 +109,8 @@ TEST(Alloc, EventQueueRefillToPeakIsAllocationFree) {
     std::size_t sum = 0;
     const auto fill = [&q, &sum] {
         for (std::size_t i = 0; i < kPeak; ++i) {
-            q.schedule_after(static_cast<espread::sim::SimTime>(i * 37 % 101),
-                             [&sum, i] { sum += i; });
+            q.schedule_at(q.now() + static_cast<espread::sim::SimTime>(i * 37 % 101),
+                          [&sum, i] { sum += i; });
         }
     };
     fill();

@@ -15,7 +15,6 @@ using espread::cyclic_stride_order;
 using espread::lower_bound_clf;
 using espread::Permutation;
 using espread::worst_case_clf;
-using espread::worst_case_clf_straddling;
 
 TEST(Burst, LossMaskMarksPermutedTargets) {
     const Permutation p({2, 0, 1});
@@ -76,15 +75,6 @@ TEST(Burst, IdentityWorstCaseEqualsBurstLength) {
 TEST(Burst, EmptyWindow) {
     const Permutation p{std::vector<std::size_t>{}};
     EXPECT_EQ(worst_case_clf(p, 3), 0u);
-}
-
-TEST(Burst, StraddlingNeverExceedsAligned) {
-    for (std::size_t stride : {3u, 5u, 7u}) {
-        const Permutation p = cyclic_stride_order(17, stride, 0);
-        for (std::size_t b = 1; b <= 17; ++b) {
-            EXPECT_LE(worst_case_clf_straddling(p, b), worst_case_clf(p, b));
-        }
-    }
 }
 
 TEST(Burst, LowerBoundKnownValues) {

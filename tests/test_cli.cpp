@@ -11,9 +11,12 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <ostream>
+#include <regex>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -155,6 +158,60 @@ TEST(BenchCensus, EveryBenchRunsInCi) {
         }
         EXPECT_TRUE(invoked) << path << " has no CI step";
     }
+}
+
+// espread_cli reads a frame trace with --frames.  --trace=FILE writes a
+// Chrome trace in every Monte-Carlo bench, so the CLI refuses it rather
+// than parse a bench's trace output as a stream.
+TEST(EspreadCli, RefusesTheBenchTraceFlag) {
+    const Outcome o =
+        run(std::string(ESPREAD_BUILD_DIR) + "/examples/espread_cli", {"--trace=x"});
+    ASSERT_TRUE(WIFEXITED(o.status)) << "killed by signal " << WTERMSIG(o.status);
+    EXPECT_EQ(WEXITSTATUS(o.status), 2) << o.err;
+    EXPECT_NE(o.err.find("--trace"), std::string::npos) << o.err;
+}
+
+// One implementation per library concept: every header under src/ is
+// included by code that ships — another src/ file (its own .cpp does not
+// count), a bench, the CLI, a tool or perfbench — so a module only tests
+// reach cannot linger.  engine/reference.hpp is the one exemption: it is
+// the scalar oracle test_engine runs the SoA pool against, window by
+// window, and nothing else may call it.
+TEST(LibraryCensus, EveryHeaderHasANonTestIncluder) {
+    namespace fs = std::filesystem;
+    const fs::path root = ESPREAD_SOURCE_DIR;
+    const std::regex include_re(R"re(#\s*include\s*"([^"]+)")re");
+    std::set<std::pair<std::string, std::string>> includes;  // (header, file)
+    for (const char* dir : {"src", "bench", "examples", "tools", "perfbench"}) {
+        for (const auto& entry : fs::recursive_directory_iterator(root / dir)) {
+            const std::string ext = entry.path().extension().string();
+            if (!entry.is_regular_file() || (ext != ".hpp" && ext != ".cpp")) continue;
+            std::ifstream in(entry.path());
+            const std::string text(std::istreambuf_iterator<char>(in), {});
+            for (std::sregex_iterator m(text.begin(), text.end(), include_re), end;
+                 m != end; ++m) {
+                includes.emplace((*m)[1].str(),
+                                 fs::relative(entry.path(), root).generic_string());
+            }
+        }
+    }
+    std::size_t headers = 0;
+    for (const auto& entry : fs::recursive_directory_iterator(root / "src")) {
+        if (!entry.is_regular_file() || entry.path().extension() != ".hpp") continue;
+        ++headers;
+        const std::string header =
+            fs::relative(entry.path(), root / "src").generic_string();
+        if (header == "engine/reference.hpp") continue;
+        const std::string own_cpp =
+            "src/" + header.substr(0, header.size() - 4) + ".cpp";
+        bool included = false;
+        for (const auto& [name, file] : includes) {
+            included = included || (name == header && file != own_cpp);
+        }
+        EXPECT_TRUE(included) << "src/" << header
+                              << " is included only by its own .cpp or by tests";
+    }
+    EXPECT_GT(headers, 20u) << "the scan found too few headers under " << root;
 }
 
 // perf_gate reads its baseline and bench files as strict JSON: a damaged

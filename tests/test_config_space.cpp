@@ -39,6 +39,11 @@ using espread::proto::SessionResult;
 using espread::proto::StreamKind;
 using espread::sim::Rng;
 
+/// Uniform double in [lo, hi).
+double uniform(Rng& rng, double lo, double hi) {
+    return lo + (hi - lo) * rng.uniform();
+}
+
 constexpr std::size_t kShards = 8;
 constexpr std::size_t kConfigsPerShard = 40;
 
@@ -70,8 +75,8 @@ SessionConfig random_config(Rng& rng) {
     } else {
         cfg.stream.ldus_per_window =
             static_cast<std::size_t>(rng.uniform_int(4, 30));
-        cfg.stream.frame_rate = rng.uniform(15.0, 30.0);
-        cfg.stream.mjpeg_mean_bits = rng.uniform(8000.0, 40000.0);
+        cfg.stream.frame_rate = uniform(rng, 15.0, 30.0);
+        cfg.stream.mjpeg_mean_bits = uniform(rng, 8000.0, 40000.0);
     }
 
     cfg.scheme = pick(rng, {Scheme::kInOrder, Scheme::kLayeredNoScramble,
@@ -85,7 +90,7 @@ SessionConfig random_config(Rng& rng) {
 
     cfg.retransmit_critical = rng.bernoulli(0.5);
     cfg.adaptive = rng.bernoulli(0.8);
-    cfg.alpha = rng.uniform(0.0, 1.0);
+    cfg.alpha = uniform(rng, 0.0, 1.0);
     if (rng.bernoulli(0.15)) {
         cfg.pinned_bound = static_cast<std::size_t>(rng.uniform_int(1, 8));
     }
@@ -94,34 +99,40 @@ SessionConfig random_config(Rng& rng) {
 
     cfg.drop_policy = rng.bernoulli(0.3) ? DropPolicy::kPredictive
                                          : DropPolicy::kReactive;
-    cfg.playout_startup_windows = rng.uniform(0.5, 1.5);
+    cfg.playout_startup_windows = uniform(rng, 0.5, 1.5);
 
     cfg.recovery.enabled = rng.bernoulli(0.5);
 
-    const double bw = rng.uniform(0.6e6, 3e6);
+    const double bw = uniform(rng, 0.6e6, 3e6);
     cfg.data_link.bandwidth_bps = bw;
     cfg.feedback_link.bandwidth_bps = bw;
-    cfg.data_loss = {rng.uniform(0.8, 0.99), rng.uniform(0.2, 0.8)};
-    cfg.feedback_loss = {rng.uniform(0.8, 0.99), rng.uniform(0.2, 0.8)};
+    cfg.data_loss = {uniform(rng, 0.8, 0.99), uniform(rng, 0.2, 0.8)};
+    cfg.feedback_loss = {uniform(rng, 0.8, 0.99), uniform(rng, 0.2, 0.8)};
 
     // Impairment mix: none, data-path faults, feedback-path faults, both,
     // each optionally with a scripted blackout.
     const std::uint64_t mix = rng.uniform_int(0, 3);
     if ((mix & 1) != 0) {
-        cfg.data_impairment.reorder_rate = rng.uniform(0.0, 0.1);
-        cfg.data_impairment.duplicate_rate = rng.uniform(0.0, 0.1);
-        cfg.data_impairment.corrupt_rate = rng.uniform(0.0, 0.1);
-        cfg.data_impairment.jitter_rate = rng.uniform(0.0, 0.1);
+        cfg.data_impairment.reorder_rate = uniform(rng, 0.0, 0.1);
+        cfg.data_impairment.duplicate_rate = uniform(rng, 0.0, 0.1);
+        cfg.data_impairment.corrupt_rate = uniform(rng, 0.0, 0.1);
+        cfg.data_impairment.jitter_rate = uniform(rng, 0.0, 0.1);
         if (rng.bernoulli(0.3)) {
             const std::size_t first =
                 static_cast<std::size_t>(rng.uniform_int(1, 3));
-            cfg.blackout_data_windows(first, first + rng.uniform_int(0, 2));
+            const std::size_t last = first + rng.uniform_int(0, 2);
+            // Black out the data transmissions of windows [first, last]:
+            // window w's packets depart within [w, w+1) window durations.
+            const espread::sim::SimTime T = cfg.window_duration();
+            cfg.data_impairment.blackouts.push_back(
+                {static_cast<espread::sim::SimTime>(first) * T,
+                 static_cast<espread::sim::SimTime>(last + 1) * T});
         }
     }
     if ((mix & 2) != 0) {
-        cfg.feedback_impairment.duplicate_rate = rng.uniform(0.0, 0.1);
-        cfg.feedback_impairment.corrupt_rate = rng.uniform(0.0, 0.1);
-        cfg.feedback_impairment.jitter_rate = rng.uniform(0.0, 0.1);
+        cfg.feedback_impairment.duplicate_rate = uniform(rng, 0.0, 0.1);
+        cfg.feedback_impairment.corrupt_rate = uniform(rng, 0.0, 0.1);
+        cfg.feedback_impairment.jitter_rate = uniform(rng, 0.0, 0.1);
         if (rng.bernoulli(0.3)) {
             const std::size_t first =
                 static_cast<std::size_t>(rng.uniform_int(1, 3));

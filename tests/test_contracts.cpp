@@ -157,7 +157,6 @@ TEST(Contracts, NameLookupsFallBackOutOfRange) {
     using espread::obs::EventType;
     using espread::obs::telemetry::SloHealth;
     using espread::obs::telemetry::SloSignal;
-    using espread::proto::GovernorState;
     EXPECT_STREQ(espread::obs::event_name(EventType::kRepairShed),
                  "RepairShed");
     EXPECT_STREQ(espread::obs::event_name(static_cast<EventType>(99)),
@@ -165,11 +164,6 @@ TEST(Contracts, NameLookupsFallBackOutOfRange) {
     EXPECT_STREQ(espread::obs::actor_name(Actor::kFeedbackChannel),
                  "feedback channel");
     EXPECT_STREQ(espread::obs::actor_name(static_cast<Actor>(99)), "unknown");
-    EXPECT_STREQ(espread::proto::governor_state_name(GovernorState::kRecovering),
-                 "recovering");
-    EXPECT_STREQ(
-        espread::proto::governor_state_name(static_cast<GovernorState>(9)),
-        "?");
     EXPECT_STREQ(espread::obs::telemetry::slo_health_name(SloHealth::kBreached),
                  "breached");
     EXPECT_STREQ(

@@ -65,6 +65,18 @@ TEST(Cpo, ClfOneWheneverBSquaredAtMostN) {
     }
 }
 
+// Exhaustive over n <= 20: the guarantee sits between the packing lower
+// bound and the identity's CLF (= b) at every bound.
+TEST(Cpo, GuaranteeStaysSandwiched) {
+    for (std::size_t n = 2; n <= 20; ++n) {
+        for (std::size_t b = 1; b <= n; ++b) {
+            const std::size_t c = cpo_clf(n, b);
+            EXPECT_GE(c, lower_bound_clf(n, b)) << "n=" << n << " b=" << b;
+            EXPECT_LE(c, b) << "n=" << n << " b=" << b;
+        }
+    }
+}
+
 TEST(Cpo, MonotoneInBurstBound) {
     for (std::size_t n : {8u, 17u, 24u}) {
         std::size_t prev = 0;

@@ -7,13 +7,6 @@
 namespace {
 
 using espread::BurstEstimator;
-using espread::max_transmission_burst;
-
-TEST(MaxTransmissionBurst, MeasuresLongestLossRun) {
-    EXPECT_EQ(max_transmission_burst({true, false, false, false, true, false}), 3u);
-    EXPECT_EQ(max_transmission_burst({true, true}), 0u);
-    EXPECT_EQ(max_transmission_burst({}), 0u);
-}
 
 TEST(Estimator, InitialEstimateIsHalfWindow) {
     const BurstEstimator e{24};
@@ -154,19 +147,14 @@ TEST(Estimator, ResetToPriorRestoresHalfWindow) {
 TEST(Estimator, DecayTowardPriorIsExponential) {
     BurstEstimator e{24, 1.0};
     e.update(4);  // estimate 4, prior 12, distance -8
-    e.decay_toward_prior(0.5);
+    e.decay_toward_prior();  // keeps kOutageDecay = 1/2 of the distance
     EXPECT_DOUBLE_EQ(e.estimate(), 8.0);
-    e.decay_toward_prior(0.5);
+    e.decay_toward_prior();
     EXPECT_DOUBLE_EQ(e.estimate(), 10.0);
-    e.decay_toward_prior(1.0);  // keep everything: no-op
-    EXPECT_DOUBLE_EQ(e.estimate(), 10.0);
-    e.decay_toward_prior(0.0);  // keep nothing: equals reset_to_prior
-    EXPECT_DOUBLE_EQ(e.estimate(), 12.0);
-    e.update(20);
-    e.decay_toward_prior(7.5);  // out-of-range keep clamps to [0, 1]
-    EXPECT_DOUBLE_EQ(e.estimate(), 20.0);
-    e.decay_toward_prior(-2.0);
-    EXPECT_DOUBLE_EQ(e.estimate(), 12.0);
+    e.update(20);  // above the prior: decays down toward it
+    e.decay_toward_prior();
+    EXPECT_DOUBLE_EQ(e.estimate(), 16.0);
+    EXPECT_EQ(e.estimate(), BurstEstimator::outage_decay_step(20.0, 12.0));
 }
 
 TEST(Estimator, ConvergesToSteadyObservation) {

@@ -15,7 +15,7 @@ TEST(GopPattern, ParsesValidPattern) {
     EXPECT_EQ(g.type_at(0), FrameType::kI);
     EXPECT_EQ(g.type_at(1), FrameType::kB);
     EXPECT_EQ(g.type_at(3), FrameType::kP);
-    EXPECT_EQ(g.to_string(), "IBBPBB");
+    EXPECT_EQ(g.type_at(5), FrameType::kB);
 }
 
 TEST(GopPattern, CountsFrameClasses) {
@@ -40,10 +40,10 @@ TEST(GopPattern, TypeAtRangeChecked) {
 }
 
 TEST(GopPattern, StandardTwelveAndFifteen) {
-    EXPECT_EQ(GopPattern::standard(12).to_string(), "IBBPBBPBBPBB");
-    EXPECT_EQ(GopPattern::standard(15).to_string(), "IBBPBBPBBPBBPBB");
-    EXPECT_EQ(GopPattern::standard(3).to_string(), "IBB");
-    EXPECT_EQ(GopPattern::standard(1).to_string(), "I");
+    EXPECT_EQ(GopPattern::standard(12), GopPattern::parse("IBBPBBPBBPBB"));
+    EXPECT_EQ(GopPattern::standard(15), GopPattern::parse("IBBPBBPBBPBBPBB"));
+    EXPECT_EQ(GopPattern::standard(3), GopPattern::parse("IBB"));
+    EXPECT_EQ(GopPattern::standard(1), GopPattern::parse("I"));
 }
 
 TEST(GopPattern, StandardRejectsOddSizes) {

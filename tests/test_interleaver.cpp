@@ -10,35 +10,11 @@
 
 namespace {
 
-using espread::block_interleaver;
 using espread::cyclic_stride_order;
 using espread::ibo_order;
 using espread::Permutation;
-using espread::random_order;
 using espread::residue_class_order;
 
-TEST(BlockInterleaver, TwoByTwoReadsColumns) {
-    const Permutation p = block_interleaver(2, 2);
-    EXPECT_EQ(p.image(), (std::vector<std::size_t>{0, 2, 1, 3}));
-}
-
-TEST(BlockInterleaver, ThreeByFour) {
-    const Permutation p = block_interleaver(3, 4);
-    // columns of the row-major 3x4 matrix
-    EXPECT_EQ(p.image(),
-              (std::vector<std::size_t>{0, 4, 8, 1, 5, 9, 2, 6, 10, 3, 7, 11}));
-}
-
-TEST(BlockInterleaver, SingleRowIsIdentity) {
-    EXPECT_TRUE(block_interleaver(1, 6).is_identity());
-}
-
-TEST(BlockInterleaver, RejectsZeroDimensions) {
-    EXPECT_THROW(block_interleaver(0, 3), std::invalid_argument);
-    EXPECT_THROW(block_interleaver(3, 0), std::invalid_argument);
-}
-
-// Paper Table 2: IBO of 8 frames is "01 05 03 07 02 06 04 08".
 TEST(Ibo, MatchesTable2ForEight) {
     const Permutation p = ibo_order(8);
     EXPECT_EQ(p.to_string_one_based(), "01 05 03 07 02 06 04 08");
@@ -96,17 +72,6 @@ TEST(CyclicStride, WrapsModN) {
 TEST(CyclicStride, OffsetRotatesImage) {
     const Permutation p = cyclic_stride_order(5, 2, 3);
     EXPECT_EQ(p.image(), (std::vector<std::size_t>{3, 0, 2, 4, 1}));
-}
-
-TEST(RandomOrder, IsValidAndSeedDeterministic) {
-    espread::sim::Rng r1{99};
-    espread::sim::Rng r2{99};
-    const Permutation a = random_order(20, r1);
-    const Permutation b = random_order(20, r2);
-    EXPECT_EQ(a, b);
-    // Validity is enforced by the Permutation constructor; also check it is
-    // (overwhelmingly likely) not the identity.
-    EXPECT_FALSE(a.is_identity());
 }
 
 // Under a pathological burst (more than half the window), IBO degrades while

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "sim/rng.hpp"
@@ -59,16 +61,6 @@ TEST(Metrics, EmptyMaskReport) {
     EXPECT_DOUBLE_EQ(r.alf, 0.0);
 }
 
-TEST(ContinuityMeter, TracksPerWindowSeries) {
-    ContinuityMeter m;
-    m.add_window({false, false, true, true});  // CLF 2
-    m.add_window({true, false, true, false});  // CLF 1
-    m.add_window({true, true, true, true});    // CLF 0
-    ASSERT_EQ(m.windows(), 3u);
-    EXPECT_EQ(m.clf_series().ys(), (std::vector<double>{2, 1, 0}));
-    EXPECT_DOUBLE_EQ(m.clf_stats().mean(), 1.0);
-}
-
 TEST(ContinuityMeter, WindowBoundariesDoNotMergeRuns) {
     ContinuityMeter m;
     // Losses at the tail of window 1 and head of window 2 stay separate.
@@ -84,13 +76,31 @@ TEST(ContinuityMeter, TotalsTrackWorstWindowClf) {
     ContinuityMeter m;
     m.add_window({false, true, true, true});
     m.add_window({true, false, false, false});
+    EXPECT_EQ(m.windows(), 2u);
     EXPECT_EQ(m.total().clf, 3u);
 }
 
-// Property check of the raw-word engine entry points against the scalar
-// metrics: random delivery masks of many sizes, converted to loss-polarity
-// words (set bit = loss, tail clear), must agree with consecutive_loss()
-// and aggregate_loss_count() exactly.
+// Property check of the engine's raw-word run walker against the scalar
+// metrics: delivery masks converted to loss-polarity words (set bit =
+// loss, tail clear) must give walk_set_runs() the runs of loss_runs(), in
+// order, and the longest of them as consecutive_loss(); the runs sum to
+// aggregate_loss_count().
+void expect_walk_matches(const LossMask& delivered) {
+    std::vector<std::uint64_t> loss_words((delivered.size() + 63) / 64, 0);
+    for (std::size_t i = 0; i < delivered.size(); ++i) {
+        if (!delivered[i]) loss_words[i >> 6] |= std::uint64_t{1} << (i & 63);
+    }
+    std::vector<std::size_t> runs;
+    const std::size_t longest = espread::walk_set_runs(
+        loss_words.data(), loss_words.size(),
+        [&runs](std::size_t run) { runs.push_back(run); });
+    EXPECT_EQ(longest, consecutive_loss(delivered));
+    EXPECT_EQ(runs, loss_runs(delivered));
+    std::size_t total = 0;
+    for (const std::size_t r : runs) total += r;
+    EXPECT_EQ(total, aggregate_loss_count(delivered));
+}
+
 TEST(RawWordMetrics, MatchScalarMetricsOnRandomMasks) {
     espread::sim::Rng rng(11);
     for (const std::size_t n :
@@ -98,31 +108,62 @@ TEST(RawWordMetrics, MatchScalarMetricsOnRandomMasks) {
           std::size_t{65}, std::size_t{128}, std::size_t{200}}) {
         for (int trial = 0; trial < 50; ++trial) {
             LossMask delivered(n);
-            std::vector<std::uint64_t> loss_words((n + 63) / 64, 0);
             const double p_loss = rng.uniform();
-            for (std::size_t i = 0; i < n; ++i) {
-                const bool ok = !rng.bernoulli(p_loss);
-                delivered[i] = ok;
-                if (!ok) loss_words[i >> 6] |= std::uint64_t{1} << (i & 63);
+            for (std::size_t i = 0; i < n; ++i) delivered[i] = !rng.bernoulli(p_loss);
+            SCOPED_TRACE("n=" + std::to_string(n) + " trial=" + std::to_string(trial));
+            expect_walk_matches(delivered);
+        }
+    }
+}
+
+TEST(RawWordMetrics, WordBoundaryRuns) {
+    // Runs straddling bits 63/64/65 are where carry bugs live.
+    for (const std::size_t start : {60u, 62u, 63u, 64u, 65u}) {
+        for (const std::size_t len : {1u, 2u, 3u, 4u, 64u, 65u, 130u}) {
+            LossMask m(256, true);
+            for (std::size_t i = start; i < std::min<std::size_t>(start + len, 256); ++i) {
+                m[i] = false;
             }
-            EXPECT_EQ(espread::max_set_run(loss_words.data(), loss_words.size()),
-                      consecutive_loss(delivered))
-                << "n=" << n << " trial=" << trial;
-            EXPECT_EQ(
-                espread::count_set_bits(loss_words.data(), loss_words.size()),
-                aggregate_loss_count(delivered))
-                << "n=" << n << " trial=" << trial;
+            SCOPED_TRACE("start=" + std::to_string(start) + " len=" + std::to_string(len));
+            expect_walk_matches(m);
         }
     }
 }
 
 TEST(RawWordMetrics, AllSetAndAllClearWords) {
-    const std::vector<std::uint64_t> clear(3, 0);
-    EXPECT_EQ(espread::max_set_run(clear.data(), clear.size()), 0u);
-    EXPECT_EQ(espread::count_set_bits(clear.data(), clear.size()), 0u);
-    const std::vector<std::uint64_t> full(3, ~std::uint64_t{0});
-    EXPECT_EQ(espread::max_set_run(full.data(), full.size()), 192u);
-    EXPECT_EQ(espread::count_set_bits(full.data(), full.size()), 192u);
+    const auto walk = [](const std::vector<std::uint64_t>& words) {
+        return espread::walk_set_runs(words.data(), words.size(),
+                                      [](std::size_t) {});
+    };
+    EXPECT_EQ(walk(std::vector<std::uint64_t>(3, 0)), 0u);
+    EXPECT_EQ(walk(std::vector<std::uint64_t>(3, ~std::uint64_t{0})), 192u);
+}
+
+// The engine keeps each window's losses as a packed bit mask (one bit per
+// slot, tail clear); these check that representation of every mask size
+// across the word boundaries against the LossMask reference.
+TEST(BitMask, MetricsMatchReferenceOnRandomMasks) {
+    espread::sim::Rng rng(2024);
+    for (const double p_loss : {0.05, 0.3, 0.7, 0.95}) {
+        for (std::size_t n = 0; n <= 192; ++n) {
+            LossMask delivered(n);
+            for (std::size_t i = 0; i < n; ++i) delivered[i] = !rng.bernoulli(p_loss);
+            SCOPED_TRACE("n=" + std::to_string(n) + " p=" + std::to_string(p_loss));
+            expect_walk_matches(delivered);
+        }
+    }
+}
+
+TEST(BitMask, AllLostAndAllDelivered) {
+    for (const std::size_t n : {1u, 63u, 64u, 65u, 127u, 128u, 129u}) {
+        SCOPED_TRACE("n=" + std::to_string(n));
+        expect_walk_matches(LossMask(n, false));
+        expect_walk_matches(LossMask(n, true));
+        EXPECT_EQ(consecutive_loss(LossMask(n, false)), n);
+        EXPECT_EQ(aggregate_loss_count(LossMask(n, false)), n);
+        EXPECT_EQ(consecutive_loss(LossMask(n, true)), 0u);
+        EXPECT_EQ(aggregate_loss_count(LossMask(n, true)), 0u);
+    }
 }
 
 }  // namespace

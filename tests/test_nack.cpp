@@ -413,7 +413,9 @@ TEST(RecoverySessionTest, ClientDecoderResyncsAfterLongDataOutage) {
         cfg.rlc = {16, 2, 10};
         cfg.retransmit_critical = false;
         cfg.recovery.enabled = recovery;
-        cfg.blackout_data_windows(3, 6);
+        // Black out the data transmissions of windows 3..6.
+        const espread::sim::SimTime T = cfg.window_duration();
+        cfg.data_impairment.blackouts.push_back({3 * T, 7 * T});
 
         const SessionResult r = run_session(cfg);
         const auto& m = r.metrics;

@@ -67,20 +67,6 @@ TEST(TraceRecorder, RingEvictsOldestFirst) {
     for (std::uint64_t i = 0; i < 4; ++i) EXPECT_EQ(events[i].seq, 6 + i);
 }
 
-TEST(TraceRecorder, ClearResets) {
-    TraceRecorder rec(2);
-    rec.record(make_event(1, Actor::kServer, 1));
-    rec.record(make_event(2, Actor::kServer, 2));
-    rec.record(make_event(3, Actor::kServer, 3));
-    rec.clear();
-    EXPECT_EQ(rec.size(), 0u);
-    EXPECT_EQ(rec.evicted(), 0u);
-    EXPECT_TRUE(rec.events().empty());
-    rec.record(make_event(4, Actor::kServer, 4));
-    ASSERT_EQ(rec.events().size(), 1u);
-    EXPECT_EQ(rec.events()[0].seq, 4u);
-}
-
 TEST(TraceRecorder, RejectsZeroCapacity) {
     EXPECT_THROW(TraceRecorder(0), std::invalid_argument);
 }

@@ -99,6 +99,20 @@ TEST(Optimal, LargeBurstGapIsReal) {
     EXPECT_GE(cpo_clf(8, 7), optimal_clf(8, 7));
 }
 
+// Exhaustive check: across all (n, b) with n <= 9, the stride family misses
+// the true optimum by at most 1, in at most 3 cells.
+TEST(Optimal, CpoGapToOptimumIsTiny) {
+    std::size_t gap_total = 0;
+    for (std::size_t n = 2; n <= 9; ++n) {
+        for (std::size_t b = 1; b <= n; ++b) {
+            const std::size_t gap = cpo_clf(n, b) - optimal_clf(n, b);
+            EXPECT_LE(gap, 1u) << "n=" << n << " b=" << b;
+            gap_total += gap;
+        }
+    }
+    EXPECT_LE(gap_total, 3u);
+}
+
 TEST(Optimal, RefusesWindowsTooLargeToSearch) {
     EXPECT_THROW(optimal_clf(15, 5), std::invalid_argument);
     EXPECT_THROW(clf_achievable(32, 31, 16), std::invalid_argument);

@@ -4,6 +4,12 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
+#include <vector>
+
+#include "core/cpo.hpp"
+#include "media/trace.hpp"
+#include "poset/poset.hpp"
 
 namespace {
 
@@ -163,6 +169,163 @@ TEST(Planner, BoundClampedToLayerSize) {
     Planner planner{mpeg_config(Scheme::kLayeredSpread)};
     const WindowPlan& plan = planner.plan(1000);
     expect_complete_order(planner, plan);  // no crash; bound clamped inside
+}
+
+/// Wire order of layer `layer` of `plan` (local frame ids).
+std::vector<std::size_t> layer_wire(const WindowPlan& plan, std::size_t layer) {
+    std::vector<std::size_t> out;
+    for (const auto& e : plan.order) {
+        if (e.layer == layer) out.push_back(e.local_frame);
+    }
+    return out;
+}
+
+// Calls check(planner, plan, scheme, bound) on every plan of every catalog
+// movie at W = 1..3 GOPs, under every scheme and every bound from 0 to one
+// past the window: the space over which the LayeredPlan tests below check
+// the contracts of the Layered Permutation Transmission Order.
+template <typename Check>
+void for_each_catalog_plan(Check check) {
+    const Scheme schemes[] = {Scheme::kInOrder,      Scheme::kLayeredNoScramble,
+                              Scheme::kLayeredIbo,   Scheme::kLayeredSpread,
+                              Scheme::kRlc,          Scheme::kHybridSpreadRlc};
+    for (const auto& movie : espread::media::movie_catalog()) {
+        for (std::size_t gops = 1; gops <= 3; ++gops) {
+            for (const Scheme scheme : schemes) {
+                SessionConfig cfg = mpeg_config(scheme, gops);
+                cfg.stream.movie = movie.name;
+                Planner planner{cfg};
+                ASSERT_EQ(planner.window_ldus(), movie.gop_size * gops);
+                for (std::size_t bound = 0; bound <= planner.window_ldus() + 1; ++bound) {
+                    SCOPED_TRACE(movie.name + " W=" + std::to_string(gops) +
+                                 " scheme=" + espread::proto::scheme_name(scheme) +
+                                 " b=" + std::to_string(bound));
+                    check(planner, planner.plan(bound), scheme, bound);
+                }
+            }
+        }
+    }
+}
+
+bool spreads(Scheme scheme) {
+    return scheme == Scheme::kLayeredSpread || scheme == Scheme::kHybridSpreadRlc;
+}
+
+// Every entry's critical flag marks exactly the anchors, and the critical
+// (anchor-only) layers go out first, in layer order.
+TEST(LayeredPlan, CriticalityFollowsAnchors) {
+    for_each_catalog_plan([](const Planner& planner, const WindowPlan& plan, Scheme,
+                             std::size_t) {
+        std::vector<bool> anchor(planner.window_ldus(), false);
+        for (const std::size_t a : planner.dependency_poset().anchors()) anchor[a] = true;
+        ASSERT_EQ(plan.layer_critical, planner.layer_critical());
+        std::size_t prev_layer = 0;
+        bool seen_noncritical = false;
+        for (const auto& e : plan.order) {
+            EXPECT_GE(e.layer, prev_layer);
+            prev_layer = e.layer;
+            EXPECT_EQ(e.critical, anchor[e.local_frame]);
+            if (plan.layer_critical[e.layer]) {
+                EXPECT_FALSE(seen_noncritical) << "critical layers come first";
+                EXPECT_TRUE(anchor[e.local_frame]);
+            } else {
+                seen_noncritical = true;
+            }
+        }
+    });
+}
+
+// Under the spreading schemes a critical layer of m frames is scrambled
+// against the fixed bound ceil(m / 2) whatever the adaptive bound, and a
+// non-critical layer against the adaptive bound clamped to the layer (and
+// below the degenerate whole-layer bound).
+TEST(LayeredPlan, BoundsPerLayerClass) {
+    for_each_catalog_plan([](const Planner&, const WindowPlan& plan, Scheme scheme,
+                             std::size_t bound) {
+        EXPECT_EQ(plan.noncritical_bound, bound);
+        if (!spreads(scheme)) return;
+        for (std::size_t l = 0; l < plan.layer_sizes.size(); ++l) {
+            const std::vector<std::size_t> tx = layer_wire(plan, l);
+            std::vector<std::size_t> members = tx;
+            std::sort(members.begin(), members.end());
+            const std::size_t m = members.size();
+            std::size_t layer_bound = std::min(bound, m);
+            if (layer_bound == m && m > 1) layer_bound = m - 1;
+            if (plan.layer_critical[l]) layer_bound = (m + 1) / 2;
+            EXPECT_EQ(tx, espread::calculate_permutation(m, layer_bound).perm.apply(members))
+                << "layer " << l;
+        }
+    });
+}
+
+// Each frame goes out exactly once, and each layer carries as many frames
+// as the planner's layer structure says.
+TEST(LayeredPlan, PermutationsMatchLayerSizes) {
+    for_each_catalog_plan([](const Planner& planner, const WindowPlan& plan, Scheme,
+                             std::size_t) {
+        expect_complete_order(planner, plan);
+        ASSERT_EQ(plan.layer_sizes, planner.layer_sizes());
+        for (std::size_t l = 0; l < plan.layer_sizes.size(); ++l) {
+            EXPECT_EQ(layer_wire(plan, l).size(), plan.layer_sizes[l]) << "layer " << l;
+        }
+    });
+}
+
+// No frame goes out before a frame it depends on.
+TEST(LayeredPlan, FlattenedIsALinearExtension) {
+    for_each_catalog_plan([](const Planner& planner, const WindowPlan& plan, Scheme,
+                             std::size_t) {
+        std::vector<std::size_t> wire;
+        for (const auto& e : plan.order) wire.push_back(e.local_frame);
+        EXPECT_TRUE(planner.dependency_poset().is_linear_extension(wire));
+    });
+}
+
+// Scrambling stays within a layer: each layer's wire order is a permutation
+// of that layer's members (the poset's height layer, or the coding order
+// for the single-layer baselines), numbered 0..m-1 by transmission slot.
+TEST(LayeredPlan, TransmissionAppliesWithinLayerPermutation) {
+    for_each_catalog_plan([](const Planner& planner, const WindowPlan& plan, Scheme scheme,
+                             std::size_t) {
+        const auto& poset = planner.dependency_poset();
+        const std::vector<std::vector<std::size_t>> layers =
+            scheme == Scheme::kInOrder || scheme == Scheme::kRlc
+                ? std::vector<std::vector<std::size_t>>{poset.linear_extension()}
+                : espread::poset::layer_members(poset);
+        ASSERT_EQ(layers.size(), plan.layer_sizes.size());
+        std::vector<std::size_t> next_pos(layers.size(), 0);
+        for (const auto& e : plan.order) EXPECT_EQ(e.tx_pos, next_pos[e.layer]++);
+        for (std::size_t l = 0; l < layers.size(); ++l) {
+            std::vector<std::size_t> tx = layer_wire(plan, l);
+            std::vector<std::size_t> members = layers[l];
+            std::sort(tx.begin(), tx.end());
+            std::sort(members.begin(), members.end());
+            EXPECT_EQ(tx, members) << "layer " << l;
+        }
+    });
+}
+
+// A bound of the whole non-critical layer is degenerate — every order has
+// worst-case CLF m against it, so calculate_permutation returns the
+// identity — and after a catastrophic window it would switch scrambling off
+// just when the network is worst.  The planner spreads against m - 1
+// instead: plan(m) equals plan(m - 1), and the layer stays scrambled.
+TEST(Planner, WholeLayerBoundKeepsSpreading) {
+    Planner mpeg{mpeg_config(Scheme::kLayeredSpread)};
+    ASSERT_EQ(mpeg.layer_sizes().back(), 16u);  // the B layer at W = 2
+    const std::size_t b_layer = mpeg.layer_sizes().size() - 1;
+    const std::vector<std::size_t> b16 = layer_wire(mpeg.plan(16), b_layer);
+    EXPECT_EQ(b16, layer_wire(mpeg.plan(15), b_layer));
+    EXPECT_FALSE(std::is_sorted(b16.begin(), b16.end()));
+
+    SessionConfig cfg;
+    cfg.stream.kind = StreamKind::kMjpeg;
+    cfg.stream.ldus_per_window = 24;
+    cfg.scheme = Scheme::kLayeredSpread;
+    Planner mjpeg{cfg};
+    const std::vector<std::size_t> w24 = layer_wire(mjpeg.plan(24), 0);
+    EXPECT_EQ(w24, layer_wire(mjpeg.plan(23), 0));
+    EXPECT_FALSE(std::is_sorted(w24.begin(), w24.end()));
 }
 
 }  // namespace

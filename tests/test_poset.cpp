@@ -8,6 +8,7 @@
 namespace {
 
 using espread::poset::Element;
+using espread::poset::layer_members;
 using espread::poset::Poset;
 
 // A two-GOP MPEG-like fixture with pattern I B P B (open-ended):
@@ -36,8 +37,6 @@ TEST(Poset, EmptyAndAntichain) {
     EXPECT_EQ(flat.longest_chain_length(), 1u);
     EXPECT_TRUE(flat.is_antichain({0, 1, 2, 3}));
     EXPECT_TRUE(flat.anchors().empty());
-    EXPECT_EQ(flat.non_anchors().size(), 4u);
-    EXPECT_EQ(flat.minimal_elements().size(), 4u);
 }
 
 TEST(Poset, RejectsSelfDependencyAndRange) {
@@ -73,30 +72,15 @@ TEST(Poset, ChainProperties) {
     p.add_dependency(2, 1);
     p.add_dependency(1, 0);
     EXPECT_EQ(p.longest_chain_length(), 4u);
-    EXPECT_EQ(p.longest_chain(), (std::vector<Element>{0, 1, 2, 3}));
-    EXPECT_TRUE(p.is_chain({0, 2, 3}));
-    EXPECT_TRUE(p.is_ranked());
-    EXPECT_EQ(p.height(0), 0u);
-    EXPECT_EQ(p.height(3), 3u);
+    EXPECT_FALSE(p.is_antichain({0, 3}));
     EXPECT_EQ(p.anchors(), (std::vector<Element>{0, 1, 2}));
-    EXPECT_EQ(p.non_anchors(), (std::vector<Element>{3}));
-}
-
-TEST(Poset, CoversSkipsTransitiveEdges) {
-    Poset p{3};
-    p.add_dependency(2, 1);
-    p.add_dependency(1, 0);
-    p.add_dependency(2, 0);  // transitive duplicate edge
-    EXPECT_TRUE(p.covers(2, 1));
-    EXPECT_TRUE(p.covers(1, 0));
-    EXPECT_FALSE(p.covers(2, 0));  // 1 sits in between
 }
 
 TEST(Poset, MpegLikeStructure) {
     const Poset p = mpeg_like();
     EXPECT_EQ(p.anchors(), (std::vector<Element>{0, 2, 4, 6}));
-    EXPECT_EQ(p.non_anchors(), (std::vector<Element>{1, 3, 5}));
-    EXPECT_EQ(p.minimal_elements(), (std::vector<Element>{0, 4}));
+    EXPECT_TRUE(p.direct_prerequisites(0).empty());  // I frames
+    EXPECT_TRUE(p.direct_prerequisites(4).empty());
     EXPECT_EQ(p.longest_chain_length(), 3u);  // e.g. B0 < P0 < I0
     EXPECT_TRUE(p.is_antichain({1, 3, 5}));
     EXPECT_FALSE(p.is_antichain({0, 2}));
@@ -109,7 +93,7 @@ TEST(Poset, AntichainRejectsDuplicates) {
 
 TEST(Poset, AntichainDecompositionIsMinimalAndValid) {
     const Poset p = mpeg_like();
-    const auto layers = p.antichain_decomposition();
+    const auto layers = layer_members(p);
     EXPECT_EQ(layers.size(), p.longest_chain_length());  // Mirsky's theorem
     std::size_t total = 0;
     for (const auto& layer : layers) {
@@ -127,32 +111,6 @@ TEST(Poset, AntichainDecompositionIsMinimalAndValid) {
             EXPECT_LT(layer_of[q], layer_of[x]);
         }
     }
-}
-
-TEST(Poset, OpenGopIsNotStrictlyRanked) {
-    // Open GOP: the first B of GOP k+1 references the last P of GOP k
-    // (height 2 via I0 -> P1 -> P2) AND the fresh I of GOP k+1 (height 0).
-    // It covers both, so no rank function can satisfy r(B) = r(x) + 1 for
-    // both covering pairs.
-    Poset p{5};
-    p.add_dependency(1, 0);  // P1 needs I0
-    p.add_dependency(2, 1);  // P2 needs P1
-    p.add_dependency(4, 2);  // B needs P2 (previous GOP)
-    p.add_dependency(4, 3);  // B needs I1 (its own GOP)
-    EXPECT_TRUE(p.covers(4, 2));
-    EXPECT_TRUE(p.covers(4, 3));
-    EXPECT_EQ(p.height(2), 2u);
-    EXPECT_EQ(p.height(3), 0u);
-    EXPECT_FALSE(p.is_ranked());
-}
-
-TEST(Poset, ClosedChainGopIsRanked) {
-    // I -> P1 -> P2 -> B is a chain; cover heights line up everywhere.
-    Poset p{4};
-    p.add_dependency(1, 0);
-    p.add_dependency(2, 1);
-    p.add_dependency(3, 2);
-    EXPECT_TRUE(p.is_ranked());
 }
 
 TEST(Poset, LinearExtensionIsValidAndDeterministic) {
@@ -174,6 +132,58 @@ TEST(Poset, IsLinearExtensionRejectsBadOrders) {
     EXPECT_FALSE(p.is_linear_extension({0, 0, 2, 3, 4, 5, 6}));     // duplicate
     EXPECT_FALSE(p.is_linear_extension({1, 0, 2, 3, 4, 5, 6}));     // B0 before I0
     EXPECT_TRUE(p.is_linear_extension({0, 2, 1, 4, 6, 3, 5}));
+}
+
+TEST(LayerMembers, AnchorsByHeightThenNonAnchors) {
+    const auto layers = layer_members(mpeg_like());
+    ASSERT_EQ(layers.size(), 3u);
+    EXPECT_EQ(layers[0], (std::vector<Element>{0, 4}));  // I frames
+    EXPECT_EQ(layers[1], (std::vector<Element>{2, 6}));  // P frames
+    EXPECT_EQ(layers[2], (std::vector<Element>{1, 3, 5}));  // B frames
+}
+
+TEST(LayerMembers, LayerCountEqualsLongestChain) {
+    const Poset p = mpeg_like();
+    EXPECT_EQ(layer_members(p).size(), p.longest_chain_length());
+}
+
+TEST(LayerMembers, EachLayerIsAnAntichain) {
+    const Poset p = mpeg_like();
+    for (const auto& layer : layer_members(p)) {
+        EXPECT_TRUE(p.is_antichain(layer));
+    }
+}
+
+TEST(LayerMembers, DependencyFreeStreamIsOneLayer) {
+    // MJPEG: the whole window is a single non-critical layer (the paper's
+    // "protocol simplifies to just a scrambling of frames").
+    const Poset p{6};
+    const auto layers = layer_members(p);
+    ASSERT_EQ(layers.size(), 1u);
+    EXPECT_EQ(layers[0].size(), 6u);
+}
+
+TEST(LayerMembers, EmptyPoset) {
+    EXPECT_TRUE(layer_members(Poset{0}).empty());
+}
+
+TEST(LayerMembers, FourGopsLayerByHeight) {
+    // 4 GOPs of I,P,B: I_k = 3k, P_k = 3k+1 (needs I_k), B_k = 3k+2 (needs
+    // I_k and P_k).
+    Poset p{12};
+    for (std::size_t k = 0; k < 4; ++k) {
+        p.add_dependency(3 * k + 1, 3 * k);
+        p.add_dependency(3 * k + 2, 3 * k);
+        p.add_dependency(3 * k + 2, 3 * k + 1);
+    }
+    const auto layers = layer_members(p);
+    ASSERT_EQ(layers.size(), 3u);
+    EXPECT_EQ(layers[0], (std::vector<Element>{0, 3, 6, 9}));
+    EXPECT_EQ(layers[1], (std::vector<Element>{1, 4, 7, 10}));
+    EXPECT_EQ(layers[2], (std::vector<Element>{2, 5, 8, 11}));
+    std::vector<Element> order;
+    for (const auto& layer : layers) order.insert(order.end(), layer.begin(), layer.end());
+    EXPECT_TRUE(p.is_linear_extension(order));
 }
 
 }  // namespace

@@ -1,17 +1,15 @@
 // Randomized property tests for the poset machinery: random DAGs must
-// satisfy the order axioms, Mirsky's theorem, and the layered-plan
+// satisfy the order axioms, Mirsky's theorem, and the transmission-layer
 // contracts regardless of shape.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
-#include "poset/layered.hpp"
 #include "poset/poset.hpp"
 #include "sim/rng.hpp"
 
 namespace {
 
-using espread::poset::build_layered_plan;
 using espread::poset::Element;
 using espread::poset::layer_members;
 using espread::poset::Poset;
@@ -59,8 +57,9 @@ TEST_P(RandomPosetSweep, MirskyAndLinearExtension) {
     espread::sim::Rng rng{static_cast<std::uint64_t>(seed) + 100};
     const Poset p = random_poset(14, density, rng);
 
-    // Antichain decomposition: valid layers, minimal count (Mirsky).
-    const auto layers = p.antichain_decomposition();
+    // The transmission layers are an antichain decomposition of minimal
+    // count (Mirsky).
+    const auto layers = layer_members(p);
     std::size_t total = 0;
     for (const auto& layer : layers) {
         EXPECT_TRUE(p.is_antichain(layer));
@@ -69,44 +68,38 @@ TEST_P(RandomPosetSweep, MirskyAndLinearExtension) {
     EXPECT_EQ(total, p.size());
     EXPECT_EQ(layers.size(), p.longest_chain_length());
 
-    // Longest chain witness really is a chain of that length.
-    const auto chain = p.longest_chain();
-    EXPECT_EQ(chain.size(), p.longest_chain_length());
-    EXPECT_TRUE(p.is_chain(chain));
-
     // The canonical linear extension is valid.
     EXPECT_TRUE(p.is_linear_extension(p.linear_extension()));
 }
 
-TEST_P(RandomPosetSweep, LayeredPlanContracts) {
+TEST_P(RandomPosetSweep, LayerMembersContracts) {
     const auto [seed, density] = GetParam();
     espread::sim::Rng rng{static_cast<std::uint64_t>(seed) + 200};
     const Poset p = random_poset(14, density, rng);
 
     const auto members = layer_members(p);
     std::size_t total = 0;
+    std::vector<Element> order;  // the layers concatenated, critical first
     for (const auto& layer : members) {
         EXPECT_FALSE(layer.empty());
         EXPECT_TRUE(p.is_antichain(layer));
         total += layer.size();
+        order.insert(order.end(), layer.begin(), layer.end());
     }
     EXPECT_EQ(total, p.size());
-
-    const auto plan = build_layered_plan(p, 3);
-    EXPECT_TRUE(p.is_linear_extension(plan.flattened()));
-    // Critical layers hold anchors; the non-anchors all land in
-    // non-critical layers.
-    for (const auto& layer : plan.layers) {
-        if (!layer.critical) continue;
-        for (const Element e : layer.members) {
-            EXPECT_TRUE(p.is_anchor(e));
+    EXPECT_TRUE(p.is_linear_extension(order));
+    // Every layer but the last holds anchors only, and every non-anchor
+    // lands in the last layer.
+    for (std::size_t l = 0; l < members.size(); ++l) {
+        for (const Element e : members[l]) {
+            if (l + 1 < members.size()) {
+                EXPECT_TRUE(p.is_anchor(e));
+            }
+            if (!p.is_anchor(e)) {
+                EXPECT_EQ(l + 1, members.size());
+            }
         }
     }
-    std::size_t noncritical = 0;
-    for (const auto& layer : plan.layers) {
-        if (!layer.critical) noncritical += layer.members.size();
-    }
-    EXPECT_GE(noncritical, p.non_anchors().size());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -116,19 +109,20 @@ INSTANTIATE_TEST_SUITE_P(
 
 // H.261 has no B frames — the dependency structure is a pure P chain (the
 // paper's §3.3 names it alongside MPEG).  The layering degenerates to one
-// singleton layer per frame except the final P, which is the only
-// non-anchor.
+// singleton layer per frame; every frame but the final P is an anchor, so
+// five of the six layers are critical.
 TEST(H261, ChainLayering) {
     Poset p{6};
     for (Element f = 1; f < 6; ++f) p.add_dependency(f, f - 1);
     const auto layers = layer_members(p);
     ASSERT_EQ(layers.size(), 6u);
+    std::vector<Element> order;
     for (std::size_t l = 0; l < 6; ++l) {
         EXPECT_EQ(layers[l], (std::vector<Element>{l}));
+        order.push_back(layers[l][0]);
     }
-    const auto plan = build_layered_plan(p, 2);
-    EXPECT_EQ(plan.num_critical(), 5u);  // all but the last frame
-    EXPECT_TRUE(p.is_linear_extension(plan.flattened()));
+    EXPECT_EQ(p.anchors(), (std::vector<Element>{0, 1, 2, 3, 4}));
+    EXPECT_TRUE(p.is_linear_extension(order));
 }
 
 }  // namespace

@@ -537,7 +537,7 @@ Scenario make_scenario(std::uint64_t seed) {
     }
     sc.windows = rng.uniform_int(1, 4);
     sc.window_limit = rng.bernoulli(0.5) ? 0 : sc.windows + 1;
-    const double loss = rng.uniform(0.0, 0.3);
+    const double loss = 0.3 * rng.uniform();  // uniform in [0, 0.3)
 
     for (std::size_t w = 0; w < sc.windows; ++w) {
         for (std::size_t f = 0; f < sc.n; ++f) {

@@ -114,32 +114,4 @@ TEST(Report, OneWindowSummaryHasZeroDeviationNotNaN) {
         << "ungoverned summaries must not mention the governor";
 }
 
-TEST(Report, EventCsvSortsByTimeWithOneRowPerEvent) {
-    std::vector<espread::obs::TraceEvent> events;
-    espread::obs::TraceEvent a;
-    a.time = espread::sim::from_millis(5);
-    a.type = espread::obs::EventType::kPacketLost;
-    a.actor = espread::obs::Actor::kDataChannel;
-    a.seq = 2;
-    espread::obs::TraceEvent b;
-    b.time = espread::sim::from_millis(1);
-    b.type = espread::obs::EventType::kPacketSent;
-    b.actor = espread::obs::Actor::kDataChannel;
-    b.seq = 1;
-    events.push_back(a);
-    events.push_back(b);
-
-    std::ostringstream out;
-    espread::proto::write_event_csv(out, events);
-    std::istringstream in{out.str()};
-    std::string line;
-    std::getline(in, line);
-    EXPECT_EQ(line, "time_s,actor,event,window,seq,arg,v0,v1");
-    std::getline(in, line);
-    EXPECT_NE(line.find("PacketSent"), std::string::npos);  // 1 ms first
-    std::getline(in, line);
-    EXPECT_NE(line.find("PacketLost"), std::string::npos);
-    EXPECT_FALSE(std::getline(in, line));
-}
-
 }  // namespace

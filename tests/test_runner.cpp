@@ -1,7 +1,6 @@
 // Tests for the parallel Monte-Carlo experiment engine (exp::ThreadPool,
-// exp::MonteCarloRunner) and the bit-packed loss-mask fast paths it
-// multiplies: results must be byte-identical across thread counts, and the
-// BitMask metrics must agree exactly with the vector<bool> references.
+// exp::MonteCarloRunner) and the scratch-buffer permutation paths it
+// multiplies: results must be byte-identical across thread counts.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,9 +14,7 @@
 #include <vector>
 
 #include "core/cpo.hpp"
-#include "core/metrics.hpp"
 #include "core/permutation.hpp"
-#include "core/spreader.hpp"
 #include "exp/json.hpp"
 #include "exp/runner.hpp"
 #include "exp/thread_pool.hpp"
@@ -25,8 +22,6 @@
 
 namespace {
 
-using espread::BitMask;
-using espread::LossMask;
 using espread::Permutation;
 using espread::exp::JsonWriter;
 using espread::exp::MonteCarloRunner;
@@ -336,103 +331,6 @@ TEST(WriteSessionTrace, MatchesTrialZeroRealization) {
     EXPECT_NE(text.find("\"PacketSent\""), std::string::npos);
 }
 
-// ---- BitMask vs vector<bool> references ----------------------------------
-
-LossMask random_mask(espread::sim::Rng& rng, std::size_t n, double loss_p) {
-    LossMask m(n);
-    for (std::size_t i = 0; i < n; ++i) m[i] = !rng.bernoulli(loss_p);
-    return m;
-}
-
-void expect_metrics_match(const LossMask& reference) {
-    const BitMask packed = BitMask::from_mask(reference);
-    ASSERT_EQ(packed.size(), reference.size());
-    EXPECT_EQ(espread::aggregate_loss_count(packed),
-              espread::aggregate_loss_count(reference));
-    EXPECT_EQ(espread::consecutive_loss(packed),
-              espread::consecutive_loss(reference));
-    EXPECT_EQ(espread::loss_runs(packed), espread::loss_runs(reference));
-    const auto a = espread::measure_continuity(packed);
-    const auto b = espread::measure_continuity(reference);
-    EXPECT_EQ(a.slots, b.slots);
-    EXPECT_EQ(a.unit_losses, b.unit_losses);
-    EXPECT_EQ(a.clf, b.clf);
-    EXPECT_DOUBLE_EQ(a.alf, b.alf);
-}
-
-TEST(BitMask, RoundTripsThroughLossMask) {
-    espread::sim::Rng rng{7};
-    for (const std::size_t n : {0u, 1u, 63u, 64u, 65u, 128u, 200u}) {
-        const LossMask m = random_mask(rng, n, 0.3);
-        EXPECT_EQ(BitMask::from_mask(m).to_mask(), m);
-    }
-}
-
-TEST(BitMask, MetricsMatchReferenceOnRandomMasks) {
-    espread::sim::Rng rng{2024};
-    for (const double loss_p : {0.05, 0.3, 0.7, 0.95}) {
-        for (std::size_t n = 0; n <= 192; ++n) {
-            expect_metrics_match(random_mask(rng, n, loss_p));
-        }
-    }
-}
-
-TEST(BitMask, WordBoundaryRuns) {
-    // Runs straddling bits 63/64/65 are where carry bugs live.
-    for (const std::size_t start : {60u, 62u, 63u, 64u, 65u}) {
-        for (const std::size_t len : {1u, 2u, 3u, 4u, 64u, 65u, 130u}) {
-            LossMask m(256, true);
-            for (std::size_t i = start; i < std::min<std::size_t>(start + len, 256); ++i) {
-                m[i] = false;
-            }
-            expect_metrics_match(m);
-        }
-    }
-}
-
-TEST(BitMask, AllLostAndAllDelivered) {
-    for (const std::size_t n : {1u, 63u, 64u, 65u, 127u, 128u, 129u}) {
-        expect_metrics_match(LossMask(n, false));
-        expect_metrics_match(LossMask(n, true));
-        const BitMask all_lost(n, false);
-        EXPECT_EQ(espread::consecutive_loss(all_lost), n);
-        EXPECT_EQ(espread::aggregate_loss_count(all_lost), n);
-        const BitMask all_ok(n, true);
-        EXPECT_EQ(espread::consecutive_loss(all_ok), 0u);
-        EXPECT_EQ(espread::aggregate_loss_count(all_ok), 0u);
-    }
-}
-
-TEST(BitMask, SetAndTest) {
-    BitMask m(130, true);
-    m.set(0, false);
-    m.set(64, false);
-    m.set(129, false);
-    EXPECT_FALSE(m.test(0));
-    EXPECT_FALSE(m.test(64));
-    EXPECT_FALSE(m.test(129));
-    EXPECT_TRUE(m.test(1));
-    EXPECT_EQ(espread::aggregate_loss_count(m), 3u);
-    m.set(64, true);
-    EXPECT_TRUE(m.test(64));
-    EXPECT_EQ(espread::aggregate_loss_count(m), 2u);
-}
-
-TEST(ContinuityMeter, BitMaskWindowsMatchLossMaskWindows) {
-    espread::sim::Rng rng{11};
-    espread::ContinuityMeter a;
-    espread::ContinuityMeter b;
-    for (int w = 0; w < 20; ++w) {
-        const LossMask m = random_mask(rng, 96, 0.2);
-        a.add_window(m);
-        b.add_window(BitMask::from_mask(m));
-    }
-    EXPECT_EQ(a.total().slots, b.total().slots);
-    EXPECT_EQ(a.total().unit_losses, b.total().unit_losses);
-    EXPECT_EQ(a.total().clf, b.total().clf);
-    EXPECT_DOUBLE_EQ(a.total().alf, b.total().alf);
-}
-
 // ---- scratch-buffer permutation paths ------------------------------------
 
 TEST(Permutation, ApplyIntoMatchesApply) {
@@ -462,18 +360,6 @@ TEST(Permutation, MoveApplyMatchesCopyApply) {
     const auto copied = p.apply(items);
     auto moved = p.apply(std::move(items));
     EXPECT_EQ(moved, copied);
-}
-
-TEST(ErrorSpreader, UnspreadIntoMatchesUnspread) {
-    espread::ErrorSpreader spreader{96};
-    spreader.on_feedback(9);
-    (void)spreader.begin_window();
-    espread::sim::Rng rng{3};
-    LossMask rx(96);
-    for (std::size_t i = 0; i < rx.size(); ++i) rx[i] = !rng.bernoulli(0.25);
-    LossMask scratch;
-    spreader.unspread_into(rx, scratch);
-    EXPECT_EQ(scratch, spreader.unspread(rx));
 }
 
 // ---- JSON writer ----------------------------------------------------------

@@ -11,7 +11,6 @@ namespace {
 
 using espread::obs::Histogram;
 using espread::sim::RunningStats;
-using espread::sim::TimeSeries;
 
 TEST(RunningStats, EmptyIsZero) {
     RunningStats s;
@@ -128,17 +127,6 @@ TEST(RunningStats, CancellationResidueNeverGoesNegative) {
     EXPECT_FALSE(std::isnan(s.deviation()));
 }
 
-TEST(TimeSeries, PreservesOrderAndStats) {
-    TimeSeries ts;
-    ts.add(0, 2.0);
-    ts.add(1, 4.0);
-    ts.add(2, 6.0);
-    ASSERT_EQ(ts.size(), 3u);
-    EXPECT_EQ(ts.xs(), (std::vector<double>{0, 1, 2}));
-    EXPECT_EQ(ts.ys(), (std::vector<double>{2, 4, 6}));
-    EXPECT_DOUBLE_EQ(ts.y_stats().mean(), 4.0);
-}
-
 // obs::Histogram is the one histogram type: exact buckets below
 // kLinearMax, 25%-wide ones above, and an exact sum throughout.
 
@@ -162,7 +150,7 @@ TEST(Histogram, CountsAndFractions) {
     EXPECT_DOUBLE_EQ(h.mean(), 13.0 / 6.0);
     // Above the exact range a bucket spans several values, but the sum
     // (and so the mean) still counts each value exactly.
-    h.record(1000, 3);
+    for (int i = 0; i < 3; ++i) h.record(1000);
     EXPECT_EQ(h.total(), 9u);
     EXPECT_EQ(h.sum(), 3013u);
     EXPECT_DOUBLE_EQ(h.mean(), 3013.0 / 9.0);

@@ -420,8 +420,8 @@ FleetSnapshot synthetic_epoch(std::uint64_t epoch, std::uint64_t good,
     FleetSnapshot s;
     s.epoch = epoch;
     s.step = (epoch + 1) * 8;
-    s.clf_delta.record(0, good);   // well under the threshold
-    s.clf_delta.record(10, bad);   // over it
+    for (std::uint64_t i = 0; i < good; ++i) s.clf_delta.record(0);  // under the threshold
+    for (std::uint64_t i = 0; i < bad; ++i) s.clf_delta.record(10);  // over it
     return s;
 }
 
@@ -431,16 +431,16 @@ TEST(SloEvaluator, WalksOkBurningBreachedAndRecovers) {
     std::uint64_t epoch = 0;
     // 96 clean epochs: budget untouched.
     for (; epoch < 96; ++epoch) eval.on_snapshot(synthetic_epoch(epoch, 1000, 0));
-    EXPECT_EQ(eval.overall_health(), SloHealth::kOk);
+    EXPECT_EQ(eval.status(0).health, SloHealth::kOk);
     EXPECT_FALSE(eval.ever_breached());
     // One fully-bad epoch: the fast window fires, the slow one dilutes it.
     eval.on_snapshot(synthetic_epoch(epoch++, 0, 1000));
-    EXPECT_EQ(eval.overall_health(), SloHealth::kBurning);
+    EXPECT_EQ(eval.status(0).health, SloHealth::kBurning);
     // Three more: the slow window crosses too -> breached.
     for (int i = 0; i < 3; ++i) {
         eval.on_snapshot(synthetic_epoch(epoch++, 0, 1000));
     }
-    EXPECT_EQ(eval.overall_health(), SloHealth::kBreached);
+    EXPECT_EQ(eval.status(0).health, SloHealth::kBreached);
     EXPECT_TRUE(eval.ever_breached());
     EXPECT_GE(eval.status(0).fast_burn, 14.0);
     EXPECT_GE(eval.status(0).slow_burn, 6.0);
@@ -449,7 +449,7 @@ TEST(SloEvaluator, WalksOkBurningBreachedAndRecovers) {
     for (int i = 0; i < 8; ++i) {
         eval.on_snapshot(synthetic_epoch(epoch++, 1000, 0));
     }
-    EXPECT_EQ(eval.overall_health(), SloHealth::kOk);
+    EXPECT_EQ(eval.status(0).health, SloHealth::kOk);
     EXPECT_TRUE(eval.ever_breached());
 
     ASSERT_EQ(eval.transitions().size(), 3u);
@@ -475,7 +475,7 @@ TEST(SloEvaluator, EmptyEpochsSpendNoBudget) {
     for (std::uint64_t e = 0; e < 8; ++e) {
         eval.on_snapshot(synthetic_epoch(e, 0, 0));
     }
-    EXPECT_EQ(eval.overall_health(), SloHealth::kOk);
+    EXPECT_EQ(eval.status(0).health, SloHealth::kOk);
     EXPECT_EQ(eval.status(0).fast_burn, 0.0);
 }
 

@@ -4,12 +4,14 @@
 // the theoretical sandwich for every (n, b).
 #include <gtest/gtest.h>
 
+#include <numeric>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "analysis/multiburst.hpp"
 #include "core/burst.hpp"
 #include "core/cpo.hpp"
-#include "core/interleaver.hpp"
 #include "sim/rng.hpp"
 
 namespace {
@@ -17,9 +19,19 @@ namespace {
 using espread::calculate_permutation;
 using espread::lower_bound_clf;
 using espread::Permutation;
-using espread::random_order;
 using espread::worst_case_clf;
 using espread::analysis::min_adjacent_distance;
+
+/// Uniformly random permutation of n items (Fisher–Yates driven by `rng`).
+Permutation random_order(std::size_t n, espread::sim::Rng& rng) {
+    std::vector<std::size_t> image(n);
+    std::iota(image.begin(), image.end(), std::size_t{0});
+    for (std::size_t i = n; i > 1; --i) {
+        const std::size_t j = rng.uniform_int(0, i - 1);
+        std::swap(image[i - 1], image[j]);
+    }
+    return Permutation{std::move(image)};
+}
 
 // CLF 1 against every burst <= b  <=>  every playback-adjacent pair is
 // more than ... precisely: min adjacent wire distance >= b means a burst

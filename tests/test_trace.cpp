@@ -100,9 +100,14 @@ TEST(TraceGenerator, MaxGopCalibratedToPublishedFigure) {
 TEST(TraceGenerator, MeanBitrateIsPlausibleForPaperBandwidth) {
     // The paper streams Jurassic Park over a 1.2 Mb/s link; the calibrated
     // mean bitrate must sit below that with headroom for retransmissions.
-    TraceGenerator gen{movie_stats("Jurassic Park"), 1};
-    EXPECT_GT(gen.mean_bitrate_bps(), 3e5);
-    EXPECT_LT(gen.mean_bitrate_bps(), 1.2e6);
+    const auto& stats = movie_stats("Jurassic Park");
+    TraceGenerator gen{stats, 1};
+    const auto frames = gen.generate(200);
+    double bits = 0.0;
+    for (const auto& f : frames) bits += static_cast<double>(f.size_bits);
+    const double bps = bits * stats.fps / static_cast<double>(frames.size());
+    EXPECT_GT(bps, 3e5);
+    EXPECT_LT(bps, 1.2e6);
 }
 
 TEST(MjpegTrace, IndependentConstantTypeFrames) {
@@ -129,7 +134,8 @@ TEST(AudioTrace, ConstantBitRateLdus) {
         EXPECT_EQ(l.type, FrameType::kIndependent);
     }
     EXPECT_EQ(AudioLdu::kBitsPerLdu, 2128u);
-    EXPECT_NEAR(AudioLdu::ldu_rate(), 30.0, 0.1);
+    // One LDU per video frame time: 8000 / 266 = 30.08 LDUs per second.
+    EXPECT_EQ(AudioLdu::kSampleRateHz / AudioLdu::kSamplesPerLdu, 30u);
 }
 
 TEST(MaxGopBits, GroupsByGop) {

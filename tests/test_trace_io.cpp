@@ -87,7 +87,7 @@ TEST(TraceIo, InferGopPatternFromRegularTrace) {
         "8 I 100\n9 B 10\n"};  // partial trailing GOP
     const auto frames = read_trace(in);
     const auto pattern = infer_gop_pattern(frames);
-    EXPECT_EQ(pattern.to_string(), "IBBP");
+    EXPECT_EQ(pattern, espread::media::GopPattern::parse("IBBP"));
 }
 
 TEST(TraceIo, InferGopPatternRejectsIrregularTraces) {
