@@ -38,21 +38,36 @@ std::size_t aggregate_loss_count(const LossMask& delivered) {
 }
 
 ContinuityReport measure_continuity(const LossMask& delivered) {
+    return measure_continuity(delivered, 0, delivered.size());
+}
+
+ContinuityReport measure_continuity(const LossMask& delivered, std::size_t first,
+                                    std::size_t last) {
     ContinuityReport r;
-    r.slots = delivered.size();
-    r.unit_losses = aggregate_loss_count(delivered);
-    r.clf = consecutive_loss(delivered);
+    r.slots = last - first;
+    std::size_t current = 0;
+    for (std::size_t i = first; i < last; ++i) {
+        if (!delivered[i]) {
+            ++r.unit_losses;
+            r.clf = std::max(r.clf, ++current);
+        } else {
+            current = 0;
+        }
+    }
     r.alf = r.slots == 0 ? 0.0
                          : static_cast<double>(r.unit_losses) / static_cast<double>(r.slots);
     return r;
 }
 
 void ContinuityMeter::add_window(const LossMask& delivered) {
-    const ContinuityReport w = measure_continuity(delivered);
+    add(measure_continuity(delivered));
+}
+
+void ContinuityMeter::add(const ContinuityReport& window) noexcept {
     ++windows_;
-    total_.slots += w.slots;
-    total_.unit_losses += w.unit_losses;
-    total_.clf = std::max(total_.clf, w.clf);
+    total_.slots += window.slots;
+    total_.unit_losses += window.unit_losses;
+    total_.clf = std::max(total_.clf, window.clf);
 }
 
 ContinuityReport ContinuityMeter::total() const noexcept {

@@ -42,6 +42,11 @@ std::size_t aggregate_loss_count(const LossMask& delivered);
 /// Full continuity report for one mask.
 ContinuityReport measure_continuity(const LossMask& delivered);
 
+/// Continuity report of the slots [first, last) of `delivered`, measured
+/// in place (one pass, no copy of the slice).
+ContinuityReport measure_continuity(const LossMask& delivered, std::size_t first,
+                                    std::size_t last);
+
 // Raw-word batch entry points for the multi-session engine (src/engine):
 // the caller owns packed LOSS-polarity words (set bit = unit loss, the
 // inverse of a LossMask entry) with every bit past the mask's logical size
@@ -97,6 +102,9 @@ class ContinuityMeter {
 public:
     /// Records one buffer window worth of playback outcomes.
     void add_window(const LossMask& delivered);
+
+    /// Records one buffer window already measured by measure_continuity.
+    void add(const ContinuityReport& window) noexcept;
 
     std::size_t windows() const noexcept { return windows_; }
 

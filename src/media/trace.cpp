@@ -56,9 +56,9 @@ TraceGenerator::TraceGenerator(MovieStats stats, std::uint64_t seed)
                          kPWeight * static_cast<double>(pattern_.p_count()) +
                          kBWeight * static_cast<double>(pattern_.b_count());
     const double unit = mean_gop / units;
-    mean_i_bits_ = kIWeight * unit;
-    mean_p_bits_ = kPWeight * unit;
-    mean_b_bits_ = kBWeight * unit;
+    mu_i_ = lognormal_mu(kIWeight * unit);
+    mu_p_ = lognormal_mu(kPWeight * unit);
+    mu_b_ = lognormal_mu(kBWeight * unit);
 }
 
 std::vector<Frame> TraceGenerator::generate(std::size_t num_gops) {
@@ -78,10 +78,10 @@ void TraceGenerator::generate_into(std::size_t num_gops,
             f.gop = next_gop_;
             f.pos_in_gop = p;
             f.type = pattern_.type_at(p);
-            double mean = mean_b_bits_;
-            if (f.type == FrameType::kI) mean = mean_i_bits_;
-            if (f.type == FrameType::kP) mean = mean_p_bits_;
-            const double bits = rng_.lognormal(lognormal_mu(mean), kSigma);
+            double mu = mu_b_;
+            if (f.type == FrameType::kI) mu = mu_i_;
+            if (f.type == FrameType::kP) mu = mu_p_;
+            const double bits = rng_.lognormal(mu, kSigma);
             f.size_bits = static_cast<std::size_t>(std::max(1.0, bits));
             out.push_back(f);
         }
@@ -95,6 +95,7 @@ std::vector<Frame> mjpeg_trace(std::size_t num_frames, double mean_frame_bits,
         throw std::invalid_argument("mjpeg_trace: mean size must be positive");
     }
     sim::Rng rng{seed};
+    const double mu = lognormal_mu(mean_frame_bits);
     std::vector<Frame> frames;
     frames.reserve(num_frames);
     for (std::size_t i = 0; i < num_frames; ++i) {
@@ -102,7 +103,7 @@ std::vector<Frame> mjpeg_trace(std::size_t num_frames, double mean_frame_bits,
         f.index = i;
         f.type = FrameType::kIndependent;
         f.size_bits = static_cast<std::size_t>(
-            std::max(1.0, rng.lognormal(lognormal_mu(mean_frame_bits), kSigma)));
+            std::max(1.0, rng.lognormal(mu, kSigma)));
         frames.push_back(f);
     }
     return frames;

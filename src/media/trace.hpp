@@ -61,9 +61,11 @@ private:
     MovieStats stats_;
     GopPattern pattern_;
     sim::Rng rng_;
-    double mean_i_bits_;
-    double mean_p_bits_;
-    double mean_b_bits_;
+    /// Lognormal location parameter of each frame type's size, computed
+    /// once from the type's mean size.
+    double mu_i_;
+    double mu_p_;
+    double mu_b_;
     std::size_t next_gop_ = 0;
     std::size_t next_index_ = 0;
 };

@@ -74,7 +74,9 @@ struct SendFaults {
 /// paper's motivation — we model the loss with the Gilbert chain rather
 /// than an explicit queue, as the paper's own simulation does).  Delivery
 /// happens propagation_delay after serialization completes.  Loss is
-/// decided per packet by the Gilbert chain, in send order.
+/// decided per packet by the Gilbert chain, in send order.  Msg must be
+/// default-constructible and move-assignable: pending deliveries live in
+/// reused slots.
 template <typename Msg>
 class Channel {
 public:
@@ -128,8 +130,8 @@ public:
     /// default directive reproduces the plain send() exactly — same loss
     /// draws, same arrival times, same trace events — so an inactive fault
     /// layer is observationally free.  Below the by-value entry points
-    /// the payload is only ever moved: into the pending list, along it
-    /// when an arrival is displaced or the list compacts, and out.
+    /// the payload is only ever moved: into the pending ring, along it
+    /// when an arrival is displaced or the ring widens, and out.
     bool send(Msg&& msg, std::size_t size_bits, const SendFaults& faults) {
         return send_impl(std::move(msg), size_bits, faults,
                          /*occupy_link=*/true);
@@ -154,8 +156,7 @@ public:
   private:
     bool send_impl(Msg&& msg, std::size_t size_bits, const SendFaults& faults,
                    bool occupy_link) {
-        const sim::SimTime tx_time = sim::from_seconds(
-            static_cast<double>(size_bits) / link_.bandwidth_bps);
+        const sim::SimTime tx_time = cached_tx_time(size_bits);
         const sim::SimTime depart = std::max(queue_.now(), link_free_);
         if (occupy_link) {
             link_free_ = depart + tx_time;
@@ -237,39 +238,68 @@ public:
     std::size_t in_flight_slots() const noexcept { return peak_pending_; }
 
 private:
+    /// serialization_time() through a two-entry, most-recent-first cache.
+    /// A frame's fragments are full-size but for the last, so sends
+    /// alternate between two sizes and the division runs about once a
+    /// frame instead of once a packet.
+    sim::SimTime cached_tx_time(std::size_t size_bits) noexcept {
+        if (size_bits == tx_cache_[0].bits) return tx_cache_[0].time;
+        if (size_bits != tx_cache_[1].bits) {
+            tx_cache_[1] = TxTime{size_bits, serialization_time(size_bits)};
+        }
+        std::swap(tx_cache_[0], tx_cache_[1]);
+        return tx_cache_[0].time;
+    }
+
     /// One scheduled delivery under the key schedule_at would give it.
     struct Pending { sim::SimTime when; std::uint64_t seq; Msg msg; };
 
+    /// The i-th earliest pending delivery.
+    Pending& slot(std::size_t i) noexcept {
+        return ring_[(head_ + i) & (ring_.size() - 1)];
+    }
+
     /// Files `msg` under the queue's next stamp.  An in-order arrival
-    /// appends; one displaced by a fault (or a side-band packet that a
-    /// shorter in-band one overtakes) goes in behind, scanning back.
+    /// is written into the free slot behind the last one; one displaced
+    /// by a fault (or a side-band packet that a shorter in-band one
+    /// overtakes) goes in behind, shifting the later ones up.
     void schedule_delivery(sim::SimTime when, Msg&& msg) {
         when = std::max(when, queue_.now());
-        std::size_t at = pending_.size();
-        while (at > head_ && pending_[at - 1].when > when) --at;
-        pending_.insert(pending_.begin() + static_cast<std::ptrdiff_t>(at),
-                        Pending{when, queue_.stamp(), std::move(msg)});
-        peak_pending_ = std::max(peak_pending_, pending_.size() - head_);
+        if (size_ == ring_.size()) widen();
+        std::size_t at = size_;
+        while (at > 0 && slot(at - 1).when > when) --at;
+        for (std::size_t i = size_; i > at; --i) slot(i) = std::move(slot(i - 1));
+        Pending& p = slot(at);
+        p.when = when;
+        p.seq = queue_.stamp();
+        p.msg = std::move(msg);
+        ++size_;
+        peak_pending_ = std::max(peak_pending_, size_);
         arm();
+    }
+
+    /// Doubles the ring (at least 16 slots), earliest delivery first.
+    void widen() {
+        std::vector<Pending> wider(std::max<std::size_t>(16, 2 * ring_.size()));
+        for (std::size_t i = 0; i < size_; ++i) wider[i] = std::move(slot(i));
+        ring_.swap(wider);
+        head_ = 0;
     }
 
     /// Shows the queue the earliest pending delivery, if any.
     void arm() noexcept {
-        if (head_ == pending_.size()) return queue_.disarm(feed_);
-        queue_.arm(feed_, pending_[head_].when, pending_[head_].seq,
-                   pending_.size() - head_);
+        if (size_ == 0) return queue_.disarm(feed_);
+        const Pending& p = slot(0);
+        queue_.arm(feed_, p.when, p.seq, size_);
     }
 
     /// Pops the earliest delivery and re-arms the feed, then hands the
     /// payload to the receiver (which may send on this channel again).
+    /// The delivered slot keeps the moved-from payload until reused.
     void deliver_head() {
-        Msg msg = std::move(pending_[head_].msg);
-        if (++head_ * 2 >= pending_.size()) {
-            // Drop the delivered prefix: at most twice the peak in flight.
-            pending_.erase(pending_.begin(),
-                           pending_.begin() + static_cast<std::ptrdiff_t>(head_));
-            head_ = 0;
-        }
+        Msg msg = std::move(slot(0).msg);
+        head_ = (head_ + 1) & (ring_.size() - 1);
+        --size_;
         arm();
         ++stats_.delivered;
         if (receiver_) receiver_(std::move(msg));
@@ -291,11 +321,19 @@ private:
     GilbertLoss loss_;
     Receiver receiver_;
     sim::SimTime link_free_ = 0;
+    struct TxTime {
+        std::size_t bits = 0;
+        sim::SimTime time = 0;  ///< serialization_time(0) is 0
+    };
+    TxTime tx_cache_[2];
     ChannelStats stats_;
     std::size_t loss_run_ = 0;  ///< consecutive drops ending at the last send
-    /// Deliveries sorted by (when, seq); [0, head_) are already delivered.
-    std::vector<Pending> pending_;
+    /// Pending deliveries sorted by (when, seq) in a ring of power-of-two
+    /// size: slot(i) is ring_[(head_ + i) & (ring_.size() - 1)], i < size_.
+    /// A delivery frees its slot without moving the others.
+    std::vector<Pending> ring_;
     std::size_t head_ = 0;
+    std::size_t size_ = 0;
     std::size_t peak_pending_ = 0;
     std::size_t feed_ = 0;  ///< this channel's feed in queue_
     obs::TraceSink* trace_ = nullptr;

@@ -37,22 +37,20 @@ std::optional<sim::SimTime> PlayoutClock::slack(std::size_t frame) const {
     return deadline(frame) - *ready_[frame];
 }
 
-LossMask PlayoutClock::playback_mask(std::size_t count) const {
-    LossMask mask(count, false);
-    for (std::size_t f = 0; f < count; ++f) mask[f] = on_time(f);
-    return mask;
-}
-
-sim::SimTime PlayoutClock::required_startup_delay(std::size_t count) const {
-    sim::SimTime required = 0;
+PlayoutVerdict PlayoutClock::judge(std::size_t count) const {
+    PlayoutVerdict v;
+    v.on_time.assign(count, false);
     for (std::size_t f = 0; f < count && f < ready_.size(); ++f) {
         if (!ready_[f].has_value()) continue;
-        // frame f is on time iff startup + f/rate > ready time.
+        const sim::SimTime ready = *ready_[f];
+        // Frame f's deadline is startup + f/rate: it is on time iff it
+        // became ready before that.
         const sim::SimTime ideal_offset =
             sim::from_seconds(static_cast<double>(f) / frame_rate_);
-        required = std::max(required, *ready_[f] - ideal_offset + 1);
+        v.on_time[f] = ready < startup_delay_ + ideal_offset;
+        v.required_startup = std::max(v.required_startup, ready - ideal_offset + 1);
     }
-    return required;
+    return v;
 }
 
 }  // namespace espread::proto

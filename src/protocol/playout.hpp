@@ -21,6 +21,16 @@
 
 namespace espread::proto {
 
+/// What a PlayoutClock made of a stream's first frames.
+struct PlayoutVerdict {
+    /// Delivery mask: true iff the frame was ready strictly before its
+    /// deadline.  Feeds the usual continuity metrics.
+    LossMask on_time;
+    /// Smallest start-up delay that would have made every recorded frame
+    /// on time: the measured lower bound on the client buffer's time depth.
+    sim::SimTime required_startup = 0;
+};
+
 /// Continuity of a stream judged by arrival times against playout deadlines.
 class PlayoutClock {
 public:
@@ -33,6 +43,13 @@ public:
     /// Ideal playout instant of frame f (the beginning of its slot).
     sim::SimTime deadline(std::size_t frame) const noexcept;
 
+    /// Sizes the ready table for frames [0, count) up front, so recording
+    /// them neither grows nor reallocates it.  Observably a no-op: an
+    /// unrecorded frame reads the same either way.
+    void reserve(std::size_t count) {
+        if (ready_.size() < count) ready_.resize(count);
+    }
+
     /// Records that `frame` became playable (complete and decodable) at
     /// `when`.  Later duplicates are ignored; only the earliest counts.
     void frame_ready(std::size_t frame, sim::SimTime when);
@@ -44,14 +61,8 @@ public:
     /// Negative values mean the frame missed its slot.
     std::optional<sim::SimTime> slack(std::size_t frame) const;
 
-    /// Delivery mask over frames [0, count): true iff ready before the
-    /// deadline.  Feeds the usual continuity metrics.
-    LossMask playback_mask(std::size_t count) const;
-
-    /// Smallest start-up delay that would have made every recorded frame
-    /// (of the first `count`) on time — the measured lower bound on the
-    /// client buffer's time depth.
-    sim::SimTime required_startup_delay(std::size_t count) const;
+    /// Judges frames [0, count) in one pass over their deadlines.
+    PlayoutVerdict judge(std::size_t count) const;
 
 private:
     double frame_rate_;

@@ -9,6 +9,7 @@ namespace espread::proto {
 Receiver::Receiver(std::size_t window_ldus, std::vector<std::size_t> layer_sizes,
                    std::vector<std::vector<std::size_t>> prereqs)
     : window_ldus_(window_ldus),
+      mod_magic_(window_ldus == 0 ? 0 : ~std::uint64_t{0} / window_ldus + 1),
       layer_sizes_(std::move(layer_sizes)),
       prereqs_(std::move(prereqs)) {
     if (window_ldus_ == 0) {
@@ -17,6 +18,59 @@ Receiver::Receiver(std::size_t window_ldus, std::vector<std::size_t> layer_sizes
     if (prereqs_.size() != window_ldus_) {
         throw std::invalid_argument("Receiver: prereqs size != window");
     }
+    // Kahn's algorithm over the prerequisite edges q -> f, with the
+    // dependents of q stored flat in dependents[first[q], first[q + 1]).
+    const std::size_t n = window_ldus_;
+    std::vector<std::size_t> waiting(n);
+    std::vector<std::size_t> first(n + 1, 0);
+    for (std::size_t f = 0; f < n; ++f) {
+        waiting[f] = prereqs_[f].size();
+        for (const std::size_t q : prereqs_[f]) {
+            if (q >= n) {
+                throw std::invalid_argument("Receiver: prerequisite out of range");
+            }
+            ++first[q + 1];
+        }
+    }
+    for (std::size_t q = 0; q < n; ++q) first[q + 1] += first[q];
+    std::vector<std::size_t> dependents(first[n]);
+    std::vector<std::size_t> next(first.begin(), first.end() - 1);
+    for (std::size_t f = 0; f < n; ++f) {
+        for (const std::size_t q : prereqs_[f]) dependents[next[q]++] = f;
+    }
+    order_.reserve(n);
+    for (std::size_t f = 0; f < n; ++f) {
+        if (waiting[f] == 0) order_.push_back(f);
+    }
+    for (std::size_t i = 0; i < order_.size(); ++i) {
+        const std::size_t q = order_[i];
+        for (std::size_t e = first[q]; e < first[q + 1]; ++e) {
+            if (--waiting[dependents[e]] == 0) order_.push_back(dependents[e]);
+        }
+    }
+    for (std::size_t f = 0; f < n; ++f) {
+        if (waiting[f] != 0) cyclic_.push_back(f);
+    }
+    layer_offset_.reserve(layer_sizes_.size());
+    std::size_t slots = 0;
+    for (const std::size_t size : layer_sizes_) {
+        layer_offset_.push_back(slots);
+        slots += size;
+    }
+    got_.resize(slots);
+    span_.resize(layer_sizes_.size());
+    plays_.resize(window_ldus_);
+    ready_at_.resize(window_ldus_);
+}
+
+std::size_t Receiver::local_of(std::size_t frame_index) const noexcept {
+    constexpr std::uint64_t kMax32 = 0xFFFFFFFFu;
+    if (frame_index > kMax32 || window_ldus_ > kMax32) {
+        return frame_index % window_ldus_;
+    }
+    __extension__ using u128 = unsigned __int128;
+    const std::uint64_t low = mod_magic_ * frame_index;
+    return static_cast<std::size_t>((static_cast<u128>(low) * window_ldus_) >> 64);
 }
 
 bool Receiver::FrameAssembly::insert(std::size_t fragment) {
@@ -40,14 +94,23 @@ const Receiver::WindowState* Receiver::find(std::size_t window) const noexcept {
 }
 
 Receiver::WindowState& Receiver::open(std::size_t window) {
+    // Callers never open a finalized window, so at most one slot holds
+    // `window`: most packets land in the window the last one did.
+    if (last_slot_ < windows_.size() && windows_[last_slot_].window == window) {
+        return windows_[last_slot_];
+    }
     WindowState* slot = nullptr;
     for (WindowState& w : windows_) {
-        if (w.window == window) return w;
+        if (w.window == window) {
+            last_slot_ = static_cast<std::size_t>(&w - windows_.data());
+            return w;
+        }
         if (slot == nullptr && finalized(w.window)) slot = &w;
     }
     if (slot == nullptr) slot = &windows_.emplace_back();
+    last_slot_ = static_cast<std::size_t>(slot - windows_.data());
     slot->window = window;
-    slot->frames.clear();
+    for (FrameAssembly& fa : slot->frames) fa.reset();
     slot->layer_sent.clear();
     slot->trailer_seen = false;
     return *slot;
@@ -84,7 +147,7 @@ void Receiver::on_packet(const DataPacket& p, sim::SimTime now) {
         ++mismatch_dropped_;
         return;
     }
-    const std::size_t local = p.frame_index % window_ldus_;
+    const std::size_t local = local_of(p.frame_index);
     WindowState& w = open(p.window);
     if (w.frames.empty()) w.frames.resize(window_ldus_);
     FrameAssembly& fa = w.frames[local];
@@ -141,15 +204,16 @@ void Receiver::on_trailer(const WindowTrailer& t) {
     w.trailer_seen = true;
 }
 
-WindowOutcome Receiver::finalize(std::size_t window) {
-    WindowOutcome out = outcome_of(window);
+const WindowOutcome& Receiver::finalize(std::size_t window) {
+    compute_outcome(window);
     if (window >= finalized_.size()) finalized_.resize(window + 1);
     finalized_[window] = true;  // and so frees the window's slot
-    return out;
+    return out_;
 }
 
-WindowOutcome Receiver::report(std::size_t window) const {
-    return outcome_of(window);
+const WindowOutcome& Receiver::report(std::size_t window) {
+    compute_outcome(window);
+    return out_;
 }
 
 std::uint64_t Receiver::incomplete_frames(std::size_t window) const {
@@ -167,11 +231,15 @@ std::uint64_t Receiver::incomplete_frames(std::size_t window) const {
     return missing;
 }
 
-WindowOutcome Receiver::outcome_of(std::size_t window) const {
-    WindowOutcome out;
+void Receiver::compute_outcome(std::size_t window) {
+    WindowOutcome& out = out_;
+    const std::size_t layers = layer_sizes_.size();
     out.playback.assign(window_ldus_, false);
-    out.layer_max_burst.assign(layer_sizes_.size(), 0);
-    out.layer_lost.assign(layer_sizes_.size(), 0);
+    out.undecodable = 0;
+    out.frames_received = 0;
+    out.layer_max_burst.assign(layers, 0);
+    out.layer_lost.assign(layers, 0);
+    out.trailer_seen = false;
     out.playable_at.assign(window_ldus_, std::nullopt);
 
     const WindowState* found = find(window);
@@ -179,86 +247,96 @@ WindowOutcome Receiver::outcome_of(std::size_t window) const {
         // Nothing arrived: every layer is one solid loss burst (up to its
         // size — without a trailer we cannot know how much was sent, so
         // report the full layer as the conservative estimate).
-        for (std::size_t l = 0; l < layer_sizes_.size(); ++l) {
-            out.layer_max_burst[l] = layer_sizes_[l];
-            out.layer_lost[l] = layer_sizes_[l];
-        }
-        return out;
+        out.layer_max_burst = layer_sizes_;
+        out.layer_lost = layer_sizes_;
+        return;
     }
     const WindowState& w = *found;
     out.trailer_seen = w.trailer_seen;
 
-    // Frame completeness in playback order.  Unseen frames (and a window
+    // One frame pass: completeness in playback order, and each complete
+    // frame's wire position in its layer.  Unseen frames (and a window
     // only the trailer reached, whose frame table is empty) never count.
+    std::fill(plays_.begin(), plays_.end(), 0);
+    std::fill(got_.begin(), got_.end(), 0);
+    std::fill(span_.begin(), span_.end(), 0);
     for (std::size_t local = 0; local < w.frames.size(); ++local) {
-        if (w.frames[local].complete()) {
-            out.playback[local] = true;
-            ++out.frames_received;
+        const FrameAssembly& fa = w.frames[local];
+        if (!fa.complete()) continue;
+        plays_[local] = 1;
+        ready_at_[local] = fa.completed_at;
+        ++out.frames_received;
+        if (fa.tx_pos < layer_sizes_[fa.layer]) {
+            got_[layer_offset_[fa.layer] + fa.tx_pos] = 1;
+            span_[fa.layer] = std::max(span_[fa.layer], fa.tx_pos + 1);
         }
     }
 
     // Decodability: a frame plays only if complete and all prerequisites
-    // play.  Local prerequisite indices are always lower-layer frames; we
-    // resolve with a fixed-point pass over playback order (prerequisites
-    // can sit after a frame in playback order, e.g. a B frame's forward
-    // anchor, so one pass in index order is not enough).
-    bool changed = true;
-    while (changed) {
+    // play (the greatest fixed point), and it is playable once it AND its
+    // whole prerequisite cone have arrived.  Kahn order settles every
+    // frame not on or behind a cycle in one pass, since its prerequisites
+    // are final before it is reached.
+    for (const std::size_t f : order_) {
+        if (!plays_[f]) continue;
+        for (const std::size_t q : prereqs_[f]) {
+            if (!plays_[q]) {
+                plays_[f] = 0;
+                break;
+            }
+            ready_at_[f] = std::max(ready_at_[f], ready_at_[q]);
+        }
+    }
+    // Frames on or behind a cycle: no order settles them, so iterate
+    // until nothing changes; their prerequisites outside the cycle are
+    // already final.
+    for (bool changed = !cyclic_.empty(); changed;) {
         changed = false;
-        for (std::size_t f = 0; f < window_ldus_; ++f) {
-            if (!out.playback[f]) continue;
+        for (const std::size_t f : cyclic_) {
+            if (!plays_[f]) continue;
             for (const std::size_t q : prereqs_[f]) {
-                if (!out.playback[q]) {
-                    out.playback[f] = false;
+                if (!plays_[q]) {
+                    plays_[f] = 0;
                     changed = true;
                     break;
                 }
             }
         }
     }
-    // Every frame still playing is complete; the rest of those are not.
-    out.undecodable = out.frames_received -
-        static_cast<std::size_t>(std::count(out.playback.begin(), out.playback.end(), true));
-
-    // Playable instants: a frame can be decoded once it AND all its
-    // prerequisites have fully arrived, so its playable time is the max of
-    // the completion times along its dependency cone (fixed point, since
-    // forward prerequisites exist).
-    for (std::size_t local = 0; local < w.frames.size(); ++local) {
-        if (out.playback[local]) out.playable_at[local] = w.frames[local].completed_at;
-    }
-    changed = true;
-    while (changed) {
+    for (bool changed = !cyclic_.empty(); changed;) {
         changed = false;
-        for (std::size_t f = 0; f < window_ldus_; ++f) {
-            if (!out.playable_at[f].has_value()) continue;
+        for (const std::size_t f : cyclic_) {
+            if (!plays_[f]) continue;
             for (const std::size_t q : prereqs_[f]) {
-                // playback[f] implies playback[q], so q has a time.
-                if (*out.playable_at[q] > *out.playable_at[f]) {
-                    out.playable_at[f] = out.playable_at[q];
+                // plays_[f] implies plays_[q], so q has a time.
+                if (ready_at_[q] > ready_at_[f]) {
+                    ready_at_[f] = ready_at_[q];
                     changed = true;
                 }
             }
         }
     }
+    std::size_t playing = 0;
+    for (std::size_t f = 0; f < window_ldus_; ++f) {
+        if (!plays_[f]) continue;
+        out.playback[f] = true;
+        out.playable_at[f] = ready_at_[f];
+        ++playing;
+    }
+    // Every frame playing is complete; the rest of the complete ones are
+    // not decodable.
+    out.undecodable = out.frames_received - playing;
 
     // Per-layer wire-order loss runs.  Measurement span per layer: the
     // trailer's sent count when available, otherwise up to the highest
     // position received (losses beyond it are indistinguishable from
     // sender-side drops).
-    std::vector<bool> got;
-    for (std::size_t l = 0; l < layer_sizes_.size(); ++l) {
-        got.assign(layer_sizes_[l], false);
-        std::size_t span = 0;  // one past the highest position received
-        for (const FrameAssembly& fa : w.frames) {
-            if (fa.layer == l && fa.complete() && fa.tx_pos < got.size()) {
-                got[fa.tx_pos] = true;
-                span = std::max(span, fa.tx_pos + 1);
-            }
-        }
+    for (std::size_t l = 0; l < layers; ++l) {
+        std::size_t span = span_[l];
         if (w.trailer_seen && l < w.layer_sent.size()) {
             span = std::min(w.layer_sent[l], layer_sizes_[l]);
         }
+        const unsigned char* got = got_.data() + layer_offset_[l];
         std::size_t run = 0;
         for (std::size_t pos = 0; pos < span; ++pos) {
             if (!got[pos]) {
@@ -270,8 +348,6 @@ WindowOutcome Receiver::outcome_of(std::size_t window) const {
             }
         }
     }
-
-    return out;
 }
 
 }  // namespace espread::proto

@@ -85,14 +85,20 @@ public:
     /// Closes window `w`: computes the outcome and releases its state.
     /// Windows may be finalized in any order; unseen windows yield an
     /// all-lost outcome.  Closed windows cost a bit each, from window 0.
-    WindowOutcome finalize(std::size_t window);
+    ///
+    /// The outcome lives in a buffer the receiver owns and reuses: the
+    /// reference stays valid, and its contents unchanged, until the next
+    /// finalize() or report() call on this receiver.  Copy it to keep it
+    /// longer.
+    const WindowOutcome& finalize(std::size_t window);
 
     /// Computes the outcome of window `w` from its current state without
     /// closing it: no state is released and later packets still count.
     /// The recovery plane uses this to ACK a window at its transmission
     /// deadline while the window stays open for NACK-driven repairs until
-    /// its playout budget runs out.
-    WindowOutcome report(std::size_t window) const;
+    /// its playout budget runs out.  Same buffer, and the same reference
+    /// lifetime, as finalize().
+    const WindowOutcome& report(std::size_t window);
 
     /// Bitmap over the window's first min(NackRequest::kMaxFrames, n)
     /// local frames: bit f set iff frame f has not arrived complete yet.
@@ -128,18 +134,30 @@ private:
         }
         /// Marks `fragment` arrived; false if it already had.
         bool insert(std::size_t fragment);
+        /// Back to "no fragment seen" (layer, position and completion
+        /// time are rewritten before they are read again).
+        void reset() noexcept {
+            num_fragments = 0;
+            received = 0;
+            low = 0;
+            high.clear();
+        }
     };
     struct WindowState {
         std::size_t window = 0;  ///< the slot is free once this is finalized
         /// By local frame index: window_ldus entries once a data packet
-        /// arrived, empty while only the trailer has.
+        /// reached this slot, empty before.  A reused slot keeps its table
+        /// and resets each frame in place.
         std::vector<FrameAssembly> frames;
         std::vector<std::size_t> layer_sent;  // from trailer
         bool trailer_seen = false;
     };
 
     void trace_drop(obs::EventType type, const DataPacket& p, sim::SimTime now);
-    WindowOutcome outcome_of(std::size_t window) const;
+    /// Fills out_ with window `window`'s outcome.
+    void compute_outcome(std::size_t window);
+    /// frame_index % window_ldus_, by multiply-high for 32-bit indexes.
+    std::size_t local_of(std::size_t frame_index) const noexcept;
     bool finalized(std::size_t window) const noexcept {
         return window < finalized_.size() && finalized_[window];
     }
@@ -148,11 +166,30 @@ private:
     WindowState& open(std::size_t window);
 
     std::size_t window_ldus_;
+    /// ~0 / window_ldus_ + 1: with it, local_of() computes the remainder
+    /// of a 32-bit index exactly (Lemire, Kaser and Kurz, "Faster
+    /// remainder by direct computation", 2019).
+    std::uint64_t mod_magic_;
     std::vector<std::size_t> layer_sizes_;
+    std::vector<std::size_t> layer_offset_;  ///< first got_ slot of each layer
     std::vector<std::vector<std::size_t>> prereqs_;
+    /// Frames whose prerequisites all come earlier (Kahn order): one pass
+    /// settles them.  The rest sit on or behind a prerequisite cycle (a
+    /// self-reference included) and get the fixed point.
+    std::vector<std::size_t> order_;
+    std::vector<std::size_t> cyclic_;
     /// Searched linearly: 2-3 are open in steady state, forged ones are
     /// bounded by window_limit_, and a free slot keeps its capacity.
     std::vector<WindowState> windows_;
+    std::size_t last_slot_ = 0;  ///< slot open() returned last
+    /// The outcome finalize()/report() return, and its working columns:
+    /// per frame whether it plays and since when, per layer wire position
+    /// whether it arrived, per layer one past the highest one that did.
+    WindowOutcome out_;
+    std::vector<unsigned char> plays_;
+    std::vector<sim::SimTime> ready_at_;
+    std::vector<unsigned char> got_;
+    std::vector<std::size_t> span_;
     std::vector<bool> finalized_;  ///< bit w set = window w closed
     std::size_t window_limit_ = 0;     ///< 0 = unlimited
     std::size_t duplicates_dropped_ = 0;

@@ -92,6 +92,33 @@ std::optional<FeedbackMsg> corrupt_feedback_msg(const FeedbackMsg& m,
     return std::nullopt;
 }
 
+/// Spare vectors for the per-window trailer and ACK messages.  A message
+/// takes one when it is sent and its receiver gives it back on delivery,
+/// so steady state reuses a few buffers instead of allocating per window;
+/// a lost message frees its buffer and take() allocates a new one.
+class VectorPool {
+public:
+    /// A vector holding `contents`, on recycled capacity when there is any.
+    std::vector<std::size_t> take(const std::vector<std::size_t>& contents) {
+        std::vector<std::size_t> v;
+        if (!spare_.empty()) {
+            v = std::move(spare_.back());
+            spare_.pop_back();
+        }
+        v.assign(contents.begin(), contents.end());
+        return v;
+    }
+    /// Returns a delivered message's vector.  Duplicated deliveries could
+    /// give back more than was taken, so the pool keeps at most kCap.
+    void give(std::vector<std::size_t>&& v) {
+        if (spare_.size() < kCap) spare_.push_back(std::move(v));
+    }
+
+private:
+    static constexpr std::size_t kCap = 8;
+    std::vector<std::vector<std::size_t>> spare_;
+};
+
 }  // namespace
 
 sim::RunningStats SessionResult::clf_stats() const {
@@ -165,19 +192,23 @@ struct Session::Impl {
         }
 
         receiver.set_window_limit(cfg.num_windows);
+        playout.reserve(cfg.num_windows * planner.window_ldus());
         data.set_receiver([this](DataMsg&& m) {
             if (const DataPacket* p = std::get_if<DataPacket>(&m)) {
                 receiver.on_packet(*p, queue.now());
                 if (!p->retransmission) client_on_source(*p);
-            } else if (const WindowTrailer* t = std::get_if<WindowTrailer>(&m)) {
+            } else if (WindowTrailer* t = std::get_if<WindowTrailer>(&m)) {
                 receiver.on_trailer(*t);
+                vectors.give(std::move(t->layer_sent));
             } else {
                 client_on_repair(std::get<RepairPacket>(m));
             }
         });
         feedback.set_receiver([this](FeedbackMsg&& m) {
-            if (const Feedback* f = std::get_if<Feedback>(&m)) {
+            if (Feedback* f = std::get_if<Feedback>(&m)) {
                 on_feedback(*f);
+                vectors.give(std::move(f->layer_max_burst));
+                vectors.give(std::move(f->layer_lost));
             } else {
                 on_nack(std::get<NackRequest>(m));
             }
@@ -287,16 +318,36 @@ struct Session::Impl {
         return frames_scratch;
     }
 
-    /// Sends one packet; updates loss-burst accounting and, for a fresh
-    /// source packet of a coded scheme, the RLC coding window.
-    bool send_packet(DataPacket p, WindowReport& rep) {
-        const std::size_t wire_bits = p.size_bits + kPacketHeaderBits;
-        const bool rlc_eligible = rlc_decoder.has_value() && !p.retransmission;
-        if (rlc_eligible) {
+    /// One data packet as a channel message, built in place: the frame's
+    /// header `proto` with the packet's own fields set.  Returned by value
+    /// into the channel's by-value parameter, so the packet is never
+    /// copied on its way there.
+    DataMsg packet_msg(const DataPacket& proto, std::uint64_t seq,
+                       std::size_t fragment, std::size_t size_bits,
+                       bool retransmission) const {
+        DataMsg m{std::in_place_type<DataPacket>, proto};
+        DataPacket& p = *std::get_if<DataPacket>(&m);
+        p.seq = seq;
+        p.fragment = fragment;
+        p.size_bits = size_bits;
+        p.retransmission = retransmission;
+        if (rlc_decoder.has_value() && !retransmission) {
             // The wire header's fec_group field carries the source index.
             p.fec_group = static_cast<std::size_t>(rlc_next & 0xFFFFFFFFu);
         }
-        const bool ok = data.send(DataMsg{p}, wire_bits);
+        return m;
+    }
+
+    /// Sends one fragment of the frame `proto` describes; updates
+    /// loss-burst accounting and, for a fresh source packet of a coded
+    /// scheme, the RLC coding window.
+    bool send_packet(const DataPacket& proto, std::size_t fragment,
+                     std::size_t size_bits, bool retransmission,
+                     WindowReport& rep) {
+        const std::uint64_t seq = next_seq++;
+        const bool ok =
+            data.send(packet_msg(proto, seq, fragment, size_bits, retransmission),
+                      size_bits + kPacketHeaderBits);
         if (ok) {
             packet_burst = 0;
         } else {
@@ -304,7 +355,11 @@ struct Session::Impl {
             rep.actual_packet_burst =
                 std::max(rep.actual_packet_burst, packet_burst);
         }
-        if (rlc_eligible) rlc_on_source(p, rep);
+        if (rlc_decoder.has_value() && !retransmission) {
+            // The coding window keeps the sent header for re-injection.
+            const DataMsg sent = packet_msg(proto, seq, fragment, size_bits, false);
+            rlc_on_source(*std::get_if<DataPacket>(&sent), rep);
+        }
         return ok;
     }
 
@@ -614,14 +669,11 @@ struct Session::Impl {
                     continue;
                 }
                 for (std::size_t frag = 0; frag < sf.sizes.size(); ++frag) {
-                    DataPacket p = sf.prototype;
-                    p.seq = next_seq++;
-                    p.fragment = frag;
-                    p.size_bits = sf.sizes[frag];
-                    p.retransmission = true;
                     const std::size_t wire_bits =
-                        p.size_bits + kPacketHeaderBits;
-                    data.send_sideband(DataMsg{p}, wire_bits);
+                        sf.sizes[frag] + kPacketHeaderBits;
+                    data.send_sideband(packet_msg(sf.prototype, next_seq++, frag,
+                                                  sf.sizes[frag], true),
+                                       wire_bits);
                     ++rep.retransmissions;
                     ++retx_pkts;
                     metrics.add("nack_retx_packets");
@@ -658,13 +710,16 @@ struct Session::Impl {
         }
     }
 
+    /// A critical frame awaiting retransmission.  Its fragment ids and
+    /// sizes live in the window-scoped arenas retx_fragments/retx_sizes.
     struct PendingRetx {
         sim::SimTime ready;                  ///< earliest resend time (NACK received)
         sim::SimTime lost_at = 0;            ///< when the loss hit the wire
         std::size_t local_frame;
         DataPacket prototype;                ///< header template for the frame
-        std::vector<std::size_t> fragments;  ///< fragment ids still missing
-        std::vector<std::size_t> sizes;      ///< all fragment sizes of the frame
+        std::size_t fragments_at = 0;        ///< first missing id in retx_fragments
+        std::size_t missing = 0;             ///< fragment ids still missing
+        std::size_t sizes_at = 0;            ///< the frame's sizes in retx_sizes
         std::size_t attempts = 0;
     };
 
@@ -672,8 +727,9 @@ struct Session::Impl {
     /// repeated loss while attempts remain.
     void service_retx(PendingRetx rx, sim::SimTime deadline, WindowReport& rep) {
         std::size_t total_bits = 0;
-        for (const std::size_t f : rx.fragments) {
-            total_bits += rx.sizes[f] + kPacketHeaderBits;
+        for (std::size_t i = 0; i < rx.missing; ++i) {
+            const std::size_t f = retx_fragments[rx.fragments_at + i];
+            total_bits += retx_sizes[rx.sizes_at + f] + kPacketHeaderBits;
         }
         const sim::SimTime start = std::max(data.next_free_time(), rx.ready);
         if (start + data.serialization_time(total_bits) > deadline) {
@@ -684,7 +740,7 @@ struct Session::Impl {
                     rx.prototype.window, rx.prototype.seq,
                     static_cast<std::int64_t>(rx.prototype.frame_index),
                     static_cast<double>(rx.attempts),
-                    static_cast<double>(rx.fragments.size()));
+                    static_cast<double>(rx.missing));
         if (cfg.collect_metrics) {
             // NACK round trip + queueing behind the window's own traffic,
             // from the moment the loss hit the wire to the resend start.
@@ -692,25 +748,23 @@ struct Session::Impl {
                 static_cast<std::uint64_t>((start - rx.lost_at) / 1'000'000));
         }
         // Resend every listed fragment, compacting the ones lost again to
-        // the front of rx.fragments (in order) for the next attempt.
+        // the front of the frame's list (in order) for the next attempt.
         std::size_t still_missing = 0;
-        for (const std::size_t f : rx.fragments) {
-            DataPacket p = rx.prototype;
-            p.seq = next_seq++;
-            p.fragment = f;
-            p.size_bits = rx.sizes[f];
-            p.retransmission = true;
+        for (std::size_t i = 0; i < rx.missing; ++i) {
+            const std::size_t f = retx_fragments[rx.fragments_at + i];
             ++rep.retransmissions;
-            if (!send_packet(p, rep)) rx.fragments[still_missing++] = f;
+            if (!send_packet(rx.prototype, f, retx_sizes[rx.sizes_at + f],
+                             /*retransmission=*/true, rep)) {
+                retx_fragments[rx.fragments_at + still_missing++] = f;
+            }
         }
-        rx.fragments.resize(still_missing);
+        rx.missing = still_missing;
         if (still_missing > 0 &&
             rx.attempts + 1 < SessionConfig::kMaxRetransmits) {
-            PendingRetx again = std::move(rx);
-            again.ready = data.next_free_time() +
-                          2 * cfg.data_link.propagation_delay;
-            ++again.attempts;
-            pending_retx.push_back(std::move(again));
+            rx.ready = data.next_free_time() +
+                       2 * cfg.data_link.propagation_delay;
+            ++rx.attempts;
+            pending_retx.push_back(rx);
         }
     }
 
@@ -719,15 +773,26 @@ struct Session::Impl {
     void service_ready_retx(sim::SimTime deadline, WindowReport& rep) {
         for (std::size_t i = 0; i < pending_retx.size();) {
             if (pending_retx[i].ready <= data.next_free_time()) {
-                PendingRetx rx = std::move(pending_retx[i]);
+                const PendingRetx rx = pending_retx[i];
                 pending_retx.erase(pending_retx.begin() +
                                    static_cast<std::ptrdiff_t>(i));
-                service_retx(std::move(rx), deadline, rep);
+                service_retx(rx, deadline, rep);
                 i = 0;  // list may have changed; rescan
             } else {
                 ++i;
             }
         }
+    }
+
+    /// Window k's trailer as a channel message, built in place on a
+    /// recycled vector.
+    DataMsg trailer_msg(std::size_t k, const std::vector<std::size_t>& layer_sent) {
+        DataMsg m{std::in_place_type<WindowTrailer>};
+        WindowTrailer& t = *std::get_if<WindowTrailer>(&m);
+        t.seq = next_seq++;
+        t.window = k;
+        t.layer_sent = vectors.take(layer_sent);
+        return m;
     }
 
     /// Transmits buffer window k (invoked by the event queue at k*T).
@@ -784,15 +849,17 @@ struct Session::Impl {
         // state reuses their capacity instead of reallocating per window.
         std::vector<std::size_t>& layer_sent = layer_sent_scratch;
         layer_sent.assign(plan.layer_sizes.size(), 0);
-        std::vector<bool>& sent_local = sent_local_scratch;
-        sent_local.assign(n, false);
+        std::vector<unsigned char>& sent_local = sent_local_scratch;
+        sent_local.assign(n, 0);
         pending_retx.clear();
+        retx_fragments.clear();
+        retx_sizes.clear();
 
         // CMT-style predictive shedding: budget the window's bits up front
         // (with a retransmission reserve) and pre-drop the lowest-priority
         // tail of the plan.
-        std::vector<bool>& predropped = predropped_scratch;
-        predropped.assign(n, false);
+        std::vector<unsigned char>& predropped = predropped_scratch;
+        predropped.assign(n, 0);
         if (cfg.drop_policy == DropPolicy::kPredictive) {
             const double budget = sim::to_seconds(period) *
                                   cfg.data_link.bandwidth_bps *
@@ -807,7 +874,7 @@ struct Session::Impl {
                     bits += static_cast<double>(s + kPacketHeaderBits);
                 }
                 if (acc + bits > budget) {
-                    predropped[entry.local_frame] = true;
+                    predropped[entry.local_frame] = 1;
                 } else {
                     acc += bits;
                 }
@@ -863,16 +930,17 @@ struct Session::Impl {
             proto.frame_index = frame.index;
             proto.num_fragments = sizes.size();
 
-            std::vector<std::size_t>& lost = lost_scratch;
-            lost.clear();
+            // Fragments lost on this first send go straight into the
+            // retransmission arena; they stay only if the frame is queued
+            // for retransmission below.
+            const std::size_t lost_at = retx_fragments.size();
             for (std::size_t f = 0; f < sizes.size(); ++f) {
-                DataPacket p = proto;
-                p.seq = next_seq++;
-                p.fragment = f;
-                p.size_bits = sizes[f];
-                if (!send_packet(p, rep)) lost.push_back(f);
+                if (!send_packet(proto, f, sizes[f], /*retransmission=*/false, rep)) {
+                    retx_fragments.push_back(f);
+                }
             }
-            sent_local[entry.local_frame] = true;
+            const std::size_t lost = retx_fragments.size() - lost_at;
+            sent_local[entry.local_frame] = 1;
             ++layer_sent[entry.layer];
 
             if (recovery_on()) {
@@ -881,21 +949,26 @@ struct Session::Impl {
                 // expires (finalize_window).  The oracle-driven PendingRetx
                 // path below must stay cold: under the recovery plane only
                 // received NACKs may trigger resends.
+                retx_fragments.resize(lost_at);
                 auto& rec = sent_frames[k];
                 if (rec.empty()) rec.resize(n);
                 rec[entry.local_frame] = SentFrame{proto, sizes, true};
                 continue;
             }
-            if (!lost.empty() && entry.critical && cfg.retransmit_critical) {
+            if (lost > 0 && entry.critical && cfg.retransmit_critical) {
                 PendingRetx rx;
                 rx.ready = data.next_free_time() +
                            2 * cfg.data_link.propagation_delay;
                 rx.lost_at = data.next_free_time();
                 rx.local_frame = entry.local_frame;
                 rx.prototype = proto;
-                rx.fragments = lost;
-                rx.sizes = sizes;
-                pending_retx.push_back(std::move(rx));
+                rx.fragments_at = lost_at;
+                rx.missing = lost;
+                rx.sizes_at = retx_sizes.size();
+                retx_sizes.insert(retx_sizes.end(), sizes.begin(), sizes.end());
+                pending_retx.push_back(rx);
+            } else {
+                retx_fragments.resize(lost_at);
             }
         }
 
@@ -906,16 +979,12 @@ struct Session::Impl {
                 [](const PendingRetx& a, const PendingRetx& b) {
                     return a.ready < b.ready;
                 });
-            PendingRetx rx = std::move(*earliest);
+            const PendingRetx rx = *earliest;
             pending_retx.erase(earliest);
-            service_retx(std::move(rx), deadline, rep);
+            service_retx(rx, deadline, rep);
         }
 
-        WindowTrailer trailer;
-        trailer.seq = next_seq++;
-        trailer.window = k;
-        trailer.layer_sent = layer_sent;
-        data.send(DataMsg{trailer}, cfg.feedback_bits);
+        data.send(trailer_msg(k, layer_sent), cfg.feedback_bits);
 
         if (recovery_on()) {
             // Two-stage close: the ACK (and NACK round 0) leave at the
@@ -937,15 +1006,16 @@ struct Session::Impl {
 
     /// Reports window k's loss pattern to the server on the feedback path.
     void send_ack(std::size_t k, const WindowOutcome& out) {
-        Feedback f;
+        FeedbackMsg m{std::in_place_type<Feedback>};
+        Feedback& f = *std::get_if<Feedback>(&m);
         f.seq = ++ack_seq;
         f.window = k;
-        f.layer_max_burst = out.layer_max_burst;
-        f.layer_lost = out.layer_lost;
+        f.layer_max_burst = vectors.take(out.layer_max_burst);
+        f.layer_lost = vectors.take(out.layer_lost);
         metrics.add("acks_sent");
         trace_event(obs::EventType::kAckSent, obs::Actor::kClient,
                     queue.now(), k, f.seq);
-        feedback.send(FeedbackMsg{std::move(f)}, cfg.feedback_bits);
+        feedback.send(std::move(m), cfg.feedback_bits);
     }
 
     /// Recovery-plane window close, stage 1 (at the legacy finalize
@@ -958,7 +1028,8 @@ struct Session::Impl {
     }
 
     void finalize_window(std::size_t k) {
-        const WindowOutcome out = receiver.finalize(k);
+        // The receiver's buffer: valid until its next report/finalize.
+        const WindowOutcome& out = receiver.finalize(k);
         const std::size_t n = planner.window_ldus();
         for (std::size_t f = 0; f < out.playable_at.size(); ++f) {
             if (out.playable_at[f].has_value()) {
@@ -971,7 +1042,7 @@ struct Session::Impl {
         rep.lost_ldus = cr.unit_losses;
         rep.alf = cr.alf;
         rep.undecodable = out.undecodable;
-        meter.add_window(out.playback);
+        meter.add(cr);
         trace_event(obs::EventType::kWindowFinalized, obs::Actor::kClient,
                     queue.now(), k, 0, static_cast<std::int64_t>(cr.clf),
                     cr.alf);
@@ -1065,18 +1136,18 @@ struct Session::Impl {
         // Playout-judged continuity over the whole stream.
         const std::size_t n = planner.window_ldus();
         const std::size_t total_ldus = cfg.num_windows * n;
-        const espread::LossMask playout_mask = playout.playback_mask(total_ldus);
+        const PlayoutVerdict verdict = playout.judge(total_ldus);
+        const espread::LossMask& playout_mask = verdict.on_time;
         espread::ContinuityMeter playout_meter;
+        result.playout_window_clf.reserve(cfg.num_windows);
         for (std::size_t k = 0; k < cfg.num_windows; ++k) {
-            const espread::LossMask window_mask(
-                playout_mask.begin() + static_cast<std::ptrdiff_t>(k * n),
-                playout_mask.begin() + static_cast<std::ptrdiff_t>((k + 1) * n));
-            playout_meter.add_window(window_mask);
-            result.playout_window_clf.push_back(
-                espread::consecutive_loss(window_mask));
+            const espread::ContinuityReport cr =
+                espread::measure_continuity(playout_mask, k * n, (k + 1) * n);
+            playout_meter.add(cr);
+            result.playout_window_clf.push_back(cr.clf);
         }
         result.playout_total = playout_meter.total();
-        result.required_startup = playout.required_startup_delay(total_ldus);
+        result.required_startup = verdict.required_startup;
 
         if (cfg.trace != nullptr) {
             // Slots the playout clock judged lost: the frame either never
@@ -1222,14 +1293,16 @@ struct Session::Impl {
     // traffic in steady state; pinned by test_alloc's ratchet).
     std::vector<media::Frame> frames_scratch;
     std::vector<std::size_t> layer_sent_scratch;
-    std::vector<bool> sent_local_scratch;
-    std::vector<bool> predropped_scratch;
+    std::vector<unsigned char> sent_local_scratch;
+    std::vector<unsigned char> predropped_scratch;
     std::vector<std::size_t> frag_sizes_scratch;
-    std::vector<std::size_t> lost_scratch;  ///< fragments lost on first send
+    VectorPool vectors;  ///< trailer and ACK vectors, recycled on delivery
 
     std::vector<WindowReport> reports;
     espread::ContinuityMeter meter;
     std::vector<PendingRetx> pending_retx;
+    std::vector<std::size_t> retx_fragments;  ///< PendingRetx missing ids
+    std::vector<std::size_t> retx_sizes;      ///< PendingRetx fragment sizes
 
     // Sliding-window RLC state (engaged iff cfg.rlc_active()).
     std::optional<fec::RlcDecoder> rlc_decoder;  ///< rank-only mode

@@ -22,7 +22,6 @@ using espread::net::ImpairmentConfig;
 using espread::net::LinkConfig;
 using espread::sim::EventQueue;
 using espread::sim::from_millis;
-using espread::sim::from_seconds;
 using espread::sim::Rng;
 using espread::sim::SimTime;
 

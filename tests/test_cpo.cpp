@@ -11,7 +11,6 @@ namespace {
 
 using espread::calculate_permutation;
 using espread::cpo_clf;
-using espread::CpoKind;
 using espread::CpoResult;
 using espread::lower_bound_clf;
 using espread::window_for_clf;

@@ -80,6 +80,35 @@ TEST(ContinuityMeter, TotalsTrackWorstWindowClf) {
     EXPECT_EQ(m.total().clf, 3u);
 }
 
+// The in-place measure of a slice equals the measure of a copy of it,
+// and a window fed as its report counts like the window itself: the
+// Session measures each playback window once and feeds the report on.
+TEST(ContinuityMeter, SliceReportsMatchCopiedWindows) {
+    espread::sim::Rng rng{23};
+    ContinuityMeter by_mask, by_report;
+    for (int trial = 0; trial < 500; ++trial) {
+        LossMask mask(rng.uniform_int(0, 90));
+        for (std::size_t i = 0; i < mask.size(); ++i) mask[i] = rng.bernoulli(0.6);
+        const std::size_t first = rng.uniform_int(0, mask.size());
+        const std::size_t last = rng.uniform_int(first, mask.size());
+        const LossMask slice(mask.begin() + static_cast<std::ptrdiff_t>(first),
+                             mask.begin() + static_cast<std::ptrdiff_t>(last));
+        const ContinuityReport in_place = measure_continuity(mask, first, last);
+        const ContinuityReport copied = measure_continuity(slice);
+        ASSERT_EQ(in_place.slots, copied.slots);
+        ASSERT_EQ(in_place.unit_losses, copied.unit_losses);
+        ASSERT_EQ(in_place.clf, copied.clf);
+        ASSERT_EQ(in_place.alf, copied.alf);
+        by_mask.add_window(slice);
+        by_report.add(in_place);
+    }
+    EXPECT_EQ(by_report.windows(), by_mask.windows());
+    EXPECT_EQ(by_report.total().slots, by_mask.total().slots);
+    EXPECT_EQ(by_report.total().unit_losses, by_mask.total().unit_losses);
+    EXPECT_EQ(by_report.total().clf, by_mask.total().clf);
+    EXPECT_EQ(by_report.total().alf, by_mask.total().alf);
+}
+
 // Property check of the engine's raw-word run walker against the scalar
 // metrics: delivery masks converted to loss-polarity words (set bit =
 // loss, tail clear) must give walk_set_runs() the runs of loss_runs(), in

@@ -53,7 +53,7 @@ TEST(PlayoutClock, PlaybackMask) {
     PlayoutClock clock{10.0, from_seconds(1.0)};
     clock.frame_ready(0, from_seconds(0.9));
     clock.frame_ready(2, from_seconds(9.0));  // way late
-    const auto mask = clock.playback_mask(3);
+    const auto mask = clock.judge(3).on_time;
     EXPECT_EQ(mask, (espread::LossMask{true, false, false}));
 }
 
@@ -61,7 +61,7 @@ TEST(PlayoutClock, RequiredStartupDelayCoversWorstFrame) {
     PlayoutClock clock{10.0, from_seconds(0.1)};
     clock.frame_ready(0, from_seconds(0.5));   // needs startup > 0.5
     clock.frame_ready(10, from_seconds(0.8));  // ideal offset 1.0 -> fine
-    const auto required = clock.required_startup_delay(11);
+    const auto required = clock.judge(11).required_startup;
     EXPECT_GT(required, from_seconds(0.5));
     EXPECT_LT(required, from_seconds(0.6));
     // Re-judging with that delay makes both frames on time.

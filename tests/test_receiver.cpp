@@ -12,6 +12,9 @@
 #include <utility>
 #include <vector>
 
+#include "media/trace.hpp"
+#include "protocol/config.hpp"
+#include "protocol/planner.hpp"
 #include "sim/rng.hpp"
 
 namespace {
@@ -56,6 +59,41 @@ TEST(Receiver, CompleteWindowPlaysEverything) {
     EXPECT_EQ(out.layer_max_burst, (std::vector<std::size_t>{0}));
     EXPECT_EQ(out.layer_lost, (std::vector<std::size_t>{0}));
     EXPECT_TRUE(out.trailer_seen);
+}
+
+// finalize() and report() hand out one receiver-owned buffer: a reference
+// reads the latest call's outcome, so a caller keeping an outcome across
+// calls copies it.
+TEST(Receiver, OutcomeReferenceIsValidUntilTheNextCall) {
+    Receiver r = flat_receiver();
+    r.on_packet(packet(0, 0, 0, 0));
+    const WindowOutcome& first = r.report(0);
+    const WindowOutcome kept = first;
+    const WindowOutcome& second = r.finalize(1);  // never seen: all lost
+    EXPECT_EQ(&first, &second);
+    EXPECT_EQ(second.playback, (espread::LossMask{false, false, false, false}));
+    EXPECT_EQ(kept.playback, (espread::LossMask{true, false, false, false}));
+    EXPECT_EQ(kept.frames_received, 1u);
+}
+
+// A frame's local index is frame_index mod n: by a multiply-high for
+// 32-bit indexes and window sizes, by `%` above.  Both sides of the
+// boundary and every residue near it must land on the same frame.
+TEST(Receiver, LocalFrameIsIndexModWindowAcrossThe32BitBoundary) {
+    for (const std::size_t n : {std::size_t{1}, std::size_t{7}, std::size_t{24},
+                                std::size_t{45}, std::size_t{64}}) {
+        for (const std::size_t base : {std::size_t{0}, std::size_t{0xFFFFFFFF} - 70,
+                                       std::size_t{1} << 32, std::size_t{1} << 40}) {
+            for (std::size_t idx = base; idx < base + 140; ++idx) {
+                Receiver r{n, {n}, std::vector<std::vector<std::size_t>>(n)};
+                r.on_packet(packet(0, idx, 0, idx % n));
+                const WindowOutcome& out = r.finalize(0);
+                espread::LossMask want(n, false);
+                want[idx % n] = true;
+                ASSERT_EQ(out.playback, want) << "n " << n << ", frame " << idx;
+            }
+        }
+    }
 }
 
 TEST(Receiver, MissingFragmentMeansMissingFrame) {
@@ -423,6 +461,11 @@ public:
                 }
             }
         }
+        for (const auto& [local, fa] : w.frames) {
+            if (out.playable_at[local] && *out.playable_at[local] > fa.completed_at) {
+                ++waited;
+            }
+        }
         for (std::size_t l = 0; l < layers; ++l) {
             std::vector<bool> got(layer_sizes_[l], false);
             std::size_t span = 0;
@@ -448,6 +491,9 @@ public:
     std::size_t duplicates = 0;
     std::size_t stale = 0;
     std::size_t mismatch = 0;
+    /// Playable frames whose prerequisites completed after them (counted
+    /// on every report, so only its being nonzero means anything).
+    mutable std::size_t waited = 0;
 
 private:
     struct Frame {
@@ -515,26 +561,12 @@ struct Scenario {
     std::vector<Op> ops;
 };
 
-Scenario make_scenario(std::uint64_t seed) {
-    espread::sim::Rng rng{seed};
-    Scenario sc;
-    constexpr std::size_t kSizes[] = {1, 2, 3, 4, 7, 12, 24, 70};
-    sc.n = kSizes[rng.uniform_int(0, 7)];
-    const std::size_t layers = std::min<std::size_t>(sc.n, rng.uniform_int(1, 3));
-    sc.layer_sizes.assign(layers, 0);
-    std::vector<std::size_t> layer_of(sc.n), pos_of(sc.n);
-    for (std::size_t f = 0; f < sc.n; ++f) {
-        // Every layer gets at least one frame; the rest land anywhere.
-        const std::size_t l = f < layers ? f : rng.uniform_int(0, layers - 1);
-        layer_of[f] = l;
-        pos_of[f] = sc.layer_sizes[l]++;
-    }
-    sc.prereqs.resize(sc.n);
-    for (std::size_t f = 0; f < sc.n; ++f) {
-        if (sc.n > 1 && rng.bernoulli(0.4)) {
-            sc.prereqs[f].push_back(rng.uniform_int(0, sc.n - 1));
-        }
-    }
+/// Draws sc.windows, sc.window_limit and sc.ops for the window structure
+/// already in `sc`; local frame f goes out in layer layer_of[f] at wire
+/// position pos_of[f].
+void add_ops(Scenario& sc, const std::vector<std::size_t>& layer_of,
+             const std::vector<std::size_t>& pos_of, espread::sim::Rng& rng) {
+    const std::size_t layers = sc.layer_sizes.size();
     sc.windows = rng.uniform_int(1, 4);
     sc.window_limit = rng.bernoulli(0.5) ? 0 : sc.windows + 1;
     const double loss = 0.3 * rng.uniform();  // uniform in [0, 0.3)
@@ -596,62 +628,144 @@ Scenario make_scenario(std::uint64_t seed) {
             std::swap(sc.ops[i], sc.ops[j]);
         }
     }
+}
+
+Scenario make_scenario(std::uint64_t seed) {
+    espread::sim::Rng rng{seed};
+    Scenario sc;
+    constexpr std::size_t kSizes[] = {1, 2, 3, 4, 7, 12, 24, 70};
+    sc.n = kSizes[rng.uniform_int(0, 7)];
+    const std::size_t layers = std::min<std::size_t>(sc.n, rng.uniform_int(1, 3));
+    sc.layer_sizes.assign(layers, 0);
+    std::vector<std::size_t> layer_of(sc.n), pos_of(sc.n);
+    for (std::size_t f = 0; f < sc.n; ++f) {
+        // Every layer gets at least one frame; the rest land anywhere.
+        const std::size_t l = f < layers ? f : rng.uniform_int(0, layers - 1);
+        layer_of[f] = l;
+        pos_of[f] = sc.layer_sizes[l]++;
+    }
+    sc.prereqs.resize(sc.n);
+    for (std::size_t f = 0; f < sc.n; ++f) {
+        if (sc.n > 1 && rng.bernoulli(0.4)) {
+            sc.prereqs[f].push_back(rng.uniform_int(0, sc.n - 1));
+        }
+    }
+    add_ops(sc, layer_of, pos_of, rng);
     return sc;
 }
 
+/// What a batch of scenarios exercised, summed over its streams.
+struct Tally {
+    std::size_t dups = 0, stale = 0, mismatch = 0, frames = 0, spilled = 0;
+    std::size_t undecodable = 0, waited = 0;
+};
+
+/// Replays `sc` on a Receiver and the reference model side by side and
+/// requires identical outcomes, NACK bitmaps and drop counters.
+void expect_matches_reference(const Scenario& sc, Tally& tally) {
+    Receiver r{sc.n, sc.layer_sizes, sc.prereqs};
+    ReferenceReceiver ref{sc.n, sc.layer_sizes, sc.prereqs};
+    r.set_window_limit(sc.window_limit);
+    ref.set_window_limit(sc.window_limit);
+    espread::sim::SimTime now = 0;
+    for (const Op& op : sc.ops) {
+        now += 1000;
+        switch (op.kind) {
+            case Op::Kind::kPacket:
+                if (op.packet.fragment >= 64) ++tally.spilled;
+                r.on_packet(op.packet, now);
+                ref.on_packet(op.packet, now);
+                break;
+            case Op::Kind::kTrailer:
+                r.on_trailer(op.trailer);
+                ref.on_trailer(op.trailer);
+                break;
+            case Op::Kind::kFinalize:
+                expect_same_outcome(r.finalize(op.window), ref.finalize(op.window));
+                break;
+            case Op::Kind::kReport:
+                expect_same_outcome(r.report(op.window), ref.report(op.window));
+                ASSERT_EQ(r.incomplete_frames(op.window),
+                          ref.incomplete_frames(op.window));
+                break;
+        }
+    }
+    for (std::size_t w = 0; w <= sc.windows; ++w) {
+        ASSERT_EQ(r.incomplete_frames(w), ref.incomplete_frames(w));
+        const WindowOutcome& out = r.finalize(w);
+        expect_same_outcome(out, ref.finalize(w));
+        tally.frames += out.frames_received;
+        tally.undecodable += out.undecodable;
+    }
+    ASSERT_EQ(r.duplicates_dropped(), ref.duplicates);
+    ASSERT_EQ(r.stale_dropped(), ref.stale);
+    ASSERT_EQ(r.mismatch_dropped(), ref.mismatch);
+    tally.dups += ref.duplicates;
+    tally.stale += ref.stale;
+    tally.mismatch += ref.mismatch;
+    tally.waited += ref.waited;
+}
+
+// Random prerequisite lists, self-references and cycles included: the
+// receiver must keep the greatest-fixed-point semantics there too (a
+// frame on a cycle of complete frames plays), not only on DAGs.
 TEST(ReceiverProperty, MatchesMapAndSetReferenceModel) {
     constexpr std::uint64_t kStreams = 3000;
     // Totals over all streams: each defense and the spill path must fire.
-    std::size_t dups = 0, stale = 0, mismatch = 0, frames = 0, spilled = 0;
+    Tally tally;
     for (std::uint64_t seed = 1; seed <= kStreams; ++seed) {
         SCOPED_TRACE("seed " + std::to_string(seed));
-        const Scenario sc = make_scenario(seed);
-        Receiver r{sc.n, sc.layer_sizes, sc.prereqs};
-        ReferenceReceiver ref{sc.n, sc.layer_sizes, sc.prereqs};
-        r.set_window_limit(sc.window_limit);
-        ref.set_window_limit(sc.window_limit);
-        espread::sim::SimTime now = 0;
-        for (const Op& op : sc.ops) {
-            now += 1000;
-            switch (op.kind) {
-                case Op::Kind::kPacket:
-                    if (op.packet.fragment >= 64) ++spilled;
-                    r.on_packet(op.packet, now);
-                    ref.on_packet(op.packet, now);
-                    break;
-                case Op::Kind::kTrailer:
-                    r.on_trailer(op.trailer);
-                    ref.on_trailer(op.trailer);
-                    break;
-                case Op::Kind::kFinalize:
-                    expect_same_outcome(r.finalize(op.window), ref.finalize(op.window));
-                    break;
-                case Op::Kind::kReport:
-                    expect_same_outcome(r.report(op.window), ref.report(op.window));
-                    ASSERT_EQ(r.incomplete_frames(op.window),
-                              ref.incomplete_frames(op.window));
-                    break;
-            }
-        }
-        for (std::size_t w = 0; w <= sc.windows; ++w) {
-            ASSERT_EQ(r.incomplete_frames(w), ref.incomplete_frames(w));
-            const WindowOutcome out = r.finalize(w);
-            expect_same_outcome(out, ref.finalize(w));
-            frames += out.frames_received;
-        }
-        ASSERT_EQ(r.duplicates_dropped(), ref.duplicates);
-        ASSERT_EQ(r.stale_dropped(), ref.stale);
-        ASSERT_EQ(r.mismatch_dropped(), ref.mismatch);
+        expect_matches_reference(make_scenario(seed), tally);
         if (HasFailure()) return;
-        dups += ref.duplicates;
-        stale += ref.stale;
-        mismatch += ref.mismatch;
     }
-    EXPECT_GT(dups, 0u);
-    EXPECT_GT(stale, 0u);
-    EXPECT_GT(mismatch, 0u);
-    EXPECT_GT(frames, 0u);
-    EXPECT_GT(spilled, 0u);
+    EXPECT_GT(tally.dups, 0u);
+    EXPECT_GT(tally.stale, 0u);
+    EXPECT_GT(tally.mismatch, 0u);
+    EXPECT_GT(tally.frames, 0u);
+    EXPECT_GT(tally.spilled, 0u);
+}
+
+// The prerequisite DAGs the Session actually runs: every catalog movie at
+// W = 1..3 under the layered scheme, with the wire layers and positions of
+// its plan.  Open GOPs give B frames forward anchors, so prerequisites
+// sit after their dependents in playback order; undecodable frames and
+// frames whose playable time waits on a later-completing anchor must both
+// occur.
+TEST(ReceiverProperty, MatchesReferenceOnPlannerDags) {
+    using espread::proto::Planner;
+    constexpr std::uint64_t kStreamsPerPlan = 40;
+    for (const espread::media::MovieStats& movie : espread::media::movie_catalog()) {
+        for (std::size_t gops = 1; gops <= 3; ++gops) {
+            SCOPED_TRACE(movie.name + ", W = " + std::to_string(gops));
+            espread::proto::SessionConfig cfg;
+            cfg.stream.movie = movie.name;
+            cfg.gops_per_window = gops;
+            cfg.scheme = espread::proto::Scheme::kLayeredSpread;
+            Planner planner(cfg);
+            const espread::proto::WindowPlan& plan =
+                planner.plan(std::max<std::size_t>(planner.noncritical_size() / 2, 1));
+            Tally tally;
+            for (std::uint64_t seed = 1; seed <= kStreamsPerPlan; ++seed) {
+                SCOPED_TRACE("seed " + std::to_string(seed));
+                Scenario sc;
+                sc.n = planner.window_ldus();
+                sc.layer_sizes = planner.layer_sizes();
+                sc.prereqs = planner.prerequisites();
+                std::vector<std::size_t> layer_of(sc.n), pos_of(sc.n);
+                for (const espread::proto::WireEntry& e : plan.order) {
+                    layer_of[e.local_frame] = e.layer;
+                    pos_of[e.local_frame] = e.tx_pos;
+                }
+                espread::sim::Rng rng{seed};
+                add_ops(sc, layer_of, pos_of, rng);
+                expect_matches_reference(sc, tally);
+                if (HasFailure()) return;
+            }
+            EXPECT_GT(tally.frames, 0u);
+            EXPECT_GT(tally.undecodable, 0u);
+            EXPECT_GT(tally.waited, 0u);
+        }
+    }
 }
 
 }  // namespace

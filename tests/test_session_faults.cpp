@@ -22,7 +22,6 @@ namespace {
 using espread::exp::MonteCarloRunner;
 using espread::exp::RunnerOptions;
 using espread::exp::TrialSummary;
-using espread::net::ImpairmentConfig;
 using espread::proto::run_session;
 using espread::proto::SessionConfig;
 using espread::proto::SessionResult;

@@ -9,7 +9,6 @@
 
 namespace {
 
-using espread::media::Frame;
 using espread::media::FrameType;
 using espread::media::infer_gop_pattern;
 using espread::media::read_trace;
