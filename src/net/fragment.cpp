@@ -11,26 +11,11 @@ std::size_t packet_count(std::size_t frame_bits, std::size_t mtu_bits) {
 }
 
 std::vector<std::size_t> fragment_sizes(std::size_t frame_bits, std::size_t mtu_bits) {
-    std::vector<std::size_t> sizes;
-    fragment_sizes_into(frame_bits, mtu_bits, sizes);
+    std::vector<std::size_t> sizes(packet_count(frame_bits, mtu_bits));
+    for (std::size_t i = 0; i < sizes.size(); ++i) {
+        sizes[i] = fragment_size(frame_bits, mtu_bits, i);
+    }
     return sizes;
-}
-
-void fragment_sizes_into(std::size_t frame_bits, std::size_t mtu_bits,
-                         std::vector<std::size_t>& out) {
-    const std::size_t count = packet_count(frame_bits, mtu_bits);
-    out.clear();
-    out.reserve(count);
-    if (frame_bits == 0) {
-        out.push_back(1);
-        return;
-    }
-    std::size_t remaining = frame_bits;
-    for (std::size_t i = 0; i < count; ++i) {
-        const std::size_t take = remaining < mtu_bits ? remaining : mtu_bits;
-        out.push_back(take);
-        remaining -= take;
-    }
 }
 
 }  // namespace espread::net

@@ -20,15 +20,19 @@ constexpr std::size_t kDefaultPacketBits = 16384;
 /// Throws std::invalid_argument when mtu_bits == 0.
 std::size_t packet_count(std::size_t frame_bits, std::size_t mtu_bits);
 
-/// Sizes (bits) of each packet of the frame, in order; the last packet
-/// holds the remainder.  sum(result) == max(frame_bits, 1)... precisely:
-/// sum == frame_bits except that a zero-size frame yields one 1-bit packet.
-std::vector<std::size_t> fragment_sizes(std::size_t frame_bits, std::size_t mtu_bits);
+/// Size (bits) of packet `i` < packet_count(frame_bits, mtu_bits) of the
+/// frame: mtu_bits but for the last packet, which holds the remainder.  A
+/// zero-size frame's one packet is 1 bit, so the sizes sum to
+/// max(frame_bits, 1).
+constexpr std::size_t fragment_size(std::size_t frame_bits, std::size_t mtu_bits,
+                                    std::size_t i) noexcept {
+    if (frame_bits == 0) return 1;
+    const std::size_t rest = frame_bits - i * mtu_bits;
+    return rest < mtu_bits ? rest : mtu_bits;
+}
 
-/// fragment_sizes() into a caller-owned buffer (cleared first): the
-/// Session hot path reuses one scratch vector per window instead of
-/// allocating a fresh vector per frame.
-void fragment_sizes_into(std::size_t frame_bits, std::size_t mtu_bits,
-                         std::vector<std::size_t>& out);
+/// Sizes (bits) of each packet of the frame, in order: fragment_size() of
+/// every packet.
+std::vector<std::size_t> fragment_sizes(std::size_t frame_bits, std::size_t mtu_bits);
 
 }  // namespace espread::net

@@ -7,7 +7,6 @@
 #include <string>
 
 #include "media/gop.hpp"
-#include "net/channel.hpp"
 #include "net/fault.hpp"
 #include "net/fragment.hpp"
 #include "net/gilbert.hpp"

@@ -19,17 +19,12 @@ void GovernorConfig::validate() const {
     if (max_step == 0) {
         throw std::invalid_argument("GovernorConfig: max_step must be >= 1");
     }
-    if (recovery_windows == 0 || recovery_windows > kMaxRearmWindows) {
-        throw std::invalid_argument(
-            "GovernorConfig: recovery_windows must be in [1, 32]");
-    }
 }
 
 AdaptationGovernor::AdaptationGovernor(GovernorConfig cfg,
                                        espread::BurstEstimator& estimator)
     : cfg_(cfg), estimator_(estimator) {
     cfg_.validate();
-    rearm_windows_ = cfg_.recovery_windows;
     published_ = estimator_.bound();
     candidate_bound_ = published_;
 }
@@ -141,7 +136,7 @@ std::size_t AdaptationGovernor::on_window_start(std::size_t k,
                 }
             } else if (recovery_left_ <= 1) {
                 enter_state(GovernorState::kNormal, k, now);
-                rearm_windows_ = cfg_.recovery_windows;
+                rearm_windows_ = GovernorConfig::kRecoveryWindows;
             } else {
                 --recovery_left_;
             }

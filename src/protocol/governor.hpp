@@ -91,10 +91,9 @@ struct GovernorConfig {
     std::size_t hysteresis_windows = 2;
 
     /// Clean-feedback windows required to leave Recovering for Normal
-    /// after a Fallback, in [1, kMaxRearmWindows].  Doubles (up to
-    /// kMaxRearmWindows) every time an outage recurs mid-recovery; resets
-    /// on reaching Normal.
-    std::size_t recovery_windows = 4;
+    /// after a Fallback.  Doubles (up to kMaxRearmWindows) every time an
+    /// outage recurs mid-recovery; resets on reaching Normal.
+    static constexpr std::size_t kRecoveryWindows = 4;
 
     /// Upper limit of the exponential-backoff re-arming streak.
     static constexpr std::size_t kMaxRearmWindows = 32;
@@ -190,7 +189,8 @@ private:
     std::size_t candidate_bound_ = 0;     ///< hysteresis: pending raw bound
     std::size_t candidate_streak_ = 0;    ///< windows the candidate persisted
     std::size_t recovery_left_ = 0;       ///< Recovering windows remaining
-    std::size_t rearm_windows_ = 0;       ///< current re-arming requirement
+    /// Current re-arming requirement.
+    std::size_t rearm_windows_ = GovernorConfig::kRecoveryWindows;
     std::size_t current_dwell_ = 0;       ///< windows in the current visit
     GovernorReport report_;
 };

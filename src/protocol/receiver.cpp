@@ -48,8 +48,9 @@ Receiver::Receiver(std::size_t window_ldus, std::vector<std::size_t> layer_sizes
             if (--waiting[dependents[e]] == 0) order_.push_back(dependents[e]);
         }
     }
-    for (std::size_t f = 0; f < n; ++f) {
-        if (waiting[f] != 0) cyclic_.push_back(f);
+    if (order_.size() != n) {
+        // Some frame waits on itself, directly or around a cycle.
+        throw std::invalid_argument("Receiver: prerequisite cycle");
     }
     layer_offset_.reserve(layer_sizes_.size());
     std::size_t slots = 0;
@@ -273,10 +274,9 @@ void Receiver::compute_outcome(std::size_t window) {
     }
 
     // Decodability: a frame plays only if complete and all prerequisites
-    // play (the greatest fixed point), and it is playable once it AND its
-    // whole prerequisite cone have arrived.  Kahn order settles every
-    // frame not on or behind a cycle in one pass, since its prerequisites
-    // are final before it is reached.
+    // play, and it is playable once it AND its whole prerequisite cone
+    // have arrived.  In prerequisite-first order one pass settles every
+    // frame, since its prerequisites are final before it is reached.
     for (const std::size_t f : order_) {
         if (!plays_[f]) continue;
         for (const std::size_t q : prereqs_[f]) {
@@ -285,35 +285,6 @@ void Receiver::compute_outcome(std::size_t window) {
                 break;
             }
             ready_at_[f] = std::max(ready_at_[f], ready_at_[q]);
-        }
-    }
-    // Frames on or behind a cycle: no order settles them, so iterate
-    // until nothing changes; their prerequisites outside the cycle are
-    // already final.
-    for (bool changed = !cyclic_.empty(); changed;) {
-        changed = false;
-        for (const std::size_t f : cyclic_) {
-            if (!plays_[f]) continue;
-            for (const std::size_t q : prereqs_[f]) {
-                if (!plays_[q]) {
-                    plays_[f] = 0;
-                    changed = true;
-                    break;
-                }
-            }
-        }
-    }
-    for (bool changed = !cyclic_.empty(); changed;) {
-        changed = false;
-        for (const std::size_t f : cyclic_) {
-            if (!plays_[f]) continue;
-            for (const std::size_t q : prereqs_[f]) {
-                // plays_[f] implies plays_[q], so q has a time.
-                if (ready_at_[q] > ready_at_[f]) {
-                    ready_at_[f] = ready_at_[q];
-                    changed = true;
-                }
-            }
         }
     }
     std::size_t playing = 0;

@@ -58,7 +58,10 @@ struct WindowOutcome {
 class Receiver {
 public:
     /// `layer_sizes`/`prereqs` come from the (negotiated) Planner; `window_ldus`
-    /// is the LDU window size n.
+    /// is the LDU window size n.  Throws std::invalid_argument for n == 0,
+    /// prereqs.size() != n, a prerequisite index >= n, or a prerequisite
+    /// cycle (a self-reference included): like poset::Poset, the receiver
+    /// takes an acyclic dependency relation.
     Receiver(std::size_t window_ldus, std::vector<std::size_t> layer_sizes,
              std::vector<std::vector<std::size_t>> prereqs);
 
@@ -173,11 +176,9 @@ private:
     std::vector<std::size_t> layer_sizes_;
     std::vector<std::size_t> layer_offset_;  ///< first got_ slot of each layer
     std::vector<std::vector<std::size_t>> prereqs_;
-    /// Frames whose prerequisites all come earlier (Kahn order): one pass
-    /// settles them.  The rest sit on or behind a prerequisite cycle (a
-    /// self-reference included) and get the fixed point.
+    /// Every frame, each after its prerequisites (Kahn order): one pass
+    /// settles them all.
     std::vector<std::size_t> order_;
-    std::vector<std::size_t> cyclic_;
     /// Searched linearly: 2-3 are open in steady state, forged ones are
     /// bounded by window_limit_, and a free slot keeps its capacity.
     std::vector<WindowState> windows_;

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cassert>
 #include <map>
 #include <optional>
 #include <stdexcept>
@@ -33,6 +34,12 @@ constexpr std::size_t kPacketHeaderBits = 256;
 /// Extra time after a window's playout deadline before the client closes
 /// the window (covers propagation of the final retransmission).
 constexpr sim::SimTime kFinalizeSlack = sim::from_millis(2.0);
+
+/// Bits a frame of `frame_bits` puts on the wire as `packets` packets: its
+/// fragments (a zero-size frame still sends 1 bit) plus a header each.
+std::size_t frame_wire_bits(std::size_t frame_bits, std::size_t packets) {
+    return std::max<std::size_t>(frame_bits, 1) + packets * kPacketHeaderBits;
+}
 
 using DataMsg = std::variant<DataPacket, WindowTrailer, RepairPacket>;
 using FeedbackMsg = std::variant<Feedback, NackRequest>;
@@ -348,19 +355,24 @@ struct Session::Impl {
         const bool ok =
             data.send(packet_msg(proto, seq, fragment, size_bits, retransmission),
                       size_bits + kPacketHeaderBits);
-        if (ok) {
-            packet_burst = 0;
-        } else {
-            ++packet_burst;
-            rep.actual_packet_burst =
-                std::max(rep.actual_packet_burst, packet_burst);
-        }
+        note_loss_run(ok, rep);
         if (rlc_decoder.has_value() && !retransmission) {
             // The coding window keeps the sent header for re-injection.
             const DataMsg sent = packet_msg(proto, seq, fragment, size_bits, false);
             rlc_on_source(*std::get_if<DataPacket>(&sent), rep);
         }
         return ok;
+    }
+
+    /// Books one send on the data path into the window's run of
+    /// consecutive packet losses.
+    void note_loss_run(bool delivered, WindowReport& rep) {
+        if (delivered) {
+            packet_burst = 0;
+            return;
+        }
+        ++packet_burst;
+        rep.actual_packet_burst = std::max(rep.actual_packet_burst, packet_burst);
     }
 
     // ---- sliding-window RLC (DESIGN.md §12) --------------------------------
@@ -420,14 +432,8 @@ struct Session::Impl {
         const bool ok = data.send_sideband(DataMsg{rp}, wire_bits);
         metrics.add("rlc_repairs_sent");
         metrics.add("rlc_repair_bits_sent", wire_bits);
-        if (ok) {
-            packet_burst = 0;
-        } else {
-            ++packet_burst;
-            rep.actual_packet_burst =
-                std::max(rep.actual_packet_burst, packet_burst);
-            metrics.add("rlc_repairs_lost");
-        }
+        note_loss_run(ok, rep);
+        if (!ok) metrics.add("rlc_repairs_lost");
         trace_event(obs::EventType::kRepairSent, obs::Actor::kServer,
                     data.next_free_time(), rep.window, rp.seq,
                     static_cast<std::int64_t>(rp.base),
@@ -657,23 +663,22 @@ struct Session::Impl {
                 if ((job.missing & (std::uint64_t{1} << f)) == 0) continue;
                 const SentFrame& sf = it->second[f];
                 if (!sf.valid) continue;  // shed before sending: no material
-                std::size_t total_bits = 0;
-                for (const std::size_t s : sf.sizes) {
-                    total_bits += s + kPacketHeaderBits;
-                }
+                const std::size_t packets = sf.prototype.num_fragments;
                 const sim::SimTime arrive =
-                    queue.now() + data.serialization_time(total_bits) +
+                    queue.now() +
+                    data.serialization_time(frame_wire_bits(sf.frame_bits, packets)) +
                     cfg.data_link.propagation_delay;
                 if (arrive >= playout.deadline(job.window * n + f)) {
                     metrics.add("nack_retx_skipped_deadline");
                     continue;
                 }
-                for (std::size_t frag = 0; frag < sf.sizes.size(); ++frag) {
-                    const std::size_t wire_bits =
-                        sf.sizes[frag] + kPacketHeaderBits;
-                    data.send_sideband(packet_msg(sf.prototype, next_seq++, frag,
-                                                  sf.sizes[frag], true),
-                                       wire_bits);
+                for (std::size_t frag = 0; frag < packets; ++frag) {
+                    const std::size_t size =
+                        net::fragment_size(sf.frame_bits, cfg.packet_bits, frag);
+                    const std::size_t wire_bits = size + kPacketHeaderBits;
+                    data.send_sideband(
+                        packet_msg(sf.prototype, next_seq++, frag, size, true),
+                        wire_bits);
                     ++rep.retransmissions;
                     ++retx_pkts;
                     metrics.add("nack_retx_packets");
@@ -710,26 +715,35 @@ struct Session::Impl {
         }
     }
 
-    /// A critical frame awaiting retransmission.  Its fragment ids and
-    /// sizes live in the window-scoped arenas retx_fragments/retx_sizes.
+    /// A critical frame awaiting retransmission.  Its missing fragment
+    /// ids live in the window-scoped arena retx_fragments.
     struct PendingRetx {
         sim::SimTime ready;                  ///< earliest resend time (NACK received)
         sim::SimTime lost_at = 0;            ///< when the loss hit the wire
-        std::size_t local_frame;
         DataPacket prototype;                ///< header template for the frame
+        std::size_t frame_bits = 0;          ///< the frame's size
         std::size_t fragments_at = 0;        ///< first missing id in retx_fragments
         std::size_t missing = 0;             ///< fragment ids still missing
-        std::size_t sizes_at = 0;            ///< the frame's sizes in retx_sizes
         std::size_t attempts = 0;
     };
+
+    /// Queues a resend on the window's list, ready once its NACK could
+    /// have come back.  The ready time is the link's free time plus a
+    /// round trip, and the link's free time never decreases, so the list
+    /// is sorted by ready time in push order: a FIFO.
+    void push_retx(PendingRetx& rx) {
+        rx.ready = data.next_free_time() + 2 * cfg.data_link.propagation_delay;
+        assert(pending_retx.empty() || pending_retx.back().ready <= rx.ready);
+        pending_retx.push_back(rx);
+    }
 
     /// Resends the missing fragments of one critical frame; requeues on
     /// repeated loss while attempts remain.
     void service_retx(PendingRetx rx, sim::SimTime deadline, WindowReport& rep) {
-        std::size_t total_bits = 0;
+        std::size_t total_bits = rx.missing * kPacketHeaderBits;
         for (std::size_t i = 0; i < rx.missing; ++i) {
-            const std::size_t f = retx_fragments[rx.fragments_at + i];
-            total_bits += retx_sizes[rx.sizes_at + f] + kPacketHeaderBits;
+            total_bits += net::fragment_size(rx.frame_bits, cfg.packet_bits,
+                                             retx_fragments[rx.fragments_at + i]);
         }
         const sim::SimTime start = std::max(data.next_free_time(), rx.ready);
         if (start + data.serialization_time(total_bits) > deadline) {
@@ -753,7 +767,8 @@ struct Session::Impl {
         for (std::size_t i = 0; i < rx.missing; ++i) {
             const std::size_t f = retx_fragments[rx.fragments_at + i];
             ++rep.retransmissions;
-            if (!send_packet(rx.prototype, f, retx_sizes[rx.sizes_at + f],
+            if (!send_packet(rx.prototype, f,
+                             net::fragment_size(rx.frame_bits, cfg.packet_bits, f),
                              /*retransmission=*/true, rep)) {
                 retx_fragments[rx.fragments_at + still_missing++] = f;
             }
@@ -761,26 +776,17 @@ struct Session::Impl {
         rx.missing = still_missing;
         if (still_missing > 0 &&
             rx.attempts + 1 < SessionConfig::kMaxRetransmits) {
-            rx.ready = data.next_free_time() +
-                       2 * cfg.data_link.propagation_delay;
             ++rx.attempts;
-            pending_retx.push_back(rx);
+            push_retx(rx);
         }
     }
 
-    /// Services every pending retransmission whose NACK has arrived by the
-    /// link's current timeline position.
+    /// Services pending retransmissions, oldest first, while the oldest
+    /// one's NACK has arrived by the link's current timeline position.
     void service_ready_retx(sim::SimTime deadline, WindowReport& rep) {
-        for (std::size_t i = 0; i < pending_retx.size();) {
-            if (pending_retx[i].ready <= data.next_free_time()) {
-                const PendingRetx rx = pending_retx[i];
-                pending_retx.erase(pending_retx.begin() +
-                                   static_cast<std::ptrdiff_t>(i));
-                service_retx(rx, deadline, rep);
-                i = 0;  // list may have changed; rescan
-            } else {
-                ++i;
-            }
+        while (retx_head < pending_retx.size() &&
+               pending_retx[retx_head].ready <= data.next_free_time()) {
+            service_retx(pending_retx[retx_head++], deadline, rep);
         }
     }
 
@@ -852,8 +858,8 @@ struct Session::Impl {
         std::vector<unsigned char>& sent_local = sent_local_scratch;
         sent_local.assign(n, 0);
         pending_retx.clear();
+        retx_head = 0;
         retx_fragments.clear();
-        retx_sizes.clear();
 
         // CMT-style predictive shedding: budget the window's bits up front
         // (with a retransmission reserve) and pre-drop the lowest-priority
@@ -866,13 +872,9 @@ struct Session::Impl {
                                   (1.0 - SessionConfig::kPredictiveReserve);
             double acc = 0.0;
             for (const WireEntry& entry : plan.order) {
-                const media::Frame& frame = frames[entry.local_frame];
-                net::fragment_sizes_into(frame.size_bits, cfg.packet_bits,
-                                         frag_sizes_scratch);
-                double bits = 0.0;
-                for (const std::size_t s : frag_sizes_scratch) {
-                    bits += static_cast<double>(s + kPacketHeaderBits);
-                }
+                const std::size_t frame_bits = frames[entry.local_frame].size_bits;
+                const double bits = static_cast<double>(frame_wire_bits(
+                    frame_bits, net::packet_count(frame_bits, cfg.packet_bits)));
                 if (acc + bits > budget) {
                     predropped[entry.local_frame] = 1;
                 } else {
@@ -883,39 +885,18 @@ struct Session::Impl {
         for (const WireEntry& entry : plan.order) {
             service_ready_retx(deadline, rep);
 
-            if (predropped[entry.local_frame]) {
-                ++rep.sender_dropped;
-                trace_event(obs::EventType::kFrameDeadlineDrop,
-                            obs::Actor::kServer, data.next_free_time(), k, 0,
-                            static_cast<std::int64_t>(
-                                frames[entry.local_frame].index));
-                continue;
-            }
             const media::Frame& frame = frames[entry.local_frame];
-            // Sending a frame whose prerequisite was never sent wastes
-            // bandwidth: the decoder cannot use it.
-            bool prereqs_sent = true;
-            for (const std::size_t q : planner.prerequisites()[entry.local_frame]) {
-                if (!sent_local[q]) {
-                    prereqs_sent = false;
-                    break;
-                }
-            }
-            if (!prereqs_sent) {
-                ++rep.sender_dropped;
-                trace_event(obs::EventType::kFrameDeadlineDrop,
-                            obs::Actor::kServer, data.next_free_time(), k, 0,
-                            static_cast<std::int64_t>(frame.index));
-                continue;
-            }
-
-            net::fragment_sizes_into(frame.size_bits, cfg.packet_bits,
-                                     frag_sizes_scratch);
-            const std::vector<std::size_t>& sizes = frag_sizes_scratch;
-            std::size_t total_bits = 0;
-            for (const std::size_t s : sizes) total_bits += s + kPacketHeaderBits;
-            if (data.next_free_time() + data.serialization_time(total_bits) >
-                deadline) {
+            const std::size_t packets = net::packet_count(frame.size_bits, cfg.packet_bits);
+            // Shed the frame if it was pre-dropped, if a prerequisite was
+            // never sent (the decoder could not use it), or if it cannot
+            // finish serializing by the deadline.
+            const auto& prereqs = planner.prerequisites()[entry.local_frame];
+            if (predropped[entry.local_frame] ||
+                std::any_of(prereqs.begin(), prereqs.end(),
+                            [&sent_local](std::size_t q) { return !sent_local[q]; }) ||
+                data.next_free_time() +
+                        data.serialization_time(frame_wire_bits(frame.size_bits, packets)) >
+                    deadline) {
                 ++rep.sender_dropped;
                 trace_event(obs::EventType::kFrameDeadlineDrop,
                             obs::Actor::kServer, data.next_free_time(), k, 0,
@@ -928,14 +909,16 @@ struct Session::Impl {
             proto.layer = entry.layer;
             proto.tx_pos = entry.tx_pos;
             proto.frame_index = frame.index;
-            proto.num_fragments = sizes.size();
+            proto.num_fragments = packets;
 
             // Fragments lost on this first send go straight into the
             // retransmission arena; they stay only if the frame is queued
             // for retransmission below.
             const std::size_t lost_at = retx_fragments.size();
-            for (std::size_t f = 0; f < sizes.size(); ++f) {
-                if (!send_packet(proto, f, sizes[f], /*retransmission=*/false, rep)) {
+            for (std::size_t f = 0; f < packets; ++f) {
+                if (!send_packet(proto, f,
+                                 net::fragment_size(frame.size_bits, cfg.packet_bits, f),
+                                 /*retransmission=*/false, rep)) {
                     retx_fragments.push_back(f);
                 }
             }
@@ -952,36 +935,25 @@ struct Session::Impl {
                 retx_fragments.resize(lost_at);
                 auto& rec = sent_frames[k];
                 if (rec.empty()) rec.resize(n);
-                rec[entry.local_frame] = SentFrame{proto, sizes, true};
+                rec[entry.local_frame] = SentFrame{proto, frame.size_bits, true};
                 continue;
             }
             if (lost > 0 && entry.critical && cfg.retransmit_critical) {
                 PendingRetx rx;
-                rx.ready = data.next_free_time() +
-                           2 * cfg.data_link.propagation_delay;
                 rx.lost_at = data.next_free_time();
-                rx.local_frame = entry.local_frame;
                 rx.prototype = proto;
+                rx.frame_bits = frame.size_bits;
                 rx.fragments_at = lost_at;
                 rx.missing = lost;
-                rx.sizes_at = retx_sizes.size();
-                retx_sizes.insert(retx_sizes.end(), sizes.begin(), sizes.end());
-                pending_retx.push_back(rx);
+                push_retx(rx);
             } else {
                 retx_fragments.resize(lost_at);
             }
         }
 
         // Drain remaining retransmissions that can still make the deadline.
-        while (!pending_retx.empty()) {
-            auto earliest = std::min_element(
-                pending_retx.begin(), pending_retx.end(),
-                [](const PendingRetx& a, const PendingRetx& b) {
-                    return a.ready < b.ready;
-                });
-            const PendingRetx rx = *earliest;
-            pending_retx.erase(earliest);
-            service_retx(rx, deadline, rep);
+        while (retx_head < pending_retx.size()) {
+            service_retx(pending_retx[retx_head++], deadline, rep);
         }
 
         data.send(trailer_msg(k, layer_sent), cfg.feedback_bits);
@@ -1295,14 +1267,14 @@ struct Session::Impl {
     std::vector<std::size_t> layer_sent_scratch;
     std::vector<unsigned char> sent_local_scratch;
     std::vector<unsigned char> predropped_scratch;
-    std::vector<std::size_t> frag_sizes_scratch;
     VectorPool vectors;  ///< trailer and ACK vectors, recycled on delivery
 
     std::vector<WindowReport> reports;
     espread::ContinuityMeter meter;
+    /// The window's critical resends; [retx_head, end) still pending.
     std::vector<PendingRetx> pending_retx;
+    std::size_t retx_head = 0;
     std::vector<std::size_t> retx_fragments;  ///< PendingRetx missing ids
-    std::vector<std::size_t> retx_sizes;      ///< PendingRetx fragment sizes
 
     // Sliding-window RLC state (engaged iff cfg.rlc_active()).
     std::optional<fec::RlcDecoder> rlc_decoder;  ///< rank-only mode
@@ -1321,7 +1293,7 @@ struct Session::Impl {
     // cfg.recovery.enabled; DESIGN.md §13).
     struct SentFrame {
         DataPacket prototype;             ///< header template for resends
-        std::vector<std::size_t> sizes;   ///< fragment sizes of the frame
+        std::size_t frame_bits = 0;       ///< the frame's size
         bool valid = false;               ///< false = frame was never sent
     };
     std::optional<RepairScheduler> repair;

@@ -30,7 +30,7 @@
 
 #include "core/estimator.hpp"
 #include "core/metrics.hpp"
-#include "net/channel.hpp"
+#include "net/fault.hpp"
 #include "obs/metrics.hpp"
 #include "protocol/config.hpp"
 #include "protocol/planner.hpp"

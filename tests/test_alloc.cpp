@@ -213,6 +213,33 @@ TEST(Alloc, SessionAllocationsDoNotScaleWithPackets) {
         << base.allocs_per_window << " to " << halved.allocs_per_window;
 }
 
+espread::proto::SessionConfig recovering_mjpeg(std::size_t ldus_per_window) {
+    espread::proto::SessionConfig cfg;
+    cfg.stream.kind = espread::proto::StreamKind::kMjpeg;
+    cfg.stream.ldus_per_window = ldus_per_window;
+    cfg.recovery.enabled = true;
+    // One bound, so one plan: plan builds for newly seen bounds cost more
+    // at larger n and would hide what the packet path allocates.
+    cfg.pinned_bound = 4;
+    return cfg;
+}
+
+// Under the recovery plane the sender keeps every sent frame's wire
+// material for NACK-driven resends, as a header and the frame's size: no
+// per-frame heap state.  Doubling the frames per window (16 -> 32 MJPEG
+// LDUs) may raise allocations per window by at most a small constant.
+// Measured 5 -> 5 allocations/window; with a fragment-size list per sent
+// frame it measured 21 -> 37.
+TEST(Alloc, RecoverySessionAllocationsDoNotScaleWithFrames) {
+    const SessionRate base = session_rate(recovering_mjpeg(16));
+    const SessionRate doubled = session_rate(recovering_mjpeg(32));
+    ASSERT_GE(doubled.packets_per_window, base.packets_per_window * 3 / 2)
+        << "doubling the LDUs per window should nearly double the packets";
+    EXPECT_LE(doubled.allocs_per_window, base.allocs_per_window + 4)
+        << "16 -> 32 frames/window raised allocations/window from "
+        << base.allocs_per_window << " to " << doubled.allocs_per_window;
+}
+
 // The coded path allocates nothing per repair once warm: the decoder's
 // symbol ring and row pool and the Session's source ring are reused.
 // Raising the overhead from 2/10 to 5/10 multiplies the repairs per window

@@ -1,4 +1,4 @@
-#include "net/channel.hpp"
+#include "net/fault.hpp"
 
 #include <gtest/gtest.h>
 
@@ -10,12 +10,10 @@
 #include <string>
 #include <vector>
 
-#include "net/fault.hpp"
 #include "net/fragment.hpp"
 
 namespace {
 
-using espread::net::Channel;
 using espread::net::FaultChannel;
 using espread::net::GilbertParams;
 using espread::net::ImpairmentConfig;
@@ -30,7 +28,7 @@ constexpr GilbertParams kLossless{1.0, 0.0};
 TEST(Channel, DeliveryTimeIsSerializationPlusPropagation) {
     EventQueue q;
     // 1000 bits at 1 Mb/s = 1 ms serialization; 11.5 ms propagation.
-    Channel<int> ch{q, LinkConfig{1e6, from_millis(11.5)}, kLossless, Rng{1}};
+    FaultChannel<int> ch{q, LinkConfig{1e6, from_millis(11.5)}, kLossless, Rng{1}};
     SimTime arrival = -1;
     ch.set_receiver([&](int) { arrival = q.now(); });
     ch.send(7, 1000);
@@ -40,7 +38,7 @@ TEST(Channel, DeliveryTimeIsSerializationPlusPropagation) {
 
 TEST(Channel, BackToBackMessagesSerialize) {
     EventQueue q;
-    Channel<int> ch{q, LinkConfig{1e6, 0}, kLossless, Rng{1}};
+    FaultChannel<int> ch{q, LinkConfig{1e6, 0}, kLossless, Rng{1}};
     std::vector<SimTime> arrivals;
     std::vector<int> payloads;
     ch.set_receiver([&](int v) {
@@ -60,7 +58,7 @@ TEST(Channel, BackToBackMessagesSerialize) {
 
 TEST(Channel, LinkFreesUpOverTime) {
     EventQueue q;
-    Channel<int> ch{q, LinkConfig{1e6, 0}, kLossless, Rng{1}};
+    FaultChannel<int> ch{q, LinkConfig{1e6, 0}, kLossless, Rng{1}};
     ch.set_receiver([](int) {});
     EXPECT_EQ(ch.next_free_time(), 0);
     ch.send(1, 2000);
@@ -72,7 +70,7 @@ TEST(Channel, LinkFreesUpOverTime) {
 TEST(Channel, AllPacketsDroppedWhenAlwaysBad) {
     EventQueue q;
     // p_good = 0 and p_bad = 1: everything after the first packet dies.
-    Channel<int> ch{q, LinkConfig{1e6, 0}, GilbertParams{0.0, 1.0}, Rng{1}};
+    FaultChannel<int> ch{q, LinkConfig{1e6, 0}, GilbertParams{0.0, 1.0}, Rng{1}};
     int received = 0;
     ch.set_receiver([&](int) { ++received; });
     for (int i = 0; i < 10; ++i) ch.send(i, 100);
@@ -91,7 +89,7 @@ TEST(Channel, AllPacketsDroppedWhenAlwaysBad) {
 
 TEST(Channel, LosslessChannelHasNoLossRuns) {
     EventQueue q;
-    Channel<int> ch{q, LinkConfig{1e6, 0}, kLossless, Rng{1}};
+    FaultChannel<int> ch{q, LinkConfig{1e6, 0}, kLossless, Rng{1}};
     ch.set_receiver([](int) {});
     for (int i = 0; i < 20; ++i) ch.send(i, 100);
     q.run();
@@ -100,7 +98,7 @@ TEST(Channel, LosslessChannelHasNoLossRuns) {
 
 TEST(Channel, LossRunLengthsSumToDroppedPackets) {
     EventQueue q;
-    Channel<int> ch{q, LinkConfig{1e6, 0}, GilbertParams{0.9, 0.5}, Rng{7}};
+    FaultChannel<int> ch{q, LinkConfig{1e6, 0}, GilbertParams{0.9, 0.5}, Rng{7}};
     ch.set_receiver([](int) {});
     for (int i = 0; i < 500; ++i) ch.send(i, 100);
     q.run();
@@ -117,7 +115,7 @@ TEST(Channel, LossRunLengthsSumToDroppedPackets) {
 TEST(Channel, LossyDeliveryIsDeterministicPerSeed) {
     auto run = [](std::uint64_t seed) {
         EventQueue q;
-        Channel<int> ch{q, LinkConfig{1e6, 0}, GilbertParams{0.9, 0.5}, Rng{seed}};
+        FaultChannel<int> ch{q, LinkConfig{1e6, 0}, GilbertParams{0.9, 0.5}, Rng{seed}};
         std::vector<int> got;
         ch.set_receiver([&](int v) { got.push_back(v); });
         for (int i = 0; i < 200; ++i) ch.send(i, 500);
@@ -130,7 +128,8 @@ TEST(Channel, LossyDeliveryIsDeterministicPerSeed) {
 
 TEST(Channel, MoveOnlyPayloadsSupported) {
     EventQueue q;
-    Channel<std::unique_ptr<std::string>> ch{q, LinkConfig{1e6, 0}, kLossless, Rng{1}};
+    FaultChannel<std::unique_ptr<std::string>> ch{q, LinkConfig{1e6, 0}, kLossless,
+                                                  Rng{1}};
     std::string got;
     ch.set_receiver([&](std::unique_ptr<std::string> s) { got = *s; });
     ch.send(std::make_unique<std::string>("hello"), 64);
@@ -140,9 +139,9 @@ TEST(Channel, MoveOnlyPayloadsSupported) {
 
 TEST(Channel, RejectsBadLinkConfig) {
     EventQueue q;
-    EXPECT_THROW((Channel<int>{q, LinkConfig{0.0, 0}, kLossless, Rng{1}}),
+    EXPECT_THROW((FaultChannel<int>{q, LinkConfig{0.0, 0}, kLossless, Rng{1}}),
                  std::invalid_argument);
-    EXPECT_THROW((Channel<int>{q, LinkConfig{1e6, -5}, kLossless, Rng{1}}),
+    EXPECT_THROW((FaultChannel<int>{q, LinkConfig{1e6, -5}, kLossless, Rng{1}}),
                  std::invalid_argument);
 }
 
@@ -169,8 +168,8 @@ TEST(FaultChannel, InactiveConfigMatchesBareChannelExactly) {
         return got;
     };
     EventQueue q1;
-    Channel<int> bare{q1, LinkConfig{1e6, from_millis(3)},
-                      GilbertParams{0.9, 0.5}, Rng{42}};
+    FaultChannel<int> bare{q1, LinkConfig{1e6, from_millis(3)},
+                           GilbertParams{0.9, 0.5}, Rng{42}};  // never impaired
     EventQueue q2;
     FaultChannel<int> faulty{q2, LinkConfig{1e6, from_millis(3)},
                              GilbertParams{0.9, 0.5}, Rng{42}};
@@ -357,7 +356,7 @@ TEST(FaultChannel, EveryDeliveryCarriesItsOwnPayload) {
 
 TEST(Channel, InFlightSlotsAreReusedAfterDrain) {
     EventQueue q;
-    Channel<Tagged> ch{q, LinkConfig{1e6, from_millis(5)}, kLossless, Rng{1}};
+    FaultChannel<Tagged> ch{q, LinkConfig{1e6, from_millis(5)}, kLossless, Rng{1}};
     std::vector<int> got;
     ch.set_receiver([&](Tagged m) {
         EXPECT_EQ(m.body, "payload-" + std::to_string(m.tag));
@@ -434,17 +433,17 @@ TEST(FaultChannel, DeliveryOrderMatchesPinnedHash) {
 
 TEST(Channel, MoveOnlyPayloadIgnoresDuplicateDirective) {
     EventQueue q;
-    Channel<std::unique_ptr<std::string>> ch{q, LinkConfig{1e6, 0}, kLossless,
-                                             Rng{1}};
+    FaultChannel<std::unique_ptr<std::string>> ch{q, LinkConfig{1e6, 0}, kLossless,
+                                                  Rng{1}};
     std::vector<std::string> got;
     ch.set_receiver([&](std::unique_ptr<std::string> s) {
         ASSERT_NE(s, nullptr);
         got.push_back(*s);
     });
-    espread::net::SendFaults dup;
-    dup.duplicate = true;
-    dup.duplicate_delay = from_millis(1);
-    EXPECT_TRUE(ch.send(std::make_unique<std::string>("once"), 64, dup));
+    ImpairmentConfig dup;
+    dup.duplicate_rate = 1.0;
+    ch.set_impairments(dup, Rng{2});
+    EXPECT_TRUE(ch.send(std::make_unique<std::string>("once"), 64));
     q.run();
     EXPECT_EQ(got, (std::vector<std::string>{"once"}));
     const auto s = ch.stats();
@@ -598,6 +597,29 @@ TEST(Fragment, ZeroSizeFrameStillNeedsAPacket) {
     EXPECT_EQ(espread::net::packet_count(0, 16384), 1u);
     EXPECT_EQ(espread::net::fragment_sizes(0, 16384),
               (std::vector<std::size_t>{1}));
+}
+
+// fragment_size() is the list's closed form: at every frame size from 0 to
+// three MTUs and one bit, packets 0..count-1 are full but the last, which
+// holds the remainder (a zero-size frame sends one 1-bit packet), and
+// fragment_sizes() lists exactly those sizes.
+TEST(Fragment, ClosedFormSizesMatchTheList) {
+    constexpr std::size_t kMtu = espread::net::kDefaultPacketBits;
+    for (std::size_t bits = 0; bits <= 3 * kMtu + 1; ++bits) {
+        const std::size_t count = espread::net::packet_count(bits, kMtu);
+        std::vector<std::size_t> sizes;
+        std::size_t sum = 0;
+        for (std::size_t i = 0; i < count; ++i) {
+            const std::size_t size = espread::net::fragment_size(bits, kMtu, i);
+            ASSERT_GE(size, 1u) << bits << " bits, packet " << i;
+            ASSERT_EQ(size == kMtu, i + 1 < count || (bits > 0 && bits % kMtu == 0))
+                << bits << " bits, packet " << i;
+            sizes.push_back(size);
+            sum += size;
+        }
+        ASSERT_EQ(sum, std::max<std::size_t>(bits, 1)) << bits << " bits";
+        ASSERT_EQ(espread::net::fragment_sizes(bits, kMtu), sizes) << bits << " bits";
+    }
 }
 
 TEST(Fragment, ZeroMtuThrows) {

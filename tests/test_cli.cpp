@@ -136,8 +136,7 @@ INSTANTIATE_TEST_SUITE_P(AllBinaries, CliReject, ::testing::ValuesIn(kBinaries),
                          binary_name);
 
 // A bench binary exits non-zero on a stated claim and has a CI step: every
-// bench above must be run by the workflow.  bench_validation is the one
-// exception until the exact CLF model replaces its side-by-side print.
+// bench above must be run by the workflow.
 TEST(BenchCensus, EveryBenchRunsInCi) {
     std::ifstream in(std::string(ESPREAD_SOURCE_DIR) +
                      "/.github/workflows/ci.yml");
@@ -145,9 +144,7 @@ TEST(BenchCensus, EveryBenchRunsInCi) {
     const std::string ci(std::istreambuf_iterator<char>(in), {});
     for (const Binary& b : kBinaries) {
         const std::string path = b.path;
-        if (path.rfind("bench/", 0) != 0 || path == "bench/bench_validation") {
-            continue;
-        }
+        if (path.rfind("bench/", 0) != 0) continue;
         // The binary's own name, not a prefix of a longer one.
         const std::string call = "./" + path;
         bool invoked = false;

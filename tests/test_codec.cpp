@@ -181,15 +181,14 @@ TEST(Codec, RejectsInconsistentFragmentFields) {
 TEST(Codec, RejectsUnknownDataFlagBits) {
     // Bit 0 (retransmission) is the only data flag; any other bit is
     // rejected so decode stays canonical.  The flags byte sits before the
-    // 4-byte fec_group and the 2-byte CRC.
+    // 4-byte fec_group and the 2-byte CRC, which is recomputed in place.
     const auto with_flags = [](std::uint8_t flags) {
         auto bytes = encode(sample_packet());
-        const std::size_t at = bytes.size() - 7;
-        bytes[at] = flags;
-        bytes.resize(bytes.size() - 2);
-        const std::uint16_t crc = wire_checksum(bytes.data(), bytes.size());
-        bytes.push_back(static_cast<std::uint8_t>(crc >> 8));
-        bytes.push_back(static_cast<std::uint8_t>(crc));
+        const std::size_t body = bytes.size() - 2;
+        bytes[body - 5] = flags;
+        const std::uint16_t crc = wire_checksum(bytes.data(), body);
+        bytes[body] = static_cast<std::uint8_t>(crc >> 8);
+        bytes[body + 1] = static_cast<std::uint8_t>(crc);
         return bytes;
     };
     ASSERT_TRUE(decode_data(with_flags(0x01)).has_value());

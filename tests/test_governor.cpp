@@ -40,7 +40,6 @@ GovernorConfig test_config() {
     g.miss_budget = 2;
     g.max_step = 16;  // window-sized: the guard never engages
     g.hysteresis_windows = 1;
-    g.recovery_windows = 3;
     return g;
 }
 
@@ -59,13 +58,6 @@ TEST(GovernorConfig, ValidateRejectsBadThresholds) {
     EXPECT_THROW(g.validate(), std::invalid_argument);
     g = test_config();
     g.max_step = 0;
-    EXPECT_THROW(g.validate(), std::invalid_argument);
-    g = test_config();
-    g.recovery_windows = 0;
-    EXPECT_THROW(g.validate(), std::invalid_argument);
-    g.recovery_windows = GovernorConfig::kMaxRearmWindows;
-    EXPECT_NO_THROW(g.validate());
-    g.recovery_windows = GovernorConfig::kMaxRearmWindows + 1;
     EXPECT_THROW(g.validate(), std::invalid_argument);
 }
 
@@ -179,20 +171,21 @@ TEST(Governor, WatchdogWalksFallbackAndRecovery) {
     EXPECT_EQ(gov.state(), GovernorState::kFallback);
 
     // Feedback returns during window 11; staged recovery takes
-    // recovery_windows = 3 clean windows before Normal.
+    // kRecoveryWindows = 4 clean windows before Normal.
+    static_assert(GovernorConfig::kRecoveryWindows == 4);
     ASSERT_EQ(gov.admit_ack(10, 100), std::nullopt);
     gov.on_observation(3);
     gov.on_window_start(12);
     EXPECT_EQ(gov.state(), GovernorState::kRecovering);
-    for (std::size_t w = 13; w <= 14; ++w) {
+    for (std::size_t w = 13; w <= 15; ++w) {
         ASSERT_EQ(gov.admit_ack(w - 2, 100 + w), std::nullopt);
         gov.on_observation(3);
         gov.on_window_start(w);
         EXPECT_EQ(gov.state(), GovernorState::kRecovering) << "window " << w;
     }
-    ASSERT_EQ(gov.admit_ack(13, 200), std::nullopt);
+    ASSERT_EQ(gov.admit_ack(14, 200), std::nullopt);
     gov.on_observation(3);
-    gov.on_window_start(15);
+    gov.on_window_start(16);
     EXPECT_EQ(gov.state(), GovernorState::kNormal);
 
     EXPECT_EQ(gov.report().fallbacks, 1u);
@@ -202,14 +195,13 @@ TEST(Governor, WatchdogWalksFallbackAndRecovery) {
                   gov.report().windows_in_state[1] +
                   gov.report().windows_in_state[2] +
                   gov.report().windows_in_state[3],
-              16u);
+              17u);
 }
 
 TEST(Governor, OutageMidRecoveryDoublesRearmStreak) {
     BurstEstimator est(16, 0.5);
     GovernorConfig cfg = test_config();
     cfg.miss_budget = 1;
-    cfg.recovery_windows = 2;
     AdaptationGovernor gov(cfg, est);
 
     std::size_t w = 1;
@@ -243,12 +235,13 @@ TEST(Governor, OutageMidRecoveryDoublesRearmStreak) {
 
     gov.on_window_start(0);
     gov.on_window_start(1);
-    outage();  // Recovering, needs 2 clean windows
-    outage();  // flap: 2 -> 4
-    EXPECT_EQ(recover(), 4u) << "one flap must double the streak";
+    outage();  // Recovering, needs kRecoveryWindows = 4 clean windows
+    outage();  // flap: 4 -> 8
+    EXPECT_EQ(recover(), 2 * GovernorConfig::kRecoveryWindows)
+        << "one flap must double the streak";
 
-    // Reaching Normal re-arms at recovery_windows; five flaps double it
-    // 2 -> 4 -> 8 -> 16 -> 32 and then hold it at kMaxRearmWindows.
+    // Reaching Normal re-arms at kRecoveryWindows; five flaps double it
+    // 4 -> 8 -> 16 -> 32 and then hold it at kMaxRearmWindows.
     outage();
     for (int flap = 0; flap < 5; ++flap) outage();
     EXPECT_EQ(recover(), GovernorConfig::kMaxRearmWindows);
@@ -299,8 +292,8 @@ TEST(GovernedSession, RidesFeedbackBlackoutThroughFallbackAndRecovery) {
     // charged at the start of window 12, Fallback lands at window
     // 12 + miss_budget = 14 — within miss_budget + 1 windows of the first
     // missed deadline.  ACK(16) is the first survivor (arrives during
-    // window 17), so Recovering starts at 18 and, after the 3-window
-    // re-arm streak, Normal returns at 21.
+    // window 17), so Recovering starts at 18 and, after the
+    // kRecoveryWindows = 4 re-arm streak, Normal returns at 22.
     const auto state_of = [&](std::size_t w) { return r.windows[w].governor_state; };
     for (std::size_t w = 0; w <= 11; ++w) {
         EXPECT_EQ(state_of(w), GovernorState::kNormal) << "window " << w;
@@ -312,20 +305,20 @@ TEST(GovernedSession, RidesFeedbackBlackoutThroughFallbackAndRecovery) {
         EXPECT_EQ(r.windows[w].bound_used, 8u)
             << "fallback must run on the prior ceil(n/2) (window " << w << ")";
     }
-    for (std::size_t w = 18; w <= 20; ++w) {
+    for (std::size_t w = 18; w <= 21; ++w) {
         EXPECT_EQ(state_of(w), GovernorState::kRecovering) << "window " << w;
     }
-    for (std::size_t w = 21; w < 26; ++w) {
+    for (std::size_t w = 22; w < 26; ++w) {
         EXPECT_EQ(state_of(w), GovernorState::kNormal) << "window " << w;
     }
 
     EXPECT_EQ(r.governor.fallbacks, 1u);
     EXPECT_EQ(r.governor.recoveries, 1u);
     EXPECT_EQ(r.governor.transitions, 4u);
-    EXPECT_EQ(r.governor.windows_in_state[0], 17u);
+    EXPECT_EQ(r.governor.windows_in_state[0], 16u);
     EXPECT_EQ(r.governor.windows_in_state[1], 2u);
     EXPECT_EQ(r.governor.windows_in_state[2], 4u);
-    EXPECT_EQ(r.governor.windows_in_state[3], 3u);
+    EXPECT_EQ(r.governor.windows_in_state[3], 4u);
 
     // Dwell accounting: the ladder visits Normal twice (the initial visit
     // plus the post-recovery return) and every other state once, so the
@@ -342,7 +335,7 @@ TEST(GovernedSession, RidesFeedbackBlackoutThroughFallbackAndRecovery) {
     EXPECT_EQ(r.governor.longest_dwell[0], 12u);
     EXPECT_EQ(r.governor.longest_dwell[1], 2u);
     EXPECT_EQ(r.governor.longest_dwell[2], 4u);
-    EXPECT_EQ(r.governor.longest_dwell[3], 3u);
+    EXPECT_EQ(r.governor.longest_dwell[3], 4u);
 
     // Every transition is visible as a trace event, in order.
     const std::vector<TraceEvent> ev = events_of(rec, EventType::kGovernorState);
@@ -350,17 +343,17 @@ TEST(GovernedSession, RidesFeedbackBlackoutThroughFallbackAndRecovery) {
     const std::array<GovernorState, 4> want = {
         GovernorState::kDegraded, GovernorState::kFallback,
         GovernorState::kRecovering, GovernorState::kNormal};
-    const std::array<std::size_t, 4> at = {12, 14, 18, 21};
+    const std::array<std::size_t, 4> at = {12, 14, 18, 22};
     for (std::size_t i = 0; i < 4; ++i) {
         EXPECT_EQ(static_cast<GovernorState>(ev[i].arg), want[i]);
         EXPECT_EQ(ev[i].window, at[i]);
     }
 
     // ...and as registry counters.
-    EXPECT_EQ(r.metrics.counter("governor_windows_normal"), 17u);
+    EXPECT_EQ(r.metrics.counter("governor_windows_normal"), 16u);
     EXPECT_EQ(r.metrics.counter("governor_windows_degraded"), 2u);
     EXPECT_EQ(r.metrics.counter("governor_windows_fallback"), 4u);
-    EXPECT_EQ(r.metrics.counter("governor_windows_recovering"), 3u);
+    EXPECT_EQ(r.metrics.counter("governor_windows_recovering"), 4u);
     EXPECT_EQ(r.metrics.counter("governor_fallbacks"), 1u);
     EXPECT_EQ(r.metrics.counter("governor_recoveries"), 1u);
     EXPECT_EQ(r.metrics.counter("governor_transitions"), 4u);

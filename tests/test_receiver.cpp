@@ -6,6 +6,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
+#include <numeric>
 #include <optional>
 #include <set>
 #include <stdexcept>
@@ -217,6 +218,11 @@ TEST(Receiver, RejectsInvalidConstruction) {
     EXPECT_THROW((Receiver{0, {}, {}}), std::invalid_argument);
     EXPECT_THROW((Receiver{3, {3}, std::vector<std::vector<std::size_t>>(2)}),
                  std::invalid_argument);
+    EXPECT_THROW((Receiver{3, {3}, {{}, {3}, {}}}), std::invalid_argument);
+    // Prerequisites must be acyclic, as in poset::Poset: a self-reference
+    // and a 2-cycle are refused.
+    EXPECT_THROW((Receiver{3, {3}, {{}, {1}, {}}}), std::invalid_argument);
+    EXPECT_THROW((Receiver{3, {3}, {{2}, {}, {0}}}), std::invalid_argument);
 }
 
 // ---- hardening against non-FIFO and corrupted delivery --------------------
@@ -644,10 +650,18 @@ Scenario make_scenario(std::uint64_t seed) {
         layer_of[f] = l;
         pos_of[f] = sc.layer_sizes[l]++;
     }
+    // Acyclic prerequisites, as poset::Poset guarantees: a frame needs only
+    // frames ranked before it in a random relabelling of the window, so a
+    // prerequisite sits on either side of its dependent in playback order.
+    std::vector<std::size_t> label(sc.n);
+    std::iota(label.begin(), label.end(), std::size_t{0});
+    for (std::size_t i = sc.n; i > 1; --i) {
+        std::swap(label[i - 1], label[rng.uniform_int(0, i - 1)]);
+    }
     sc.prereqs.resize(sc.n);
-    for (std::size_t f = 0; f < sc.n; ++f) {
-        if (sc.n > 1 && rng.bernoulli(0.4)) {
-            sc.prereqs[f].push_back(rng.uniform_int(0, sc.n - 1));
+    for (std::size_t rank = 1; rank < sc.n; ++rank) {
+        if (rng.bernoulli(0.4)) {
+            sc.prereqs[label[rank]].push_back(label[rng.uniform_int(0, rank - 1)]);
         }
     }
     add_ops(sc, layer_of, pos_of, rng);
@@ -706,9 +720,9 @@ void expect_matches_reference(const Scenario& sc, Tally& tally) {
     tally.waited += ref.waited;
 }
 
-// Random prerequisite lists, self-references and cycles included: the
-// receiver must keep the greatest-fixed-point semantics there too (a
-// frame on a cycle of complete frames plays), not only on DAGs.
+// Random acyclic prerequisite lists, forward ones included, on random
+// window shapes: decodability and playable times must match the
+// fixed-point reference, not only on the Planner's GOP graphs.
 TEST(ReceiverProperty, MatchesMapAndSetReferenceModel) {
     constexpr std::uint64_t kStreams = 3000;
     // Totals over all streams: each defense and the spill path must fire.

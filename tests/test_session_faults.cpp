@@ -264,7 +264,6 @@ SessionConfig governed_mixed_config(std::uint64_t seed) {
     cfg.blackout_feedback_windows(3, 5);
     cfg.governor.enabled = true;
     cfg.governor.miss_budget = 1;  // short sessions must still reach Fallback
-    cfg.governor.recovery_windows = 2;
     return cfg;
 }
 
