@@ -13,7 +13,6 @@
 #include <cstdio>
 
 #include "analysis/markov.hpp"
-#include "analysis/multiburst.hpp"
 #include "core/permutation.hpp"
 #include "exp/flags.hpp"
 #include "net/gilbert.hpp"

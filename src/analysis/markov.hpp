@@ -9,8 +9,8 @@
 // quote exact baselines instead of sampled ones.
 //
 // For permuted transmission the playback run structure depends on the
-// whole permutation and no comparable small-state DP exists; use
-// analysis::gilbert_clf (Monte Carlo) there.
+// whole permutation and no comparable small-state DP exists; sample it
+// with the engine's spread arm (engine::ShardedEngine) there.
 #pragma once
 
 #include <cstddef>
@@ -24,10 +24,10 @@ namespace espread::analysis {
 /// transmission) over a window of `n` packets of the Gilbert chain.
 /// `initial_p_good` is the probability the chain starts the window in
 /// GOOD: 1.0 models the paper's fresh-start window; stationary_p_good()
-/// models a window deep inside a continuous stream (which is what
-/// analysis::gilbert_clf and the protocol sessions measure after the
-/// first window).  Element k of the result is P(CLF == k); the vector has
-/// n + 1 entries and sums to 1.
+/// models a window deep inside a continuous stream (which is what the
+/// engine and the protocol sessions measure after the first window).
+/// Element k of the result is P(CLF == k); the vector has n + 1 entries
+/// and sums to 1.
 std::vector<double> clf_distribution_in_order(const net::GilbertParams& params,
                                               std::size_t n,
                                               double initial_p_good = 1.0);

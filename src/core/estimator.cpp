@@ -8,7 +8,7 @@ namespace espread {
 BurstEstimator::BurstEstimator(std::size_t window, double alpha)
     : window_(window),
       alpha_(alpha),
-      estimate_(static_cast<double>(window) / 2.0) {
+      estimate_(prior(window)) {
     if (window == 0) throw std::invalid_argument("BurstEstimator: window must be positive");
     if (alpha < 0.0 || alpha > 1.0) {
         throw std::invalid_argument("BurstEstimator: alpha must be in [0, 1]");
@@ -19,7 +19,7 @@ void BurstEstimator::update(std::size_t observed_max_burst) {
     const std::size_t clamped = std::min(observed_max_burst, window_);
     const double obs = static_cast<double>(clamped);
     const double old_estimate = estimate_;
-    estimate_ = alpha_ * obs + (1.0 - alpha_) * estimate_;
+    estimate_ = ewma_step(estimate_, obs, alpha_);
     ++observations_;
     if (observer_) observer_(clamped, old_estimate, estimate_);
 }
@@ -39,7 +39,7 @@ std::size_t BurstEstimator::guarded_update(std::size_t observed_max_burst,
 }
 
 void BurstEstimator::reset_to_prior() noexcept {
-    estimate_ = static_cast<double>(window_) / 2.0;
+    estimate_ = prior(window_);
 }
 
 std::size_t BurstEstimator::bound() const noexcept {

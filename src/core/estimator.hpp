@@ -60,6 +60,22 @@ public:
     /// The observation count is preserved; no observer callback fires.
     void reset_to_prior() noexcept;
 
+    /// The no-feedback prior window / 2: the estimate the paper's server
+    /// assumes before any feedback arrives, and the one a governor falls
+    /// back to.  Every path starts its estimate here.
+    static constexpr double prior(std::size_t window) noexcept {
+        return static_cast<double>(window) / 2.0;
+    }
+
+    /// One Eq. 1 step: the estimate after averaging in `observed` with
+    /// weight `alpha`.  The one EWMA expression of update(), the engine's
+    /// SoA pool and its scalar reference, so all three produce the same
+    /// doubles.
+    static constexpr double ewma_step(double estimate, double observed,
+                                      double alpha) noexcept {
+        return alpha * observed + (1.0 - alpha) * estimate;
+    }
+
     /// Fraction of the estimate's distance to the no-feedback prior kept
     /// per missed feedback window while a governor is Degraded.
     static constexpr double kOutageDecay = 0.5;
@@ -78,7 +94,7 @@ public:
     /// missed feedback window this is an exponential approach to the
     /// prior.  No observer callback.
     void decay_toward_prior() noexcept {
-        estimate_ = outage_decay_step(estimate_, static_cast<double>(window_) / 2.0);
+        estimate_ = outage_decay_step(estimate_, prior(window_));
     }
 
     /// Registers an observer of Eq. 1 steps (empty function detaches).

@@ -64,18 +64,17 @@ struct FecLiteConfig {
 
     /// NACK-lite: the pool's idealization of the receiver-authoritative
     /// recovery plane (DESIGN.md §13).  Instead of sending the window's
-    /// repair accrual unconditionally, the slot *banks* it (capped at
-    /// kNackCreditCap; overflow expires) and releases min(bank, lost
-    /// packets) repairs only when a lossy window's NACK — piggybacked on
-    /// the window's feedback packet, so the feedback chain still advances
-    /// exactly once per window — survives the feedback channel.  After
-    /// kNackWatchdogWindows consecutive lost feedback packets the slot
-    /// reverts to the fixed proactive schedule until feedback returns
-    /// (graceful degradation to the plain FEC-lite arm).  Off (the
-    /// default), the arm is byte-identical to plain FEC-lite.
+    /// repair accrual unconditionally, the slot *banks* it
+    /// (control::bank_credits, capped at control::kCreditCap; overflow
+    /// expires) and releases min(bank, lost packets) repairs only when a
+    /// lossy window's NACK — piggybacked on the window's feedback packet,
+    /// so the feedback chain still advances exactly once per window —
+    /// survives the feedback channel.  After control::kWatchdogWindows
+    /// consecutive lost feedback packets the slot reverts to the fixed
+    /// proactive schedule until feedback returns (graceful degradation to
+    /// the plain FEC-lite arm).  Off (the default), the arm is
+    /// byte-identical to plain FEC-lite.
     bool nack = false;
-    static constexpr std::size_t kNackCreditCap = 8;
-    static constexpr std::size_t kNackWatchdogWindows = 2;
 };
 
 /// Per-slot "governor-lite" supervision of the Eq. 1 feedback loop — the
@@ -83,21 +82,18 @@ struct FecLiteConfig {
 /// fits a branch-light hot path: a missed-feedback watchdog driving
 /// Normal -> Degraded -> Fallback -> Recovering -> Normal.  Degraded
 /// decays the estimate toward the no-feedback prior (n/2); Fallback pins
-/// it there; Recovering slew-limits the published bound by `kMaxStep`
-/// per window until `kRecoveryWindows` consecutive feedback windows
-/// restore Normal.  No hysteresis, outlier guard or backoff (those live
-/// in the protocol governor).  Disabled (the default) the engine's
-/// numbers are byte-identical to an unsupervised run.
+/// it there; Recovering slew-limits the published bound by
+/// control::kMaxStep per window until control::kRecoveryWindows
+/// consecutive feedback windows restore Normal.  No hysteresis, outlier
+/// guard or backoff (those live in the protocol governor).  Disabled (the
+/// default) the engine's numbers are byte-identical to an unsupervised
+/// run.
 struct GovernorLiteConfig {
     bool enabled = false;
     /// Misses before Normal -> Degraded.
     static constexpr std::uint32_t kMissBudget = 3;
     /// Degraded misses before Fallback.
     static constexpr std::uint32_t kFallbackBudget = 3;
-    /// Recovering bound slew per window.
-    static constexpr std::size_t kMaxStep = 4;
-    /// Feedback windows to re-enter Normal.
-    static constexpr std::uint32_t kRecoveryWindows = 4;
 };
 
 /// Full parameterization of a ShardedEngine run.  Defaults reproduce the

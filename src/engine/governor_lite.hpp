@@ -11,20 +11,22 @@
 //                 kFallbackBudget misses --> Fallback; feedback --> Recovering
 //   Fallback   -- estimate pinned at the prior; feedback --> Recovering
 //   Recovering -- published bound slews toward the raw Eq. 1 bound by at
-//                 most kMaxStep per window; a miss --> Degraded;
-//                 kRecoveryWindows fed windows --> Normal
+//                 most control::kMaxStep per window; a miss --> Degraded;
+//                 control::kRecoveryWindows fed windows --> Normal
 //
-// The thresholds are GovernorLiteConfig's constants.
+// The miss budgets are GovernorLiteConfig's constants; the slew, the
+// recovery streak, the prior and the decay are the protocol governor's
+// own (core/control.hpp, BurstEstimator).
 //
-// All arithmetic is plain doubles/integers evaluated in one fixed order
-// (the decay is BurstEstimator::outage_decay_step, the protocol governor's
-// own step), so governed runs keep the engine's byte-identical-across-shards
+// All arithmetic is plain doubles/integers evaluated in one fixed order,
+// so governed runs keep the engine's byte-identical-across-shards
 // contract.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 
+#include "core/control.hpp"
 #include "core/estimator.hpp"
 #include "engine/config.hpp"
 
@@ -69,7 +71,7 @@ inline GovernorLiteOutcome governor_lite_step(GovernorLiteState& g,
                                               std::size_t n) noexcept {
     using Cfg = GovernorLiteConfig;
     GovernorLiteOutcome out;
-    const double prior = static_cast<double>(n) / 2.0;
+    const double prior = BurstEstimator::prior(n);
     const auto enter = [&g, &out](std::uint8_t next) noexcept {
         out.transitioned = true;
         out.from = g.state;
@@ -109,7 +111,7 @@ inline GovernorLiteOutcome governor_lite_step(GovernorLiteState& g,
             case kGovRecovering:
                 if (!fed) {
                     enter(kGovDegraded);
-                } else if (++g.streak >= Cfg::kRecoveryWindows) {
+                } else if (++g.streak >= control::kRecoveryWindows) {
                     enter(kGovNormal);
                 }
                 break;
@@ -118,15 +120,10 @@ inline GovernorLiteOutcome governor_lite_step(GovernorLiteState& g,
         }
     }
     const std::size_t raw = BurstEstimator::bound_for(estimate, n);
-    std::size_t bound = raw;
-    if (g.state == kGovRecovering) {
-        const std::size_t prev = g.published;
-        if (raw > prev + Cfg::kMaxStep) {
-            bound = prev + Cfg::kMaxStep;
-        } else if (prev > raw && prev - raw > Cfg::kMaxStep) {
-            bound = prev - Cfg::kMaxStep;
-        }
-    }
+    const std::size_t bound =
+        g.state == kGovRecovering
+            ? control::slew_step(g.published, raw, control::kMaxStep)
+            : raw;
     g.published = static_cast<std::uint32_t>(bound);
     ++g.dwell;
     out.bound = bound;

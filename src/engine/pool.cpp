@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "core/control.hpp"
 #include "core/cpo.hpp"
 #include "core/estimator.hpp"
 #include "core/metrics.hpp"
@@ -121,7 +122,7 @@ void SessionPool::spawn(std::size_t slot) {
     data_chain_[slot].reseed(root.split(contracts::kEngineLaneDataChain));
     feedback_chain_[slot].reseed(
         root.split(contracts::kEngineLaneFeedbackChain));
-    estimate_[slot] = static_cast<double>(n_) / 2.0;
+    estimate_[slot] = BurstEstimator::prior(n_);
     windows_run_[slot] = 0;
     constexpr std::size_t D = EngineConfig::kFeedbackDelayWindows;
     for (std::size_t d = 0; d < D; ++d) pending_[slot * D + d] = kNoObs;
@@ -193,8 +194,8 @@ void SessionPool::run_window_range(std::size_t begin, std::size_t end,
         std::uint32_t& cell = pending_[slot * D + (w % D)];
         const bool fed = cell != kNoObs;
         if (fed) {
-            estimate_[slot] = cfg_.alpha * static_cast<double>(cell) +
-                              (1.0 - cfg_.alpha) * estimate_[slot];
+            estimate_[slot] = BurstEstimator::ewma_step(
+                estimate_[slot], static_cast<double>(cell), cfg_.alpha);
             cell = kNoObs;
         }
         std::size_t bound;
@@ -262,16 +263,13 @@ void SessionPool::run_window_range(std::size_t begin, std::size_t end,
         bool nack_fb_lost = false;     // this window's feedback draw
         bool nack_reactive = false;    // draw happened here, skip stage 4's
         if (fec_on) {
-            if (nack_on &&
-                nack_wd_[slot] < FecLiteConfig::kNackWatchdogWindows) {
+            if (nack_on && nack_wd_[slot] < control::kWatchdogWindows) {
                 nack_reactive = true;
-                const std::size_t cap = FecLiteConfig::kNackCreditCap;
                 const std::size_t bank = nack_credit_[slot];
-                const std::size_t add =
-                    std::min(cap - std::min(cap, bank),
-                             fec_repairs_per_window_);
-                nack_credit_[slot] = static_cast<std::uint32_t>(bank + add);
-                t.nack_expired += fec_repairs_per_window_ - add;
+                const std::size_t banked =
+                    control::bank_credits(bank, fec_repairs_per_window_);
+                nack_credit_[slot] = static_cast<std::uint32_t>(banked);
+                t.nack_expired += bank + fec_repairs_per_window_ - banked;
                 nack_fb_lost = feedback_chain_[slot].drop_next();
                 if (any_loss) {
                     ++t.nack_sent;

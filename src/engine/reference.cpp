@@ -1,7 +1,9 @@
 #include "engine/reference.hpp"
 
+#include <algorithm>
 #include <optional>
 
+#include "core/control.hpp"
 #include "core/cpo.hpp"
 #include "core/estimator.hpp"
 #include "core/metrics.hpp"
@@ -29,14 +31,16 @@ ReferenceTrace run_reference_session(const EngineConfig& cfg,
                           root.split(contracts::kEngineLaneDataChain));
     net::GilbertLoss feedback(cfg.feedback_loss,
                               root.split(contracts::kEngineLaneFeedbackChain));
-    // Plain-double Eq. 1 state, written with the exact expressions the
-    // pool uses (identical to BurstEstimator::update), so governed and
-    // ungoverned traces both predict the SoA slot bit-for-bit.
-    double estimate = static_cast<double>(n) / 2.0;
+    // Plain-double Eq. 1 state, stepped by the pool's own
+    // BurstEstimator::ewma_step, so governed and ungoverned traces both
+    // predict the SoA slot bit-for-bit.
+    double estimate = BurstEstimator::prior(n);
     GovernorLiteState gov;
     gov.published =
         static_cast<std::uint32_t>(BurstEstimator::bound_for(estimate, n));
     std::vector<std::optional<std::size_t>> pending(D);
+    std::size_t bank = 0;         // NACK-lite banked repair credits
+    std::size_t nack_silent = 0;  // consecutive lost feedback packets
 
     ReferenceTrace trace;
     trace.window_clf.reserve(windows);
@@ -45,8 +49,8 @@ ReferenceTrace run_reference_session(const EngineConfig& cfg,
     for (std::size_t w = 0; w < windows; ++w) {
         const bool fed = pending[w % D].has_value();
         if (fed) {
-            estimate = cfg.alpha * static_cast<double>(*pending[w % D]) +
-                       (1.0 - cfg.alpha) * estimate;
+            estimate = BurstEstimator::ewma_step(
+                estimate, static_cast<double>(*pending[w % D]), cfg.alpha);
             pending[w % D].reset();
         }
         std::size_t bound;
@@ -72,15 +76,39 @@ ReferenceTrace run_reference_session(const EngineConfig& cfg,
             }
         }
 
-        // FEC-lite mirror: the repair packets always follow the sources
-        // through the same chain; a lossy window is repaired whole iff
-        // the survivors cover the lost source packets.
+        // FEC-lite mirror: the repair packets follow the sources through
+        // the same chain; a lossy window is repaired whole iff the
+        // survivors cover the lost source packets.  Under NACK-lite, while
+        // the watchdog holds, the accrual banks and a lossy window's NACK,
+        // carried by this window's feedback packet, releases up to the
+        // lost count; otherwise the fixed schedule sends every repair.
+        std::size_t sent_repairs = repairs;
+        std::optional<bool> feedback_lost;  // drawn here for a NACK
+        if (cfg.fec.nack && nack_silent < control::kWatchdogWindows) {
+            const std::size_t banked = control::bank_credits(bank, repairs);
+            trace.nack_credits_expired += bank + repairs - banked;
+            bank = banked;
+            feedback_lost = feedback.drop_next();
+            sent_repairs = 0;
+            if (lost_pkts > 0) {
+                ++trace.nack_requests_sent;
+                if (*feedback_lost) {
+                    ++trace.nack_requests_lost;
+                } else {
+                    sent_repairs = std::min(bank, lost_pkts);
+                    bank -= sent_repairs;
+                    trace.nack_repair_packets += sent_repairs;
+                }
+            }
+        } else if (cfg.fec.nack) {
+            ++trace.nack_windows_proactive;
+        }
         std::size_t fec_survived = 0;
         if (cfg.fec.enabled) {
-            for (std::size_t r = 0; r < repairs; ++r) {
+            for (std::size_t r = 0; r < sent_repairs; ++r) {
                 if (!data.drop_next()) ++fec_survived;
             }
-            trace.fec_repair_packets += repairs;
+            trace.fec_repair_packets += sent_repairs;
         }
         const bool recovered =
             cfg.fec.enabled && lost_pkts > 0 && fec_survived >= lost_pkts;
@@ -97,7 +125,11 @@ ReferenceTrace run_reference_session(const EngineConfig& cfg,
         trace.window_bound.push_back(bound);
         trace.unit_losses += aggregate_loss_count(playback);
 
-        if (feedback.drop_next()) {
+        // The ACK shares the window's one feedback packet with the NACK.
+        const bool ack_lost = feedback_lost.has_value() ? *feedback_lost
+                                                        : feedback.drop_next();
+        nack_silent = ack_lost ? nack_silent + 1 : 0;
+        if (ack_lost) {
             ++trace.acks_lost;
         } else {
             pending[w % D] = obs;

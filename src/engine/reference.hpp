@@ -1,8 +1,10 @@
 // Scalar reference for the engine's window loop.
 //
-// One session, simulated the straightforward way: a real BurstEstimator,
-// a fresh calculate_permutation per window, LossMask vectors, and one
-// GilbertLoss::drop_next() per packet.  test_engine pins the batched SoA
+// One session, simulated the straightforward way: a plain-double Eq. 1
+// estimate stepped by BurstEstimator::ewma_step, a fresh
+// calculate_permutation per window, LossMask vectors, and one
+// GilbertLoss::drop_next() per packet.  The governor-lite step and the
+// NACK-lite credit bank are the pool's own shared steps.  test_engine pins the batched SoA
 // hot path (bit-range marking, run merging, scatter_set_bits,
 // walk_set_runs) against this implementation window by window, so any
 // divergence in the engine's word-level tricks fails loudly.
@@ -30,6 +32,12 @@ struct ReferenceTrace {
     /// FEC-lite arm mirror (zero when cfg.fec is off).
     std::uint64_t fec_repair_packets = 0;
     std::uint64_t fec_windows_recovered = 0;
+    /// NACK-lite arm mirror (zero when cfg.fec.nack is off).
+    std::uint64_t nack_requests_sent = 0;
+    std::uint64_t nack_requests_lost = 0;
+    std::uint64_t nack_repair_packets = 0;
+    std::uint64_t nack_credits_expired = 0;
+    std::uint64_t nack_windows_proactive = 0;
 };
 
 /// Runs `windows` buffer windows of the session identified by

@@ -118,14 +118,8 @@ struct RecoveryConfig {
     /// Recovering slew-limits servicing to one queued job per window.
     static constexpr std::size_t kMaxRepairsPerNack = 8;
 
-    /// Consecutive windows without any feedback arrival before the
-    /// watchdog declares the path dead and reverts the repair plane to the
-    /// fixed proactive credit schedule.
-    static constexpr std::size_t kWatchdogWindows = 2;
-
-    /// Cap on banked repair credits (in repair packets); credits accruing
-    /// beyond it expire, bounding the reactive burst a NACK can release.
-    static constexpr std::size_t kCreditCap = 8;
+    // The feedback watchdog (control::kWatchdogWindows) and the credit
+    // cap (control::kCreditCap) are the engine's NACK-lite constants too.
 };
 
 /// Everything that defines one simulated streaming session.

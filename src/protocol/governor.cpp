@@ -31,7 +31,8 @@ AdaptationGovernor::AdaptationGovernor(GovernorConfig cfg,
 
 std::size_t AdaptationGovernor::prior_bound() const noexcept {
     return espread::BurstEstimator::bound_for(
-        static_cast<double>(estimator_.window()) / 2.0, estimator_.window());
+        espread::BurstEstimator::prior(estimator_.window()),
+        estimator_.window());
 }
 
 void AdaptationGovernor::enter_state(GovernorState next, std::size_t window,
@@ -136,7 +137,7 @@ std::size_t AdaptationGovernor::on_window_start(std::size_t k,
                 }
             } else if (recovery_left_ <= 1) {
                 enter_state(GovernorState::kNormal, k, now);
-                rearm_windows_ = GovernorConfig::kRecoveryWindows;
+                rearm_windows_ = control::kRecoveryWindows;
             } else {
                 --recovery_left_;
             }
@@ -160,13 +161,7 @@ std::size_t AdaptationGovernor::on_window_start(std::size_t k,
         case GovernorState::kRecovering:
             // Slew-limited ramp: at most max_step per window back toward
             // whatever the re-fed estimator now says.
-            if (raw > published_) {
-                published_ = std::min(raw, published_ + cfg_.max_step);
-            } else if (raw < published_) {
-                published_ = std::max(
-                    raw, published_ > cfg_.max_step ? published_ - cfg_.max_step
-                                                    : std::size_t{1});
-            }
+            published_ = control::slew_step(published_, raw, cfg_.max_step);
             candidate_bound_ = published_;
             candidate_streak_ = 0;
             break;

@@ -50,6 +50,7 @@
 #include <cstdint>
 #include <optional>
 
+#include "core/control.hpp"
 #include "core/estimator.hpp"
 #include "obs/trace.hpp"
 #include "sim/event_queue.hpp"
@@ -83,19 +84,17 @@ struct GovernorConfig {
 
     /// Largest move of the published bound a single accepted ACK (or one
     /// Recovering window) may cause.
-    std::size_t max_step = 4;
+    std::size_t max_step = control::kMaxStep;
 
     /// Windows the estimator's raw bound must persist at a new value
     /// before the published bound follows it (Normal state only).
     /// 1 publishes immediately; 0 is invalid.
     std::size_t hysteresis_windows = 2;
 
-    /// Clean-feedback windows required to leave Recovering for Normal
-    /// after a Fallback.  Doubles (up to kMaxRearmWindows) every time an
-    /// outage recurs mid-recovery; resets on reaching Normal.
-    static constexpr std::size_t kRecoveryWindows = 4;
-
-    /// Upper limit of the exponential-backoff re-arming streak.
+    /// Upper limit of the exponential-backoff re-arming streak, which
+    /// starts at control::kRecoveryWindows clean-feedback windows after a
+    /// Fallback, doubles every time an outage recurs mid-recovery and
+    /// resets on reaching Normal.
     static constexpr std::size_t kMaxRearmWindows = 32;
 
     /// Throws std::invalid_argument on out-of-range thresholds.
@@ -190,7 +189,7 @@ private:
     std::size_t candidate_streak_ = 0;    ///< windows the candidate persisted
     std::size_t recovery_left_ = 0;       ///< Recovering windows remaining
     /// Current re-arming requirement.
-    std::size_t rearm_windows_ = GovernorConfig::kRecoveryWindows;
+    std::size_t rearm_windows_ = control::kRecoveryWindows;
     std::size_t current_dwell_ = 0;       ///< windows in the current visit
     GovernorReport report_;
 };

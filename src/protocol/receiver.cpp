@@ -59,7 +59,6 @@ Receiver::Receiver(std::size_t window_ldus, std::vector<std::size_t> layer_sizes
         slots += size;
     }
     got_.resize(slots);
-    span_.resize(layer_sizes_.size());
     plays_.resize(window_ldus_);
     ready_at_.resize(window_ldus_);
 }
@@ -260,7 +259,6 @@ void Receiver::compute_outcome(std::size_t window) {
     // only the trailer reached, whose frame table is empty) never count.
     std::fill(plays_.begin(), plays_.end(), 0);
     std::fill(got_.begin(), got_.end(), 0);
-    std::fill(span_.begin(), span_.end(), 0);
     for (std::size_t local = 0; local < w.frames.size(); ++local) {
         const FrameAssembly& fa = w.frames[local];
         if (!fa.complete()) continue;
@@ -269,7 +267,6 @@ void Receiver::compute_outcome(std::size_t window) {
         ++out.frames_received;
         if (fa.tx_pos < layer_sizes_[fa.layer]) {
             got_[layer_offset_[fa.layer] + fa.tx_pos] = 1;
-            span_[fa.layer] = std::max(span_[fa.layer], fa.tx_pos + 1);
         }
     }
 
@@ -299,13 +296,15 @@ void Receiver::compute_outcome(std::size_t window) {
     out.undecodable = out.frames_received - playing;
 
     // Per-layer wire-order loss runs.  Measurement span per layer: the
-    // trailer's sent count when available, otherwise up to the highest
-    // position received (losses beyond it are indistinguishable from
-    // sender-side drops).
+    // trailer's sent count when available, otherwise the whole layer, as
+    // the paper's client, which knows a window holds n LDUs, measures it.
+    // The trailer rides the data chain right after the last frame, so a
+    // loss run at the window's tail usually takes the trailer with it;
+    // stopping at the highest position received would drop that run.
     for (std::size_t l = 0; l < layers; ++l) {
-        std::size_t span = span_[l];
+        std::size_t span = layer_sizes_[l];
         if (w.trailer_seen && l < w.layer_sent.size()) {
-            span = std::min(w.layer_sent[l], layer_sizes_[l]);
+            span = std::min(w.layer_sent[l], span);
         }
         const unsigned char* got = got_.data() + layer_offset_[l];
         std::size_t run = 0;

@@ -40,8 +40,8 @@ struct WindowOutcome {
     std::size_t frames_received = 0;
     /// Per layer: largest run of consecutive frame losses in wire order,
     /// measured over the frames the server reported sending (trailer), or
-    /// conservatively up to the highest position seen when the trailer was
-    /// lost.
+    /// over the whole layer when the trailer was lost (frames the sender
+    /// shed then count as lost).
     std::vector<std::size_t> layer_max_burst;
     /// Per layer: number of frames lost (same measurement span).
     std::vector<std::size_t> layer_lost;
@@ -185,12 +185,11 @@ private:
     std::size_t last_slot_ = 0;  ///< slot open() returned last
     /// The outcome finalize()/report() return, and its working columns:
     /// per frame whether it plays and since when, per layer wire position
-    /// whether it arrived, per layer one past the highest one that did.
+    /// whether it arrived.
     WindowOutcome out_;
     std::vector<unsigned char> plays_;
     std::vector<sim::SimTime> ready_at_;
     std::vector<unsigned char> got_;
-    std::vector<std::size_t> span_;
     std::vector<bool> finalized_;  ///< bit w set = window w closed
     std::size_t window_limit_ = 0;     ///< 0 = unlimited
     std::size_t duplicates_dropped_ = 0;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <limits>
 
+#include "core/control.hpp"
+
 namespace espread::proto {
 
 namespace {
@@ -50,7 +52,7 @@ RecoveryMode RepairScheduler::on_window_start(
                 service_budget_ = 1;
                 break;
         }
-    } else if (windows_since_feedback_ >= RecoveryConfig::kWatchdogWindows) {
+    } else if (windows_since_feedback_ >= control::kWatchdogWindows) {
         if (mode_ != RecoveryMode::kProactive) ++report_.watchdog_timeouts;
         mode_ = RecoveryMode::kProactive;
         service_budget_ = 0;

@@ -21,7 +21,7 @@
 //     signal that degraded the estimator (missing/hostile feedback) makes
 //     NACKs untrustworthy or absent.
 //   * Recovering: slew-limited — one queued job is released per window.
-//   * Watchdog (ungoverned sessions): kWatchdogWindows consecutive
+//   * Watchdog (ungoverned sessions): control::kWatchdogWindows consecutive
 //     windows without feedback flips the plane to proactive mode (fixed
 //     credit schedule) until feedback returns, so a dead feedback path
 //     degrades to the pure FEC/spreading behavior instead of banking

@@ -11,6 +11,7 @@
 #include <utility>
 #include <variant>
 
+#include "core/control.hpp"
 #include "fec/rlc.hpp"
 #include "media/trace.hpp"
 #include "media/trace_io.hpp"
@@ -401,10 +402,13 @@ struct Session::Impl {
             if (!repair.has_value() ||
                 repair->mode() != RecoveryMode::kReactive) {
                 rlc_send_repair(rep);
-            } else if (rlc_nack_credit < RecoveryConfig::kCreditCap) {
-                ++rlc_nack_credit;
             } else {
-                metrics.add("nack_credits_expired");
+                const std::size_t banked =
+                    control::bank_credits(rlc_nack_credit, 1);
+                if (banked == rlc_nack_credit) {
+                    metrics.add("nack_credits_expired");
+                }
+                rlc_nack_credit = banked;
             }
         }
     }
@@ -836,7 +840,7 @@ struct Session::Impl {
                 trace_event(
                     obs::EventType::kRepairTimeout, obs::Actor::kServer,
                     queue.now(), k, 0,
-                    static_cast<std::int64_t>(RecoveryConfig::kWatchdogWindows));
+                    static_cast<std::int64_t>(control::kWatchdogWindows));
             }
             if (repair->mode() == RecoveryMode::kProactive &&
                 rlc_decoder.has_value()) {

@@ -22,6 +22,7 @@
 #include "engine/config.hpp"
 #include "engine/pool.hpp"
 #include "engine/reference.hpp"
+#include "net/gilbert.hpp"
 #include "obs/histogram.hpp"
 
 namespace {
@@ -525,6 +526,96 @@ INSTANTIATE_TEST_SUITE_P(Shapes, EngineGeometry,
                                            Geometry{65, 3, 0.6},
                                            Geometry{130, 2, 0.6},
                                            Geometry{130, 2, 0.995}));
+
+// The NACK-lite pool-of-one matches the scalar reference window for
+// window: credit banking and expiry, the NACK piggybacked on the
+// window's feedback draw, released repairs and the lost-feedback
+// watchdog's fall back to the fixed schedule.  The second config adds
+// governor-lite on top, as engine_fleet runs it.
+TEST(Engine, NackPoolOfOneMatchesReference) {
+    for (const bool governed : {false, true}) {
+        SCOPED_TRACE(governed);
+        EngineConfig cfg;
+        cfg.sessions = 1;
+        cfg.shards = 1;
+        cfg.feedback_loss = {0.9, 0.5};
+        cfg.governor.enabled = governed;
+        cfg.fec.enabled = true;
+        cfg.fec.overhead_num = 1;
+        cfg.fec.overhead_den = 10;
+        cfg.fec.nack = true;
+        cfg.seed = 29;
+        constexpr std::size_t kWindows = 400;
+        ShardedEngine engine(cfg);
+        engine.run(kWindows);
+        const EngineSummary s = engine.summary();
+        const ReferenceTrace ref = run_reference_session(cfg, 0, kWindows);
+        expect_matches_reference(s, ref);
+        EXPECT_EQ(s.fec_repair_packets, ref.fec_repair_packets);
+        EXPECT_EQ(s.fec_windows_recovered, ref.fec_windows_recovered);
+        EXPECT_EQ(s.nack_requests_sent, ref.nack_requests_sent);
+        EXPECT_EQ(s.nack_requests_lost, ref.nack_requests_lost);
+        EXPECT_EQ(s.nack_repair_packets, ref.nack_repair_packets);
+        EXPECT_EQ(s.nack_credits_expired, ref.nack_credits_expired);
+        EXPECT_EQ(s.nack_windows_proactive, ref.nack_windows_proactive);
+        // Every branch of the arm fires on this channel.
+        EXPECT_GT(s.nack_requests_lost, 0u);
+        EXPECT_GT(s.nack_repair_packets, 0u);
+        EXPECT_GT(s.nack_credits_expired, 0u);
+        EXPECT_GT(s.nack_windows_proactive, 0u);
+        EXPECT_GT(s.fec_windows_recovered, 0u);
+        if (governed) {
+            EXPECT_GT(s.governor_transitions, 0u);
+        }
+    }
+}
+
+// ---- Sampled Gilbert CLF ----
+//
+// The engine is the library's Monte-Carlo sampler of window CLF under the
+// Gilbert chain (test_markov checks its in-order arm against the exact
+// DP).  These pin its basic properties at one packet per LDU.
+
+EngineConfig gilbert_sampler(espread::net::GilbertParams params, bool spread) {
+    EngineConfig cfg;
+    cfg.sessions = 8;
+    cfg.window_ldus = 24;
+    cfg.packets_per_ldu = 1;
+    cfg.spread = spread;
+    cfg.data_loss = params;
+    cfg.seed = 3;
+    return cfg;
+}
+
+TEST(GilbertClf, LosslessChannelGivesZeroClf) {
+    ShardedEngine engine(gilbert_sampler({1.0, 0.0}, false));
+    engine.run(50);
+    const EngineSummary s = engine.summary();
+    EXPECT_EQ(s.windows, 400u);
+    EXPECT_DOUBLE_EQ(s.clf_mean, 0.0);
+    EXPECT_DOUBLE_EQ(s.alf, 0.0);
+}
+
+TEST(GilbertClf, AlfTracksStationaryLoss) {
+    const espread::net::GilbertParams params{0.92, 0.6};
+    ShardedEngine engine(gilbert_sampler(params, false));
+    engine.run(625);  // 5000 windows
+    EXPECT_NEAR(engine.summary().alf,
+                espread::net::GilbertLoss::stationary_loss(params), 0.01);
+}
+
+TEST(GilbertClf, SpreadingBeatsIdentityUnderBurstyLoss) {
+    const espread::net::GilbertParams params{0.92, 0.6};
+    ShardedEngine id(gilbert_sampler(params, false));
+    ShardedEngine spread(gilbert_sampler(params, true));
+    id.run(375);  // 3000 windows each
+    spread.run(375);
+    const EngineSummary a = id.summary();
+    const EngineSummary b = spread.summary();
+    EXPECT_LT(b.clf_mean, a.clf_mean);
+    // Same seeds, same chains: the order moves losses, it never adds any.
+    EXPECT_EQ(b.unit_losses, a.unit_losses);
+}
 
 // Config validation rejects out-of-range parameters before any arena is
 // built.

@@ -15,6 +15,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "core/control.hpp"
 #include "core/estimator.hpp"
 #include "obs/trace.hpp"
 #include "protocol/report.hpp"
@@ -172,7 +173,7 @@ TEST(Governor, WatchdogWalksFallbackAndRecovery) {
 
     // Feedback returns during window 11; staged recovery takes
     // kRecoveryWindows = 4 clean windows before Normal.
-    static_assert(GovernorConfig::kRecoveryWindows == 4);
+    static_assert(espread::control::kRecoveryWindows == 4);
     ASSERT_EQ(gov.admit_ack(10, 100), std::nullopt);
     gov.on_observation(3);
     gov.on_window_start(12);
@@ -237,7 +238,7 @@ TEST(Governor, OutageMidRecoveryDoublesRearmStreak) {
     gov.on_window_start(1);
     outage();  // Recovering, needs kRecoveryWindows = 4 clean windows
     outage();  // flap: 4 -> 8
-    EXPECT_EQ(recover(), 2 * GovernorConfig::kRecoveryWindows)
+    EXPECT_EQ(recover(), 2 * espread::control::kRecoveryWindows)
         << "one flap must double the streak";
 
     // Reaching Normal re-arms at kRecoveryWindows; five flaps double it

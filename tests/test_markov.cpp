@@ -4,8 +4,7 @@
 
 #include <numeric>
 
-#include "analysis/multiburst.hpp"
-#include "core/permutation.hpp"
+#include "engine/engine.hpp"
 
 namespace {
 
@@ -64,18 +63,26 @@ TEST(Markov, ExpectedLossesMatchSumOfMarginals) {
 }
 
 TEST(Markov, AgreesWithMonteCarlo) {
-    // The DP and the sampled chain must describe the same process.
-    // gilbert_clf runs one continuous chain across windows, so beyond the
-    // first window each starts from (approximately) the stationary state;
-    // the DP must be seeded accordingly.
+    // The DP and the shipped engine's in-order arm (one packet per LDU)
+    // must describe the same process.  Each session runs one continuous
+    // chain across its windows, so beyond a session's first window each
+    // starts from (approximately) the stationary state; the DP must be
+    // seeded accordingly.
     const GilbertParams params{0.92, 0.6};
     const std::size_t n = 24;
+    espread::engine::EngineConfig cfg;
+    cfg.sessions = 16;
+    cfg.window_ldus = n;
+    cfg.packets_per_ldu = 1;
+    cfg.spread = false;
+    cfg.data_loss = params;
+    cfg.seed = 5;
+    espread::engine::ShardedEngine engine(cfg);
+    engine.run(2500);  // 40000 windows
+    const espread::engine::EngineSummary s = engine.summary();
     const double pi_good = espread::analysis::stationary_p_good(params);
-    const double exact = expected_clf_in_order(params, n, pi_good);
-    const auto mc = espread::analysis::gilbert_clf(
-        espread::Permutation::identity(n), params, 40000, espread::sim::Rng{5});
-    EXPECT_NEAR(mc.clf.mean(), exact, 0.03);
-    EXPECT_NEAR(mc.alf * static_cast<double>(n),
+    EXPECT_NEAR(s.clf_mean, expected_clf_in_order(params, n, pi_good), 0.03);
+    EXPECT_NEAR(s.alf * static_cast<double>(n),
                 expected_losses_in_order(params, n, pi_good), 0.05);
 }
 

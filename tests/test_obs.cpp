@@ -352,12 +352,12 @@ TEST(MetricsGolden, SessionRegistriesMatchTheirDigests) {
         std::uint64_t counters;
         std::uint64_t histograms;
     } cases[] = {
-        {"paper", paper_config(), 0x6667b79c09ca8cafull, 0x69b0b30f75d62deeull},
-        {"impaired", impaired_config(), 0x311aa332576036b2ull, 0xb610a5f1a22d3037ull},
-        {"rlc", rlc_config(), 0x41482c1422c6e7a5ull, 0x9ce453786c52a123ull},
-        {"recovery", recovery_config(), 0x3575f8807ce3d6e3ull, 0xee08e5b0d3e0b8ebull},
-        {"governed", governed_config(), 0xc1c54b38b64305aeull, 0x19d9143131c3b766ull},
-        {"session_repair", repair_config(), 0xafd6e8da8c9c5fb9ull, 0x9b22cea6cba1b264ull},
+        {"paper", paper_config(), 0x6667b79c09ca8cafull, 0x5a5b92ebf803fb60ull},
+        {"impaired", impaired_config(), 0x311aa332576036b2ull, 0xfc015ba789617ee2ull},
+        {"rlc", rlc_config(), 0x41482c1422c6e7a5ull, 0x5012eea86cafedfdull},
+        {"recovery", recovery_config(), 0x3575f8807ce3d6e3ull, 0xd277ce3d7676ef45ull},
+        {"governed", governed_config(), 0x8808ae3e0f0c8019ull, 0x21e38661cf3bdd34ull},
+        {"session_repair", repair_config(), 0xf1adbe1ca23e721dull, 0x5b13be2b4930bcc2ull},
     };
     for (const auto& c : cases) {
         const proto::SessionResult r = proto::run_session(c.cfg);
@@ -376,9 +376,9 @@ TEST(MetricsGolden, MonteCarloMergeMatchesItsDigest) {
     opts.threads = 2;
     espread::exp::MonteCarloRunner runner(opts);
     const espread::exp::TrialSummary s = runner.run(repair_config());
-    EXPECT_EQ(counters_digest(s.metrics), 0x2cb79f4f1dc0207bull)
+    EXPECT_EQ(counters_digest(s.metrics), 0xf436cc4ed2232a0bull)
         << "merge counter digest 0x" << std::hex << counters_digest(s.metrics);
-    EXPECT_EQ(histograms_digest(s.metrics), 0x9314bed25635ed0cull)
+    EXPECT_EQ(histograms_digest(s.metrics), 0xfb6b247c3d68c2cdull)
         << "merge histogram digest 0x" << std::hex
         << histograms_digest(s.metrics);
 }

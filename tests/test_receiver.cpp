@@ -145,13 +145,23 @@ TEST(Receiver, TrailerLimitsMeasurementSpanToSentFrames) {
     EXPECT_EQ(out.playback, (espread::LossMask{true, true, false, false}));
 }
 
-TEST(Receiver, WithoutTrailerSpanFallsBackToHighestSeenPosition) {
+TEST(Receiver, WithoutTrailerSpanCoversTheWholeLayer) {
     Receiver r = flat_receiver();
     r.on_packet(packet(0, 0, 0, 0));
     r.on_packet(packet(0, 3, 0, 3));  // positions 1, 2 missing in between
     const WindowOutcome out = r.finalize(0);
     EXPECT_FALSE(out.trailer_seen);
     EXPECT_EQ(out.layer_max_burst, (std::vector<std::size_t>{2}));
+    EXPECT_EQ(out.layer_lost, (std::vector<std::size_t>{2}));
+
+    // A loss run at the window's tail, which usually takes the trailer
+    // with it, still counts: the window holds four frames.
+    Receiver tail = flat_receiver();
+    tail.on_packet(packet(0, 0, 0, 0));
+    const WindowOutcome t = tail.finalize(0);
+    EXPECT_FALSE(t.trailer_seen);
+    EXPECT_EQ(t.layer_max_burst, (std::vector<std::size_t>{3}));
+    EXPECT_EQ(t.layer_lost, (std::vector<std::size_t>{3}));
 }
 
 TEST(Receiver, UnseenWindowIsTotalLoss) {
@@ -474,13 +484,13 @@ public:
         }
         for (std::size_t l = 0; l < layers; ++l) {
             std::vector<bool> got(layer_sizes_[l], false);
-            std::size_t span = 0;
             for (const auto& [local, fa] : w.frames) {
                 if (fa.layer == l && fa.complete() && fa.tx_pos < got.size()) {
                     got[fa.tx_pos] = true;
-                    span = std::max(span, fa.tx_pos + 1);
                 }
             }
+            // Without a trailer the whole layer is measured.
+            std::size_t span = layer_sizes_[l];
             if (w.trailer_seen && l < w.layer_sent.size()) {
                 span = std::min(w.layer_sent[l], layer_sizes_[l]);
             }
