@@ -79,6 +79,7 @@ double gf_kernel_mbytes_per_second() {
     for (std::size_t i = 0; i < kRow; ++i) {
         src[i] = static_cast<std::uint8_t>(i * 37 + 11);
     }
+    // espread-lint: allow(D1) wall-clock timing of the GF(256) row kernel; never feeds seeds or the sim clock
     using clock = std::chrono::steady_clock;
     // Warm the tables, then time enough passes to dominate clock noise.
     for (int c = 2; c < 34; ++c) {

@@ -113,6 +113,7 @@ double session_loop_windows_per_second(std::size_t sessions,
 
 int main(int argc, char** argv) {
     const Args args = parse_args(argc, argv);
+    // espread-lint: allow(D1) wall-clock throughput bracket around measured engine runs; never feeds seeds or the sim clock
     using clock = std::chrono::steady_clock;
 
     const EngineConfig& cfg = args.engine;

@@ -19,9 +19,6 @@ namespace espread {
 /// [start, start+length).  The burst is clipped to the window.
 LossMask burst_loss_mask(const Permutation& perm, std::size_t start, std::size_t length);
 
-/// CLF (in playback order) caused by the single burst [start, start+length).
-std::size_t burst_clf(const Permutation& perm, std::size_t start, std::size_t length);
-
 /// Exact worst-case CLF over every possible burst of length at most
 /// `max_burst` within the window.  Because a longer burst's losses are a
 /// superset of any shorter burst at the same start, only bursts of length

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
-#include <set>
+#include <vector>
 
 #include "core/burst.hpp"
 #include "core/interleaver.hpp"
@@ -13,8 +13,8 @@ namespace espread {
 namespace {
 
 /// Adds `g` to `out` if it is a usable stride for a window of n.
-void add_candidate(std::set<std::size_t>& out, std::size_t g, std::size_t n) {
-    if (g >= 2 && g <= n - 1) out.insert(g);
+void add_candidate(std::vector<std::size_t>& out, std::size_t g, std::size_t n) {
+    if (g >= 2 && g <= n - 1) out.push_back(g);
 }
 
 /// Class-visit orders evaluated for the residue-class family.  Besides the
@@ -45,11 +45,12 @@ std::vector<std::vector<std::size_t>> class_orders(std::size_t stride) {
 
 std::vector<std::size_t> cpo_candidate_strides(std::size_t n, std::size_t b,
                                                std::size_t exhaustive_stride_limit) {
-    std::set<std::size_t> cands;
-    if (n < 3) return {};
+    std::vector<std::size_t> cands;
+    if (n < 3) return cands;
     if (n <= exhaustive_stride_limit) {
-        for (std::size_t g = 2; g <= n - 1; ++g) cands.insert(g);
-        return {cands.begin(), cands.end()};
+        cands.resize(n - 2);
+        std::iota(cands.begin(), cands.end(), std::size_t{2});
+        return cands;
     }
     const std::size_t root = static_cast<std::size_t>(std::sqrt(static_cast<double>(n)));
     for (std::size_t d = 0; d <= 2; ++d) {
@@ -64,7 +65,11 @@ std::vector<std::size_t> cpo_candidate_strides(std::size_t n, std::size_t b,
         add_candidate(cands, (n + k - 1) / k, n);
         add_candidate(cands, n / k, n);
     }
-    return {cands.begin(), cands.end()};
+    // Ascending and distinct: the search order, and with it the strict-<
+    // tie-break in calculate_permutation, depends on it.
+    std::sort(cands.begin(), cands.end());
+    cands.erase(std::unique(cands.begin(), cands.end()), cands.end());
+    return cands;
 }
 
 CpoResult calculate_permutation(std::size_t n, std::size_t b,

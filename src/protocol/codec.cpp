@@ -242,8 +242,7 @@ std::optional<WireType> peek_type(const std::vector<std::uint8_t>& bytes) {
         case static_cast<std::uint8_t>(WireType::kFeedback): return WireType::kFeedback;
         case static_cast<std::uint8_t>(WireType::kRepair): return WireType::kRepair;
         case static_cast<std::uint8_t>(WireType::kNack): return WireType::kNack;
-        // espread-lint: allow(D3) wire bytes are untrusted input: an unknown tag must decode to nullopt, not assert
-        default: return std::nullopt;
+        default: return std::nullopt;  // untrusted byte: an unknown tag is refused
     }
 }
 

@@ -96,10 +96,6 @@ void SessionConfig::validate() const {
     }
     if (governor.enabled) {
         governor.validate();
-        if (!adaptive) {
-            throw std::invalid_argument(
-                "SessionConfig: governor requires adaptive feedback");
-        }
         if (pinned_bound != 0) {
             throw std::invalid_argument(
                 "SessionConfig: governor is incompatible with pinned_bound");

@@ -134,7 +134,6 @@ struct SessionConfig {
     /// is far below the 1 s window, so the deadline remains the binding
     /// limit as in the paper.
     static constexpr std::size_t kMaxRetransmits = 6;
-    bool adaptive = true;             ///< feed client estimates into b-hat
     std::size_t pinned_bound = 0;     ///< >0 freezes the non-critical bound
     double alpha = 0.5;               ///< Eq. 1 averaging weight
     /// Adaptation governor supervising the EWMA estimator (see
@@ -143,8 +142,7 @@ struct SessionConfig {
     /// estimator updates, fallback to the no-feedback prior b = n/2 under
     /// sustained outage and a staged recovery afterwards.  Disabled by
     /// default; a disabled governor keeps the session byte-identical to an
-    /// ungoverned one.  Requires adaptive == true and pinned_bound == 0 when
-    /// enabled.
+    /// ungoverned one.  Requires pinned_bound == 0 when enabled.
     GovernorConfig governor;
     DropPolicy drop_policy = DropPolicy::kReactive;
     /// Fraction of the window's bit budget kPredictive keeps back for

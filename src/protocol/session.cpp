@@ -1059,7 +1059,7 @@ struct Session::Impl {
         feedback_window_ = f.window;
         trace_event(obs::EventType::kAckApplied, obs::Actor::kServer,
                     queue.now(), f.window, f.seq);
-        if (!cfg.adaptive || cfg.pinned_bound != 0) return;
+        if (cfg.pinned_bound != 0) return;
         std::size_t observed = 0;
         const auto& critical = planner.layer_critical();
         for (std::size_t l = 0; l < f.layer_max_burst.size(); ++l) {

@@ -8,7 +8,7 @@
 //     lane per root family; a duplicated lane silently correlates two
 //     processes that every figure assumes are independent.  Lane constants
 //     are named k<Family>Lane<Name>; the family names the root the lane is
-//     split from.  `espread_lint --contracts` rule C1 rejects a magic
+//     split from.  espread_lint rule C1 (DESIGN.md §14) rejects a magic
 //     `.split(<int>)` in src/ or bench/, a lane used outside its family's
 //     paths, and a value collision within a family; C5 flags a lane that
 //     nothing splits.

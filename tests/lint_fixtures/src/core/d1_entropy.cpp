@@ -12,3 +12,14 @@ unsigned long entropy_seed() {
 }
 
 }  // namespace espread
+
+// A wall clock behind an alias: `clock::now()` names no clock, so D1 fires
+// on the alias declaration.
+namespace espread {
+
+long long elapsed_ticks() {
+    using clock = std::chrono::steady_clock;  // line 21: D1
+    return clock::now().time_since_epoch().count();
+}
+
+}  // namespace espread

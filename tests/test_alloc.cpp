@@ -5,7 +5,9 @@
 // (the SoA arenas and shard scratch absorb everything), and the
 // per-object Session window loop stays within a fixed allocation budget
 // per window that does not grow with the packets per window; an event
-// queue refilled to its peak pending count allocates nothing.
+// queue refilled to its peak pending count allocates nothing; and
+// worst_case_clf, which calculate_permutation runs on every candidate
+// order, allocates at most once per call.
 //
 // Not registered under the sanitizers: ASan/TSan interpose the
 // allocator and the replacement operators below would fight them.
@@ -17,6 +19,8 @@
 #include <cstdlib>
 #include <new>
 
+#include "core/burst.hpp"
+#include "core/interleaver.hpp"
 #include "engine/engine.hpp"
 #include "net/fragment.hpp"
 #include "protocol/session.hpp"
@@ -97,6 +101,19 @@ TEST(Alloc, EngineStepIsAllocationFreeWhenWarm) {
     const std::uint64_t allocs = counter.stop();
     EXPECT_EQ(allocs, 0u)
         << "engine hot path allocated " << allocs << " times in 16 steps";
+}
+
+// calculate_permutation scores every candidate order with worst_case_clf.
+// One loss mask serves every burst start, so a call allocates at most once
+// however many starts it scans (here 86; one mask per start measured 86).
+TEST(Alloc, WorstCaseClfAllocatesAtMostOncePerCall) {
+    const espread::Permutation p = espread::cyclic_stride_order(97, 10, 0);
+    AllocCounter counter;
+    counter.start();
+    const std::size_t clf = espread::worst_case_clf(p, 12);
+    const std::uint64_t allocs = counter.stop();
+    EXPECT_GE(clf, 1u);
+    EXPECT_LE(allocs, 1u) << "worst_case_clf allocated " << allocs << " times";
 }
 
 // The event queue reuses its heap's capacity and moves callbacks: once
@@ -188,12 +205,12 @@ espread::proto::SessionConfig coded(std::size_t overhead_num) {
 // receiver's outcome buffer, the retransmission arenas and the trailer
 // and ACK vectors recycled on delivery).  What is left: plans built for
 // newly seen burst bounds, and fresh vectors replacing those of trailers
-// and ACKs the channel lost.  Measured at 6 allocations/window; the bound
+// and ACKs the channel lost.  Measured at 3 allocations/window; the bound
 // is that plus 4, and a per-packet allocation (~77 data packets per
 // window) fails.
 TEST(Alloc, SessionWindowLoopStaysWithinBudget) {
     const SessionRate rate = session_rate(with_packet_bits(espread::net::kDefaultPacketBits));
-    EXPECT_LE(rate.allocs_per_window, 10u)
+    EXPECT_LE(rate.allocs_per_window, 7u)
         << "session window loop now allocates " << rate.allocs_per_window
         << " times per window";
 }

@@ -9,7 +9,6 @@
 
 namespace {
 
-using espread::burst_clf;
 using espread::burst_loss_mask;
 using espread::cyclic_stride_order;
 using espread::lower_bound_clf;
@@ -32,7 +31,7 @@ TEST(Burst, BurstIsClippedToWindow) {
 
 TEST(Burst, ZeroLengthBurstLosesNothing) {
     const Permutation p = Permutation::identity(4);
-    EXPECT_EQ(burst_clf(p, 1, 0), 0u);
+    EXPECT_EQ(espread::consecutive_loss(burst_loss_mask(p, 1, 0)), 0u);
     EXPECT_EQ(worst_case_clf(p, 0), 0u);
 }
 

@@ -51,7 +51,7 @@ const Binary kBinaries[] = {
     {"bench/bench_orthogonal", {}},
     {"bench/bench_validation", {}},
     {"examples/espread_cli", {"--windows", "--bw"}},
-    {"tools/espread_lint/espread_lint", {"--jobs"}},
+    {"tools/espread_lint/espread_lint", {}},
     {"tools/espread_report/espread_report", {"--max-rows"}, 1},
     {"tools/perf_gate/perf_gate", {"--tolerance"}},
 };

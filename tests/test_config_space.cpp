@@ -89,13 +89,12 @@ SessionConfig random_config(Rng& rng) {
     }
 
     cfg.retransmit_critical = rng.bernoulli(0.5);
-    cfg.adaptive = rng.bernoulli(0.8);
     cfg.alpha = uniform(rng, 0.0, 1.0);
     if (rng.bernoulli(0.15)) {
         cfg.pinned_bound = static_cast<std::size_t>(rng.uniform_int(1, 8));
     }
     cfg.governor.enabled =
-        cfg.adaptive && cfg.pinned_bound == 0 && rng.bernoulli(0.5);
+        cfg.pinned_bound == 0 && rng.bernoulli(0.5);
 
     cfg.drop_policy = rng.bernoulli(0.3) ? DropPolicy::kPredictive
                                          : DropPolicy::kReactive;

@@ -70,10 +70,6 @@ TEST(GovernorConfig, SessionValidationEnforcesPrerequisites) {
     SessionConfig pinned = cfg;
     pinned.pinned_bound = 3;
     EXPECT_THROW(pinned.validate(), std::invalid_argument);
-
-    SessionConfig nonadaptive = cfg;
-    nonadaptive.adaptive = false;
-    EXPECT_THROW(nonadaptive.validate(), std::invalid_argument);
 }
 
 TEST(Governor, AckAdmissionRejectsDuplicateStaleFuture) {

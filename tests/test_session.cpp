@@ -93,10 +93,15 @@ TEST(Session, PinnedBoundFreezesAdaptation) {
     for (const auto& w : r.windows) EXPECT_EQ(w.bound_used, 3u);
 }
 
+// No applied ACK keeps the prior bound: with every ACK lost on the
+// feedback path, the estimator never leaves its no-feedback prior (n/2 of
+// the 16-frame non-critical layer).
 TEST(Session, NonAdaptiveKeepsInitialBound) {
     SessionConfig cfg = base_config();
-    cfg.adaptive = false;
+    cfg.feedback_loss = {0.92, 0.6, 1.0, 1.0};
     const SessionResult r = run_session(cfg);
+    EXPECT_GT(r.acks_sent, 0u);
+    EXPECT_EQ(r.acks_applied, 0u);
     for (const auto& w : r.windows) EXPECT_EQ(w.bound_used, 8u);
 }
 

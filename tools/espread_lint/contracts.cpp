@@ -1,10 +1,27 @@
-// Cross-TU contract extraction and checking (rules C1, C4, C5) plus the
-// shared tree scanner (scan_tree) both rule groups run under.  See
-// contracts.hpp for the rule catalogue and DESIGN.md §14 for the workflow.
-#include "contracts.hpp"
-
+// Cross-TU contract rules C1, C4 and C5: facts are mined from every
+// stripped C++ source of the scan (`.split(<arg>)` call sites, registry
+// lane and table declarations) and checked against the contract registry
+// (src/sim/contracts.hpp) plus the external gate surfaces (the CI
+// workflow, the frozen bench baselines):
+//
+//   C1  RNG split lanes: no magic `.split(<int>)` in src/ or bench/; every
+//       lane ident resolves to a registry k<Family>Lane<Name> constant
+//       used inside that family's path scope; no value collision within a
+//       family; lanes are declared only in the registry.
+//   C4  Gate surfaces: every key CI's perf_gate steps consume (--key=...
+//       or the default) is registered, emitted by the gated bench, and
+//       frozen in bench/baselines; every CI --slo spec names a registered
+//       telemetry signal.
+//   C5  Dead registry entries: lanes never split, gate keys never
+//       consumed, baseline keys never gated.
+//
+// Name tables and wire tags need no scanner: the code indexes the
+// registry tables directly (static_assert on each table's length), tags
+// live in proto::WireType, and tests/test_contracts.cpp compares every
+// table with the names real runs emit.  Suppressions
+// (`// espread-lint: allow(C1) reason`) work exactly as for the token
+// rules.  See DESIGN.md §14.
 #include <algorithm>
-#include <atomic>
 #include <cctype>
 #include <cstdint>
 #include <filesystem>
@@ -12,13 +29,35 @@
 #include <map>
 #include <set>
 #include <sstream>
-#include <thread>
 
 #include "internal.hpp"
 
 namespace espread::lint {
 
 namespace {
+
+// The repo layout the rules check against, root-relative.
+constexpr const char kRegistryPath[] = "src/sim/contracts.hpp";
+constexpr const char kCiWorkflow[] = ".github/workflows/ci.yml";
+constexpr const char kBaselines[] = "bench/baselines/BENCH_baseline.json";
+constexpr const char kPerfGatePrefix[] = "tools/perf_gate/";
+constexpr const char kBenchPrefix[] = "bench/";
+constexpr const char kDefaultGateKey[] = "windows_per_second";
+constexpr const char kSignalTable[] = "kTelemetrySignalNames";
+constexpr const char kGateKeyTable[] = "kBenchGateKeys";
+
+/// One entry per lane family `k<Family>Lane<Name>`: the path prefixes
+/// inside which that family's lanes may be split.
+struct LaneFamily {
+    std::string family;
+    std::vector<std::string> prefixes;
+};
+
+const std::vector<LaneFamily> kLaneFamilies = {
+    {"Session", {"src/protocol/"}},
+    {"Engine", {"src/engine/"}},
+    {"Analysis", {"src/analysis/", "bench/"}},
+};
 
 using internal::contains_token;
 using internal::FileScan;
@@ -46,7 +85,7 @@ std::string last_component(const std::string& expr) {
     return name;
 }
 
-// ---- phase 1: fact extraction ----------------------------------------------
+// ---- fact extraction ------------------------------------------------------
 
 struct SplitSite {
     std::size_t line = 0;  // 0-based
@@ -307,18 +346,15 @@ std::vector<std::pair<std::string, std::size_t>> parse_json_keys(
     return out;
 }
 
-// ---- phase 2: the checker --------------------------------------------------
+// ---- the checker ----------------------------------------------------------
 
 class ContractChecker {
 public:
-    ContractChecker(const std::string& root, const LintConfig& cfg,
-                    const ContractConfig& ccfg,
+    ContractChecker(const std::string& root,
                     const std::vector<FileScan>& scans,
                     std::vector<Diagnostic>& out)
-        : root_(root), cfg_(cfg), ccfg_(ccfg), scans_(scans), out_(out) {
-        for (const FileScan& f : scans_) {
-            if (f.read_ok && !f.fully_allowlisted) by_path_[f.path] = &f;
-        }
+        : root_(root), scans_(scans), out_(out) {
+        for (const FileScan& f : scans_) by_path_[f.path] = &f;
     }
 
     void run() {
@@ -335,48 +371,30 @@ private:
 
     void emit(const char* rule, const std::string& path, std::size_t line_idx,
               const std::string& message) {
-        if (internal::rule_allowlisted(cfg_, rule, path)) return;
-        if (const FileScan* f = find(path)) {
-            const auto it = f->sup.allow.find(line_idx);
-            if (it != f->sup.allow.end() && it->second.count(rule) != 0) return;
-        }
-        out_.push_back({path, line_idx + 1, rule, message, Severity::kError});
+        const FileScan* f = find(path);
+        if (f != nullptr && f->sup.mutes(line_idx, rule)) return;
+        out_.push_back({path, line_idx + 1, rule, message});
     }
 
-    /// Locates (or side-loads) the registry and mines it.  Also flags lane
-    /// constants declared anywhere else (C1).
+    /// Locates the registry and mines it.  Also flags lane constants
+    /// declared anywhere else (C1).
     bool resolve_registry() {
-        const std::set<std::string> tables = {ccfg_.signal_table,
-                                              ccfg_.gate_key_table};
+        const std::set<std::string> tables = {kSignalTable, kGateKeyTable};
         for (const FileScan& f : scans_) {
-            if (!f.read_ok || f.fully_allowlisted ||
-                f.path == ccfg_.registry_path) {
-                continue;
-            }
+            if (f.path == kRegistryPath) continue;
             const RegistryFacts facts = extract_registry(f.s, tables);
             for (const NamedValue& nv : facts.lanes) {
                 emit("C1", f.path, nv.line,
                      "RNG lane constant '" + nv.name +
                          "' declared outside the contract registry (" +
-                         ccfg_.registry_path + ")");
+                         kRegistryPath + ")");
             }
         }
-        if (const FileScan* f = find(ccfg_.registry_path)) {
+        if (const FileScan* f = find(kRegistryPath)) {
             registry_ = extract_registry(f->s, tables);
             return true;
         }
-        // Partial scans (a subtree that excludes src/sim) still check
-        // against the real registry: side-load it from disk.
-        std::ifstream in(std::filesystem::path(root_) / ccfg_.registry_path,
-                         std::ios::binary);
-        if (in) {
-            std::ostringstream buf;
-            buf << in.rdbuf();
-            side_loaded_ = internal::strip(buf.str());
-            registry_ = extract_registry(side_loaded_, tables);
-            return true;
-        }
-        emit("C5", ccfg_.registry_path, 0,
+        emit("C5", kRegistryPath, 0,
              "contract registry header not found: every lane and contract "
              "name table must be declared there");
         return false;
@@ -394,30 +412,20 @@ private:
         return out;
     }
 
-    /// Scanned file coverage under a prefix set — gates the C5 deadness
-    /// checks so partial scans do not flag entries their producers would
-    /// have used.
-    bool scanned_under(const std::vector<std::string>& prefixes) const {
-        for (const FileScan& f : scans_) {
-            if (f.read_ok && !f.fully_allowlisted &&
-                path_has_prefix(f.path, prefixes)) {
-                return true;
-            }
-        }
-        return false;
-    }
-
     // ---- C1 ----------------------------------------------------------------
 
-    const ContractConfig::LaneFamily* family_scope(
-        const std::string& family) const {
-        for (const auto& fam : ccfg_.lane_families) {
+    static const LaneFamily* family_scope(const std::string& family) {
+        for (const LaneFamily& fam : kLaneFamilies) {
             if (fam.family == family) return &fam;
         }
         return nullptr;
     }
 
     void check_lanes() {
+        // Paths where `.split(<integer>)` is a C1 error and idents must
+        // resolve to registry lanes.
+        static const std::vector<std::string> kLaneLiteralPaths = {"src/",
+                                                                   "bench/"};
         struct LaneInfo {
             std::string family;
             std::uint64_t value = 0;
@@ -431,22 +439,23 @@ private:
             const std::size_t lane_pos = nv.name.find("Lane");
             const std::string suffix = nv.name.substr(lane_pos + 4);
             if (family.empty() || suffix.empty()) {
-                emit("C1", ccfg_.registry_path, nv.line,
+                emit("C1", kRegistryPath, nv.line,
                      "lane constant '" + nv.name +
                          "' must be named k<Family>Lane<Name>");
                 continue;
             }
             if (family_scope(family) == nullptr) {
-                emit("C1", ccfg_.registry_path, nv.line,
+                emit("C1", kRegistryPath, nv.line,
                      "lane family '" + family +
-                         "' has no path scope configured in the lint "
-                         "ContractConfig: add it alongside the new lanes");
+                         "' has no path scope in the lint's lane family "
+                         "table (contracts.cpp): add it alongside the new "
+                         "lanes");
                 continue;
             }
             auto& values = taken[family];
             const auto prev = values.find(nv.value);
             if (prev != values.end()) {
-                emit("C1", ccfg_.registry_path, nv.line,
+                emit("C1", kRegistryPath, nv.line,
                      "lane value " + std::to_string(nv.value) +
                          " in family '" + family + "' collides with '" +
                          prev->second +
@@ -460,12 +469,8 @@ private:
 
         std::set<std::string> used;
         for (const FileScan& f : scans_) {
-            if (!f.read_ok || f.fully_allowlisted ||
-                f.path == ccfg_.registry_path) {
-                continue;
-            }
-            const bool in_scope =
-                path_has_prefix(f.path, ccfg_.lane_literal_paths);
+            if (f.path == kRegistryPath) continue;
+            const bool in_scope = path_has_prefix(f.path, kLaneLiteralPaths);
             for (const SplitSite& site : split_sites(f.s)) {
                 if (!site.name.empty()) used.insert(site.name);
                 if (!in_scope) continue;
@@ -473,7 +478,7 @@ private:
                     emit("C1", f.path, site.line,
                          "magic RNG split lane " + std::to_string(site.value) +
                              ": use a named k<Family>Lane<Name> constant "
-                             "from " + ccfg_.registry_path);
+                             "from " + kRegistryPath);
                     continue;
                 }
                 const auto it = lanes.find(site.name);
@@ -481,11 +486,10 @@ private:
                     emit("C1", f.path, site.line,
                          "split lane '" + site.name +
                              "' is not a registered lane constant in " +
-                             ccfg_.registry_path);
+                             kRegistryPath);
                     continue;
                 }
-                const ContractConfig::LaneFamily* fam =
-                    family_scope(it->second.family);
+                const LaneFamily* fam = family_scope(it->second.family);
                 if (fam != nullptr && !path_has_prefix(f.path, fam->prefixes)) {
                     emit("C1", f.path, site.line,
                          "lane '" + site.name + "' belongs to family '" +
@@ -499,10 +503,8 @@ private:
 
         // C5: registered lanes nothing ever splits.
         for (const auto& [name, info] : lanes) {
-            const ContractConfig::LaneFamily* fam = family_scope(info.family);
-            if (fam == nullptr || !scanned_under(fam->prefixes)) continue;
             if (used.count(name) == 0) {
-                emit("C5", ccfg_.registry_path, info.line,
+                emit("C5", kRegistryPath, info.line,
                      "dead lane '" + name +
                          "': no .split() site in the scanned tree uses it");
             }
@@ -516,7 +518,7 @@ private:
         if (it == registry_.tables.end()) return;
         for (const StringLit& entry : it->second.entries) {
             if (seen.count(entry.text) == 0) {
-                emit("C5", ccfg_.registry_path, entry.line,
+                emit("C5", kRegistryPath, entry.line,
                      "dead registry entry \"" + entry.text + "\" in " +
                          table + ": " + why);
             }
@@ -526,25 +528,25 @@ private:
     // ---- C4 ----------------------------------------------------------------
 
     void check_gates() {
-        const TextFile ci = read_text(root_, ccfg_.ci_workflow);
+        const TextFile ci = read_text(root_, kCiWorkflow);
         const CiFacts facts = ci.ok ? parse_ci(ci) : CiFacts{};
 
         // CI --slo specs must name a registered signal, or the SLO gate
         // step fails on a usage error instead of a verdict.
-        if (has_table(ccfg_.signal_table)) {
-            const std::set<std::string> signals = table_set(ccfg_.signal_table);
+        if (has_table(kSignalTable)) {
+            const std::set<std::string> signals = table_set(kSignalTable);
             for (const auto& [signal, line] : facts.slo_signals) {
                 if (signals.count(signal) == 0) {
-                    emit("C4", ccfg_.ci_workflow, line,
+                    emit("C4", kCiWorkflow, line,
                          "CI --slo objective names signal '" + signal +
-                             "', which is not in " + ccfg_.signal_table);
+                             "', which is not in " + kSignalTable);
                 }
             }
         }
 
-        const std::set<std::string> gate_keys = table_set(ccfg_.gate_key_table);
-        if (!has_table(ccfg_.gate_key_table)) return;
-        const TextFile base = read_text(root_, ccfg_.baselines);
+        const std::set<std::string> gate_keys = table_set(kGateKeyTable);
+        if (!has_table(kGateKeyTable)) return;
+        const TextFile base = read_text(root_, kBaselines);
         std::vector<std::pair<std::string, std::size_t>> base_keys;
         if (base.ok) base_keys = parse_json_keys(base);
         std::set<std::string> base_set;
@@ -553,13 +555,11 @@ private:
         std::set<std::string> consumed;
         std::set<std::string> gated_names;
         for (const GateStep& step : facts.steps) {
-            const std::string key =
-                step.key.empty() ? ccfg_.default_gate_key : step.key;
+            const std::string key = step.key.empty() ? kDefaultGateKey : step.key;
             if (!step.key.empty() && gate_keys.count(step.key) == 0) {
-                emit("C4", ccfg_.ci_workflow, step.key_line,
-                     "perf gate consumes key '" + step.key +
-                         "' that is not in " + ccfg_.gate_key_table + " (" +
-                         ccfg_.registry_path + ")");
+                emit("C4", kCiWorkflow, step.key_line,
+                     "perf gate consumes key '" + step.key + "' that is not in " +
+                         kGateKeyTable + " (" + kRegistryPath + ")");
             }
             consumed.insert(key);
             for (const auto& [name, line] : step.mappings) {
@@ -568,21 +568,18 @@ private:
                 // match first, then with the last _suffix stripped
                 // (bench_fec_gf256 -> bench_fec).
                 const FileScan* bench =
-                    find(ccfg_.bench_prefix + name + ".cpp");
+                    find(std::string(kBenchPrefix) + name + ".cpp");
                 if (bench == nullptr) {
                     const std::size_t us = name.rfind('_');
                     if (us != std::string::npos) {
-                        bench = find(ccfg_.bench_prefix +
-                                     name.substr(0, us) + ".cpp");
+                        bench = find(kBenchPrefix + name.substr(0, us) + ".cpp");
                     }
                 }
                 if (bench == nullptr) {
-                    if (scanned_under({ccfg_.bench_prefix})) {
-                        emit("C4", ccfg_.ci_workflow, line,
-                             "perf gate entry '" + name +
-                                 "' does not resolve to a bench source "
-                                 "under " + ccfg_.bench_prefix);
-                    }
+                    emit("C4", kCiWorkflow, line,
+                         "perf gate entry '" + name +
+                             "' does not resolve to a bench source under " +
+                             kBenchPrefix);
                     continue;
                 }
                 bool emits = false;
@@ -590,15 +587,15 @@ private:
                     if (lit.text == key) emits = true;
                 }
                 if (!emits) {
-                    emit("C4", ccfg_.ci_workflow, line,
+                    emit("C4", kCiWorkflow, line,
                          "gated bench '" + bench->path +
                              "' never emits the gated key \"" + key +
                              "\": the claim gate would fail at runtime");
                 }
                 if (base.ok && base_set.count(name) == 0) {
-                    emit("C4", ccfg_.ci_workflow, line,
+                    emit("C4", kCiWorkflow, line,
                          "perf gate entry '" + name +
-                             "' has no frozen floor in " + ccfg_.baselines);
+                             "' has no frozen floor in " + kBaselines);
                 }
             }
         }
@@ -606,31 +603,27 @@ private:
         // The default key is consumed by perf_gate's own source.
         bool perf_gate_scanned = false;
         for (const FileScan& f : scans_) {
-            if (!f.read_ok || f.fully_allowlisted ||
-                !path_has_prefix(f.path, {ccfg_.perf_gate_prefix})) {
-                continue;
-            }
+            if (f.path.rfind(kPerfGatePrefix, 0) != 0) continue;
             perf_gate_scanned = true;
             for (const StringLit& lit : f.s.strings) {
                 if (gate_keys.count(lit.text) != 0) consumed.insert(lit.text);
             }
         }
-        if (perf_gate_scanned &&
-            gate_keys.count(ccfg_.default_gate_key) == 0) {
-            emit("C4", ccfg_.registry_path, 0,
-                 "perf_gate's default key '" + ccfg_.default_gate_key +
-                     "' is not in " + ccfg_.gate_key_table);
+        if (perf_gate_scanned && gate_keys.count(kDefaultGateKey) == 0) {
+            emit("C4", kRegistryPath, 0,
+                 std::string("perf_gate's default key '") + kDefaultGateKey +
+                     "' is not in " + kGateKeyTable);
         }
 
         if (ci.ok || perf_gate_scanned) {
-            deadness(ccfg_.gate_key_table, consumed,
+            deadness(kGateKeyTable, consumed,
                      "no CI gate or perf_gate consumer references it");
         }
         if (ci.ok && base.ok) {
             for (const auto& [k, line] : base_keys) {
                 if (!k.empty() && k[0] == '_') continue;  // annotations
                 if (gated_names.count(k) == 0) {
-                    emit("C5", ccfg_.baselines, line,
+                    emit("C5", kBaselines, line,
                          "baseline floor '" + k +
                              "' is gated by no CI perf_gate step");
                 }
@@ -639,167 +632,18 @@ private:
     }
 
     const std::string root_;
-    const LintConfig& cfg_;
-    const ContractConfig& ccfg_;
     const std::vector<FileScan>& scans_;
     std::vector<Diagnostic>& out_;
     std::map<std::string, const FileScan*> by_path_;
     RegistryFacts registry_;
-    Stripped side_loaded_;
 };
 
 }  // namespace
 
-// ---- public API ------------------------------------------------------------
-
-ContractConfig default_contract_config() { return {}; }
-
-std::vector<Diagnostic> scan_tree(const std::string& root,
-                                  const std::vector<std::string>& paths,
-                                  const LintConfig& cfg,
-                                  const ScanOptions& opt) {
-    namespace fs = std::filesystem;
-    static const std::set<std::string> kExts = {
-        ".cpp", ".cc", ".cxx", ".hpp", ".hxx", ".h", ".ipp"};
-    std::vector<std::string> files;
-    for (const std::string& p : paths) {
-        const fs::path abs = fs::path(root) / p;
-        if (fs::is_directory(abs)) {
-            for (const auto& entry : fs::recursive_directory_iterator(abs)) {
-                if (!entry.is_regular_file()) continue;
-                if (kExts.count(entry.path().extension().string()) == 0) {
-                    continue;
-                }
-                files.push_back(
-                    fs::relative(entry.path(), root).generic_string());
-            }
-        } else {
-            files.push_back(p);
-        }
-    }
-    std::sort(files.begin(), files.end());
-    files.erase(std::unique(files.begin(), files.end()), files.end());
-    if (opt.visited != nullptr) *opt.visited = files;
-
-    // Phase 1: read + strip + parse suppressions, in parallel.  Results
-    // land in slot `i`, so output order never depends on thread timing.
-    std::vector<internal::FileScan> scans(files.size());
-    auto scan_one = [&](std::size_t i) {
-        internal::FileScan& f = scans[i];
-        f.path = files[i];
-        f.fully_allowlisted = internal::rule_allowlisted(cfg, "*", f.path);
-        std::ifstream in(fs::path(root) / f.path, std::ios::binary);
-        if (!in) {
-            f.read_ok = false;
-            return;
-        }
-        if (f.fully_allowlisted) return;  // muted: skip the strip entirely
-        std::ostringstream buf;
-        buf << in.rdbuf();
-        f.s = internal::strip(buf.str());
-        f.sup = internal::parse_suppressions(f.path, f.s);
-    };
-    std::size_t jobs = opt.jobs;
-    if (jobs == 0) {
-        jobs = std::max(1u, std::thread::hardware_concurrency());
-    }
-    jobs = std::min(jobs, files.size());
-    if (jobs <= 1) {
-        for (std::size_t i = 0; i < files.size(); ++i) scan_one(i);
-    } else {
-        std::atomic<std::size_t> next{0};
-        std::vector<std::thread> workers;
-        workers.reserve(jobs);
-        for (std::size_t w = 0; w < jobs; ++w) {
-            workers.emplace_back([&]() {
-                for (std::size_t i = next.fetch_add(1); i < files.size();
-                     i = next.fetch_add(1)) {
-                    scan_one(i);
-                }
-            });
-        }
-        for (std::thread& t : workers) t.join();
-    }
-
-    // Token rules, serial over the already-stripped files.
-    std::vector<Diagnostic> out;
-    for (const internal::FileScan& f : scans) {
-        if (!f.read_ok) {
-            if (!internal::rule_allowlisted(cfg, "*", f.path)) {
-                out.push_back(
-                    {f.path, 0, "D0", "cannot read file", Severity::kError});
-            }
-            continue;
-        }
-        if (f.fully_allowlisted || !opt.token_rules) continue;
-        for (const Diagnostic& d : f.sup.malformed) {
-            if (!internal::rule_allowlisted(cfg, "D0", f.path)) {
-                out.push_back(d);
-            }
-        }
-        internal::Emitter e(f.path, cfg, f.sup, out);
-        internal::check_token_rules(f.path, f.s, cfg, e);
-    }
-
-    if (opt.contract_rules) {
-        ContractChecker checker(root, cfg, opt.contracts, scans, out);
-        checker.run();
-    }
-
-    std::sort(out.begin(), out.end(),
-              [](const Diagnostic& a, const Diagnostic& b) {
-                  if (a.path != b.path) return a.path < b.path;
-                  if (a.line != b.line) return a.line < b.line;
-                  return a.rule < b.rule;
-              });
-    return out;
-}
-
-std::vector<std::string> coverage_gaps(
-    const std::vector<std::string>& visited,
-    const std::string& compile_commands_text, const std::string& root,
-    const std::vector<std::string>& prefixes) {
-    const std::set<std::string> seen(visited.begin(), visited.end());
-    // compile_commands entries are usually absolute; relativize against the
-    // scan root both as given and absolutized (so --root=. works).
-    std::vector<std::string> roots;
-    roots.push_back(
-        std::filesystem::path(root).lexically_normal().generic_string());
-    std::error_code ec;
-    const auto abs = std::filesystem::absolute(root, ec);
-    if (!ec) {
-        roots.push_back(abs.lexically_normal().generic_string());
-    }
-    for (std::string& r : roots) {
-        while (!r.empty() && r.back() == '/') r.pop_back();
-    }
-    std::vector<std::string> gaps;
-    // compile_commands.json is machine-written: scan for `"file"` keys and
-    // take the next string value.
-    std::size_t pos = 0;
-    const std::string& text = compile_commands_text;
-    while ((pos = text.find("\"file\"", pos)) != std::string::npos) {
-        pos += 6;
-        const std::size_t open = text.find('"', pos);
-        if (open == std::string::npos) break;
-        const std::size_t close = text.find('"', open + 1);
-        if (close == std::string::npos) break;
-        std::string file = text.substr(open + 1, close - open - 1);
-        pos = close + 1;
-        file = std::filesystem::path(file).lexically_normal().generic_string();
-        for (const std::string& r : roots) {
-            if (file.rfind(r + "/", 0) == 0) {
-                file = file.substr(r.size() + 1);
-                break;
-            }
-        }
-        if (std::filesystem::path(file).is_absolute()) continue;  // external
-        if (!internal::path_has_prefix(file, prefixes)) continue;
-        if (seen.count(file) == 0) gaps.push_back(file);
-    }
-    std::sort(gaps.begin(), gaps.end());
-    gaps.erase(std::unique(gaps.begin(), gaps.end()), gaps.end());
-    return gaps;
+void internal::check_contracts(const std::string& root,
+                               const std::vector<FileScan>& scans,
+                               std::vector<Diagnostic>& out) {
+    ContractChecker(root, scans, out).run();
 }
 
 }  // namespace espread::lint

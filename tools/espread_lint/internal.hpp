@@ -1,7 +1,7 @@
 // Shared scanner internals: the comment/string-aware line stripper, the
-// suppression parser and the diagnostic emitter, used by both the token
-// rules (lint.cpp, D1-D5) and the cross-TU contract rules (contracts.cpp,
-// C1, C4, C5) so every file is read and stripped exactly once per scan.
+// suppression parser and the per-file scan, used by both the token rules
+// (lint.cpp, D0-D5) and the cross-TU contract rules (contracts.cpp, C1,
+// C4, C5) so every file is read and stripped exactly once per scan.
 #pragma once
 
 #include <cstddef>
@@ -21,14 +21,8 @@ std::string trim(const std::string& s);
 /// edge) on both sides.
 bool contains_token(const std::string& hay, const std::string& needle);
 
-/// Token followed (after optional whitespace) by '('.
-bool contains_call(const std::string& hay, const std::string& name);
-
 bool path_has_prefix(const std::string& path,
                      const std::vector<std::string>& prefixes);
-
-bool rule_allowlisted(const LintConfig& cfg, const std::string& rule,
-                      const std::string& path);
 
 // ---- comment/literal stripping --------------------------------------------
 
@@ -50,8 +44,6 @@ struct Stripped {
     std::vector<StringLit> strings;
 };
 
-Stripped strip(const std::string& content);
-
 // ---- suppressions ----------------------------------------------------------
 
 /// Per-line suppression sets plus the D0 findings produced while parsing.
@@ -59,42 +51,30 @@ struct Suppressions {
     /// line index (0-based) -> rule ids suppressed on that line
     std::map<std::size_t, std::set<std::string>> allow;
     std::vector<Diagnostic> malformed;
+
+    bool mutes(std::size_t line_idx, const std::string& rule) const {
+        const auto it = allow.find(line_idx);
+        return it != allow.end() && it->second.count(rule) != 0;
+    }
 };
 
-Suppressions parse_suppressions(const std::string& path, const Stripped& s);
-
-// ---- emission --------------------------------------------------------------
-
-/// Emits unless suppressed on `line` or the whole file is allowlisted for
-/// the rule.  D0 findings bypass this (they are never suppressible).
-class Emitter {
-public:
-    Emitter(const std::string& path, const LintConfig& cfg,
-            const Suppressions& sup, std::vector<Diagnostic>& out)
-        : path_(path), cfg_(cfg), sup_(sup), out_(out) {}
-
-    void emit(const char* rule, std::size_t line_idx,
-              const std::string& message);
-
-private:
-    const std::string path_;
-    const LintConfig& cfg_;
-    const Suppressions& sup_;
-    std::vector<Diagnostic>& out_;
-};
-
-/// Runs the token rules D1-D5 over one stripped file.
-void check_token_rules(const std::string& path, const Stripped& s,
-                       const LintConfig& cfg, Emitter& e);
-
-/// One scanned file: shared input to the token pass (phase 0) and the
-/// contract extract/check passes (phases 1 and 2).
+/// One source file, stripped and with its suppressions parsed: the shared
+/// input to the token rules and the contract rules.
 struct FileScan {
     std::string path;  // repo-root relative
-    bool read_ok = true;
-    bool fully_allowlisted = false;  // `* <glob>` entries mute extraction too
     Stripped s;
     Suppressions sup;
 };
+
+FileScan scan_source(const std::string& path, const std::string& content);
+
+/// D0 (malformed suppressions) plus the token rules D1-D5 over one file.
+void check_token_rules(const FileScan& f, std::vector<Diagnostic>& out);
+
+/// The contract rules C1, C4 and C5 over every scanned file plus the
+/// external gate surfaces under `root`.
+void check_contracts(const std::string& root,
+                     const std::vector<FileScan>& scans,
+                     std::vector<Diagnostic>& out);
 
 }  // namespace espread::lint::internal

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cctype>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
-#include "contracts.hpp"
 #include "internal.hpp"
 
 namespace espread::lint {
@@ -36,6 +36,17 @@ bool contains_token(const std::string& hay, const std::string& needle) {
     return false;
 }
 
+bool path_has_prefix(const std::string& path,
+                     const std::vector<std::string>& prefixes) {
+    return std::any_of(prefixes.begin(), prefixes.end(),
+                       [&](const std::string& p) {
+                           return path.rfind(p, 0) == 0;
+                       });
+}
+
+namespace {
+
+/// Token followed (after optional whitespace) by '('.
 bool contains_call(const std::string& hay, const std::string& name) {
     std::size_t pos = 0;
     while ((pos = hay.find(name, pos)) != std::string::npos) {
@@ -49,23 +60,6 @@ bool contains_call(const std::string& hay, const std::string& name) {
         pos += 1;
     }
     return false;
-}
-
-bool path_has_prefix(const std::string& path,
-                     const std::vector<std::string>& prefixes) {
-    return std::any_of(prefixes.begin(), prefixes.end(),
-                       [&](const std::string& p) {
-                           return path.rfind(p, 0) == 0;
-                       });
-}
-
-bool rule_allowlisted(const LintConfig& cfg, const std::string& rule,
-                      const std::string& path) {
-    return std::any_of(cfg.allowlist.begin(), cfg.allowlist.end(),
-                       [&](const AllowEntry& e) {
-                           return (e.rule == "*" || e.rule == rule) &&
-                                  glob_match(e.glob, path);
-                       });
 }
 
 // ---- comment/literal stripping --------------------------------------------
@@ -188,9 +182,7 @@ Stripped strip(const std::string& content) {
 
 // ---- suppressions ----------------------------------------------------------
 
-namespace {
 constexpr const char kMarker[] = "espread-lint:";
-}  // namespace
 
 Suppressions parse_suppressions(const std::string& path, const Stripped& s) {
     Suppressions out;
@@ -202,8 +194,7 @@ Suppressions parse_suppressions(const std::string& path, const Stripped& s) {
         std::string rest = trim(comment.substr(m + sizeof(kMarker) - 1));
         auto bad = [&](const std::string& why) {
             out.malformed.push_back(
-                {path, line_no, "D0", "malformed suppression: " + why,
-                 Severity::kError});
+                {path, line_no, "D0", "malformed suppression: " + why});
         };
         if (rest.rfind("allow(", 0) != 0) {
             bad("expected `allow(<rule-ids>) <reason>` after `espread-lint:`");
@@ -252,37 +243,35 @@ Suppressions parse_suppressions(const std::string& path, const Stripped& s) {
     return out;
 }
 
-void Emitter::emit(const char* rule, std::size_t line_idx,
-                   const std::string& message) {
-    if (rule_allowlisted(cfg_, rule, path_)) return;
-    const auto it = sup_.allow.find(line_idx);
-    if (it != sup_.allow.end() && it->second.count(rule) != 0) return;
-    Severity sev = Severity::kError;
-    for (const RuleInfo& r : rules()) {
-        if (rule == std::string(r.id)) sev = r.severity;
+/// Emits a token-rule finding unless a suppression on its line names the
+/// rule.
+class Emitter {
+public:
+    Emitter(const FileScan& f, std::vector<Diagnostic>& out)
+        : f_(f), out_(out) {}
+
+    void emit(const char* rule, std::size_t line_idx,
+              const std::string& message) {
+        if (!f_.sup.mutes(line_idx, rule)) {
+            out_.push_back({f_.path, line_idx + 1, rule, message});
+        }
     }
-    out_.push_back({path_, line_idx + 1, rule, message, sev});
-}
 
-}  // namespace internal
-
-namespace {
-
-using internal::contains_call;
-using internal::contains_token;
-using internal::Emitter;
-using internal::ident_char;
-using internal::path_has_prefix;
-using internal::Stripped;
-using internal::trim;
+private:
+    const FileScan& f_;
+    std::vector<Diagnostic>& out_;
+};
 
 // ---- D1: entropy / time sources -------------------------------------------
 
 void check_d1(const Stripped& s, Emitter& e) {
+    // The std::chrono clocks are matched by type name, not by `::now`, so
+    // an alias (`using clock = std::chrono::steady_clock;`) is caught at
+    // its declaration.
     static const char* kSubstrings[] = {
         "std::random_device", "random_device",
-        "steady_clock::now",  "system_clock::now",
-        "high_resolution_clock::now", "gettimeofday",
+        "steady_clock",       "system_clock",
+        "high_resolution_clock", "gettimeofday",
     };
     for (std::size_t i = 0; i < s.code.size(); ++i) {
         const std::string& line = s.code[i];
@@ -332,9 +321,10 @@ void check_d1(const Stripped& s, Emitter& e) {
 
 // ---- D2: hash-ordered containers in result-producing code ------------------
 
-void check_d2(const std::string& path, const Stripped& s, const LintConfig& cfg,
-              Emitter& e) {
-    if (!path_has_prefix(path, cfg.ordered_output_paths)) return;
+void check_d2(const std::string& path, const Stripped& s, Emitter& e) {
+    static const std::vector<std::string> kOrderedOutputPaths = {
+        "src/engine/", "src/exp/", "src/obs/", "src/protocol/report"};
+    if (!path_has_prefix(path, kOrderedOutputPaths)) return;
     for (std::size_t i = 0; i < s.code.size(); ++i) {
         for (const char* pat : {"unordered_map", "unordered_set",
                                 "unordered_multimap", "unordered_multiset"}) {
@@ -350,106 +340,11 @@ void check_d2(const std::string& path, const Stripped& s, const LintConfig& cfg,
     }
 }
 
-// ---- D3: exhaustive switches over contract enums ---------------------------
-
-void check_d3(const Stripped& s, const LintConfig& cfg, Emitter& e) {
-    // Frame per open brace; switch frames additionally track the case
-    // labels and default position of the switch they own.  Labels bind to
-    // the innermost enclosing switch frame (the compiler's rule too).
-    struct Frame {
-        bool is_switch = false;
-        std::string enum_hit;          // first contract enum seen in a label
-        bool has_default = false;
-        std::size_t default_line = 0;  // 0-based
-    };
-    std::vector<Frame> stack;
-    bool pending_switch = false;  // saw `switch`, waiting for its body `{`
-
-    auto innermost_switch = [&]() -> Frame* {
-        for (auto it = stack.rbegin(); it != stack.rend(); ++it) {
-            if (it->is_switch) return &*it;
-        }
-        return nullptr;
-    };
-
-    for (std::size_t i = 0; i < s.code.size(); ++i) {
-        const std::string& line = s.code[i];
-        for (std::size_t j = 0; j < line.size(); ++j) {
-            const char c = line[j];
-            if (ident_char(c)) {
-                std::size_t b = j;
-                while (j < line.size() && ident_char(line[j])) ++j;
-                const std::string word = line.substr(b, j - b);
-                if (word == "switch") {
-                    pending_switch = true;
-                } else if (word == "case") {
-                    // Label text runs to the first ':' that is not '::'.
-                    std::string label;
-                    std::size_t k = j;
-                    while (k < line.size()) {
-                        if (line[k] == ':' && k + 1 < line.size() &&
-                            line[k + 1] == ':') {
-                            label += "::";
-                            k += 2;
-                            continue;
-                        }
-                        if (line[k] == ':') break;
-                        label += line[k++];
-                    }
-                    if (Frame* f = innermost_switch()) {
-                        for (const std::string& en : cfg.contract_enums) {
-                            if (label.find(en + "::") != std::string::npos) {
-                                f->enum_hit = en;
-                                break;
-                            }
-                        }
-                    }
-                    j = k;
-                } else if (word == "default") {
-                    std::size_t k = j;
-                    while (k < line.size() &&
-                           std::isspace(static_cast<unsigned char>(line[k])) !=
-                               0) {
-                        ++k;
-                    }
-                    const bool is_label =
-                        k < line.size() && line[k] == ':' &&
-                        (k + 1 >= line.size() || line[k + 1] != ':');
-                    if (is_label) {
-                        if (Frame* f = innermost_switch()) {
-                            if (!f->has_default) {
-                                f->has_default = true;
-                                f->default_line = i;
-                            }
-                        }
-                    }
-                }
-                --j;  // outer loop increments
-            } else if (c == '{') {
-                Frame f;
-                f.is_switch = pending_switch;
-                pending_switch = false;
-                stack.push_back(f);
-            } else if (c == '}') {
-                if (!stack.empty()) {
-                    const Frame f = stack.back();
-                    stack.pop_back();
-                    if (f.is_switch && f.has_default && !f.enum_hit.empty()) {
-                        e.emit("D3", f.default_line,
-                               "'default:' in switch over contract enum '" +
-                                   f.enum_hit +
-                                   "': new enumerators would be silently "
-                                   "swallowed; enumerate every case");
-                    }
-                }
-            }
-        }
-    }
-}
-
 // ---- D4: gated trace/metrics emission --------------------------------------
 
-void check_d4(const Stripped& s, const LintConfig& cfg, Emitter& e) {
+void check_d4(const Stripped& s, Emitter& e) {
+    // How many preceding lines are searched for a null-gate.
+    constexpr std::size_t kGateWindow = 12;
     // "->observe" covers the telemetry plane's observe_* family
     // (TelemetrySlab::observe_windows etc.): the prefix may continue with
     // identifier characters before the call parens.
@@ -481,8 +376,7 @@ void check_d4(const Stripped& s, const LintConfig& cfg, Emitter& e) {
             // A null-gate on the same expression within the preceding
             // window (or earlier on the same line) keeps the site legal.
             bool gated = false;
-            const std::size_t first =
-                i >= cfg.gate_window ? i - cfg.gate_window : 0;
+            const std::size_t first = i >= kGateWindow ? i - kGateWindow : 0;
             for (std::size_t j = first; j <= i && !gated; ++j) {
                 const std::string& g = s.code[j];
                 const std::size_t if_pos = g.find("if");
@@ -507,9 +401,8 @@ void check_d4(const Stripped& s, const LintConfig& cfg, Emitter& e) {
 
 // ---- D5: ownership / include hygiene in library targets --------------------
 
-void check_d5(const std::string& path, const Stripped& s, const LintConfig& cfg,
-              Emitter& e) {
-    if (!path_has_prefix(path, cfg.library_paths)) return;
+void check_d5(const std::string& path, const Stripped& s, Emitter& e) {
+    if (path.rfind("src/", 0) != 0) return;  // library targets only
     for (std::size_t i = 0; i < s.code.size(); ++i) {
         const std::string& line = s.code[i];
         if (line.find("#include") != std::string::npos &&
@@ -558,40 +451,51 @@ void check_d5(const std::string& path, const Stripped& s, const LintConfig& cfg,
 
 }  // namespace
 
-namespace internal {
+FileScan scan_source(const std::string& path, const std::string& content) {
+    FileScan f{path, strip(content), {}};
+    f.sup = parse_suppressions(path, f.s);
+    return f;
+}
 
-void check_token_rules(const std::string& path, const Stripped& s,
-                       const LintConfig& cfg, Emitter& e) {
-    check_d1(s, e);
-    check_d2(path, s, cfg, e);
-    check_d3(s, cfg, e);
-    check_d4(s, cfg, e);
-    check_d5(path, s, cfg, e);
+void check_token_rules(const FileScan& f, std::vector<Diagnostic>& out) {
+    out.insert(out.end(), f.sup.malformed.begin(), f.sup.malformed.end());
+    Emitter e(f, out);
+    check_d1(f.s, e);
+    check_d2(f.path, f.s, e);
+    check_d4(f.s, e);
+    check_d5(f.path, f.s, e);
 }
 
 }  // namespace internal
 
 // ---- public API ------------------------------------------------------------
 
+namespace {
+
+void sort_diagnostics(std::vector<Diagnostic>& out) {
+    std::sort(out.begin(), out.end(),
+              [](const Diagnostic& a, const Diagnostic& b) {
+                  if (a.path != b.path) return a.path < b.path;
+                  if (a.line != b.line) return a.line < b.line;
+                  return a.rule < b.rule;
+              });
+}
+
+}  // namespace
+
 const std::vector<RuleInfo>& rules() {
     static const std::vector<RuleInfo> kRules = {
-        {"D0", Severity::kError,
+        {"D0",
          "malformed espread-lint suppression (missing reason or unknown rule)"},
-        {"D1", Severity::kError,
-         "nondeterministic entropy or time source outside the allowlist"},
-        {"D2", Severity::kError,
-         "hash-ordered container in result-producing code"},
-        {"D3", Severity::kError, "default: label in a contract-enum switch"},
-        {"D4", Severity::kError, "ungated trace/metrics sink call"},
-        {"D5", Severity::kError,
-         "raw new/delete or <iostream> in a library target"},
-        {"C1", Severity::kError,
-         "magic or colliding RNG split lane (registry: k<Family>Lane<Name>)"},
-        {"C4", Severity::kError,
+        {"D1", "nondeterministic entropy or time source"},
+        {"D2", "hash-ordered container in result-producing code"},
+        {"D4", "ungated trace/metrics sink call"},
+        {"D5", "raw new/delete or <iostream> in a library target"},
+        {"C1", "magic or colliding RNG split lane (registry: k<Family>Lane<Name>)"},
+        {"C4",
          "bench claim-gate key not emitted by the gated bench or missing "
          "from the baselines, or CI --slo spec naming an unknown signal"},
-        {"C5", Severity::kError,
-         "dead registry lane, gate key or baseline floor"},
+        {"C5", "dead registry lane, gate key or baseline floor"},
     };
     return kRules;
 }
@@ -601,139 +505,57 @@ bool known_rule(const std::string& id) {
                        [&](const RuleInfo& r) { return id == r.id; });
 }
 
-LintConfig default_config() {
-    LintConfig cfg;
-    cfg.contract_enums = {"EventType",       "Actor",    "GovernorState",
-                          "AckRejectReason", "WireType", "FrameType",
-                          "Scheme",          "RecoveryMode"};
-    cfg.ordered_output_paths = {"src/engine/", "src/exp/", "src/obs/",
-                                "src/protocol/report"};
-    cfg.library_paths = {"src/"};
-    return cfg;
-}
-
-bool load_allowlist_file(const std::string& path, LintConfig& cfg,
-                         std::string* err) {
-    std::ifstream in(path);
-    if (!in) {
-        if (err != nullptr) *err = "cannot open allowlist file: " + path;
-        return false;
-    }
-    std::string line;
-    std::size_t line_no = 0;
-    while (std::getline(in, line)) {
-        ++line_no;
-        const std::size_t hash = line.find('#');
-        if (hash != std::string::npos) line = line.substr(0, hash);
-        line = internal::trim(line);
-        if (line.empty()) continue;
-        std::stringstream ss(line);
-        std::string rule;
-        std::string glob;
-        std::string extra;
-        ss >> rule >> glob;
-        if (glob.empty() || (ss >> extra && !extra.empty())) {
-            if (err != nullptr) {
-                *err = path + ":" + std::to_string(line_no) +
-                       ": expected `<rule-id|*> <glob>`";
-            }
-            return false;
-        }
-        if (rule != "*" && !known_rule(rule)) {
-            if (err != nullptr) {
-                *err = path + ":" + std::to_string(line_no) +
-                       ": unknown rule id '" + rule + "'";
-            }
-            return false;
-        }
-        cfg.allowlist.push_back({rule, glob});
-    }
-    return true;
-}
-
-namespace {
-
-/// Backtracking fnmatch: `?` matches one non-'/' character, `*` a run of
-/// non-'/' characters, `**` any run including '/'.
-bool glob_match_at(const std::string& p, std::size_t pi, const std::string& s,
-                   std::size_t si) {
-    while (pi < p.size()) {
-        const char c = p[pi];
-        if (c == '*') {
-            std::size_t stars = 0;
-            while (pi < p.size() && p[pi] == '*') {
-                ++stars;
-                ++pi;
-            }
-            const bool cross = stars >= 2;
-            for (std::size_t k = si; k <= s.size(); ++k) {
-                if (glob_match_at(p, pi, s, k)) return true;
-                if (k == s.size()) break;
-                if (!cross && s[k] == '/') break;  // `*` stops at '/'
-            }
-            return false;
-        }
-        if (si >= s.size()) return false;
-        if (c == '?') {
-            if (s[si] == '/') return false;
-        } else if (c != s[si]) {
-            return false;
-        }
-        ++pi;
-        ++si;
-    }
-    return si == s.size();
-}
-
-}  // namespace
-
-bool glob_match(const std::string& pattern, const std::string& path) {
-    return glob_match_at(pattern, 0, path, 0);
-}
-
 std::vector<Diagnostic> lint_source(const std::string& path,
-                                    const std::string& content,
-                                    const LintConfig& cfg) {
+                                    const std::string& content) {
     std::vector<Diagnostic> out;
-    if (internal::rule_allowlisted(cfg, "*", path)) return out;
-    const internal::Stripped s = internal::strip(content);
-    const internal::Suppressions sup = internal::parse_suppressions(path, s);
-    for (const Diagnostic& d : sup.malformed) {
-        if (!internal::rule_allowlisted(cfg, "D0", path)) out.push_back(d);
-    }
-    internal::Emitter e(path, cfg, sup, out);
-    internal::check_token_rules(path, s, cfg, e);
-    std::sort(out.begin(), out.end(),
-              [](const Diagnostic& a, const Diagnostic& b) {
-                  if (a.line != b.line) return a.line < b.line;
-                  return a.rule < b.rule;
-              });
+    internal::check_token_rules(internal::scan_source(path, content), out);
+    sort_diagnostics(out);
     return out;
 }
 
-std::vector<Diagnostic> lint_file(const std::string& fs_path,
-                                  const std::string& report_path,
-                                  const LintConfig& cfg) {
-    std::ifstream in(fs_path, std::ios::binary);
-    if (!in) {
-        return {{report_path, 0, "D0", "cannot read file", Severity::kError}};
+std::vector<Diagnostic> scan_tree(const std::string& root) {
+    namespace fs = std::filesystem;
+    static const std::set<std::string> kExts = {
+        ".cpp", ".cc", ".cxx", ".hpp", ".hxx", ".h", ".ipp"};
+    std::vector<std::string> files;
+    for (const char* dir : {"src", "bench", "tests", "tools", "examples"}) {
+        if (!fs::is_directory(fs::path(root) / dir)) continue;
+        for (const auto& entry :
+             fs::recursive_directory_iterator(fs::path(root) / dir)) {
+            if (!entry.is_regular_file() ||
+                kExts.count(entry.path().extension().string()) == 0) {
+                continue;
+            }
+            std::string path = fs::relative(entry.path(), root).generic_string();
+            // Seeded violations, linted by test_lint one fixture at a time.
+            if (path.rfind("tests/lint_fixtures/", 0) == 0) continue;
+            files.push_back(std::move(path));
+        }
     }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    return lint_source(report_path, buf.str(), cfg);
-}
+    std::sort(files.begin(), files.end());
 
-std::vector<Diagnostic> lint_tree(const std::string& root,
-                                  const std::vector<std::string>& paths,
-                                  const LintConfig& cfg) {
-    ScanOptions opt;  // token rules only, single-threaded
-    return scan_tree(root, paths, cfg, opt);
+    std::vector<Diagnostic> out;
+    std::vector<internal::FileScan> scans;
+    scans.reserve(files.size());
+    for (const std::string& path : files) {
+        std::ifstream in(fs::path(root) / path, std::ios::binary);
+        if (!in) {
+            out.push_back({path, 0, "D0", "cannot read file"});
+            continue;
+        }
+        std::ostringstream buf;
+        buf << in.rdbuf();
+        scans.push_back(internal::scan_source(path, buf.str()));
+        internal::check_token_rules(scans.back(), out);
+    }
+    internal::check_contracts(root, scans, out);
+    sort_diagnostics(out);
+    return out;
 }
 
 std::string format_gcc(const Diagnostic& d) {
-    const char* sev = d.severity == Severity::kError ? "error" : "warning";
-    return d.path + ":" + std::to_string(d.line) + ": " + sev + ": " +
-           d.message + " [" + d.rule + "]";
+    return d.path + ":" + std::to_string(d.line) + ": error: " + d.message +
+           " [" + d.rule + "]";
 }
 
 }  // namespace espread::lint

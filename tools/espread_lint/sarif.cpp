@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "contracts.hpp"
 #include "lint.hpp"
 
 namespace espread::lint {
