@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstddef>
+#include <vector>
 
 #include "core/metrics.hpp"
 #include "core/permutation.hpp"
@@ -24,6 +25,13 @@ LossMask burst_loss_mask(const Permutation& perm, std::size_t start, std::size_t
 /// superset of any shorter burst at the same start, only bursts of length
 /// exactly min(max_burst, n) need to be examined.  O(n * b) time.
 std::size_t worst_case_clf(const Permutation& perm, std::size_t max_burst);
+
+/// The same over an order given by its image (slot -> playback index, a
+/// bijection the caller vouches for), measured on a caller-owned loss
+/// mask of image.size() entries, all false on entry and again on return:
+/// scoring many candidate orders this way allocates nothing.
+std::size_t worst_case_clf(const std::vector<std::size_t>& image,
+                           std::size_t max_burst, std::vector<bool>& lost);
 
 /// Packing lower bound on the CLF any transmission order can guarantee
 /// against one burst of length b in a window of n (paper Theorem 1 regime

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "core/burst.hpp"
-#include "core/interleaver.hpp"
 
 namespace espread {
 
@@ -18,27 +17,27 @@ void add_candidate(std::vector<std::size_t>& out, std::size_t g, std::size_t n) 
 }
 
 /// Class-visit orders evaluated for the residue-class family.  Besides the
-/// natural order, orders whose consecutive classes are non-adjacent
-/// residues remove playback adjacencies at class boundaries.
-std::vector<std::vector<std::size_t>> class_orders(std::size_t stride) {
-    std::vector<std::size_t> natural(stride);
-    std::iota(natural.begin(), natural.end(), std::size_t{0});
-
-    std::vector<std::size_t> reversed(natural.rbegin(), natural.rend());
-
-    std::vector<std::size_t> evens_then_odds;
-    for (std::size_t r = 0; r < stride; r += 2) evens_then_odds.push_back(r);
-    for (std::size_t r = 1; r < stride; r += 2) evens_then_odds.push_back(r);
-
-    std::vector<std::size_t> odds_then_evens;
-    for (std::size_t r = 1; r < stride; r += 2) odds_then_evens.push_back(r);
-    for (std::size_t r = 0; r < stride; r += 2) odds_then_evens.push_back(r);
-
-    std::vector<std::vector<std::size_t>> orders{std::move(natural)};
-    for (auto* extra : {&reversed, &evens_then_odds, &odds_then_evens}) {
-        if (*extra != orders.front()) orders.push_back(std::move(*extra));
+/// natural order (variant 0), orders whose consecutive classes are
+/// non-adjacent residues remove playback adjacencies at class boundaries:
+/// reversed (1), evens then odds (2) and odds then evens (3).  Writes
+/// variant `v` for `stride` into `out`; returns false for a variant other
+/// than 0 that equals the natural order (it would score the same plan).
+bool class_order(std::size_t stride, int v, std::vector<std::size_t>& out) {
+    out.clear();
+    switch (v) {
+        case 0:
+        case 1:
+            for (std::size_t r = 0; r < stride; ++r) out.push_back(v == 0 ? r : stride - 1 - r);
+            break;
+        default:
+            for (std::size_t r = v == 2 ? 0 : 1; r < stride; r += 2) out.push_back(r);
+            for (std::size_t r = v == 2 ? 1 : 0; r < stride; r += 2) out.push_back(r);
     }
-    return orders;
+    if (v == 0) return true;
+    for (std::size_t r = 0; r < stride; ++r) {
+        if (out[r] != r) return true;
+    }
+    return false;
 }
 
 }  // namespace
@@ -78,19 +77,36 @@ CpoResult calculate_permutation(std::size_t n, std::size_t b,
     CpoResult best{Permutation::identity(n), std::min(b, n), 1, CpoKind::kIdentity};
     if (n <= 2 || b == 0 || b >= n) return best;
 
-    best.clf = worst_case_clf(best.perm, b);  // == b for the identity
+    // Candidates are scored in scratch: one image, one class order and one
+    // loss mask serve them all, and only a new best becomes a Permutation.
+    std::vector<std::size_t> image(n);
+    std::vector<std::size_t> order;
+    order.reserve(n);
+    std::vector<bool> lost(n, false);
+    best.clf = worst_case_clf(best.perm.image(), b, lost);  // == b for the identity
     const std::size_t floor_bound = lower_bound_clf(n, b);
+    const auto score = [&](std::size_t g, CpoKind kind) {
+        const std::size_t clf = worst_case_clf(image, b, lost);
+        if (clf < best.clf) best = CpoResult{Permutation{image}, clf, g, kind};
+    };
 
     for (const std::size_t g : cpo_candidate_strides(n, b, exhaustive_stride_limit)) {
         if (std::gcd(g, n) == 1) {
-            const Permutation p = cyclic_stride_order(n, g);
-            const std::size_t clf = worst_case_clf(p, b);
-            if (clf < best.clf) best = CpoResult{p, clf, g, CpoKind::kCyclicStride};
+            // cyclic_stride_order(n, g): slot i -> i * g mod n.
+            std::size_t v = 0;
+            for (std::size_t i = 0; i < n; ++i, v = v + g >= n ? v + g - n : v + g) {
+                image[i] = v;
+            }
+            score(g, CpoKind::kCyclicStride);
         }
-        for (const auto& order : class_orders(g)) {
-            const Permutation p = residue_class_order(n, g, order);
-            const std::size_t clf = worst_case_clf(p, b);
-            if (clf < best.clf) best = CpoResult{p, clf, g, CpoKind::kResidueClass};
+        for (int variant = 0; variant < 4; ++variant) {
+            if (!class_order(g, variant, order)) continue;
+            // residue_class_order(n, g, order): each class in turn.
+            std::size_t slot = 0;
+            for (const std::size_t r : order) {
+                for (std::size_t v = r; v < n; v += g) image[slot++] = v;
+            }
+            score(g, CpoKind::kResidueClass);
             if (best.clf <= floor_bound) break;
         }
         if (best.clf <= floor_bound) break;  // cannot do better than the packing bound

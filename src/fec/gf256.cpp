@@ -2,6 +2,10 @@
 
 #include <array>
 
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 namespace espread::fec {
 namespace {
 
@@ -48,6 +52,43 @@ constexpr SliceTables make_slice_tables() {
 
 constexpr SliceTables kSlice = make_slice_tables();
 
+#if defined(__x86_64__)
+/// dst = c * src, or dst ^= c * src with `accumulate`, over the leading
+/// whole 16-byte blocks of n bytes; returns the bytes done.  SSSE3's byte
+/// shuffle looks a whole block up in both nibble slices at once.
+__attribute__((target("ssse3"))) std::size_t mul_blocks_ssse3(
+    std::uint8_t* dst, const std::uint8_t* src, std::size_t n, std::uint8_t c,
+    bool accumulate) noexcept {
+    const __m128i lo = _mm_loadu_si128(reinterpret_cast<const __m128i*>(kSlice.lo[c].data()));
+    const __m128i hi = _mm_loadu_si128(reinterpret_cast<const __m128i*>(kSlice.hi[c].data()));
+    const __m128i nibble = _mm_set1_epi8(0x0F);
+    std::size_t i = 0;
+    for (; i + 16 <= n; i += 16) {
+        const __m128i v = _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + i));
+        __m128i product =
+            _mm_xor_si128(_mm_shuffle_epi8(lo, _mm_and_si128(v, nibble)),
+                          _mm_shuffle_epi8(hi, _mm_and_si128(_mm_srli_epi64(v, 4), nibble)));
+        auto* out = reinterpret_cast<__m128i*>(dst + i);
+        if (accumulate) product = _mm_xor_si128(product, _mm_loadu_si128(out));
+        _mm_storeu_si128(out, product);
+    }
+    return i;
+}
+
+/// Whether mul_blocks_ssse3 may run here (every x86-64 CPU since 2006).
+const bool kHasSsse3 = (__builtin_cpu_init(), __builtin_cpu_supports("ssse3") != 0);
+
+std::size_t mul_blocks(std::uint8_t* dst, const std::uint8_t* src, std::size_t n,
+                       std::uint8_t c, bool accumulate) noexcept {
+    return kHasSsse3 ? mul_blocks_ssse3(dst, src, n, c, accumulate) : 0;
+}
+#else
+std::size_t mul_blocks(std::uint8_t*, const std::uint8_t*, std::size_t, std::uint8_t,
+                       bool) noexcept {
+    return 0;
+}
+#endif
+
 }  // namespace
 
 std::uint8_t gf_inv(std::uint8_t a) noexcept {
@@ -66,7 +107,7 @@ void gf_mul_row_add(std::uint8_t* dst, const std::uint8_t* src, std::size_t n,
     }
     const std::array<std::uint8_t, 16>& lo = kSlice.lo[c];
     const std::array<std::uint8_t, 16>& hi = kSlice.hi[c];
-    for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t i = mul_blocks(dst, src, n, c, /*accumulate=*/true); i < n; ++i) {
         const std::uint8_t v = src[i];
         dst[i] = static_cast<std::uint8_t>(dst[i] ^ lo[v & 0x0Fu] ^
                                            hi[v >> 4]);
@@ -81,7 +122,7 @@ void gf_mul_row(std::uint8_t* dst, std::size_t n, std::uint8_t c) noexcept {
     }
     const std::array<std::uint8_t, 16>& lo = kSlice.lo[c];
     const std::array<std::uint8_t, 16>& hi = kSlice.hi[c];
-    for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t i = mul_blocks(dst, dst, n, c, /*accumulate=*/false); i < n; ++i) {
         const std::uint8_t v = dst[i];
         dst[i] = static_cast<std::uint8_t>(lo[v & 0x0Fu] ^ hi[v >> 4]);
     }

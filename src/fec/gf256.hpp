@@ -6,9 +6,11 @@
 // the bulk kernels — `gf_mul_row_add`, dst ^= c * src over a byte row —
 // which use two 256x16 nibble product slices (product(c, x) =
 // lo[c][x & 0xF] ^ hi[c][x >> 4]): two direct loads and one XOR per byte
-// instead of two log lookups, an add and an antilog.  All tables are built
-// at compile time, so there is no runtime initialisation order to reason
-// about.
+// instead of two log lookups, an add and an antilog.  On x86-64 CPUs with
+// SSSE3 the kernels look up sixteen bytes at once in the same slices
+// (one byte shuffle per slice), leaving only a row's tail to the byte
+// loop.  All tables are built at compile time, so there is no runtime
+// initialisation order to reason about.
 #pragma once
 
 #include <cstddef>

@@ -1,6 +1,8 @@
 #include "fec/rlc.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 #include <limits>
 #include <stdexcept>
 
@@ -21,6 +23,36 @@ namespace {
 /// kMaxWindow (RlcDecoder::kSpan) even at the largest accepted jump.
 constexpr std::uint64_t kMaxForwardWindows = 4;
 
+// Byte k of a word in memory is bits [8k, 8k + 8): expand_coefficients
+// stores a draw's bytes low byte first, and the word scans below read
+// byte positions off countr_zero / countl_zero.
+static_assert(std::endian::native == std::endian::little);
+
+/// Index of the first nonzero byte of c[from, to), or `to`; eight bytes
+/// per step.
+std::size_t first_nonzero(const std::uint8_t* c, std::size_t from,
+                          std::size_t to) noexcept {
+    for (; from + 8 <= to; from += 8) {
+        std::uint64_t w = 0;
+        std::memcpy(&w, c + from, 8);
+        if (w != 0) return from + static_cast<std::size_t>(std::countr_zero(w)) / 8;
+    }
+    while (from < to && c[from] == 0) ++from;
+    return from;
+}
+
+/// One past the last nonzero byte of c[from, to), or `from`.
+std::size_t end_nonzero(const std::uint8_t* c, std::size_t from,
+                        std::size_t to) noexcept {
+    for (; to >= from + 8; to -= 8) {
+        std::uint64_t w = 0;
+        std::memcpy(&w, c + to - 8, 8);
+        if (w != 0) return to - static_cast<std::size_t>(std::countl_zero(w)) / 8;
+    }
+    while (to > from && c[to - 1] == 0) --to;
+    return to;
+}
+
 /// Orders the decoder's stored rows by pivot, for std::lower_bound.
 constexpr auto kPivotBelow = [](const auto& row, std::uint64_t pivot) {
     return row.pivot < pivot;
@@ -31,17 +63,15 @@ constexpr auto kPivotBelow = [](const auto& row, std::uint64_t pivot) {
 void expand_coefficients(std::uint64_t cseed, std::size_t count,
                          std::uint8_t* out) noexcept {
     sim::Rng rng(cseed);
-    std::uint8_t any = 0;
-    std::size_t i = 0;
-    while (i < count) {
-        std::uint64_t bits = rng.next_u64();
-        for (int b = 0; b < 8 && i < count; ++b, ++i) {
-            out[i] = static_cast<std::uint8_t>(bits & 0xFFu);
-            any |= out[i];
-            bits >>= 8;
-        }
+    // Each draw's bytes, low byte first: a little-endian copy.
+    bool any = false;
+    for (std::size_t i = 0; i < count; i += 8) {
+        const std::uint64_t bits = rng.next_u64();
+        const std::size_t n = std::min<std::size_t>(8, count - i);
+        any |= n == 8 ? bits != 0 : (bits & ((std::uint64_t{1} << (8 * n)) - 1)) != 0;
+        std::memcpy(out + i, &bits, n);
     }
-    if (any == 0 && count > 0) out[count - 1] = 1;
+    if (!any && count > 0) out[count - 1] = 1;
 }
 
 // ---------------------------------------------------------------------------
@@ -240,42 +270,27 @@ std::size_t RlcDecoder::add_repair(std::uint64_t base, std::size_t count,
 bool RlcDecoder::reduce_row(Row& r) {
     std::uint8_t* c = coeffs(r);
     std::uint8_t* y = symbol_bytes_ > 0 ? row_payload(r) : nullptr;
-    // One pass clears the known columns and finds the surviving ends.  No
-    // column is lost: every lost symbol lies below base_, which
-    // shrink_front drops from the span, and a repair keeps only its
-    // tracked columns.  So the columns below the in-order frontier, all
-    // resolved, are known without a state lookup.  Stored rows reference
-    // unknown columns only, so subtracting them below never brings a
-    // known column back.
-    std::size_t j = in_order_next_ > r.pivot
-                        ? static_cast<std::size_t>(std::min<std::uint64_t>(
-                              r.len, in_order_next_ - r.pivot))
-                        : 0;
+    // Clear the known columns, then find the surviving ends.  No column is
+    // lost: every lost symbol lies below base_, which shrink_front drops
+    // from the span, and a repair keeps only its tracked columns.  So the
+    // columns below the in-order frontier, all resolved, are known without
+    // a state lookup.  Stored rows reference unknown columns only, so
+    // subtracting them below never brings a known column back.
+    const std::size_t j = in_order_next_ > r.pivot
+                              ? static_cast<std::size_t>(std::min<std::uint64_t>(
+                                    r.len, in_order_next_ - r.pivot))
+                              : 0;
     if (y != nullptr) {
-        for (std::size_t k = 0; k < j; ++k) {
-            gf_mul_row_add(y, sym_payload(r.pivot + k), symbol_bytes_, c[k]);
+        for (std::size_t k = 0; k < r.len; ++k) {
+            if (k < j || state_[(r.pivot + k) & kMask] == SymState::kKnown) {
+                gf_mul_row_add(y, sym_payload(r.pivot + k), symbol_bytes_, c[k]);
+            }
         }
     }
     std::fill(c, c + j, std::uint8_t{0});
-    std::size_t lead = j;
-    std::size_t end = 0;
-    while (j < r.len) {
-        // The columns' states are contiguous up to the ring's wrap.
-        const std::size_t from = (r.pivot + j) & kMask;
-        const std::size_t n = std::min<std::size_t>(r.len - j, kSpan - from);
-        const SymState* st = state_.data() + from;
-        for (std::size_t k = 0; k < n; ++k, ++j) {
-            const bool known = st[k] == SymState::kKnown;
-            if (known && y != nullptr) {
-                gf_mul_row_add(y, sym_payload(r.pivot + j), symbol_bytes_,
-                               c[j]);
-            }
-            const std::uint8_t v = known ? std::uint8_t{0} : c[j];
-            c[j] = v;
-            lead += static_cast<std::size_t>(lead == j && v == 0);
-            end = v != 0 ? j + 1 : end;
-        }
-    }
+    clear_known(c, r.pivot, j, r.len);
+    std::size_t lead = first_nonzero(c, j, r.len);
+    std::size_t end = end_nonzero(c, lead, r.len);
     for (;;) {
         if (end <= lead) return false;  // the row vanished
         c += lead;
@@ -299,10 +314,38 @@ bool RlcDecoder::reduce_row(Row& r) {
         }
         // c[0] is now zero, so the pivot strictly advances: this
         // terminates.
-        lead = 0;
-        while (lead < r.len && c[lead] == 0) ++lead;
-        end = r.len;
-        while (end > lead && c[end - 1] == 0) --end;
+        lead = first_nonzero(c, 0, r.len);
+        end = end_nonzero(c, lead, r.len);
+    }
+}
+
+void RlcDecoder::clear_known(std::uint8_t* c, std::uint64_t pivot,
+                             std::size_t from, std::size_t to) const noexcept {
+    constexpr std::uint64_t kOnes = 0x0101010101010101ULL;
+    while (from < to) {
+        // The columns' states are contiguous up to the ring's wrap.
+        const std::size_t at = (pivot + from) & kMask;
+        const std::size_t n = std::min<std::size_t>(to - from, kSpan - at);
+        const SymState* st = state_.data() + at;
+        std::uint8_t* row = c + from;
+        std::size_t k = 0;
+        for (; k + 8 <= n; k += 8) {
+            // Eight states per word: a byte of s ^ kOnes is zero exactly
+            // where the column is known, and adding 0x7F sets its top bit
+            // otherwise (states are below 0x80, so no carry crosses bytes).
+            std::uint64_t s = 0;
+            std::memcpy(&s, st + k, 8);
+            const std::uint64_t keep =
+                ((((s ^ kOnes) + 0x7F * kOnes) & (0x80 * kOnes)) >> 7) * 0xFF;
+            std::uint64_t w = 0;
+            std::memcpy(&w, row + k, 8);
+            w &= keep;
+            std::memcpy(row + k, &w, 8);
+        }
+        for (; k < n; ++k) {
+            if (st[k] == SymState::kKnown) row[k] = 0;
+        }
+        from += n;
     }
 }
 

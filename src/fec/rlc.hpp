@@ -142,14 +142,25 @@ public:
     /// probability ~1) restore full rank.
     std::size_t unresolved() const noexcept { return unknown_; }
 
-    /// Source symbols recovered via repairs, in decode order.
+    /// Source symbols recovered via repairs, in decode order, since the
+    /// last release_logs() (since construction if there was none).
     const std::vector<DecodedEvent>& decoded() const noexcept {
         return decoded_;
     }
 
-    /// In-order delivery log (monotone in index).
+    /// In-order delivery log (monotone in index), since the last
+    /// release_logs() (since construction if there was none).
     const std::vector<InOrderEvent>& in_order_log() const noexcept {
         return in_order_;
+    }
+
+    /// Empties both logs: the caller has consumed every entry so far.  A
+    /// consumer that releases after each call keeps the logs as short as
+    /// one call's entries; concatenated, what it read equals the full logs
+    /// of a decoder that never released.
+    void release_logs() noexcept {
+        decoded_.clear();
+        in_order_.clear();
     }
 
     /// Payload of a resolved-known symbol still inside the tracked span;
@@ -157,7 +168,8 @@ public:
     const std::uint8_t* payload(std::uint64_t index) const noexcept;
 
 private:
-    enum class SymState : std::uint8_t { kUnknown, kKnown, kLost };
+    /// clear_known reads eight states per word, by these byte values.
+    enum class SymState : std::uint8_t { kUnknown = 0, kKnown = 1, kLost = 2 };
 
     /// Ring slots for the tracked span [lo_, next_).  The span never
     /// exceeds kMaxWindow: a source extends it to at most W past the base
@@ -203,6 +215,10 @@ private:
     /// Returns false if the row vanished (no new information) or touches
     /// a lost column.
     bool reduce_row(Row& r);
+    /// Zeroes coefficients c[from, to) of the row pivoted at `pivot`
+    /// whose columns are known.
+    void clear_known(std::uint8_t* c, std::uint64_t pivot, std::size_t from,
+                     std::size_t to) const noexcept;
     /// Stores a reduced, non-empty row (normalising the pivot coefficient)
     /// and queues it for solving if it became a singleton.
     void store_row(Row r);
@@ -239,8 +255,8 @@ private:
     std::vector<std::uint8_t> row_coeffs_;   ///< kSpan bytes per slot
     std::vector<std::uint8_t> row_payload_;  ///< symbol_bytes_ per slot
     std::vector<std::uint32_t> free_slots_;
-    std::vector<DecodedEvent> decoded_;
-    std::vector<InOrderEvent> in_order_;
+    std::vector<DecodedEvent> decoded_;   ///< since the last release_logs()
+    std::vector<InOrderEvent> in_order_;  ///< since the last release_logs()
     std::vector<std::uint64_t> solve_queue_;
     std::vector<Row> pending_rows_;
 };

@@ -192,10 +192,11 @@ public:
     /// retransmission; protocol endpoints must not base per-packet
     /// decisions on it ahead of the time a real NACK could have arrived.
     /// Below this entry point the payload is only ever moved: into the
-    /// pending ring, along it when an arrival is displaced or the ring
-    /// widens, and out.
+    /// staging slot (see stage()), along a pending lane when an arrival is
+    /// displaced or the lane widens, and never out of an in-order slot.
     bool send(Msg msg, std::size_t size_bits) {
-        return send_impl(std::move(msg), size_bits, /*occupy_link=*/true);
+        stage() = std::move(msg);
+        return send_staged(size_bits);
     }
 
     /// Sends one message on provisioned side-band headroom: identical loss
@@ -205,7 +206,23 @@ public:
     /// budgeted as overhead on top of the media rate (DESIGN.md §12);
     /// callers account the extra bits themselves.
     bool send_sideband(Msg msg, std::size_t size_bits) {
-        return send_impl(std::move(msg), size_bits, /*occupy_link=*/false);
+        stage() = std::move(msg);
+        return send_sideband_staged(size_bits);
+    }
+
+    /// The slot the next send_staged() or send_sideband_staged() sends:
+    /// a sender that builds its message here saves moving it into the
+    /// channel.  The slot holds whatever an earlier message left in it,
+    /// so the sender overwrites it whole, and sends nothing else on this
+    /// channel before the staged send.
+    Msg& stage() { return in_order_.next_slot().msg; }
+
+    /// send() and send_sideband() for the message built in stage().
+    bool send_staged(std::size_t size_bits) {
+        return send_impl(size_bits, /*occupy_link=*/true);
+    }
+    bool send_sideband_staged(std::size_t size_bits) {
+        return send_impl(size_bits, /*occupy_link=*/false);
     }
 
     /// Earliest time a new message could start serializing.
@@ -249,7 +266,10 @@ private:
         sim::SimTime extra_delay = 0;   ///< jitter/reorder delay added to the arrival
     };
 
-    bool send_impl(Msg&& msg, std::size_t size_bits, bool occupy_link) {
+    /// Sends the staged message.  It is filed where it was built when it
+    /// arrives in order, so only a displaced one moves.
+    bool send_impl(std::size_t size_bits, bool occupy_link) {
+        Msg& msg = in_order_.next_slot().msg;
         const sim::SimTime tx_time = cached_tx_time(size_bits);
         const sim::SimTime depart = std::max(queue_.now(), link_free_);
         const Faults faults = active_ ? draw_faults(msg, size_bits, depart) : Faults{};
@@ -292,14 +312,19 @@ private:
         if (faults.duplicate) {
             // Duplication happens in the network, not on the link: the copy
             // costs no serialization time.  Move-only payloads cannot be
-            // duplicated; the draw is ignored for them.
+            // duplicated; the draw is ignored for them.  The copy is filed
+            // after the original; it arrives later, so no two deliveries
+            // change order.
             if constexpr (std::is_copy_constructible_v<Msg>) {
                 ++stats_.duplicated;
-                schedule_delivery(arrival + ImpairmentConfig::kDuplicateDelay,
-                                  Msg(msg));
+                Msg copy(msg);
+                file_staged(arrival);
+                stage() = std::move(copy);
+                file_staged(arrival + ImpairmentConfig::kDuplicateDelay);
+                return true;
             }
         }
-        schedule_delivery(arrival, std::move(msg));
+        file_staged(arrival);
         return true;
     }
 
@@ -352,62 +377,153 @@ private:
     /// frame instead of once a packet.
     sim::SimTime cached_tx_time(std::size_t size_bits) noexcept {
         if (size_bits == tx_cache_[0].bits) return tx_cache_[0].time;
-        if (size_bits != tx_cache_[1].bits) {
-            tx_cache_[1] = TxTime{size_bits, serialization_time(size_bits)};
-        }
-        std::swap(tx_cache_[0], tx_cache_[1]);
-        return tx_cache_[0].time;
+        // The result comes from a register, not from reloading the entry
+        // just swapped to the front.
+        const TxTime hit = size_bits == tx_cache_[1].bits
+                               ? tx_cache_[1]
+                               : TxTime{size_bits, serialization_time(size_bits)};
+        tx_cache_[1] = tx_cache_[0];
+        tx_cache_[0] = hit;
+        return hit.time;
     }
 
     /// One scheduled delivery under the key schedule_at would give it.
     struct Pending { sim::SimTime when; std::uint64_t seq; Msg msg; };
+    /// A displaced delivery's key; its payload waits in parked_[slot].
+    struct Parked { sim::SimTime when; std::uint64_t seq; std::size_t slot; };
 
-    /// The i-th earliest pending delivery.
-    Pending& slot(std::size_t i) noexcept {
-        return ring_[(head_ + i) & (ring_.size() - 1)];
-    }
+    /// Entries sorted by (when, seq) in a ring of power-of-two size: at(i)
+    /// is slots[(head + i) & mask], i < size.  Popping the front frees its
+    /// slot without moving the others, and the entries never fill the
+    /// last free slot: the one just popped stays intact, so a delivery can
+    /// read its payload in place while its receiver sends again.
+    template <typename T>
+    struct Ring {
+        std::vector<T> slots;
+        /// The storage the first widen since deliver_head last emptied
+        /// this replaced: the slot that delivery popped lives on there.
+        std::vector<T> retired;
+        /// slots.size() - 1, kept: sizeof(T) is no power of two, so
+        /// computing it per access costs a multiply on the address path.
+        std::size_t mask = 0;
+        std::size_t head = 0;
+        std::size_t size = 0;
 
-    /// Files `msg` under the queue's next stamp.  An in-order arrival
-    /// is written into the free slot behind the last one; one displaced
-    /// by a fault (or a side-band packet that a shorter in-band one
-    /// overtakes) goes in behind, shifting the later ones up.
-    void schedule_delivery(sim::SimTime when, Msg&& msg) {
+        T& at(std::size_t i) noexcept { return slots[(head + i) & mask]; }
+        /// Whether an entry at `when` files behind every one here.
+        bool appends(sim::SimTime when) noexcept {
+            return size == 0 || at(size - 1).when <= when;
+        }
+        /// The slot behind the last entry, which push() files.
+        T& next_slot() {
+            if (size + 1 >= slots.size()) widen();
+            return at(size);
+        }
+        /// Files next_slot() (for an entry that appends()).
+        void push() noexcept { ++size; }
+        /// Files an entry at `when` in order and returns its slot: the
+        /// later ones shift up by one.
+        T& insert(sim::SimTime when) {
+            if (size + 1 >= slots.size()) widen();
+            std::size_t pos = size;
+            while (pos > 0 && at(pos - 1).when > when) --pos;
+            for (std::size_t i = size; i > pos; --i) at(i) = std::move(at(i - 1));
+            ++size;
+            return at(pos);
+        }
+        void pop_front() noexcept {
+            head = (head + 1) & mask;
+            --size;
+        }
+        /// Doubles the ring (at least 16 slots), earliest entry first.
+        void widen() {
+            std::vector<T> wider(std::max<std::size_t>(16, 2 * slots.size()));
+            for (std::size_t i = 0; i < size; ++i) wider[i] = std::move(at(i));
+            slots.swap(wider);
+            if (retired.empty()) retired.swap(wider);
+            mask = slots.size() - 1;
+            head = 0;
+        }
+    };
+
+    /// Files the staged message for delivery at `when` under the queue's
+    /// next stamp.  An arrival no earlier than the last in-order one stays
+    /// in its slot, which joins in_order_.  One that a fault, or a shorter
+    /// packet overtaking a side-band one, puts ahead of it parks its
+    /// payload and files only its key in displaced_: a NACK's side-band
+    /// burst leaves many equal arrivals there for its shorter last
+    /// fragments to pass, and shifting keys beats shifting payloads.  The
+    /// head is the earlier lane front.
+    void file_staged(sim::SimTime when) {
         when = std::max(when, queue_.now());
-        if (size_ == ring_.size()) widen();
-        std::size_t at = size_;
-        while (at > 0 && slot(at - 1).when > when) --at;
-        for (std::size_t i = size_; i > at; --i) slot(i) = std::move(slot(i - 1));
-        Pending& p = slot(at);
-        p.when = when;
-        p.seq = queue_.stamp();
-        p.msg = std::move(msg);
-        ++size_;
-        peak_pending_ = std::max(peak_pending_, size_);
+        Pending& p = in_order_.next_slot();
+        if (in_order_.appends(when)) [[likely]] {
+            p.when = when;
+            p.seq = queue_.stamp();
+            in_order_.push();
+        } else {
+            park(when, std::move(p.msg));
+        }
+        peak_pending_ = std::max(peak_pending_, in_order_.size + displaced_.size);
         arm();
     }
 
-    /// Doubles the ring (at least 16 slots), earliest delivery first.
-    void widen() {
-        std::vector<Pending> wider(std::max<std::size_t>(16, 2 * ring_.size()));
-        for (std::size_t i = 0; i < size_; ++i) wider[i] = std::move(slot(i));
-        ring_.swap(wider);
-        head_ = 0;
+    /// Files a displaced delivery (out of line: the in-order path is the
+    /// one every packet takes).
+    [[gnu::noinline]] void park(sim::SimTime when, Msg&& msg) {
+        Parked& k = displaced_.insert(when);
+        k.when = when;
+        k.seq = queue_.stamp();
+        if (free_parked_.empty()) {
+            k.slot = parked_.size();
+            parked_.push_back(std::move(msg));
+        } else {
+            k.slot = free_parked_.back();
+            free_parked_.pop_back();
+            parked_[k.slot] = std::move(msg);
+        }
     }
 
-    /// Shows the queue the earliest pending delivery, if any.
+    /// Shows the queue the earliest pending delivery, if any, and notes
+    /// its lane for deliver_head.
     void arm() noexcept {
-        if (size_ == 0) return queue_.disarm(feed_);
-        const Pending& p = slot(0);
-        queue_.arm(feed_, p.when, p.seq, size_);
+        head_displaced_ = false;
+        if (displaced_.size != 0) [[unlikely]] {
+            const Parked& d = displaced_.at(0);
+            head_displaced_ = in_order_.size == 0 || d.when < in_order_.at(0).when ||
+                              (d.when == in_order_.at(0).when && d.seq < in_order_.at(0).seq);
+            if (head_displaced_) {
+                return queue_.arm(feed_, d.when, d.seq, in_order_.size + displaced_.size);
+            }
+        } else if (in_order_.size == 0) {
+            return queue_.disarm(feed_);
+        }
+        const Pending& p = in_order_.at(0);
+        queue_.arm(feed_, p.when, p.seq, in_order_.size + displaced_.size);
     }
 
     /// Pops the earliest delivery and re-arms the feed, then hands the
     /// payload to the receiver (which may send on this channel again).
-    /// The delivered slot keeps the moved-from payload until reused.
+    /// An in-order payload is handed over in its popped slot, which no
+    /// send touches until a later delivery frees another (Ring); the slot
+    /// keeps what the receiver leaves of it until reused.
     void deliver_head() {
-        Msg msg = std::move(slot(0).msg);
-        head_ = (head_ + 1) & (ring_.size() - 1);
-        --size_;
+        if (head_displaced_) [[unlikely]] return deliver_displaced();
+        if (!in_order_.retired.empty()) [[unlikely]] in_order_.retired = std::vector<Pending>();
+        Msg& msg = in_order_.at(0).msg;
+        in_order_.pop_front();
+        arm();
+        ++stats_.delivered;
+        if (receiver_) receiver_(std::move(msg));
+    }
+
+    /// deliver_head for displaced_'s front: parked_ may grow while the
+    /// receiver runs, so the payload moves out first.
+    [[gnu::noinline]] void deliver_displaced() {
+        const std::size_t slot = displaced_.at(0).slot;
+        displaced_.pop_front();
+        free_parked_.push_back(slot);
+        Msg msg = std::move(parked_[slot]);
         arm();
         ++stats_.delivered;
         if (receiver_) receiver_(std::move(msg));
@@ -436,12 +552,12 @@ private:
     TxTime tx_cache_[2];
     ChannelStats stats_;
     std::size_t loss_run_ = 0;  ///< consecutive drops ending at the last send
-    /// Pending deliveries sorted by (when, seq) in a ring of power-of-two
-    /// size: slot(i) is ring_[(head_ + i) & (ring_.size() - 1)], i < size_.
-    /// A delivery frees its slot without moving the others.
-    std::vector<Pending> ring_;
-    std::size_t head_ = 0;
-    std::size_t size_ = 0;
+    /// Pending deliveries: the two lanes together, merged by (when, seq).
+    Ring<Pending> in_order_;
+    Ring<Parked> displaced_;
+    std::vector<Msg> parked_;  ///< displaced payloads, by Parked::slot
+    std::vector<std::size_t> free_parked_;
+    bool head_displaced_ = false;  ///< the earliest is displaced_'s front
     std::size_t peak_pending_ = 0;
     std::size_t feed_ = 0;  ///< this channel's feed in queue_
     obs::TraceSink* trace_ = nullptr;

@@ -113,6 +113,8 @@ Receiver::WindowState& Receiver::open(std::size_t window) {
     for (FrameAssembly& fa : slot->frames) fa.reset();
     slot->layer_sent.clear();
     slot->trailer_seen = false;
+    slot->complete = 0;
+    slot->version = ++changes_;
     return *slot;
 }
 
@@ -171,6 +173,8 @@ void Receiver::on_packet(const DataPacket& p, sim::SimTime now) {
     }
     if (fa.complete()) {
         fa.completed_at = now;
+        if (local < 64) w.complete |= std::uint64_t{1} << local;
+        w.version = ++changes_;
         if (trace_) {
             obs::TraceEvent e;
             e.time = now;
@@ -202,6 +206,7 @@ void Receiver::on_trailer(const WindowTrailer& t) {
     }
     w.layer_sent = t.layer_sent;
     w.trailer_seen = true;
+    w.version = ++changes_;
 }
 
 const WindowOutcome& Receiver::finalize(std::size_t window) {
@@ -223,15 +228,17 @@ std::uint64_t Receiver::incomplete_frames(std::size_t window) const {
     std::uint64_t missing = span == 64 ? ~std::uint64_t{0}
                                        : (std::uint64_t{1} << span) - 1;
     const WindowState* w = find(window);
-    if (w == nullptr) return missing;
-    const std::vector<FrameAssembly>& frames = w->frames;
-    for (std::size_t local = 0; local < std::min(span, frames.size()); ++local) {
-        if (frames[local].complete()) missing &= ~(std::uint64_t{1} << local);
-    }
-    return missing;
+    return w == nullptr ? missing : missing & ~w->complete;
 }
 
 void Receiver::compute_outcome(std::size_t window) {
+    const WindowState* found = find(window);
+    // Versions come from one counter, which never reaches an unseen
+    // window's ~0, so a match means out_ was computed from this state.
+    const std::uint64_t version = found == nullptr ? ~std::uint64_t{0} : found->version;
+    if (out_version_ == version && out_window_ == window) return;
+    out_window_ = window;
+    out_version_ = version;
     WindowOutcome& out = out_;
     const std::size_t layers = layer_sizes_.size();
     out.playback.assign(window_ldus_, false);
@@ -242,7 +249,6 @@ void Receiver::compute_outcome(std::size_t window) {
     out.trailer_seen = false;
     out.playable_at.assign(window_ldus_, std::nullopt);
 
-    const WindowState* found = find(window);
     if (found == nullptr) {
         // Nothing arrived: every layer is one solid loss burst (up to its
         // size — without a trailer we cannot know how much was sent, so

@@ -154,10 +154,18 @@ private:
         std::vector<FrameAssembly> frames;
         std::vector<std::size_t> layer_sent;  // from trailer
         bool trailer_seen = false;
+        /// Bit f set = local frame f (< 64) arrived complete.
+        std::uint64_t complete = 0;
+        /// The receiver's change count when a frame of this window last
+        /// completed, its trailer arrived or the slot opened: the outcome
+        /// depends on nothing else.
+        std::uint64_t version = 0;
     };
 
     void trace_drop(obs::EventType type, const DataPacket& p, sim::SimTime now);
-    /// Fills out_ with window `window`'s outcome.
+    /// Fills out_ with window `window`'s outcome, unless it already holds
+    /// it: report() at the ACK and finalize() at the playout deadline
+    /// often see the same state.
     void compute_outcome(std::size_t window);
     /// frame_index % window_ldus_, by multiply-high for 32-bit indexes.
     std::size_t local_of(std::size_t frame_index) const noexcept;
@@ -187,6 +195,9 @@ private:
     /// per frame whether it plays and since when, per layer wire position
     /// whether it arrived.
     WindowOutcome out_;
+    std::size_t out_window_ = 0;
+    std::uint64_t out_version_ = 0;  ///< 0 = out_ holds no outcome
+    std::uint64_t changes_ = 0;      ///< versions handed out so far
     std::vector<unsigned char> plays_;
     std::vector<sim::SimTime> ready_at_;
     std::vector<unsigned char> got_;

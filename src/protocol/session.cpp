@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <map>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -44,6 +43,15 @@ std::size_t frame_wire_bits(std::size_t frame_bits, std::size_t packets) {
 
 using DataMsg = std::variant<DataPacket, WindowTrailer, RepairPacket>;
 using FeedbackMsg = std::variant<Feedback, NackRequest>;
+
+/// `ch`'s staging slot (net::FaultChannel::stage) as a T, for the caller
+/// to overwrite whole.
+template <typename T, typename Msg>
+T& stage_as(net::FaultChannel<Msg>& ch) {
+    Msg& m = ch.stage();
+    if (T* t = std::get_if<T>(&m)) return *t;
+    return m.template emplace<T>();
+}
 
 /// Applies `1..max_flips` random bit flips to an encoded record.
 void flip_bits(std::vector<std::uint8_t>& bytes, sim::Rng& rng,
@@ -244,6 +252,7 @@ struct Session::Impl {
             rlc_rng = rng.split(contracts::kSessionLaneRlcCoefficients);
             rlc_decoder.emplace(cfg.rlc.window_packets, /*symbol_bytes=*/0);
             rlc_sources.resize(std::bit_ceil(4 * cfg.rlc.window_packets));
+            rlc_mask = rlc_sources.size() - 1;
         }
 
         if (cfg.recovery.enabled) {
@@ -252,6 +261,7 @@ struct Session::Impl {
             // processes; a recovery-off session never takes this split.
             nack_rng = rng.split(contracts::kSessionLaneNackJitter);
             repair.emplace(cfg.recovery, cfg.num_windows);
+            sent_windows.resize(4);
         }
     }
 
@@ -326,15 +336,14 @@ struct Session::Impl {
         return frames_scratch;
     }
 
-    /// One data packet as a channel message, built in place: the frame's
-    /// header `proto` with the packet's own fields set.  Returned by value
-    /// into the channel's by-value parameter, so the packet is never
-    /// copied on its way there.
-    DataMsg packet_msg(const DataPacket& proto, std::uint64_t seq,
-                       std::size_t fragment, std::size_t size_bits,
-                       bool retransmission) const {
-        DataMsg m{std::in_place_type<DataPacket>, proto};
-        DataPacket& p = *std::get_if<DataPacket>(&m);
+    /// One data packet built in the data channel's staging slot, for a
+    /// staged send: the frame's header `proto` with the packet's own fields
+    /// set.  The packet is never copied on its way into the channel.
+    DataPacket& stage_packet(const DataPacket& proto, std::uint64_t seq,
+                             std::size_t fragment, std::size_t size_bits,
+                             bool retransmission) {
+        DataPacket& p = stage_as<DataPacket>(data);
+        p = proto;
         p.seq = seq;
         p.fragment = fragment;
         p.size_bits = size_bits;
@@ -343,7 +352,7 @@ struct Session::Impl {
             // The wire header's fec_group field carries the source index.
             p.fec_group = static_cast<std::size_t>(rlc_next & 0xFFFFFFFFu);
         }
-        return m;
+        return p;
     }
 
     /// Sends one fragment of the frame `proto` describes; updates
@@ -352,16 +361,25 @@ struct Session::Impl {
     bool send_packet(const DataPacket& proto, std::size_t fragment,
                      std::size_t size_bits, bool retransmission,
                      WindowReport& rep) {
-        const std::uint64_t seq = next_seq++;
-        const bool ok =
-            data.send(packet_msg(proto, seq, fragment, size_bits, retransmission),
-                      size_bits + kPacketHeaderBits);
-        note_loss_run(ok, rep);
-        if (rlc_decoder.has_value() && !retransmission) {
-            // The coding window keeps the sent header for re-injection.
-            const DataMsg sent = packet_msg(proto, seq, fragment, size_bits, false);
-            rlc_on_source(*std::get_if<DataPacket>(&sent), rep);
+        const std::size_t wire_bits = size_bits + kPacketHeaderBits;
+        const DataPacket& p =
+            stage_packet(proto, next_seq++, fragment, size_bits, retransmission);
+        if (!rlc_decoder.has_value() || retransmission) {
+            const bool ok = data.send_staged(wire_bits);
+            note_loss_run(ok, rep);
+            return ok;
         }
+        // A coded source: the coding window keeps the header it sends, for
+        // re-injection on recovery (copied before a corruption can touch
+        // the staged packet).
+        if (rlc_next - rlc_lo == rlc_sources.size()) rlc_widen_sources();
+        RlcSource& src = rlc_source(rlc_next);
+        src.header = p;
+        const bool ok = data.send_staged(wire_bits);
+        note_loss_run(ok, rep);
+        src.expect_arrival = data.next_free_time() + cfg.data_link.propagation_delay;
+        ++rlc_next;
+        rlc_on_source(rep);
         return ok;
     }
 
@@ -384,18 +402,15 @@ struct Session::Impl {
         sim::SimTime expect_arrival;  ///< when a direct arrival would land
     };
 
-    /// Books one freshly sent source packet into the coding window and
-    /// spends the credit schedule: overhead_num repairs accrue per
+    /// Spends the credit schedule for the source packet send_packet just
+    /// booked into the coding window: overhead_num repairs accrue per
     /// overhead_den source packets.  The decoder lives at the client and
     /// is fed only by deliveries (client_on_source / client_on_repair).
     /// While the recovery plane is reactive (DESIGN.md §13) the credits
     /// bank instead — a NACK releases them as a targeted burst — and the
     /// schedule reverts to fixed emission while the plane is suspended or
     /// the feedback path is declared dead.
-    void rlc_on_source(const DataPacket& p, WindowReport& rep) {
-        if (rlc_next - rlc_lo == rlc_sources.size()) rlc_widen_sources();
-        rlc_source(rlc_next++) = RlcSource{
-            p, data.next_free_time() + cfg.data_link.propagation_delay};
+    void rlc_on_source(WindowReport& rep) {
         rlc_credit += cfg.rlc.overhead_num;
         while (rlc_credit >= cfg.rlc.overhead_den) {
             rlc_credit -= cfg.rlc.overhead_den;
@@ -433,7 +448,8 @@ struct Session::Impl {
         // them — the overhead ratio is the bandwidth cost, reported via
         // rlc_repair_bits_sent, not a deadline penalty on the stream.
         const std::size_t wire_bits = rp.size_bits + kPacketHeaderBits;
-        const bool ok = data.send_sideband(DataMsg{rp}, wire_bits);
+        stage_as<RepairPacket>(data) = rp;
+        const bool ok = data.send_sideband_staged(wire_bits);
         metrics.add("rlc_repairs_sent");
         metrics.add("rlc_repair_bits_sent", wire_bits);
         note_loss_run(ok, rep);
@@ -445,13 +461,11 @@ struct Session::Impl {
                     static_cast<double>(rlc_decoder->rank()));
     }
 
-    /// Consumes new in-order delivery log entries, charging each delivered
-    /// source its extra in-order latency versus an uncoded direct arrival.
+    /// Consumes the in-order delivery log, charging each delivered source
+    /// its extra in-order latency versus an uncoded direct arrival, then
+    /// releases the decoder's logs: every caller has read them by now.
     void rlc_drain_in_order() {
-        const auto& log = rlc_decoder->in_order_log();
-        for (; rlc_in_order_consumed < log.size(); ++rlc_in_order_consumed) {
-            const fec::RlcDecoder::InOrderEvent& e =
-                log[rlc_in_order_consumed];
+        for (const fec::RlcDecoder::InOrderEvent& e : rlc_decoder->in_order_log()) {
             rlc_frontier = e.index + 1;
             if (e.lost || e.index < rlc_lo || e.index >= rlc_next) {
                 // The upper-bound check only fires for forged indices a
@@ -467,6 +481,7 @@ struct Session::Impl {
                     static_cast<std::uint64_t>(delay_s * 1e3));
             }
         }
+        rlc_decoder->release_logs();
     }
 
     /// Drops source-window state no longer reachable by the decoder or the
@@ -477,8 +492,7 @@ struct Session::Impl {
     }
 
     RlcSource& rlc_source(std::uint64_t index) noexcept {
-        return rlc_sources[static_cast<std::size_t>(index) &
-                           (rlc_sources.size() - 1)];
+        return rlc_sources[static_cast<std::size_t>(index) & rlc_mask];
     }
 
     /// Doubles the source ring.  The decoder base trails the highest
@@ -493,6 +507,7 @@ struct Session::Impl {
                 rlc_source(i);
         }
         rlc_sources.swap(wider);
+        rlc_mask = rlc_sources.size() - 1;
     }
 
     // ---- client-side RLC decoder --------------------------------------------
@@ -506,11 +521,14 @@ struct Session::Impl {
     /// so the gap is declared lost instead of stranding the decoder.
     bool client_admit(std::uint64_t end) {
         const std::uint64_t w = cfg.rlc.window_packets;
-        const double carried = sim::to_seconds(queue.now() - client_hi_at) *
-                               cfg.data_link.bandwidth_bps /
-                               static_cast<double>(kPacketHeaderBits);
-        if (static_cast<double>(end) >
-            static_cast<double>(client_hi + w) + carried) {
+        // The packets carried are never negative, so an end inside the
+        // window passes without the division: almost every arrival does.
+        if (end > client_hi + w &&
+            static_cast<double>(end) >
+                static_cast<double>(client_hi + w) +
+                    sim::to_seconds(queue.now() - client_hi_at) *
+                        cfg.data_link.bandwidth_bps /
+                        static_cast<double>(kPacketHeaderBits)) {
             metrics.add("rlc_forged_rejected");
             return false;
         }
@@ -518,7 +536,9 @@ struct Session::Impl {
             client_hi = end;
             client_hi_at = queue.now();
         }
-        if (end > 2 * w) {
+        // advance_base ignores a base it has passed: skip the call, and the
+        // division its time stamp costs, for all but a jump.
+        if (end > 2 * w && end - 2 * w > rlc_decoder->base()) {
             rlc_decoder->advance_base(end - 2 * w,
                                       sim::to_seconds(queue.now()));
         }
@@ -546,12 +566,10 @@ struct Session::Impl {
             return;
         }
         if (!client_admit(r.base + r.count)) return;
-        const std::size_t before = rlc_decoder->decoded().size();
         rlc_decoder->add_repair(r.base, r.count, r.cseed, nullptr, 0,
                                 sim::to_seconds(queue.now()));
-        const auto& dec = rlc_decoder->decoded();
-        for (std::size_t i = before; i < dec.size(); ++i) {
-            const std::uint64_t idx = dec[i].index;
+        for (const fec::RlcDecoder::DecodedEvent& d : rlc_decoder->decoded()) {
+            const std::uint64_t idx = d.index;
             // A forged coordinate can decode an index the sender never
             // issued; the transmit log bounds what is real.
             if (idx < rlc_lo || idx >= rlc_next) continue;
@@ -627,8 +645,13 @@ struct Session::Impl {
         }
         const double u = nack_rng.uniform();
         timeout_s *= 1.0 + RecoveryConfig::kJitterFrac * (2.0 * u - 1.0);
-        queue.schedule_at(queue.now() + sim::from_seconds(timeout_s),
-                          [this, k, round] { nack_check(k, round + 1); });
+        // (k, round + 1) packed in one word: a [this, k, round] capture
+        // outgrows std::function's 16-byte buffer and allocates per round.
+        constexpr std::size_t kRounds = RecoveryConfig::kMaxRetries + 1;
+        const std::size_t next = k * kRounds + round + 1;
+        queue.schedule_at(queue.now() + sim::from_seconds(timeout_s), [this, next] {
+            nack_check(next / kRounds, next % kRounds);
+        });
     }
 
     /// Sender's NACK handler: admission through the RepairScheduler, then
@@ -658,14 +681,13 @@ struct Session::Impl {
     void service_job(const RepairJob& job) {
         WindowReport& rep = reports[job.window];
         std::size_t retx_pkts = 0;
-        const auto it = sent_frames.find(job.window);
-        if (cfg.retransmit_critical && job.missing != 0 &&
-            it != sent_frames.end()) {
+        const std::vector<SentFrame>* frames = sent_frames_of(job.window);
+        if (cfg.retransmit_critical && job.missing != 0 && frames != nullptr) {
             // validate() caps n at the bitmap width under recovery.
             const std::size_t n = planner.window_ldus();
             for (std::size_t f = 0; f < n; ++f) {
                 if ((job.missing & (std::uint64_t{1} << f)) == 0) continue;
-                const SentFrame& sf = it->second[f];
+                const SentFrame& sf = (*frames)[f];
                 if (!sf.valid) continue;  // shed before sending: no material
                 const std::size_t packets = sf.prototype.num_fragments;
                 const sim::SimTime arrive =
@@ -680,9 +702,8 @@ struct Session::Impl {
                     const std::size_t size =
                         net::fragment_size(sf.frame_bits, cfg.packet_bits, frag);
                     const std::size_t wire_bits = size + kPacketHeaderBits;
-                    data.send_sideband(
-                        packet_msg(sf.prototype, next_seq++, frag, size, true),
-                        wire_bits);
+                    stage_packet(sf.prototype, next_seq++, frag, size, true);
+                    data.send_sideband_staged(wire_bits);
                     ++rep.retransmissions;
                     ++retx_pkts;
                     metrics.add("nack_retx_packets");
@@ -807,6 +828,10 @@ struct Session::Impl {
 
     /// Transmits buffer window k (invoked by the event queue at k*T).
     void send_window(std::size_t k) {
+        if (k + 1 < cfg.num_windows) {
+            queue.schedule_stamped(static_cast<sim::SimTime>(k + 1) * period,
+                                   window_seq + k + 1, [this, k] { send_window(k + 1); });
+        }
         const std::size_t n = planner.window_ldus();
         const std::vector<media::Frame>& frames = take_frames(k);
         if (governor.has_value() && k + 1 == cfg.num_windows) {
@@ -886,6 +911,8 @@ struct Session::Impl {
                 }
             }
         }
+        // Wire material for NACK retransmissions (recovery plane only).
+        std::vector<SentFrame>* sent_frames = recovery_on() ? &open_sent_frames(k) : nullptr;
         for (const WireEntry& entry : plan.order) {
             service_ready_retx(deadline, rep);
 
@@ -937,9 +964,7 @@ struct Session::Impl {
                 // path below must stay cold: under the recovery plane only
                 // received NACKs may trigger resends.
                 retx_fragments.resize(lost_at);
-                auto& rec = sent_frames[k];
-                if (rec.empty()) rec.resize(n);
-                rec[entry.local_frame] = SentFrame{proto, frame.size_bits, true};
+                (*sent_frames)[entry.local_frame] = SentFrame{proto, frame.size_bits, true};
                 continue;
             }
             if (lost > 0 && entry.critical && cfg.retransmit_critical) {
@@ -1026,7 +1051,8 @@ struct Session::Impl {
         if (recovery_on()) {
             // The ACK left at ack_window time; retransmission material for
             // this window can no longer be used.
-            sent_frames.erase(k);
+            SentWindow& w = sent_window(k);
+            if (w.window == k) w.open = false;
             return;
         }
         send_ack(k, out);
@@ -1087,10 +1113,12 @@ struct Session::Impl {
 
     SessionResult run() {
         reports.assign(cfg.num_windows, WindowReport{});
-        for (std::size_t k = 0; k < cfg.num_windows; ++k) {
-            queue.schedule_at(static_cast<sim::SimTime>(k) * period,
-                              [this, k] { send_window(k); });
-        }
+        // Window k starts under stamp window_seq + k, as if every start
+        // were scheduled here, but each start schedules the next
+        // (send_window), so the heap holds one of them at a time.
+        window_seq = queue.stamp();
+        for (std::size_t k = 1; k < cfg.num_windows; ++k) queue.stamp();
+        queue.schedule_stamped(0, window_seq, [this] { send_window(0); });
         queue.run();
         if (rlc_decoder.has_value()) {
             // Stream over: whatever the code did not recover is lost for
@@ -1285,10 +1313,10 @@ struct Session::Impl {
     sim::Rng rlc_rng{0};  ///< lane kSessionLaneRlcCoefficients, coded only
     /// Ring over source indices [rlc_lo, rlc_next); power-of-two size.
     std::vector<RlcSource> rlc_sources;
+    std::size_t rlc_mask = 0;  ///< rlc_sources.size() - 1 (no divide per lookup)
     std::uint64_t rlc_lo = 0;
     std::uint64_t rlc_next = 0;
     std::uint64_t rlc_frontier = 0;  ///< in-order log consumed up to here
-    std::size_t rlc_in_order_consumed = 0;
     std::size_t rlc_credit = 0;
     std::uint64_t client_hi = 0;     ///< one past the highest witnessed index
     sim::SimTime client_hi_at = 0;   ///< when client_hi last advanced
@@ -1302,12 +1330,52 @@ struct Session::Impl {
     };
     std::optional<RepairScheduler> repair;
     sim::Rng nack_rng{0};  ///< lane kSessionLaneNackJitter, recovery only
-    /// Wire material per open window, by local frame (NACK retransmission
-    /// source); pruned when the window's playout budget expires.
-    std::map<std::size_t, std::vector<SentFrame>> sent_frames;
+    /// One window's wire material, by local frame (NACK retransmission
+    /// source), from its send_window until its playout budget expires.
+    struct SentWindow {
+        std::size_t window = 0;
+        bool open = false;
+        std::vector<SentFrame> frames;
+    };
+    /// Ring by window index, power-of-two size: window k's slot is
+    /// sent_windows[k & (size - 1)].  A closed slot keeps its frame table
+    /// for the window that reuses it.
+    std::vector<SentWindow> sent_windows;
+
+    SentWindow& sent_window(std::size_t k) noexcept {
+        return sent_windows[k & (sent_windows.size() - 1)];
+    }
+
+    /// Window k's sent frames, or nullptr once it closed (or before its
+    /// send_window).
+    const std::vector<SentFrame>* sent_frames_of(std::size_t k) noexcept {
+        const SentWindow& w = sent_window(k);
+        return w.open && w.window == k ? &w.frames : nullptr;
+    }
+
+    /// Window k's sent frames, opened with every frame unsent.  The ring
+    /// doubles while another open window holds k's slot.
+    std::vector<SentFrame>& open_sent_frames(std::size_t k) {
+        while (sent_window(k).open && sent_window(k).window != k) {
+            std::vector<SentWindow> wider(2 * sent_windows.size());
+            for (SentWindow& w : sent_windows) {
+                if (w.open) wider[w.window & (wider.size() - 1)] = std::move(w);
+            }
+            sent_windows.swap(wider);
+        }
+        SentWindow& w = sent_window(k);
+        if (!w.open) {
+            w.window = k;
+            w.open = true;
+            w.frames.assign(planner.window_ldus(), SentFrame{});
+        }
+        return w.frames;
+    }
+
     std::uint64_t nack_seq = 0;   ///< client NACK sequence space
     std::size_t rlc_nack_credit = 0;  ///< banked repairs a NACK may release
 
+    std::uint64_t window_seq = 0;  ///< queue stamp of window 0's start
     std::uint64_t next_seq = 0;
     std::uint64_t ack_seq = 0;
     std::uint64_t last_ack_seq = 0;

@@ -8,7 +8,16 @@ namespace espread::sim {
 
 void EventQueue::schedule_at(SimTime when, Callback cb) {
     if (!cb) throw std::invalid_argument("EventQueue: null callback");
-    heap_.push_back(Entry{std::max(when, now_), next_seq_++, std::move(cb)});
+    push(when, next_seq_++, std::move(cb));
+}
+
+void EventQueue::schedule_stamped(SimTime when, std::uint64_t seq, Callback cb) {
+    if (!cb) throw std::invalid_argument("EventQueue: null callback");
+    push(when, seq, std::move(cb));
+}
+
+void EventQueue::push(SimTime when, std::uint64_t seq, Callback&& cb) {
+    heap_.push_back(Entry{std::max(when, now_), seq, std::move(cb)});
     std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 

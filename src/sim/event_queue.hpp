@@ -54,6 +54,11 @@ public:
     /// for a null callback; on any throw the queue is unchanged.
     void schedule_at(SimTime when, Callback cb);
 
+    /// Schedules `cb` under `seq`, a stamp() taken earlier and not yet
+    /// used: it runs exactly where schedule_at would have put it, had it
+    /// been called when the stamp was taken.
+    void schedule_stamped(SimTime when, std::uint64_t seq, Callback cb);
+
     /// Runs the earliest pending event; returns false if the queue is empty.
     bool step();
 
@@ -103,6 +108,8 @@ private:
         std::size_t depth = 0;  // 0 = disarmed
     };
 
+    /// Files a non-null callback in the heap.
+    void push(SimTime when, std::uint64_t seq, Callback&& cb);
     /// The earliest pending event, or nullptr; `feed` is its feed's id,
     /// or feeds_.size() for the heap front.
     const Entry* next(std::size_t& feed) const noexcept;

@@ -22,11 +22,6 @@ Rng::Rng(std::uint64_t seed) noexcept {
     for (auto& w : state_) w = splitmix64(s);
 }
 
-double Rng::uniform() noexcept {
-    // Top 53 bits scaled into [0, 1).
-    return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
-}
-
 std::uint64_t Rng::uniform_int(std::uint64_t lo, std::uint64_t hi) noexcept {
     const std::uint64_t range = hi - lo;  // inclusive width - 1
     if (range == max()) return next_u64();
@@ -36,12 +31,6 @@ std::uint64_t Rng::uniform_int(std::uint64_t lo, std::uint64_t hi) noexcept {
     std::uint64_t v = next_u64();
     while (v >= limit) v = next_u64();
     return lo + v % span;
-}
-
-bool Rng::bernoulli(double p) noexcept {
-    if (p <= 0.0) return false;
-    if (p >= 1.0) return true;
-    return uniform() < p;
 }
 
 double Rng::normal(double mean, double stddev) noexcept {

@@ -50,15 +50,23 @@ public:
         return result;
     }
 
-    /// Uniform double in [0, 1) with 53 bits of precision.
-    double uniform() noexcept;
+    /// Uniform double in [0, 1) with 53 bits of precision.  Inline, like
+    /// next_u64: the fault channel draws it several times per packet.
+    double uniform() noexcept {
+        // Top 53 bits scaled into [0, 1).
+        return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
+    }
 
     /// Uniform integer in the inclusive range [lo, hi].  Requires lo <= hi.
     /// Uses rejection sampling, so the result is exactly uniform.
     std::uint64_t uniform_int(std::uint64_t lo, std::uint64_t hi) noexcept;
 
     /// Bernoulli trial: true with probability p (clamped to [0, 1]).
-    bool bernoulli(double p) noexcept;
+    bool bernoulli(double p) noexcept {
+        if (p <= 0.0) return false;
+        if (p >= 1.0) return true;
+        return uniform() < p;
+    }
 
     /// Normally distributed value (Box–Muller; consumes two uniforms).
     double normal(double mean, double stddev) noexcept;

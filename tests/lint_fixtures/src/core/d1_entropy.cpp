@@ -23,3 +23,12 @@ long long elapsed_ticks() {
 }
 
 }  // namespace espread
+
+// A CPU-time timer signal interrupts the program at points no seed fixes.
+namespace espread {
+
+void start_sampling(const itimerval& every) {
+    setitimer(ITIMER_PROF, &every, nullptr);  // line 31: D1
+}
+
+}  // namespace espread

@@ -6,8 +6,9 @@
 // per-object Session window loop stays within a fixed allocation budget
 // per window that does not grow with the packets per window; an event
 // queue refilled to its peak pending count allocates nothing; and
-// worst_case_clf, which calculate_permutation runs on every candidate
-// order, allocates at most once per call.
+// worst_case_clf allocates at most once per call, and
+// calculate_permutation, which scores every candidate order with it,
+// allocates nothing per candidate.
 //
 // Not registered under the sanitizers: ASan/TSan interpose the
 // allocator and the replacement operators below would fight them.
@@ -20,6 +21,7 @@
 #include <new>
 
 #include "core/burst.hpp"
+#include "core/cpo.hpp"
 #include "core/interleaver.hpp"
 #include "engine/engine.hpp"
 #include "net/fragment.hpp"
@@ -114,6 +116,21 @@ TEST(Alloc, WorstCaseClfAllocatesAtMostOncePerCall) {
     const std::uint64_t allocs = counter.stop();
     EXPECT_GE(clf, 1u);
     EXPECT_LE(allocs, 1u) << "worst_case_clf allocated " << allocs << " times";
+}
+
+// calculate_permutation scores every candidate order in scratch: one
+// image, one class order and one loss mask serve all of them, and only a
+// new best becomes a Permutation (a copy plus its bijection check).  At
+// (n, b) = (16, 8) a call measured 22 allocations with a vector per class
+// order and a Permutation per scored order; now 10: the identity (2), the
+// stride list, the three scratch vectors and two new bests (2 each).
+TEST(Alloc, CalculatePermutationScoresCandidatesInScratch) {
+    AllocCounter counter;
+    counter.start();
+    const espread::CpoResult r = espread::calculate_permutation(16, 8);
+    const std::uint64_t allocs = counter.stop();
+    EXPECT_EQ(r.clf, 1u);
+    EXPECT_LE(allocs, 10u) << "calculate_permutation allocated " << allocs << " times";
 }
 
 // The event queue reuses its heap's capacity and moves callbacks: once
@@ -272,6 +289,33 @@ TEST(Alloc, CodedSessionAllocationsDoNotScaleWithRepairs) {
         << light.repairs_per_window << " -> " << heavy.repairs_per_window
         << " repairs/window raised allocations/window from "
         << light.allocs_per_window << " to " << heavy.allocs_per_window;
+}
+
+// The perfbench session_repair shape: MJPEG with 16 LDUs, hybrid RLC at
+// 2/10, the NACK recovery plane, the governor, both impairment mixes and
+// metrics on.  What is left per window: the wire codec's buffers for the
+// ~1 packet a window the corrupt draw hits, fresh trailer and ACK vectors
+// for lost ones and plans for newly seen bounds.  Measured 9 with a
+// std::map node and frame vector per window, a heap-allocated NACK timer
+// per round and decoder logs that grew for the whole stream; 3 now, and
+// the bound is that plus 2.
+TEST(Alloc, RepairSessionWindowLoopStaysWithinBudget) {
+    espread::proto::SessionConfig cfg = coded(2);
+    cfg.stream.kind = espread::proto::StreamKind::kMjpeg;
+    cfg.stream.ldus_per_window = 16;
+    cfg.recovery.enabled = true;
+    cfg.governor.enabled = true;
+    cfg.data_impairment.reorder_rate = 0.02;
+    cfg.data_impairment.duplicate_rate = 0.02;
+    cfg.data_impairment.corrupt_rate = 0.02;
+    cfg.data_impairment.jitter_rate = 0.05;
+    cfg.feedback_impairment.corrupt_rate = 0.02;
+    cfg.blackout_feedback_windows(4, 6);
+    cfg.collect_metrics = true;
+    const SessionRate rate = session_rate(cfg);
+    EXPECT_LE(rate.allocs_per_window, 5u)
+        << "repair session window loop now allocates " << rate.allocs_per_window
+        << " times per window";
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <string>
 #include <vector>
@@ -352,6 +353,52 @@ TEST(FaultChannel, EveryDeliveryCarriesItsOwnPayload) {
     }
     EXPECT_EQ(extra, s.duplicated);
     expect_reconciled(s, received);
+}
+
+// A receiver that sends on its own channel from inside a delivery, in
+// bursts of in-band and side-band packets of mixed sizes under heavy
+// reordering and jitter: the in-order ring, the displaced keys and the
+// parked payloads all grow while a delivery is running.  Every payload
+// must still arrive intact, every send at least once.
+TEST(FaultChannel, ReceiverSendingMidDeliveryKeepsEveryPayloadIntact) {
+    constexpr int kSeeds = 6;
+    constexpr int kFanout = 80;
+    constexpr int kTags = kSeeds + kSeeds * kFanout;
+    EventQueue q;
+    FaultChannel<Tagged> ch{q, LinkConfig{1e6, from_millis(3)}, kLossless,
+                            Rng{7}};
+    ImpairmentConfig cfg;
+    cfg.reorder_rate = 0.4;
+    cfg.jitter_rate = 0.4;
+    cfg.jitter_max = from_millis(4);
+    cfg.duplicate_rate = 0.2;
+    ch.set_impairments(cfg, Rng{29});
+    std::vector<int> count(kTags, 0);
+    ch.set_receiver([&](Tagged m) {
+        ASSERT_GE(m.tag, 0);
+        ASSERT_LT(m.tag, kTags);
+        EXPECT_EQ(m.body, "payload-" + std::to_string(m.tag));
+        if (++count[static_cast<std::size_t>(m.tag)] > 1 || m.tag >= kSeeds) return;
+        for (int i = 0; i < kFanout; ++i) {
+            const int tag = kSeeds + m.tag * kFanout + i;
+            const auto bits = static_cast<std::size_t>(500 + 250 * (i % 4));
+            if (i % 3 == 0) {
+                ch.send_sideband(tagged(tag), bits);
+            } else {
+                ch.send(tagged(tag), bits);
+            }
+        }
+    });
+    for (int i = 0; i < kSeeds; ++i) ch.send(tagged(i), 1000);
+    q.run();
+    for (int i = 0; i < kTags; ++i) {
+        EXPECT_GE(count[static_cast<std::size_t>(i)], 1) << "tag " << i;
+    }
+    const auto s = ch.stats();
+    EXPECT_GT(s.reordered, 0u);
+    EXPECT_GT(ch.in_flight_slots(), 2u * 16u);
+    expect_reconciled(s, static_cast<std::size_t>(
+                             std::accumulate(count.begin(), count.end(), 0)));
 }
 
 TEST(Channel, InFlightSlotsAreReusedAfterDrain) {

@@ -6,6 +6,7 @@
 //   - received rank never decreases,
 //   - decode => re-encode reproduces every repair payload,
 //   - rank-only mode takes the exact decode decisions of payload mode,
+//   - releasing the decoder's logs as they are read loses no entry,
 //   - window expiry resolves undecoded symbols as losses and the in-order
 //     delivery log stays monotone with correct timestamps,
 //   - recorded digests pin every observable decode decision in both modes.
@@ -118,6 +119,30 @@ TEST(Gf256, RowKernelsMatchScalarReference) {
         gf_mul_row(scaled.data(), n, c);
         for (std::size_t i = 0; i < n; ++i) {
             ASSERT_EQ(scaled[i], gf_mul_ref(c, dst[i]));
+        }
+    }
+}
+
+// Every coefficient at lengths around the kernels' 16-byte blocks: whole
+// blocks, a block plus a byte tail, and a tail alone.
+TEST(Gf256, RowKernelsMatchForEveryCoefficient) {
+    Rng rng{0x16B};
+    for (const std::size_t n : {std::size_t{15}, std::size_t{16}, std::size_t{33}, std::size_t{64}}) {
+        std::vector<std::uint8_t> dst(n), src(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            dst[i] = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+            src[i] = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+        }
+        for (unsigned c = 0; c < 256; ++c) {
+            const auto k = static_cast<std::uint8_t>(c);
+            std::vector<std::uint8_t> sum = dst;
+            std::vector<std::uint8_t> scaled = dst;
+            gf_mul_row_add(sum.data(), src.data(), n, k);
+            gf_mul_row(scaled.data(), n, k);
+            for (std::size_t i = 0; i < n; ++i) {
+                ASSERT_EQ(sum[i], gf_add(dst[i], gf_mul_ref(k, src[i]))) << "c=" << c << " n=" << n;
+                ASSERT_EQ(scaled[i], gf_mul_ref(k, dst[i])) << "c=" << c << " n=" << n;
+            }
         }
     }
 }
@@ -308,6 +333,79 @@ TEST(RlcDecoder, RankOnlyModeTakesIdenticalDecodeDecisions) {
             EXPECT_EQ(full.in_order_log()[i].lost,
                       rank_only.in_order_log()[i].lost);
             EXPECT_EQ(full.in_order_log()[i].at, rank_only.in_order_log()[i].at);
+        }
+    }
+}
+
+// A consumer that releases the logs after every call, as the Session
+// does, reads exactly the entries of a decoder that keeps them whole, in
+// both modes, with stale, duplicate and jumping arrivals mixed in.
+TEST(RlcDecoder, ReleasingTheLogsIncrementallyYieldsTheFullLogs) {
+    for (const std::size_t symbol_bytes : {kSym, std::size_t{0}}) {
+        SCOPED_TRACE(symbol_bytes);
+        RlcDecoder whole(10, symbol_bytes);
+        RlcDecoder released(10, symbol_bytes);
+        std::vector<RlcDecoder::DecodedEvent> decoded;
+        std::vector<RlcDecoder::InOrderEvent> in_order;
+        const auto consume = [&] {
+            decoded.insert(decoded.end(), released.decoded().begin(),
+                           released.decoded().end());
+            in_order.insert(in_order.end(), released.in_order_log().begin(),
+                            released.in_order_log().end());
+            released.release_logs();
+            EXPECT_TRUE(released.decoded().empty());
+            EXPECT_TRUE(released.in_order_log().empty());
+        };
+        Rng rng{41};
+        RlcEncoder enc(10, kSym, 5);
+        double t = 0.0;
+        for (std::size_t i = 0; i < 400; ++i) {
+            const std::vector<std::uint8_t> src = random_symbol(rng);
+            const std::uint64_t idx = enc.add_source(src.data(), kSym);
+            t += 1.0;
+            // Every 100 sources a burst of 30 losses outruns the window.
+            const bool outage = i % 100 >= 70;
+            if (!outage && !rng.bernoulli(0.25)) {
+                for (RlcDecoder* d : {&whole, &released}) {
+                    d->add_source(idx, symbol_bytes ? src.data() : nullptr,
+                                  symbol_bytes ? kSym : 0, t);
+                }
+                consume();
+            }
+            if (i % 4 == 0 && i >= 2) {
+                // A duplicate of an older source: stale or a repeat.
+                for (RlcDecoder* d : {&whole, &released}) {
+                    d->add_source(idx - 2, nullptr, 0, t);
+                }
+                consume();
+            }
+            if (!outage && i % 3 == 0) {
+                const RepairSymbol rep = enc.make_repair();
+                t += 0.25;
+                for (RlcDecoder* d : {&whole, &released}) {
+                    d->add_repair(rep.base, rep.count, rep.cseed,
+                                  symbol_bytes ? rep.payload.data() : nullptr,
+                                  symbol_bytes ? rep.payload.size() : 0, t);
+                }
+                consume();
+            }
+        }
+        whole.close(t);
+        released.close(t);
+        consume();
+        EXPECT_GT(whole.decoded().size(), 10u);
+        EXPECT_GT(whole.symbols_lost(), 0u);
+        EXPECT_GT(whole.in_order_log().size(), 300u);
+        ASSERT_EQ(decoded.size(), whole.decoded().size());
+        for (std::size_t i = 0; i < decoded.size(); ++i) {
+            EXPECT_EQ(decoded[i].index, whole.decoded()[i].index);
+            EXPECT_EQ(decoded[i].at, whole.decoded()[i].at);
+        }
+        ASSERT_EQ(in_order.size(), whole.in_order_log().size());
+        for (std::size_t i = 0; i < in_order.size(); ++i) {
+            EXPECT_EQ(in_order[i].index, whole.in_order_log()[i].index);
+            EXPECT_EQ(in_order[i].at, whole.in_order_log()[i].at);
+            EXPECT_EQ(in_order[i].lost, whole.in_order_log()[i].lost);
         }
     }
 }

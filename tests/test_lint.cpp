@@ -72,11 +72,13 @@ TEST(LintRules, TableListsTokenAndContractRules) {
 
 TEST(LintFixtures, D1FlagsEntropySource) {
     // Line 21 declares `using clock = std::chrono::steady_clock;`: the
-    // clock is caught by its type name, before the alias hides it.
+    // clock is caught by its type name, before the alias hides it.  Line 31
+    // arms a profiling timer, whose signals land wherever the CPU is.
     const auto diags = lint_fixture("src/core/d1_entropy.cpp");
-    ASSERT_EQ(keys(diags), (Keys{{"D1", 10}, {"D1", 21}}));
+    ASSERT_EQ(keys(diags), (Keys{{"D1", 10}, {"D1", 21}, {"D1", 31}}));
     EXPECT_NE(diags[0].message.find("random_device"), std::string::npos);
     EXPECT_NE(diags[1].message.find("steady_clock"), std::string::npos);
+    EXPECT_NE(diags[2].message.find("setitimer"), std::string::npos);
 }
 
 TEST(LintFixtures, D2FlagsHashContainersInOrderedOutputPath) {
@@ -128,9 +130,9 @@ TEST(LintFixtures, SuppressionWithoutReasonIsFlaggedAndIneffective) {
 
 TEST(LintFixtures, TreeScanAggregatesAllSeededViolations) {
     const auto diags = espread::lint::scan_tree(ESPREAD_LINT_FIXTURES);
-    // 2 (D1) + 2 (D2) + 3 (D4) + 3 (D5) + 2 (D0+D1 no-reason), plus the
+    // 3 (D1) + 2 (D2) + 3 (D4) + 3 (D5) + 2 (D0+D1 no-reason), plus the
     // C5 finding that the fixture tree has no contract registry.
-    ASSERT_EQ(diags.size(), 13u);
+    ASSERT_EQ(diags.size(), 14u);
     // Deterministic order: sorted by path, then line.
     for (std::size_t i = 1; i < diags.size(); ++i) {
         EXPECT_LE(diags[i - 1].path, diags[i].path);

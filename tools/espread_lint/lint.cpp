@@ -272,6 +272,7 @@ void check_d1(const Stripped& s, Emitter& e) {
         "std::random_device", "random_device",
         "steady_clock",       "system_clock",
         "high_resolution_clock", "gettimeofday",
+        "setitimer",
     };
     for (std::size_t i = 0; i < s.code.size(); ++i) {
         const std::string& line = s.code[i];
