@@ -546,19 +546,19 @@ struct Session::Impl {
     }
 
     /// Feeds one *delivered* source packet to the client-side decoder (the
-    /// wire header's fec_group field carries the source index).
+    /// wire header's fec_group field carries the source index).  A source
+    /// arriving after repairs that cover it can complete their equations,
+    /// so it may decode other packets too.
     void client_on_source(const DataPacket& p) {
         if (!rlc_decoder.has_value()) return;
         const std::uint64_t index = static_cast<std::uint64_t>(p.fec_group);
         if (!client_admit(index + 1)) return;
         rlc_decoder->add_source(index, nullptr, 0,
                                 sim::to_seconds(queue.now()));
-        rlc_drain_in_order();
-        rlc_prune_sources();
+        client_take_decodes();
     }
 
-    /// Feeds one *delivered* repair packet to the client-side decoder and
-    /// completes any newly decoded source packets at the current time.
+    /// Feeds one *delivered* repair packet to the client-side decoder.
     void client_on_repair(const RepairPacket& r) {
         if (!rlc_decoder.has_value()) return;
         if (r.count == 0 || r.count > cfg.rlc.window_packets) {
@@ -568,6 +568,12 @@ struct Session::Impl {
         if (!client_admit(r.base + r.count)) return;
         rlc_decoder->add_repair(r.base, r.count, r.cseed, nullptr, 0,
                                 sim::to_seconds(queue.now()));
+        client_take_decodes();
+    }
+
+    /// Completes every source packet the decoder solved since the last
+    /// call at the current time, then consumes its in-order log.
+    void client_take_decodes() {
         for (const fec::RlcDecoder::DecodedEvent& d : rlc_decoder->decoded()) {
             const std::uint64_t idx = d.index;
             // A forged coordinate can decode an index the sender never

@@ -356,6 +356,39 @@ TEST(RlcSessionFaults, SixtyFourSeedsSurviveTheKitchenSinkCoded) {
     }
 }
 
+// Every source packet the client decoder solves reaches the receiver and
+// counts in rlc_packets_recovered, whether a repair or a late source
+// completed the solve.  Reordering and jitter let sources arrive after
+// repairs that cover them; with no duplicates, corruption or resends the
+// decoder's books close.  Each index it tracked is resolved once, and
+// the ones resolved known fill the in-order delay histogram: the distinct
+// sources that arrived (its rank less the useful repairs) plus the
+// decodes.
+TEST(RlcSessionFaults, EveryDecodeReachesTheReceiver) {
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        SessionConfig cfg = base_config(seed);
+        cfg.scheme = espread::proto::Scheme::kHybridSpreadRlc;
+        cfg.rlc.window_packets = 32;
+        cfg.rlc.overhead_num = 3;
+        cfg.rlc.overhead_den = 10;
+        cfg.retransmit_critical = false;
+        cfg.num_windows = 40;
+        cfg.data_impairment.reorder_rate = 0.3;
+        cfg.data_impairment.jitter_rate = 0.3;
+        cfg.collect_metrics = true;
+        const SessionResult r = run_session(cfg);
+        const auto& m = r.metrics;
+        ASSERT_EQ(m.counter("rlc_forged_rejected"), 0u);
+        const std::uint64_t useful = m.counter("rlc_repairs_sent") -
+                                     m.counter("rlc_repairs_lost") -
+                                     m.counter("rlc_repairs_redundant");
+        const std::uint64_t direct = m.counter("rlc_rank") - useful;
+        const std::uint64_t known = m.find_histogram("rlc_in_order_delay_ms")->total();
+        EXPECT_GT(m.counter("rlc_packets_recovered"), 0u) << "seed " << seed;
+        EXPECT_EQ(m.counter("rlc_packets_recovered"), known - direct) << "seed " << seed;
+    }
+}
+
 TEST(RlcSessionFaults, MetricsByteIdenticalAcrossThreadCounts) {
     SessionConfig cfg = rlc_mixed_config(123);
     cfg.collect_metrics = true;
