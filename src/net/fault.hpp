@@ -192,8 +192,9 @@ public:
     /// retransmission; protocol endpoints must not base per-packet
     /// decisions on it ahead of the time a real NACK could have arrived.
     /// Below this entry point the payload is only ever moved: into the
-    /// staging slot (see stage()), along a pending lane when an arrival is
-    /// displaced or the lane widens, and never out of an in-order slot.
+    /// staging slot (see stage()), into the displaced pool when a fault
+    /// puts it ahead of an earlier send, and along the ring when it
+    /// widens.  An in-order payload is delivered from its slot.
     bool send(Msg msg, std::size_t size_bits) {
         stage() = std::move(msg);
         return send_staged(size_bits);
@@ -215,7 +216,13 @@ public:
     /// channel.  The slot holds whatever an earlier message left in it,
     /// so the sender overwrites it whole, and sends nothing else on this
     /// channel before the staged send.
-    Msg& stage() { return in_order_.next_slot().msg; }
+    Msg& stage() {
+        if (in_order_.full()) [[unlikely]] {
+            std::vector<Pending> old = in_order_.widen();
+            if (popped_storage_.empty()) popped_storage_ = std::move(old);
+        }
+        return in_order_.next_slot().msg;
+    }
 
     /// send() and send_sideband() for the message built in stage().
     bool send_staged(std::size_t size_bits) {
@@ -400,9 +407,6 @@ private:
     template <typename T>
     struct Ring {
         std::vector<T> slots;
-        /// The storage the first widen since deliver_head last emptied
-        /// this replaced: the slot that delivery popped lives on there.
-        std::vector<T> retired;
         /// slots.size() - 1, kept: sizeof(T) is no power of two, so
         /// computing it per access costs a multiply on the address path.
         std::size_t mask = 0;
@@ -414,17 +418,17 @@ private:
         bool appends(sim::SimTime when) noexcept {
             return size == 0 || at(size - 1).when <= when;
         }
-        /// The slot behind the last entry, which push() files.
-        T& next_slot() {
-            if (size + 1 >= slots.size()) widen();
-            return at(size);
-        }
+        /// Whether one more entry would fill the last free slot.
+        bool full() const noexcept { return size + 1 >= slots.size(); }
+        /// The slot behind the last entry, which push() files (in a ring
+        /// that is not full()).
+        T& next_slot() noexcept { return at(size); }
         /// Files next_slot() (for an entry that appends()).
         void push() noexcept { ++size; }
         /// Files an entry at `when` in order and returns its slot: the
         /// later ones shift up by one.
         T& insert(sim::SimTime when) {
-            if (size + 1 >= slots.size()) widen();
+            if (full()) widen();
             std::size_t pos = size;
             while (pos > 0 && at(pos - 1).when > when) --pos;
             for (std::size_t i = size; i > pos; --i) at(i) = std::move(at(i - 1));
@@ -435,14 +439,15 @@ private:
             head = (head + 1) & mask;
             --size;
         }
-        /// Doubles the ring (at least 16 slots), earliest entry first.
-        void widen() {
+        /// Doubles the ring (at least 16 slots), earliest entry first, and
+        /// returns the storage it replaced.
+        std::vector<T> widen() {
             std::vector<T> wider(std::max<std::size_t>(16, 2 * slots.size()));
             for (std::size_t i = 0; i < size; ++i) wider[i] = std::move(at(i));
             slots.swap(wider);
-            if (retired.empty()) retired.swap(wider);
             mask = slots.size() - 1;
             head = 0;
+            return wider;
         }
     };
 
@@ -509,7 +514,7 @@ private:
     /// keeps what the receiver leaves of it until reused.
     void deliver_head() {
         if (head_displaced_) [[unlikely]] return deliver_displaced();
-        if (!in_order_.retired.empty()) [[unlikely]] in_order_.retired = std::vector<Pending>();
+        if (!popped_storage_.empty()) [[unlikely]] popped_storage_ = std::vector<Pending>();
         Msg& msg = in_order_.at(0).msg;
         in_order_.pop_front();
         arm();
@@ -554,6 +559,9 @@ private:
     std::size_t loss_run_ = 0;  ///< consecutive drops ending at the last send
     /// Pending deliveries: the two lanes together, merged by (when, seq).
     Ring<Pending> in_order_;
+    /// The in_order_ storage that stage()'s first widen since the last
+    /// delivery began replaced: the slot that delivery popped lives there.
+    std::vector<Pending> popped_storage_;
     Ring<Parked> displaced_;
     std::vector<Msg> parked_;  ///< displaced payloads, by Parked::slot
     std::vector<std::size_t> free_parked_;

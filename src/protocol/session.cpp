@@ -338,7 +338,7 @@ struct Session::Impl {
 
     /// One data packet built in the data channel's staging slot, for a
     /// staged send: the frame's header `proto` with the packet's own fields
-    /// set.  The packet is never copied on its way into the channel.
+    /// set.  An in-order packet is delivered from where it is built.
     DataPacket& stage_packet(const DataPacket& proto, std::uint64_t seq,
                              std::size_t fragment, std::size_t size_bits,
                              bool retransmission) {

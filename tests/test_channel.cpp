@@ -358,8 +358,11 @@ TEST(FaultChannel, EveryDeliveryCarriesItsOwnPayload) {
 // A receiver that sends on its own channel from inside a delivery, in
 // bursts of in-band and side-band packets of mixed sizes under heavy
 // reordering and jitter: the in-order ring, the displaced keys and the
-// parked payloads all grow while a delivery is running.  Every payload
-// must still arrive intact, every send at least once.
+// parked payloads all grow while a delivery is running.  The receiver
+// takes the payload by reference, as the Session does, and reads it
+// again after its sends: an in-order payload is delivered from its slot,
+// which those sends must not touch.  Every payload must arrive intact,
+// every send at least once.
 TEST(FaultChannel, ReceiverSendingMidDeliveryKeepsEveryPayloadIntact) {
     constexpr int kSeeds = 6;
     constexpr int kFanout = 80;
@@ -374,11 +377,12 @@ TEST(FaultChannel, ReceiverSendingMidDeliveryKeepsEveryPayloadIntact) {
     cfg.duplicate_rate = 0.2;
     ch.set_impairments(cfg, Rng{29});
     std::vector<int> count(kTags, 0);
-    ch.set_receiver([&](Tagged m) {
+    ch.set_receiver([&](Tagged&& m) {
         ASSERT_GE(m.tag, 0);
         ASSERT_LT(m.tag, kTags);
         EXPECT_EQ(m.body, "payload-" + std::to_string(m.tag));
         if (++count[static_cast<std::size_t>(m.tag)] > 1 || m.tag >= kSeeds) return;
+        const Tagged before = m;
         for (int i = 0; i < kFanout; ++i) {
             const int tag = kSeeds + m.tag * kFanout + i;
             const auto bits = static_cast<std::size_t>(500 + 250 * (i % 4));
@@ -388,6 +392,8 @@ TEST(FaultChannel, ReceiverSendingMidDeliveryKeepsEveryPayloadIntact) {
                 ch.send(tagged(tag), bits);
             }
         }
+        EXPECT_EQ(m.tag, before.tag);
+        EXPECT_EQ(m.body, before.body);
     });
     for (int i = 0; i < kSeeds; ++i) ch.send(tagged(i), 1000);
     q.run();

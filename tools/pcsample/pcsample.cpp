@@ -3,13 +3,11 @@
 //   LD_PRELOAD=build/tools/pcsample/libpcsample.so <program> [args...]
 //   python3 tools/pcsample/symbolize.py pcsample.<pid>.txt
 //
-// Every millisecond of the process's CPU time (ITIMER_PROF counts all of
-// its threads) the kernel sends SIGPROF to a running thread; the handler
-// records the program counter the signal interrupted.  At exit the
-// samples go to pcsample.<pid>.txt in the working directory, after the
-// process's executable mappings from /proc/self/maps, so the symbolizer
-// can find each module's load base and hand file-relative addresses to
-// addr2line.
+// Every millisecond of the process's CPU time (ITIMER_PROF counts all its
+// threads) SIGPROF interrupts a running thread, and the handler records
+// the interrupted program counter.  At exit the samples go to
+// pcsample.<pid>.txt in the working directory, after /proc/self/maps, from
+// which the symbolizer finds each module's load base.
 #include <signal.h>
 #include <sys/time.h>
 #include <ucontext.h>
@@ -18,7 +16,6 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 
 namespace {
 

@@ -22,14 +22,12 @@ def read(path):
     with open(path) as f:
         for line in f:
             kind, _, rest = line.partition(" ")
+            fields = rest.split(None, 5)
             if kind == "pc":
                 pcs.append(int(rest, 16))
-                continue
-            fields = rest.split(None, 5)
-            if len(fields) < 6 or not fields[5].startswith("/"):
-                continue
-            lo, hi = (int(x, 16) for x in fields[0].split("-"))
-            maps.append((lo, hi, fields[1], int(fields[2], 16), fields[5].strip()))
+            elif len(fields) == 6 and fields[5].startswith("/"):
+                lo, hi = (int(x, 16) for x in fields[0].split("-"))
+                maps.append((lo, hi, fields[1], int(fields[2], 16), fields[5].strip()))
     return maps, pcs
 
 
@@ -53,14 +51,14 @@ def main():
     text = [m for m in maps if "x" in m[2]]
     bases = load_bases(maps)
     by_module = collections.defaultdict(collections.Counter)
-    unknown = 0
+    funcs, files = collections.Counter(), collections.Counter()
     for pc in pcs:
         m = next((m for m in text if m[0] <= pc < m[1]), None)
         if m is None or m[4] not in bases:
-            unknown += 1
+            funcs["?"] += 1
+            files["?"] += 1
         else:
             by_module[m[4]][pc - bases[m[4]]] += 1
-    funcs, files = collections.Counter(), collections.Counter()
     for module, counts in by_module.items():
         addrs = sorted(counts)
         # -a heads each address's frames; -i lists its inline chain, the
@@ -72,12 +70,8 @@ def main():
         for a, group in zip(addrs, groups):
             func, loc = group.splitlines()[-2:]
             loc = loc.rsplit(":", 1)[0]
-            if loc == "??":
-                loc = os.path.basename(module)
             funcs[func] += counts[a]
-            files[os.path.normpath(loc)] += counts[a]
-    funcs["?"] += unknown
-    files["?"] += unknown
+            files[os.path.basename(module) if loc == "??" else os.path.normpath(loc)] += counts[a]
     total = max(len(pcs), 1)
     print(f"{len(pcs)} samples")
     for title, counter in (("function", funcs), ("source file", files)):
