@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/burst.hpp"
+#include "core/interleaver.hpp"
 
 namespace espread {
 
@@ -79,7 +80,8 @@ CpoResult calculate_permutation(std::size_t n, std::size_t b,
 
     // Candidates are scored in scratch: one image, one class order and one
     // loss mask serve them all, and only a new best becomes a Permutation.
-    std::vector<std::size_t> image(n);
+    std::vector<std::size_t> image;
+    image.reserve(n);
     std::vector<std::size_t> order;
     order.reserve(n);
     std::vector<bool> lost(n, false);
@@ -92,20 +94,12 @@ CpoResult calculate_permutation(std::size_t n, std::size_t b,
 
     for (const std::size_t g : cpo_candidate_strides(n, b, exhaustive_stride_limit)) {
         if (std::gcd(g, n) == 1) {
-            // cyclic_stride_order(n, g): slot i -> i * g mod n.
-            std::size_t v = 0;
-            for (std::size_t i = 0; i < n; ++i, v = v + g >= n ? v + g - n : v + g) {
-                image[i] = v;
-            }
+            cyclic_stride_image(n, g, 0, image);
             score(g, CpoKind::kCyclicStride);
         }
         for (int variant = 0; variant < 4; ++variant) {
             if (!class_order(g, variant, order)) continue;
-            // residue_class_order(n, g, order): each class in turn.
-            std::size_t slot = 0;
-            for (const std::size_t r : order) {
-                for (std::size_t v = r; v < n; v += g) image[slot++] = v;
-            }
+            residue_class_image(n, g, order, image);
             score(g, CpoKind::kResidueClass);
             if (best.clf <= floor_bound) break;
         }

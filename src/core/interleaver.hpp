@@ -25,6 +25,9 @@ Permutation ibo_order(std::size_t n);
 /// bijection (throws otherwise).  The paper's Table 1 order for n = 17 is
 /// cyclic_stride_order(17, 5, 0).
 Permutation cyclic_stride_order(std::size_t n, std::size_t stride, std::size_t offset = 0);
+/// cyclic_stride_order's image written into `image`, on its capacity.
+void cyclic_stride_image(std::size_t n, std::size_t stride, std::size_t offset,
+                         std::vector<std::size_t>& image);
 
 /// Residue-class order: transmit all playback indices congruent to 0 mod
 /// stride in increasing order, then 1 mod stride, etc.  Works for any
@@ -40,5 +43,11 @@ Permutation residue_class_order(std::size_t n, std::size_t stride);
 /// of 2 with CLF 1, which the natural order cannot.
 Permutation residue_class_order(std::size_t n, std::size_t stride,
                                 const std::vector<std::size_t>& class_order);
+/// residue_class_order's image written into `image`, on its capacity: for
+/// scoring many orders without allocating.  A repeated class is not
+/// rejected here; the image is then no bijection.
+void residue_class_image(std::size_t n, std::size_t stride,
+                         const std::vector<std::size_t>& class_order,
+                         std::vector<std::size_t>& image);
 
 }  // namespace espread
