@@ -7,7 +7,9 @@ Each sample's module is the executable mapping holding its PC; a
 position-independent module's address is the PC minus its load base (the
 start of its offset-0 mapping).  addr2line names the function and source
 file of the symbol the PC lies in (an inlined callee counts toward its
-caller); samples outside any named module count as "?".
+caller).  A module without line tables (a stripped system library) gets
+one "[module]" row, since addr2line would name whichever exported symbol
+precedes the PC; samples outside any named module count as "?".
 """
 
 import argparse
@@ -70,8 +72,10 @@ def main():
         for a, group in zip(addrs, groups):
             func, loc = group.splitlines()[-2:]
             loc = loc.rsplit(":", 1)[0]
+            if loc == "??":
+                func = loc = f"[{os.path.basename(module)}]"
             funcs[func] += counts[a]
-            files[os.path.basename(module) if loc == "??" else os.path.normpath(loc)] += counts[a]
+            files[os.path.normpath(loc)] += counts[a]
     total = max(len(pcs), 1)
     print(f"{len(pcs)} samples")
     for title, counter in (("function", funcs), ("source file", files)):
