@@ -3,9 +3,9 @@
 //   LD_PRELOAD=build/tools/pcsample/libpcsample.so <program> [args...]
 //   python3 tools/pcsample/symbolize.py pcsample.<pid>.txt
 //
-// Every millisecond of the process's CPU time (ITIMER_PROF counts all its
-// threads) SIGPROF interrupts a running thread, and the handler records
-// the interrupted program counter.  At exit the samples go to
+// ITIMER_PROF asks for SIGPROF every millisecond of the process's CPU
+// time, all threads counted (the kernel may round up to its tick); the
+// handler records the program counter the signal interrupted.  At exit the samples go to
 // pcsample.<pid>.txt in the working directory, after /proc/self/maps, from
 // which the symbolizer finds each module's load base.
 #include <signal.h>
