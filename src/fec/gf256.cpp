@@ -1,6 +1,7 @@
 #include "fec/gf256.hpp"
 
 #include <array>
+#include <cstring>
 
 #if defined(__x86_64__)
 #include <immintrin.h>
@@ -59,18 +60,25 @@ constexpr SliceTables kSlice = make_slice_tables();
 __attribute__((target("ssse3"))) std::size_t mul_blocks_ssse3(
     std::uint8_t* dst, const std::uint8_t* src, std::size_t n, std::uint8_t c,
     bool accumulate) noexcept {
-    const __m128i lo = _mm_loadu_si128(reinterpret_cast<const __m128i*>(kSlice.lo[c].data()));
-    const __m128i hi = _mm_loadu_si128(reinterpret_cast<const __m128i*>(kSlice.hi[c].data()));
+    // Blocks move through memcpy (one unaligned load or store each).
+    __m128i lo;
+    __m128i hi;
+    std::memcpy(&lo, kSlice.lo[c].data(), 16);
+    std::memcpy(&hi, kSlice.hi[c].data(), 16);
     const __m128i nibble = _mm_set1_epi8(0x0F);
     std::size_t i = 0;
     for (; i + 16 <= n; i += 16) {
-        const __m128i v = _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + i));
+        __m128i v;
+        std::memcpy(&v, src + i, 16);
         __m128i product =
             _mm_xor_si128(_mm_shuffle_epi8(lo, _mm_and_si128(v, nibble)),
                           _mm_shuffle_epi8(hi, _mm_and_si128(_mm_srli_epi64(v, 4), nibble)));
-        auto* out = reinterpret_cast<__m128i*>(dst + i);
-        if (accumulate) product = _mm_xor_si128(product, _mm_loadu_si128(out));
-        _mm_storeu_si128(out, product);
+        if (accumulate) {
+            __m128i d;
+            std::memcpy(&d, dst + i, 16);
+            product = _mm_xor_si128(product, d);
+        }
+        std::memcpy(dst + i, &product, 16);
     }
     return i;
 }
